@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"blinktree/internal/buffer"
 	"blinktree/internal/core"
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
@@ -52,6 +53,11 @@ var (
 	// deadlock victim, or because delete state invalidated a re-latch);
 	// retry the transaction.
 	ErrTxnAborted = core.ErrTxnAborted
+	// ErrPoolFull is returned when an operation needed a buffer-pool frame
+	// and every frame stayed pinned by other operations for a full second:
+	// the cache is too small for the concurrency (see Options.CacheSize).
+	// The tree stays consistent and the operation can be retried.
+	ErrPoolFull = buffer.ErrPoolFull
 )
 
 // Baseline selects one of the paper's comparator algorithms instead of the
@@ -144,7 +150,14 @@ type Options struct {
 	// equal are the same record. ScanPrefix and separator truncation are
 	// bytewise-only (truncation is disabled automatically).
 	Comparator func(a, b []byte) int
-	// CacheSize is the buffer pool capacity in nodes (default 4096).
+	// CacheSize is the buffer pool capacity in nodes (default 4096). Every
+	// node an operation touches is pinned in a frame while it is latched or
+	// being validated, and latch/pin coupling holds at most three at once
+	// (parent, node, sibling), so size the pool at no less than 3 × (the
+	// goroutines calling the tree concurrently + Workers). An operation that
+	// finds every frame pinned waits for an unpin, up to one second, and then
+	// fails with ErrPoolFull. A pool that merely holds the working set's
+	// index levels is the performance floor; this is the correctness one.
 	CacheSize int
 	// MinFill is the consolidation threshold as a fraction of PageSize
 	// (default 0.30): nodes below it are merged into their left sibling.

@@ -33,8 +33,11 @@ func TestDiscardIfUnpinned(t *testing.T) {
 	if !called {
 		t.Fatal("release not called")
 	}
-	if p.Resident(id) {
+	if p.find(id) != nil {
 		t.Fatal("frame survived discard")
+	}
+	if s := p.Snapshot(); s.WriteBacks != 0 {
+		t.Fatalf("discard of a dirty page wrote it back: %+v", s)
 	}
 	// A later fetch must fail cleanly (page deallocated under the same
 	// pool lock, so no stale reload is possible).

@@ -6,18 +6,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"blinktree/internal/page"
 	"blinktree/internal/storage"
 	"blinktree/internal/wal"
 )
 
-// testObj is a minimal Object: a page-sized blob with an LSN header.
+// testObj is a minimal Object: a page-sized blob with an LSN header. It is
+// Framed, so tests can reach the frame caching it.
 type testObj struct {
-	lsn  wal.LSN
-	data byte // fill byte, for identity checks
-	mu   sync.Mutex
+	lsn   wal.LSN
+	data  byte // fill byte, for identity checks
+	mu    sync.Mutex
+	frame *Frame
 }
+
+func (o *testObj) SetFrame(f *Frame) { o.frame = f }
 
 func (o *testObj) PageLSN() wal.LSN {
 	o.mu.Lock()
@@ -124,6 +129,7 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 
 func TestPinnedPagesAreNotEvicted(t *testing.T) {
 	p, store, _ := newTestPool(t, 2)
+	p.fullWait = 20 * time.Millisecond
 	a := allocObj(t, p, store, 1)
 	b := allocObj(t, p, store, 2)
 	// Pin both.
@@ -133,10 +139,18 @@ func TestPinnedPagesAreNotEvicted(t *testing.T) {
 	if _, err := p.Fetch(b); err != nil {
 		t.Fatal(err)
 	}
-	// A third page cannot enter: everything is pinned.
+	// A third page cannot enter: everything is pinned, and stays pinned for
+	// the pool's whole wait budget.
 	id, _ := store.Allocate()
+	t0 := time.Now()
 	if err := p.Insert(id, &testObj{}); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("Insert with all pinned: %v, want ErrPoolFull", err)
+	}
+	if waited := time.Since(t0); waited < p.fullWait {
+		t.Fatalf("ErrPoolFull after %v, before the %v wait budget", waited, p.fullWait)
+	}
+	if _, err := p.Fetch(id); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("Fetch with all pinned: %v, want ErrPoolFull", err)
 	}
 	p.Unpin(a, false)
 	if err := p.Insert(id, &testObj{}); err != nil {
@@ -160,27 +174,19 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 func TestMarkDirtyRequiresPin(t *testing.T) {
 	p, store, _ := newTestPool(t, 2)
 	id := allocObj(t, p, store, 1)
+	obj, err := p.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := obj.(*testObj).frame
+	f.MarkDirty()
+	f.Unpin(false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MarkDirty of unpinned page did not panic")
 		}
 	}()
-	p.MarkDirty(id)
-}
-
-func TestDiscardDropsWithoutWriteBack(t *testing.T) {
-	p, store, _ := newTestPool(t, 4)
-	id, _ := store.Allocate()
-	if err := p.Insert(id, &testObj{data: 9}); err != nil {
-		t.Fatal(err)
-	}
-	p.Discard(id)
-	if p.Resident(id) {
-		t.Fatal("discarded page still resident")
-	}
-	if s := p.Snapshot(); s.WriteBacks != 0 {
-		t.Fatalf("Discard wrote back: %+v", s)
-	}
+	f.MarkDirty()
 }
 
 func TestFlushAllPersistsDirtyPages(t *testing.T) {
@@ -235,7 +241,7 @@ func TestFetchMissingPageFails(t *testing.T) {
 		t.Fatal("Fetch of unallocated page succeeded")
 	}
 	// The failed frame must not poison later fetches of other pages.
-	if p.Resident(999) {
+	if p.find(999) != nil {
 		t.Fatal("failed frame left resident")
 	}
 }
@@ -299,11 +305,11 @@ func TestConcurrentChurn(t *testing.T) {
 					t.Errorf("fetch %d: %v", id, err)
 					return
 				}
-				to := obj.(*testObj)
-				to.mu.Lock()
-				want := byte((int(id) - 1) % 16)
-				_ = want
-				to.mu.Unlock()
+				// ids are handed out 1..16 in allocation order, and page i
+				// was filled with byte(i).
+				if got, want := obj.(*testObj).data, byte(id-ids[0]); got != want {
+					t.Errorf("page %d data = %d, want %d", id, got, want)
+				}
 				p.Unpin(id, i%3 == 0)
 			}
 		}(g)
@@ -319,14 +325,6 @@ func TestConcurrentChurn(t *testing.T) {
 			t.Fatalf("page %d data = %d, want %d", id, got, i)
 		}
 		p.Unpin(id, false)
-	}
-}
-
-func TestInsertDuplicateFails(t *testing.T) {
-	p, store, _ := newTestPool(t, 4)
-	id := allocObj(t, p, store, 1)
-	if err := p.Insert(id, &testObj{}); err == nil {
-		t.Fatal("duplicate Insert succeeded")
 	}
 }
 
@@ -346,25 +344,59 @@ func TestSnapshotCounts(t *testing.T) {
 	}
 }
 
+// BenchmarkFetchHit is the hit path — Fetch plus Unpin through the frame
+// handle, as the tree does it — on one goroutine, and on all of them either
+// hammering one page (the root's situation: one frame's cache line is
+// shared) or each cycling over pages of its own (nothing is shared, so this
+// one should scale with -cpu).
 func BenchmarkFetchHit(b *testing.B) {
-	store := storage.NewMemStore(128)
-	codec := &testCodec{}
-	p := NewPool(store, nil, codec, 16)
-	id, _ := store.Allocate()
-	if err := p.Insert(id, &testObj{data: 1}); err != nil {
-		b.Fatal(err)
+	const perG = 64
+	setup := func(b *testing.B, pages int) (*Pool, []page.PageID) {
+		store := storage.NewMemStore(128)
+		p := NewPool(store, nil, &testCodec{}, pages)
+		ids := make([]page.PageID, pages)
+		for i := range ids {
+			ids[i], _ = store.Allocate()
+			if err := p.Insert(ids[i], &testObj{data: 1}); err != nil {
+				b.Fatal(err)
+			}
+			p.Unpin(ids[i], false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		return p, ids
 	}
-	p.Unpin(id, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	hit := func(b *testing.B, p *Pool, id page.PageID) {
 		obj, err := p.Fetch(id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = obj
-		p.Unpin(id, false)
+		obj.(*testObj).frame.Unpin(false)
 	}
+	b.Run("serial", func(b *testing.B) {
+		p, ids := setup(b, 1)
+		for i := 0; i < b.N; i++ {
+			hit(b, p, ids[0])
+		}
+	})
+	b.Run("same-page", func(b *testing.B) {
+		p, ids := setup(b, 1)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				hit(b, p, ids[0])
+			}
+		})
+	})
+	b.Run("spread", func(b *testing.B) {
+		p, ids := setup(b, perG*64) // room for 64 goroutines
+		var next atomic.Int32
+		b.RunParallel(func(pb *testing.PB) {
+			mine := ids[(int(next.Add(1))-1)%64*perG:][:perG]
+			for i := 0; pb.Next(); i++ {
+				hit(b, p, mine[i%perG])
+			}
+		})
+	})
 }
 
 func ExamplePool() {
@@ -380,7 +412,7 @@ func ExamplePool() {
 }
 
 // slowObj is a testObj whose Marshal blocks until released, holding the
-// frame in stateEvicting (pool mutex dropped) for as long as the test needs.
+// frame in stateEvicting (no lock held) for as long as the test needs.
 type slowObj struct {
 	testObj
 	started chan struct{} // closed when Marshal begins
@@ -394,11 +426,11 @@ func (o *slowObj) Marshal(pageSize int) ([]byte, error) {
 }
 
 // TestConcurrentMissDuringEviction reproduces the duplicate-frame race: a
-// miss makes room by evicting, which releases the pool mutex during
-// write-back; a second miss for the same page in that window must not
-// overwrite the first loader's frame when it resumes. With the bug, the two
-// loaders get distinct frames for one page and their unpins cross,
-// underflowing the pin count (panic "Unpin of unpinned page").
+// miss makes room by evicting, which holds no lock during write-back; a
+// second miss for the same page in that window must not install a second
+// frame when it resumes. With the bug, the two loaders get distinct frames
+// for one page and their unpins cross, underflowing the pin count (panic
+// "Unpin of unpinned page").
 func TestConcurrentMissDuringEviction(t *testing.T) {
 	p, store, _ := newTestPool(t, 2)
 	// Two dirty slow-marshal victims fill the pool.

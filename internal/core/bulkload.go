@@ -115,7 +115,7 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		return err
 	}
 	empty := len(r.c.Keys) == 0
-	t.pool.Unpin(oldRoot, false)
+	t.unpin(r)
 	if !empty {
 		return ErrNotEmpty
 	}
@@ -191,7 +191,7 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		old.latch.Acquire(latch.Exclusive)
 		old.dead = true
 		old.latch.Release(latch.Exclusive)
-		t.pool.Unpin(oldRoot, false)
+		t.unpin(old)
 		t.reclaim(oldRoot)
 	}
 
@@ -305,7 +305,7 @@ func (s *bulkSession) logChunk(nodes []*node) error {
 	}
 	for _, n := range nodes {
 		n.publishRoute()
-		t.pool.Unpin(n.id, true)
+		n.frame.Unpin(true)
 	}
 	s.pages += uint64(len(nodes))
 	s.chunks++
@@ -321,7 +321,7 @@ func (s *bulkSession) flushPending() error {
 	err := s.logChunk(s.pending)
 	if err != nil {
 		for _, n := range s.pending {
-			s.t.pool.Unpin(n.id, false)
+			s.t.unpin(n)
 		}
 	}
 	s.pending = s.pending[:0]
@@ -331,7 +331,7 @@ func (s *bulkSession) flushPending() error {
 // unpinPending releases the pending nodes without logging (failure path).
 func (s *bulkSession) unpinPending() {
 	for _, n := range s.pending {
-		s.t.pool.Unpin(n.id, false)
+		s.t.unpin(n)
 	}
 	s.pending = s.pending[:0]
 }
@@ -355,7 +355,7 @@ func (s *bulkSession) loadLeavesSerial(next func() (key, val []byte, ok bool)) e
 	t := s.t
 	fail := func(cur *node, err error) error {
 		if cur != nil {
-			t.pool.Unpin(cur.id, false)
+			t.unpin(cur)
 		}
 		s.unpinPending()
 		return err
@@ -500,7 +500,7 @@ func (s *bulkSession) loadLeavesParallel(next func() (key, val []byte, ok bool))
 		for _, c := range chunks[nextFinish:] {
 			<-c.done
 			for _, n := range c.nodes {
-				t.pool.Unpin(n.id, false)
+				t.unpin(n)
 			}
 		}
 		return err
@@ -606,7 +606,7 @@ func (s *bulkSession) buildChunk(c *bulkChunk) {
 	t := s.t
 	fail := func(nodes []*node, err error) {
 		for _, n := range nodes {
-			t.pool.Unpin(n.id, false)
+			t.unpin(n)
 		}
 		c.err = err
 	}
@@ -666,7 +666,7 @@ func (s *bulkSession) finishChunk(c *bulkChunk) error {
 	}
 	if err := s.logChunk(c.nodes); err != nil {
 		for _, n := range c.nodes {
-			t.pool.Unpin(n.id, false)
+			t.unpin(n)
 		}
 		c.nodes = nil
 		c.finished = true
@@ -696,7 +696,7 @@ func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 		s.level = nil
 		fail := func(cur *node, err error) error {
 			if cur != nil {
-				t.pool.Unpin(cur.id, false)
+				t.unpin(cur)
 			}
 			s.unpinPending()
 			return err

@@ -203,7 +203,7 @@ func (t *Tree) resolveParent(a *action) bool {
 	dx := t.dx.v.Load()
 	p, _, err := t.traverse(traverseOpts{
 		key: a.sep, level: a.level + 1, intent: latch.Shared, dx: dx,
-	})
+	}, nil)
 	if err != nil {
 		return false
 	}

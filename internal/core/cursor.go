@@ -133,7 +133,8 @@ func (c *Cursor) position(seek []byte) (*node, error) {
 
 func (c *Cursor) freshTraverse(seek []byte) (*node, error) {
 	dx := c.t.dx.v.Load()
-	leaf, path, err := c.t.traverseRead(traverseOpts{key: seek, intent: latch.Shared, dx: dx, sp: c.sp})
+	// The cursor keeps the path, so it lends its own storage, not a pathBuf.
+	leaf, path, err := c.t.traverseRead(traverseOpts{key: seek, intent: latch.Shared, dx: dx, sp: c.sp}, c.path[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 			if n.c.DD != 0 {
 				rep.DDCarriers++
 				if lvl != 1 {
-					t.pool.Unpin(id, false)
+					t.unpin(n)
 					return rep, fmt.Errorf("verify-deep: node %d at level %d carries D_D=%d; only level-1 nodes (data-node parents) may", id, lvl, n.c.DD)
 				}
 			}
@@ -93,7 +93,7 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 				next = n.c.Children[0]
 			}
 			right := n.c.Right
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			id = right
 		}
 		leftmost = next
@@ -113,7 +113,7 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 			return rep, fmt.Errorf("verify-deep: allocated page %d does not deserialize: %w", id, err)
 		}
 		selfID := n.c.ID
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		if selfID != id {
 			return rep, fmt.Errorf("verify-deep: page %d names itself %d", id, selfID)
 		}

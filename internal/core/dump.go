@@ -36,7 +36,7 @@ func (t *Tree) NodeSnapshot(id page.PageID) (NodeInfo, error) {
 	if err != nil {
 		return NodeInfo{}, err
 	}
-	defer t.pool.Unpin(id, false)
+	defer t.unpin(n)
 	info := NodeInfo{
 		ID: n.id, Kind: n.c.Kind, Level: n.c.Level,
 		Low: append([]byte(nil), n.c.Low...), Right: n.c.Right,
@@ -65,11 +65,11 @@ func (t *Tree) LevelNodes(lvl uint8) ([]page.PageID, error) {
 			return nil, err
 		}
 		if n.level() == lvl {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			break
 		}
 		next := n.c.Children[0]
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		id = next
 	}
 	var ids []page.PageID
@@ -80,7 +80,7 @@ func (t *Tree) LevelNodes(lvl uint8) ([]page.PageID, error) {
 			return nil, err
 		}
 		next := n.c.Right
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		id = next
 	}
 	return ids, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"blinktree/internal/page"
 	"blinktree/internal/storage"
 )
 
@@ -165,4 +166,95 @@ func TestBulkLoadAllocFailureCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustVerify(t, tr)
+}
+
+// reissueStore forces the interleaving behind "buffer: Insert of resident
+// page N" (benchmark/README.md, Findings). It keeps a freed page's last image
+// readable when the allocator hands the id out again, and runs afterAlloc
+// between that Allocate and the caller's pool.Insert — the instant in which a
+// latch-free descent holding a stale route can fetch the id.
+type reissueStore struct {
+	storage.Store
+	images     map[page.PageID][]byte
+	afterAlloc func(page.PageID)
+}
+
+func (s *reissueStore) Write(id page.PageID, buf []byte) error {
+	s.images[id] = append([]byte(nil), buf...)
+	return s.Store.Write(id, buf)
+}
+
+func (s *reissueStore) Allocate() (page.PageID, error) {
+	id, err := s.Store.Allocate()
+	if err != nil {
+		return id, err
+	}
+	if img, ok := s.images[id]; ok {
+		if err := s.Store.Write(id, img); err != nil {
+			return id, err
+		}
+	}
+	if s.afterAlloc != nil {
+		s.afterAlloc(id)
+	}
+	return id, nil
+}
+
+// TestSplitOverStaleFrame: a descent that fetched a just-consolidated leaf's
+// page id after store.Allocate re-issued it, and backed off, leaves a frame
+// for that id behind. The split that owns the id must still register its new
+// node (the frame is stale by construction); before the fix its Insert
+// failed, and so did every later split that drew the same id.
+func TestSplitOverStaleFrame(t *testing.T) {
+	rs := &reissueStore{Store: storage.NewMemStore(512), images: map[page.PageID][]byte{}}
+	tr, err := New(Options{PageSize: 512, Store: rs, MinFill: 0.4, Workers: WorkersNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if err := tr.pool.FlushAll(); err != nil { // every leaf now has a store image
+		t.Fatal(err)
+	}
+	// Empty the low half so its leaves are consolidated and their ids freed.
+	for i := 0; i < n/2; i++ {
+		if err := tr.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if tr.Stats().LeafConsolidated == 0 {
+		t.Fatal("no leaf was consolidated; the test needs a freed page id")
+	}
+
+	stale := 0
+	rs.afterAlloc = func(id page.PageID) {
+		if nd, err := tr.fetch(id); err == nil { // the descent's fetch ...
+			tr.unpin(nd) // ... and its back-off after failing validation
+			stale++
+		}
+	}
+	splits := tr.Stats().Splits
+	for i := n; tr.Stats().Splits < splits+3; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatalf("put %d with a stale frame for the split's page: %v", i, err)
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no re-issued id was fetched before its Insert; nothing was tested")
+	}
+	rs.afterAlloc = nil
+	tr.DrainTodo()
+	mustVerify(t, tr)
+	for i := n / 2; i < n; i++ {
+		if got, err := tr.Get(key(i)); err != nil || !bytes.Equal(got, valb(i)) {
+			t.Fatalf("record %d after the splits: %q, %v", i, got, err)
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"blinktree/internal/buffer"
 	"blinktree/internal/latch"
 	"blinktree/internal/page"
 	"blinktree/internal/wal"
@@ -29,6 +30,11 @@ import (
 type node struct {
 	latch latch.Latch
 	id    page.PageID
+
+	// frame is the buffer-pool frame caching this node, set once by the pool
+	// before the node is reachable (SetFrame). A pin holder unpins and marks
+	// dirty through it, so neither needs a page-table lookup.
+	frame *buffer.Frame
 
 	// dead marks a consolidated node. It is set under the exclusive latch
 	// just before deallocation; any latcher that finds it must back off.
@@ -103,6 +109,9 @@ func newNode(id page.PageID, c page.Content) *node {
 	c.ID = id
 	return &node{id: id, c: c}
 }
+
+// SetFrame implements buffer.Framed.
+func (n *node) SetFrame(f *buffer.Frame) { n.frame = f }
 
 // PageLSN implements buffer.Object.
 func (n *node) PageLSN() wal.LSN { return wal.LSN(n.c.LSN) }

@@ -34,7 +34,8 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	t0, sp := t.obsBegin(obs.OpSearch)
 	defer t.obsEnd(obs.OpSearch, t0, sp)
 	dx := t.dx.v.Load()
-	leaf, path, err := t.traverseRead(traverseOpts{key: key, intent: latch.Shared, dx: dx, sp: sp})
+	var pb pathBuf
+	leaf, path, err := t.traverseRead(traverseOpts{key: key, intent: latch.Shared, dx: dx, sp: sp}, pb[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +121,10 @@ func (t *Tree) putInternal(lp recOpParams, key, val []byte) (wal.LSN, bool, erro
 		}
 	}
 	dx := t.dx.v.Load()
+	var pb pathBuf
 	leaf, path, err := t.traverse(traverseOpts{
 		key: key, intent: latch.Update, promote: true, dx: dx, sp: lp.sp,
-	})
+	}, pb[:0])
 	if err != nil {
 		return 0, false, err
 	}
@@ -169,7 +171,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 			var err error
 			leaf, path, err = t.traverse(traverseOpts{
 				key: key, intent: latch.Update, promote: true, dx: dx, sp: lp.sp,
-			})
+			}, path[:0])
 			if err != nil {
 				return 0, false, err
 			}
@@ -180,7 +182,12 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			return 0, false, err
 		}
-		if leaf.pastHigh(t.cmp, key) {
+		// Follow the side pointer to the half that now covers the key. A
+		// loop, not a single step: the posting enqueued by the split makes
+		// the new sibling reachable through the parent at once, so by the
+		// time its latch is granted here other writers may have filled and
+		// split it again, and the key may lie further right still.
+		for leaf.pastHigh(t.cmp, key) {
 			right, err := t.pinLatchSpan(leaf.c.Right, latch.Exclusive, lp.sp)
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			if err != nil {
@@ -200,9 +207,10 @@ func (t *Tree) deleteInternal(lp recOpParams, key []byte) (wal.LSN, error) {
 		}
 	}
 	dx := t.dx.v.Load()
+	var pb pathBuf
 	leaf, path, err := t.traverse(traverseOpts{
 		key: key, intent: latch.Update, promote: true, dx: dx, sp: lp.sp,
-	})
+	}, pb[:0])
 	if err != nil {
 		return 0, err
 	}

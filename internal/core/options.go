@@ -72,7 +72,12 @@ type Options struct {
 	// recovery machinery is independent of the key interpretation.
 	Compare Compare
 
-	// CacheSize is the buffer pool capacity in nodes. Default 4096.
+	// CacheSize is the buffer pool capacity in nodes. Default 4096. Latch/pin
+	// coupling holds at most three frames per operation (parent, node,
+	// sibling), so the minimum is 3 × (concurrent callers + Workers); below
+	// that an operation can find every frame pinned, in which case it waits
+	// for an unpin for up to a second and then fails with
+	// buffer.ErrPoolFull.
 	CacheSize int
 
 	// MinFill is the under-utilization threshold as a fraction of PageSize:

@@ -39,17 +39,17 @@ import (
 const maxOptAttempts = 3
 
 // unpin drops a pin taken with fetch (no latch involved).
-func (t *Tree) unpin(n *node) { t.pool.Unpin(n.id, false) }
+func (t *Tree) unpin(n *node) { n.frame.Unpin(false) }
 
 // traverseRead is the entry point for Shared leaf traversals (Get,
 // transactional point reads, cursor positioning): optimistic first, latched
-// fallback. Non-read shapes go straight to traverse.
-func (t *Tree) traverseRead(o traverseOpts) (*node, []pathEntry, error) {
+// fallback. Non-read shapes go straight to traverse. buf is as for traverse.
+func (t *Tree) traverseRead(o traverseOpts, buf []pathEntry) (*node, []pathEntry, error) {
 	if t.optReads && o.intent == latch.Shared && o.level == 0 && !o.promote {
 		for attempt := 0; attempt < maxOptAttempts; attempt++ {
 			t.c.optAttempts.Add(1)
 			o.sp.EnterPhase(obs.StageDescend)
-			leaf, path, ok := t.traverseOpt(o)
+			leaf, path, ok := t.traverseOpt(o, buf)
 			o.sp.ExitPhase()
 			if ok {
 				return leaf, path, nil
@@ -61,7 +61,7 @@ func (t *Tree) traverseRead(o traverseOpts) (*node, []pathEntry, error) {
 		t.c.optFallbacks.Add(1)
 		t.traceOptFallback()
 	}
-	return t.traverse(o)
+	return t.traverse(o, buf)
 }
 
 // routeView samples n's version word and routing snapshot for one
@@ -83,13 +83,13 @@ func (n *node) routeView() (*route, uint64, bool) {
 // means a validation failed and the caller should retry or fall back;
 // on ok=true the covering leaf is returned pinned and Shared-latched with
 // the remembered path, exactly like traverse.
-func (t *Tree) traverseOpt(o traverseOpts) (*node, []pathEntry, bool) {
+func (t *Tree) traverseOpt(o traverseOpts, buf []pathEntry) (*node, []pathEntry, bool) {
 	rootID, rootLevel := t.readAnchor()
 	n, err := t.fetchSpan(rootID, o.sp)
 	if err != nil {
 		return nil, nil, false // root shrunk away; retry from new anchor
 	}
-	var path []pathEntry
+	path := buf[:0]
 	level := rootLevel
 	for level > 0 {
 		r, v, ok := n.routeView()

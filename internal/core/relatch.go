@@ -19,7 +19,7 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 	if t.opts.NoDeleteSupport || len(path) == 0 {
 		// No deletes (references never dangle) or the root is the leaf:
 		// a fresh traversal is the re-latch.
-		return t.traverse(traverseOpts{key: key, intent: intent, promote: promote, dx: rememberedDX})
+		return t.traverse(traverseOpts{key: key, intent: intent, promote: promote, dx: rememberedDX}, nil)
 	}
 	if t.dx.v.Load() != rememberedDX {
 		return nil, nil, errDeleteState

@@ -35,7 +35,7 @@ func (t *Tree) serializedSplit(key []byte, need int) error {
 	dx := t.dx.v.Load()
 	leaf, path, err := t.traverse(traverseOpts{
 		key: key, intent: latch.Update, promote: true, dx: dx,
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
@@ -163,7 +163,7 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		if checkState && a.level == 0 {
 			p.c.DD++
 			t.c.ddIncrements.Add(1)
-			t.pool.MarkDirty(p.id)
+			p.frame.MarkDirty()
 		}
 		if checkState && t.opts.SingleDeleteState {
 			// Ablation: all deletes funnel into the global counter.
@@ -184,9 +184,9 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		} else if a.level == 0 {
 			// Data node: its deletion would have bumped this parent's
 			// D_D (or a value copied forward through parent splits).
-			if p.c.DD != a.dd {
+			if seen := p.c.DD; seen != a.dd {
 				t.unlatchUnpin(p, latch.Update, false)
-				t.traceAbort(obs.EvAbortDD, a, a.dd, p.c.DD)
+				t.traceAbort(obs.EvAbortDD, a, a.dd, seen)
 				return nil, errDDChanged
 			}
 		} else {
@@ -329,7 +329,7 @@ func (t *Tree) postAtRootLevel(a action) {
 	}
 	p, _, err := t.traverse(traverseOpts{
 		key: a.sep, level: a.level + 1, intent: latch.Update, dx: t.dx.v.Load(),
-	})
+	}, nil)
 	if err != nil {
 		t.c.postsRequeued.Add(1)
 		t.todo.requeue(a)
@@ -392,6 +392,6 @@ func (t *Tree) growLocked(a action) {
 	t.anchor.level = root.c.Level
 	t.c.grows.Add(1)
 	t.c.postsDone.Add(1)
-	t.pool.Unpin(root.id, true)
+	root.frame.Unpin(true)
 	t.traceSMO(obs.EvCompleted, &a)
 }

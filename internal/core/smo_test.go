@@ -216,7 +216,7 @@ func TestRelatchDirect(t *testing.T) {
 	tr := buildFigureTree(t)
 	dx := tr.DX()
 	k := key(150)
-	leaf, path, err := tr.traverse(traverseOpts{key: k, intent: latch.Shared, dx: dx})
+	leaf, path, err := tr.traverse(traverseOpts{key: k, intent: latch.Shared, dx: dx}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRelatchAfterLeafSplit(t *testing.T) {
 	tr := buildFigureTree(t)
 	dx := tr.DX()
 	k := key(150)
-	leaf, path, err := tr.traverse(traverseOpts{key: k, intent: latch.Shared, dx: dx})
+	leaf, path, err := tr.traverse(traverseOpts{key: k, intent: latch.Shared, dx: dx}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

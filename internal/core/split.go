@@ -91,7 +91,7 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		dx:     dx,
 		dd:     dd,
 	}
-	t.pool.Unpin(right.id, true)
+	right.frame.Unpin(true)
 	t.c.postsEnqueued.Add(1)
 	t.todo.enqueue(a)
 	return nil

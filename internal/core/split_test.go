@@ -140,3 +140,66 @@ func TestSplitPointIndexPrefersShortFence(t *testing.T) {
 		t.Fatalf("splitPoint = %d strayed outside the window around %d", mid, nk/2)
 	}
 }
+
+// TestPutFollowsResplitSibling: a Put that splits its leaf and must move to
+// the new right half can find, by the time that half's latch is granted, that
+// other writers reached it through the just-posted index term, filled it and
+// split it again — the key then lies two siblings to the right. The move must
+// keep following side pointers until the leaf covers the key; inserting into
+// the first sibling left a key above its high fence.
+//
+// The interleaving is forced from inside the Put's own goroutine: the tree's
+// comparator is user code, and the first comparison the Put makes after its
+// split (the high-fence check that decides the move) does the other writers'
+// work before it answers.
+func TestPutFollowsResplitSibling(t *testing.T) {
+	var tr *Tree
+	big := key(999999)
+	armed, next := false, 0
+	cmp := func(a, b []byte) int {
+		if armed && tr.TodoLen() > 0 && bytes.Equal(a, big) {
+			armed = false
+			tr.DrainTodo() // post the new sibling: reachable through the parent now
+			for splits := tr.Stats().Splits; tr.Stats().Splits == splits; next++ {
+				if err := tr.Put(key(next), valb(next)); err != nil {
+					t.Errorf("interleaved put %d: %v", next, err)
+					break
+				}
+			}
+		}
+		return bytes.Compare(a, b)
+	}
+	tr = newTestTree(t, Options{Compare: cmp, Combining: FeatureOff, AppendFastPath: FeatureOff})
+	// Fill the root leaf to one record short of its first split.
+	need := page.EntrySize(page.Leaf, len(big), len(valb(0)))
+	for {
+		root, err := tr.fetch(tr.anchor.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := root.size()+need > tr.opts.PageSize
+		tr.unpin(root)
+		if full {
+			break
+		}
+		if err := tr.Put(key(next), valb(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if tr.Stats().Splits != 0 {
+		t.Fatal("setup split the root leaf already")
+	}
+
+	armed = true
+	if err := tr.Put(big, valb(0)); err != nil {
+		t.Fatal(err)
+	}
+	if armed || tr.Stats().Splits < 2 {
+		t.Fatalf("interleaving did not happen (armed=%v, splits=%d)", armed, tr.Stats().Splits)
+	}
+	mustVerify(t, tr)
+	if got, err := tr.Get(big); err != nil || !bytes.Equal(got, valb(0)) {
+		t.Fatalf("Get of the moved key: %q, %v", got, err)
+	}
+}

@@ -351,7 +351,7 @@ func TestDrainBailoutOnPerpetualRequeue(t *testing.T) {
 		t.Fatal("reclaim retries not counted")
 	}
 	// Unpinning the page lets the still-queued reclaim complete.
-	tr.pool.Unpin(n.id, false)
+	tr.unpin(n)
 	tr.DrainTodo()
 	if got := tr.TodoLen(); got != 0 {
 		t.Fatalf("queue not empty after unpin+drain: %d", got)

@@ -18,6 +18,14 @@ type pathEntry struct {
 	dd    uint64
 }
 
+// pathBuf is the storage a caller lends a traversal for its remembered path:
+// declared as a local and passed as buf[:0], it keeps the path on the
+// caller's stack for any tree of up to len(pathBuf) index levels (deeper
+// trees spill to the heap through append). The returned path aliases it, so
+// whoever keeps a path beyond the call copies it; actions on the to-do queue
+// copy the entries they need when they are built.
+type pathBuf [8]pathEntry
+
 // traverseOpts parameterizes a traversal (Appendix A.1).
 type traverseOpts struct {
 	key    []byte
@@ -41,8 +49,8 @@ const maxTraverseRestarts = 10000
 // the root (topmost first). Latch coupling is used downward and rightward
 // unless the tree was built with NoDeleteSupport, in which case a single
 // latch is held at a time (§3.1.1: coupling is only required because nodes
-// can be deleted).
-func (t *Tree) traverse(o traverseOpts) (*node, []pathEntry, error) {
+// can be deleted). The path is built in buf (see pathBuf; nil allocates).
+func (t *Tree) traverse(o traverseOpts, buf []pathEntry) (*node, []pathEntry, error) {
 	// The traversal phase charges the span its wall time minus the nested
 	// fetch/latch stages, so routing work is attributed separately from
 	// waiting.
@@ -68,7 +76,7 @@ restart:
 			t.c.restarts.Add(1)
 			continue restart
 		}
-		var path []pathEntry
+		path := buf[:0]
 		for {
 			// Side traversals: the key lies beyond this node's key space,
 			// so follow the side pointer. Reaching a node only via its

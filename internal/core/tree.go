@@ -280,7 +280,7 @@ func (t *Tree) format() error {
 			return err
 		}
 	}
-	t.pool.Unpin(root.id, true)
+	root.frame.Unpin(true)
 	return nil
 }
 
@@ -327,7 +327,7 @@ func (t *Tree) unlatchUnpin(n *node, m latch.Mode, dirty bool) {
 		n.publishRoute()
 	}
 	n.latch.Release(m)
-	t.pool.Unpin(n.id, dirty)
+	n.frame.Unpin(dirty)
 }
 
 // allocNode allocates a store page and registers a node for it, returned

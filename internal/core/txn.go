@@ -335,7 +335,8 @@ func (x *Txn) Get(key []byte) ([]byte, error) {
 	t0, sp := t.obsBegin(obs.OpSearch)
 	defer t.obsEnd(obs.OpSearch, t0, sp)
 	dx := t.dx.v.Load()
-	leaf, path, err := t.traverseRead(traverseOpts{key: key, intent: latch.Shared, dx: dx, sp: sp})
+	var pb pathBuf
+	leaf, path, err := t.traverseRead(traverseOpts{key: key, intent: latch.Shared, dx: dx, sp: sp}, pb[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +375,8 @@ func (x *Txn) Put(key, val []byte) error {
 	t.c.inserts.Add(1)
 	t0, sp := t.obsBegin(obs.OpInsert)
 	dx := t.dx.v.Load()
-	leaf, path, err := t.traverse(traverseOpts{key: key, intent: latch.Update, promote: true, dx: dx, sp: sp})
+	var pb pathBuf
+	leaf, path, err := t.traverse(traverseOpts{key: key, intent: latch.Update, promote: true, dx: dx, sp: sp}, pb[:0])
 	if err != nil {
 		return err
 	}
@@ -422,7 +424,8 @@ func (x *Txn) Delete(key []byte) error {
 	t0, sp := t.obsBegin(obs.OpDelete)
 	defer t.obsEnd(obs.OpDelete, t0, sp)
 	dx := t.dx.v.Load()
-	leaf, path, err := t.traverse(traverseOpts{key: key, intent: latch.Update, promote: true, dx: dx, sp: sp})
+	var pb pathBuf
+	leaf, path, err := t.traverse(traverseOpts{key: key, intent: latch.Update, promote: true, dx: dx, sp: sp}, pb[:0])
 	if err != nil {
 		return err
 	}

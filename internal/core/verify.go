@@ -39,11 +39,11 @@ func (t *Tree) Verify() error {
 				return fmt.Errorf("verify: fetch leftmost %d: %w", leftmost, err)
 			}
 			if len(first.c.Children) == 0 {
-				t.pool.Unpin(first.id, false)
+				t.unpin(first)
 				return fmt.Errorf("verify: index node %d at level %d has no children", first.id, lvl)
 			}
 			next := first.c.Children[0]
-			t.pool.Unpin(first.id, false)
+			t.unpin(first)
 			// Verify child links of the whole level point into the chain
 			// one level down (checked inside verifyLevel via child.Low).
 			leftmost = next
@@ -66,39 +66,39 @@ func (t *Tree) verifyLevel(start page.PageID, lvl uint8) ([]page.PageID, error) 
 			return nil, fmt.Errorf("verify: level %d fetch %d: %w", lvl, id, err)
 		}
 		if n.dead {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, fmt.Errorf("verify: dead node %d reachable at level %d", id, lvl)
 		}
 		if n.level() != lvl {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, fmt.Errorf("verify: node %d has level %d, expected %d", id, n.level(), lvl)
 		}
 		if first {
 			if len(n.c.Low) != 0 {
-				t.pool.Unpin(id, false)
+				t.unpin(n)
 				return nil, fmt.Errorf("verify: leftmost node %d at level %d has low %q, want -inf", id, lvl, n.c.Low)
 			}
 			first = false
 		} else if !bytes.Equal(prevHigh, n.c.Low) {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, fmt.Errorf("verify: chain gap at level %d: prev high %q != node %d low %q", lvl, prevHigh, id, n.c.Low)
 		}
 		if err := t.verifyNode(n); err != nil {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, err
 		}
 		ids = append(ids, id)
 		prevHigh = n.c.High
 		next := n.c.Right
 		if n.c.High == nil && next != 0 {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, fmt.Errorf("verify: node %d has +inf high but sibling %d", id, next)
 		}
 		if n.c.High != nil && next == 0 {
-			t.pool.Unpin(id, false)
+			t.unpin(n)
 			return nil, fmt.Errorf("verify: node %d has high %q but no sibling", id, n.c.High)
 		}
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		id = next
 	}
 	return ids, nil
@@ -145,18 +145,18 @@ func (t *Tree) verifyNode(n *node) error {
 			return fmt.Errorf("verify: index %d child %d: %w", n.id, childID, err)
 		}
 		if child.dead {
-			t.pool.Unpin(childID, false)
+			t.unpin(child)
 			return fmt.Errorf("verify: index %d references dead child %d", n.id, childID)
 		}
 		if child.level() != n.level()-1 {
-			t.pool.Unpin(childID, false)
+			t.unpin(child)
 			return fmt.Errorf("verify: index %d (level %d) child %d has level %d", n.id, n.level(), childID, child.level())
 		}
 		if !bytes.Equal(child.c.Low, n.c.Keys[i]) {
-			t.pool.Unpin(childID, false)
+			t.unpin(child)
 			return fmt.Errorf("verify: index %d term %q != child %d low %q", n.id, n.c.Keys[i], childID, child.c.Low)
 		}
-		t.pool.Unpin(childID, false)
+		t.unpin(child)
 	}
 	return nil
 }
@@ -171,7 +171,7 @@ func (t *Tree) verifyLeafOrder() error {
 		}
 		next := n.c.Children[0]
 		lvl = n.level() - 1
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		id = next
 	}
 	var prev []byte
@@ -183,14 +183,14 @@ func (t *Tree) verifyLeafOrder() error {
 		}
 		for _, k := range n.c.Keys {
 			if haveAny && t.cmp(prev, k) >= 0 {
-				t.pool.Unpin(id, false)
+				t.unpin(n)
 				return fmt.Errorf("verify: leaf chain order violation at key %q (prev %q)", k, prev)
 			}
 			prev = append(prev[:0], k...)
 			haveAny = true
 		}
 		next := n.c.Right
-		t.pool.Unpin(id, false)
+		t.unpin(n)
 		id = next
 	}
 	return nil
