@@ -72,17 +72,42 @@ func BenchmarkDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkScan100 scans 100 consecutive records from a pseudo-random start:
+// cached with the whole tree resident, uncached with the tree 17 times the
+// pool (the ratio of the repository benchmark's emb.churn.uncached). Besides
+// ns/op it reports ns/record and the buffer-pool fetches one scan makes — a
+// cursor that reads a leaf per latch acquisition makes a handful, one that
+// re-positions per record makes two per record.
 func BenchmarkScan100(b *testing.B) {
-	tr := mkTree(b, core.Options{PageSize: 4096, Workers: 2}, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cnt := 0
-		tr.Scan(bench.Key((i*977)%90_000), nil, func(_, _ []byte) bool {
-			cnt++
-			return cnt < 100
-		})
+	const keys, span = 100_000, 100
+	run := func(b *testing.B, cacheDivisor int) {
+		opts := core.Options{PageSize: 4096, Workers: 2}
+		tr := mkTree(b, opts, keys)
+		if cacheDivisor > 1 {
+			// The same load again, over a pool a fraction of its page count.
+			opts.CacheSize = tr.StoreStats().LivePages / cacheDivisor
+			tr = mkTree(b, opts, keys)
+		}
+		before := tr.PoolStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := (i * 977) % (keys - span)
+			cnt := 0
+			if err := tr.Scan(bench.Key(start), bench.Key(start+span), func(_, _ []byte) bool {
+				cnt++
+				return true
+			}); err != nil || cnt != span {
+				b.Fatalf("scan from %d: %d records, %v", start, cnt, err)
+			}
+		}
+		b.StopTimer()
+		after := tr.PoolStats()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*span), "ns/record")
+		b.ReportMetric(float64(after.Hits+after.Misses-before.Hits-before.Misses)/float64(b.N), "fetches/scan")
 	}
+	b.Run("cached", func(b *testing.B) { run(b, 1) })
+	b.Run("uncached", func(b *testing.B) { run(b, 17) })
 }
 
 func BenchmarkTxnCommit(b *testing.B) {

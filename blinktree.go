@@ -366,7 +366,12 @@ func (t *Tree) Delete(key []byte) error { return t.inner.Delete(key) }
 
 // Scan calls fn for each record in [start, end) in key order; fn returning
 // false stops the scan. start nil/empty scans from the smallest key; end
-// nil scans to the largest. No latches are held across fn calls.
+// nil scans to the largest. No latches are held across fn calls: the scan
+// copies a leaf's in-range records under one shared latch, releases it, and
+// calls fn on the copies, so fn may call back into the tree. What a scan
+// observes is a snapshot per leaf: a write to the leaf being delivered is
+// not reflected, a write to a leaf not yet read is. Keys arrive in strictly
+// ascending order, and a record present for the whole scan exactly once.
 func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	return t.inner.Scan(start, end, fn)
 }
@@ -433,7 +438,9 @@ func (t *Tree) BulkLoadParallel(next func() (key, val []byte, ok bool), fill flo
 func (t *Tree) Len() (int, error) { return t.inner.Len() }
 
 // Cursor iterates records in key order without blocking writers between
-// fetches.
+// fetches. It reads a leaf at a time and serves Next from that copy, with the
+// per-leaf snapshot semantics described on Tree.Scan. A Cursor is not safe
+// for concurrent use.
 type Cursor struct{ inner *core.Cursor }
 
 // NewCursor returns a cursor over [start, end); end nil means +inf.
@@ -441,11 +448,13 @@ func (t *Tree) NewCursor(start, end []byte) *Cursor {
 	return &Cursor{inner: t.inner.NewCursor(start, end)}
 }
 
-// Next returns the next record, or ok=false at the end of the range.
+// Next returns the next record, or ok=false at the end of the range. Key
+// and value are the caller's to keep. Only the call that finds the current
+// leaf's records used up touches the tree.
 func (c *Cursor) Next() (key, val []byte, ok bool, err error) { return c.inner.Next() }
 
 // Seek repositions the cursor so the next Next returns the first record
-// with key >= target.
+// with key >= target, read afresh from the tree.
 func (c *Cursor) Seek(target []byte) { c.inner.Seek(target) }
 
 // Begin starts a transaction with strict two-phase record locking and

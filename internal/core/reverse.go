@@ -157,7 +157,9 @@ func (t *Tree) sideStep(n *node, couple bool) (*node, error) {
 // reverse cursor ------------------------------------------------------
 
 // ReverseCursor iterates records in descending key order, holding no
-// latches between fetches.
+// latches between fetches. Unlike Cursor it fetches per record — one
+// predecessor descent and one Stats.Scans add for every Next — because no
+// workload scans backwards at a rate that would repay batching a leaf.
 type ReverseCursor struct {
 	t       *Tree
 	bound   []byte // exclusive upper bound for the next fetch

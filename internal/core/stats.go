@@ -13,7 +13,7 @@ type Stats struct {
 	Inserts  uint64
 	Updates  uint64
 	Deletes  uint64
-	Scans    uint64
+	Scans    uint64 // records delivered by cursors and scans
 
 	// Traversal behaviour.
 	SideTraversals    uint64 // rightward moves during traversal

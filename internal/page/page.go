@@ -277,8 +277,16 @@ func Marshal(c *Content, pageSize int) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal parses a page image produced by Marshal. The returned Content
-// does not alias buf.
+// Unmarshal parses a page image produced by Marshal and takes ownership of
+// buf: leaf values are sub-slices of it, so the caller must not modify or
+// reuse buf afterwards (storage.Store.Read hands over exactly such a private
+// buffer). Fences and keys — prefix-compressed index keys rebuilt in full —
+// are copied into one dense arena, so a binary search touches contiguous
+// memory and an index node does not retain its image at all. Every returned
+// slice has cap == len and none may be written through: a holder replaces a
+// slot with a fresh allocation, never its bytes, which is what lets slice
+// headers move between nodes (split, consolidate), into WAL undo images and
+// into route snapshots without copying.
 func Unmarshal(buf []byte) (*Content, error) {
 	if len(buf) < headerSize || string(buf[0:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -296,30 +304,22 @@ func Unmarshal(buf []byte) (*Content, error) {
 		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, c.Kind)
 	}
 	flags := binary.LittleEndian.Uint16(buf[offFlags:])
+	if flags&^(flagHasHigh|flagPrefix) != 0 {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
+	}
 	nkeys := int(binary.LittleEndian.Uint16(buf[offKeyCount:]))
 	lowLen := int(binary.LittleEndian.Uint16(buf[offLowLen:]))
 	highLen := int(binary.LittleEndian.Uint16(buf[offHighLen:]))
-
-	p := offPayload
-	take := func(n int) ([]byte, error) {
-		if p+n > len(buf) {
-			return nil, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
-		}
-		b := make([]byte, n)
-		copy(b, buf[p:p+n])
-		p += n
-		return b, nil
-	}
-	var err error
-	if c.Low, err = take(lowLen); err != nil {
-		return nil, err
-	}
-	if flags&flagHasHigh != 0 {
-		if c.High, err = take(highLen); err != nil {
-			return nil, err
-		}
-	} else if highLen != 0 {
+	if flags&flagHasHigh == 0 && highLen != 0 {
 		return nil, fmt.Errorf("%w: high length without flag", ErrCorrupt)
+	}
+	entries := offPayload + lowLen + highLen
+	if entries > len(buf) {
+		return nil, fmt.Errorf("%w: truncated fence keys", ErrCorrupt)
+	}
+	c.Low = buf[offPayload : offPayload+lowLen]
+	if flags&flagHasHigh != 0 {
+		c.High = buf[offPayload+lowLen : entries]
 	}
 	cp := 0
 	if flags&flagPrefix != 0 {
@@ -328,54 +328,71 @@ func Unmarshal(buf []byte) (*Content, error) {
 			return nil, fmt.Errorf("%w: prefix flag on incompressible page", ErrCorrupt)
 		}
 	}
-	c.Keys = make([][]byte, 0, nkeys)
-	if c.Kind == Leaf {
-		c.Vals = make([][]byte, 0, nkeys)
-	} else {
-		c.Children = make([]PageID, 0, nkeys)
-	}
+
+	// First walk: bounds-check every length before anything is sliced by it,
+	// and size the arena. The checksum covers exactly the bytes walked.
+	arenaLen, p := lowLen+highLen, entries
 	for i := 0; i < nkeys; i++ {
 		if p+2 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated key length", ErrCorrupt)
+			return nil, fmt.Errorf("%w: truncated key length at offset %d", ErrCorrupt, p)
 		}
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
-		p += 2
-		var k []byte
-		if cp > 0 {
-			// Reconstruct the full key: elided fence prefix + stored tail.
-			if p+klen > len(buf) {
-				return nil, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
-			}
-			k = make([]byte, cp+klen)
-			copy(k, c.Low[:cp])
-			copy(k[cp:], buf[p:p+klen])
-			p += klen
-		} else if k, err = take(klen); err != nil {
-			return nil, err
+		if cp+klen > maxEntryLen {
+			return nil, fmt.Errorf("%w: key %d longer than %d", ErrCorrupt, i, maxEntryLen)
 		}
-		c.Keys = append(c.Keys, k)
-		if c.Kind == Leaf {
-			if p+2 > len(buf) {
-				return nil, fmt.Errorf("%w: truncated value length", ErrCorrupt)
-			}
-			vlen := int(binary.LittleEndian.Uint16(buf[p:]))
-			p += 2
-			v, err := take(vlen)
-			if err != nil {
-				return nil, err
-			}
-			c.Vals = append(c.Vals, v)
-		} else {
-			if p+8 > len(buf) {
-				return nil, fmt.Errorf("%w: truncated child pointer", ErrCorrupt)
-			}
-			c.Children = append(c.Children, PageID(binary.LittleEndian.Uint64(buf[p:])))
+		arenaLen += cp + klen
+		p += 2 + klen
+		if c.Kind == Index {
 			p += 8
+			continue
 		}
+		if p+2 > len(buf) {
+			return nil, fmt.Errorf("%w: truncated value length at offset %d", ErrCorrupt, p)
+		}
+		p += 2 + int(binary.LittleEndian.Uint16(buf[p:]))
+	}
+	if p > len(buf) {
+		return nil, fmt.Errorf("%w: entries run past the page end", ErrCorrupt)
 	}
 	want := binary.LittleEndian.Uint32(buf[offCRC:])
 	if got := crc32.Checksum(buf[crcStart:p], castagnoli); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	}
+
+	// Second walk: the lengths are the ones just validated.
+	arena := make([]byte, arenaLen)
+	a := copy(arena, c.Low)
+	c.Low = arena[:a:a]
+	if c.High != nil {
+		b := a + copy(arena[a:], c.High)
+		c.High, a = arena[a:b:b], b
+	}
+	if c.Kind == Leaf {
+		hdrs := make([][]byte, 2*nkeys)
+		c.Keys, c.Vals = hdrs[:nkeys:nkeys], hdrs[nkeys:]
+	} else {
+		c.Keys, c.Children = make([][]byte, nkeys), make([]PageID, nkeys)
+	}
+	p = entries
+	for i := range c.Keys {
+		klen := int(binary.LittleEndian.Uint16(buf[p:]))
+		p += 2
+		b := a
+		if cp > 0 {
+			b += copy(arena[a:], c.Low[:cp]) // the elided fence prefix
+		}
+		b += copy(arena[b:], buf[p:p+klen])
+		c.Keys[i], a = arena[a:b:b], b
+		p += klen
+		if c.Kind == Leaf {
+			vlen := int(binary.LittleEndian.Uint16(buf[p:]))
+			p += 2
+			c.Vals[i] = buf[p : p+vlen : p+vlen]
+			p += vlen
+		} else {
+			c.Children[i] = PageID(binary.LittleEndian.Uint64(buf[p:]))
+			p += 8
+		}
 	}
 	return c, nil
 }
@@ -406,29 +423,4 @@ func (c *Content) validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of c.
-func (c *Content) Clone() *Content {
-	d := &Content{
-		ID: c.ID, Kind: c.Kind, Level: c.Level, LSN: c.LSN,
-		Right: c.Right, DD: c.DD, Epoch: c.Epoch, Compress: c.Compress,
-	}
-	d.Low = append([]byte(nil), c.Low...)
-	if c.High != nil {
-		d.High = append([]byte(nil), c.High...)
-	}
-	d.Keys = make([][]byte, len(c.Keys))
-	for i, k := range c.Keys {
-		d.Keys[i] = append([]byte(nil), k...)
-	}
-	if c.Kind == Leaf {
-		d.Vals = make([][]byte, len(c.Vals))
-		for i, v := range c.Vals {
-			d.Vals[i] = append([]byte(nil), v...)
-		}
-	} else {
-		d.Children = append([]PageID(nil), c.Children...)
-	}
-	return d
 }

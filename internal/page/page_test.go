@@ -2,8 +2,10 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -164,37 +166,99 @@ func TestUnmarshalRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// restamp recomputes img's checksum over its first used bytes, so a test can
+// corrupt a field the CRC covers and still reach the check behind it.
+func restamp(img []byte, used int) {
+	binary.LittleEndian.PutUint32(img[offCRC:], crc32.Checksum(img[crcStart:used], castagnoli))
+}
+
+// Two images the fuzz target's properties rule out, with valid checksums:
+// both used to decode, into a Content that Marshal either could not write or
+// wrote differently.
+func TestUnmarshalRejectsUnknownFlags(t *testing.T) {
 	c := leafContent()
-	d := c.Clone()
-	d.Keys[0][0] = 'z'
-	d.Vals[0][0] = 'z'
-	d.Low[0] = 'z'
-	if c.Keys[0][0] == 'z' || c.Vals[0][0] == 'z' || c.Low[0] == 'z' {
-		t.Fatal("Clone shares backing arrays")
-	}
-	i := indexContent()
-	j := i.Clone()
-	j.Children[0] = 999
-	if i.Children[0] == 999 {
-		t.Fatal("Clone shares children slice")
-	}
-	if j.High != nil {
-		t.Fatal("Clone invented a high fence")
+	img, _ := Marshal(c, 4096)
+	img[offFlags] |= 1 << 5
+	restamp(img, c.Size())
+	if _, err := Unmarshal(img); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown flag bit: %v, want ErrCorrupt", err)
 	}
 }
 
-func TestUnmarshalDoesNotAliasBuffer(t *testing.T) {
-	buf, _ := Marshal(leafContent(), 4096)
-	got, err := Unmarshal(buf)
+func TestUnmarshalRejectsOversizedRebuiltKey(t *testing.T) {
+	// A prefix-compressed page whose stored key tail plus the elided fence
+	// prefix exceeds what an entry length can express.
+	prefix := bytes.Repeat([]byte{'p'}, 40000)
+	c := &Content{
+		ID: 1, Kind: Index, Level: 1, Compress: true,
+		Low: append(bytes.Clone(prefix), '1'), High: append(bytes.Clone(prefix), '2'),
+		Keys: [][]byte{append(bytes.Clone(prefix), '1')}, Children: []PageID{9},
+	}
+	img, err := Marshal(c, 1<<17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range buf {
-		buf[i] = 0xAA
+	// Grow the one stored tail ("1", 1 byte) to 30000 bytes of whatever
+	// follows it: the child pointer and the page's zero padding.
+	tail := offPayload + len(c.Low) + len(c.High)
+	binary.LittleEndian.PutUint16(img[tail:], 30000)
+	restamp(img, tail+2+30000+8)
+	if _, err := Unmarshal(img); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rebuilt key of 70000 bytes: %v, want ErrCorrupt", err)
 	}
-	if !bytes.Equal(got.Keys[0], []byte("apple")) {
-		t.Fatal("Unmarshal result aliases input buffer")
+}
+
+// TestUnmarshalOwnership pins the decode contract: leaf values are views of
+// the image handed over, fences and keys are copies (an index node does not
+// retain its image), every slice is cap-limited so an append can never grow
+// into a neighbour, and the decoder itself never writes the image.
+func TestUnmarshalOwnership(t *testing.T) {
+	for name, c := range pageFixtures() {
+		t.Run(name, func(t *testing.T) {
+			img, err := Marshal(c, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := bytes.Clone(img)
+			got, err := Unmarshal(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, orig) {
+				t.Fatal("Unmarshal wrote to the image")
+			}
+			checkCapLimited(t, got)
+			for i := range img {
+				img[i] ^= 0xFF
+			}
+			for i, k := range got.Keys {
+				if !bytes.Equal(k, c.Keys[i]) {
+					t.Fatalf("key %d follows the image: keys must be arena copies", i)
+				}
+			}
+			if !bytes.Equal(got.Low, c.Low) || !bytes.Equal(got.High, c.High) {
+				t.Fatal("fences follow the image: fences must be arena copies")
+			}
+			for i, v := range got.Vals {
+				if len(v) > 0 && bytes.Equal(v, c.Vals[i]) {
+					t.Fatalf("value %d was copied: values must be views of the image", i)
+				}
+			}
+		})
+	}
+}
+
+// checkCapLimited fails unless every slice of a decoded page has cap == len.
+func checkCapLimited(t *testing.T, c *Content) {
+	t.Helper()
+	if cap(c.Low) != len(c.Low) || cap(c.High) != len(c.High) || cap(c.Keys) != len(c.Keys) ||
+		cap(c.Vals) != len(c.Vals) || cap(c.Children) != len(c.Children) {
+		t.Fatal("fence or header slice with cap > len")
+	}
+	for i, k := range c.Keys {
+		if cap(k) != len(k) || (c.Kind == Leaf && cap(c.Vals[i]) != len(c.Vals[i])) {
+			t.Fatalf("entry %d has cap > len", i)
+		}
 	}
 }
 
@@ -321,21 +385,123 @@ func BenchmarkMarshalLeaf(b *testing.B) {
 	}
 }
 
-func BenchmarkUnmarshalLeaf(b *testing.B) {
-	c := &Content{ID: 1, Kind: Leaf, Low: []byte("a"), High: []byte("z")}
-	for i := 0; i < 100; i++ {
-		c.Keys = append(c.Keys, []byte(fmt.Sprintf("key-%06d", i)))
-		c.Vals = append(c.Vals, bytes.Repeat([]byte{byte(i)}, 16))
+// pageFixtures are the page shapes the decoder is benchmarked, fuzzed and
+// contract-tested on: the repository benchmark's record shape (16-byte keys,
+// 100-byte values) in an 85 %-full 4 KiB leaf, an empty leaf, a
+// prefix-compressed index page and a rightmost (+inf fence) index page.
+func pageFixtures() map[string]*Content {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+	leaf := &Content{ID: 1, Kind: Leaf, LSN: 9, Right: 2, Epoch: 3, Low: key(0), High: key(1000)}
+	for i := 0; leaf.Size()+EntrySize(Leaf, 16, 100) <= 4096*85/100; i++ {
+		leaf.Keys = append(leaf.Keys, key(i))
+		leaf.Vals = append(leaf.Vals, bytes.Repeat([]byte{byte(i)}, 100))
 	}
-	buf, err := Marshal(c, c.Size())
-	if err != nil {
-		b.Fatal(err)
+	index := &Content{ID: 4, Kind: Index, Level: 1, DD: 5, Right: 6, Low: key(0), High: key(1000), Compress: true}
+	inf := &Content{ID: 7, Kind: Index, Level: 2, Low: []byte{}}
+	for i := 0; i < 150; i++ {
+		index.Keys = append(index.Keys, key(i))
+		index.Children = append(index.Children, PageID(100+i))
+		inf.Keys = append(inf.Keys, key(i)[:16*min(i, 1)]) // the leftmost separator is -inf
+		inf.Children = append(inf.Children, PageID(300+i))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(buf); err != nil {
-			b.Fatal(err)
+	return map[string]*Content{
+		"leaf":       leaf,
+		"empty-leaf": {ID: 8, Kind: Leaf, Low: key(5), High: key(6), Keys: [][]byte{}, Vals: [][]byte{}},
+		"index":      index,
+		"inf-index":  inf,
+	}
+}
+
+// BenchmarkUnmarshal decodes a full leaf and a prefix-compressed index page.
+// The allocation count is a gate, not a report: a decode is a handful of
+// per-page allocations (node, arena, slice headers), never one per entry.
+func BenchmarkUnmarshal(b *testing.B) {
+	for _, name := range []string{"leaf", "index"} {
+		b.Run(name, func(b *testing.B) {
+			img, err := Marshal(pageFixtures()[name], 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(100, func() { Unmarshal(img) }); n > 6 {
+				b.Fatalf("Unmarshal(%s) = %.0f allocs/op, gate is 6", name, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Unmarshal(img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// entriesEnd walks img's entry lengths as the format lays them out and
+// returns the offset just past the last entry — the end of the checksummed
+// range — or 0 when the walk leaves the buffer. It is the fuzz target's own
+// reading of the layout, independent of Unmarshal's.
+func entriesEnd(img []byte) int {
+	if len(img) < headerSize {
+		return 0
+	}
+	u16 := func(off int) int { return int(binary.LittleEndian.Uint16(img[off:])) }
+	p := offPayload + u16(offLowLen) + u16(offHighLen)
+	for i := u16(offKeyCount); i > 0 && p+2 <= len(img); i-- {
+		p += 2 + u16(p)
+		if Kind(img[offKind]) == Index {
+			p += 8
+		} else if p+2 <= len(img) {
+			p += 2 + u16(p)
 		}
 	}
+	if p > len(img) {
+		return 0
+	}
+	return p
+}
+
+// FuzzUnmarshalPage: bad bytes give ErrCorrupt — never a panic, never a slice
+// reaching past the image — and an image that decodes re-marshals to the
+// same used bytes. With stamp set the checksum is recomputed after mutation,
+// so the fuzzer gets past the CRC into the structural checks.
+func FuzzUnmarshalPage(f *testing.F) {
+	for _, c := range pageFixtures() {
+		img, err := Marshal(c, 4096)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img, false)
+		f.Add(img[:c.Size()], true)
+	}
+	f.Fuzz(func(t *testing.T, img []byte, stamp bool) {
+		// A private copy (the engine's buffer must not be written) with no
+		// spare capacity, so a slice past len(img) panics.
+		img = append(make([]byte, 0, len(img)), img...)
+		if end := entriesEnd(img); stamp && end >= crcStart {
+			restamp(img, end)
+		}
+		orig := bytes.Clone(img)
+		c, err := Unmarshal(img)
+		if !bytes.Equal(img, orig) {
+			t.Fatal("Unmarshal wrote to the image")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error is not ErrCorrupt: %v", err)
+			}
+			return
+		}
+		checkCapLimited(t, c)
+		used := c.Size()
+		if used > len(img) || used != entriesEnd(img) {
+			t.Fatalf("decoded content is %d bytes, image has %d used of %d", used, entriesEnd(img), len(img))
+		}
+		out, err := Marshal(c, len(img))
+		if err != nil {
+			t.Fatalf("re-marshal of a decoded page: %v", err)
+		}
+		if !bytes.Equal(out[:used], img[:used]) {
+			t.Fatal("Marshal(Unmarshal(img)) differs from img in its used bytes")
+		}
+	})
 }

@@ -114,11 +114,3 @@ func TestPrefixLeafNeverCompressed(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
 }
-
-func TestPrefixCloneCopiesFlag(t *testing.T) {
-	c := compressibleIndex()
-	cl := c.Clone()
-	if !cl.Compress {
-		t.Fatal("Clone dropped the compression flag")
-	}
-}

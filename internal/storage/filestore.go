@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"blinktree/internal/page"
 )
@@ -17,8 +18,12 @@ import (
 // The allocator state is written out on Sync and Close. Crash consistency of
 // allocation is the write-ahead log's job (alloc/dealloc are logged and
 // replayed), so a torn header is repaired by recovery, not by the store.
+//
+// Page I/O holds mu shared, so reads and writes of different pages overlap
+// in the kernel (pread/pwrite carry their own offset); whatever changes the
+// allocator state or closes the file holds it exclusively.
 type FileStore struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	f        *os.File
 	pageSize int
 	next     page.PageID
@@ -26,8 +31,8 @@ type FileStore struct {
 	live     map[page.PageID]struct{}
 	closed   bool
 
-	reads    uint64
-	writes   uint64
+	reads    atomic.Uint64 // counted under mu held shared
+	writes   atomic.Uint64
 	allocs   uint64
 	deallocs uint64
 }
@@ -252,8 +257,8 @@ func (s *FileStore) Deallocate(id page.PageID) error {
 
 // Read implements Store.
 func (s *FileStore) Read(id page.PageID) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -264,14 +269,14 @@ func (s *FileStore) Read(id page.PageID) ([]byte, error) {
 	if _, err := s.f.ReadAt(buf, int64(id)*int64(s.pageSize)); err != nil {
 		return nil, err
 	}
-	s.reads++
+	s.reads.Add(1)
 	return buf, nil
 }
 
 // Write implements Store.
 func (s *FileStore) Write(id page.PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
@@ -284,24 +289,24 @@ func (s *FileStore) Write(id page.PageID, buf []byte) error {
 	if _, err := s.f.WriteAt(buf, int64(id)*int64(s.pageSize)); err != nil {
 		return err
 	}
-	s.writes++
+	s.writes.Add(1)
 	return nil
 }
 
 // Allocated implements Store.
 func (s *FileStore) Allocated(id page.PageID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	_, ok := s.live[id]
 	return ok
 }
 
 // Stats implements Store.
 func (s *FileStore) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return Stats{
-		Reads: s.reads, Writes: s.writes,
+		Reads: s.reads.Load(), Writes: s.writes.Load(),
 		Allocs: s.allocs, Deallocs: s.deallocs,
 		LivePages: len(s.live), HighestPage: s.next - 1,
 	}

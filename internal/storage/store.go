@@ -47,9 +47,12 @@ type Store interface {
 	// allocation frontier past it if needed. Recovery uses it to replay
 	// logged allocations at their original IDs; it is idempotent.
 	EnsureAllocated(id page.PageID) error
-	// Read returns a copy of the page image.
+	// Read returns the page image in a buffer the caller owns: the store
+	// neither retains nor reuses it, so the caller may keep views into it
+	// for as long as it likes (page.Unmarshal does).
 	Read(id page.PageID) ([]byte, error)
-	// Write replaces the page image. len(buf) must equal PageSize.
+	// Write replaces the page image. len(buf) must equal PageSize. The
+	// store copies buf out before returning and keeps no reference to it.
 	Write(id page.PageID, buf []byte) error
 	// Allocated reports whether id is currently allocated.
 	Allocated(id page.PageID) bool

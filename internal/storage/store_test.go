@@ -27,6 +27,15 @@ func stores(t *testing.T, pageSize int) map[string]Store {
 	}
 }
 
+// allStores adds the simulated disk (whose Close is a no-op by design) and
+// the fault-injecting wrapper, for the tests of the page I/O contract.
+func allStores(t *testing.T, pageSize int) map[string]Store {
+	m := stores(t, pageSize)
+	m["sim"] = NewSimDisk(pageSize, SimConfig{}).Store()
+	m["faulty"] = NewFaultyStore(NewMemStore(pageSize))
+	return m
+}
+
 func TestAllocateReadWrite(t *testing.T) {
 	for name, s := range stores(t, 256) {
 		t.Run(name, func(t *testing.T) {
@@ -48,6 +57,108 @@ func TestAllocateReadWrite(t *testing.T) {
 			}
 			if !bytes.Equal(got, buf) {
 				t.Fatal("read returned different bytes")
+			}
+		})
+	}
+}
+
+// TestReadHandsOverOwnership pins the contract page.Unmarshal relies on:
+// Read returns a buffer the caller owns. The store neither retains it (a
+// caller's write does not reach the store or another reader) nor reuses it
+// (a later Write or Read leaves it alone), and Write keeps no reference to
+// the buffer it was given.
+func TestReadHandsOverOwnership(t *testing.T) {
+	for name, s := range allStores(t, 256) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			id, _ := s.Allocate()
+			other, _ := s.Allocate()
+			old, in := bytes.Repeat([]byte{0xAB}, 256), bytes.Repeat([]byte{0xAB}, 256)
+			if err := s.Write(id, in); err != nil {
+				t.Fatal(err)
+			}
+			for i := range in {
+				in[i] = 0 // the store must have copied it out
+			}
+			first, err := s.Read(id)
+			if err != nil || !bytes.Equal(first, old) {
+				t.Fatalf("read after the written buffer was reused: %v", err)
+			}
+			// Traffic that would show a recycled or retained buffer.
+			if err := s.Write(id, bytes.Repeat([]byte{0xCD}, 256)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(other, bytes.Repeat([]byte{0xEF}, 256)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				s.Read(id)
+				s.Read(other)
+			}
+			if !bytes.Equal(first, old) {
+				t.Fatal("a buffer returned by Read changed under later store traffic")
+			}
+			for i := range first {
+				first[i] = 0x11
+			}
+			if again, _ := s.Read(id); !bytes.Equal(again, bytes.Repeat([]byte{0xCD}, 256)) {
+				t.Fatal("writing to a buffer returned by Read reached the store")
+			}
+		})
+	}
+}
+
+// TestConcurrentPageIO reads and writes distinct pages from several
+// goroutines while another allocates and deallocates: page I/O holds the
+// FileStore lock shared, the allocator holds it exclusively, and the
+// operation counters must not lose updates.
+func TestConcurrentPageIO(t *testing.T) {
+	for name, s := range allStores(t, 256) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			const workers, rounds = 4, 200
+			ids := make([]page.PageID, workers)
+			for i := range ids {
+				ids[i], _ = s.Allocate()
+			}
+			base := s.Stats()
+			var wg sync.WaitGroup
+			for w, id := range ids {
+				wg.Add(1)
+				go func(w int, id page.PageID) {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						want := bytes.Repeat([]byte{byte(w), byte(i)}, 128)
+						if err := s.Write(id, want); err != nil {
+							t.Error(err)
+							return
+						}
+						if got, err := s.Read(id); err != nil || !bytes.Equal(got, want) {
+							t.Errorf("worker %d round %d read back something else (%v)", w, i, err)
+							return
+						}
+					}
+				}(w, id)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					id, err := s.Allocate()
+					if err == nil {
+						err = s.Deallocate(id)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			st := s.Stats()
+			if st.Reads-base.Reads != workers*rounds || st.Writes-base.Writes != workers*rounds {
+				t.Fatalf("counted %d reads and %d writes, want %d each",
+					st.Reads-base.Reads, st.Writes-base.Writes, workers*rounds)
 			}
 		})
 	}
