@@ -122,12 +122,6 @@ func ExpvarDoc(m blinktree.Metrics) map[string]any {
 		"slow_threshold_ns": m.Obs.SlowOpThresholdNS,
 		"stages":            stages,
 	}
-	doc["combining"] = map[string]any{
-		"wait":      histSummary(m.Obs.CombineWait),
-		"batch_sum": m.Obs.CombineBatchSum,
-		"batch_cnt": m.Obs.CombineBatchCount,
-		"batch_max": m.Obs.CombineBatchMax,
-	}
 	return doc
 }
 
@@ -275,17 +269,6 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		p.printf("blinktree_scheduler_total{event=%q} %d\n", v.event, v.n)
 	}
 
-	p.header("blinktree_combine_total", "Hot-leaf operation-combining activity.", "counter")
-	for _, v := range []struct {
-		event string
-		n     uint64
-	}{
-		{"publish", s.CombinePublishes}, {"drained", s.CombineDrained},
-		{"retry", s.CombineRetries}, {"batch", s.CombineBatches},
-	} {
-		p.printf("blinktree_combine_total{event=%q} %d\n", v.event, v.n)
-	}
-
 	p.header("blinktree_append_fastpath_total", "Right-edge append fast-path outcomes.", "counter")
 	p.printf("blinktree_append_fastpath_total{event=\"hit\"} %d\n", s.AppendFastHits)
 	p.printf("blinktree_append_fastpath_total{event=\"miss\"} %d\n", s.AppendFastMisses)
@@ -428,13 +411,6 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		p.header("blinktree_wal_group_batch_commits", "Commits per counted coalesced force (sum over count).", "counter")
 		p.printf("blinktree_wal_group_batch_commits{stat=\"sum\"} %d\n", m.Obs.GroupBatchSum)
 		p.printf("blinktree_wal_group_batch_commits{stat=\"count\"} %d\n", m.Obs.GroupBatchCount)
-		p.header("blinktree_combine_wait_seconds", "Publisher delay from buffer publish to drained result.", "histogram")
-		p.hist("blinktree_combine_wait_seconds", "", "", m.Obs.CombineWait)
-		p.header("blinktree_combine_batch_ops", "Operations per counted combining drain (sum over count).", "counter")
-		p.printf("blinktree_combine_batch_ops{stat=\"sum\"} %d\n", m.Obs.CombineBatchSum)
-		p.printf("blinktree_combine_batch_ops{stat=\"count\"} %d\n", m.Obs.CombineBatchCount)
-		p.header("blinktree_combine_batch_max", "Largest number of operations applied by one combining drain.", "gauge")
-		p.printf("blinktree_combine_batch_max %d\n", m.Obs.CombineBatchMax)
 
 		p.header("blinktree_trace_events_total", "Trace events emitted and dropped by the bounded ring.", "counter")
 		p.printf("blinktree_trace_events_total{state=\"emitted\"} %d\n", m.Obs.TraceSeq)

@@ -122,12 +122,12 @@ const (
 	ReadPathPessimistic = core.ReadPathPessimistic
 )
 
-// FeatureMode is a tri-state switch for optional engine features; see
-// Options.Combining and Options.AppendFastPath.
+// FeatureMode is a tri-state switch for an optional engine feature; see
+// Options.AppendFastPath.
 type FeatureMode = core.FeatureMode
 
 const (
-	// FeatureDefault lets the tree choose (currently on for both features).
+	// FeatureDefault lets the tree choose (currently on).
 	FeatureDefault = core.FeatureDefault
 	// FeatureOn enables the feature explicitly.
 	FeatureOn = core.FeatureOn
@@ -199,23 +199,12 @@ type Options struct {
 	// await a force, the log-writer forces early.
 	FlushBytes int64
 
-	// Combining selects hot-leaf operation combining (default on). When a
-	// non-transactional write finds its target leaf contended, it publishes
-	// the operation into a per-leaf buffer instead of queueing on the latch;
-	// whichever writer holds the leaf exclusively drains the buffer, applying
-	// the whole batch under one latch acquisition and one write-ahead-log
-	// mutex hold, then wakes each publisher with its individual result.
+	// Deprecated: Combining selected hot-leaf operation combining, which
+	// has been removed (EXPERIMENTS.md E14): every value is accepted and
+	// ignored. The field remains only because benchmark/workload.go, frozen
+	// for non-benchmark changes, still sets it; a benchmark-only change
+	// removes that setter, and then this field goes.
 	Combining FeatureMode
-	// CombineBuffer is the per-leaf combining buffer capacity in operations
-	// (default 16). A full buffer makes the publisher fall back to the
-	// normal latched path.
-	CombineBuffer int
-	// CombineThreshold is the number of consecutive failed latch
-	// try-acquires on one leaf before writers start publishing into its
-	// combining buffer (default 4). Negative publishes unconditionally
-	// without trying the latch first — a deterministic mode used by the
-	// simulation harness, not a tuning choice.
-	CombineThreshold int
 	// AppendFastPath selects the right-edge append fast path (default on):
 	// the tree caches the rightmost leaf, and inserts of keys at or past its
 	// low fence try it directly — validated under the latch — instead of
@@ -284,10 +273,7 @@ func Open(opts Options) (*Tree, error) {
 		FlushInterval: opts.FlushInterval,
 		FlushBytes:    opts.FlushBytes,
 
-		Combining:        opts.Combining,
-		CombineBuffer:    opts.CombineBuffer,
-		CombineThreshold: opts.CombineThreshold,
-		AppendFastPath:   opts.AppendFastPath,
+		AppendFastPath: opts.AppendFastPath,
 
 		OptimisticReads: opts.OptimisticReads,
 		BulkChunkPages:  opts.BulkChunkPages,
@@ -297,9 +283,6 @@ func Open(opts Options) (*Tree, error) {
 	}
 	if opts.MaintenanceSoftCap < 0 {
 		cOpts.TodoSoftCap = core.TodoSoftCapNone
-	}
-	if opts.CombineThreshold < 0 {
-		cOpts.CombineThreshold = core.CombineAlways
 	}
 	cOpts.Observability = opts.Observability
 	switch opts.Baseline {

@@ -221,18 +221,29 @@ func TestReverseScanAndMinMax(t *testing.T) {
 }
 
 func TestMaintainAndStats(t *testing.T) {
-	tr, _ := blinktree.Open(blinktree.Options{PageSize: 512, Workers: -1})
-	defer tr.Close()
-	for i := 0; i < 1000; i++ {
-		tr.Put([]byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("v"), 20))
-	}
-	tr.Maintain()
-	s := tr.Stats()
-	if s.Splits == 0 || s.PostsDone == 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if tr.Height() == 0 {
-		t.Fatal("height 0 after 1000 inserts on 512-byte pages")
+	var first blinktree.Stats
+	for _, mode := range []blinktree.FeatureMode{blinktree.FeatureDefault, blinktree.FeatureOn, blinktree.FeatureOff} {
+		//lint:ignore SA1019 the last assertion below is about the deprecated field
+		tr, _ := blinktree.Open(blinktree.Options{PageSize: 512, Workers: -1, Combining: mode})
+		defer tr.Close()
+		for i := 0; i < 1000; i++ {
+			tr.Put([]byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("v"), 20))
+		}
+		tr.Maintain()
+		s := tr.Stats()
+		if s.Splits == 0 || s.PostsDone == 0 {
+			t.Fatalf("stats = %+v", s)
+		}
+		if tr.Height() == 0 {
+			t.Fatal("height 0 after 1000 inserts on 512-byte pages")
+		}
+		// The deprecated Options.Combining is inert: a single-threaded run
+		// counts the same under every value.
+		if mode == blinktree.FeatureDefault {
+			first = s
+		} else if s != first {
+			t.Fatalf("Combining=%d changed the counters:\n%+v\nwant %+v", mode, s, first)
+		}
 	}
 }
 

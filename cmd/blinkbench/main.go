@@ -29,12 +29,10 @@
 //	                                    #     unless parallel@8 loads >= 3x the
 //	                                    #     serial rows/s
 //	blinkbench -skew                    # skew scenario matrix (distribution x
-//	                                    #     goroutines x contention engine)
-//	blinkbench -skew -out BENCH_skew.json -skewfrac 0.25 -combratio 0.9
+//	                                    #     goroutines x append fast path)
+//	blinkbench -skew -out BENCH_skew.json -skewfrac 0.25
 //	                                    # ... persist the matrix and fail
 //	                                    #     unless zipf holds 25% of uniform
-//	                                    #     and combining-on holds 90% of
-//	                                    #     combining-off under zipf
 //	blinkbench -remote 127.0.0.1:6380   # drive a running blinkd server
 //	blinkbench -remote :6380 -conns 16 -pipeline 32 -dist zipf -txnevery 10
 //	                                    # ... 16 pipelined connections, skewed
@@ -109,8 +107,7 @@ func main() {
 		skew       = flag.Bool("skew", false, "run the skew scenario matrix instead of experiments")
 		skewThread = flag.String("skewthreads", "1,4,8,16", "with -skew: comma-separated goroutine counts")
 		skewOps    = flag.Int("skewops", 0, "with -skew: measured operations per cell (0 = default 20000)")
-		skewFrac   = flag.Float64("skewfrac", 0, "with -skew: exit nonzero unless zipf throughput >= skewfrac * uniform throughput at the highest goroutine count, contention engine on (0 disables)")
-		combRatio  = flag.Float64("combratio", 0, "with -skew: exit nonzero unless combining-on throughput >= combratio * combining-off under zipf at the highest goroutine count (0 disables)")
+		skewFrac   = flag.Float64("skewfrac", 0, "with -skew: exit nonzero unless zipf throughput >= skewfrac * uniform throughput at the highest goroutine count, append fast path on (0 disables)")
 	)
 	flag.Parse()
 
@@ -136,7 +133,7 @@ func main() {
 	}
 
 	if *skew {
-		if err := skewSweep(os.Stdout, *skewThread, *skewOps, *out, *skewFrac, *combRatio); err != nil {
+		if err := skewSweep(os.Stdout, *skewThread, *skewOps, *out, *skewFrac); err != nil {
 			fmt.Fprintf(os.Stderr, "skew sweep: %v\n", err)
 			os.Exit(1)
 		}
@@ -355,8 +352,8 @@ func loadSweep(w io.Writer, keysCSV, parallelCSV string, fill float64, outPath s
 
 // skewSweep runs the skew scenario matrix, prints the cells as a table,
 // optionally persists the JSON report (BENCH_skew.json) and applies the
-// skew-vs-uniform and combining-on-vs-off throughput gates.
-func skewSweep(w io.Writer, threadsCSV string, ops int, outPath string, skewFrac, combRatio float64) error {
+// skew-vs-uniform throughput gate.
+func skewSweep(w io.Writer, threadsCSV string, ops int, outPath string, skewFrac float64) error {
 	var cfg bench.SkewConfig
 	cfg.Ops = ops
 	for _, s := range strings.Split(threadsCSV, ",") {
@@ -371,18 +368,17 @@ func skewSweep(w io.Writer, threadsCSV string, ops int, outPath string, skewFrac
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "== skew matrix: %d keys, %d preloaded, %d ops/cell, zipf s=%.2f ==\n",
-		rep.KeySpace, rep.Preload, rep.Ops, rep.ZipfS)
+	fmt.Fprintf(w, "== skew matrix: %d keys, %d preloaded, %d ops/cell, zipf s=%.2f, %d cores (GOMAXPROCS %d) ==\n",
+		rep.KeySpace, rep.Preload, rep.Ops, rep.ZipfS, rep.Cores, rep.GOMAXPROCS)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dist\tgoroutines\tcombining\tops/s\tpublishes\tbatches\tfastpath hits\tlatch waits")
+	fmt.Fprintln(tw, "dist\tgoroutines\tfastpath\tops/s\tfastpath hits\tlatch waits")
 	for _, r := range rep.Results {
-		comb := "off"
-		if r.Combining {
-			comb = "on"
+		fast := "off"
+		if r.AppendFastPath {
+			fast = "on"
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.0f\t%d\t%d\t%d\t%d\n",
-			r.Dist, r.Goroutines, comb, r.OpsPerSec,
-			r.CombinePublishes, r.CombineBatches, r.AppendFastHits, r.LatchWaits)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%.0f\t%d\t%d\n",
+			r.Dist, r.Goroutines, fast, r.OpsPerSec, r.AppendFastHits, r.LatchWaits)
 	}
 	tw.Flush()
 
@@ -406,13 +402,6 @@ func skewSweep(w io.Writer, threadsCSV string, ops int, outPath string, skewFrac
 			return err
 		}
 		fmt.Fprintf(w, "skew gate ok: %s\n", desc)
-	}
-	if combRatio > 0 {
-		desc, err := rep.GateCombining(combRatio)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "combining gate ok: %s\n", desc)
 	}
 	return nil
 }

@@ -31,7 +31,6 @@ func main() {
 		pageSize   = flag.Int("pagesize", 4096, "page size the tree was created with")
 		deep       = flag.Bool("deep", false, "run the deep audit: page scan, D_D placement, WAL tail")
 		durability = flag.String("durability", "sync", "durability mode to open with: sync, group, periodic or async (recovery is identical in every mode)")
-		nocombine  = flag.Bool("nocombine", false, "disable the hot-leaf combining layer and append fast path (a checker runs single-threaded; both are irrelevant and this keeps the write path minimal)")
 		version    = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -48,12 +47,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "blinkcheck: %v\n", err)
 		os.Exit(2)
 	}
-	opts := blinktree.Options{Path: *path, PageSize: *pageSize, Workers: -1, Durability: mode}
-	if *nocombine {
-		opts.Combining = blinktree.FeatureOff
-		opts.AppendFastPath = blinktree.FeatureOff
-	}
-	tr, err := blinktree.Open(opts)
+	tr, err := blinktree.Open(blinktree.Options{Path: *path, PageSize: *pageSize, Workers: -1, Durability: mode})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "blinkcheck: open/recover: %v\n", err)
 		os.Exit(1)

@@ -1,8 +1,8 @@
 // Command blinkd serves a blinktree over TCP, speaking the RESP-style
 // pipelined wire protocol specified in PROTOCOL.md (GET/SET/DEL/SCAN,
 // BEGIN/COMMIT/ABORT, PING/INFO). A second listener (-admin) exposes the
-// combined tree + server metrics (/metrics, Prometheus or expvar JSON) and
-// a health probe (/healthz).
+// tree's and the server's metrics on one page (/metrics, Prometheus or
+// expvar JSON) and a health probe (/healthz).
 //
 // Usage:
 //
@@ -94,6 +94,10 @@ func run(addr, admin, path string, pageSize, cacheSize int, durability string,
 		IdleTimeout: idle,
 		MaxScan:     maxScan,
 	})
+	// Installed before the listen banner is printed: a supervisor that
+	// signals as soon as it sees the banner still gets a drain and exit 0.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Listen(); err != nil {
 		tree.Close()
 		return err
@@ -121,8 +125,6 @@ func run(addr, admin, path string, pageSize, cacheSize int, durability string,
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve() }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "blinkd: %s received, draining (bound %s)\n", s, drainTimeout)

@@ -103,12 +103,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer dev.Close()
-		// A dump never writes: keep the contention engine (combining,
-		// append fast path) out of the mount entirely.
 		tr, err := core.New(core.Options{
 			PageSize: *pageSize, Store: store, LogDevice: dev,
-			Workers:   core.WorkersNone,
-			Combining: core.FeatureOff, AppendFastPath: core.FeatureOff,
+			Workers: core.WorkersNone,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "blinkdump: recover: %v\n", err)

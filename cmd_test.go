@@ -92,7 +92,8 @@ func TestCommandLineTools(t *testing.T) {
 // TestBlinkdEndToEnd boots a real blinkd binary on a durable store, drives
 // every protocol verb through the resp client, scrapes the admin port, then
 // sends SIGTERM and asserts a clean-shutdown exit 0 — after which the store
-// must reopen with the committed data intact.
+// must reopen with the committed data intact. A second instance is signalled
+// the moment its listen banner appears and must exit the same way.
 func TestBlinkdEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cmd tools are slow to build; skipped in -short")
@@ -241,6 +242,36 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	defer tr.Close()
 	if v, err := tr.Get([]byte("txn-a")); err != nil || string(v) != "1" {
 		t.Fatalf("after restart Get(txn-a) = %q, %v", v, err)
+	}
+
+	// A supervisor may signal the moment it sees the listen banner: the
+	// handler must be in place by then, or the default action kills the
+	// process with a nonzero exit.
+	early := exec.Command(bin, "-addr", "127.0.0.1:0")
+	earlyErr, err := early.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := early.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer time.AfterFunc(60*time.Second, func() { early.Process.Kill() }).Stop()
+	var log bytes.Buffer
+	sc = bufio.NewScanner(earlyErr)
+	for signalled := false; sc.Scan(); {
+		log.WriteString(sc.Text() + "\n")
+		if !signalled && strings.Contains(sc.Text(), " listening on ") {
+			signalled = true
+			if err := early.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := early.Wait(); err != nil {
+		t.Fatalf("blinkd exit after SIGTERM at the banner: %v\nstderr:\n%s", err, log.String())
+	}
+	if !strings.Contains(log.String(), "clean shutdown") {
+		t.Fatalf("stderr missing clean-shutdown banner:\n%s", log.String())
 	}
 }
 

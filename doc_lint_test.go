@@ -5,9 +5,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"blinktree"
+	"blinktree/internal/obs"
+	"blinktree/internal/server"
 )
 
 // TestExportedSymbolsDocumented is a self-contained documentation lint (the
@@ -66,6 +72,66 @@ func TestServerVerbsDocumented(t *testing.T) {
 	}
 	if len(registered) == 0 || len(documented) == 0 {
 		t.Fatalf("found %d registered and %d documented verbs; the lint is parsing nothing", len(registered), len(documented))
+	}
+}
+
+// TestMetricFamiliesDocumented cross-checks the metric surface against the
+// operator's manual. It scrapes a live admin endpoint (the tree's series
+// from blinkmetrics plus the server's), takes every `# TYPE` family, and
+// requires each to have a row in OPERATIONS.md's metric catalogue — family,
+// type, unit, meaning — with the type the scrape declares. In the other
+// direction every blinktree_* name anywhere in OPERATIONS.md must be an
+// emitted family, so the manual cannot keep describing a series the code no
+// longer has.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	if !obs.Compiled {
+		t.Skip("observability is compiled out: the histogram families are not emitted")
+	}
+	tree, err := blinktree.Open(blinktree.Options{Observability: &blinktree.Observability{Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	rec := httptest.NewRecorder()
+	server.AdminHandler(server.New(tree, server.Config{})).ServeHTTP(rec,
+		httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	emitted := map[string]string{} // family -> type
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			emitted[f[2]] = f[3]
+		}
+	}
+	if len(emitted) < 40 {
+		t.Fatalf("scrape declared %d families; the lint is parsing nothing", len(emitted))
+	}
+
+	doc, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `(blinktree_[a-z_]+)(?:\\{[^`]*\\})?` \\| (\\w+) \\| [^|\\s][^|]* \\| [^|\\s][^|]* \\|$")
+	catalogued := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		catalogued[m[1]] = m[2]
+	}
+	for fam, typ := range emitted {
+		switch got, ok := catalogued[fam]; {
+		case !ok:
+			t.Errorf("%s (%s) is emitted but has no `| family | type | unit | meaning |` row in OPERATIONS.md", fam, typ)
+		case got != typ:
+			t.Errorf("%s: OPERATIONS.md says %s, the scrape says %s", fam, got, typ)
+		}
+	}
+	for _, name := range regexp.MustCompile("blinktree_[a-z_]+").FindAllString(string(doc), -1) {
+		base := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if fam := strings.TrimSuffix(name, suffix); emitted[fam] == "histogram" {
+				base = fam
+			}
+		}
+		if _, ok := emitted[base]; !ok {
+			t.Errorf("OPERATIONS.md names %s, which is not an emitted metric family", name)
+		}
 	}
 }
 

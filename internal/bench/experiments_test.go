@@ -420,7 +420,7 @@ func TestE14SkewToleranceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderToTestLog(t, tb)
-	// 5 distributions x 1 thread count x combining on/off.
+	// 5 distributions x 1 thread count x append fast path on/off.
 	if len(tb.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(tb.Rows))
 	}
@@ -429,7 +429,7 @@ func TestE14SkewToleranceShape(t *testing.T) {
 			t.Fatalf("row %d: non-positive throughput", i)
 		}
 		if row[2] == "off" && cellFloat(t, row[4]) != 0 {
-			t.Fatalf("row %d: combining-off run published %v ops", i, row[4])
+			t.Fatalf("row %d: fast-path-off run served %v fast-path hits", i, row[4])
 		}
 	}
 }
@@ -452,12 +452,9 @@ func TestSkewReportGatesAndJSON(t *testing.T) {
 	if _, ok := rep.Lookup("seq-append", 2, true); !ok {
 		t.Fatal("seq-append cell missing")
 	}
-	// The gates must at least evaluate at a trivially permissive bound.
+	// The gate must at least evaluate at a trivially permissive bound.
 	if desc, err := rep.GateSkewVsUniform(0.01); err != nil {
 		t.Fatalf("skew gate at 0.01: %v (%s)", err, desc)
-	}
-	if desc, err := rep.GateCombining(0.01); err != nil {
-		t.Fatalf("combining gate at 0.01: %v (%s)", err, desc)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -467,7 +464,8 @@ func TestSkewReportGatesAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Results) != len(rep.Results) || back.KeySpace != rep.KeySpace {
+	if len(back.Results) != len(rep.Results) || back.KeySpace != rep.KeySpace ||
+		back.Cores != rep.Cores || back.Cores == 0 || back.GOMAXPROCS != rep.GOMAXPROCS {
 		t.Fatal("JSON round trip mismatch")
 	}
 }

@@ -4,15 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
+	"blinktree/internal/buildinfo"
 	"blinktree/internal/core"
 	"blinktree/internal/wal"
 )
 
 // SkewConfig parameterizes one skew scenario matrix sweep: every configured
 // key distribution crossed with every goroutine count, each measured with
-// the contention engine (hot-leaf combining + right-edge append fast path)
-// on and off.
+// the right-edge append fast path on and off.
 type SkewConfig struct {
 	// Dists are the key distributions to sweep (default uniform, zipf,
 	// hotspot, moving-hotspot, seq-append).
@@ -50,27 +51,22 @@ func (c SkewConfig) withDefaults() SkewConfig {
 	return c
 }
 
-// SkewResult is one (distribution, goroutines, combining) cell.
+// SkewResult is one (distribution, goroutines, append fast path) cell.
 type SkewResult struct {
 	// Dist is the distribution's flag name (uniform, zipf, hotspot,
 	// moving-hotspot, seq-append).
 	Dist string `json:"dist"`
 	// Goroutines is the worker count.
 	Goroutines int `json:"goroutines"`
-	// Combining reports whether the contention engine (combining + append
-	// fast path) was enabled for this cell.
-	Combining bool `json:"combining"`
+	// AppendFastPath reports whether the right-edge append fast path was
+	// enabled for this cell.
+	AppendFastPath bool `json:"append_fast_path"`
 	// Ops is the measured operation count.
 	Ops int `json:"ops"`
 	// ElapsedNS is the measured wall time in nanoseconds.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// OpsPerSec is the headline throughput.
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// CombinePublishes, CombineDrained and CombineBatches snapshot the
-	// combining counters (zero with the engine off).
-	CombinePublishes uint64 `json:"combine_publishes"`
-	CombineDrained   uint64 `json:"combine_drained"`
-	CombineBatches   uint64 `json:"combine_batches"`
 	// AppendFastHits counts inserts served by the right-edge fast path.
 	AppendFastHits uint64 `json:"append_fast_hits"`
 	// LatchWaits counts blocking latch acquisitions during the cell.
@@ -79,8 +75,15 @@ type SkewResult struct {
 
 // SkewReport is the persisted skew scenario matrix: the sweep configuration
 // plus every measured cell, serialized to BENCH_skew.json at the repo root
-// by the CI skew-gate job.
+// by the CI bench-smoke job.
 type SkewReport struct {
+	// Cores, GOMAXPROCS and GitRev say where the matrix was measured: the
+	// host's CPU count, the scheduler's, and the VCS revision of the binary
+	// ("" when not stamped, e.g. under go run).
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GitRev     string `json:"git_rev"`
+
 	// KeySpace, Preload and Ops restate the per-cell sizing.
 	KeySpace int `json:"key_space"`
 	Preload  int `json:"preload"`
@@ -92,10 +95,11 @@ type SkewReport struct {
 	Results []SkewResult `json:"results"`
 }
 
-// Lookup returns the cell for (dist, goroutines, combining), if present.
-func (r *SkewReport) Lookup(dist string, goroutines int, combining bool) (SkewResult, bool) {
+// Lookup returns the cell for (dist, goroutines, append fast path), if
+// present.
+func (r *SkewReport) Lookup(dist string, goroutines int, appendFast bool) (SkewResult, bool) {
 	for _, res := range r.Results {
-		if res.Dist == dist && res.Goroutines == goroutines && res.Combining == combining {
+		if res.Dist == dist && res.Goroutines == goroutines && res.AppendFastPath == appendFast {
 			return res, true
 		}
 	}
@@ -114,7 +118,7 @@ func (r *SkewReport) MaxGoroutines() int {
 }
 
 // GateSkewVsUniform checks the skew-tolerance invariant: at the highest
-// goroutine count with the contention engine on, Zipf throughput must be at
+// goroutine count with the append fast path on, Zipf throughput must be at
 // least frac times uniform throughput (skew must not collapse the tree).
 // Returns a description of the comparison and an error when the gate fails.
 func (r *SkewReport) GateSkewVsUniform(frac float64) (string, error) {
@@ -128,25 +132,6 @@ func (r *SkewReport) GateSkewVsUniform(frac float64) (string, error) {
 		g, zipf.OpsPerSec, uni.OpsPerSec, zipf.OpsPerSec/uni.OpsPerSec, frac)
 	if zipf.OpsPerSec < uni.OpsPerSec*frac {
 		return desc, fmt.Errorf("bench: skew-vs-uniform gate failed: %s", desc)
-	}
-	return desc, nil
-}
-
-// GateCombining checks that the contention engine pays for itself: at the
-// highest goroutine count under Zipf skew, combining-on throughput must be
-// at least ratio times combining-off (ratio 1.0 = "combining never loses
-// under skew"). Returns a description and an error when the gate fails.
-func (r *SkewReport) GateCombining(ratio float64) (string, error) {
-	g := r.MaxGoroutines()
-	on, ok1 := r.Lookup("zipf", g, true)
-	off, ok2 := r.Lookup("zipf", g, false)
-	if !ok1 || !ok2 {
-		return "", fmt.Errorf("bench: report lacks zipf on/off cells at %d goroutines", g)
-	}
-	desc := fmt.Sprintf("zipf @ %d goroutines: combining on %.0f ops/s vs off %.0f ops/s (%.2fx, gate %.2fx)",
-		g, on.OpsPerSec, off.OpsPerSec, on.OpsPerSec/off.OpsPerSec, ratio)
-	if on.OpsPerSec < off.OpsPerSec*ratio {
-		return desc, fmt.Errorf("bench: combining gate failed: %s", desc)
 	}
 	return desc, nil
 }
@@ -181,11 +166,11 @@ func (c SkewConfig) skewSpec(d Dist) Spec {
 }
 
 // skewOptions builds the tree configuration for one cell. The matrix runs
-// against a logged tree (MemDevice) so the combining layer's batched WAL
-// appends are part of what is measured.
-func skewOptions(combining bool) core.Options {
+// against a logged tree (MemDevice) so WAL appends are part of what is
+// measured.
+func skewOptions(appendFast bool) core.Options {
 	mode := core.FeatureOff
-	if combining {
+	if appendFast {
 		mode = core.FeatureOn
 	}
 	return core.Options{
@@ -193,17 +178,20 @@ func skewOptions(combining bool) core.Options {
 		MinFill:        0.35,
 		Workers:        2,
 		LogDevice:      wal.NewMemDevice(),
-		Combining:      mode,
 		AppendFastPath: mode,
 	}
 }
 
 // RunSkew measures the full skew scenario matrix: every configured
-// distribution at every goroutine count, with the contention engine on and
+// distribution at every goroutine count, with the append fast path on and
 // off.
 func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &SkewReport{
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GitRev:     buildinfo.Revision(),
+
 		KeySpace: cfg.KeySpace,
 		Preload:  cfg.Preload,
 		Ops:      cfg.Ops,
@@ -211,10 +199,10 @@ func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 	}
 	for _, d := range cfg.Dists {
 		for _, g := range cfg.Goroutines {
-			for _, combining := range []bool{true, false} {
-				res, err := runSkewCell(cfg, d, g, combining)
+			for _, appendFast := range []bool{true, false} {
+				res, err := runSkewCell(cfg, d, g, appendFast)
 				if err != nil {
-					return nil, fmt.Errorf("bench: skew %s/%d/combining=%v: %w", d, g, combining, err)
+					return nil, fmt.Errorf("bench: skew %s/%d/appendfast=%v: %w", d, g, appendFast, err)
 				}
 				rep.Results = append(rep.Results, res)
 			}
@@ -223,22 +211,19 @@ func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 	return rep, nil
 }
 
-func runSkewCell(cfg SkewConfig, d Dist, goroutines int, combining bool) (SkewResult, error) {
-	res, err := Run(Config{Name: d.String(), Opts: skewOptions(combining)}, cfg.skewSpec(d), goroutines)
+func runSkewCell(cfg SkewConfig, d Dist, goroutines int, appendFast bool) (SkewResult, error) {
+	res, err := Run(Config{Name: d.String(), Opts: skewOptions(appendFast)}, cfg.skewSpec(d), goroutines)
 	if err != nil {
 		return SkewResult{}, err
 	}
 	return SkewResult{
-		Dist:             d.String(),
-		Goroutines:       goroutines,
-		Combining:        combining,
-		Ops:              res.Ops,
-		ElapsedNS:        res.Elapsed.Nanoseconds(),
-		OpsPerSec:        res.Throughput,
-		CombinePublishes: res.Stats.CombinePublishes,
-		CombineDrained:   res.Stats.CombineDrained,
-		CombineBatches:   res.Stats.CombineBatches,
-		AppendFastHits:   res.Stats.AppendFastHits,
-		LatchWaits:       res.Latch.Waits,
+		Dist:           d.String(),
+		Goroutines:     goroutines,
+		AppendFastPath: appendFast,
+		Ops:            res.Ops,
+		ElapsedNS:      res.Elapsed.Nanoseconds(),
+		OpsPerSec:      res.Throughput,
+		AppendFastHits: res.Stats.AppendFastHits,
+		LatchWaits:     res.Latch.Waits,
 	}, nil
 }

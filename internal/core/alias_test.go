@@ -57,104 +57,99 @@ func (s *imageLog) check(t *testing.T, all bool) {
 // route snapshots; that is safe only because every writer replaces a slot
 // with a fresh allocation and never writes its bytes. The test drives the
 // real writers — insertLeafAt, value overwrite, removeLeafAt,
-// insertIndexTerm / removeIndexTermAt, split, consolidate, the combining
-// drain, and recovery's applyRecOp — through a tree whose pool is so small
-// that nodes are decoded over and over, against a shadow model, and checks
-// after every step that no image Read ever handed out has changed.
+// insertIndexTerm / removeIndexTermAt, split, consolidate, and recovery's
+// applyRecOp — through a tree whose pool is so small that nodes are decoded
+// over and over, against a shadow model, and checks after every step that no
+// image Read ever handed out has changed.
 func TestDecodedImagesAreNeverWritten(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"default":        {},
-		"combine-always": {CombineThreshold: CombineAlways},
-	} {
-		t.Run(name, func(t *testing.T) {
-			st := &imageLog{Store: storage.NewMemStore(256)}
-			dev := wal.NewMemDevice()
-			opts.PageSize, opts.CacheSize, opts.MinFill = 256, 12, 0.4
-			opts.Workers, opts.Store, opts.LogDevice = WorkersNone, st, dev
-			tr, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := map[string][]byte{}
-			agree := func(tr *Tree) {
-				t.Helper()
-				n := 0
-				err := tr.Scan(nil, nil, func(k, v []byte) bool {
-					if want, ok := model[string(k)]; !ok || !bytes.Equal(v, want) {
-						t.Fatalf("scan: %q = %q, model has %q (present %v)", k, v, want, ok)
-					}
-					n++
-					return true
-				})
-				if err != nil || n != len(model) {
-					t.Fatalf("scan saw %d records, model has %d (%v)", n, len(model), err)
-				}
-			}
-
-			rng := rand.New(rand.NewSource(13))
-			for step := 0; step < 6000; step++ {
-				k := key(rng.Intn(600))
-				// Alternate growing and shrinking phases so leaves both split
-				// and empty out.
-				put := 7
-				if step/1000%2 == 1 {
-					put = 1
-				}
-				switch op := rng.Intn(10); {
-				case op < put:
-					v := make([]byte, 1+rng.Intn(40))
-					rng.Read(v)
-					if err := tr.Put(k, v); err != nil {
-						t.Fatal(err)
-					}
-					model[string(k)] = v
-				case op < 8:
-					err := tr.Delete(k)
-					if _, ok := model[string(k)]; ok != (err == nil) || (err != nil && !errors.Is(err, ErrKeyNotFound)) {
-						t.Fatalf("delete %q: %v, model present %v", k, err, ok)
-					}
-					delete(model, string(k))
-				default:
-					got, err := tr.Get(k)
-					if want, ok := model[string(k)]; ok != (err == nil) || !bytes.Equal(got, want) {
-						t.Fatalf("get %q = %q, %v; model has %q (present %v)", k, got, err, want, ok)
-					}
-				}
-				if step%16 == 0 {
-					tr.DrainTodo() // index-term postings and consolidations
-				}
-				if step%500 == 0 {
-					agree(tr)
-				}
-				st.check(t, step%500 == 0)
-			}
-			s := tr.Stats()
-			if s.Splits == 0 || s.LeafConsolidated == 0 || s.PostsDone == 0 {
-				t.Fatalf("workload did not exercise the SMOs: %d splits, %d posts, %d leaf consolidations",
-					s.Splits, s.PostsDone, s.LeafConsolidated)
-			}
-			t.Logf("%d images decoded; %d splits, %d posts, %d leaf and %d index consolidations, %d combined ops",
-				len(st.handed), s.Splits, s.PostsDone, s.LeafConsolidated, s.IndexConsolidated, s.CombineDrained)
-			mustVerify(t, tr)
-
-			// Crash with the log durable and only some pages written back:
-			// redo decodes the stale pages and applies record operations to
-			// the decoded content in place (applyRecOp).
-			if err := tr.log.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			dev.Crash()
-			tr.todo.stop()
-			tr2, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr2.Close()
-			if tr2.RecoveryStats().RecOpsRedone == 0 {
-				t.Fatal("recovery redid no record operation")
-			}
-			agree(tr2)
-			st.check(t, true)
-		})
+	st := &imageLog{Store: storage.NewMemStore(256)}
+	dev := wal.NewMemDevice()
+	opts := Options{
+		PageSize: 256, CacheSize: 12, MinFill: 0.4,
+		Workers: WorkersNone, Store: st, LogDevice: dev,
 	}
+	tr, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[string][]byte{}
+	agree := func(tr *Tree) {
+		t.Helper()
+		n := 0
+		err := tr.Scan(nil, nil, func(k, v []byte) bool {
+			if want, ok := model[string(k)]; !ok || !bytes.Equal(v, want) {
+				t.Fatalf("scan: %q = %q, model has %q (present %v)", k, v, want, ok)
+			}
+			n++
+			return true
+		})
+		if err != nil || n != len(model) {
+			t.Fatalf("scan saw %d records, model has %d (%v)", n, len(model), err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	for step := 0; step < 6000; step++ {
+		k := key(rng.Intn(600))
+		// Alternate growing and shrinking phases so leaves both split
+		// and empty out.
+		put := 7
+		if step/1000%2 == 1 {
+			put = 1
+		}
+		switch op := rng.Intn(10); {
+		case op < put:
+			v := make([]byte, 1+rng.Intn(40))
+			rng.Read(v)
+			if err := tr.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			model[string(k)] = v
+		case op < 8:
+			err := tr.Delete(k)
+			if _, ok := model[string(k)]; ok != (err == nil) || (err != nil && !errors.Is(err, ErrKeyNotFound)) {
+				t.Fatalf("delete %q: %v, model present %v", k, err, ok)
+			}
+			delete(model, string(k))
+		default:
+			got, err := tr.Get(k)
+			if want, ok := model[string(k)]; ok != (err == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("get %q = %q, %v; model has %q (present %v)", k, got, err, want, ok)
+			}
+		}
+		if step%16 == 0 {
+			tr.DrainTodo() // index-term postings and consolidations
+		}
+		if step%500 == 0 {
+			agree(tr)
+		}
+		st.check(t, step%500 == 0)
+	}
+	s := tr.Stats()
+	if s.Splits == 0 || s.LeafConsolidated == 0 || s.PostsDone == 0 {
+		t.Fatalf("workload did not exercise the SMOs: %d splits, %d posts, %d leaf consolidations",
+			s.Splits, s.PostsDone, s.LeafConsolidated)
+	}
+	t.Logf("%d images decoded; %d splits, %d posts, %d leaf and %d index consolidations",
+		len(st.handed), s.Splits, s.PostsDone, s.LeafConsolidated, s.IndexConsolidated)
+	mustVerify(t, tr)
+
+	// Crash with the log durable and only some pages written back:
+	// redo decodes the stale pages and applies record operations to
+	// the decoded content in place (applyRecOp).
+	if err := tr.log.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash()
+	tr.todo.stop()
+	tr2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Close()
+	if tr2.RecoveryStats().RecOpsRedone == 0 {
+		t.Fatal("recovery redid no record operation")
+	}
+	agree(tr2)
+	st.check(t, true)
 }

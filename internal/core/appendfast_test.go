@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"blinktree/internal/page"
 	"blinktree/internal/wal"
 )
 
@@ -17,7 +20,6 @@ func TestAppendFastPathMonotonic(t *testing.T) {
 		PageSize:       1024,
 		Workers:        WorkersNone,
 		LogDevice:      wal.NewMemDevice(),
-		Combining:      FeatureOff,
 		AppendFastPath: FeatureOn,
 	})
 	if err != nil {
@@ -126,5 +128,116 @@ func TestAppendFastPathConcurrent(t *testing.T) {
 				t.Fatalf("tail%06d-%02d lost: %v", i, g, err)
 			}
 		}
+	}
+}
+
+// hookDevice runs a callback before a log append reaches the device, i.e.
+// in the middle of whatever structure modification is being logged.
+type hookDevice struct {
+	wal.Device
+	onAppend func()
+}
+
+func (d *hookDevice) Append(frame []byte) error {
+	if f := d.onAppend; f != nil {
+		d.onAppend = nil
+		f()
+	}
+	return d.Device.Append(frame)
+}
+
+// TestAppendFastPathHintOnPageReusedBySplit: the hint names a page ID, and
+// page IDs are reused. When the rightmost leaf is consolidated away and the
+// split of the new rightmost leaf draws the same ID for its right half, an
+// append arriving in the middle of that split finds, under the hinted ID, a
+// live rightmost leaf that covers its key — and that nobody else can reach
+// yet, so nobody would hold its latch. The split keeps the new node latched
+// from birth; the append must miss and go round, not write into a node that
+// is still being logged (found as a data race by the hot-key stress test).
+func TestAppendFastPathHintOnPageReusedBySplit(t *testing.T) {
+	dev := &hookDevice{Device: wal.NewMemDevice()}
+	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4, LogDevice: dev})
+	i := 0
+	for ; tr.Stats().Splits < 3; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	leaves, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, _ := tr.NodeSnapshot(leaves[len(leaves)-1])
+	left, _ := tr.NodeSnapshot(leaves[len(leaves)-2])
+	if h := tr.rightEdge.Load(); h == nil || h.id != edge.ID {
+		t.Fatalf("hint %+v does not name the rightmost leaf %d", h, edge.ID)
+	}
+	// Fill the left neighbour until no further record fits, then empty the
+	// rightmost leaf: it is consolidated into the neighbour, its page freed,
+	// and the hint goes stale.
+	pad := func(n int) []byte { return append(append([]byte(nil), left.Keys[0]...), fmt.Sprintf("~%03d", n)...) }
+	need := page.EntrySize(page.Leaf, len(pad(0)), len(valb(0)))
+	n := 0
+	for ; ; n++ {
+		if cur, _ := tr.NodeSnapshot(left.ID); cur.Size+need > tr.opts.PageSize {
+			break
+		}
+		if err := tr.Put(pad(n), valb(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range edge.Keys {
+		if err := tr.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if tr.Stats().LeafConsolidated != 1 {
+		t.Fatalf("%d leaf consolidations, want 1", tr.Stats().LeafConsolidated)
+	}
+	if h := tr.rightEdge.Load(); h == nil || h.id != edge.ID {
+		t.Fatalf("hint %+v should still name the freed page %d", h, edge.ID)
+	}
+
+	// The next record splits the neighbour — it must: a record that fitted
+	// would refresh the hint. It is not append-shaped, so it does not consult
+	// the hint either. While the split is being logged, an append arrives.
+	before := tr.Stats()
+	done := make(chan error, 1)
+	var during Stats
+	dev.onAppend = func() {
+		if h := tr.rightEdge.Load(); h == nil || h.id != edge.ID || tr.Stats().Splits != before.Splits {
+			t.Errorf("the hook did not fire inside the first split, with the stale hint in place (hint %+v)", h)
+		}
+		go func() { done <- tr.Put(key(i+1000), valb(0)) }()
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			during = tr.Stats()
+			if during.AppendFastHits+during.AppendFastMisses != before.AppendFastHits+before.AppendFastMisses {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Error("the append never tried the fast path")
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	merged, _ := tr.NodeSnapshot(left.ID)
+	if err := tr.Put(pad(n), make([]byte, tr.opts.PageSize-merged.Size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if right, _ := tr.NodeSnapshot(edge.ID); right.High != nil || right.Right != 0 {
+		t.Fatalf("page %d was not reused as the split's right half: %+v", edge.ID, right)
+	}
+	if during.AppendFastHits != before.AppendFastHits {
+		t.Fatal("the append wrote into the split's new node while it was being logged")
+	}
+	mustVerify(t, tr)
+	if _, err := tr.Get(key(i + 1000)); err != nil {
+		t.Fatalf("appended record: %v", err)
 	}
 }

@@ -342,6 +342,9 @@ func (s *bulkSession) allocTracked(c page.Content) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The load runs alone behind the checkpoint gate: nothing can reach the
+	// node through a stale reference while it is being filled.
+	n.latch.Release(latch.Exclusive)
 	s.allocated = append(s.allocated, n.id)
 	return n, nil
 }
@@ -639,7 +642,7 @@ func (s *bulkSession) buildChunk(c *bulkChunk) {
 			cont.High = c.leaves[i+1].low
 			cont.Right = c.ids[i+1]
 		}
-		n, err := t.adoptNode(c.ids[i], cont)
+		n, err := t.adoptNode(c.ids[i], cont, false)
 		if err != nil {
 			fail(nodes, err)
 			return

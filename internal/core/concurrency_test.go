@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"blinktree/internal/wal"
 )
 
 // TestConcurrentInserts hammers the tree with disjoint insert ranges and
@@ -279,4 +281,139 @@ func TestHotspotContention(t *testing.T) {
 	}
 	wg.Wait()
 	mustVerify(t, tr)
+}
+
+// TestConcurrentDisjointKeysExactContents has goroutines upsert and delete
+// disjoint keys that share leaves of a logged tree. The final state is
+// interleaving-independent, so it must exactly equal the expected map, and
+// every individual result (a delete of an absent key in particular) must
+// come back correct while neighbours split the leaf under the writer.
+func TestConcurrentDisjointKeysExactContents(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 1024, LogDevice: wal.NewMemDevice()})
+	const goroutines, perG = 8, 300
+	keyOf := func(g, i int) string { return fmt.Sprintf("g%02d-%06d", g, i%40) }
+	valOf := func(g, i int) string { return fmt.Sprintf("val-%02d-%06d", g, i) }
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				k := []byte(keyOf(g, i))
+				if err := tr.Put(k, []byte(valOf(g, i))); err != nil {
+					t.Errorf("g%d put %d: %v", g, i, err)
+					return
+				}
+				if i%4 == 3 {
+					if err := tr.Delete(k); err != nil {
+						t.Errorf("g%d del %d: %v", g, i, err)
+						return
+					}
+				}
+				if i%17 == 0 {
+					absent := []byte(fmt.Sprintf("zz-absent-%02d-%06d", g, i))
+					if err := tr.Delete(absent); !errors.Is(err, ErrKeyNotFound) {
+						t.Errorf("g%d absent delete: %v", g, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want := map[string]string{}
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			want[keyOf(g, i)] = valOf(g, i)
+			if i%4 == 3 {
+				delete(want, keyOf(g, i))
+			}
+		}
+	}
+	got, err := tr.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("record count %d, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if string(got[k]) != v {
+			t.Fatalf("mismatch at %q: got %q, want %q", k, got[k], v)
+		}
+	}
+	mustVerify(t, tr)
+}
+
+// TestHotKeyRacesSplitsAndConsolidations hammers one hot key from many
+// goroutines while a filler stream splits its leaf and filler deletes empty
+// the leaves beside it for the background workers to consolidate. No
+// operation may be dropped or duplicated by an SMO: the final hot-key value
+// must be one that was actually written, no filler may survive, and every
+// invariant must hold.
+func TestHotKeyRacesSplitsAndConsolidations(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 1024, MinFill: 0.4, Workers: 2, LogDevice: wal.NewMemDevice()})
+	hot := []byte("hot-key")
+	// Each goroutine keeps its last `live` fillers (≈1.7 KiB: more than a
+	// page, so even goroutines that run one after another split leaves) and
+	// deletes the rest as it goes, then all of them.
+	const goroutines, perG, live = 8, 400, 20
+	filler := func(g, n int) []byte { return []byte(fmt.Sprintf("hos-%02d-%06d", g, n)) }
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fillers := 0
+			for i := 0; i < perG+live; i++ {
+				var err error
+				switch {
+				case i >= perG: // the writing is over: delete what is left
+					err = tr.Delete(filler(g, fillers-live+i-perG))
+				case i%4 < 2:
+					err = tr.Put(hot, []byte(fmt.Sprintf("h%02d-%06d", g, i)))
+				case i%4 == 2:
+					if err = tr.Delete(hot); errors.Is(err, ErrKeyNotFound) {
+						err = nil
+					}
+				default:
+					// Fillers sort just below the hot key, so they land in
+					// and split its leaf.
+					err = tr.Put(filler(g, fillers), bytes.Repeat([]byte{'x'}, 64))
+					if fillers++; err == nil && fillers > live {
+						err = tr.Delete(filler(g, fillers-live-1))
+					}
+				}
+				if err == nil && i%16 == 0 {
+					if _, err = tr.Get(hot); errors.Is(err, ErrKeyNotFound) {
+						err = nil
+					}
+				}
+				if err != nil {
+					t.Errorf("g%d op %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	mustVerify(t, tr)
+	if s := tr.Stats(); s.Splits == 0 || s.LeafConsolidated == 0 {
+		t.Fatalf("workload raced no SMOs: %d splits, %d leaf consolidations", s.Splits, s.LeafConsolidated)
+	}
+	recs, err := tr.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range recs {
+		if k != string(hot) || !bytes.HasPrefix(v, []byte("h")) {
+			t.Fatalf("unexpected survivor %q = %q", k, v)
+		}
+	}
 }

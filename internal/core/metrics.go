@@ -63,8 +63,8 @@ func (t *Tree) Snapshot() TreeMetrics {
 	return m
 }
 
-// LatchStats returns this tree's latch activity. Unlike the deprecated
-// package-wide latch.Snapshot, it covers only this tree's latches.
+// LatchStats returns this tree's latch activity: node latches and the D_X
+// latch, nothing from other trees in the process.
 func (t *Tree) LatchStats() latch.Stats { return t.latchRec.Snapshot() }
 
 // TraceEvents returns the buffered trace events, oldest first; nil when

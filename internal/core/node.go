@@ -50,19 +50,6 @@ type node struct {
 	// latch is released and the reader validates currency against the
 	// latch version word (see optread.go).
 	route atomic.Pointer[route]
-
-	// hot counts contended latch encounters on a leaf (failed
-	// try-acquires by prospective combiners); once it reaches the
-	// combine threshold, writers publish into the combining buffer
-	// instead of queueing on the latch. Reset by a drain that finds the
-	// buffer (nearly) empty, so a leaf that cools down stops combining.
-	hot atomic.Uint32
-
-	// comb is the leaf's combining buffer, created lazily by its first
-	// publisher and drained by every exclusive-latch releaser (see
-	// combine.go). Nil on index nodes and on leaves that never saw
-	// contention.
-	comb atomic.Pointer[combiner]
 }
 
 // route is an immutable snapshot of everything an optimistic reader needs

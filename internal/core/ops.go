@@ -105,19 +105,12 @@ func (t *Tree) Delete(key []byte) error {
 // putInternal traverses to the covering leaf and upserts. The bool result
 // reports whether an existing record was replaced (an update) rather than a
 // new one inserted. Non-transactional upserts first try the right-edge
-// append fast path (appendfast.go) and then the combining layer
-// (combine.go); both fall through here when they decline.
+// append fast path (appendfast.go), which falls through here when it
+// declines.
 func (t *Tree) putInternal(lp recOpParams, key, val []byte) (wal.LSN, bool, error) {
-	if lp.txn == 0 && !lp.clr {
-		if t.appendFast {
-			if lsn, updated, done, err := t.appendFastPut(lp, key, val); done {
-				return lsn, updated, err
-			}
-		}
-		if t.combining {
-			if lsn, updated, done, err := t.combinePut(lp, key, val); done {
-				return lsn, updated, err
-			}
+	if lp.txn == 0 && !lp.clr && t.appendFast {
+		if lsn, updated, done, err := t.appendFastPut(lp, key, val); done {
+			return lsn, updated, err
 		}
 	}
 	dx := t.dx.v.Load()
@@ -199,13 +192,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 }
 
 // deleteInternal traverses to the covering leaf and removes key.
-// Non-transactional deletes first try the combining layer (combine.go).
 func (t *Tree) deleteInternal(lp recOpParams, key []byte) (wal.LSN, error) {
-	if lp.txn == 0 && !lp.clr && t.combining {
-		if lsn, done, err := t.combineDelete(lp, key); done {
-			return lsn, err
-		}
-	}
 	dx := t.dx.v.Load()
 	var pb pathBuf
 	leaf, path, err := t.traverse(traverseOpts{

@@ -174,27 +174,12 @@ type Options struct {
 	// everywhere (comparators and debugging).
 	OptimisticReads ReadPath
 
-	// Combining enables the hot-leaf operation-combining engine (default
-	// on): a non-transactional writer that finds a leaf's latch contended
-	// publishes its operation into the leaf's combining buffer, and the
-	// latch winner applies the whole batch under one exclusive latch
-	// acquisition and one WAL append group, handing each parked publisher
-	// its individual result. Transactional operations never combine (they
-	// must interleave with record locking and the re-latch procedure).
+	// Deprecated: Combining selected hot-leaf operation combining, which
+	// has been removed (EXPERIMENTS.md E14); every value is accepted and
+	// ignored. The field exists only because benchmark/workload.go, frozen
+	// for non-benchmark changes, still sets it: a benchmark-only change
+	// removes that setter, and then this field goes.
 	Combining FeatureMode
-
-	// CombineBuffer is the per-leaf combining buffer capacity in pending
-	// operations (default 16). A full buffer sends the writer down the
-	// normal latched path.
-	CombineBuffer int
-
-	// CombineThreshold is the number of contended latch encounters
-	// (failed try-acquires) a leaf must accumulate before writers start
-	// publishing into its combining buffer (default 4). CombineAlways
-	// publishes unconditionally, without even attempting the latch —
-	// deterministic tests and the crash harness use it to force every
-	// operation through the combine/drain machinery.
-	CombineThreshold int
 
 	// AppendFastPath enables the right-edge append fast path (default on):
 	// the rightmost leaf is cached, and an insert of a key at or beyond its
@@ -248,17 +233,8 @@ func (o Options) withDefaults() Options {
 	if o.OptimisticReads == ReadPathDefault {
 		o.OptimisticReads = ReadPathOptimistic
 	}
-	if o.Combining == FeatureDefault {
-		o.Combining = FeatureOn
-	}
 	if o.AppendFastPath == FeatureDefault {
 		o.AppendFastPath = FeatureOn
-	}
-	if o.CombineBuffer <= 0 {
-		o.CombineBuffer = 16
-	}
-	if o.CombineThreshold == 0 {
-		o.CombineThreshold = 4
 	}
 	if o.Store == nil {
 		o.Store = storage.NewMemStore(o.PageSize)
@@ -275,8 +251,3 @@ const WorkersNone = -1
 
 // TodoSoftCapNone disables scheduler backpressure (inline assists).
 const TodoSoftCapNone = -1
-
-// CombineAlways, as a CombineThreshold, makes every eligible write publish
-// into the combining buffer unconditionally (no contention required); used
-// by deterministic tests and the crash harness.
-const CombineAlways = -1

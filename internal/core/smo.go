@@ -301,10 +301,20 @@ func (t *Tree) logPost(p *node) {
 // postAtRootLevel handles a post whose splitting node was at root level
 // when remembered: either grow a new root above it, or — if the root has
 // already changed — find the parent by traversal and post normally.
+//
+// Such an action remembered no parent, so it carries no D_D (and no
+// parent-relative D_X) to verify its new node against, and the node may
+// since have been posted by another discovery of the same split,
+// consolidated away, and its page reused for a different key space. Both
+// branches therefore test the node itself (newNodeStands), at a moment when
+// it cannot be consolidated: under the anchor while its level has no parent,
+// or with the parent latched.
 func (t *Tree) postAtRootLevel(a action) {
 	t.anchor.mu.Lock()
 	if t.anchor.root == a.origID && t.anchor.level == a.level {
-		t.growLocked(a)
+		if t.newNodeStands(&a) {
+			t.growLocked(a)
+		}
 		t.anchor.mu.Unlock()
 		return
 	}
@@ -320,13 +330,8 @@ func (t *Tree) postAtRootLevel(a action) {
 		return
 	}
 
-	// The root has grown since the action was remembered. Verify the new
-	// node still exists (we created it, so we know its epoch), then find
-	// the parent by a normal latch-coupled traversal.
-	if a.newEpoch != 0 && !t.nodeAlive(a.newID, a.newEpoch) {
-		t.c.postsAbortID.Add(1)
-		return
-	}
+	// The root has grown since the action was remembered: find the parent
+	// by a normal latch-coupled traversal.
 	p, _, err := t.traverse(traverseOpts{
 		key: a.sep, level: a.level + 1, intent: latch.Update, dx: t.dx.v.Load(),
 	}, nil)
@@ -335,19 +340,28 @@ func (t *Tree) postAtRootLevel(a action) {
 		t.todo.requeue(a)
 		return
 	}
+	if !t.newNodeStands(&a) {
+		t.unlatchUnpin(p, latch.Update, false)
+		return
+	}
 	t.postInto(p, a)
 }
 
-// nodeAlive reports whether the node id still exists with the given
-// incarnation. Used only on the rare root-race fallback path.
-func (t *Tree) nodeAlive(id page.PageID, epoch uint64) bool {
-	n, err := t.pinLatch(id, latch.Shared)
-	if err != nil {
-		return false
+// newNodeStands reports whether a post's new node is still what the split
+// made it: alive, on the split's level, and beginning at the separator. A
+// false result is counted and traced as an identity abort.
+func (t *Tree) newNodeStands(a *action) bool {
+	n, err := t.pinLatch(a.newID, latch.Shared)
+	if err == nil {
+		ok := !n.dead && n.c.Level == a.level && t.cmp(n.c.Low, a.sep) == 0
+		t.unlatchUnpin(n, latch.Shared, false)
+		if ok {
+			return true
+		}
 	}
-	alive := !n.dead && n.c.Epoch == epoch
-	t.unlatchUnpin(n, latch.Shared, false)
-	return alive
+	t.c.postsAbortID.Add(1)
+	t.traceAbort(obs.EvAbortIdentity, a, 0, 0)
+	return false
 }
 
 // growLocked adds a new root above the old one (anchor mutex held). The new
@@ -385,13 +399,12 @@ func (t *Tree) growLocked(a action) {
 			panic(fmt.Sprintf("blinktree: logging grow: %v", err))
 		}
 	}
-	// The new root is still private (nothing points at it); publish its
+	// Nothing points at the new root yet; releasing it publishes its
 	// routing snapshot before the anchor makes it reachable.
-	root.publishRoute()
+	t.unlatchUnpin(root, latch.Exclusive, true)
 	t.anchor.root = root.id
 	t.anchor.level = root.c.Level
 	t.c.grows.Add(1)
 	t.c.postsDone.Add(1)
-	root.frame.Unpin(true)
 	t.traceSMO(obs.EvCompleted, &a)
 }

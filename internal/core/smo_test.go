@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"blinktree/internal/latch"
@@ -291,4 +293,137 @@ func TestUpdateValueOverflowSplits(t *testing.T) {
 		t.Fatalf("updated value lost: %v", err)
 	}
 	mustVerify(t, tr)
+}
+
+// TestStaleRootLevelPostOverRecycledPage is the deterministic form of a
+// corruption the concurrent hot-key test found. A posting discovered while
+// the split node was at root level remembers no parent, hence no D_D. If it
+// runs late — after another discovery of the same split posted the new
+// node, the node was consolidated away and its page reused by a later split
+// — it used to insert its old separator over the page's new tenant
+// (`index term != child low`). It must be abandoned instead, whether the
+// tree is by then taller or has shrunk back to the same root.
+func TestStaleRootLevelPostOverRecycledPage(t *testing.T) {
+	for _, shrinkBack := range []bool{false, true} {
+		tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4})
+		fill := func(format string) action {
+			t.Helper()
+			splits := tr.Stats().Splits
+			for i := 0; tr.Stats().Splits == splits; i++ {
+				if err := tr.Put([]byte(fmt.Sprintf(format, i)), valb(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, a := range takeQueuedActions(tr) {
+				if a.kind == actPost {
+					return a
+				}
+			}
+			t.Fatal("split produced no post action")
+			return action{}
+		}
+		// The root leaf splits; a side traversal discovers the same posting
+		// again, and that copy is delayed.
+		first := fill("m-%06d")
+		if first.parent.id != 0 {
+			t.Fatalf("root-level split remembered parent %d", first.parent.id)
+		}
+		stale := first
+		tr.processPost(first) // grows the root
+		if tr.Height() != 1 {
+			t.Fatalf("height %d after the first post", tr.Height())
+		}
+		// Empty the new node: it is consolidated into the old root leaf and
+		// its page freed.
+		gone, err := tr.NodeSnapshot(stale.newID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range gone.Keys {
+			if err := tr.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !shrinkBack {
+			// Keep the grown root: consolidate only.
+			for _, a := range takeQueuedActions(tr) {
+				if a.kind == actDelete {
+					tr.processDelete(a)
+				}
+			}
+		} else {
+			// Drain the consolidation; the next latched descent sees a root
+			// with one child and has it shrunk away.
+			tr.DrainTodo()
+			if err := tr.Put([]byte("m-"), valb(0)); err != nil {
+				t.Fatal(err)
+			}
+			mustVerify(t, tr)
+			if tr.Height() != 0 || tr.RootID() != stale.origID {
+				t.Fatalf("root %d at height %d, want the old leaf %d back", tr.RootID(), tr.Height(), stale.origID)
+			}
+		}
+		if tr.Stats().LeafConsolidated != 1 {
+			t.Fatalf("%d leaf consolidations, want 1", tr.Stats().LeafConsolidated)
+		}
+		// Taller tree: the old root leaf splits again, lower down, and the
+		// freed page comes back as the new right half with another
+		// separator. Shrunk tree: the page stays free, and the stale posting
+		// finds its split node to be the root again.
+		var fresh action
+		if !shrinkBack {
+			fresh = fill("a-%06d")
+			if fresh.newID != stale.newID || bytes.Equal(fresh.sep, stale.sep) {
+				t.Fatalf("second split made page %d at %q; the scenario needs page %d at a separator other than %q",
+					fresh.newID, fresh.sep, stale.newID, stale.sep)
+			}
+		}
+
+		aborts := tr.Stats().PostsAbortID
+		tr.processPost(stale)
+		if got := tr.Stats().PostsAbortID; got != aborts+1 {
+			t.Fatalf("shrinkBack=%v: stale posting not abandoned (%d identity aborts, want %d)", shrinkBack, got, aborts+1)
+		}
+		if shrinkBack {
+			mustVerify(t, tr)
+			continue
+		}
+		tr.processPost(fresh)
+		mustVerify(t, tr)
+	}
+}
+
+// TestTraverseRejectsReusedRootPage: traverse reads the anchor before it
+// latches the root, and a root shrunk away in between has its page reused.
+// Whatever now lives under the remembered ID must not be taken for the root:
+// a leaf there, met with the Shared latch chosen for an index root, used to
+// be returned to the writer as its exclusively latched target (found by
+// TestConcurrentGrowShrinkCycles at GOMAXPROCS=4 as `Release(Exclusive) with
+// no exclusive holder`), and a node that is not leftmost on its level cannot
+// reach the keys to its left. The anchor is made stale by hand, and stays so:
+// the descent must keep restarting and give up, not operate on the node.
+func TestTraverseRejectsReusedRootPage(t *testing.T) {
+	tr := buildFigureTree(t)
+	leaves, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := tr.NodeSnapshot(leaves[1])
+	root, level := tr.readAnchor()
+	for name, staleLevel := range map[string]uint8{
+		"a leaf where an index root was":  level,
+		"a leaf that is not the leftmost": 0,
+	} {
+		tr.anchor.mu.Lock()
+		tr.anchor.root, tr.anchor.level = second.ID, staleLevel
+		tr.anchor.mu.Unlock()
+		err := tr.Put(second.Keys[0], valb(0))
+		tr.anchor.mu.Lock()
+		tr.anchor.root, tr.anchor.level = root, level
+		tr.anchor.mu.Unlock()
+		if err == nil || !strings.Contains(err.Error(), "live-locked") {
+			t.Fatalf("%s: Put = %v, want the traversal to give up", name, err)
+		}
+		mustVerify(t, tr)
+	}
 }

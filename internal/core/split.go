@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"blinktree/internal/latch"
 	"blinktree/internal/page"
 	"blinktree/internal/wal"
 )
@@ -72,26 +73,27 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	n.c.High = sep
 	n.c.Right = right.id
 
-	if err := t.logSplit(n, right); err != nil {
+	err = t.logSplit(n, right)
+	// The new half becomes reachable through n's side pointer once the
+	// caller releases n; through its page ID it has been reachable since
+	// allocNode, which is why it was born latched. Releasing it publishes
+	// its routing snapshot; n's own is republished at n's release.
+	t.unlatchUnpin(right, latch.Exclusive, true)
+	if err != nil {
 		return err
 	}
-	// The new half becomes reachable (via n's side pointer) once the
-	// caller's exclusive latch on n is released; its routing snapshot must
-	// be in place by then. n's own snapshot is republished at that release.
-	right.publishRoute()
 	t.c.splits.Add(1)
 
 	a := action{
 		kind:   actPost,
 		level:  n.level(),
 		origID: n.id, origEpoch: n.c.Epoch,
-		newID: right.id, newEpoch: right.c.Epoch,
+		newID:  right.id,
 		sep:    sep,
 		parent: parent,
 		dx:     dx,
 		dd:     dd,
 	}
-	right.frame.Unpin(true)
 	t.c.postsEnqueued.Add(1)
 	t.todo.enqueue(a)
 	return nil

@@ -169,7 +169,7 @@ func TestPutFollowsResplitSibling(t *testing.T) {
 		}
 		return bytes.Compare(a, b)
 	}
-	tr = newTestTree(t, Options{Compare: cmp, Combining: FeatureOff, AppendFastPath: FeatureOff})
+	tr = newTestTree(t, Options{Compare: cmp, AppendFastPath: FeatureOff})
 	// Fill the root leaf to one record short of its first split.
 	need := page.EntrySize(page.Leaf, len(big), len(valb(0)))
 	for {

@@ -69,12 +69,6 @@ type Stats struct {
 	TodoQueueHighWater uint64 // maximum total queued actions observed
 	DrainBailouts      uint64 // DrainTodo gave up on a non-shrinking queue
 
-	// Hot-leaf operation combining (combine.go).
-	CombinePublishes uint64 // operations published into a combining buffer
-	CombineDrained   uint64 // published operations applied by a drain
-	CombineRetries   uint64 // published operations resolved as retry (SMO raced)
-	CombineBatches   uint64 // drains that applied at least one operation
-
 	// Right-edge append fast path (appendfast.go).
 	AppendFastHits   uint64 // inserts served by the cached rightmost leaf
 	AppendFastMisses uint64 // fast-path attempts that fell back to traversal
@@ -101,8 +95,6 @@ type counters struct {
 	txnAbortsDX, txnDeadlocks, txnCommits, txnAborts atomic.Uint64
 	reclaimRetry, todoProcessed                      atomic.Uint64
 	todoInlineAssists, todoDedupHits, drainBailouts  atomic.Uint64
-	combinePublishes, combineDrained                 atomic.Uint64
-	combineRetries, combineBatches                   atomic.Uint64
 	appendFastHits, appendFastMisses                 atomic.Uint64
 	bulkLoadPages, bulkLoadChunks                    atomic.Uint64
 }
@@ -152,10 +144,6 @@ func (c *counters) snapshot() Stats {
 		TodoInlineAssists: c.todoInlineAssists.Load(),
 		TodoDedupHits:     c.todoDedupHits.Load(),
 		DrainBailouts:     c.drainBailouts.Load(),
-		CombinePublishes:  c.combinePublishes.Load(),
-		CombineDrained:    c.combineDrained.Load(),
-		CombineRetries:    c.combineRetries.Load(),
-		CombineBatches:    c.combineBatches.Load(),
 		AppendFastHits:    c.appendFastHits.Load(),
 		AppendFastMisses:  c.appendFastMisses.Load(),
 		BulkLoadPages:     c.bulkLoadPages.Load(),

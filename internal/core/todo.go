@@ -62,7 +62,6 @@ type action struct {
 	origID    page.PageID
 	origEpoch uint64
 	newID     page.PageID
-	newEpoch  uint64
 	sep       []byte
 
 	// parent is the remembered parent from the traversal path; a zero ID

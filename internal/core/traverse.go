@@ -71,7 +71,12 @@ restart:
 			t.c.restarts.Add(1)
 			continue restart
 		}
-		if n.dead {
+		// The anchor is read before the latch is taken, and a root that was
+		// shrunk away in between has its page reused: the node now under
+		// rootID must still be what a root is — alive, on the level the
+		// latch mode was chosen for, and leftmost on it (a former root that
+		// has since split is, and still reaches everything from there).
+		if n.dead || n.level() != rootLevel || len(n.c.Low) != 0 {
 			t.unlatchUnpin(n, mode, false)
 			t.c.restarts.Add(1)
 			continue restart
@@ -181,9 +186,9 @@ func (t *Tree) enqueuePostFromSideMove(n *node, path []pathEntry, dx uint64) {
 		parent = top.ref
 		dd = top.dd
 	}
-	// The sibling's epoch is unknown here (we have not latched it yet);
-	// leave it zero — posts verify existence through D_D/D_X, and the
-	// epoch is only needed for the root-race fallback, which re-checks.
+	// The sibling has not been latched: whether it still exists when the
+	// post runs is verified through D_D/D_X, or, with no parent remembered,
+	// by looking at it then (newNodeStands).
 	a := action{
 		kind:   actPost,
 		level:  n.level(),

@@ -67,14 +67,11 @@ type Tree struct {
 	// optReads enables the latch-free optimistic read path (optread.go).
 	optReads bool
 
-	// combining/combineAlways resolve the Options combining knobs;
-	// appendFast enables the right-edge append fast path. rightEdge is
-	// that path's cache: a hint naming the rightmost leaf and its low
-	// fence (see appendfast.go). All are set in New, before sharing.
-	combining     bool
-	combineAlways bool
-	appendFast    bool
-	rightEdge     atomic.Pointer[rightEdgeHint]
+	// appendFast enables the right-edge append fast path (set in New,
+	// before sharing). rightEdge is that path's cache: a hint naming the
+	// rightmost leaf and its low fence (see appendfast.go).
+	appendFast bool
+	rightEdge  atomic.Pointer[rightEdgeHint]
 
 	anchor anchor
 	dx     deleteState
@@ -173,8 +170,6 @@ func New(opts Options) (*Tree, error) {
 	}
 	t.active.m = make(map[uint64]*Txn)
 	t.optReads = opts.OptimisticReads == ReadPathOptimistic
-	t.combining = opts.Combining == FeatureOn
-	t.combineAlways = t.combining && opts.CombineThreshold == CombineAlways
 	t.appendFast = opts.AppendFastPath == FeatureOn
 
 	// Observability: resolve the config (the obstrace build tag forces full
@@ -196,7 +191,6 @@ func New(opts Options) (*Tree, error) {
 		t.obs = obs.New(cfg)
 	}
 	t.dx.l.SetRecorder(&t.latchRec)
-	latch.RegisterRecorder(&t.latchRec)
 	if t.obs != nil {
 		t.latchRec.SetLongWaitCallback(t.obs.LatchWaitThreshold(), t.obs.ObserveLongWait)
 		t.locks.SetWaitObserver(func(_ lock.Resource, d time.Duration, _ bool) {
@@ -280,7 +274,7 @@ func (t *Tree) format() error {
 			return err
 		}
 	}
-	root.frame.Unpin(true)
+	t.unlatchUnpin(root, latch.Exclusive, true)
 	return nil
 }
 
@@ -315,15 +309,9 @@ func (t *Tree) pinLatch(id page.PageID, m latch.Mode) (*node, error) {
 // unlatchUnpin releases the latch and the pin. Every exclusive release of
 // an index node funnels through here, so this is where the routing snapshot
 // for optimistic readers is republished — after the mutation, before the
-// version word goes even again inside Release. Exclusive releases of leaves
-// are likewise where the combining buffer is drained: the releaser is the
-// latch winner, so it applies every published operation before giving the
-// latch up (combine.go).
+// version word goes even again inside Release.
 func (t *Tree) unlatchUnpin(n *node, m latch.Mode, dirty bool) {
 	if m == latch.Exclusive {
-		if t.combining && n.isLeaf() {
-			dirty = t.drainCombiner(n) || dirty
-		}
 		n.publishRoute()
 	}
 	n.latch.Release(m)
@@ -331,14 +319,20 @@ func (t *Tree) unlatchUnpin(n *node, m latch.Mode, dirty bool) {
 }
 
 // allocNode allocates a store page and registers a node for it, returned
-// pinned. In non-logged mode the epoch is assigned here; in logged mode the
-// caller's SMO stamps it with the SMO record's LSN.
+// pinned and exclusively latched. A page ID is not a secret: the store
+// reuses freed IDs, and holders of stale references — the append fast path's
+// hint, an optimistic reader's child pointer — can fetch the new node the
+// moment the pool knows it, before the SMO creating it has finished. The
+// latch makes them wait or walk away; the caller releases it (unlatchUnpin)
+// once the node is complete and logged. In non-logged mode the epoch is
+// assigned here; in logged mode the caller's SMO stamps it with the SMO
+// record's LSN.
 func (t *Tree) allocNode(c page.Content) (*node, error) {
 	id, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.adoptNode(id, c)
+	n, err := t.adoptNode(id, c, true)
 	if err != nil {
 		derr := t.store.Deallocate(id)
 		if derr != nil {
@@ -350,15 +344,20 @@ func (t *Tree) allocNode(c page.Content) (*node, error) {
 }
 
 // adoptNode registers a node for an already-allocated page ID, returned
-// pinned. Bulk load leases page-ID batches from the allocator up front and
-// adopts them here, so builder goroutines never touch the allocator lock.
-func (t *Tree) adoptNode(id page.PageID, c page.Content) (*node, error) {
+// pinned and, if latched is set, exclusively latched (see allocNode). Bulk
+// load leases page-ID batches from the allocator up front and adopts them
+// here, so builder goroutines never touch the allocator lock; it runs alone
+// behind the checkpoint gate and leaves its nodes unlatched.
+func (t *Tree) adoptNode(id page.PageID, c page.Content, latched bool) (*node, error) {
 	if t.log == nil {
 		c.Epoch = t.epochGen.Add(1)
 	}
 	c.Compress = t.bytewise
 	n := newNode(id, c)
 	n.latch.SetRecorder(&t.latchRec)
+	if latched {
+		n.latch.Acquire(latch.Exclusive)
+	}
 	if err := t.pool.Insert(id, n); err != nil {
 		return nil, err
 	}
@@ -512,7 +511,6 @@ func (t *Tree) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	latch.UnregisterRecorder(&t.latchRec)
 	t.todo.stop()
 	if t.log != nil {
 		if err := t.log.Stop(true); err != nil {
@@ -549,7 +547,6 @@ func (t *Tree) FlushLog() error {
 // the same log device to exercise recovery.
 func (t *Tree) Abandon() {
 	t.closed.Store(true)
-	latch.UnregisterRecorder(&t.latchRec)
 	t.todo.stop()
 	if t.log != nil {
 		_ = t.log.Stop(false)

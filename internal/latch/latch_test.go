@@ -321,8 +321,10 @@ func TestCompatibleQuick(t *testing.T) {
 	}
 }
 
+// TestStatsCounting checks the counters through the sink a latch without a
+// Recorder counts into.
 func TestStatsCounting(t *testing.T) {
-	ResetStats()
+	before := global.Snapshot()
 	var l Latch
 	l.Acquire(Shared)
 	l.Release(Shared)
@@ -334,21 +336,18 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatal("unexpected grant")
 	}
 	l.Release(Exclusive)
-	s := Snapshot()
-	if s.AcquireShared != 1 || s.AcquireUpdate != 1 || s.AcquireExclusive != 1 {
-		t.Fatalf("acquire counts = %+v", s)
+	s := global.Snapshot()
+	if s.AcquireShared-before.AcquireShared != 1 || s.AcquireUpdate-before.AcquireUpdate != 1 ||
+		s.AcquireExclusive-before.AcquireExclusive != 1 {
+		t.Fatalf("acquire counts = %+v, before %+v", s, before)
 	}
-	if s.Promotions != 1 || s.TryFailures != 1 {
-		t.Fatalf("promotions/tryFailures = %+v", s)
-	}
-	ResetStats()
-	if s := Snapshot(); s.AcquireShared != 0 {
-		t.Fatalf("ResetStats did not zero: %+v", s)
+	if s.Promotions-before.Promotions != 1 || s.TryFailures-before.TryFailures != 1 {
+		t.Fatalf("promotions/tryFailures = %+v, before %+v", s, before)
 	}
 }
 
 func TestRecorderSink(t *testing.T) {
-	ResetStats()
+	before := global.Snapshot()
 	var rec Recorder
 	var longWaits atomic.Uint64
 	rec.SetLongWaitCallback(time.Nanosecond, func(d time.Duration) {
@@ -387,18 +386,9 @@ func TestRecorderSink(t *testing.T) {
 	if s.LongWaits != 1 || longWaits.Load() != 1 {
 		t.Fatalf("long waits = %d, callback = %d", s.LongWaits, longWaits.Load())
 	}
-	// Recorder traffic stays out of the globals but shows in the registered
-	// aggregate.
-	if g := global.Snapshot(); g.AcquireShared != 0 || g.AcquireExclusive != 0 {
-		t.Fatalf("global polluted: %+v", g)
-	}
-	RegisterRecorder(&rec)
-	if agg := Snapshot(); agg.AcquireShared != 1 || agg.Waits != 1 {
-		t.Fatalf("aggregate missing recorder: %+v", agg)
-	}
-	UnregisterRecorder(&rec)
-	if agg := Snapshot(); agg.AcquireShared != 0 {
-		t.Fatalf("aggregate after unregister: %+v", agg)
+	// Recorder traffic stays out of the global sink.
+	if g := global.Snapshot(); g != before {
+		t.Fatalf("global sink polluted: %+v, before %+v", g, before)
 	}
 }
 

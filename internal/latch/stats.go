@@ -1,7 +1,6 @@
 package latch
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,21 +19,9 @@ type Stats struct {
 	Promotions       uint64 // U→X promotions
 }
 
-// add accumulates o into s.
-func (s *Stats) add(o Stats) {
-	s.AcquireShared += o.AcquireShared
-	s.AcquireUpdate += o.AcquireUpdate
-	s.AcquireExclusive += o.AcquireExclusive
-	s.Waits += o.Waits
-	s.WaitNanos += o.WaitNanos
-	s.LongWaits += o.LongWaits
-	s.TryFailures += o.TryFailures
-	s.Promotions += o.Promotions
-}
-
 // Recorder is a per-tree (or per-subsystem) latch statistics sink. Latches
-// carrying a Recorder count into it instead of the package-global counters,
-// so two trees in one process no longer pollute each other's numbers. The
+// carrying a Recorder count into it instead of the package's global sink,
+// so two trees in one process do not pollute each other's numbers. The
 // zero value is ready for use.
 type Recorder struct {
 	acquireS  atomic.Uint64
@@ -100,72 +87,6 @@ func (r *Recorder) Snapshot() Stats {
 	}
 }
 
-// reset zeroes the recorder.
-func (r *Recorder) reset() {
-	r.acquireS.Store(0)
-	r.acquireU.Store(0)
-	r.acquireX.Store(0)
-	r.waits.Store(0)
-	r.waitNanos.Store(0)
-	r.longWaits.Store(0)
-	r.tryFail.Store(0)
-	r.promote.Store(0)
-}
-
-// global receives activity from latches without a Recorder, preserving the
-// old package-wide behaviour.
+// global receives activity from latches without a Recorder; nothing reads
+// it outside this package's tests.
 var global Recorder
-
-// registry tracks live Recorders so the deprecated package Snapshot can
-// still report a process-wide aggregate.
-var registry struct {
-	mu   sync.Mutex
-	recs map[*Recorder]struct{}
-}
-
-// RegisterRecorder includes r in the deprecated package-wide Snapshot
-// aggregate. Trees register their recorder on open.
-func RegisterRecorder(r *Recorder) {
-	registry.mu.Lock()
-	if registry.recs == nil {
-		registry.recs = make(map[*Recorder]struct{})
-	}
-	registry.recs[r] = struct{}{}
-	registry.mu.Unlock()
-}
-
-// UnregisterRecorder removes r from the package-wide aggregate.
-func UnregisterRecorder(r *Recorder) {
-	registry.mu.Lock()
-	delete(registry.recs, r)
-	registry.mu.Unlock()
-}
-
-// Snapshot returns process-wide latch statistics: recorder-less latches
-// plus every registered Recorder.
-//
-// Deprecated: the package-global view mixes every tree in the process; use
-// a per-tree Recorder (core.Tree.LatchStats) instead.
-func Snapshot() Stats {
-	s := global.Snapshot()
-	registry.mu.Lock()
-	for r := range registry.recs {
-		s.add(r.Snapshot())
-	}
-	registry.mu.Unlock()
-	return s
-}
-
-// ResetStats zeroes the package-wide statistics, including every registered
-// Recorder. Concurrent latch traffic during the reset may be partially
-// counted.
-//
-// Deprecated: use a per-tree Recorder and snapshot deltas instead.
-func ResetStats() {
-	global.reset()
-	registry.mu.Lock()
-	for r := range registry.recs {
-		r.reset()
-	}
-	registry.mu.Unlock()
-}

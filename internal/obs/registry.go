@@ -62,14 +62,6 @@ type Registry struct {
 	groupBatchCount atomic.Uint64
 	groupBatchMax   atomic.Uint64
 
-	// combineWait is a parked combiner's publish-to-result delay;
-	// combineBatch* account the combining drains' batch sizes (operations
-	// per drain): total operations, drains, and the largest single batch.
-	combineWait     Histogram
-	combineBatchSum atomic.Uint64
-	combineBatchCnt atomic.Uint64
-	combineBatchMax atomic.Uint64
-
 	longWaits atomic.Uint64 // latch waits >= cfg.LatchWaitThreshold
 
 	// Span sampling state: every sampleCtr hit on cfg.SampleEvery starts a
@@ -389,32 +381,6 @@ func (r *Registry) LogGroupForce(batch int, d time.Duration) {
 	}
 }
 
-// ObserveCombineWait records one parked combiner's delay from publishing
-// its operation into a leaf's combining buffer to receiving its result.
-func (r *Registry) ObserveCombineWait(d time.Duration) {
-	if r == nil || !r.cfg.Metrics {
-		return
-	}
-	r.combineWait.Observe(d)
-}
-
-// CombineBatch accounts one combining drain that applied operations: its
-// batch size feeds the sum/count/max aggregates.
-func (r *Registry) CombineBatch(batch int) {
-	if r == nil || !r.cfg.Metrics || batch <= 0 {
-		return
-	}
-	n := uint64(batch)
-	r.combineBatchSum.Add(n)
-	r.combineBatchCnt.Add(1)
-	for {
-		max := r.combineBatchMax.Load()
-		if n <= max || r.combineBatchMax.CompareAndSwap(max, n) {
-			return
-		}
-	}
-}
-
 // LogGroupAck implements the WAL's GroupObserver: one parked commit's
 // delay from enqueue on the log-writer to acknowledgement.
 func (r *Registry) LogGroupAck(d time.Duration) {
@@ -490,14 +456,6 @@ type Snapshot struct {
 	GroupBatchCount uint64
 	GroupBatchMax   uint64
 
-	// CombineWait is the parked combiner publish-to-result delay;
-	// CombineBatch* account combining drain batch sizes (total operations
-	// over counted drains, and the largest batch).
-	CombineWait       HistogramSnapshot
-	CombineBatchSum   uint64
-	CombineBatchCount uint64
-	CombineBatchMax   uint64
-
 	// LatchLongWaits counts blocking latch acquisitions at or above the
 	// configured threshold.
 	LatchLongWaits uint64
@@ -541,10 +499,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	s.GroupBatchSum = r.groupBatchSum.Load()
 	s.GroupBatchCount = r.groupBatchCount.Load()
 	s.GroupBatchMax = r.groupBatchMax.Load()
-	s.CombineWait = r.combineWait.Snapshot()
-	s.CombineBatchSum = r.combineBatchSum.Load()
-	s.CombineBatchCount = r.combineBatchCnt.Load()
-	s.CombineBatchMax = r.combineBatchMax.Load()
 	for i := range r.spanStages {
 		s.SpanStages[i] = r.spanStages[i].Snapshot()
 	}

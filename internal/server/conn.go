@@ -26,21 +26,45 @@ type conn struct {
 	// txn is the session's open transaction, nil outside BEGIN..COMMIT/ABORT.
 	// Only the reader goroutine touches it.
 	txn *blinktree.Txn
+	// idleAt is the read deadline serve last set (zero: none). Only the
+	// reader goroutine touches it.
+	idleAt time.Time
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
+	c := &conn{
 		srv: s,
 		nc:  nc,
-		br:  bufio.NewReaderSize(nc, 1<<16),
 		out: make(chan []byte, s.cfg.WriteQueue),
+	}
+	c.br = bufio.NewReaderSize(c, 1<<16)
+	return c
+}
+
+// Read is the byte source of c.br. Shutdown interrupts blocked readers by
+// moving the socket's read deadline into the past; a timeout that arrives
+// before the deadline serve set is that kick. With a transaction open the
+// kick is not for this connection (see Server.Shutdown): the deadline is
+// restored and the read goes on, so the rest of a command already partly
+// received is not lost either.
+func (c *conn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.nc.Read(p)
+		if n > 0 || c.txn == nil || !isTimeout(err) {
+			return n, err
+		}
+		if !c.idleAt.IsZero() && !time.Now().Before(c.idleAt) {
+			return n, err // the idle timeout itself
+		}
+		c.nc.SetReadDeadline(c.idleAt)
 	}
 }
 
 // serve is the reader side: the connection's command loop. It returns when
 // the client disconnects, a protocol error poisons the stream, the idle
-// timeout fires, or the server drains; any open transaction is aborted
-// before the reply queue is closed and the writer flushes out.
+// timeout fires, or the server drains and nothing of this connection is in
+// flight any more; any open transaction is aborted before the reply queue
+// is closed and the writer flushes out.
 func (c *conn) serve() {
 	writerDone := make(chan struct{})
 	go func() {
@@ -49,11 +73,16 @@ func (c *conn) serve() {
 	}()
 
 	for {
-		if c.srv.draining() {
-			break
-		}
+		// The deadline is set before the draining check, so that a kick
+		// landing after the check is not overwritten.
 		if c.srv.cfg.IdleTimeout > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+			c.idleAt = time.Now().Add(c.srv.cfg.IdleTimeout)
+			c.nc.SetReadDeadline(c.idleAt)
+		}
+		// In flight during a drain: commands already buffered, and an open
+		// transaction up to its COMMIT/ABORT.
+		if c.srv.draining() && c.br.Buffered() == 0 && c.txn == nil {
+			break
 		}
 		args, err := resp.ReadCommand(c.br, c.srv.cfg.MaxBulk)
 		if err != nil {

@@ -207,12 +207,19 @@ func (s *Server) draining() bool {
 	}
 }
 
-// Shutdown stops the server gracefully: it stops accepting, interrupts
-// each connection's next read, lets commands already received finish
-// executing and their replies flush, aborts transactions still open, and
-// finally closes the tree (making every completed operation durable). If
-// ctx expires first, remaining connections are closed forcibly; the tree
-// is still closed. Shutdown is idempotent; later calls return nil.
+// Shutdown stops the server gracefully: it stops accepting, lets every
+// connection finish what it has in flight and flush the replies, and
+// finally closes the tree (making every completed operation durable).
+//
+// In flight, for one connection, is every command the server has already
+// read off the socket into that connection's buffer when the drain starts,
+// plus, while the connection has a transaction open, the commands it goes
+// on to send up to that transaction's COMMIT or ABORT. A connection with
+// nothing in flight is closed at once. One that stays silent inside a
+// transaction is closed, and the transaction aborted, when its idle timeout
+// or ctx expires, whichever is first; when ctx expires every remaining
+// connection is closed forcibly. The tree is closed in either case.
+// Shutdown is idempotent; later calls return nil.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	select {
@@ -226,7 +233,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.ln.Close()
 	}
 	// Kick every blocked read; readers then observe draining() and wind
-	// down after the command currently executing, if any, completes.
+	// down once nothing of theirs is in flight (conn.serve, conn.Read).
 	for c := range s.conns {
 		c.nc.SetReadDeadline(time.Now())
 	}

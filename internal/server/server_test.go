@@ -378,6 +378,56 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownOpenTransaction checks the other half of "in flight": a
+// connection inside BEGIN..COMMIT when the drain starts may send the rest of
+// its transaction, while a connection idle outside a transaction is closed
+// at once.
+func TestShutdownOpenTransaction(t *testing.T) {
+	tree, err := blinktree.Open(blinktree.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	srv := New(tree, Config{})
+	if err := srv.Listen(); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go srv.Serve()
+
+	idle, inTxn := dial(t, srv.Addr().String()), dial(t, srv.Addr().String())
+	defer idle.Close()
+	defer inTxn.Close()
+	if err := idle.Ping(); err != nil {
+		t.Fatalf("PING: %v", err)
+	}
+	for _, cmd := range [][]string{{"BEGIN"}, {"SET", "t1", "v"}} {
+		if rep, err := inTxn.DoStr(cmd...); err != nil || rep.IsError() {
+			t.Fatalf("%v: %+v, %v", cmd, rep, err)
+		}
+	}
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	// The idle connection's EOF shows the kick has been delivered.
+	if _, err := idle.Recv(); err == nil {
+		t.Fatal("idle connection still open during drain")
+	}
+	for _, cmd := range [][]string{{"SET", "t2", "v"}, {"COMMIT"}} {
+		if rep, err := inTxn.DoStr(cmd...); err != nil || rep.IsError() {
+			t.Fatalf("%v during drain: %+v, %v", cmd, rep, err)
+		}
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := srv.Stats().TxnCommits; got != 1 {
+		t.Fatalf("TxnCommits = %d, want 1", got)
+	}
+}
+
 // TestConnLimit checks the MaxConns reject path: the over-limit client gets
 // the -ERR courtesy reply and is closed.
 func TestConnLimit(t *testing.T) {
@@ -457,7 +507,7 @@ func TestProtoErrorClosesConn(t *testing.T) {
 	}
 }
 
-// TestAdminHandler scrapes the combined admin endpoint in every format.
+// TestAdminHandler scrapes the admin endpoint in every format.
 func TestAdminHandler(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	c := dial(t, addr)

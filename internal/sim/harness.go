@@ -73,14 +73,6 @@ type Config struct {
 	// the report before the sweep stops early (0 = default 10).
 	MaxViolations int
 
-	// Combining routes the workload's non-transactional puts and deletes
-	// through the hot-leaf combining layer unconditionally
-	// (core.CombineAlways): the single-threaded driver publishes each
-	// operation into the leaf's buffer and immediately self-drains it, so
-	// every combining crash point (batched WAL appends included) lands at
-	// a deterministic stream position.
-	Combining bool
-
 	// BulkLoad seeds the tree through the chunked bulk loader (half the key
 	// domain, ascending) before the random workload starts, with
 	// BulkChunkPages forced low so the load spans many SMOBulkChunk records.
@@ -471,16 +463,6 @@ func newTree(cfg Config, disk *storage.SimDisk) (*core.Tree, error) {
 		// One leaf per chunk record: maximizes distinct crash points inside
 		// the chunked-logging path.
 		opts.BulkChunkPages = 1
-	}
-	if cfg.Combining {
-		// CombineAlways publishes every eligible operation without trying
-		// the latch first, so the single-threaded driver exercises the
-		// publish -> self-drain -> batched-WAL-append path deterministically.
-		opts.Combining = core.FeatureOn
-		opts.CombineThreshold = core.CombineAlways
-	} else {
-		opts.Combining = core.FeatureOff
-		opts.AppendFastPath = core.FeatureOff
 	}
 	return core.New(opts)
 }

@@ -42,25 +42,6 @@ func TestCrashPointsTornSmoke(t *testing.T) {
 	}
 }
 
-// TestCrashPointsCombining reruns the bounded sweep with the hot-leaf
-// combining layer forced on (CombineAlways): every non-transactional put and
-// delete goes publish -> self-drain -> batched WAL append, so crash points
-// land inside the combining code path. Zero violations means combining
-// preserves the recovery contract.
-func TestCrashPointsCombining(t *testing.T) {
-	rep, err := Run(Config{Seed: 1, Combining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("combining: %s", rep)
-	if rep.CrashPoints < 200 {
-		t.Fatalf("workload too small: %d crash points, want >= 200", rep.CrashPoints)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("violation: %s", v)
-	}
-}
-
 // TestCrashPointsBulkLoad seeds the workload through the chunked bulk
 // loader (one leaf per chunk record) and enumerates every crash point,
 // including all of those inside the load itself. Zero violations means the

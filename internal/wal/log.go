@@ -78,30 +78,6 @@ func (l *Log) AppendFunc(build func(lsn LSN) *Record) (LSN, error) {
 	return r.LSN, nil
 }
 
-// AppendBatch assigns consecutive LSNs to a batch of records under a single
-// mutex hold: builds[i] is called with the i'th LSN and returns the record
-// to append, exactly as in AppendFunc. The hot-leaf combining engine uses it
-// to log a drained batch as one append group — N records cost one mutex
-// round trip instead of N. Each record is still framed and appended to the
-// device individually, so the on-device layout (and any crash point between
-// two records) is identical to N sequential AppendFunc calls. On a device
-// error the already-appended prefix keeps its LSNs; the returned slice holds
-// exactly the LSNs that reached the device, in batch order.
-func (l *Log) AppendBatch(builds []func(lsn LSN) *Record) ([]LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsns := make([]LSN, 0, len(builds))
-	for _, build := range builds {
-		r := build(l.next)
-		r.LSN = l.next
-		if err := l.appendLocked(r); err != nil {
-			return lsns, err
-		}
-		lsns = append(lsns, r.LSN)
-	}
-	return lsns, nil
-}
-
 // appendLocked encodes and buffers r (LSN already assigned), timing the
 // device append for the observer. Caller holds l.mu.
 func (l *Log) appendLocked(r *Record) error {
