@@ -338,6 +338,10 @@ func (t *Tree) Put(key, val []byte) error { return t.inner.Put(key, val) }
 // Get returns a copy of the value under key, or ErrKeyNotFound.
 func (t *Tree) Get(key []byte) ([]byte, error) { return t.inner.Get(key) }
 
+// GetInto appends the value under key to dst and returns the extended slice:
+// Get without the allocation when dst has room. On error dst comes back as is.
+func (t *Tree) GetInto(dst, key []byte) ([]byte, error) { return t.inner.GetInto(dst, key) }
+
 // Has reports whether key is present.
 func (t *Tree) Has(key []byte) (bool, error) { return t.inner.Has(key) }
 

@@ -93,8 +93,8 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	t.ckpt.Lock()
-	defer t.ckpt.Unlock()
+	t.gate.Lock()
+	defer t.gate.Unlock()
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -131,6 +131,7 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 	}
 
 	done := false
+	var root *node
 	defer func() {
 		if done {
 			return
@@ -138,6 +139,9 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		// Failed load: every reserved page is unreferenced (the anchor
 		// never flipped); release and free them so nothing leaks. The
 		// phases have already unpinned whatever they had pinned.
+		if root != nil {
+			t.unpin(root)
+		}
 		for _, id := range s.allocated {
 			t.reclaim(id)
 		}
@@ -153,6 +157,10 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 	}
 	rootID, err := s.buildIndexLevels()
 	if err != nil {
+		return err
+	}
+	// Pinned before the commit point: the pin becomes the anchor's.
+	if root, err = t.fetch(rootID); err != nil {
 		return err
 	}
 
@@ -175,10 +183,9 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		}
 	}
 
-	t.anchor.mu.Lock()
-	t.anchor.root = rootID
-	t.anchor.level = s.rootLevel()
-	t.anchor.mu.Unlock()
+	t.anchorMu.Lock()
+	t.setAnchor(root, false)
+	t.anchorMu.Unlock()
 	done = true
 	t.c.bulkLoadPages.Add(s.pages)
 	t.c.bulkLoadChunks.Add(s.chunks)
@@ -394,15 +401,14 @@ func (s *bulkSession) loadLeavesSerial(next func() (key, val []byte, ok bool)) e
 			if err != nil {
 				return fail(cur, err)
 			}
-			cur.c.High = sep
+			cur.setHigh(sep)
 			cur.c.Right = nxt.id
 			if err := s.closeLeaf(cur); err != nil {
 				return fail(nxt, err)
 			}
 			cur = nxt
 		}
-		cur.c.Keys = append(cur.c.Keys, append([]byte(nil), k...))
-		cur.c.Vals = append(cur.c.Vals, append([]byte(nil), v...))
+		cur.insertLeafAt(len(cur.c.Keys), k, v)
 		prevKey = append(prevKey[:0], k...)
 		count++
 	}
@@ -664,7 +670,7 @@ func (s *bulkSession) finishChunk(c *bulkChunk) error {
 	}
 	last := c.nodes[len(c.nodes)-1]
 	if c.nextID != 0 {
-		last.c.High = c.nextLow
+		last.setHigh(c.nextLow)
 		last.c.Right = c.nextID
 	}
 	if err := s.logChunk(c.nodes); err != nil {
@@ -725,15 +731,14 @@ func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 				if err != nil {
 					return 0, fail(cur, err)
 				}
-				cur.c.High = ch.low
+				cur.setHigh(ch.low)
 				cur.c.Right = nxt.id
 				if err := s.closeIndex(cur); err != nil {
 					return 0, fail(nxt, err)
 				}
 				cur = nxt
 			}
-			cur.c.Keys = append(cur.c.Keys, ch.low)
-			cur.c.Children = append(cur.c.Children, ch.id)
+			cur.insertIndexTerm(t.cmp, ch.low, ch.id)
 		}
 		if err := s.closeIndex(cur); err != nil {
 			return 0, fail(nil, err)

@@ -122,6 +122,7 @@ func (t *Tree) processDelete(a action) {
 	} else {
 		left.c.Children = append(left.c.Children, victim.c.Children...)
 	}
+	left.raw = left.countRaw()
 	if victim.c.Level == 1 {
 		// Merging two parent-of-leaf nodes invalidates D_D values
 		// remembered against either: force a visible change.
@@ -249,9 +250,9 @@ func (t *Tree) logConsolidate(p, left, victim *node) {
 // sibling, making the child the new root. The root is an index node, so its
 // deletion increments D_X. Latch order: anchor ≺ D_X ≺ node.
 func (t *Tree) processShrink(a action) {
-	t.anchor.mu.Lock()
-	defer t.anchor.mu.Unlock()
-	if t.anchor.root != a.origID {
+	t.anchorMu.Lock()
+	defer t.anchorMu.Unlock()
+	if id, _ := t.readAnchor(); id != a.origID {
 		return // already shrunk or grown past
 	}
 	t.dx.l.Acquire(latch.Exclusive)
@@ -266,7 +267,12 @@ func (t *Tree) processShrink(a action) {
 		t.unlatchUnpin(root, latch.Exclusive, false)
 		return
 	}
-	child := root.c.Children[0]
+	// The pin taken here becomes the new anchor record's standing pin.
+	child, err := t.fetch(root.c.Children[0])
+	if err != nil {
+		t.unlatchUnpin(root, latch.Exclusive, false)
+		return
+	}
 	t.dx.v.Add(1)
 	t.c.dxIncrements.Add(1)
 	root.dead = true
@@ -277,7 +283,7 @@ func (t *Tree) processShrink(a action) {
 				Type:     wal.TSMO,
 				SMO:      wal.SMOShrink,
 				Deallocs: []page.PageID{root.id},
-				Root:     child,
+				Root:     child.id,
 			}
 		})
 		if err != nil {
@@ -285,8 +291,7 @@ func (t *Tree) processShrink(a action) {
 		}
 	}
 
-	t.anchor.root = child
-	t.anchor.level = root.c.Level - 1
+	t.setAnchor(child, false)
 	t.c.shrinks.Add(1)
 	t.traceSMO(obs.EvCompleted, &a)
 	t.unlatchUnpin(root, latch.Exclusive, false)

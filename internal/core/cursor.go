@@ -84,10 +84,11 @@ func (c *Cursor) dropBatch() {
 // batches the first leaf that has something. It leaves the batch empty, and
 // the cursor done, when the range is exhausted.
 func (c *Cursor) fill() error {
-	if err := c.t.opBegin(); err != nil {
+	g, err := c.t.opBegin()
+	if err != nil {
 		return err
 	}
-	defer c.t.opEnd()
+	defer c.t.opEnd(g)
 
 	leaf, err := c.position()
 	if err != nil {

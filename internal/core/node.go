@@ -44,6 +44,12 @@ type node struct {
 	// page LSN). It is mutated in place under the exclusive latch.
 	c page.Content
 
+	// raw caches countRaw(): c's marshaled size before fence-prefix
+	// compression. Every mutator of c's fences and entries maintains it (the
+	// per-record ones by the entry's size, the rest by recounting), so the
+	// size checks every operation makes are O(1). Verify recounts.
+	raw int
+
 	// route is the immutable routing snapshot optimistic readers descend
 	// through without latching; nil for leaves (leaves are always read
 	// under a Shared latch). It is republished whenever the exclusive
@@ -94,7 +100,18 @@ func (n *node) publishRoute() {
 // newNode wraps fresh content.
 func newNode(id page.PageID, c page.Content) *node {
 	c.ID = id
-	return &node{id: id, c: c}
+	n := &node{id: id, c: c}
+	n.raw = n.countRaw()
+	return n
+}
+
+// countRaw walks the content for the size raw caches.
+func (n *node) countRaw() int { return n.c.Size() + len(n.c.Keys)*n.c.PrefixLen() }
+
+// setHigh replaces the high fence.
+func (n *node) setHigh(h []byte) {
+	n.raw += len(h) - len(n.c.High)
+	n.c.High = h
 }
 
 // SetFrame implements buffer.Framed.
@@ -192,11 +209,13 @@ func (n *node) insertLeafAt(i int, key, val []byte) {
 	n.c.Vals = append(n.c.Vals, nil)
 	copy(n.c.Vals[i+1:], n.c.Vals[i:])
 	n.c.Vals[i] = append([]byte(nil), val...)
+	n.raw += page.EntrySize(page.Leaf, len(key), len(val))
 }
 
 // removeLeafAt removes the entry at position i, returning its value.
 func (n *node) removeLeafAt(i int) []byte {
 	old := n.c.Vals[i]
+	n.raw -= page.EntrySize(page.Leaf, len(n.c.Keys[i]), len(old))
 	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
 	n.c.Vals = append(n.c.Vals[:i], n.c.Vals[i+1:]...)
 	return old
@@ -216,24 +235,26 @@ func (n *node) insertIndexTerm(cmp Compare, key []byte, child page.PageID) bool 
 	n.c.Children = append(n.c.Children, 0)
 	copy(n.c.Children[i+1:], n.c.Children[i:])
 	n.c.Children[i] = child
+	n.raw += page.EntrySize(page.Index, len(key), 0)
 	return true
 }
 
 // removeIndexTermAt removes the index entry at position i.
 func (n *node) removeIndexTermAt(i int) {
+	n.raw -= page.EntrySize(page.Index, len(n.c.Keys[i]), 0)
 	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
 	n.c.Children = append(n.c.Children[:i], n.c.Children[i+1:]...)
 }
 
 // size returns the marshaled byte size, the occupancy measure.
-func (n *node) size() int { return n.c.Size() }
+func (n *node) size() int { return n.raw - len(n.c.Keys)*n.c.PrefixLen() }
 
 // logicalSize is size before fence-prefix compression: the occupancy
 // measure for the under-utilization policy. The policy must ignore
 // compression — a well-filled index page whose keys share a long fence
 // prefix marshals far below the threshold, and consolidating it would only
 // force an immediate re-split (and abort postings via D_X churn).
-func (n *node) logicalSize() int { return n.c.Size() + len(n.c.Keys)*n.c.PrefixLen() }
+func (n *node) logicalSize() int { return n.raw }
 
 // String renders a debug description; used by blinkdump and tests.
 func (n *node) String() string {

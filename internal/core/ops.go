@@ -22,55 +22,60 @@ type recOpParams struct {
 }
 
 // Get returns a copy of the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, error) {
-	if err := t.opBegin(); err != nil {
-		return nil, err
+func (t *Tree) Get(key []byte) ([]byte, error) { return t.lookup(nil, key, true) }
+
+// GetInto appends the value stored under key to dst and returns the extended
+// slice (no allocation when dst has room); on error, dst unchanged.
+func (t *Tree) GetInto(dst, key []byte) ([]byte, error) { return t.lookup(dst, key, true) }
+
+// Has reports whether key is present. It copies nothing.
+func (t *Tree) Has(key []byte) (bool, error) {
+	_, err := t.lookup(nil, key, false)
+	if err == ErrKeyNotFound {
+		return false, nil
 	}
-	defer t.opEnd()
+	return err == nil, err
+}
+
+// lookup is the point read behind Get, GetInto and Has: find key's leaf and,
+// if value is set, append the record's value to dst.
+func (t *Tree) lookup(dst, key []byte, value bool) ([]byte, error) {
+	g, err := t.opBegin()
+	if err != nil {
+		return dst, err
+	}
+	defer t.opEnd(g)
 	if len(key) == 0 {
-		return nil, ErrEmptyKey
+		return dst, ErrEmptyKey
 	}
-	t.c.searches.Add(1)
+	t.c.searches.Add(obs.StackHint(), 1)
 	t0, sp := t.obsBegin(obs.OpSearch)
 	defer t.obsEnd(obs.OpSearch, t0, sp)
 	dx := t.dx.v.Load()
 	var pb pathBuf
 	leaf, path, err := t.traverseRead(traverseOpts{key: key, intent: latch.Shared, dx: dx, sp: sp}, pb[:0])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	pos, found := leaf.searchLeaf(t.cmp, key)
-	var val []byte
-	if found {
-		val = append([]byte(nil), leaf.c.Vals[pos]...)
+	if found && value {
+		dst = append(dst, leaf.c.Vals[pos]...)
 	}
 	t.maybeEnqueueLeafDelete(leaf, path, dx)
 	t.unlatchUnpin(leaf, latch.Shared, false)
 	if !found {
-		return nil, ErrKeyNotFound
+		return dst, ErrKeyNotFound
 	}
-	return val, nil
-}
-
-// Has reports whether key is present.
-func (t *Tree) Has(key []byte) (bool, error) {
-	_, err := t.Get(key)
-	switch err {
-	case nil:
-		return true, nil
-	case ErrKeyNotFound:
-		return false, nil
-	default:
-		return false, err
-	}
+	return dst, nil
 }
 
 // Put inserts or replaces the record under key.
 func (t *Tree) Put(key, val []byte) error {
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	if err := t.validateEntry(key, val); err != nil {
 		return err
 	}
@@ -88,17 +93,18 @@ func (t *Tree) Put(key, val []byte) error {
 
 // Delete removes the record under key, returning ErrKeyNotFound if absent.
 func (t *Tree) Delete(key []byte) error {
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
 	t.c.deletes.Add(1)
 	t0, sp := t.obsBegin(obs.OpDelete)
 	defer t.obsEnd(obs.OpDelete, t0, sp)
-	_, err := t.deleteInternal(recOpParams{sp: sp}, key)
+	_, err = t.deleteInternal(recOpParams{sp: sp}, key)
 	return err
 }
 
@@ -135,6 +141,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 			if leaf.size()+delta <= t.opts.PageSize {
 				old := leaf.c.Vals[pos]
 				leaf.c.Vals[pos] = append([]byte(nil), val...)
+				leaf.raw += delta
 				lsn, err := t.logRecOp(leaf, lp, wal.OpUpdate, key, val, old)
 				t.noteRightEdge(leaf)
 				t.unlatchUnpin(leaf, latch.Exclusive, true)

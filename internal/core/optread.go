@@ -28,6 +28,14 @@ import (
 // recoverable situations Lomet's side pointers and delete states already
 // handle for latched readers that run behind an SMO.
 //
+// The root is the exception: a pin there is a write to one cache line by
+// every reader on every core. An index root is read through the anchor
+// record's node pointer under the record's standing pin, and its step also
+// validates that the record is still the anchor — or the version check means
+// nothing: once replaced, the root may be evicted and reloaded, leaving this
+// object an orphan nobody latches again (DESIGN.md §4b, "What a cached Get
+// writes").
+//
 // Only the target leaf is latched (Shared), closing the race with in-place
 // record updates; leaf-level side steps are latch-coupled as in traverse.
 // Any validation failure restarts from the root; after maxOptAttempts
@@ -47,7 +55,7 @@ func (t *Tree) unpin(n *node) { n.frame.Unpin(false) }
 func (t *Tree) traverseRead(o traverseOpts, buf []pathEntry) (*node, []pathEntry, error) {
 	if t.optReads && o.intent == latch.Shared && o.level == 0 && !o.promote {
 		for attempt := 0; attempt < maxOptAttempts; attempt++ {
-			t.c.optAttempts.Add(1)
+			t.c.optAttempts.Add(obs.StackHint(), 1)
 			o.sp.EnterPhase(obs.StageDescend)
 			leaf, path, ok := t.traverseOpt(o, buf)
 			o.sp.ExitPhase()
@@ -79,74 +87,101 @@ func (n *node) routeView() (*route, uint64, bool) {
 	return r, v, true
 }
 
+// optRoot starts an optimistic descent. An index root is borrowed from the
+// anchor record, unpinned; a leaf root, about to be latched and handed to the
+// caller, gets this descent's own pin.
+func (t *Tree) optRoot(sp *obs.Span) (*anchorRec, *node, bool) {
+	a := t.anchor.Load()
+	if a.level > 0 {
+		return a, a.node, true
+	}
+	n, err := t.fetchSpan(a.id, sp)
+	return a, n, err == nil // an error: root shrunk away; retry from new anchor
+}
+
+// optDrop gives up n: our pin, unless n is the root borrowed from a.
+func (t *Tree) optDrop(a *anchorRec, n *node) {
+	if n != a.node {
+		t.unpin(n)
+	}
+}
+
+// optValid reports whether n, read at version v, was current: no X latch
+// since, and — for the root borrowed from a — a still the published anchor.
+func (t *Tree) optValid(a *anchorRec, n *node, v uint64) bool {
+	return n.latch.Validate(v) && (n != a.node || t.anchor.Load() == a)
+}
+
+// optStep finishes one optimistic step from n, read at version v, to page
+// next: pin next, validate n, give n up. On false nothing is held.
+func (t *Tree) optStep(a *anchorRec, n *node, v uint64, next page.PageID, sp *obs.Span) (*node, bool) {
+	m, err := t.fetchSpan(next, sp)
+	ok := err == nil && t.optValid(a, n, v)
+	if err == nil && !ok {
+		t.unpin(m)
+	}
+	t.optDrop(a, n)
+	return m, ok
+}
+
 // traverseOpt makes one optimistic descent attempt for o.key. ok=false
 // means a validation failed and the caller should retry or fall back;
 // on ok=true the covering leaf is returned pinned and Shared-latched with
 // the remembered path, exactly like traverse.
 func (t *Tree) traverseOpt(o traverseOpts, buf []pathEntry) (*node, []pathEntry, bool) {
-	rootID, rootLevel := t.readAnchor()
-	n, err := t.fetchSpan(rootID, o.sp)
-	if err != nil {
-		return nil, nil, false // root shrunk away; retry from new anchor
+	a, n, ok := t.optRoot(o.sp)
+	if !ok {
+		return nil, nil, false
 	}
+	return t.traverseOptFrom(a, n, o, buf)
+}
+
+// traverseOptFrom is the descent after optRoot; a test can stand between them.
+func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []pathEntry) (*node, []pathEntry, bool) {
 	path := buf[:0]
-	level := rootLevel
+	level := a.level
 	for level > 0 {
 		r, v, ok := n.routeView()
-		if !ok || r.dead || r.level != level {
-			t.unpin(n)
+		// A key below the node's key space is reachable here, unlike in the
+		// latched traversal: the route that sent us was stale. Restart.
+		if !ok || r.dead || r.level != level || t.cmp(o.key, r.low) < 0 {
+			t.optDrop(a, n)
 			return nil, nil, false
 		}
-		if t.cmp(o.key, r.low) < 0 {
-			// Mis-routed below the node's key space: unlike the latched
-			// traversal this is reachable (the route that sent us here was
-			// stale), and a restart recovers.
-			t.unpin(n)
-			return nil, nil, false
-		}
-		if r.high != nil && t.cmp(o.key, r.high) >= 0 {
+		next := r.right
+		side := r.high != nil && t.cmp(o.key, r.high) >= 0
+		if side {
 			// Side traversal; reaching a node only via its side pointer
 			// means its index term is missing (§2.3).
-			if r.right == 0 {
-				t.unpin(n)
-				return nil, nil, false
+			if next != 0 {
+				t.enqueuePostFromRoute(n.id, r, path, o.dx)
 			}
-			t.enqueuePostFromRoute(n.id, r, path, o.dx)
-			m, err := t.fetchSpan(r.right, o.sp)
-			if err != nil || !n.latch.Validate(v) {
-				if err == nil {
-					t.unpin(m)
-				}
-				t.unpin(n)
-				return nil, nil, false
+		} else {
+			ci := childIndex(t.cmp, r.keys, o.key)
+			if ci < 0 || ci >= len(r.children) {
+				next = 0
+			} else {
+				next = r.children[ci]
+				path = append(path, pathEntry{
+					ref:   ref{id: n.id, epoch: r.epoch},
+					level: r.level,
+					dd:    r.dd,
+				})
+				t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
 			}
-			t.unpin(n)
-			n = m
+		}
+		if next == 0 {
+			t.optDrop(a, n)
+			return nil, nil, false
+		}
+		if n, ok = t.optStep(a, n, v, next, o.sp); !ok {
+			return nil, nil, false
+		}
+		if side {
 			t.c.sideTraversals.Add(1)
-			continue
+		} else {
+			level--
 		}
-		ci := childIndex(t.cmp, r.keys, o.key)
-		if ci < 0 || ci >= len(r.children) {
-			t.unpin(n)
-			return nil, nil, false
-		}
-		path = append(path, pathEntry{
-			ref:   ref{id: n.id, epoch: r.epoch},
-			level: r.level,
-			dd:    r.dd,
-		})
-		t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
-		m, err := t.fetchSpan(r.children[ci], o.sp)
-		if err != nil || !n.latch.Validate(v) {
-			if err == nil {
-				t.unpin(m)
-			}
-			t.unpin(n)
-			return nil, nil, false
-		}
-		t.unpin(n)
-		n = m
-		level--
 	}
 	// Target level: the only latch of the whole descent. Everything decided
 	// optimistically is re-verified under it.
@@ -157,30 +192,12 @@ func (t *Tree) traverseOpt(o traverseOpts, buf []pathEntry) (*node, []pathEntry,
 		t.unlatchUnpin(n, latch.Shared, false)
 		return nil, nil, false
 	}
-	couple := !t.opts.NoDeleteSupport
 	for n.pastHigh(t.cmp, o.key) {
-		sib := n.c.Right
-		if sib == 0 {
-			t.unlatchUnpin(n, latch.Shared, false)
-			return nil, nil, false
-		}
 		t.enqueuePostFromSideMove(n, path, o.dx)
-		var m *node
-		if couple {
-			m, err = t.pinLatchSpan(sib, latch.Shared, o.sp)
-			t.unlatchUnpin(n, latch.Shared, false)
-		} else {
-			t.unlatchUnpin(n, latch.Shared, false)
-			m, err = t.pinLatchSpan(sib, latch.Shared, o.sp)
-		}
-		if err != nil || m.dead {
-			if err == nil {
-				t.unlatchUnpin(m, latch.Shared, false)
-			}
+		var err error
+		if n, err = t.sideStep(n, !t.opts.NoDeleteSupport, o.sp); err != nil {
 			return nil, nil, false
 		}
-		n = m
-		t.c.sideTraversals.Add(1)
 	}
 	return n, path, true
 }
@@ -255,7 +272,7 @@ func (t *Tree) maybeEnqueueDeleteFromRoute(id page.PageID, r *route, path []path
 func (t *Tree) descendPredRead(bound []byte) (*node, func(), error) {
 	if t.optReads {
 		for attempt := 0; attempt < maxOptAttempts; attempt++ {
-			t.c.optAttempts.Add(1)
+			t.c.optAttempts.Add(obs.StackHint(), 1)
 			leaf, release, ok := t.descendPredOpt(bound)
 			if ok {
 				return leaf, release, nil
@@ -273,75 +290,57 @@ func (t *Tree) descendPredRead(bound []byte) (*node, func(), error) {
 // latching, then Shared-latch it. ok=false restarts; leaf == nil with
 // ok=true means no subtree lies below the bound (validated verdict).
 func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
-	rootID, rootLevel := t.readAnchor()
-	n, err := t.fetch(rootID)
-	if err != nil {
+	a, n, ok := t.optRoot(nil)
+	if !ok {
 		return nil, nil, false
 	}
-	level := rootLevel
+	level := a.level
 	for level > 0 {
 		r, v, ok := n.routeView()
 		if !ok || r.dead || r.level != level {
-			t.unpin(n)
+			t.optDrop(a, n)
 			return nil, nil, false
 		}
 		// Move right while some sibling still has keys below bound (see
-		// descendPred for the strictness argument).
-		sib := page.PageID(0)
-		if bound == nil && r.right != 0 {
-			sib = r.right
-		} else if bound != nil && r.high != nil && t.cmp(r.high, bound) < 0 {
-			if r.right == 0 {
-				t.unpin(n)
-				return nil, nil, false
-			}
-			sib = r.right
-		}
-		if sib != 0 {
-			m, err := t.fetch(sib)
-			if err != nil || !n.latch.Validate(v) {
-				if err == nil {
-					t.unpin(m)
+		// descendPred for the strictness argument); otherwise choose the
+		// rightmost child with any key space below bound.
+		var next page.PageID
+		side := r.right != 0 && bound == nil ||
+			bound != nil && r.high != nil && t.cmp(r.high, bound) < 0
+		if side {
+			next = r.right
+		} else {
+			ci := len(r.children) - 1
+			if bound != nil {
+				ci = lowerBound(t.cmp, r.keys, bound) - 1
+				if ci < 0 {
+					// Even keys[0] >= bound: nothing below bound here. The
+					// verdict is only as current as the snapshot — validate
+					// before trusting it.
+					ok := t.optValid(a, n, v)
+					t.optDrop(a, n)
+					if !ok {
+						return nil, nil, false
+					}
+					return nil, func() {}, true
 				}
-				t.unpin(n)
-				return nil, nil, false
 			}
-			t.unpin(n)
-			n = m
+			if ci < len(r.children) {
+				next = r.children[ci]
+			}
+		}
+		if next == 0 {
+			t.optDrop(a, n)
+			return nil, nil, false
+		}
+		if n, ok = t.optStep(a, n, v, next, nil); !ok {
+			return nil, nil, false
+		}
+		if side {
 			t.c.sideTraversals.Add(1)
-			continue
+		} else {
+			level--
 		}
-		// Choose the rightmost child with any key space below bound.
-		ci := len(r.children) - 1
-		if bound != nil {
-			ci = lowerBound(t.cmp, r.keys, bound) - 1
-			if ci < 0 {
-				// Even keys[0] >= bound: nothing below bound here. The
-				// verdict is only as current as the snapshot — validate
-				// before trusting it.
-				ok := n.latch.Validate(v)
-				t.unpin(n)
-				if !ok {
-					return nil, nil, false
-				}
-				return nil, func() {}, true
-			}
-		}
-		if ci >= len(r.children) {
-			t.unpin(n)
-			return nil, nil, false
-		}
-		m, err := t.fetch(r.children[ci])
-		if err != nil || !n.latch.Validate(v) {
-			if err == nil {
-				t.unpin(m)
-			}
-			t.unpin(n)
-			return nil, nil, false
-		}
-		t.unpin(n)
-		n = m
-		level--
 	}
 	n.latch.Acquire(latch.Shared)
 	if n.dead || !n.isLeaf() {
@@ -350,20 +349,12 @@ func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
 	}
 	// Re-run the rightward checks under real latches: the leaf may still
 	// need side steps (splits since validation, or a stale landing).
-	couple := !t.opts.NoDeleteSupport
-	for bound == nil && n.c.Right != 0 {
-		m, err := t.sideStep(n, couple)
-		if err != nil {
+	for bound == nil && n.c.Right != 0 ||
+		bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
+		var err error
+		if n, err = t.sideStep(n, !t.opts.NoDeleteSupport, nil); err != nil {
 			return nil, nil, false
 		}
-		n = m
-	}
-	for bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
-		m, err := t.sideStep(n, couple)
-		if err != nil {
-			return nil, nil, false
-		}
-		n = m
 	}
 	leaf := n
 	return leaf, func() { t.unlatchUnpin(leaf, latch.Shared, false) }, true

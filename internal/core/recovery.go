@@ -189,23 +189,17 @@ func (t *Tree) redoPass(recs []*wal.Record, bulkCommitted map[uint64]bool, full 
 // lost pages wholesale); the full-log pass rewrites it from the grow/format
 // SMO images.
 func (t *Tree) installRoot(root page.PageID, full bool) error {
-	raw, err := t.store.Read(root)
+	n, err := t.fetch(root)
 	if err != nil {
 		if !full {
-			return errTornPage
-		}
-		return fmt.Errorf("blinktree: reading recovered root %d: %w", root, err)
-	}
-	rc, err := page.Unmarshal(raw)
-	if err != nil {
-		if !full {
-			t.recStats.CorruptPages++
+			if errors.Is(err, page.ErrCorrupt) {
+				t.recStats.CorruptPages++
+			}
 			return errTornPage
 		}
 		return fmt.Errorf("blinktree: recovered root %d: %w", root, err)
 	}
-	t.anchor.root = root
-	t.anchor.level = rc.Level
+	t.setAnchor(n, false)
 	return nil
 }
 

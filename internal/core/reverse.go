@@ -74,7 +74,7 @@ restart:
 			// only needed when bound is above this node's high fence.
 			for bound == nil && n.c.Right != 0 {
 				// Largest record overall: chase the rightmost node.
-				m, err := t.sideStep(n, couple)
+				m, err := t.sideStep(n, couple, nil)
 				if err != nil {
 					t.c.restarts.Add(1)
 					continue restart
@@ -85,7 +85,7 @@ restart:
 			// n.High < bound (strict: a sibling with Low == High == bound
 			// holds keys >= bound only).
 			for bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
-				m, err := t.sideStep(n, couple)
+				m, err := t.sideStep(n, couple, nil)
 				if err != nil {
 					t.c.restarts.Add(1)
 					continue restart
@@ -132,16 +132,16 @@ restart:
 }
 
 // sideStep latches n's right sibling (coupled when couple) and releases n.
-func (t *Tree) sideStep(n *node, couple bool) (*node, error) {
+func (t *Tree) sideStep(n *node, couple bool, sp *obs.Span) (*node, error) {
 	sib := n.c.Right
 	var m *node
 	var err error
 	if couple {
-		m, err = t.pinLatch(sib, latch.Shared)
+		m, err = t.pinLatchSpan(sib, latch.Shared, sp)
 		t.unlatchUnpin(n, latch.Shared, false)
 	} else {
 		t.unlatchUnpin(n, latch.Shared, false)
-		m, err = t.pinLatch(sib, latch.Shared)
+		m, err = t.pinLatchSpan(sib, latch.Shared, sp)
 	}
 	if err != nil {
 		return nil, err
@@ -184,10 +184,11 @@ func (c *ReverseCursor) Next() (key, val []byte, ok bool, err error) {
 	if c.done {
 		return nil, nil, false, nil
 	}
-	if err := c.t.opBegin(); err != nil {
+	g, err := c.t.opBegin()
+	if err != nil {
 		return nil, nil, false, err
 	}
-	defer c.t.opEnd()
+	defer c.t.opEnd(g)
 	c.t.c.scans.Add(1)
 	k, v, ok, err := c.t.predecessor(c.bound)
 	if err != nil {
@@ -224,10 +225,11 @@ func (t *Tree) ScanReverse(low, high []byte, fn func(key, val []byte) bool) erro
 
 // Max returns the largest record, or ErrKeyNotFound on an empty tree.
 func (t *Tree) Max() (key, val []byte, err error) {
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return nil, nil, err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	k, v, ok, err := t.predecessor(nil)
 	if err != nil {
 		return nil, nil, err

@@ -310,16 +310,16 @@ func (t *Tree) logPost(p *node) {
 // it cannot be consolidated: under the anchor while its level has no parent,
 // or with the parent latched.
 func (t *Tree) postAtRootLevel(a action) {
-	t.anchor.mu.Lock()
-	if t.anchor.root == a.origID && t.anchor.level == a.level {
+	t.anchorMu.Lock()
+	rootID, rootLevel := t.readAnchor()
+	if rootID == a.origID && rootLevel == a.level {
 		if t.newNodeStands(&a) {
 			t.growLocked(a)
 		}
-		t.anchor.mu.Unlock()
+		t.anchorMu.Unlock()
 		return
 	}
-	rootLevel := t.anchor.level
-	t.anchor.mu.Unlock()
+	t.anchorMu.Unlock()
 
 	if rootLevel <= a.level {
 		// The splitting node is on the root's level but is not the root:
@@ -364,7 +364,7 @@ func (t *Tree) newNodeStands(a *action) bool {
 	return false
 }
 
-// growLocked adds a new root above the old one (anchor mutex held). The new
+// growLocked adds a new root above the old one (anchorMu held). The new
 // root's two children are the old root and its first right sibling; any
 // further unposted siblings are reached by side traversal and posted later.
 func (t *Tree) growLocked(a action) {
@@ -399,11 +399,7 @@ func (t *Tree) growLocked(a action) {
 			panic(fmt.Sprintf("blinktree: logging grow: %v", err))
 		}
 	}
-	// Nothing points at the new root yet; releasing it publishes its
-	// routing snapshot before the anchor makes it reachable.
-	t.unlatchUnpin(root, latch.Exclusive, true)
-	t.anchor.root = root.id
-	t.anchor.level = root.c.Level
+	t.setAnchor(root, true)
 	t.c.grows.Add(1)
 	t.c.postsDone.Add(1)
 	t.traceSMO(obs.EvCompleted, &a)

@@ -400,7 +400,7 @@ func TestStaleRootLevelPostOverRecycledPage(t *testing.T) {
 // be returned to the writer as its exclusively latched target (found by
 // TestConcurrentGrowShrinkCycles at GOMAXPROCS=4 as `Release(Exclusive) with
 // no exclusive holder`), and a node that is not leftmost on its level cannot
-// reach the keys to its left. The anchor is made stale by hand, and stays so:
+// reach the keys to its left. The anchor is made stale through setAnchor, and stays so:
 // the descent must keep restarting and give up, not operate on the node.
 func TestTraverseRejectsReusedRootPage(t *testing.T) {
 	tr := buildFigureTree(t)
@@ -414,13 +414,22 @@ func TestTraverseRejectsReusedRootPage(t *testing.T) {
 		"a leaf where an index root was":  level,
 		"a leaf that is not the leftmost": 0,
 	} {
-		tr.anchor.mu.Lock()
-		tr.anchor.root, tr.anchor.level = second.ID, staleLevel
-		tr.anchor.mu.Unlock()
-		err := tr.Put(second.Keys[0], valb(0))
-		tr.anchor.mu.Lock()
-		tr.anchor.root, tr.anchor.level = root, level
-		tr.anchor.mu.Unlock()
+		// A stale record: the old root's ID and level, over a page that is
+		// now the second leaf. The pins taken here are the standing pins
+		// setAnchor trades.
+		pinned, err := tr.fetch(second.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := newNode(second.ID, page.Content{Kind: page.Index, Level: staleLevel})
+		stale.frame = pinned.frame
+		rootNode, err := tr.fetch(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.setAnchor(stale, false)
+		err = tr.Put(second.Keys[0], valb(0))
+		tr.setAnchor(rootNode, false)
 		if err == nil || !strings.Contains(err.Error(), "live-locked") {
 			t.Fatalf("%s: Put = %v, want the traversal to give up", name, err)
 		}

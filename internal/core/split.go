@@ -72,6 +72,7 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	}
 	n.c.High = sep
 	n.c.Right = right.id
+	n.raw = n.countRaw()
 
 	err = t.logSplit(n, right)
 	// The new half becomes reachable through n's side pointer once the
@@ -220,21 +221,12 @@ func (t *Tree) logSplit(orig, right *node) error {
 // entries, high fence and side pointer (A.5 step 4's fit check). It must be
 // exact, not an estimate: with fence-key prefix compression the merge
 // extends left's key space to victim's High, which can SHRINK the shared
-// fence prefix and make every key on the page cost more bytes than before —
-// an additive estimate would under-count and let Marshal overflow the page.
-// Building the merged shape and asking Size() accounts for the new prefix.
+// fence prefix and make every key on the page cost more bytes than before.
+// So: the merged node's header and fences, both nodes' uncompressed entries,
+// less the prefix the merged fences share.
 func (t *Tree) mergedSize(left, victim *node) int {
-	m := page.Content{
-		Kind:     left.c.Kind,
-		Low:      left.c.Low,
-		High:     victim.c.High,
-		Compress: left.c.Compress,
-	}
-	m.Keys = make([][]byte, 0, len(left.c.Keys)+len(victim.c.Keys))
-	m.Keys = append(append(m.Keys, left.c.Keys...), victim.c.Keys...)
-	if left.isLeaf() {
-		m.Vals = make([][]byte, 0, len(left.c.Vals)+len(victim.c.Vals))
-		m.Vals = append(append(m.Vals, left.c.Vals...), victim.c.Vals...)
-	}
-	return m.Size()
+	m := page.Content{Kind: left.c.Kind, Low: left.c.Low, High: victim.c.High, Compress: left.c.Compress}
+	entries := func(n *node) int { return n.raw - (&page.Content{Low: n.c.Low, High: n.c.High}).Size() }
+	nk := len(left.c.Keys) + len(victim.c.Keys)
+	return m.Size() + entries(left) + entries(victim) - nk*m.PrefixLen()
 }

@@ -173,7 +173,7 @@ func TestPutFollowsResplitSibling(t *testing.T) {
 	// Fill the root leaf to one record short of its first split.
 	need := page.EntrySize(page.Leaf, len(big), len(valb(0)))
 	for {
-		root, err := tr.fetch(tr.anchor.root)
+		root, err := tr.fetch(tr.RootID())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"blinktree/internal/obs"
+)
 
 // Stats is a snapshot of tree activity counters. The experiment harness
 // reads these to report the quantities the paper argues about: side
@@ -78,11 +82,12 @@ type Stats struct {
 	BulkLoadChunks uint64 // chunks dispatched/logged by bulk loads
 }
 
-// counters is the atomic backing for Stats.
+// counters backs Stats; the two every read bumps are striped by stack hint.
 type counters struct {
-	searches, inserts, updates, deletes, scans       atomic.Uint64
+	searches, optAttempts                            obs.Striped
+	inserts, updates, deletes, scans                 atomic.Uint64
 	sideTraversals, restarts, traverseExhausted      atomic.Uint64
-	optAttempts, optRestarts, optFallbacks           atomic.Uint64
+	optRestarts, optFallbacks                        atomic.Uint64
 	splits, postsEnqueued, postsDone, postsDuplicate atomic.Uint64
 	postsAbortDX, postsAbortDD, postsAbortID         atomic.Uint64
 	postsRequeued                                    atomic.Uint64

@@ -412,17 +412,21 @@ func (q *todoQueue) run(a action) {
 	q.finish(a)
 }
 
-// runGated is run behind the checkpoint gate: workers and inline assists
-// mutate pages concurrently with everything else, so a sharp checkpoint
-// must be able to quiesce them exactly like foreground operations (the
-// pool's FlushAll contract: no page may be modified during the flush).
-// Drain paths use the ungated run — BulkLoad drains while holding the gate
-// exclusively on the same goroutine.
-func (q *todoQueue) runGated(a action) {
-	q.t.ckpt.RLock()
-	q.t.processActionGated(a)
-	q.t.ckpt.RUnlock()
-	q.finish(a)
+// runNextGated pops one action and runs it behind the checkpoint gate,
+// reporting whether there was one: workers and inline assists mutate pages
+// concurrently with everything else, so a sharp checkpoint must be able to
+// quiesce them exactly like foreground operations (the pool's FlushAll
+// contract: no page may be modified during the flush). The gate is entered
+// before the pop: an action in hand outside it keeps the queue busy while
+// its holder waits for the gate, and BulkLoad, draining the queue with the
+// gate locked, would wait for it forever (so drain paths run ungated).
+func (q *todoQueue) runNextGated() bool {
+	defer q.t.gate.Leave(q.t.gate.Enter())
+	a, ok := q.tryPop()
+	if ok {
+		q.run(a)
+	}
+	return ok
 }
 
 func (q *todoQueue) worker() {
@@ -431,8 +435,7 @@ func (q *todoQueue) worker() {
 		if q.stopped.Load() {
 			return
 		}
-		if a, ok := q.tryPop(); ok {
-			q.runGated(a)
+		if q.runNextGated() {
 			continue
 		}
 		q.wakeMu.Lock()
@@ -456,9 +459,8 @@ func (q *todoQueue) maybeAssist() {
 	if int(q.queued.Load()) <= q.softCap {
 		return
 	}
-	if a, ok := q.tryPop(); ok {
+	if q.runNextGated() {
 		q.t.c.todoInlineAssists.Add(1)
-		q.runGated(a)
 	}
 }
 

@@ -176,8 +176,8 @@ func (t *Tree) modeFor(nodeLevel, reqLevel uint8, intent latch.Mode) latch.Mode 
 // carries the sibling's address and key space (the Pi-tree property), which
 // is the complete index term to post.
 func (t *Tree) enqueuePostFromSideMove(n *node, path []pathEntry, dx uint64) {
-	if t.todo.postPending(n.id, n.c.Right) {
-		return // already re-discovered; skip building the action
+	if n.c.Right == 0 || t.todo.postPending(n.id, n.c.Right) {
+		return // nothing to post, or already re-discovered
 	}
 	var parent ref
 	var dd uint64

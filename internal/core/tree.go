@@ -41,23 +41,28 @@ type deleteState struct {
 	v atomic.Uint64
 }
 
-// anchor is the volatile tree anchor: the root pointer and its level.
-// A stale root read is harmless — a former root still reaches every node at
-// or below its level via side traversals — so readers take only a brief
-// read lock and hold no latches.
-type anchor struct {
-	mu    sync.RWMutex
-	root  page.PageID
+// anchorRec is one published state of the volatile tree anchor: the root, its
+// level, and the root's node, on which the record holds a standing pin until
+// setAnchor replaces it. Records are immutable. A stale one is harmless to a
+// latched traversal — a former root still reaches every node at or below its
+// level via side traversals — and an optimistic one may read node with no pin
+// of its own for as long as the record is the published one (optread.go).
+type anchorRec struct {
+	id    page.PageID
 	level uint8
+	node  *node
 }
 
 // Tree is a B-link tree with delete-state-based node deletion.
 type Tree struct {
+	// Read-mostly words first: every operation loads them, so they stay off
+	// the cache lines written while the tree runs.
 	opts  Options
 	store storage.Store
 	pool  *buffer.Pool
 	log   *wal.Log // nil when logging is disabled
 	locks *lock.Manager
+	todo  *todoQueue
 
 	// cmp orders keys; bytewise reports whether it is the default
 	// bytes.Compare (enables separator truncation and prefix tricks).
@@ -73,19 +78,23 @@ type Tree struct {
 	appendFast bool
 	rightEdge  atomic.Pointer[rightEdgeHint]
 
-	anchor anchor
-	dx     deleteState
-	todo   *todoQueue
-	c      counters
+	// anchor is replaced only by setAnchor, under anchorMu.
+	anchor atomic.Pointer[anchorRec]
 
 	// obs is the observability registry; nil (the common case) means
 	// metrics and tracing are off and every hook is a nil check.
 	obs *obs.Registry
 
-	// latchRec receives latch statistics from every latch this tree owns
-	// (node latches, the D_X latch), keeping trees in one process from
-	// polluting each other's numbers.
-	latchRec latch.Recorder
+	// recStats records what crash recovery found and did; written once
+	// during New (before the tree is shared) and read-only afterwards.
+	recStats RecoveryStats
+
+	closed atomic.Bool
+
+	_ [64]byte // below: words that writers and structure modifications write
+
+	anchorMu sync.Mutex
+	dx       deleteState
 
 	// epochGen issues node incarnation numbers in non-logged mode; with
 	// logging, epochs are SMO record LSNs (monotone across crashes).
@@ -94,16 +103,8 @@ type Tree struct {
 	// txnSeq issues transaction IDs (resumed above recovered IDs).
 	txnSeq atomic.Uint64
 
-	// recStats records what crash recovery found and did; written once
-	// during New (before the tree is shared) and read-only afterwards.
-	recStats RecoveryStats
-
 	// active tracks live transactions for checkpoint records.
 	active activeTxns
-
-	// ckpt gates operations against sharp checkpoints: every operation
-	// holds it shared, Checkpoint holds it exclusively.
-	ckpt sync.RWMutex
 
 	// smoMu is the global tree latch of the ARIES/IM-style comparator
 	// (Options.SerializeSMO): all structure modifications serialize on it.
@@ -117,7 +118,17 @@ type Tree struct {
 	drainMu     sync.Mutex
 	drainList   []drainEntry
 
-	closed atomic.Bool
+	_ [64]byte // below: what every operation writes, each on its own stripe
+
+	c counters
+
+	// latchRec receives latch statistics from every latch this tree owns
+	// (node latches, the D_X latch), keeping trees in one process from
+	// polluting each other's numbers.
+	latchRec latch.Recorder
+
+	// gate holds every operation; Checkpoint and BulkLoad lock it.
+	gate obs.Gate
 }
 
 // drainEntry is a deleted page waiting out the drain grace period.
@@ -135,7 +146,7 @@ func (cd codec) Unmarshal(data []byte) (buffer.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: c.ID, c: *c}
+	n := newNode(c.ID, *c)
 	// Prefix compression is a property of the tree's comparator, not of the
 	// stored image: a bytewise tree (re)compresses index pages on write-out,
 	// a custom-comparator tree never does (its key order need not preserve
@@ -249,8 +260,6 @@ func (t *Tree) format() error {
 	if err != nil {
 		return err
 	}
-	t.anchor.root = root.id
-	t.anchor.level = 0
 	if t.log != nil {
 		_, err = t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 			root.c.LSN = uint64(lsn)
@@ -274,15 +283,30 @@ func (t *Tree) format() error {
 			return err
 		}
 	}
-	t.unlatchUnpin(root, latch.Exclusive, true)
+	t.setAnchor(root, true)
 	return nil
 }
 
 // readAnchor returns the current root and its level.
 func (t *Tree) readAnchor() (page.PageID, uint8) {
-	t.anchor.mu.RLock()
-	defer t.anchor.mu.RUnlock()
-	return t.anchor.root, t.anchor.level
+	a := t.anchor.Load()
+	return a.id, a.level
+}
+
+// setAnchor publishes root. The caller's pin on it becomes the new record's
+// standing pin; the replaced record's is dropped. A root just built arrives
+// X-latched and is released here, routing snapshot first, before the anchor
+// can lead a reader to it. Callers hold anchorMu (format, recovery run alone).
+func (t *Tree) setAnchor(root *node, built bool) {
+	if built {
+		root.publishRoute()
+		root.latch.Release(latch.Exclusive)
+		root.frame.MarkDirty()
+	}
+	old := t.anchor.Swap(&anchorRec{id: root.id, level: root.c.Level, node: root})
+	if old != nil {
+		old.node.frame.Unpin(false)
+	}
 }
 
 // fetch pins the node for id.
@@ -476,8 +500,8 @@ func (t *Tree) Checkpoint() error {
 	if t.log == nil {
 		return nil
 	}
-	t.ckpt.Lock()
-	defer t.ckpt.Unlock()
+	t.gate.Lock()
+	defer t.gate.Unlock()
 	if err := t.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -485,7 +509,7 @@ func (t *Tree) Checkpoint() error {
 		return err
 	}
 	root, _ := t.readAnchor()
-	// Operations are quiesced (ckpt held exclusively), but transactions
+	// Operations are quiesced (gate held exclusively), but transactions
 	// can span checkpoints: record the live ones so analysis still finds
 	// losers whose records all precede the checkpoint.
 	t.active.mu.Lock()
@@ -554,27 +578,28 @@ func (t *Tree) Abandon() {
 }
 
 // opBegin gates an operation against checkpoints and rejects closed trees.
-func (t *Tree) opBegin() error {
+// It returns the gate stripe the operation entered, for opEnd.
+func (t *Tree) opBegin() (int, error) {
 	if t.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	t.ckpt.RLock()
+	g := t.gate.Enter()
 	if t.closed.Load() {
-		t.ckpt.RUnlock()
-		return ErrClosed
+		t.gate.Leave(g)
+		return 0, ErrClosed
 	}
 	if t.opts.DeletePolicy == Drain {
 		t.opsActive.Add(1)
 	}
-	return nil
+	return g, nil
 }
 
-func (t *Tree) opEnd() {
+func (t *Tree) opEnd(g int) {
 	if t.opts.DeletePolicy == Drain {
 		t.opsActive.Add(-1)
 		t.opsFinished.Add(1)
 	}
-	t.ckpt.RUnlock()
+	t.gate.Leave(g)
 	// Backpressure: a completing operation holds no latches, so it is a
 	// safe point to self-throttle by running one queued action inline.
 	t.todo.maybeAssist()

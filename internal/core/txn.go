@@ -142,21 +142,23 @@ func (x *Txn) Abort() error {
 // already holds the checkpoint gate (operations that abort from inside
 // lockWithLatch do; the public Abort does not). The compensating writes must
 // run under the gate, or a concurrent Checkpoint could flush pages
-// mid-mutation — but the gate is a sync.RWMutex, so it must not be
-// re-acquired on the same goroutine.
+// mid-mutation — but the gate's stripes are sync.RWMutexes, so it must not
+// be re-acquired on the same goroutine.
 func (x *Txn) abortLocked(gateHeld bool) error {
 	if x.done {
 		return ErrTxnDone
 	}
 	t := x.t
+	var g int
 	if !gateHeld {
-		if err := t.opBegin(); err != nil {
+		var err error
+		if g, err = t.opBegin(); err != nil {
 			return err
 		}
 	}
 	err := func() error {
 		if !gateHeld {
-			defer t.opEnd()
+			defer t.opEnd(g)
 		}
 		for i := len(x.undo) - 1; i >= 0; i-- {
 			if cerr := t.compensate(x, x.undo[i]); cerr != nil {
@@ -201,11 +203,12 @@ func (x *Txn) RollbackTo(savepoint int) error {
 	t := x.t
 	// Compensations run under the checkpoint gate (RollbackTo is a public
 	// entry point; no operation gate is held here).
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return err
 	}
-	err := func() error {
-		defer t.opEnd()
+	err = func() error {
+		defer t.opEnd(g)
 		for i := len(x.undo) - 1; i >= savepoint; i-- {
 			if cerr := t.compensate(x, x.undo[i]); cerr != nil {
 				return fmt.Errorf("blinktree: rollback to savepoint: %w", cerr)
@@ -324,14 +327,15 @@ func (x *Txn) Get(key []byte) ([]byte, error) {
 		return nil, ErrTxnDone
 	}
 	t := x.t
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return nil, err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	if len(key) == 0 {
 		return nil, ErrEmptyKey
 	}
-	t.c.searches.Add(1)
+	t.c.searches.Add(obs.StackHint(), 1)
 	t0, sp := t.obsBegin(obs.OpSearch)
 	defer t.obsEnd(obs.OpSearch, t0, sp)
 	dx := t.dx.v.Load()
@@ -365,10 +369,11 @@ func (x *Txn) Put(key, val []byte) error {
 		return ErrTxnDone
 	}
 	t := x.t
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	if err := t.validateEntry(key, val); err != nil {
 		return err
 	}
@@ -413,10 +418,11 @@ func (x *Txn) Delete(key []byte) error {
 		return ErrTxnDone
 	}
 	t := x.t
-	if err := t.opBegin(); err != nil {
+	g, err := t.opBegin()
+	if err != nil {
 		return err
 	}
-	defer t.opEnd()
+	defer t.opEnd(g)
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}

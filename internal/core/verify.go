@@ -113,6 +113,9 @@ func (t *Tree) verifyNode(n *node) error {
 	if !n.isLeaf() && len(n.c.Children) != len(n.c.Keys) {
 		return fmt.Errorf("verify: index %d has %d keys, %d children", n.id, len(n.c.Keys), len(n.c.Children))
 	}
+	if want := n.countRaw(); n.raw != want {
+		return fmt.Errorf("verify: node %d cached size %d, recount %d", n.id, n.raw, want)
+	}
 	if n.size() > t.opts.PageSize {
 		return fmt.Errorf("verify: node %d size %d exceeds page size %d", n.id, n.size(), t.opts.PageSize)
 	}

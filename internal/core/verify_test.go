@@ -63,6 +63,7 @@ func TestVerifyDetectsFenceViolation(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
 		n.c.Keys[0] = []byte("\x00below-everything")
+		n.raw = n.countRaw()
 	})
 	expectViolation(t, tr, "below")
 }
@@ -72,9 +73,19 @@ func TestVerifyDetectsChainGap(t *testing.T) {
 	withNode(t, tr, 0, 0, func(n *node) {
 		// Extending the leftmost leaf's high fence keeps its own
 		// invariants intact but breaks High == right sibling's Low.
-		n.c.High = append(n.c.High, 'x')
+		n.setHigh(append(n.c.High, 'x'))
 	})
 	expectViolation(t, tr, "chain gap")
+}
+
+// TestVerifyDetectsStaleCachedSize: a mutator that forgets to maintain
+// node.raw is a bug every Verify call in the suite must trip over.
+func TestVerifyDetectsStaleCachedSize(t *testing.T) {
+	tr := buildVerifyTree(t)
+	withNode(t, tr, 1, 0, func(n *node) {
+		n.c.Vals[0] = append(n.c.Vals[0], 'x')
+	})
+	expectViolation(t, tr, "cached size")
 }
 
 func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
@@ -135,5 +146,45 @@ func TestNodeStringForms(t *testing.T) {
 	}
 	if highString(nil) != "+inf" {
 		t.Fatal("highString(nil)")
+	}
+}
+
+// TestMergedSizeIsExact: the O(1) fit check of a consolidation — from the two
+// nodes' cached sizes — equals the size of the merged content built for real,
+// including when the merge shortens the fence prefix the keys are stored
+// without.
+func TestMergedSizeIsExact(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	for _, tc := range []struct {
+		kind                 page.Kind
+		low, mid, high       string
+		leftKeys, victimKeys []string
+	}{
+		{page.Leaf, "", "m", "", []string{"a", "b"}, []string{"m", "n"}},
+		{page.Leaf, "key-10", "key-15", "key-20", []string{"key-10", "key-12"}, []string{"key-15"}},
+		{page.Index, "key-100", "key-150", "key-190", []string{"key-100", "key-120"}, []string{"key-150", "key-170"}},
+		{page.Index, "key-100", "key-150", "kez", []string{"key-100", "key-120"}, []string{"key-150", "key-170"}}, // prefix shrinks
+		{page.Index, "key-100", "key-150", "", []string{"key-100"}, []string{"key-150"}},                          // prefix vanishes
+	} {
+		build := func(low, high string, keys []string) *node {
+			c := page.Content{Kind: tc.kind, Low: []byte(low), Compress: true}
+			if high != "" {
+				c.High = []byte(high)
+			}
+			for i, k := range keys {
+				c.Keys = append(c.Keys, []byte(k))
+				if tc.kind == page.Leaf {
+					c.Vals = append(c.Vals, valb(i))
+				} else {
+					c.Children = append(c.Children, page.PageID(i+1))
+				}
+			}
+			return newNode(1, c)
+		}
+		left, victim := build(tc.low, tc.mid, tc.leftKeys), build(tc.mid, tc.high, tc.victimKeys)
+		merged := build(tc.low, tc.high, append(append([]string(nil), tc.leftKeys...), tc.victimKeys...))
+		if got, want := tr.mergedSize(left, victim), merged.c.Size(); got != want {
+			t.Errorf("%v [%q,%q)+[%q,%q): mergedSize = %d, merged content is %d", tc.kind, tc.low, tc.mid, tc.mid, tc.high, got, want)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Mode identifies a latch mode.
@@ -155,7 +156,7 @@ func (l *Latch) Acquire(m Mode) {
 	if l.canGrant(m) {
 		l.grantLocked(m)
 		l.mu.Unlock()
-		l.sink().recordAcquire(m, 0, false)
+		l.sink().recordAcquire(uintptr(unsafe.Pointer(l)), m, 0, false)
 		return
 	}
 	// Blocked: the wait itself dwarfs the pair of clock reads, so measuring
@@ -172,7 +173,7 @@ func (l *Latch) Acquire(m Mode) {
 	}
 	l.grantLocked(m)
 	l.mu.Unlock()
-	l.sink().recordAcquire(m, time.Since(t0), true)
+	l.sink().recordAcquire(uintptr(unsafe.Pointer(l)), m, time.Since(t0), true)
 }
 
 // TryAcquire attempts to acquire a latch in mode m without blocking and
@@ -189,7 +190,7 @@ func (l *Latch) TryAcquire(m Mode) bool {
 	}
 	l.mu.Unlock()
 	if ok {
-		l.sink().recordAcquire(m, 0, false)
+		l.sink().recordAcquire(uintptr(unsafe.Pointer(l)), m, 0, false)
 	} else {
 		l.sink().recordTryFail()
 	}

@@ -3,11 +3,12 @@ package latch
 import (
 	"sync/atomic"
 	"time"
+
+	"blinktree/internal/obs"
 )
 
-// Stats aggregates latch activity. Counters are maintained with atomics and
-// are cheap enough to keep always-on; the experiment harness uses them to
-// report latch waits and no-wait failures (paper §2.4).
+// Stats aggregates latch activity. Counters are always-on; the experiment
+// harness uses them to report latch waits and no-wait failures (paper §2.4).
 type Stats struct {
 	AcquireShared    uint64 // granted S requests
 	AcquireUpdate    uint64 // granted U requests
@@ -22,11 +23,11 @@ type Stats struct {
 // Recorder is a per-tree (or per-subsystem) latch statistics sink. Latches
 // carrying a Recorder count into it instead of the package's global sink,
 // so two trees in one process do not pollute each other's numbers. The
-// zero value is ready for use.
+// zero value is ready for use; grants are striped by the latch's address.
 type Recorder struct {
-	acquireS  atomic.Uint64
-	acquireU  atomic.Uint64
-	acquireX  atomic.Uint64
+	acquireS  obs.Striped
+	acquireU  obs.Striped
+	acquireX  obs.Striped
 	waits     atomic.Uint64
 	waitNanos atomic.Uint64
 	longWaits atomic.Uint64
@@ -48,14 +49,14 @@ func (r *Recorder) SetLongWaitCallback(threshold time.Duration, fn func(d time.D
 	r.onLong = fn
 }
 
-func (r *Recorder) recordAcquire(m Mode, waited time.Duration, blocked bool) {
+func (r *Recorder) recordAcquire(hint uintptr, m Mode, waited time.Duration, blocked bool) {
 	switch m {
 	case Shared:
-		r.acquireS.Add(1)
+		r.acquireS.Add(hint, 1)
 	case Update:
-		r.acquireU.Add(1)
+		r.acquireU.Add(hint, 1)
 	case Exclusive:
-		r.acquireX.Add(1)
+		r.acquireX.Add(hint, 1)
 	}
 	if !blocked {
 		return

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,7 +29,8 @@ type conn struct {
 	txn *blinktree.Txn
 	// idleAt is the read deadline serve last set (zero: none). Only the
 	// reader goroutine touches it.
-	idleAt time.Time
+	idleAt  time.Time
+	lastGet int // length of the last value a GET returned (reader only)
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -176,20 +178,28 @@ func (c *conn) cmdPing(_ [][]byte, dst []byte) []byte {
 }
 
 func (c *conn) cmdGet(args [][]byte, dst []byte) []byte {
-	var val []byte
+	// The value goes from its leaf straight into the reply buffer (sized by
+	// this connection's last value), bulkRoom bytes past the reply's start;
+	// AppendBulk writes the header there and slides the value down to it.
+	const bulkRoom = len("$65535\r\n") + len("\r\n")
+	at := len(dst)
+	dst = slices.Grow(dst, bulkRoom+c.lastGet)[:at+bulkRoom]
 	var err error
 	if c.txn != nil {
+		var val []byte
 		val, err = c.txn.Get(args[1])
+		dst = append(dst, val...)
 	} else {
-		val, err = c.srv.tree.Get(args[1])
+		dst, err = c.srv.tree.GetInto(dst, args[1])
 	}
 	if errors.Is(err, blinktree.ErrKeyNotFound) {
-		return resp.AppendNull(dst)
+		return resp.AppendNull(dst[:at])
 	}
 	if err != nil {
-		return c.opError(dst, err)
+		return c.opError(dst[:at], err)
 	}
-	return resp.AppendBulk(dst, val)
+	c.lastGet = len(dst) - at - bulkRoom
+	return resp.AppendBulk(dst[:at], dst[at+bulkRoom:])
 }
 
 func (c *conn) cmdSet(args [][]byte, dst []byte) []byte {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -559,5 +560,35 @@ func TestAdminHandler(t *testing.T) {
 
 	if body := get("/healthz"); !strings.Contains(body, "ok") {
 		t.Errorf("healthz = %q", body)
+	}
+}
+
+// TestGetValueSizes: GET writes the value into the reply buffer ahead of the
+// bulk header and slides it into place; every header width, an empty value,
+// a shrinking and a growing size hint, and a transaction's read must frame
+// correctly.
+func TestGetValueSizes(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	sizes := []int{1500, 0, 1, 9, 10, 99, 100, 999, 1000, 1, 1900}
+	for i, n := range sizes {
+		val := bytes.Repeat([]byte{byte('a' + i)}, n)
+		if err := c.Set([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+			t.Fatalf("SET %d bytes: %v", n, err)
+		}
+	}
+	for _, txn := range []bool{false, true} {
+		if txn {
+			if rep, err := c.DoStr("BEGIN"); err != nil || rep.Str != "OK" {
+				t.Fatalf("BEGIN = %+v, %v", rep, err)
+			}
+		}
+		for i, n := range sizes {
+			got, ok, err := c.Get([]byte(fmt.Sprintf("k%d", i)))
+			if err != nil || !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte('a' + i)}, n)) {
+				t.Fatalf("txn=%v GET of %d bytes = %d bytes, ok=%v, %v", txn, n, len(got), ok, err)
+			}
+		}
 	}
 }
