@@ -1,4 +1,4 @@
-// Benchmarks regenerating the experiment tables (E1..E11 in DESIGN.md) as
+// Benchmarks regenerating the experiment tables (E1..E10 in DESIGN.md) as
 // testing.B targets, plus micro-benchmarks of the primitive operations.
 // Each BenchmarkE* corresponds to one experiment; run the full harness with
 // cmd/blinkbench for the rendered tables.
@@ -570,45 +570,5 @@ func BenchmarkPublicAPIPutGet(b *testing.B) {
 		k := []byte(fmt.Sprintf("user%010d", i%10000))
 		tr.Put(k, val)
 		tr.Get(k)
-	}
-}
-
-// --- E11: maintenance scheduler sharding --------------------------------
-
-// BenchmarkE11SchedulerShards measures an SMO-heavy parallel mixed workload
-// (small pages force frequent splits and consolidations, so every operation
-// touches the maintenance scheduler) with the monolithic 1-shard layout
-// against the GOMAXPROCS-derived sharded default.
-func BenchmarkE11SchedulerShards(b *testing.B) {
-	spec := bench.Spec{
-		KeySpace: 50_000,
-		Mix:      bench.Mix{Insert: 40, Delete: 40, Search: 20},
-	}
-	for _, sh := range []struct {
-		name   string
-		shards int
-	}{{"shards=1", 1}, {"shards=auto", 0}} {
-		b.Run(sh.name, func(b *testing.B) {
-			opts := core.Options{PageSize: 1024, MinFill: 0.35, Workers: 2, TodoShards: sh.shards}
-			tr := mkTree(b, opts, 20_000)
-			b.ResetTimer()
-			var seed int64
-			b.RunParallel(func(pb *testing.PB) {
-				seed++
-				g := bench.NewGen(spec, seed)
-				for pb.Next() {
-					op := g.Next()
-					k := bench.Key(op.K)
-					switch op.Kind {
-					case bench.OpInsert:
-						tr.Put(k, g.Value())
-					case bench.OpDelete:
-						tr.Delete(k)
-					default:
-						tr.Get(k)
-					}
-				}
-			})
-		})
 	}
 }

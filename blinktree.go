@@ -166,13 +166,9 @@ type Options struct {
 	// processing lazy structure modifications (default 2). Use -1 for
 	// none; call Maintain to run maintenance manually.
 	Workers int
-	// MaintenanceShards is the number of maintenance-scheduler shards;
-	// enqueues and worker pops contend only within one shard. 0 derives
-	// the count from GOMAXPROCS.
-	MaintenanceShards int
 	// MaintenanceSoftCap is the backpressure threshold: above this many
 	// queued maintenance actions, a completing operation processes one
-	// action inline. 0 means the default (64 per shard); -1 disables
+	// action inline. 0 means the default (128); -1 disables
 	// backpressure. Only active when Workers > 0.
 	MaintenanceSoftCap int
 	// Baseline optionally selects a comparator algorithm.
@@ -266,7 +262,6 @@ func Open(opts Options) (*Tree, error) {
 		MinFill:     opts.MinFill,
 		Workers:     opts.Workers,
 		Compare:     opts.Comparator,
-		TodoShards:  opts.MaintenanceShards,
 		TodoSoftCap: opts.MaintenanceSoftCap,
 
 		Durability:    opts.Durability,
@@ -512,9 +507,9 @@ func (t *Tree) RecoveryStats() RecoveryStats { return t.inner.RecoveryStats() }
 // Stats returns a snapshot of internal activity counters.
 func (t *Tree) Stats() Stats { return Stats(t.inner.Stats()) }
 
-// SchedulerStats returns a snapshot of the maintenance scheduler: shard
-// layout, queue-depth high-water marks, backpressure and dedup activity,
-// and the enqueue-to-process latency histogram.
+// SchedulerStats returns a snapshot of the maintenance scheduler: the
+// queue-depth high-water mark, backpressure and dedup activity, and the
+// enqueue-to-process latency histogram.
 func (t *Tree) SchedulerStats() SchedulerStats { return t.inner.SchedulerStats() }
 
 // Snapshot returns the tree's full metrics in one consistent read. The

@@ -218,8 +218,11 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the stderr pipe, so it may only run once the reader has
+	// seen EOF (os/exec: "incorrect to call Wait before all reads from the
+	// pipe have completed") — or the final banner line is sometimes lost.
 	waitDone := make(chan error, 1)
-	go func() { waitDone <- cmd.Wait() }()
+	go func() { <-drained; waitDone <- cmd.Wait() }()
 	select {
 	case err := <-waitDone:
 		killed = true
@@ -229,7 +232,6 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("blinkd did not exit within 60s of SIGTERM")
 	}
-	<-drained
 	if !strings.Contains(rest.String(), "clean shutdown") {
 		t.Fatalf("stderr missing clean-shutdown banner:\n%s", rest.String())
 	}

@@ -608,17 +608,15 @@ func E10Overhead(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// E11Scheduler profiles the sharded maintenance scheduler under an
-// SMO-heavy mixed workload: queue-depth high-water marks, duplicate
-// discoveries collapsed, backpressure inline assists, and the
-// enqueue-to-process latency histogram, across thread counts and shard
-// configurations (1 shard reproduces the old monolithic queue's
-// contention profile).
+// E11Scheduler profiles the maintenance scheduler under an SMO-heavy mixed
+// workload: the queue-depth high-water mark, duplicate discoveries
+// collapsed, backpressure inline assists, and the enqueue-to-process
+// latency histogram, across thread counts.
 func E11Scheduler(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
-		Title: "maintenance scheduler: sharding, ordering, backpressure",
-		Header: []string{"shards", "threads", "ops/s", "queue hw",
+		Title: "maintenance scheduler: ordering, backpressure",
+		Header: []string{"threads", "ops/s", "queue hw",
 			"dedup hits", "assists", "lat<100µs", "lat<1ms", "lat≥1ms"},
 	}
 	spec := Spec{
@@ -627,21 +625,17 @@ func E11Scheduler(scale Scale) (*Table, error) {
 		Ops:      scale.Ops,
 		Mix:      Mix{Insert: 40, Delete: 40, Search: 20},
 	}
-	for _, shards := range []int{1, 0} { // 0 = GOMAXPROCS-derived default
-		for _, threads := range scale.Threads {
-			cfg := Comparators(expPageSize, false)[0]
-			cfg.Opts.TodoShards = shards
-			res, err := Run(cfg, spec, threads)
-			if err != nil {
-				return nil, fmt.Errorf("E11 shards=%d/%d: %w", shards, threads, err)
-			}
-			lb := res.Sched.LatencyBuckets
-			t.AddRow(res.Sched.Shards, threads, int(res.Throughput),
-				res.Sched.QueueHighWater, res.Sched.DedupHits,
-				res.Sched.InlineAssists, lb[0], lb[1], lb[2]+lb[3]+lb[4])
+	for _, threads := range scale.Threads {
+		res, err := Run(Comparators(expPageSize, false)[0], spec, threads)
+		if err != nil {
+			return nil, fmt.Errorf("E11 threads=%d: %w", threads, err)
 		}
+		lb := res.Sched.LatencyBuckets
+		t.AddRow(threads, int(res.Throughput),
+			res.Sched.QueueHighWater, res.Sched.DedupHits,
+			res.Sched.InlineAssists, lb[0], lb[1], lb[2]+lb[3]+lb[4])
 	}
-	t.Note("index-level posts and shrinks drain before leaf work within each shard")
+	t.Note("index posts and shrinks pop first, then leaf work; index-node deletes pop last (they bump D_X)")
 	t.Note("assists = foreground ops self-throttled past the soft cap (backpressure)")
 	return t, nil
 }

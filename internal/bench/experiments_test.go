@@ -350,16 +350,11 @@ func TestE11SchedulerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderToTestLog(t, tb)
-	if len(tb.Rows) != 2*len(tiny.Threads) {
-		t.Fatalf("rows = %d, want %d", len(tb.Rows), 2*len(tiny.Threads))
-	}
-	// First rows are the monolithic single-shard layout; later rows the
-	// GOMAXPROCS-derived default.
-	if tb.Cell(0, 0) != "1" {
-		t.Fatalf("first row shards = %q, want 1", tb.Cell(0, 0))
+	if len(tb.Rows) != len(tiny.Threads) {
+		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(tiny.Threads))
 	}
 	for i, row := range tb.Rows {
-		if cellFloat(t, row[2]) <= 0 {
+		if cellFloat(t, row[1]) <= 0 {
 			t.Fatalf("row %d: non-positive throughput", i)
 		}
 	}

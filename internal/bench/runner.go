@@ -53,8 +53,8 @@ type Result struct {
 	Throughput float64 // ops per second
 
 	Stats core.Stats
-	// Sched is the maintenance scheduler's observability snapshot (shard
-	// high-water marks, inline assists, latency histogram).
+	// Sched is the maintenance scheduler's observability snapshot (queue
+	// high-water mark, inline assists, latency histogram).
 	Sched core.SchedulerStats
 	// Latch is this tree's latch activity (per-tree recorder; other trees
 	// in the process do not pollute it).

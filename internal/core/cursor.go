@@ -121,19 +121,12 @@ func (c *Cursor) fill() error {
 		}
 		// Nothing in range in this leaf: follow the side pointer (latch
 		// coupled); every key of the sibling is >= pos.
-		q, perr := c.t.pinLatchSpan(sib, latch.Shared, c.sp)
-		c.t.unlatchUnpin(leaf, latch.Shared, false)
-		if perr != nil || q.dead {
-			if perr == nil {
-				c.t.unlatchUnpin(q, latch.Shared, false)
-			}
+		if leaf, err = c.t.sideStep(leaf, latch.Shared, true, c.sp); err != nil {
 			// Rare: restart positioning from the remembered key.
 			if leaf, err = c.freshTraverse(); err != nil {
 				return err
 			}
-			continue
 		}
-		leaf = q
 	}
 }
 

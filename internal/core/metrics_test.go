@@ -16,7 +16,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 		t.Skip("observability compiled out (obsoff)")
 	}
 	tr := newTestTree(t, Options{
-		PageSize: 512, Workers: 2, TodoShards: 4,
+		PageSize: 512, Workers: 2,
 		Observability: &obs.Config{Metrics: true, Trace: true},
 	})
 	stop := make(chan struct{})

@@ -93,18 +93,11 @@ type Options struct {
 	// Default 2.
 	Workers int
 
-	// TodoShards is the number of maintenance-scheduler shards. Enqueue,
-	// duplicate-discovery probes and worker pops contend only within one
-	// shard (actions are placed by hash of their origin page). Zero
-	// derives the count from GOMAXPROCS (next power of two, capped at
-	// 64); values below 1 are clamped to 1.
-	TodoShards int
-
 	// TodoSoftCap is the scheduler's backpressure threshold: when the
-	// total number of queued maintenance actions exceeds it, a completing
+	// number of queued maintenance actions exceeds it, a completing
 	// foreground operation processes one action inline, throttling
 	// producers to the rate maintenance can sustain. Zero means the
-	// default (64 per shard). TodoSoftCapNone disables backpressure.
+	// default (128). TodoSoftCapNone disables backpressure.
 	// Backpressure is only active when Workers > 0: worker-less trees are
 	// driven deterministically via DrainTodo.
 	TodoSoftCap int
@@ -218,15 +211,9 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 2
 	}
-	if o.TodoShards == 0 {
-		o.TodoShards = todoShardCount()
-	}
-	if o.TodoShards < 1 {
-		o.TodoShards = 1
-	}
 	switch {
 	case o.TodoSoftCap == 0:
-		o.TodoSoftCap = 64 * o.TodoShards
+		o.TodoSoftCap = 128
 	case o.TodoSoftCap < 0:
 		o.TodoSoftCap = 0 // TodoSoftCapNone: backpressure disabled
 	}

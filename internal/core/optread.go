@@ -195,7 +195,7 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	for n.pastHigh(t.cmp, o.key) {
 		t.enqueuePostFromSideMove(n, path, o.dx)
 		var err error
-		if n, err = t.sideStep(n, !t.opts.NoDeleteSupport, o.sp); err != nil {
+		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); err != nil {
 			return nil, nil, false
 		}
 	}
@@ -352,7 +352,7 @@ func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
 	for bound == nil && n.c.Right != 0 ||
 		bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
 		var err error
-		if n, err = t.sideStep(n, !t.opts.NoDeleteSupport, nil); err != nil {
+		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, nil); err != nil {
 			return nil, nil, false
 		}
 	}

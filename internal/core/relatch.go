@@ -74,17 +74,9 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 	}
 	// Leaf-level rightward moves (splits below the parent's knowledge).
 	for leaf.pastHigh(t.cmp, key) {
-		sib := leaf.c.Right
-		q, err := t.pinLatch(sib, intent)
-		t.unlatchUnpin(leaf, intent, false)
-		if err != nil || q.dead {
-			if err == nil {
-				t.unlatchUnpin(q, intent, false)
-			}
+		if leaf, err = t.sideStep(leaf, intent, true, nil); err != nil {
 			return nil, nil, errDeleteState
 		}
-		leaf = q
-		t.c.sideTraversals.Add(1)
 	}
 	if promote && intent == latch.Update {
 		leaf.latch.Promote()

@@ -74,7 +74,7 @@ restart:
 			// only needed when bound is above this node's high fence.
 			for bound == nil && n.c.Right != 0 {
 				// Largest record overall: chase the rightmost node.
-				m, err := t.sideStep(n, couple, nil)
+				m, err := t.sideStep(n, latch.Shared, couple, nil)
 				if err != nil {
 					t.c.restarts.Add(1)
 					continue restart
@@ -85,7 +85,7 @@ restart:
 			// n.High < bound (strict: a sibling with Low == High == bound
 			// holds keys >= bound only).
 			for bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
-				m, err := t.sideStep(n, couple, nil)
+				m, err := t.sideStep(n, latch.Shared, couple, nil)
 				if err != nil {
 					t.c.restarts.Add(1)
 					continue restart
@@ -131,24 +131,26 @@ restart:
 	return nil, nil, fmt.Errorf("blinktree: descendPred live-locked")
 }
 
-// sideStep latches n's right sibling (coupled when couple) and releases n.
-func (t *Tree) sideStep(n *node, couple bool, sp *obs.Span) (*node, error) {
+// sideStep latches n's right sibling in mode (coupled when couple), releases
+// n, which the caller holds in the same mode, and counts the side traversal.
+// A sibling that cannot be fetched or is dead is an error with nothing held.
+func (t *Tree) sideStep(n *node, mode latch.Mode, couple bool, sp *obs.Span) (*node, error) {
 	sib := n.c.Right
 	var m *node
 	var err error
 	if couple {
-		m, err = t.pinLatchSpan(sib, latch.Shared, sp)
-		t.unlatchUnpin(n, latch.Shared, false)
+		m, err = t.pinLatchSpan(sib, mode, sp)
+		t.unlatchUnpin(n, mode, false)
 	} else {
-		t.unlatchUnpin(n, latch.Shared, false)
-		m, err = t.pinLatchSpan(sib, latch.Shared, sp)
+		t.unlatchUnpin(n, mode, false)
+		m, err = t.pinLatchSpan(sib, mode, sp)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if m.dead {
-		t.unlatchUnpin(m, latch.Shared, false)
-		return nil, fmt.Errorf("blinktree: dead sibling")
+		t.unlatchUnpin(m, mode, false)
+		return nil, errDeadSibling
 	}
 	t.c.sideTraversals.Add(1)
 	return m, nil
@@ -161,11 +163,10 @@ func (t *Tree) sideStep(n *node, couple bool, sp *obs.Span) (*node, error) {
 // predecessor descent and one Stats.Scans add for every Next — because no
 // workload scans backwards at a rate that would repay batching a leaf.
 type ReverseCursor struct {
-	t       *Tree
-	bound   []byte // exclusive upper bound for the next fetch
-	low     []byte // inclusive lower bound; nil/empty = -inf
-	started bool
-	done    bool
+	t     *Tree
+	bound []byte // exclusive upper bound for the next fetch
+	low   []byte // inclusive lower bound; nil/empty = -inf
+	done  bool
 }
 
 // NewReverseCursor returns a cursor over [low, high) iterating downward
@@ -199,7 +200,6 @@ func (c *ReverseCursor) Next() (key, val []byte, ok bool, err error) {
 		return nil, nil, false, nil
 	}
 	c.bound = k
-	c.started = true
 	return k, v, true, nil
 }
 

@@ -67,10 +67,10 @@ type Stats struct {
 	ReclaimRetry  uint64 // page reclaim retried due to concurrent pin
 	TodoProcessed uint64
 
-	// Maintenance scheduler (per-shard detail in Tree.SchedulerStats).
+	// Maintenance scheduler (latency histogram in Tree.SchedulerStats).
 	TodoInlineAssists  uint64 // foreground ops that ran an action inline (backpressure)
 	TodoDedupHits      uint64 // enqueues/probes collapsed onto a pending duplicate
-	TodoQueueHighWater uint64 // maximum total queued actions observed
+	TodoQueueHighWater uint64 // maximum queued actions observed
 	DrainBailouts      uint64 // DrainTodo gave up on a non-shrinking queue
 
 	// Right-edge append fast path (appendfast.go).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,13 +80,33 @@ type action struct {
 	enqAt time.Time
 }
 
-// urgent reports whether the action repairs the upper index levels. A
-// missing upper-level index term forces a side traversal on every traversal
-// of the key space below it, so index-level posts and root shrinks drain
-// before leaf-level work. Index-node deletes are NOT prioritized: they bump
-// D_X, which would invalidate every action queued behind them.
-func (a action) urgent() bool {
-	return a.kind == actShrink || (a.kind == actPost && a.level >= 1)
+// The to-do queue pops by class, lowest first, FIFO within a class.
+const (
+	// classIndex: root shrinks and index-level posts. A missing upper-level
+	// index term forces a side traversal on every traversal of the key space
+	// below it, so these repair the tree before anything else runs.
+	classIndex = iota
+	// classLeaf: leaf-level posts, leaf consolidations and reclaims.
+	classLeaf
+	// classIndexDelete: index-node deletes. accessParent increments D_X for
+	// one before it knows the consolidation will happen (A.3 step 3), and
+	// that voids every action remembered under the old value (§4.1.1) — so
+	// they run only when nothing else is queued. Popped any earlier, an
+	// index delete that aborts at the edge on every round keeps aborting the
+	// leaf deletes that would have emptied its subtree, for ever.
+	classIndexDelete
+	numClasses
+)
+
+func (a action) class() int {
+	switch {
+	case a.kind == actShrink || (a.kind == actPost && a.level >= 1):
+		return classIndex
+	case a.kind == actDelete && a.level >= 1:
+		return classIndexDelete
+	default:
+		return classLeaf
+	}
 }
 
 // dedupKey identifies an action for duplicate-discovery collapsing. It is
@@ -113,84 +132,41 @@ const maxActionRetries = 1000
 // Stats.DrainBailouts (stuck actions keep the tree correct regardless).
 const maxDrainSpins = 1_000_000
 
-// todoLatencyBuckets is the number of enqueue-to-process latency buckets:
-// <100µs, <1ms, <10ms, <100ms, ≥100ms.
-const todoLatencyBuckets = 5
-
-// todoShard is one independently locked slice of the maintenance scheduler.
-// Actions are placed by hash of their origID, so duplicate discoveries of
-// the same action always land on — and are collapsed by — the same shard.
-type todoShard struct {
-	mu      sync.Mutex
-	urgent  []action // index-level posts and shrinks: drained first
-	lazy    []action // leaf-level posts, consolidations, reclaims
-	pending map[dedupKey]struct{}
-
-	// highWater is the maximum queue depth this shard has seen (under mu).
-	highWater int
-
-	// pad keeps shards on separate cache lines so per-shard mutexes do not
-	// false-share under concurrent enqueue/pop.
-	_ [32]byte
+// todoLatencyBounds are the upper edges of the enqueue-to-process latency
+// buckets: <100µs, <1ms, <10ms, <100ms, and one more for ≥100ms.
+var todoLatencyBounds = [...]time.Duration{
+	100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
 }
 
-// depth returns the queued-action count (mu held).
-func (sh *todoShard) depth() int { return len(sh.urgent) + len(sh.lazy) }
-
-// push appends an action to the level-appropriate queue (mu held).
-func (sh *todoShard) push(a action) {
-	if a.urgent() {
-		sh.urgent = append(sh.urgent, a)
-	} else {
-		sh.lazy = append(sh.lazy, a)
-	}
-	if d := sh.depth(); d > sh.highWater {
-		sh.highWater = d
-	}
-}
-
-// pop removes the next action, urgent queue first (mu held).
-func (sh *todoShard) pop(urgentOnly bool) (action, bool) {
-	if len(sh.urgent) > 0 {
-		a := sh.urgent[0]
-		sh.urgent = sh.urgent[1:]
-		return a, true
-	}
-	if urgentOnly || len(sh.lazy) == 0 {
-		return action{}, false
-	}
-	a := sh.lazy[0]
-	sh.lazy = sh.lazy[1:]
-	return a, true
-}
+const todoLatencyBuckets = len(todoLatencyBounds) + 1
 
 // todoQueue is the volatile maintenance scheduler for lazy structure
-// modifications, with a small worker pool. It does not survive crashes and
-// is never logged (§4.1.3).
-//
-// The scheduler is sharded: each shard has its own mutex, dedup map and
-// level-ordered queues, keyed by hash of the action's origID, so enqueue,
-// postPending probes and worker pops contend only per shard. Global state
-// (queued/busy counts, the worker wake condition) is atomic or touched only
-// when a sleeper exists.
+// modifications, with a small worker pool: one mutex, one dedup map, one
+// FIFO per class. It does not survive crashes and is never logged (§4.1.3).
 type todoQueue struct {
 	t *Tree
 
-	shards []todoShard
+	mu   sync.Mutex
+	wake *sync.Cond // on mu: broadcast by enqueue, requeue, finish and stop
 
-	queued atomic.Int64 // actions sitting in shard queues
-	busy   atomic.Int64 // actions currently being processed
+	// The fields below are guarded by mu.
+	classes [numClasses][]action
+	pending map[dedupKey]struct{}
+	busy    int // actions popped and still being processed
 
-	// totalHighWater tracks the maximum total queued depth.
-	totalHighWater atomic.Int64
+	// queued is the number of actions sitting in classes and highWater its
+	// maximum. Both are written under mu and read without it, so maybeAssist
+	// costs a foreground operation one load.
+	queued    atomic.Int64
+	highWater atomic.Int64
 
 	// latency is the enqueue-to-process histogram (todoLatencyBuckets).
 	latency [todoLatencyBuckets]atomic.Uint64
 
-	// softCap is the backpressure threshold: when the total queued depth
-	// exceeds it, a completing foreground operation processes one action
-	// inline (the paper's atomic-action model permits any thread to run
-	// any action). <= 0 disables backpressure.
+	// softCap is the backpressure threshold: when the queued depth exceeds
+	// it, a completing foreground operation processes one action inline
+	// (the paper's atomic-action model permits any thread to run any
+	// action). <= 0 disables backpressure.
 	softCap int
 	// assist gates backpressure on having background workers at all:
 	// worker-less trees are driven deterministically via DrainTodo, and
@@ -199,16 +175,6 @@ type todoQueue struct {
 
 	stopped atomic.Bool
 
-	// wake coordinates sleeping workers and drain waiters. waiters is
-	// checked without the mutex so un-contended enqueue/finish never
-	// touch it.
-	wakeMu  sync.Mutex
-	wake    *sync.Cond
-	waiters atomic.Int32
-
-	// rr distributes pop scans across shards.
-	rr atomic.Uint32
-
 	// drainSpinLimit is maxDrainSpins, overridable by tests.
 	drainSpinLimit int
 
@@ -216,42 +182,17 @@ type todoQueue struct {
 	wg      sync.WaitGroup
 }
 
-// todoShardCount derives the shard count: the next power of two at or above
-// GOMAXPROCS, capped at 64.
-func todoShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n && s < 64 {
-		s <<= 1
-	}
-	return s
-}
-
 func newTodoQueue(t *Tree, workers int) *todoQueue {
-	shards := t.opts.TodoShards
-	if shards < 1 {
-		shards = 1
-	}
 	q := &todoQueue{
 		t:              t,
-		shards:         make([]todoShard, shards),
+		pending:        make(map[dedupKey]struct{}),
 		softCap:        t.opts.TodoSoftCap,
 		assist:         workers > 0 && t.opts.TodoSoftCap > 0,
 		drainSpinLimit: maxDrainSpins,
 		workers:        workers,
 	}
-	for i := range q.shards {
-		q.shards[i].pending = make(map[dedupKey]struct{})
-	}
-	q.wake = sync.NewCond(&q.wakeMu)
+	q.wake = sync.NewCond(&q.mu)
 	return q
-}
-
-// shard returns the shard owning actions on origID. Fibonacci hashing
-// spreads sequential page IDs; the shard count is a power of two.
-func (q *todoQueue) shard(id page.PageID) *todoShard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &q.shards[(h>>32)%uint64(len(q.shards))]
 }
 
 func (q *todoQueue) start() {
@@ -263,18 +204,26 @@ func (q *todoQueue) start() {
 
 // postPending reports whether a posting for (orig, new) is already queued;
 // hot paths (side traversals re-discover the same missing term on every
-// pass) use it to skip building the action at all. Only the owning shard's
-// mutex is taken.
+// pass) use it to skip building the action at all.
 func (q *todoQueue) postPending(origID, newID page.PageID) bool {
 	key := dedupKey{kind: actPost, orig: origID, new: newID}
-	sh := q.shard(origID)
-	sh.mu.Lock()
-	_, dup := sh.pending[key]
-	sh.mu.Unlock()
+	q.mu.Lock()
+	_, dup := q.pending[key]
+	q.mu.Unlock()
 	if dup {
 		q.t.c.todoDedupHits.Add(1)
 	}
 	return dup
+}
+
+// push appends an action to its class and wakes sleepers (mu held).
+func (q *todoQueue) push(a action) {
+	c := a.class()
+	q.classes[c] = append(q.classes[c], a)
+	if d := q.queued.Add(1); d > q.highWater.Load() {
+		q.highWater.Store(d)
+	}
+	q.wake.Broadcast()
 }
 
 // enqueue adds an action unless an identical one is already pending.
@@ -284,19 +233,16 @@ func (q *todoQueue) enqueue(a action) {
 	}
 	key := a.dedup()
 	a.enqAt = time.Now()
-	sh := q.shard(a.origID)
-	sh.mu.Lock()
-	if _, dup := sh.pending[key]; dup {
-		sh.mu.Unlock()
+	q.mu.Lock()
+	if _, dup := q.pending[key]; dup {
+		q.mu.Unlock()
 		q.t.c.todoDedupHits.Add(1)
 		return
 	}
-	sh.pending[key] = struct{}{}
-	sh.push(a)
-	sh.mu.Unlock()
+	q.pending[key] = struct{}{}
+	q.push(a)
+	q.mu.Unlock()
 	q.t.traceSMO(obs.EvEnqueued, &a)
-	q.bumpQueued()
-	q.wakeWaiters()
 }
 
 // requeue re-adds an action that must be retried later (with backoff via
@@ -310,67 +256,41 @@ func (q *todoQueue) requeue(a action) {
 		return
 	}
 	a.enqAt = time.Now()
-	sh := q.shard(a.origID)
-	sh.mu.Lock()
+	q.mu.Lock()
 	// Deliberately not deduplicated: the pending entry for this action is
-	// removed by the worker after process() returns, so re-adding under
-	// the same key here keeps the slot occupied.
-	sh.push(a)
-	sh.mu.Unlock()
+	// removed by finish after process() returns, so re-adding under the
+	// same key here keeps the slot occupied.
+	q.push(a)
+	q.mu.Unlock()
 	q.t.traceSMO(obs.EvRequeued, &a)
-	q.bumpQueued()
-	q.wakeWaiters()
 }
 
-// bumpQueued increments the global depth and maintains its high-water mark.
-func (q *todoQueue) bumpQueued() {
-	total := q.queued.Add(1)
-	for {
-		hw := q.totalHighWater.Load()
-		if total <= hw || q.totalHighWater.CompareAndSwap(hw, total) {
-			return
-		}
-	}
-}
-
-// wakeWaiters wakes sleeping workers/drainers, touching the mutex only when
-// someone is actually asleep.
-func (q *todoQueue) wakeWaiters() {
-	if q.waiters.Load() == 0 {
-		return
-	}
-	q.wakeMu.Lock()
-	q.wake.Broadcast()
-	q.wakeMu.Unlock()
-}
-
+// len counts actions queued or being processed.
 func (q *todoQueue) len() int {
-	return int(q.queued.Load() + q.busy.Load())
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return int(q.queued.Load()) + q.busy
 }
 
-// tryPop removes the next action without blocking. Two passes over the
-// shards (round-robin from a rotating start) give index-level work global
-// priority over leaf-level work.
+// tryPop removes the next action without blocking: the oldest of the lowest
+// non-empty class.
 func (q *todoQueue) tryPop() (action, bool) {
 	if q.queued.Load() == 0 {
 		return action{}, false
 	}
-	n := len(q.shards)
-	start := int(q.rr.Add(1))
-	for _, urgentOnly := range [2]bool{true, false} {
-		for i := 0; i < n; i++ {
-			sh := &q.shards[(start+i)%n]
-			sh.mu.Lock()
-			a, ok := sh.pop(urgentOnly)
-			sh.mu.Unlock()
-			if ok {
-				q.busy.Add(1)
-				q.queued.Add(-1)
-				q.observeLatency(a)
-				return a, true
-			}
+	q.mu.Lock()
+	for c := range q.classes {
+		if s := q.classes[c]; len(s) > 0 {
+			a := s[0]
+			q.classes[c] = s[1:]
+			q.queued.Add(-1)
+			q.busy++
+			q.mu.Unlock()
+			q.observeLatency(a)
+			return a, true
 		}
 	}
+	q.mu.Unlock()
 	return action{}, false
 }
 
@@ -380,30 +300,20 @@ func (q *todoQueue) observeLatency(a action) {
 		return
 	}
 	d := time.Since(a.enqAt)
-	var b int
-	switch {
-	case d < 100*time.Microsecond:
-		b = 0
-	case d < time.Millisecond:
-		b = 1
-	case d < 10*time.Millisecond:
-		b = 2
-	case d < 100*time.Millisecond:
-		b = 3
-	default:
-		b = 4
+	b := 0
+	for b < len(todoLatencyBounds) && d >= todoLatencyBounds[b] {
+		b++
 	}
 	q.latency[b].Add(1)
 }
 
 // finish marks an action's processing complete and clears its dedup slot.
 func (q *todoQueue) finish(a action) {
-	sh := q.shard(a.origID)
-	sh.mu.Lock()
-	delete(sh.pending, a.dedup())
-	sh.mu.Unlock()
-	q.busy.Add(-1)
-	q.wakeWaiters()
+	q.mu.Lock()
+	delete(q.pending, a.dedup())
+	q.busy--
+	q.wake.Broadcast()
+	q.mu.Unlock()
 }
 
 // run processes one popped action and releases its slot.
@@ -431,20 +341,15 @@ func (q *todoQueue) runNextGated() bool {
 
 func (q *todoQueue) worker() {
 	defer q.wg.Done()
-	for {
-		if q.stopped.Load() {
-			return
-		}
+	for !q.stopped.Load() {
 		if q.runNextGated() {
 			continue
 		}
-		q.wakeMu.Lock()
-		q.waiters.Add(1)
+		q.mu.Lock()
 		for q.queued.Load() == 0 && !q.stopped.Load() {
 			q.wake.Wait()
 		}
-		q.waiters.Add(-1)
-		q.wakeMu.Unlock()
+		q.mu.Unlock()
 	}
 }
 
@@ -464,7 +369,7 @@ func (q *todoQueue) maybeAssist() {
 	}
 }
 
-// drain processes queued actions in the calling goroutine until every shard
+// drain processes queued actions in the calling goroutine until the queue
 // is empty and all workers are idle. Actions that keep requeuing (e.g. a
 // reclaim blocked on a concurrent pin) get a tiny sleep so their blocker
 // can progress; a queue that refuses to shrink for drainSpinLimit rounds
@@ -475,25 +380,16 @@ func (q *todoQueue) drain() {
 	for {
 		a, ok := q.tryPop()
 		if !ok {
-			if q.queued.Load() > 0 {
-				// Raced with a concurrent pop mid-bookkeeping: rescan.
-				runtime.Gosched()
-				continue
-			}
-			if q.busy.Load() == 0 {
-				return
-			}
-			// Workers are mid-action: wait for them (they may enqueue
+			// Workers may be mid-action: wait for them (they may enqueue
 			// follow-up work before finishing).
-			q.wakeMu.Lock()
-			q.waiters.Add(1)
-			for q.queued.Load() == 0 && q.busy.Load() > 0 && !q.stopped.Load() {
+			q.mu.Lock()
+			for q.queued.Load() == 0 && q.busy > 0 && !q.stopped.Load() {
 				q.wake.Wait()
 			}
-			q.waiters.Add(-1)
-			q.wakeMu.Unlock()
-			if q.stopped.Load() {
-				return
+			empty := q.queued.Load() == 0
+			q.mu.Unlock()
+			if empty {
+				return // idle, or stopped
 			}
 			continue
 		}
@@ -516,24 +412,19 @@ func (q *todoQueue) drain() {
 	}
 }
 
-// takeAll empties every shard and returns the captured actions, clearing
-// all dedup slots. Diagnostic harnesses (the figure walkthrough) use it to
-// intercept queued actions for manual processing.
+// takeAll empties the queue and returns the captured actions in pop order,
+// clearing all dedup slots. Diagnostic harnesses (the figure walkthrough)
+// use it to intercept queued actions for manual processing.
 func (q *todoQueue) takeAll() []action {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	var out []action
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		taken := len(sh.urgent) + len(sh.lazy)
-		out = append(out, sh.urgent...)
-		out = append(out, sh.lazy...)
-		sh.urgent, sh.lazy = nil, nil
-		for k := range sh.pending {
-			delete(sh.pending, k)
-		}
-		sh.mu.Unlock()
-		q.queued.Add(-int64(taken))
+	for c := range q.classes {
+		out = append(out, q.classes[c]...)
+		q.classes[c] = nil
 	}
+	clear(q.pending)
+	q.queued.Store(0)
 	return out
 }
 
@@ -541,25 +432,21 @@ func (q *todoQueue) takeAll() []action {
 // volatile by design) after giving workers a chance to finish the current
 // one.
 func (q *todoQueue) stop() {
+	q.mu.Lock()
 	q.stopped.Store(true)
-	q.wakeMu.Lock()
 	q.wake.Broadcast()
-	q.wakeMu.Unlock()
+	q.mu.Unlock()
 	q.wg.Wait()
 }
 
 // SchedulerStats is a snapshot of the maintenance scheduler's internals:
-// shard layout, queue depth high-water marks, backpressure and dedup
-// activity, and the enqueue-to-process latency histogram.
+// the queue depth high-water mark, backpressure and dedup activity, and the
+// enqueue-to-process latency histogram.
 type SchedulerStats struct {
-	// Shards is the configured shard count.
-	Shards int
 	// SoftCap is the backpressure threshold (0 = disabled).
 	SoftCap int
-	// QueueHighWater is the maximum total queued depth observed.
+	// QueueHighWater is the maximum queued depth observed.
 	QueueHighWater uint64
-	// ShardHighWater is each shard's maximum queued depth.
-	ShardHighWater []uint64
 	// InlineAssists counts foreground operations that processed an action
 	// inline because the queue was over the soft cap.
 	InlineAssists uint64
@@ -577,19 +464,11 @@ type SchedulerStats struct {
 // snapshot collects the scheduler observability counters.
 func (q *todoQueue) snapshot() SchedulerStats {
 	s := SchedulerStats{
-		Shards:         len(q.shards),
 		SoftCap:        q.softCap,
-		QueueHighWater: uint64(q.totalHighWater.Load()),
-		ShardHighWater: make([]uint64, len(q.shards)),
+		QueueHighWater: uint64(q.highWater.Load()),
 		InlineAssists:  q.t.c.todoInlineAssists.Load(),
 		DedupHits:      q.t.c.todoDedupHits.Load(),
 		DrainBailouts:  q.t.c.drainBailouts.Load(),
-	}
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		s.ShardHighWater[i] = uint64(sh.highWater)
-		sh.mu.Unlock()
 	}
 	for i := range q.latency {
 		s.LatencyBuckets[i] = q.latency[i].Load()

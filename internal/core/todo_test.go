@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,9 @@ func TestTodoDedup(t *testing.T) {
 	tr.todo.enqueue(a)
 	if got := tr.TodoLen(); got != 1 {
 		t.Fatalf("queue length = %d, want 1 (deduplicated)", got)
+	}
+	if hits := tr.Stats().TodoDedupHits; hits != 2 {
+		t.Fatalf("dedup hits = %d, want 2", hits)
 	}
 	// A different action is not deduplicated.
 	tr.todo.enqueue(action{kind: actPost, origID: 1, newID: 3})
@@ -142,47 +147,8 @@ func TestWriteFigureWalkthrough(t *testing.T) {
 	}
 }
 
-func TestTodoDedupCollapsesAcrossShards(t *testing.T) {
-	tr := newTestTree(t, Options{TodoShards: 8})
-	if got := len(tr.todo.shards); got != 8 {
-		t.Fatalf("shard count = %d, want 8", got)
-	}
-	// Duplicate discoveries of one action hash to the same shard and
-	// collapse regardless of how many shards exist.
-	a := action{kind: actPost, origID: 1, newID: 2, dx: tr.DX()}
-	for i := 0; i < 10; i++ {
-		tr.todo.enqueue(a)
-	}
-	if got := tr.TodoLen(); got != 1 {
-		t.Fatalf("queue length = %d, want 1 (deduplicated)", got)
-	}
-	if hits := tr.Stats().TodoDedupHits; hits != 9 {
-		t.Fatalf("dedup hits = %d, want 9", hits)
-	}
-	// Distinct actions spread across shards and all count.
-	for i := 2; i < 30; i++ {
-		tr.todo.enqueue(action{kind: actPost, origID: page.PageID(i * 17), newID: 2})
-	}
-	if got := tr.TodoLen(); got != 29 {
-		t.Fatalf("queue length = %d, want 29", got)
-	}
-	populated := 0
-	for i := range tr.todo.shards {
-		sh := &tr.todo.shards[i]
-		sh.mu.Lock()
-		if sh.depth() > 0 {
-			populated++
-		}
-		sh.mu.Unlock()
-	}
-	if populated < 2 {
-		t.Fatalf("actions hashed into %d shard(s), want spread over several", populated)
-	}
-	tr.todo.takeAll()
-}
-
 func TestTodoPostPendingDedupHit(t *testing.T) {
-	tr := newTestTree(t, Options{TodoShards: 4})
+	tr := newTestTree(t, Options{})
 	if tr.todo.postPending(3, 4) {
 		t.Fatal("empty queue reports pending post")
 	}
@@ -197,13 +163,16 @@ func TestTodoPostPendingDedupHit(t *testing.T) {
 }
 
 func TestTodoLevelOrdering(t *testing.T) {
-	tr := newTestTree(t, Options{TodoShards: 1})
-	// Leaf-level work enqueued first, index-level post and shrink after;
-	// the urgent queue must still drain first.
-	tr.todo.enqueue(action{kind: actPost, level: 0, origID: 11, newID: 12})
-	tr.todo.enqueue(action{kind: actDelete, level: 0, origID: 13})
-	tr.todo.enqueue(action{kind: actPost, level: 1, origID: 14, newID: 15})
-	tr.todo.enqueue(action{kind: actShrink, origID: 16, level: 2})
+	tr := newTestTree(t, Options{})
+	// Enqueued worst order first: the index-node delete bumps D_X and would
+	// void everything behind it, leaf work must wait for index repairs. Pops
+	// go class by class, FIFO within a class.
+	tr.todo.enqueue(action{kind: actDelete, level: 1, origID: 10})
+	tr.todo.enqueue(action{kind: actDelete, level: 0, origID: 11})
+	tr.todo.enqueue(action{kind: actReclaim, origID: 12})
+	tr.todo.enqueue(action{kind: actPost, level: 0, origID: 13, newID: 14})
+	tr.todo.enqueue(action{kind: actPost, level: 1, origID: 15, newID: 16})
+	tr.todo.enqueue(action{kind: actShrink, origID: 17, level: 2})
 	var order []page.PageID
 	for {
 		a, ok := tr.todo.tryPop()
@@ -213,19 +182,99 @@ func TestTodoLevelOrdering(t *testing.T) {
 		order = append(order, a.origID)
 		tr.todo.finish(a)
 	}
-	want := []page.PageID{14, 16, 11, 13}
-	if len(order) != len(want) {
-		t.Fatalf("popped %d actions, want %d", len(order), len(want))
+	want := []page.PageID{15, 17, 11, 12, 13, 10}
+	if !slices.Equal(order, want) {
+		t.Fatalf("pop order %v, want %v (index posts and shrinks, then leaf work, index-node deletes last)", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("pop order %v, want %v (index posts and shrinks first)", order, want)
-		}
+	if got := tr.TodoLen(); got != 0 {
+		t.Fatalf("queue length after popping everything = %d", got)
 	}
 }
 
+// TestTodoIndexDeleteRunsAfterLeafDeletes is the tree-level reproducer for
+// the class order: an under-utilised index node is discovered by every
+// descent before the under-utilised leaves below it, so its delete is always
+// enqueued ahead of theirs — and it bumps D_X whether or not it then
+// consolidates (here it never does: it is the root's leftmost child). Popped
+// in discovery order it voids every leaf delete in the same drain.
+func TestTodoIndexDeleteRunsAfterLeafDeletes(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if h := tr.Height(); h != 2 {
+		t.Fatalf("height = %d, want three levels", h)
+	}
+	root, err := tr.NodeSnapshot(tr.RootID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := tr.NodeSnapshot(root.Children[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keep = 4
+	if len(first.Children) <= keep {
+		t.Fatalf("leftmost level-1 node has only %d children", len(first.Children))
+	}
+	below := func(fence []byte) int { // keys 0..below-1 sort under fence
+		return sort.Search(n, func(i int) bool { return bytes.Compare(key(i), fence) >= 0 })
+	}
+	kept, end := below(first.Keys[keep]), below(first.High)
+
+	// Empty every leaf of the subtree but the first four and let them
+	// consolidate away: the level-1 node is left with four full leaves,
+	// which puts it under MinFill.
+	for i := kept; i < end; i++ {
+		if err := tr.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 30 && len(first.Children) > keep; round++ {
+		for i := kept; i < end; i += 5 {
+			tr.Get(key(i))
+		}
+		tr.DrainTodo()
+		if first, err = tr.NodeSnapshot(root.Children[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(first.Children) != keep {
+		t.Fatalf("emptied leaves never consolidated: %d children left, want %d", len(first.Children), keep)
+	}
+
+	// Now empty the four leaves too, forget what the deletes queued, and
+	// probe: each Get meets the index node first and its leaf second.
+	for i := 0; i < kept; i++ {
+		if err := tr.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.todo.takeAll()
+	for i := 0; i < kept; i += 5 {
+		tr.Get(key(i))
+	}
+	before := tr.Stats()
+	tr.DrainTodo()
+	after := tr.Stats()
+	if after.DXIncrements == before.DXIncrements {
+		t.Fatal("no index-node delete ran in the drain: the scenario was not built")
+	}
+	if after.LeafConsolidated == before.LeafConsolidated {
+		t.Errorf("no leaf consolidated in a drain that held %d leaf deletes", keep)
+	}
+	if got := after.DeleteAbortDX - before.DeleteAbortDX; got != 0 {
+		t.Errorf("%d deletes aborted on D_X: the index-node delete ran ahead of them", got)
+	}
+	mustVerify(t, tr)
+}
+
 func TestTodoBackpressureInlineAssist(t *testing.T) {
-	tr := newTestTree(t, Options{TodoShards: 2, TodoSoftCap: 1})
+	tr := newTestTree(t, Options{TodoSoftCap: 1})
 	// Worker-less trees disable assists for determinism; force the gate
 	// open to exercise the mechanism deterministically.
 	tr.todo.assist = true
@@ -263,7 +312,7 @@ func TestTodoBackpressureInlineAssist(t *testing.T) {
 func TestTodoBackpressureUnderLoad(t *testing.T) {
 	// End-to-end: with workers and a tiny soft cap, a split-heavy load
 	// must trigger inline assists without corrupting the tree.
-	tr := newTestTree(t, Options{PageSize: 512, Workers: 1, TodoShards: 2, TodoSoftCap: 1})
+	tr := newTestTree(t, Options{PageSize: 512, Workers: 1, TodoSoftCap: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -283,8 +332,8 @@ func TestTodoBackpressureUnderLoad(t *testing.T) {
 
 func TestMaintainRacesPutDelete(t *testing.T) {
 	// Maintain (DrainTodo) must be safe against concurrent writers; run
-	// under -race this exercises the sharded scheduler's synchronization.
-	tr := newTestTree(t, Options{PageSize: 512, Workers: 2, TodoShards: 4})
+	// under -race this exercises the scheduler's synchronization.
+	tr := newTestTree(t, Options{PageSize: 512, Workers: 2})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -359,13 +408,10 @@ func TestDrainBailoutOnPerpetualRequeue(t *testing.T) {
 }
 
 func TestSchedulerStatsSnapshot(t *testing.T) {
-	tr := newTestTree(t, Options{TodoShards: 4, TodoSoftCap: 7})
+	tr := newTestTree(t, Options{TodoSoftCap: 7})
 	s := tr.SchedulerStats()
-	if s.Shards != 4 || s.SoftCap != 7 {
-		t.Fatalf("snapshot layout = %d shards cap %d, want 4/7", s.Shards, s.SoftCap)
-	}
-	if len(s.ShardHighWater) != 4 {
-		t.Fatalf("per-shard high-water length = %d", len(s.ShardHighWater))
+	if s.SoftCap != 7 {
+		t.Fatalf("snapshot soft cap = %d, want 7", s.SoftCap)
 	}
 	for i := 0; i < 20; i++ {
 		if err := tr.Put(key(i), valb(i)); err != nil {
@@ -379,12 +425,8 @@ func TestSchedulerStatsSnapshot(t *testing.T) {
 	}
 	tr.DrainTodo()
 	s = tr.SchedulerStats()
-	var perShard uint64
-	for _, hw := range s.ShardHighWater {
-		perShard += hw
-	}
-	if s.QueueHighWater == 0 || perShard == 0 {
-		t.Fatalf("high-water marks not maintained: %+v", s)
+	if s.QueueHighWater == 0 || s.QueueHighWater != tr.Stats().TodoQueueHighWater {
+		t.Fatalf("high-water mark not maintained: %+v", s)
 	}
 	var processed uint64
 	for _, b := range s.LatencyBuckets {
@@ -408,7 +450,7 @@ func TestTraceEventOrdering(t *testing.T) {
 		t.Skip("observability compiled out (obsoff)")
 	}
 	tr := newTestTree(t, Options{
-		PageSize: 512, Workers: 2, TodoShards: 4,
+		PageSize: 512, Workers: 2,
 		Observability: &obs.Config{Metrics: true, Trace: true, TraceCapacity: 1 << 16},
 	})
 	var wg sync.WaitGroup

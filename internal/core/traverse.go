@@ -88,29 +88,15 @@ restart:
 			// side pointer means its index term is missing: re-discover
 			// the posting (§2.3).
 			for n.pastHigh(t.cmp, o.key) {
-				sib := n.c.Right
-				if sib == 0 {
+				if n.c.Right == 0 {
 					t.unlatchUnpin(n, mode, false)
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
 				}
 				t.enqueuePostFromSideMove(n, path, o.dx)
-				var m *node
-				if couple {
-					m, err = t.pinLatchSpan(sib, mode, o.sp)
-					t.unlatchUnpin(n, mode, false)
-				} else {
-					t.unlatchUnpin(n, mode, false)
-					m, err = t.pinLatchSpan(sib, mode, o.sp)
-				}
-				if err != nil || m.dead {
-					if err == nil {
-						t.unlatchUnpin(m, mode, false)
-					}
+				if n, err = t.sideStep(n, mode, couple, o.sp); err != nil {
 					t.c.restarts.Add(1)
 					continue restart
 				}
-				n = m
-				t.c.sideTraversals.Add(1)
 			}
 			if n.level() == o.level {
 				if o.promote && mode == latch.Update {

@@ -31,6 +31,9 @@ var (
 	// errDeleteState aborts a structure modification whose delete state
 	// changed (paper §2.3): the action is abandoned, to be re-discovered.
 	errDeleteState = errors.New("blinktree: delete state changed")
+	// errDeadSibling is sideStep finding the right sibling deleted; every
+	// caller restarts or abandons, so it is one value, not one per restart.
+	errDeadSibling = errors.New("blinktree: dead sibling")
 )
 
 // deleteState is the global index-delete state D_X (§4.1.1): a counter
@@ -428,12 +431,12 @@ func (t *Tree) reclaimAction(a action) {
 // Stats returns a snapshot of the tree's activity counters.
 func (t *Tree) Stats() Stats {
 	s := t.c.snapshot()
-	s.TodoQueueHighWater = uint64(t.todo.totalHighWater.Load())
+	s.TodoQueueHighWater = uint64(t.todo.highWater.Load())
 	return s
 }
 
-// SchedulerStats returns a snapshot of the maintenance scheduler: shard
-// layout, queue-depth high-water marks, backpressure/dedup activity and the
+// SchedulerStats returns a snapshot of the maintenance scheduler: the
+// queue-depth high-water mark, backpressure/dedup activity and the
 // enqueue-to-process latency histogram.
 func (t *Tree) SchedulerStats() SchedulerStats { return t.todo.snapshot() }
 
