@@ -372,6 +372,7 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		n     int
 	}{
 		{"records_scanned", rs.RecordsScanned},
+		{"log_bytes_read", int(rs.LogBytesRead)},
 		{"smo_redone", rs.SMOsRedone},
 		{"recop_redone", rs.RecOpsRedone},
 		{"skipped_by_lsn", rs.SkippedByLSN},
@@ -384,6 +385,12 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"full_redo_retries", rs.FullRedoRetries},
 	} {
 		p.printf("blinktree_recovery_total{event=%q} %d\n", v.event, v.n)
+	}
+	p.header("blinktree_recovery_restart_lsn", "LSN of the first log record the last open read: a checkpoint's, or 1.", "gauge")
+	p.printf("blinktree_recovery_restart_lsn %d\n", rs.RestartLSN)
+	p.header("blinktree_recovery_full_log_read", "Whether the last open read the whole log, with the reason as a label.", "gauge")
+	if rs.FullLogRead != "" {
+		p.printf("blinktree_recovery_full_log_read{reason=%q} 1\n", rs.FullLogRead)
 	}
 	p.header("blinktree_recovery_torn_tail_bytes", "Trailing bytes past the last valid WAL frame at the last open.", "gauge")
 	p.printf("blinktree_recovery_torn_tail_bytes %d\n", rs.TornTailBytes)

@@ -3,6 +3,8 @@ package blinkmetrics
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -392,8 +394,38 @@ func TestPrometheusRecoveredTree(t *testing.T) {
 	if !strings.Contains(body, "blinktree_recovered 1") {
 		t.Errorf("recovered gauge not set after reopen")
 	}
-	if strings.Contains(body, `blinktree_recovery_total{event="records_scanned"} 0`) {
-		t.Errorf("records_scanned is zero after replaying a non-empty log")
+	// The store was closed cleanly: the open read the closing checkpoint
+	// record, a few dozen bytes, and not the whole log.
+	if !strings.Contains(body, `blinktree_recovery_total{event="records_scanned"} 1`+"\n") {
+		t.Errorf("records_scanned is not 1 after a clean shutdown")
+	}
+	if strings.Contains(body, `blinktree_recovery_total{event="log_bytes_read"} 0`) ||
+		strings.Contains(body, "blinktree_recovery_restart_lsn 0") || strings.Contains(body, "blinktree_recovery_restart_lsn 1\n") ||
+		strings.Contains(body, "blinktree_recovery_full_log_read{") {
+		t.Errorf("restart series do not show a read from the closing checkpoint:\n%s", body)
+	}
+	tr.Close()
+
+	// Without the master record the same open reads everything and says why.
+	if err := os.Remove(filepath.Join(dir, "wal.log.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	tr, err = blinktree.Open(blinktree.Options{Path: dir, PageSize: 512})
+	if err != nil {
+		t.Fatalf("reopen without master: %v", err)
+	}
+	defer tr.Close()
+	sb.Reset()
+	if err := WritePrometheus(&sb, tr.Snapshot()); err != nil {
+		t.Fatalf("prometheus: %v", err)
+	}
+	for _, series := range []string{
+		`blinktree_recovery_full_log_read{reason="no master record"} 1`,
+		"blinktree_recovery_restart_lsn 1\n",
+	} {
+		if !strings.Contains(sb.String(), series) {
+			t.Errorf("missing series %q after a full-log open", series)
+		}
 	}
 }
 

@@ -455,7 +455,10 @@ func (t *Tree) Begin() (*Txn, error) {
 func (t *Tree) Maintain() { t.inner.DrainTodo() }
 
 // Checkpoint flushes all dirty pages and writes a checkpoint record,
-// bounding recovery time. No-op for volatile trees.
+// bounding recovery time: the next open reads and redoes the log from that
+// record on, not from its start — unless a transaction was open across the
+// checkpoint, whose undo needs earlier records; the open then starts at the
+// last checkpoint taken without one. No-op for volatile trees.
 //
 // Durability: a successful Checkpoint guarantees every operation that
 // completed before the call survives any later crash.
@@ -549,8 +552,10 @@ func (t *Tree) Pages() int { return t.inner.StoreStats().LivePages }
 // Close flushes state, stops maintenance workers and releases resources.
 //
 // Durability: a successful Close makes every completed operation durable
-// (pages flushed, log forced, store synced); reopening the same Path
-// recovers the tree without redo work beyond the last checkpoint.
+// (pages flushed, store synced, log forced) and ends the log with a
+// checkpoint: reopening the same Path reads that one record and redoes
+// nothing. With a transaction still open the checkpoint record is written
+// but the next open does not start at it (see Checkpoint).
 func (t *Tree) Close() error {
 	err := t.inner.Close()
 	if t.devClose != nil {

@@ -23,6 +23,7 @@ import (
 
 	"blinktree"
 	"blinktree/internal/buildinfo"
+	"blinktree/internal/wal"
 )
 
 func main() {
@@ -58,6 +59,13 @@ func main() {
 	if rs.Recovered {
 		fmt.Printf("recovery: scanned %d log records, redo from LSN %d: %d SMOs, %d record ops (%d skipped by page LSN)\n",
 			rs.RecordsScanned, rs.RedoStart, rs.SMOsRedone, rs.RecOpsRedone, rs.SkippedByLSN)
+		if rs.FullLogRead != "" {
+			fmt.Printf("recovery: read the whole log (%d bytes): %s\n", rs.LogBytesRead, rs.FullLogRead)
+		}
+		if rs.FullLogRead == wal.WhyBadMaster {
+			fmt.Fprintln(os.Stderr, "blinkcheck: wal.log.ckpt is not this log's master record")
+			os.Exit(1)
+		}
 		if rs.LosersUndone > 0 {
 			fmt.Printf("recovery: rolled back %d uncommitted transactions\n", rs.LosersUndone)
 		}

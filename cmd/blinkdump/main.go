@@ -84,8 +84,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "blinkdump: %v\n", err)
 			os.Exit(1)
 		}
+		rs, _ := log.Restart()
+		fmt.Printf("-- master record: position %d, LSN %d, valid %t %s --\n", rs.Master.Pos, rs.Master.LSN, rs.Why == "", rs.Why)
 		fmt.Printf("-- write-ahead log: %d records --\n", len(recs))
 		for _, r := range recs {
+			if rs.Why == "" && r.LSN == rs.Master.LSN {
+				fmt.Println("-- restart point --")
+			}
 			fmt.Println(r)
 		}
 		dev.Close()

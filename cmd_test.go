@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"blinktree"
 	"blinktree/internal/resp"
+	"blinktree/internal/wal"
 )
 
 // TestCommandLineTools exercises blinkbench (figures mode), blinkcheck and
@@ -65,6 +68,26 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if !strings.Contains(out, "SMO format") && !strings.Contains(out, "BEGIN") {
 		t.Fatalf("blinkdump WAL section missing records:\n%s", out)
+	}
+	// The store was closed cleanly: the master record names the closing
+	// checkpoint, and the listing marks it as the restart point.
+	if !regexp.MustCompile(`master record: position \d+, LSN \d+, valid true`).MatchString(out) ||
+		!regexp.MustCompile(`-- restart point --\n\d+ CKPT active=0`).MatchString(out) {
+		t.Fatalf("blinkdump -wal does not show a valid master record and its restart point:\n%s", out)
+	}
+
+	// A master record that names no checkpoint of this log is survived (the
+	// whole log is read) but reported, and blinkcheck exits non-zero.
+	if err := os.WriteFile(filepath.Join(dir, "wal.log.ckpt"), wal.Master{Pos: 0, LSN: 1}.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := exec.Command("go", "run", "./cmd/blinkcheck", "-path", dir, "-pagesize", "1024").CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), "read the whole log") || !strings.Contains(string(bad), wal.WhyBadMaster) {
+		t.Fatalf("blinkcheck over a stale master record: err %v, output:\n%s", err, bad)
+	}
+	out = run("run", "./cmd/blinkdump", "-path", dir, "-wal")
+	if !strings.Contains(out, "valid false "+wal.WhyBadMaster) || strings.Contains(out, "restart point") {
+		t.Fatalf("blinkdump -wal over a stale master record:\n%s", out)
 	}
 
 	out = run("run", "./cmd/blinkbench", "-list")

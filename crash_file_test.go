@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blinktree"
+	"blinktree/internal/wal"
 )
 
 // TestFileBackedWALTruncationSweep exercises crash recovery on the real
@@ -14,24 +15,39 @@ import (
 // then truncate wal.log at a sweep of byte offsets — including offsets that
 // land mid-frame, the torn-tail case — and require every truncation to
 // recover to a tree that passes the deep audit and holds a prefix of the
-// acknowledged history.
+// acknowledged history. The history has a checkpoint in the middle, so cuts
+// above it restart from the master record and cuts below it find the master
+// naming a position past the end of the log and read all of it. (A log cut
+// below a checkpoint goes with the page file as it was before the
+// checkpoint's flush: pages never reach the disk ahead of their log.)
 func TestFileBackedWALTruncationSweep(t *testing.T) {
 	src := t.TempDir()
 	tr, err := blinktree.Open(blinktree.Options{Path: src, PageSize: 512, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// History: puts with a flush midway so there is an acknowledged prefix.
+	// History: puts with a checkpoint midway so there is an acknowledged
+	// prefix and a master record.
 	const total = 60
+	var pagesBefore []byte
+	var checkpointEnd int
 	for i := 0; i < total; i++ {
 		k := fmt.Sprintf("key-%04d", i)
 		if err := tr.Put([]byte(k), []byte(fmt.Sprintf("val-%04d", i))); err != nil {
 			t.Fatalf("put %s: %v", k, err)
 		}
 		if i == total/2 {
-			if err := tr.FlushLog(); err != nil {
+			if pagesBefore, err = os.ReadFile(filepath.Join(src, "pages.db")); err != nil {
 				t.Fatal(err)
 			}
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(filepath.Join(src, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpointEnd = int(fi.Size())
 		}
 	}
 	tr.Maintain()
@@ -49,6 +65,10 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	master, err := os.ReadFile(filepath.Join(src, "wal.log.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +78,17 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 
 	// Sweep truncation points: step through the log in uneven strides so
 	// both frame boundaries and mid-frame (torn) offsets are hit.
+	fromMaster, fromStart := 0, 0
 	for cut := len(wal); cut > 0; cut -= 37 {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "pages.db"), pages, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "wal.log.ckpt"), master, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		image := pages
+		if cut < checkpointEnd {
+			image = pagesBefore
+		}
+		if err := os.WriteFile(filepath.Join(dir, "pages.db"), image, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal[:cut], 0o644); err != nil {
@@ -73,6 +101,11 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 		rep, err := rec.VerifyDeep()
 		if err != nil {
 			t.Fatalf("cut %d: deep audit: %v", cut, err)
+		}
+		if rec.RecoveryStats().FullLogRead == "" {
+			fromMaster++
+		} else {
+			fromStart++
 		}
 		// The recovered keys must be a contiguous prefix of the insert
 		// history: key-K present implies key-(K-1) present.
@@ -100,5 +133,233 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
+	}
+	if fromMaster == 0 || fromStart == 0 {
+		t.Fatalf("%d cuts restarted from the master record and %d from the start of the log; the sweep should see both", fromMaster, fromStart)
+	}
+}
+
+// copyStore copies the files of the store in src that exist into a new
+// temporary directory: a crash image when src is open, having flushed its log.
+func copyStore(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for _, name := range []string{"pages.db", "wal.log", "wal.log.ckpt"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// recoverAndDump opens the store in dir, audits it, and returns its contents
+// in key order with what recovery did. It leaves the store closed.
+func recoverAndDump(t *testing.T, dir string) ([]string, blinktree.RecoveryStats) {
+	t.Helper()
+	tr, err := blinktree.Open(blinktree.Options{Path: dir, PageSize: 512, Workers: -1})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if err := tr.Verify(); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if _, err := tr.VerifyDeep(); err != nil {
+		t.Fatalf("deep audit: %v", err)
+	}
+	var got []string
+	if err := tr.Scan(nil, nil, func(k, v []byte) bool {
+		got = append(got, string(k)+"="+string(v))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return got, tr.RecoveryStats()
+}
+
+// TestMasterRecordFallbacks damages, loses and misplaces the master record
+// of real store files in every way the open is meant to survive, and
+// requires each store to come up with exactly the contents a full-log
+// recovery of the same files produces — asserted against a copy whose master
+// record is removed — and to report how it started.
+func TestMasterRecordFallbacks(t *testing.T) {
+	put := func(tr *blinktree.Tree, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	open := func(dir string) *blinktree.Tree {
+		t.Helper()
+		tr, err := blinktree.Open(blinktree.Options{Path: dir, PageSize: 512, Workers: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
+	}
+	// image is the crash image of a store that was checkpointed (unless
+	// a transaction was open: txnAtCheckpoint) and killed 40 puts and one
+	// committed transaction later.
+	image := func(earlierCheckpoint, txnAtCheckpoint bool) string {
+		t.Helper()
+		src := t.TempDir()
+		tr := open(src)
+		put(tr, 0, 40)
+		if earlierCheckpoint {
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(tr, 40, 80)
+		tr.Maintain()
+		if txnAtCheckpoint {
+			x, err := tr.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Put([]byte("loser"), []byte("dirty")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		put(tr, 80, 120)
+		x, err := tr.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Put([]byte("key-txn"), []byte("committed"))
+		if err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.FlushLog(); err != nil {
+			t.Fatal(err)
+		}
+		return copyStore(t, src)
+	}
+	masterOf := func(dir string) wal.Master {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "wal.log.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wal.DecodeMaster(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	setMaster := func(dir string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log.ckpt"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cases := []struct {
+		name string
+		dir  func() string
+		// why is the wanted RecoveryStats.FullLogRead; records, when not
+		// zero, the wanted number of recovered records; losers the
+		// wanted number of transactions rolled back.
+		why     string
+		records int
+		losers  int
+	}{
+		{name: "valid master", dir: func() string { return image(false, false) }, records: 121},
+		{name: "master missing", why: wal.WhyNoMaster, records: 121, dir: func() string {
+			dir := image(false, false)
+			os.Remove(filepath.Join(dir, "wal.log.ckpt"))
+			return dir
+		}},
+		{name: "master checksum bad", why: wal.WhyBadMaster, records: 121, dir: func() string {
+			dir := image(false, false)
+			b := masterOf(dir).Encode()
+			b[4] ^= 0x40 // the checksum itself: position and LSN stay right
+			setMaster(dir, b)
+			return dir
+		}},
+		{name: "master names a frame that is not a checkpoint", why: wal.WhyBadMaster, records: 121, dir: func() string {
+			dir := image(false, false)
+			setMaster(dir, wal.Master{Pos: 0, LSN: 1}.Encode()) // the format record
+			return dir
+		}},
+		{name: "master names the checkpoint by the wrong LSN", why: wal.WhyBadMaster, records: 121, dir: func() string {
+			dir := image(false, false)
+			m := masterOf(dir)
+			m.LSN++
+			setMaster(dir, m.Encode())
+			return dir
+		}},
+		{name: "master beyond the end of a truncated log", why: wal.WhyBadMaster, dir: func() string {
+			dir := image(false, false)
+			if err := os.Truncate(filepath.Join(dir, "wal.log"), masterOf(dir).Pos-10); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}},
+		{name: "master left over from a deleted and recreated log", why: wal.WhyBadMaster, records: 30, dir: func() string {
+			dir := image(false, false)
+			os.Remove(filepath.Join(dir, "wal.log"))
+			os.Remove(filepath.Join(dir, "pages.db"))
+			tr := open(dir)
+			put(tr, 500, 530)
+			if err := tr.FlushLog(); err != nil {
+				t.Fatal(err)
+			}
+			return copyStore(t, dir)
+		}},
+		{name: "store written by the parent commit", why: wal.WhyNoMaster, records: 151, dir: func() string {
+			return copyStore(t, filepath.Join("testdata", "parent_store"))
+		}},
+		{name: "checkpoint with an open transaction, then a kill", why: wal.WhyNoMaster, records: 121, losers: 1,
+			dir: func() string { return image(false, true) }},
+		{name: "the same after an earlier checkpoint without one", records: 121, losers: 1,
+			dir: func() string { return image(true, true) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := c.dir()
+			ref := copyStore(t, dir)
+			os.Remove(filepath.Join(ref, "wal.log.ckpt"))
+			want, refStats := recoverAndDump(t, ref)
+			got, rs := recoverAndDump(t, dir)
+			if refStats.FullLogRead == "" {
+				t.Fatalf("the reference recovery did not read the whole log: %+v", refStats)
+			}
+			if rs.FullLogRead != c.why {
+				t.Errorf("FullLogRead = %q, want %q (%+v)", rs.FullLogRead, c.why, rs)
+			}
+			if c.why == "" && rs.RecordsScanned >= refStats.RecordsScanned {
+				t.Errorf("started at the master record yet decoded %d records; the whole log has %d", rs.RecordsScanned, refStats.RecordsScanned)
+			}
+			if rs.LosersUndone != c.losers || refStats.LosersUndone != c.losers {
+				t.Errorf("losers undone: %d, reference %d; want %d", rs.LosersUndone, refStats.LosersUndone, c.losers)
+			}
+			if c.records != 0 && len(got) != c.records {
+				t.Errorf("recovered %d records, want %d", len(got), c.records)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("contents differ from a full-log recovery of the same files:\n got %d records %v\nwant %d records %v", len(got), got, len(want), want)
+			}
+			// The open's own Close left a usable master behind.
+			again, rs2 := recoverAndDump(t, dir)
+			if rs2.FullLogRead != "" || rs2.RecordsScanned != 1 || fmt.Sprint(again) != fmt.Sprint(got) {
+				t.Errorf("second open: %+v with %d records; want a one-record restart and the same %d", rs2, len(again), len(got))
+			}
+		})
 	}
 }

@@ -27,8 +27,16 @@ type RecoveryStats struct {
 	// Recovered reports whether a recovery ran (the log held records).
 	Recovered bool
 
-	// RecordsScanned is the number of durable log records analyzed.
+	// RecordsScanned is the number of log records this open decoded,
+	// LogBytesRead the bytes of log they came from and RestartLSN the
+	// first of them: after a checkpoint with no open transaction, that
+	// checkpoint's, whatever lies before it. FullLogRead is empty then;
+	// otherwise it says why the whole log was read: a wal.Why* reason for
+	// an unusable master record, or "torn page" when redo needed history.
 	RecordsScanned int
+	LogBytesRead   int64
+	RestartLSN     uint64
+	FullLogRead    string
 	// RedoStart is the LSN the checkpoint-bounded redo pass started at.
 	RedoStart uint64
 
@@ -80,19 +88,17 @@ type RecoveryStats struct {
 // volatile and start empty: a crash drains all delete state (§1.3), and
 // lost index postings are re-discovered by side traversals.
 //
-// Redo normally starts at the last checkpoint. If it encounters a torn
-// page — a checksum-failing image whose pre-crash state the bounded pass
-// needed — it restarts from LSN 1: every page's first incarnation is a full
-// after-image in some SMO record, so the full-log pass self-heals any torn
-// page, and the page-LSN test keeps the rework idempotent.
+// Redo normally starts at the last checkpoint, and the records the log read
+// at open may start there too. If it encounters a torn page — a
+// checksum-failing image whose pre-crash state the bounded pass needed — it
+// restarts from LSN 1, over the whole log: every page's first incarnation is
+// a full after-image in some SMO record, so the full-log pass self-heals any
+// torn page, and the page-LSN test keeps the rework idempotent.
 //
 // Returns false if the log is empty (the caller formats a fresh tree).
 func (t *Tree) recover() (bool, error) {
 	t0 := time.Now()
-	recs, err := t.log.DurableRecords()
-	if err != nil {
-		return false, err
-	}
+	rs, recs := t.log.Restart()
 	if len(recs) == 0 {
 		return false, nil
 	}
@@ -100,6 +106,9 @@ func (t *Tree) recover() (bool, error) {
 	t.recStats = RecoveryStats{
 		Recovered:      true,
 		RecordsScanned: len(recs),
+		LogBytesRead:   rs.End - rs.Start,
+		RestartLSN:     uint64(recs[0].LSN),
+		FullLogRead:    rs.Why,
 		RedoStart:      uint64(a.RedoStart),
 	}
 	t.recStats.TornTail, t.recStats.TornTailBytes = t.log.TailTorn()
@@ -107,8 +116,8 @@ func (t *Tree) recover() (bool, error) {
 		t.obs.Emit(obs.Event{Kind: obs.EvRecoveryTornTail, Page: uint64(t.recStats.TornTailBytes)})
 	}
 
-	// Track the root pointer across the whole log (it may predate the
-	// redo window).
+	// Track the root pointer across everything read (it may predate the
+	// redo window; a checkpoint record carries it).
 	var root page.PageID
 	for _, r := range recs {
 		if r.Root != 0 {
@@ -120,12 +129,21 @@ func (t *Tree) recover() (bool, error) {
 	}
 
 	// Checkpoint-bounded redo; fall back to full-log redo on a torn page.
-	err = t.redoPass(a.RedoRecords(), a.BulkCommitted, false)
+	err := t.redoPass(a.RedoRecords(), a.BulkCommitted, false)
 	if err == nil {
 		err = t.installRoot(root, false)
 	}
 	if errors.Is(err, errTornPage) {
 		t.recStats.FullRedoRetries++
+		if rs.Why == "" {
+			if recs, err = t.log.DurableRecords(); err != nil {
+				return false, err
+			}
+			a = wal.Analyze(recs)
+			t.recStats.RecordsScanned += len(recs)
+			t.recStats.LogBytesRead += rs.End
+			t.recStats.FullLogRead = "torn page"
+		}
 		if err = t.redoPass(recs, a.BulkCommitted, true); err == nil {
 			err = t.installRoot(root, true)
 		}

@@ -498,7 +498,8 @@ func (t *Tree) TodoLen() int { return t.todo.len() }
 
 // Checkpoint takes a sharp checkpoint: operations are quiesced, all dirty
 // pages are flushed (honoring the WAL rule), and a checkpoint record is
-// logged and forced. Redo after a crash restarts at the checkpoint.
+// logged and forced. Redo after a crash restarts at the checkpoint, and so
+// does the open's read of the log unless a transaction spans it (wal.Master).
 func (t *Tree) Checkpoint() error {
 	if t.log == nil {
 		return nil
@@ -521,36 +522,28 @@ func (t *Tree) Checkpoint() error {
 		act = append(act, wal.ActiveTxn{ID: id, LastLSN: x.last()})
 	}
 	t.active.mu.Unlock()
-	if _, err := t.log.Append(&wal.Record{
-		Type:   wal.TCheckpoint,
-		Root:   root,
-		Active: act,
-	}); err != nil {
-		return err
-	}
-	return t.log.FlushAll()
+	return t.log.Checkpoint(func() *wal.Record {
+		return &wal.Record{Type: wal.TCheckpoint, Txn: t.txnSeq.Load(), Root: root, Active: act}
+	})
 }
 
 // Close drains the to-do queue, flushes state and shuts the tree down. The
 // commit pipeline is drained first: parked group commits are covered by a
-// final force and acknowledged before the writer goroutine exits.
+// final force and acknowledged before the writer goroutine exits. A logged
+// tree ends with a Checkpoint: a clean shutdown restarts by reading that one
+// record, unless a transaction was left open.
 func (t *Tree) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	t.todo.stop()
-	if t.log != nil {
-		if err := t.log.Stop(true); err != nil {
-			return err
-		}
-		if err := t.pool.FlushAll(); err != nil {
-			return err
-		}
-		if err := t.log.FlushAll(); err != nil {
-			return err
-		}
+	if t.log == nil {
+		return t.store.Sync()
 	}
-	return t.store.Sync()
+	if err := t.log.Stop(true); err != nil {
+		return err
+	}
+	return t.Checkpoint()
 }
 
 // FlushLog forces all appended log records durable without checkpointing.

@@ -137,7 +137,9 @@ type Report struct {
 	DroppedFrames int
 	TornTails     int
 
-	// Recovery totals across all reopens.
+	// Recovery totals across all reopens; MasterRestarts counts those
+	// that read the log from a master record's checkpoint, not its start.
+	MasterRestarts  int
 	FullRedoRetries int
 	CorruptPages    int
 	LosersUndone    int
@@ -163,9 +165,9 @@ func DurabilityContract(m wal.DurabilityMode) string {
 // notes and test logs).
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"crash points %d over %d ops: %d violations; torn pages %d, dropped frames %d, torn tails %d; recovery: %d SMOs, %d recops, %d losers undone, %d corrupt pages, %d full-redo retries",
+		"crash points %d over %d ops: %d violations; torn pages %d, dropped frames %d, torn tails %d; recovery: %d from a master record, %d SMOs, %d recops, %d losers undone, %d corrupt pages, %d full-redo retries",
 		r.CrashPoints, r.Ops, len(r.Violations), r.TornPages, r.DroppedFrames,
-		r.TornTails, r.SMOsRedone, r.RecOpsRedone, r.LosersUndone,
+		r.TornTails, r.MasterRestarts, r.SMOsRedone, r.RecOpsRedone, r.LosersUndone,
 		r.CorruptPages, r.FullRedoRetries)
 }
 
@@ -659,6 +661,9 @@ func reopenAndCheck(cfg Config, disk *storage.SimDisk, sh *shadow, rep *Report) 
 	}
 	defer t.Abandon()
 	rs := t.RecoveryStats()
+	if rs.Recovered && rs.FullLogRead == "" {
+		rep.MasterRestarts++
+	}
 	rep.FullRedoRetries += rs.FullRedoRetries
 	rep.CorruptPages += rs.CorruptPages
 	rep.LosersUndone += rs.LosersUndone

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"blinktree/internal/page"
+	"blinktree/internal/wal"
 )
 
 // ErrPowerCut is returned by every operation on a SimDisk facade once the
@@ -25,7 +26,8 @@ type SimConfig struct {
 	// cut fires: operations 1..CrashAt-1 take effect normally, operation
 	// CrashAt and everything after it fail with ErrPowerCut. Counted
 	// operations are page-store Allocate/Deallocate/Write/Sync and WAL
-	// Append/Sync. Zero never cuts power (use CrashNow, or a counting run).
+	// Append/Sync/WriteMaster. Zero never cuts power (use CrashNow, or a
+	// counting run).
 	CrashAt int64
 
 	// SectorSize is the granularity of torn page writes (default 512): at a
@@ -40,7 +42,8 @@ type SimConfig struct {
 
 	// TornWALTail enables a torn final WAL frame at the power cut: a prefix
 	// of the first lost frame's bytes survives as trailing garbage that a
-	// log reader must recognize as the end of the log.
+	// log reader must recognize as the end of the log. It also lets a cut
+	// that interrupts a master-record write leave that record torn.
 	TornWALTail bool
 }
 
@@ -466,6 +469,7 @@ type SimWAL struct {
 	d        *SimDisk
 	durable  [][]byte
 	buffered [][]byte
+	master   []byte
 	syncs    uint64
 }
 
@@ -507,6 +511,28 @@ func (w *SimWAL) ReadDurable() ([][]byte, error) {
 	out := make([][]byte, len(w.durable))
 	copy(out, w.durable)
 	return out, nil
+}
+
+// ReadRestart implements wal.Device over the durable frames and master.
+func (w *SimWAL) ReadRestart() (wal.Restart, error) {
+	frames, err := w.ReadDurable()
+	return wal.RestartOf(frames, w.master), err
+}
+
+// WriteMaster implements wal.Device: one persistence operation, durable
+// when it returns. A power cut that interrupts it leaves the old master
+// or, under TornWALTail, a torn one.
+func (w *SimWAL) WriteMaster(m wal.Master) error {
+	w.d.mu.Lock()
+	defer w.d.mu.Unlock()
+	inFlight := !w.d.crashed
+	err := w.d.opLocked()
+	if err == nil {
+		w.master = m.Encode()
+	} else if inFlight && w.d.cfg.TornWALTail && w.d.rng.Intn(2) == 0 {
+		w.master = m.Encode()[:1+w.d.rng.Intn(23)]
+	}
+	return err
 }
 
 // TailTorn reports whether the last crash left a torn frame past the valid

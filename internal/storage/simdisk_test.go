@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blinktree/internal/page"
+	"blinktree/internal/wal"
 )
 
 func fill(size int, b byte) []byte {
@@ -225,6 +226,62 @@ func TestSimWALTornTailReported(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no seed in 64 produced a torn WAL tail")
+	}
+}
+
+// TestSimWALMasterWriteIsACrashPoint: writing the master record is one
+// counted persistence operation; a master written before the cut survives
+// it, and a cut on the write itself leaves the previous master or — under
+// TornWALTail, for some seeds — a torn one that a restart read refuses.
+func TestSimWALMasterWriteIsACrashPoint(t *testing.T) {
+	// Two checkpoints through a Log: append, sync, master write, each.
+	checkpoints := func(d *SimDisk) error {
+		l, err := wal.NewLog(d.WAL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2 && err == nil; i++ {
+			err = l.Checkpoint(func() *wal.Record { return &wal.Record{Type: wal.TCheckpoint, Root: 1} })
+		}
+		return err
+	}
+	d := NewSimDisk(128, SimConfig{Seed: 1})
+	if err := checkpoints(d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Ops() != 6 {
+		t.Fatalf("two checkpoints counted %d persistence operations, want 6: the master write is one", d.Ops())
+	}
+	d.Reboot()
+	if r, err := d.WAL().ReadRestart(); err != nil || r.Why != "" || r.Master.LSN != 2 || len(r.Frames) != 1 {
+		t.Fatalf("master written before the cut: %+v, %v", r, err)
+	}
+
+	old, torn := 0, 0
+	for seed := int64(0); seed < 64; seed++ {
+		d := NewSimDisk(128, SimConfig{Seed: seed, TornWALTail: true, CrashAt: 6})
+		if err := checkpoints(d); !errors.Is(err, ErrPowerCut) {
+			t.Fatalf("seed %d: second master write at the cut: %v", seed, err)
+		}
+		if err := d.WAL().WriteMaster(wal.Master{}); !errors.Is(err, ErrPowerCut) {
+			t.Fatalf("seed %d: master write after the cut: %v", seed, err)
+		}
+		d.Reboot()
+		r, err := d.WAL().ReadRestart()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case r.Why == "" && r.Master.LSN == 1 && len(r.Frames) == 2:
+			old++
+		case r.Why == wal.WhyBadMaster && r.Start == 0 && len(r.Frames) == 2:
+			torn++
+		default:
+			t.Fatalf("seed %d: after a cut on the master write: %+v", seed, r)
+		}
+	}
+	if old == 0 || torn == 0 {
+		t.Fatalf("64 seeds left the old master %d times and a torn one %d times; want both outcomes", old, torn)
 	}
 }
 

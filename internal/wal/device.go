@@ -26,8 +26,14 @@ type Device interface {
 	Sync() error
 	// ReadDurable returns every durable frame in append order: a clean
 	// prefix of the appended frames (see the Device durability contract).
-	// Used at recovery.
+	// The full-log read: dump tools, and redo after a torn page.
 	ReadDurable() ([][]byte, error)
+	// ReadRestart is the one read an open makes: the durable frames from
+	// the master record's checkpoint on, or every frame and why.
+	ReadRestart() (Restart, error)
+	// WriteMaster durably replaces the master record; the frame m names
+	// is durable already.
+	WriteMaster(m Master) error
 	// Close releases resources. Buffered frames are not implicitly synced.
 	Close() error
 }
@@ -42,6 +48,59 @@ type TailReporter interface {
 	TailTorn() (torn bool, trailingBytes int64)
 }
 
+// Restart is a Device's account of the read an open makes: the durable
+// frames from position Start to End, where the next append lands. Why is
+// empty when they start at the checkpoint Master names; otherwise the whole
+// log (Start 0) was read, for the reason it gives.
+type Restart struct {
+	Frames     [][]byte
+	Start, End int64
+	Master     Master
+	Why        string
+}
+
+// Reasons a Restart carries in Why. A bad master is corrupt, or names no
+// checkpoint record of its LSN: another log's, or a longer life of this one.
+const (
+	WhyNoMaster  = "no master record"
+	WhyBadMaster = "master names no checkpoint frame"
+)
+
+// readRestart resolves a ReadRestart from the stored master record and
+// scan, which returns the durable frames from a position on and their end.
+func readRestart(master []byte, scan func(from int64) ([][]byte, int64, error)) (r Restart, err error) {
+	r.Why = WhyBadMaster
+	if len(master) == 0 {
+		r.Why = WhyNoMaster
+	} else if r.Master, err = DecodeMaster(master); err == nil {
+		if r.Frames, r.End, err = scan(r.Master.Pos); err != nil {
+			return r, err
+		}
+		if recs, _ := decodeFrames(r.Frames[:min(1, len(r.Frames))]); len(recs) == 1 &&
+			recs[0].Type == TCheckpoint && recs[0].LSN == r.Master.LSN && len(recs[0].Active) == 0 {
+			r.Start, r.Why = r.Master.Pos, ""
+			return r, nil
+		}
+	}
+	r.Frames, r.End, err = scan(0)
+	return r, err
+}
+
+// RestartOf is ReadRestart for a device that holds its durable frames and
+// master record in memory (MemDevice, storage.SimWAL).
+func RestartOf(frames [][]byte, master []byte) Restart {
+	r, _ := readRestart(master, func(from int64) (tail [][]byte, end int64, _ error) {
+		for i, f := range frames {
+			if end == from {
+				tail = frames[i:]
+			}
+			end += int64(len(f))
+		}
+		return tail, end, nil
+	})
+	return r
+}
+
 // MemDevice is an in-memory Device with explicit crash simulation: Crash
 // discards the unsynced tail, exactly what a power failure does to a real
 // disk queue. The recovery experiments (E9) depend on this.
@@ -49,6 +108,7 @@ type MemDevice struct {
 	mu       sync.Mutex
 	durable  [][]byte
 	buffered [][]byte
+	master   []byte
 	syncs    uint64
 }
 
@@ -84,6 +144,21 @@ func (d *MemDevice) ReadDurable() ([][]byte, error) {
 	return out, nil
 }
 
+// ReadRestart implements Device.
+func (d *MemDevice) ReadRestart() (Restart, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return RestartOf(d.durable, d.master), nil
+}
+
+// WriteMaster implements Device.
+func (d *MemDevice) WriteMaster(m Master) error {
+	d.mu.Lock()
+	d.master = m.Encode()
+	d.mu.Unlock()
+	return nil
+}
+
 // Crash discards all unsynced frames, simulating a power failure.
 func (d *MemDevice) Crash() {
 	d.mu.Lock()
@@ -104,15 +179,17 @@ func (d *MemDevice) Close() error { return nil }
 
 // FileDevice is a Device over an append-only file. Frames are framed as
 // u32 length + u32 crc32c + payload; a torn tail (partial or corrupt final
-// frame, as a power cut mid-append leaves behind) is tolerated at
-// ReadDurable, treated as the end of the log, and reported by TailTorn.
+// frame, as a power cut mid-append leaves behind) is tolerated at a read,
+// treated as the end of the log, and reported by TailTorn. The master
+// record is the file path+".ckpt", rewritten in place: a torn or lost
+// rewrite fails its checksum or names an older checkpoint.
 type FileDevice struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 
-	// tornTail/tornBytes record the tail observation of the last
-	// ReadDurable: whether bytes past the last valid frame were found.
+	// tornTail/tornBytes record the tail observation of the last read:
+	// whether bytes past the last valid frame were found.
 	tornTail  bool
 	tornBytes int64
 }
@@ -134,55 +211,77 @@ func (d *FileDevice) Append(frame []byte) error {
 	return err
 }
 
-// Sync implements Device.
-func (d *FileDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.f.Sync()
+// Sync implements Device, outside the mutex: appends proceed during a force.
+func (d *FileDevice) Sync() error { return d.f.Sync() }
+
+// scan reads the file from offset from into one buffer and returns the
+// frames there, as views of it, up to the first torn or corrupt one (bytes
+// from there on are the torn tail), and their end. Caller holds d.mu.
+func (d *FileDevice) scan(from int64) ([][]byte, int64, error) {
+	fi, err := d.f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	buf := make([]byte, max(fi.Size()-from, 0))
+	if _, err := d.f.ReadAt(buf, from); err != nil && err != io.EOF {
+		return nil, 0, err
+	}
+	var frames [][]byte
+	for off := 0; len(buf)-off >= 8; {
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		if n > len(buf)-off-8 || crc32.Checksum(buf[off+8:off+8+n], recCRC) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			break // torn or corrupt frame: end of log
+		}
+		frames = append(frames, buf[off:off+8+n:off+8+n])
+		off += 8 + n
+		from += int64(8 + n)
+	}
+	d.tornBytes = fi.Size() - from
+	d.tornTail = d.tornBytes > 0
+	return frames, from, nil
 }
 
-// ReadDurable implements Device. It re-reads the file from the start and
-// stops at the first torn or corrupt frame; any bytes past that point are
-// recorded as a torn tail (see TailTorn).
+// ReadDurable implements Device: every frame from the start of the file.
 func (d *FileDevice) ReadDurable() ([][]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f, err := os.Open(d.path)
+	frames, _, err := d.scan(0)
+	return frames, err
+}
+
+// ReadRestart implements Device. Appends follow it, so it cuts off a torn
+// tail: frames written after garbage would be unreachable by the next read.
+func (d *FileDevice) ReadRestart() (Restart, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	master, err := os.ReadFile(d.path + ".ckpt")
+	if err != nil && !os.IsNotExist(err) {
+		return Restart{}, err
+	}
+	r, err := readRestart(master, d.scan)
+	if err == nil && d.tornTail {
+		err = d.f.Truncate(r.End)
+	}
+	return r, err
+}
+
+// WriteMaster implements Device.
+func (d *FileDevice) WriteMaster(m Master) error {
+	f, err := os.OpenFile(d.path+".ckpt", os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	var frames [][]byte
-	var hdr [8]byte
-	var consumed int64
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			break // clean EOF or torn header: end of log
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		want := binary.LittleEndian.Uint32(hdr[4:])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload: end of log
-		}
-		if crc32.Checksum(payload, recCRC) != want {
-			break // corrupt frame: end of log
-		}
-		frame := make([]byte, 8+n)
-		copy(frame, hdr[:])
-		copy(frame[8:], payload)
-		frames = append(frames, frame)
-		consumed += int64(8 + n)
+	if _, err = f.WriteAt(m.Encode(), 0); err == nil {
+		err = f.Sync()
 	}
-	if fi, err := f.Stat(); err == nil {
-		d.tornBytes = fi.Size() - consumed
-		d.tornTail = d.tornBytes > 0
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return frames, nil
+	return err
 }
 
 // TailTorn implements TailReporter: it reports the tail observation of the
-// most recent ReadDurable (trailing bytes past the last valid frame, left
+// most recent read (trailing bytes past the last valid frame, left
 // by a frame append a power cut interrupted).
 func (d *FileDevice) TailTorn() (bool, int64) {
 	d.mu.Lock()

@@ -16,9 +16,14 @@ import (
 type Log struct {
 	mu      sync.Mutex
 	dev     Device
-	next    LSN // next LSN to assign
-	flushed LSN // all records with LSN <= flushed are durable
-	synced  LSN // records appended to the device up to here (pre-Sync)
+	next    LSN   // next LSN to assign
+	flushed LSN   // all records with LSN <= flushed are durable
+	synced  LSN   // records appended to the device up to here (pre-Sync)
+	end     int64 // device position the next frame lands at (see Master)
+
+	// What the open read, and the records decoded from it (see Restart).
+	restart Restart
+	tail    []*Record
 
 	appends uint64
 	flushes uint64
@@ -47,19 +52,54 @@ type Observer interface {
 func (l *Log) SetObserver(o Observer) { l.obs = o }
 
 // NewLog creates a Log over dev, resuming after any records already durable
-// on the device (their LSNs are skipped).
+// on the device (their LSNs are skipped). It reads the device once, from
+// its master record's checkpoint if it has one (see Restart).
 func NewLog(dev Device) (*Log, error) {
-	l := &Log{dev: dev, next: 1}
-	recs, err := l.readAll()
+	rs, err := dev.ReadRestart()
 	if err != nil {
 		return nil, err
 	}
+	recs, err := decodeFrames(rs.Frames)
+	if err != nil {
+		return nil, err
+	}
+	rs.Frames = nil
+	l := &Log{dev: dev, next: 1, end: rs.End, restart: rs, tail: recs}
 	if n := len(recs); n > 0 {
 		l.next = recs[n-1].LSN + 1
 		l.flushed = recs[n-1].LSN
 		l.synced = l.flushed
 	}
 	return l, nil
+}
+
+// Restart returns the device's account of the read NewLog made (Frames
+// nil) and the records decoded from it; those only once, to recovery.
+func (l *Log) Restart() (Restart, []*Record) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	recs := l.tail
+	l.tail = nil
+	return l.restart, recs
+}
+
+// Checkpoint appends the checkpoint record build returns (under the append
+// mutex, so what it reads is ordered against every record), forces it and,
+// unless an active transaction's undo chain lies before it, makes it the master.
+func (l *Log) Checkpoint(build func() *Record) error {
+	l.mu.Lock()
+	m := Master{Pos: l.end, LSN: l.next}
+	r := build()
+	r.LSN = l.next
+	err := l.appendLocked(r)
+	l.mu.Unlock()
+	if err == nil {
+		err = l.FlushAll()
+	}
+	if err != nil || len(r.Active) > 0 {
+		return err
+	}
+	return l.dev.WriteMaster(m)
 }
 
 // AppendFunc assigns the next LSN, passes it to build, and appends the
@@ -93,6 +133,7 @@ func (l *Log) appendLocked(r *Record) error {
 		l.obs.LogAppend(time.Since(t0))
 	}
 	l.next++
+	l.end += int64(len(f))
 	l.synced = r.LSN
 	l.appends++
 	l.p.unforced += int64(len(f))
@@ -190,12 +231,8 @@ func (l *Log) Stats() (appends, flushes uint64) {
 	return l.appends, l.flushes
 }
 
-// readAll decodes every durable record.
-func (l *Log) readAll() ([]*Record, error) {
-	frames, err := l.dev.ReadDurable()
-	if err != nil {
-		return nil, err
-	}
+// decodeFrames unframes and decodes frames.
+func decodeFrames(frames [][]byte) ([]*Record, error) {
 	recs := make([]*Record, 0, len(frames))
 	for _, f := range frames {
 		payload, err := unframe(f)
@@ -211,12 +248,16 @@ func (l *Log) readAll() ([]*Record, error) {
 	return recs, nil
 }
 
-// DurableRecords returns every durable record in LSN order. Used by
-// recovery and by the blinkdump tool.
+// DurableRecords reads the whole log: every durable record in LSN order.
+// Used by the dump and audit tools, and by redo after a torn page.
 func (l *Log) DurableRecords() ([]*Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.readAll()
+	frames, err := l.dev.ReadDurable()
+	if err != nil {
+		return nil, err
+	}
+	return decodeFrames(frames)
 }
 
 // TailTorn reports the device's torn-tail observation (garbage bytes past

@@ -211,7 +211,9 @@ type Record struct {
 	// Recovery re-derives the volatile root pointer from the last one seen.
 	Root page.PageID
 
-	// TCheckpoint fields.
+	// TCheckpoint fields. A checkpoint record also carries, in Txn, the
+	// highest transaction ID handed out before it, so that analysis that
+	// starts at the record (see Master) never reissues an ID.
 	Active []ActiveTxn
 }
 
@@ -254,15 +256,21 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// count decodes an element count that the bytes left can hold, at size each.
+func (d *decoder) count(size int) int {
+	n := d.u64()
+	if d.err == nil && n > uint64((len(d.b)-d.pos)/size) {
+		d.err = fmt.Errorf("%w: count %d at %d", ErrBadRecord, n, d.pos)
+		return 0
+	}
+	return int(n)
+}
+
 // bytes decodes a length-prefixed byte field. Zero length decodes to nil:
 // the log does not distinguish empty from absent byte fields.
 func (d *decoder) bytes() []byte {
-	n := int(d.u64())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || d.pos+n > len(d.b) {
-		d.err = fmt.Errorf("%w: truncated bytes(%d) at %d", ErrBadRecord, n, d.pos)
+	n := d.count(1)
+	if n == 0 {
 		return nil
 	}
 	v := make([]byte, n)
@@ -338,7 +346,9 @@ func DecodeRecord(b []byte) (*Record, error) {
 		r.Op = Op(d.b[d.pos])
 		flags := d.b[d.pos+1]
 		d.pos += 2
-		r.CLR = flags&1 != 0
+		if r.CLR = flags == 1; flags > 1 {
+			return nil, fmt.Errorf("%w: unknown recop flags %#x", ErrBadRecord, flags)
+		}
 		r.Page = page.PageID(d.u64())
 		r.UndoNext = LSN(d.u64())
 		r.Key = d.bytes()
@@ -351,23 +361,23 @@ func DecodeRecord(b []byte) (*Record, error) {
 		r.SMO = SMOKind(d.b[d.pos])
 		d.pos++
 		r.Root = page.PageID(d.u64())
-		nImages := int(d.u64())
+		nImages := d.count(16)
 		for i := 0; i < nImages && d.err == nil; i++ {
 			id := page.PageID(d.u64())
 			data := d.bytes()
 			r.Images = append(r.Images, PageImage{ID: id, Data: data})
 		}
-		nAllocs := int(d.u64())
+		nAllocs := d.count(8)
 		for i := 0; i < nAllocs && d.err == nil; i++ {
 			r.Allocs = append(r.Allocs, page.PageID(d.u64()))
 		}
-		nDeallocs := int(d.u64())
+		nDeallocs := d.count(8)
 		for i := 0; i < nDeallocs && d.err == nil; i++ {
 			r.Deallocs = append(r.Deallocs, page.PageID(d.u64()))
 		}
 	case TCheckpoint:
 		r.Root = page.PageID(d.u64())
-		n := int(d.u64())
+		n := d.count(16)
 		for i := 0; i < n && d.err == nil; i++ {
 			id := d.u64()
 			last := LSN(d.u64())
@@ -379,7 +389,33 @@ func DecodeRecord(b []byte) (*Record, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if d.pos != len(b) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(b)-d.pos)
+	}
 	return r, nil
+}
+
+// Master is the log's master record: the position (a byte offset into the
+// frame stream) and LSN of a checkpoint record with no active transaction.
+// What recovery needs from before one is in it or in the flushed pages, so
+// an open reads from Pos on. Log.Checkpoint writes it; a Device stores it.
+type Master struct {
+	Pos int64
+	LSN LSN
+}
+
+// Encode serializes m as one frame holding the position and the LSN.
+func (m Master) Encode() []byte {
+	return frame(putU64(putU64(nil, uint64(m.Pos)), uint64(m.LSN)))
+}
+
+// DecodeMaster parses a master record serialized by Encode.
+func DecodeMaster(b []byte) (Master, error) {
+	p, err := unframe(b)
+	if err != nil || len(p) != 16 || p[7] > 0x7f { // 0x7f: a negative position
+		return Master{}, fmt.Errorf("%w: master record", ErrBadRecord)
+	}
+	return Master{int64(binary.LittleEndian.Uint64(p)), LSN(binary.LittleEndian.Uint64(p[8:]))}, nil
 }
 
 // String renders a compact human-readable form, used by blinkdump.
@@ -396,7 +432,7 @@ func (r *Record) String() string {
 		return fmt.Sprintf("%d SMO %s pages=%d allocs=%v deallocs=%v",
 			r.LSN, r.SMO, len(r.Images), r.Allocs, r.Deallocs)
 	case TCheckpoint:
-		return fmt.Sprintf("%d CKPT active=%d", r.LSN, len(r.Active))
+		return fmt.Sprintf("%d CKPT active=%d maxtxn=%d", r.LSN, len(r.Active), r.Txn)
 	default:
 		return fmt.Sprintf("%d %s txn=%d prev=%d", r.LSN, r.Type, r.Txn, r.PrevLSN)
 	}

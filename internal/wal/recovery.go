@@ -3,7 +3,8 @@ package wal
 // Analysis is the result of the recovery analysis pass: where redo must
 // start, which transactions committed, and which are losers needing undo.
 type Analysis struct {
-	// Records is the full durable log in LSN order.
+	// Records is what was analyzed, in LSN order: the whole durable log,
+	// or its tail from a checkpoint record with no active transactions.
 	Records []*Record
 	// RedoStart is the first LSN that redo must consider; records at or
 	// before the last sharp checkpoint are already reflected in the pages.
@@ -13,8 +14,9 @@ type Analysis struct {
 	// Losers maps each unfinished transaction to its last log record LSN,
 	// the head of its undo backchain.
 	Losers map[uint64]LSN
-	// MaxTxn is the highest transaction ID seen; the transaction manager
-	// resumes numbering above it.
+	// MaxTxn is the highest transaction ID seen (a checkpoint record
+	// carries the highest before it); the transaction manager resumes
+	// numbering above it.
 	MaxTxn uint64
 	// BulkCommitted holds the session IDs (Record.Txn) of bulk loads whose
 	// SMOBulkCommit record is in the durable log. SMOBulkChunk records of
@@ -43,12 +45,14 @@ func Analyze(records []*Record) *Analysis {
 		switch r.Type {
 		case TCheckpoint:
 			// Sharp checkpoint: every page was flushed before this record
-			// was written, so redo restarts here. Live transactions are
-			// carried in the record.
+			// was written, so redo restarts here. Live transactions are in
+			// the record — with one that committed as it was taken, maybe.
 			a.RedoStart = r.LSN + 1
 			a.Losers = make(map[uint64]LSN, len(r.Active))
 			for _, at := range r.Active {
-				a.Losers[at.ID] = at.LastLSN
+				if !a.Committed[at.ID] {
+					a.Losers[at.ID] = at.LastLSN
+				}
 			}
 		case TBegin:
 			a.Losers[r.Txn] = r.LSN
