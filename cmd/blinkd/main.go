@@ -2,7 +2,8 @@
 // pipelined wire protocol specified in PROTOCOL.md (GET/SET/DEL/SCAN,
 // BEGIN/COMMIT/ABORT, PING/INFO). A second listener (-admin) exposes the
 // tree's and the server's metrics on one page (/metrics, Prometheus or
-// expvar JSON) and a health probe (/healthz).
+// expvar JSON), a health probe (/healthz) and the Go runtime's profiles
+// (/debug/pprof/).
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:6380", "data-port listen address")
-		admin         = flag.String("admin", "", "admin-port listen address for /metrics and /healthz (empty disables)")
+		admin         = flag.String("admin", "", "admin-port listen address for /metrics, /healthz and /debug/pprof/ (empty disables)")
 		path          = flag.String("path", "", "directory for the durable files (pages.db, wal.log); empty runs volatile and in-memory")
 		pageSize      = flag.Int("pagesize", 0, "node size in bytes (0 = default 4096)")
 		cacheSize     = flag.Int("cache", 0, "buffer pool capacity in nodes (0 = default 4096)")

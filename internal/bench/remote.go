@@ -240,7 +240,7 @@ func drainReplies(c *resp.Client, keep int, errCount, aborts *uint64) error {
 // NetConfig parameterizes the E16 embedded-vs-networked comparison
 // (blinkbench -net). Both sides run volatile (in-memory, no WAL) trees so
 // the delta isolates the network layer: protocol parsing, the per-session
-// goroutine pair, and round trips versus pipelining.
+// goroutine, and round trips versus pipelining.
 type NetConfig struct {
 	// Conns are the connection counts to sweep (default 1, 4, 16, 64); the
 	// embedded baseline runs the same counts as goroutines.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 
 	"blinktree/blinkmetrics"
 	"blinktree/internal/obs"
@@ -21,6 +22,7 @@ import (
 //	                    sampled operation spans as Chrome trace-event JSON
 //	/healthz            "ok" while the server is accepting commands,
 //	                    503 once draining
+//	/debug/pprof/       net/http/pprof: profile (CPU), trace, heap, goroutine, ...
 //
 // cmd/blinkd mounts this on a separate listener (-admin) so operational
 // scraping never competes with the data port.
@@ -57,5 +59,8 @@ func AdminHandler(s *Server) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -13,67 +13,114 @@ import (
 	"blinktree/internal/resp"
 )
 
-// conn is one client session: a reader goroutine (serve) that parses and
-// executes commands in arrival order, and a writer goroutine (writeLoop)
-// that streams the queued replies. The bounded reply queue between them is
-// both the pipelining window and the backpressure mechanism: when the
-// client stops reading, the queue fills and the reader blocks, stalling
-// only this connection.
+const (
+	// replyBuffer is the size of a connection's reply (and input) buffer.
+	replyBuffer = 1 << 16
+	// drainFlushTimeout bounds a socket write once the server drains: replies
+	// in flight are delivered, but not to a client that has stopped reading.
+	drainFlushTimeout = time.Second
+)
+
+// conn is one client session, served by one goroutine (serve): it parses a
+// command, executes it and encodes the reply straight into bw, in arrival
+// order. bw is flushed at one point only — in Read, when the input buffer has
+// run dry and the goroutine is about to block on the socket — so a pipelined
+// burst leaves in one write and a lone request costs one read and one write.
+// Backpressure is the socket's own: when the client stops reading, the flush
+// blocks, and with it this connection's command stream and nothing else.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	out chan []byte
+	bw  *bufio.Writer
 	// txn is the session's open transaction, nil outside BEGIN..COMMIT/ABORT.
-	// Only the reader goroutine touches it.
 	txn *blinktree.Txn
-	// idleAt is the read deadline serve last set (zero: none). Only the
-	// reader goroutine touches it.
+	// idleAt is the read deadline serve last set (zero: none).
 	idleAt  time.Time
-	lastGet int // length of the last value a GET returned (reader only)
+	lastGet int    // length of the last value a GET returned
+	replies uint64 // replies encoded into bw since the last flush
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
-		srv: s,
-		nc:  nc,
-		out: make(chan []byte, s.cfg.WriteQueue),
-	}
-	c.br = bufio.NewReaderSize(c, 1<<16)
+	c := &conn{srv: s, nc: nc}
+	c.br = bufio.NewReaderSize(c, replyBuffer)
+	c.bw = bufio.NewWriterSize(c, replyBuffer)
 	return c
 }
 
-// Read is the byte source of c.br. Shutdown interrupts blocked readers by
-// moving the socket's read deadline into the past; a timeout that arrives
-// before the deadline serve set is that kick. With a transaction open the
-// kick is not for this connection (see Server.Shutdown): the deadline is
-// restored and the read goes on, so the rest of a command already partly
-// received is not lost either.
+// Read is the byte source of c.br, which calls it only when it has no
+// buffered input left: the one point where the replies encoded so far are
+// flushed. With a transaction open Shutdown's kick is not for this connection
+// (see Server.Shutdown): the deadline is restored and the read goes on, so
+// the rest of a command already partly received is not lost either.
 func (c *conn) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
+	}
 	for {
 		n, err := c.nc.Read(p)
-		if n > 0 || c.txn == nil || !isTimeout(err) {
+		if n > 0 || c.txn == nil || !kicked(err, c.idleAt) {
 			return n, err
-		}
-		if !c.idleAt.IsZero() && !time.Now().Before(c.idleAt) {
-			return n, err // the idle timeout itself
 		}
 		c.nc.SetReadDeadline(c.idleAt)
 	}
 }
 
-// serve is the reader side: the connection's command loop. It returns when
-// the client disconnects, a protocol error poisons the stream, the idle
-// timeout fires, or the server drains and nothing of this connection is in
-// flight any more; any open transaction is aborted before the reply queue
-// is closed and the writer flushes out.
-func (c *conn) serve() {
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop()
-	}()
+// Write is the byte sink of c.bw. Every socket write carries a deadline — the
+// idle timeout, or drainFlushTimeout once the server drains — so a client
+// that has stopped reading cannot pin the session, and its transaction's
+// record locks, for ever. A write that Shutdown's kick interrupts goes on
+// under the drain's deadline: the replies in it are in flight.
+func (c *conn) Write(p []byte) (n int, err error) {
+	for {
+		// As in serve: first the deadline, then the draining check.
+		var at time.Time
+		if c.srv.cfg.IdleTimeout > 0 {
+			at = time.Now().Add(c.srv.cfg.IdleTimeout)
+			c.nc.SetWriteDeadline(at)
+		}
+		if c.srv.draining() {
+			at = time.Now().Add(drainFlushTimeout)
+			c.nc.SetWriteDeadline(at)
+		}
+		var m int
+		m, err = c.nc.Write(p[n:])
+		n += m
+		if !kicked(err, at) {
+			return n, err
+		}
+	}
+}
 
+// kicked reports whether err is Shutdown's kick: Shutdown moves the socket's
+// deadlines into the past, so a timeout that arrives before at, the deadline
+// the connection set itself, is that kick.
+func kicked(err error, at time.Time) bool {
+	return isTimeout(err) && (at.IsZero() || time.Now().Before(at))
+}
+
+// flush sends the buffered replies, sampling how many leave together.
+func (c *conn) flush() error {
+	if c.replies > 0 {
+		c.srv.stats.noteDepth(c.replies)
+		c.replies = 0
+	}
+	return c.bw.Flush()
+}
+
+// reply hands bw one frame, encoded into its AvailableBuffer when it fit.
+func (c *conn) reply(frame []byte) error {
+	c.replies++
+	_, err := c.bw.Write(frame)
+	return err
+}
+
+// serve is the connection's command loop. It returns when the client
+// disconnects, a protocol error poisons the stream, the idle timeout fires on
+// a read or on a flush the client does not take, or the server drains and
+// nothing of this connection is in flight any more; any open transaction is
+// aborted before the last replies are flushed.
+func (c *conn) serve() {
 	for {
 		// The deadline is set before the draining check, so that a kick
 		// landing after the check is not overwritten.
@@ -87,16 +134,18 @@ func (c *conn) serve() {
 			break
 		}
 		args, err := resp.ReadCommand(c.br, c.srv.cfg.MaxBulk)
+		if errors.Is(err, resp.ErrProto) {
+			c.srv.stats.protoErrors.Add(1)
+			c.reply(resp.AppendError(c.bw.AvailableBuffer(), "PROTO", err.Error()))
+		} else if err == nil {
+			err = c.reply(c.dispatch(args, c.bw.AvailableBuffer()))
+		}
 		if err != nil {
-			if errors.Is(err, resp.ErrProto) {
-				c.srv.stats.protoErrors.Add(1)
-				c.send(resp.AppendError(nil, "PROTO", err.Error()))
-			} else if isTimeout(err) && !c.srv.draining() {
+			if isTimeout(err) && !c.srv.draining() {
 				c.srv.stats.idleClosed.Add(1)
 			}
 			break
 		}
-		c.send(c.dispatch(args))
 	}
 
 	if c.txn != nil {
@@ -106,71 +155,29 @@ func (c *conn) serve() {
 		c.txn = nil
 		c.srv.stats.disconnectAborts.Add(1)
 	}
-	close(c.out)
-	<-writerDone
+	c.flush() // an error here means the peer is gone, which Close settles
 	c.nc.Close()
 }
 
-// send queues one encoded reply for the writer, blocking when the queue is
-// full (client-read backpressure).
-func (c *conn) send(frame []byte) {
-	depth := uint64(len(c.out) + 1)
-	c.srv.stats.noteDepth(depth)
-	c.out <- frame
-}
-
-// writeLoop is the writer side: it batches every reply available right now
-// into the buffered writer and flushes once the queue momentarily empties,
-// so a pipelined burst costs one syscall per drain, not one per reply.
-func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 1<<16)
-	// On a write error the peer is gone; keep draining the queue so the
-	// reader never blocks on send, until it closes the channel.
-	drain := func() {
-		for range c.out {
-		}
+// dispatch looks up and executes one command, appending the encoded reply to
+// dst. An upper-case verb is looked up in place; others pay for a folded copy.
+func (c *conn) dispatch(args [][]byte, dst []byte) []byte {
+	v, ok := verbs[string(args[0])]
+	if !ok {
+		v, ok = verbs[strings.ToUpper(string(args[0]))]
 	}
-	for frame := range c.out {
-		for frame != nil {
-			if _, err := bw.Write(frame); err != nil {
-				drain()
-				return
-			}
-			select {
-			case next, ok := <-c.out:
-				if !ok {
-					bw.Flush()
-					return
-				}
-				frame = next
-			default:
-				frame = nil
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			drain()
-			return
-		}
-	}
-	bw.Flush()
-}
-
-// dispatch looks up and executes one command, returning the encoded reply.
-func (c *conn) dispatch(args [][]byte) []byte {
-	name := strings.ToUpper(string(args[0]))
-	v, ok := verbs[name]
 	if !ok {
 		c.srv.stats.unknown.Add(1)
-		return resp.AppendError(nil, "ERR", "unknown command '"+printable(args[0])+"'")
+		return resp.AppendError(dst, "ERR", "unknown command '"+printable(args[0])+"'")
 	}
 	c.srv.stats.commands[v.idx].Add(1)
 	if len(args) != v.arity {
-		return resp.AppendError(nil, "ERR", "wrong number of arguments for '"+name+"'")
+		return resp.AppendError(dst, "ERR", "wrong number of arguments for '"+verbNames[v.idx]+"'")
 	}
 	start := time.Now()
-	reply := v.fn(c, args, nil)
+	dst = v.fn(c, args, dst)
 	c.srv.stats.verbLatency[v.idx].Observe(time.Since(start))
-	return reply
+	return dst
 }
 
 func (c *conn) cmdPing(_ [][]byte, dst []byte) []byte {
@@ -320,8 +327,6 @@ func (c *conn) opError(dst []byte, err error) []byte {
 		return resp.AppendError(dst, "TXN", "transaction already finished")
 	case errors.Is(err, blinktree.ErrClosed):
 		return resp.AppendError(dst, "ERR", "server shutting down")
-	case errorsIsAny(err, blinktree.ErrEmptyKey, blinktree.ErrEntryTooLarge):
-		return resp.AppendError(dst, "ERR", err.Error())
 	default:
 		return resp.AppendError(dst, "ERR", err.Error())
 	}
@@ -329,6 +334,9 @@ func (c *conn) opError(dst []byte, err error) []byte {
 
 // isTimeout reports whether err is a deadline expiry.
 func isTimeout(err error) bool {
+	if err == nil {
+		return false // before ne, which escapes, is allocated
+	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -1,15 +1,17 @@
 // Package server implements blinkd, the networked key/value service over
 // the public blinktree API. It speaks the RESP-style pipelined wire
 // protocol specified in PROTOCOL.md (codec in internal/resp): one TCP
-// connection is one session with one goroutine pair — a reader that parses
-// and executes commands in arrival order, and a writer that streams the
-// replies back — so a client may pipeline any number of requests and the
-// server overlaps their execution with the flushing of earlier replies.
+// connection is one session with one goroutine, which parses and executes
+// commands in arrival order and encodes each reply into the connection's
+// write buffer; the buffer is flushed when the goroutine is about to block
+// reading, so a client may pipeline any number of requests and a burst's
+// replies leave in one write.
 //
 // Sessions hold per-connection transaction state (BEGIN/COMMIT/ABORT map
-// onto blinktree.Txn), bounded reply buffering with backpressure (a slow
-// reader eventually stalls its own connection's command stream, nothing
-// else), a connection limit, idle timeouts, and graceful shutdown that
+// onto blinktree.Txn), a bounded reply buffer behind which the socket's own
+// flow control is the backpressure (a client that stops reading stalls its
+// own connection's command stream, nothing else, and is closed after the
+// idle timeout), a connection limit, idle timeouts, and graceful shutdown that
 // drains in-flight work and closes the tree. The cmd/blinkd binary is a
 // thin flag wrapper around this package; blinkbench -remote is the load
 // generator.
@@ -17,7 +19,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -35,10 +36,6 @@ const (
 	DefaultMaxConns = 1024
 	// DefaultIdleTimeout is the default per-connection idle timeout.
 	DefaultIdleTimeout = 5 * time.Minute
-	// DefaultWriteQueue is the default per-connection reply-queue depth —
-	// the pipelining window the server buffers before backpressure stalls
-	// the connection's reader.
-	DefaultWriteQueue = 128
 	// DefaultMaxScan is the default cap on a single SCAN's record count.
 	DefaultMaxScan = 1000
 )
@@ -51,14 +48,10 @@ type Config struct {
 	// MaxConns caps concurrent connections; further accepts are answered
 	// with -ERR and closed (default DefaultMaxConns).
 	MaxConns int
-	// IdleTimeout closes a connection that sends no command for this long;
-	// an open transaction on it is aborted. <0 disables (default
-	// DefaultIdleTimeout).
+	// IdleTimeout closes a connection that sends no command, or takes none
+	// of the replies waiting for it, for this long; an open transaction on
+	// it is aborted. <0 disables (default DefaultIdleTimeout).
 	IdleTimeout time.Duration
-	// WriteQueue bounds each connection's queued replies; a full queue
-	// blocks that connection's command execution until the client reads
-	// (default DefaultWriteQueue).
-	WriteQueue int
 	// MaxScan caps the per-SCAN record count; larger requested limits are
 	// clamped (default DefaultMaxScan).
 	MaxScan int
@@ -76,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = DefaultIdleTimeout
-	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = DefaultWriteQueue
 	}
 	if c.MaxScan <= 0 {
 		c.MaxScan = DefaultMaxScan
@@ -166,8 +156,8 @@ func (s *Server) ListenAndServe() error {
 	return s.Serve()
 }
 
-// startConn registers a new connection and launches its goroutine pair,
-// or rejects it when the connection limit is reached.
+// startConn registers a new connection and launches its goroutine, or
+// rejects it when the connection limit is reached.
 func (s *Server) startConn(nc net.Conn) {
 	c := newConn(s, nc)
 	s.mu.Lock()
@@ -217,8 +207,9 @@ func (s *Server) draining() bool {
 // on to send up to that transaction's COMMIT or ABORT. A connection with
 // nothing in flight is closed at once. One that stays silent inside a
 // transaction is closed, and the transaction aborted, when its idle timeout
-// or ctx expires, whichever is first; when ctx expires every remaining
-// connection is closed forcibly. The tree is closed in either case.
+// or ctx expires, whichever is first; one whose client does not take the
+// replies in flight is closed after drainFlushTimeout; when ctx expires every
+// remaining connection is closed forcibly. The tree is closed in either case.
 // Shutdown is idempotent; later calls return nil.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -232,10 +223,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	// Kick every blocked read; readers then observe draining() and wind
-	// down once nothing of theirs is in flight (conn.serve, conn.Read).
+	// Kick every blocked read and write; connections then observe
+	// draining() and wind down once nothing of theirs is in flight
+	// (conn.serve, conn.Read, conn.Write).
 	for c := range s.conns {
-		c.nc.SetReadDeadline(time.Now())
+		c.nc.SetDeadline(time.Now())
 	}
 	s.mu.Unlock()
 
@@ -357,14 +349,4 @@ func (s *Server) info() []byte {
 	add("tree_height", s.tree.Height())
 	add("tree_pages", s.tree.Pages())
 	return []byte(b.String())
-}
-
-// errorsIsAny reports whether err matches any of targets.
-func errorsIsAny(err error, targets ...error) bool {
-	for _, t := range targets {
-		if errors.Is(err, t) {
-			return true
-		}
-	}
-	return false
 }

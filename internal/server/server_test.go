@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,19 +19,59 @@ import (
 	"blinktree/internal/resp"
 )
 
+// countingListener counts, over every connection it accepts, the server's
+// socket writes and the reads that returned data.
+type countingListener struct {
+	net.Listener
+	writes, dataReads atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: nc, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.l.dataReads.Add(1)
+	}
+	return n, err
+}
+
+// listen binds srv and puts a countingListener around its listener.
+func listen(t testing.TB, srv *Server) {
+	t.Helper()
+	if err := srv.Listen(); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	srv.ln = &countingListener{Listener: srv.ln}
+}
+
 // startServer launches a server over a fresh volatile tree and returns it
 // with its address. Shutdown (which closes the tree) runs in cleanup unless
 // the test already shut it down.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	tree, err := blinktree.Open(blinktree.Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	srv := New(tree, cfg)
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	listen(t, srv)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve() }()
 	t.Cleanup(func() {
@@ -51,6 +95,38 @@ func dial(t *testing.T, addr string) *resp.Client {
 	}
 	c.SetDeadline(time.Now().Add(30 * time.Second))
 	return c
+}
+
+// dialRaw connects a bare socket, for tests that decide what goes into each
+// segment or that never read. It is closed in cleanup.
+func dialRaw(t testing.TB, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	t.Cleanup(func() { nc.Close() })
+	return nc
+}
+
+// command encodes one command.
+func command(args ...string) []byte {
+	b := make([][]byte, len(args))
+	for i, a := range args {
+		b[i] = []byte(a)
+	}
+	return resp.AppendCommand(nil, b...)
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // TestAllVerbs drives every registered wire verb through one connection and
@@ -186,44 +262,264 @@ func TestErrorReplies(t *testing.T) {
 }
 
 // TestPipelinedOrdering floods one connection with interleaved SET/GET
-// pipelines from the client side and checks that replies come back exactly
-// in request order. Run under -race this also exercises the reader/writer
-// pair for data races.
+// pipelines and checks that replies come back exactly in request order. The
+// GET replies add up to several times the 64 KiB reply buffer, so the buffer
+// overflows to the socket mid-burst more than once.
 func TestPipelinedOrdering(t *testing.T) {
-	_, addr := startServer(t, Config{WriteQueue: 8}) // small queue: force backpressure
-	c := dial(t, addr)
-	defer c.Close()
+	_, addr := startServer(t, Config{})
+	nc := dialRaw(t, addr)
 
 	const n = 500
+	pad := strings.Repeat("x", 600) // n GET replies of 600 B: > 4 reply buffers
+	var burst []byte
 	for i := 0; i < n; i++ {
-		if err := c.SendStr("SET", fmt.Sprintf("k%04d", i), fmt.Sprintf("v%04d", i)); err != nil {
-			t.Fatalf("send SET %d: %v", i, err)
-		}
-		if err := c.SendStr("GET", fmt.Sprintf("k%04d", i)); err != nil {
-			t.Fatalf("send GET %d: %v", i, err)
-		}
+		burst = append(burst, command("SET", fmt.Sprintf("k%04d", i), fmt.Sprintf("v%04d", i)+pad)...)
+		burst = append(burst, command("GET", fmt.Sprintf("k%04d", i))...)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	// Sent from a second goroutine: the server stops reading while the client
+	// takes no replies, so writing everything before reading anything could
+	// block both sides.
+	sent := make(chan error, 1)
+	go func() {
+		_, err := nc.Write(burst)
+		sent <- err
+	}()
+	br := bufio.NewReader(nc)
 	for i := 0; i < n; i++ {
-		rep, err := c.Recv()
+		rep, err := resp.ReadReply(br, 0)
 		if err != nil {
 			t.Fatalf("recv SET reply %d: %v", i, err)
 		}
 		if rep.Kind != resp.KindSimple || rep.Str != "OK" {
 			t.Fatalf("SET reply %d = %+v", i, rep)
 		}
-		rep, err = c.Recv()
+		rep, err = resp.ReadReply(br, 0)
 		if err != nil {
 			t.Fatalf("recv GET reply %d: %v", i, err)
 		}
-		if want := fmt.Sprintf("v%04d", i); string(rep.Bulk) != want {
-			t.Fatalf("GET reply %d = %q, want %q (reply order violated)", i, rep.Bulk, want)
+		if want := fmt.Sprintf("v%04d", i) + pad; string(rep.Bulk) != want {
+			t.Fatalf("GET reply %d = %.8q..., want %.8q... (reply order violated)", i, rep.Bulk, want)
 		}
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after draining", c.Pending())
+	if err := <-sent; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+}
+
+// TestOneFlushPerBurst counts the server's socket writes: the replies to
+// commands that arrived together leave together.
+func TestOneFlushPerBurst(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	ln := srv.ln.(*countingListener)
+	nc := dialRaw(t, addr)
+	br := bufio.NewReader(nc)
+	recv := func(n int) (payload int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			rep, err := resp.ReadReply(br, 0)
+			if err != nil || rep.IsError() {
+				t.Fatalf("reply %d of %d = %+v, %v", i, n, rep, err)
+			}
+			payload += len(rep.Bulk)
+		}
+		return payload
+	}
+
+	// A transaction sent in one segment: six replies, one write.
+	burst := command("BEGIN")
+	for i := 0; i < 4; i++ {
+		burst = append(burst, command("SET", fmt.Sprintf("k%d", i), strings.Repeat("v", 300))...)
+	}
+	burst = append(burst, command("COMMIT")...)
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	recv(6)
+	if got := ln.writes.Load(); got != 1 {
+		t.Fatalf("BEGIN, 4 SET, COMMIT in one segment: %d server writes, want 1", got)
+	}
+
+	// 1 000 pipelined GETs, more reply bytes than the buffer holds: a write
+	// each time the buffer fills, and one for the rest each time the server
+	// ran out of input — once, when the burst arrived in one read.
+	const gets = 1000
+	writes, reads := ln.writes.Load(), ln.dataReads.Load()
+	if _, err := nc.Write(bytes.Repeat(command("GET", "k0"), gets)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	replyBytes := recv(gets) + gets*len("$300\r\n\r\n")
+	writes, reads = ln.writes.Load()-writes, ln.dataReads.Load()-reads
+	if limit := int64(replyBytes/replyBuffer) + reads; writes > limit {
+		t.Fatalf("%d GETs, %d reply bytes, read in %d pieces: %d server writes, want <= %d",
+			gets, replyBytes, reads, writes, limit)
+	}
+	// One depth sample per flush before blocking: the six replies, then the
+	// GETs' in as many samples as reads.
+	if st := srv.Stats(); st.PipelineDepthSum != 6+gets || st.PipelineDepthObs > uint64(1+reads) {
+		t.Fatalf("pipeline depth: sum %d over %d samples, want %d over <= %d",
+			st.PipelineDepthSum, st.PipelineDepthObs, 6+gets, 1+reads)
+	}
+}
+
+// TestPartialCommandFlushesEarlierReplies: the flush is keyed on "about to
+// block on the socket", not on "no complete command buffered", so a reply is
+// never held back by the first half of the next command.
+func TestPartialCommandFlushesEarlierReplies(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	nc := dialRaw(t, addr)
+	set := command("SET", "k", "value")
+	if _, err := nc.Write(append(command("PING"), set[:len(set)/2]...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	br := bufio.NewReader(nc)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rep, err := resp.ReadReply(br, 0); err != nil || rep.Str != "PONG" {
+		t.Fatalf("PING reply with half a SET behind it = %+v, %v", rep, err)
+	}
+	if _, err := nc.Write(set[len(set)/2:]); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if rep, err := resp.ReadReply(br, 0); err != nil || rep.Str != "OK" {
+		t.Fatalf("SET reply = %+v, %v", rep, err)
+	}
+}
+
+// floodUnread stores 400 records of 1.9 KB, then, on a second connection,
+// sends prefix and 30 SCANs of them all — one small segment, so the server
+// has read every command and nothing is left unread in its socket — and
+// reads no reply: 22 MB, far more than the socket buffers of both ends hold.
+// It returns that connection once the server has stopped executing.
+func floodUnread(t *testing.T, srv *Server, addr string, prefix []byte) net.Conn {
+	t.Helper()
+	c := dial(t, addr)
+	const records, scans = 400, 30
+	for i := 0; i < records; i++ {
+		c.SendStr("SET", fmt.Sprintf("r%03d", i), strings.Repeat("v", 1900))
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for i := 0; i < records; i++ {
+		if rep, err := c.Recv(); err != nil || rep.IsError() {
+			t.Fatalf("SET %d = %+v, %v", i, rep, err)
+		}
+	}
+	c.Close()
+
+	nc := dialRaw(t, addr)
+	burst := append(prefix, bytes.Repeat(command("SCAN", "r", "", "1000"), scans)...)
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var seen uint64
+	var since time.Time
+	waitFor(t, "the server to block on the unread replies", func() bool {
+		if n := srv.CommandCount("SCAN"); n != seen || n == 0 {
+			seen, since = n, time.Now()
+		}
+		return time.Since(since) > 100*time.Millisecond
+	})
+	if seen == scans {
+		t.Fatal("the flood fitted the socket buffers: nothing stalled")
+	}
+	return nc
+}
+
+// TestStalledReaderIsClosed: a client that stops reading is closed after the
+// idle timeout like one that stops sending, and its transaction's record
+// locks go with it.
+func TestStalledReaderIsClosed(t *testing.T) {
+	srv, addr := startServer(t, Config{IdleTimeout: 300 * time.Millisecond})
+	floodUnread(t, srv, addr, append(command("BEGIN"), command("SET", "k", "dirty")...))
+	waitFor(t, "the stalled connection to be closed", func() bool {
+		st := srv.Stats()
+		return st.IdleClosed == 1 && st.DisconnectAborts == 1 && st.Open == 0
+	})
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Set([]byte("k"), []byte("clean")); err != nil {
+		t.Fatalf("SET of the key the stalled transaction had locked: %v", err)
+	}
+}
+
+// drainStalled starts a server with the default five-minute idle timeout,
+// stalls one connection on unread replies (see floodUnread), calls Shutdown
+// with a 20 s bound and returns the stalled socket and Shutdown's result.
+func drainStalled(t *testing.T, prefix []byte) (*Server, net.Conn, <-chan error) {
+	t.Helper()
+	tree, err := blinktree.Open(blinktree.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	srv := New(tree, Config{})
+	listen(t, srv)
+	go srv.Serve()
+	nc := floodUnread(t, srv, srv.Addr().String(), prefix)
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	return srv, nc, done
+}
+
+// TestShutdownWithStalledReader: Shutdown's kick reaches a connection blocked
+// writing, so a client that does not read cannot hold the drain to ctx.
+func TestShutdownWithStalledReader(t *testing.T) {
+	start := time.Now()
+	srv, _, done := drainStalled(t, command("BEGIN"))
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("drain took %v with a stalled client: held to ctx", took)
+	}
+	if st := srv.Stats(); st.DisconnectAborts != 1 || st.IdleClosed != 0 {
+		t.Fatalf("after drain: %d disconnect aborts, %d idle closes, want 1 and 0", st.DisconnectAborts, st.IdleClosed)
+	}
+}
+
+// TestShutdownResumesInterruptedFlush: the kick that interrupts a blocked
+// write does not cost a client that is merely slow its replies. Every
+// command the server executed, before the kick and after, is answered.
+func TestShutdownResumesInterruptedFlush(t *testing.T) {
+	srv, nc, done := drainStalled(t, nil)
+	br, replies := bufio.NewReader(nc), uint64(0)
+	for {
+		rep, err := resp.ReadReply(br, 0)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || rep.IsError() {
+			t.Fatalf("reply %d = %+v, %v", replies, rep, err)
+		}
+		replies++
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if want := srv.CommandCount("SCAN"); replies != want {
+		t.Fatalf("%d replies reached the client, %d commands were executed", replies, want)
+	}
+}
+
+// TestOneGoroutinePerConnection: N idle connections cost N goroutines.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	const n = 16
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		c := dial(t, addr)
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			t.Fatalf("PING: %v", err)
+		}
+	}
+	// A goroutine of an earlier test may still be on its way out, so the
+	// bounds are a little loose; a pair per connection would be 2n.
+	if got := runtime.NumGoroutine() - before; got < n-2 || got > n+2 {
+		t.Fatalf("%d idle connections cost %d goroutines, want %d", n, got, n)
 	}
 }
 
@@ -321,9 +617,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	srv := New(tree, Config{})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	listen(t, srv)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve() }()
 
@@ -389,9 +683,7 @@ func TestShutdownOpenTransaction(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	srv := New(tree, Config{})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	listen(t, srv)
 	go srv.Serve()
 
 	idle, inTxn := dial(t, srv.Addr().String()), dial(t, srv.Addr().String())
@@ -561,6 +853,9 @@ func TestAdminHandler(t *testing.T) {
 	if body := get("/healthz"); !strings.Contains(body, "ok") {
 		t.Errorf("healthz = %q", body)
 	}
+	if body := get("/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine profile:") {
+		t.Errorf("pprof goroutine profile = %.80q", body)
+	}
 }
 
 // TestGetValueSizes: GET writes the value into the reply buffer ahead of the
@@ -590,5 +885,59 @@ func TestGetValueSizes(t *testing.T) {
 				t.Fatalf("txn=%v GET of %d bytes = %d bytes, ok=%v, %v", txn, n, len(got), ok, err)
 			}
 		}
+	}
+}
+
+// getLoop returns a function that sends depth GETs of one 100-byte value in
+// one write and reads their replies, over a bare socket and fixed buffers:
+// what it allocates, the server allocated.
+func getLoop(t testing.TB, depth int) func() {
+	_, addr := startServer(t, Config{})
+	nc := dialRaw(t, addr)
+	nc.SetDeadline(time.Time{})
+	if _, err := nc.Write(command("SET", "key", strings.Repeat("v", 100))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, err := io.ReadFull(nc, make([]byte, len("+OK\r\n"))); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	req := bytes.Repeat(command("GET", "key"), depth)
+	rep := make([]byte, depth*len("$100\r\n"+"\r\n")+depth*100)
+	return func() {
+		if _, err := nc.Write(req); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := io.ReadFull(nc, rep); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+}
+
+// TestServeGetAllocs bounds what the server allocates to answer a GET: the
+// six allocations of resp.ReadCommand (the argument slice; a header line for
+// the array and for each argument; a payload for each argument) and nothing
+// for the verb lookup or the reply, which is encoded in place in the
+// connection's write buffer. It was seven with a reply slice per command.
+func TestServeGetAllocs(t *testing.T) {
+	for _, depth := range []int{1, 32} {
+		loop := getLoop(t, depth)
+		if got := testing.AllocsPerRun(200, loop) / float64(depth); got > 6.5 {
+			t.Errorf("depth %d: %.2f allocations per GET, want <= 6", depth, got)
+		}
+	}
+}
+
+// BenchmarkServeGet is a GET round trip over loopback, one request at a time
+// and 32 to a write.
+func BenchmarkServeGet(b *testing.B) {
+	for _, depth := range []int{1, 32} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			loop := getLoop(b, depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += depth {
+				loop()
+			}
+		})
 	}
 }

@@ -43,8 +43,8 @@ func init() {
 	}
 }
 
-// noteDepth records one reply-queue depth sample (the pipeline depth seen
-// when a command's reply was enqueued).
+// noteDepth records one pipeline-depth sample: the number of replies that
+// left in one flush.
 func (st *serverStats) noteDepth(d uint64) {
 	st.pipelineDepthSum.Add(d)
 	st.pipelineDepthObs.Add(1)
@@ -84,8 +84,9 @@ type Stats struct {
 	TxnAborts        uint64
 	DisconnectAborts uint64
 
-	// PipelineMaxDepth is the deepest reply queue observed on any
-	// connection; PipelineDepthSum/PipelineDepthObs give the average.
+	// PipelineMaxDepth is the most replies any connection sent in one
+	// flush — the pipelining the server saw; PipelineDepthSum over
+	// PipelineDepthObs (one sample per flush) is the mean.
 	PipelineMaxDepth uint64
 	PipelineDepthSum uint64
 	PipelineDepthObs uint64
@@ -150,11 +151,11 @@ func (st Stats) WritePrometheus(w io.Writer) error {
 	p.line("blinktree_server_txn_total", `event="commit"`, st.TxnCommits)
 	p.line("blinktree_server_txn_total", `event="abort"`, st.TxnAborts)
 	p.line("blinktree_server_txn_total", `event="disconnect_abort"`, st.DisconnectAborts)
-	p.header("blinktree_server_pipeline_depth_max", "Deepest per-connection reply queue observed.", "gauge")
+	p.header("blinktree_server_pipeline_depth_max", "Most replies sent in one flush.", "gauge")
 	p.line("blinktree_server_pipeline_depth_max", "", st.PipelineMaxDepth)
-	p.header("blinktree_server_pipeline_depth_sum", "Sum of reply-queue depth samples (one per command).", "counter")
+	p.header("blinktree_server_pipeline_depth_sum", "Sum of replies-per-flush samples (one per flush).", "counter")
 	p.line("blinktree_server_pipeline_depth_sum", "", st.PipelineDepthSum)
-	p.header("blinktree_server_pipeline_depth_count", "Number of reply-queue depth samples.", "counter")
+	p.header("blinktree_server_pipeline_depth_count", "Number of replies-per-flush samples.", "counter")
 	p.line("blinktree_server_pipeline_depth_count", "", st.PipelineDepthObs)
 	p.header("blinktree_server_verb_latency_seconds", "Command execution latency by verb.", "histogram")
 	for _, name := range verbNames {
