@@ -346,7 +346,7 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 	p.printf("blinktree_wal_total{event=\"force\"} %d\n", m.LogForces)
 
 	g := m.WALGroup
-	p.header("blinktree_wal_group_total", "Commit pipeline activity (group/periodic/async durability).", "counter")
+	p.header("blinktree_wal_group_total", "Commit path activity: commits acknowledged after a force, forces that covered waiting commits, immediate acks (periodic/async).", "counter")
 	p.printf("blinktree_wal_group_total{event=\"commit\"} %d\n", g.Commits)
 	p.printf("blinktree_wal_group_total{event=\"immediate_ack\"} %d\n", g.ImmediateAcks)
 	p.printf("blinktree_wal_group_total{event=\"force\"} %d\n", g.Forces)
@@ -411,9 +411,9 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		p.hist("blinktree_io_latency_seconds", "io", "log_flush", m.Obs.LogFlush)
 		p.header("blinktree_lock_wait_seconds", "Blocking record-lock wait latency.", "histogram")
 		p.hist("blinktree_lock_wait_seconds", "", "", m.Obs.LockWait)
-		p.header("blinktree_wal_group_force_seconds", "Coalesced commit-force wall time on the log-writer.", "histogram")
+		p.header("blinktree_wal_group_force_seconds", "Wall time of one log force that covered waiting commits.", "histogram")
 		p.hist("blinktree_wal_group_force_seconds", "", "", m.Obs.GroupForce)
-		p.header("blinktree_wal_group_ack_seconds", "Parked-commit delay from enqueue to acknowledgement.", "histogram")
+		p.header("blinktree_wal_group_ack_seconds", "Delay from Commit to its acknowledgement after the covering force.", "histogram")
 		p.hist("blinktree_wal_group_ack_seconds", "", "", m.Obs.GroupAck)
 		p.header("blinktree_wal_group_batch_commits", "Commits per counted coalesced force (sum over count).", "counter")
 		p.printf("blinktree_wal_group_batch_commits{stat=\"sum\"} %d\n", m.Obs.GroupBatchSum)

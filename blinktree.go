@@ -83,13 +83,17 @@ const (
 type DurabilityMode = wal.DurabilityMode
 
 const (
-	// DurabilitySync (the default) forces the log on the committing
-	// goroutine before Commit returns: nothing acknowledged is ever lost.
+	// DurabilitySync (the default) returns from Commit after a log force
+	// covering the commit record: the committing goroutine's own if none is
+	// in flight, otherwise the next one, shared with every commit that
+	// arrived meanwhile. Nothing acknowledged is ever lost.
 	DurabilitySync = wal.DurSync
-	// DurabilityGroup parks committers on a dedicated log-writer goroutine
-	// that coalesces concurrent commits into one device force and
-	// acknowledges each committer only after its LSN is durable. Same
-	// loss guarantee as DurabilitySync, fewer forces under concurrency.
+	// Deprecated: DurabilityGroup was a second implementation of
+	// DurabilitySync's promise and is now another name for it. The name
+	// remains only because benchmark/target.go (lines 38, 168 and 294,
+	// the last as the flag value "group"), frozen for non-benchmark
+	// changes, still uses it; a benchmark-only change removes those uses,
+	// and then this name goes.
 	DurabilityGroup = wal.DurGroup
 	// DurabilityPeriodic acknowledges Commit immediately; a background
 	// log-writer forces every FlushInterval or after FlushBytes of
@@ -102,8 +106,8 @@ const (
 )
 
 // ParseDurabilityMode parses a durability mode's flag name: "sync",
-// "group", "periodic" or "async" (the empty string means sync). Command
-// binaries use it for their -durability flags.
+// "periodic" or "async" (the empty string, and the deprecated spelling
+// "group", mean sync). Command binaries use it for their -durability flags.
 func ParseDurabilityMode(s string) (DurabilityMode, error) { return wal.ParseDurabilityMode(s) }
 
 // ReadPath selects how point reads and cursor positioning descend the
@@ -181,7 +185,8 @@ type Options struct {
 	BulkChunkPages int
 
 	// Durability selects when Txn.Commit acknowledges relative to the log
-	// force that makes the commit durable (default DurabilitySync). Only
+	// force that makes the commit durable: after it (DurabilitySync, the
+	// default) or before it (DurabilityPeriodic, DurabilityAsync). Only
 	// meaningful with a Path: volatile trees ignore it. See the
 	// DurabilityMode constants for each mode's contract.
 	Durability DurabilityMode
@@ -241,7 +246,7 @@ type TraceEvent = obs.Event
 
 // OpTrace is one finished operation span: a sampled operation's total
 // latency broken into exclusive per-stage times (descent, latch waits,
-// buffer fetches, lock waits, WAL append, group-commit park/force), with a
+// buffer fetches, lock waits, WAL append, commit park/force), with a
 // bounded interval timeline. Spans and SlowSpans return them; see
 // Observability.Spans.
 type OpTrace = obs.OpTrace
@@ -592,11 +597,12 @@ func (x *Txn) RollbackTo(savepoint int) error { return x.inner.RollbackTo(savepo
 // Commit makes the transaction durable and releases its locks.
 //
 // Durability: the acknowledgement point depends on Options.Durability.
-// Under DurabilitySync (the default) and DurabilityGroup a successful
-// return means the transaction's writes — and every operation completed
-// before it — survive any later crash; sync forces the log on this
-// goroutine, group parks the commit on the log-writer and returns after
-// the coalesced force covering its LSN. Under DurabilityPeriodic and
+// Under DurabilitySync (the default) a successful return means the
+// transaction's writes — and every operation completed before it — survive
+// any later crash: Commit returns after a log force covering its record,
+// run on this goroutine unless one is in flight, in which case it shares
+// the next with every commit that arrived meanwhile. Under
+// DurabilityPeriodic and
 // DurabilityAsync Commit returns as soon as the commit record is appended;
 // a crash before the next force loses the commit, and FlushLog is the
 // explicit barrier that closes the window. In every mode recovery rolls

@@ -17,10 +17,10 @@
 //	blinkbench -spans -spansout t.json  # ... and write the spans as Chrome
 //	                                    #     trace-event JSON (Perfetto)
 //	blinkbench -commit                  # commit-path durability sweep
-//	blinkbench -commit -out BENCH_commit.json -gate 1.0
+//	blinkbench -commit -out BENCH_commit.json -gate 4
 //	                                    # ... persist the trajectory and fail
-//	                                    #     unless group >= sync at the
-//	                                    #     highest writer count
+//	                                    #     unless 16 writers share forces
+//	                                    #     and run >= 4x one writer
 //	blinkbench -load                    # bulk-load scale sweep (10M + 20M keys,
 //	                                    #     serial vs parallel fan-outs)
 //	blinkbench -load -keys 10000000 -fill 0.9 -parallel 1,8 \
@@ -79,11 +79,11 @@ func main() {
 		version  = flag.Bool("version", false, "print build information and exit")
 
 		commit     = flag.Bool("commit", false, "run the commit-path durability sweep instead of experiments")
-		durability = flag.String("durability", "sync,group", "with -commit: comma-separated durability modes to measure")
-		writers    = flag.String("writers", "1,4,16", "with -commit: comma-separated concurrent committer counts")
+		durability = flag.String("durability", "sync", "with -commit: comma-separated durability modes to measure (sync, periodic, async)")
+		writers    = flag.String("writers", "1,2,4,16", "with -commit: comma-separated concurrent committer counts")
 		commitOps  = flag.Int("commitops", 200, "with -commit: transactions per writer")
 		out        = flag.String("out", "", "with -commit or -skew: also write the JSON report to this file")
-		gate       = flag.Float64("gate", 0, "with -commit: exit nonzero unless group throughput >= gate * sync throughput at the highest writer count (0 disables)")
+		gate       = flag.Float64("gate", 0, "with -commit: exit nonzero unless, at the highest writer count, sync runs >= 2 commits/force and >= gate x the one-writer commits/s (0 disables)")
 
 		load         = flag.Bool("load", false, "run the bulk-load scale sweep instead of experiments")
 		loadKeys     = flag.String("keys", "10000000,20000000", "with -load: comma-separated tier sizes (keys to load)")
@@ -229,7 +229,7 @@ func main() {
 
 // commitSweep runs the commit-path durability benchmark, prints the cells
 // as a table, optionally persists the JSON trajectory (BENCH_commit.json)
-// and applies the group-vs-sync throughput gate.
+// and applies the coalescing gate.
 func commitSweep(w io.Writer, modesCSV, writersCSV string, ops int, outPath string, gate float64) error {
 	var cfg bench.CommitConfig
 	cfg.OpsPerWriter = ops
@@ -252,17 +252,14 @@ func commitSweep(w io.Writer, modesCSV, writersCSV string, ops int, outPath stri
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "== commit path: %d txns/writer, simulated force %s ==\n",
-		rep.OpsPerWriter, time.Duration(rep.SyncDelayNS))
+	fmt.Fprintf(w, "== commit path: %d txns/writer, force sleeps %s, %d cores, rev %q ==\n",
+		rep.OpsPerWriter, time.Duration(rep.SyncDelayNS), rep.Cores, rep.GitRev)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "mode\twriters\tcommits/s\tdevice forces\tcommits/force\tmax batch")
+	fmt.Fprintln(tw, "mode\twriters\tcommits/s\tdevice forces\tmean force\tcommits/force\tmax batch")
 	for _, r := range rep.Results {
-		perForce := float64(r.Commits)
-		if r.DeviceForces > 0 {
-			perForce = float64(r.Commits) / float64(r.DeviceForces)
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%.1f\t%d\n",
-			r.Mode, r.Writers, r.CommitsPerSec, r.DeviceForces, perForce, r.Group.MaxBatch)
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%s\t%.1f\t%d\n",
+			r.Mode, r.Writers, r.CommitsPerSec, r.DeviceForces,
+			time.Duration(r.MeanForceNS).Round(time.Microsecond), r.CommitsPerForce(), r.Group.MaxBatch)
 	}
 	tw.Flush()
 
@@ -281,7 +278,7 @@ func commitSweep(w io.Writer, modesCSV, writersCSV string, ops int, outPath stri
 		fmt.Fprintf(w, "wrote %s\n", outPath)
 	}
 	if gate > 0 {
-		desc, err := rep.GateGroupVsSync(gate)
+		desc, err := rep.GateCoalescing(gate)
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@ func main() {
 		path       = flag.String("path", "", "tree directory (pages.db + wal.log)")
 		pageSize   = flag.Int("pagesize", 4096, "page size the tree was created with")
 		deep       = flag.Bool("deep", false, "run the deep audit: page scan, D_D placement, WAL tail")
-		durability = flag.String("durability", "sync", "durability mode to open with: sync, group, periodic or async (recovery is identical in every mode)")
+		durability = flag.String("durability", "sync", "durability mode to open with: sync, periodic or async; group is a deprecated spelling of sync (recovery is identical in every mode)")
 		version    = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()

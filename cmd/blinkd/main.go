@@ -8,7 +8,7 @@
 // Usage:
 //
 //	blinkd -addr :6380 -path /var/lib/blinkd          # durable store
-//	blinkd -addr :6380 -admin :6381 -durability group # group-commit WAL
+//	blinkd -addr :6380 -admin :6381 -durability periodic  # ack before the force
 //	blinkd -addr 127.0.0.1:0                          # volatile, test port
 //	blinkbench -remote 127.0.0.1:6380                 # drive it with load
 //
@@ -42,7 +42,7 @@ func main() {
 		path          = flag.String("path", "", "directory for the durable files (pages.db, wal.log); empty runs volatile and in-memory")
 		pageSize      = flag.Int("pagesize", 0, "node size in bytes (0 = default 4096)")
 		cacheSize     = flag.Int("cache", 0, "buffer pool capacity in nodes (0 = default 4096)")
-		durability    = flag.String("durability", "sync", "commit durability with -path: sync, group, periodic or async")
+		durability    = flag.String("durability", "sync", "commit durability with -path: sync, periodic or async (group: deprecated spelling of sync)")
 		flushInterval = flag.Duration("flushinterval", 0, "periodic/async background force period (0 = default 2ms)")
 		flushBytes    = flag.Int64("flushbytes", 0, "periodic mode's unforced-byte force threshold (0 = default 256KiB)")
 		maxConns      = flag.Int("maxconns", 0, "concurrent connection limit (0 = default 1024)")

@@ -29,9 +29,9 @@ type TreeMetrics struct {
 	LogAppends uint64
 	LogForces  uint64
 
-	// WALGroup counts the commit pipeline's activity (group-commit batches,
-	// immediate acks, writer forces); zero when logging is disabled or the
-	// tree runs in the default sync mode.
+	// WALGroup counts the commit path's activity (commits acknowledged
+	// after a force, the forces that covered them, immediate acks); zero
+	// when logging is disabled.
 	WALGroup wal.GroupStats
 
 	// Recovery reports what crash recovery found and did at open time

@@ -110,10 +110,10 @@ type Options struct {
 	LogDevice wal.Device
 
 	// Durability selects when Txn.Commit is acknowledged relative to the
-	// log force that makes it durable. DurSync (the default) and DurGroup
-	// acknowledge only after the commit LSN is durable — DurSync forces on
-	// the committing goroutine, DurGroup coalesces concurrent commits into
-	// one force on a dedicated log-writer goroutine. DurPeriodic and
+	// log force that makes it durable. DurSync (the default) acknowledges
+	// only after a force covering the commit LSN: the committing
+	// goroutine's own, or the next one when a force is already in flight,
+	// shared with every commit that arrived meanwhile. DurPeriodic and
 	// DurAsync acknowledge immediately and force in the background; a
 	// crash loses at most the commits inside the unforced window, and a
 	// successful FlushLog/Checkpoint/Close re-establishes full durability.

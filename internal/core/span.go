@@ -2,7 +2,7 @@ package core
 
 // Span plumbing: the hot-path helpers that attribute a sampled operation's
 // time to stages (buffer fetch vs page load, shared vs exclusive latch
-// waits, WAL append, group-commit park/force). Every helper degrades to the
+// waits, WAL append, commit park/force). Every helper degrades to the
 // plain uninstrumented call when the operation carries no span, so the
 // unsampled path pays one predictable nil check per site.
 
@@ -62,8 +62,8 @@ func (t *Tree) pinLatchSpan(id page.PageID, m latch.Mode, sp *obs.Span) (*node, 
 }
 
 // commitLSN acknowledges a commit record per the durability mode; with a
-// span it uses the traced variant so group-commit park and force time land
-// on the committing operation's span.
+// span it uses the traced variant so the wait for the covering force and
+// the force itself land on the committing operation's span.
 func (t *Tree) commitLSN(lsn wal.LSN, sp *obs.Span) error {
 	if sp == nil {
 		return t.log.Commit(lsn)

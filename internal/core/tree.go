@@ -528,8 +528,9 @@ func (t *Tree) Checkpoint() error {
 }
 
 // Close drains the to-do queue, flushes state and shuts the tree down. The
-// commit pipeline is drained first: parked group commits are covered by a
-// final force and acknowledged before the writer goroutine exits. A logged
+// log is forced first: everything appended is durable, commits still
+// waiting for a force included, and the background log-writer of the
+// periodic and async modes has exited. A logged
 // tree ends with a Checkpoint: a clean shutdown restarts by reading that one
 // record, unless a transaction was left open.
 func (t *Tree) Close() error {
@@ -561,9 +562,10 @@ func (t *Tree) FlushLog() error {
 }
 
 // Abandon stops background workers without flushing any state, simulating
-// process death. The commit pipeline's writer is stopped without a final
-// force (parked commits would get ErrPipelineStopped — a real power cut
-// never acks them either). The tree is unusable afterwards; reopen over
+// process death. The log is stopped without a final force: nothing more
+// reaches its device, and commits waiting for a force get
+// wal.ErrPipelineStopped — a real power cut never acks them either. The
+// tree is unusable afterwards; reopen over
 // the same log device to exercise recovery.
 func (t *Tree) Abandon() {
 	t.closed.Store(true)

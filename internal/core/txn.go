@@ -97,11 +97,11 @@ func (x *Txn) finish() {
 }
 
 // Commit ends the transaction and releases its locks. The durability of
-// the acknowledgement follows Options.Durability: under the sync mode the
-// calling goroutine forces the log through the commit LSN; under the group
-// mode the commit parks until the log-writer's next coalesced force covers
-// it (both guarantee a nil return means the commit survives any crash);
-// under the periodic and async modes the commit is acknowledged as soon as
+// the acknowledgement follows Options.Durability: under the sync mode it
+// follows a log force covering the commit LSN — the calling goroutine's own,
+// or one shared with concurrent committers — so a nil return means the
+// commit survives any crash; under the periodic and async modes the commit
+// is acknowledged as soon as
 // its record is appended and becomes durable at the next background force
 // or explicit FlushLog/Checkpoint/Close.
 func (x *Txn) Commit() error {

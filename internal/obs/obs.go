@@ -40,7 +40,7 @@ type Config struct {
 	// Spans enables sampling-based per-operation span tracing: 1 in
 	// SampleEvery operations carries a span context through the hot path,
 	// recording timed stages (optimistic descent, latch waits, buffer
-	// fetches vs. misses, lock waits, WAL appends, group-commit park and
+	// fetches vs. misses, lock waits, WAL appends, commit park and
 	// force). Sampled spans feed the per-stage latency histograms, the
 	// sampled-span ring (Chrome trace export) and the slow-op flight
 	// recorder. Enabling Spans implies Metrics.
@@ -100,8 +100,8 @@ const (
 	OpDelete
 	OpScan
 	// OpCommit is a transaction commit: the commit record append plus the
-	// durability wait the configured mode imposes (sync force, or the
-	// group-commit park until the log-writer's coalesced force).
+	// durability wait the configured mode imposes (under sync, the wait
+	// for and the duration of the log force covering it).
 	OpCommit
 	// OpCount is the number of operation classes.
 	OpCount

@@ -53,7 +53,7 @@ type Registry struct {
 	lockWait  Histogram // blocking record-lock waits
 
 	groupForce Histogram // commit-pipeline coalesced forces (batch wall time)
-	groupAck   Histogram // parked-commit enqueue-to-ack delay
+	groupAck   Histogram // delay from Commit to its ack after the covering force
 
 	// groupBatch* account the commit-pipeline batch sizes (commits per
 	// force): total commits, forces that carried commits, and the largest
@@ -359,9 +359,9 @@ func (r *Registry) LogFlush(d time.Duration) {
 	r.logFlush.Observe(d)
 }
 
-// LogGroupForce implements the WAL's GroupObserver: one coalesced commit
-// force of the log-writer, with the number of parked commits it covered
-// (its group size) and the batch's wall time.
+// LogGroupForce implements the WAL's GroupObserver: one log force that
+// covered waiting commits, with their number (its group size) and the
+// force's wall time.
 func (r *Registry) LogGroupForce(batch int, d time.Duration) {
 	if r == nil || !r.cfg.Metrics {
 		return
@@ -381,8 +381,8 @@ func (r *Registry) LogGroupForce(batch int, d time.Duration) {
 	}
 }
 
-// LogGroupAck implements the WAL's GroupObserver: one parked commit's
-// delay from enqueue on the log-writer to acknowledgement.
+// LogGroupAck implements the WAL's GroupObserver: one commit's delay from
+// Commit to its acknowledgement after the covering force.
 func (r *Registry) LogGroupAck(d time.Duration) {
 	if r == nil || !r.cfg.Metrics {
 		return
@@ -447,8 +447,8 @@ type Snapshot struct {
 	LogFlush  HistogramSnapshot
 	LockWait  HistogramSnapshot
 
-	// GroupForce/GroupAck are the commit pipeline's coalesced-force wall
-	// time and parked-commit ack delay; GroupBatch* account group sizes
+	// GroupForce/GroupAck are the wall time of forces that covered waiting
+	// commits and the commits' ack delay; GroupBatch* account group sizes
 	// (total commits over counted forces, and the largest batch).
 	GroupForce      HistogramSnapshot
 	GroupAck        HistogramSnapshot

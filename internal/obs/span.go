@@ -42,11 +42,11 @@ const (
 	// StageWALAppend is write-ahead-log record append time (buffering, not
 	// forcing).
 	StageWALAppend
-	// StageCommitPark is group-commit park time: from enqueueing the commit
-	// waiter to the start of the device force that covers it.
+	// StageCommitPark is the commit's wait for the device force that covers
+	// it to start: a force already in flight has to end first.
 	StageCommitPark
-	// StageCommitForce is the device force (fsync) covering the commit; in
-	// sync durability mode this is the whole synchronous flush.
+	// StageCommitForce is the device force (fsync) covering the commit,
+	// whether this goroutine led it or shared it.
 	StageCommitForce
 	// StageOther is the uninstrumented remainder: leaf search, record
 	// copies, allocation, scheduling gaps. Computed at span end as total
@@ -119,10 +119,8 @@ type Interval struct {
 
 // Span is the mutable per-operation trace context carried through the hot
 // path by a sampled operation. It is owned by a single goroutine (the one
-// running the operation) and is not safe for concurrent use; the lone
-// cross-goroutine touch — the group-commit pipeline recording park/force —
-// is ordered by the commit acknowledgement channel. All methods are
-// nil-receiver safe so call sites stay branch-free.
+// running the operation) and is not safe for concurrent use. All methods
+// are nil-receiver safe so call sites stay branch-free.
 type Span struct {
 	op    Op
 	start time.Time
@@ -242,10 +240,8 @@ func (s *Span) Fallback() {
 	}
 }
 
-// StageCommit charges the group-commit park and force durations reported by
-// the WAL pipeline. Called (via the pipeline's traced-commit callback)
-// happens-before the commit acknowledgement, so the owning goroutine's
-// later reads are ordered.
+// StageCommit charges the park and force durations the log reports for a
+// commit (wal.Log.CommitTraced's callback, on the committing goroutine).
 func (s *Span) StageCommit(park, force time.Duration) {
 	if s == nil {
 		return

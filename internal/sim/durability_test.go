@@ -10,13 +10,13 @@ import (
 
 // allModes is every durability mode the commit pipeline supports, in
 // strictness order.
-var allModes = []wal.DurabilityMode{wal.DurSync, wal.DurGroup, wal.DurPeriodic, wal.DurAsync}
+var allModes = []wal.DurabilityMode{wal.DurSync, wal.DurPeriodic, wal.DurAsync}
 
 // TestDurabilityModesSmoke is the tier-1 bounded check that the crash-point
-// enumerator verifies each mode's stated contract: sync and group lose
-// nothing acknowledged; periodic and async lose at most the commits
-// appended since the last explicit force, and only as a suffix. A strided
-// sweep keeps the four modes inside the tier-1 time budget.
+// enumerator verifies each mode's stated contract: sync loses nothing
+// acknowledged; periodic and async lose at most the commits appended since
+// the last explicit force, and only as a suffix. A strided sweep keeps the
+// three modes inside the tier-1 time budget.
 func TestDurabilityModesSmoke(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -40,13 +40,16 @@ func TestDurabilityModesSmoke(t *testing.T) {
 // itself: under an ack-after-force mode a successful transaction commit
 // advances the acknowledged horizon, under the deferred modes it must not —
 // otherwise the matrix would demand durability the mode never promised (or
-// silently verify a weaker contract than sync/group claim).
+// silently verify a weaker contract than sync claims). The deprecated
+// "group" spelling must keep the strict contract.
 func TestDurabilityAckHorizon(t *testing.T) {
 	for _, mode := range allModes {
-		want := mode == wal.DurSync || mode == wal.DurGroup
-		if got := mode.AckAfterForce(); got != want {
+		if got, want := mode.AckAfterForce(), mode == wal.DurSync; got != want {
 			t.Errorf("%s: AckAfterForce = %v, want %v", mode, got, want)
 		}
+	}
+	if mode, err := wal.ParseDurabilityMode("group"); err != nil || !mode.AckAfterForce() {
+		t.Errorf("ParseDurabilityMode(group) = %v, %v; want an ack-after-force mode", mode, err)
 	}
 }
 

@@ -425,7 +425,7 @@ func (d *driver) txn(abort bool) error {
 	case err == nil:
 		// The acknowledged-durable horizon only advances when the mode's
 		// contract says a successful Commit implies a covering log force
-		// (sync, group). Under periodic/async the commit is acknowledged
+		// (sync). Under periodic/async the commit is acknowledged
 		// but unforced: it stays in the maybe-visible tail until the next
 		// explicit FlushLog/Checkpoint/Close.
 		if d.cfg.Durability.AckAfterForce() {
@@ -446,10 +446,7 @@ func (d *driver) txn(abort bool) error {
 // DrainTodo steps, so the persistence-operation stream is identical across
 // replays. FlushInterval -1 disables the commit pipeline's autonomous
 // forcing for the same reason — a timer-driven background Sync would land
-// at a nondeterministic position in the disk's op count. Group mode keeps
-// its log-writer (commit parking needs it), but the single-threaded driver
-// blocks in Commit until the coalesced force completes, so the writer's
-// Syncs interleave at fixed stream positions.
+// at a nondeterministic position in the disk's op count.
 func newTree(cfg Config, disk *storage.SimDisk) (*core.Tree, error) {
 	opts := core.Options{
 		PageSize:      cfg.PageSize,

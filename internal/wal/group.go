@@ -4,29 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
 // DurabilityMode selects when a commit is acknowledged relative to the
 // device force that makes it durable. The recovery protocol (paper §2.1)
-// only assumes the log is forced *at* commit — it does not require each
-// commit to pay its own force — so the pipeline can trade the per-commit
-// fsync for batched or deferred forces without touching recovery.
+// only assumes the log is forced *at* commit — not that each commit pays
+// its own force — so forces can be shared or deferred without touching
+// recovery.
 type DurabilityMode uint8
 
 // Durability modes, from strictest to loosest.
 const (
-	// DurSync forces the device before every commit acknowledgement, on
-	// the committing goroutine. An acknowledged commit is durable. This is
-	// the classic one-force-per-commit behavior and the default.
+	// DurSync, the default, acknowledges a commit after a device force
+	// covering its record: its own, on the committing goroutine, if none is
+	// in flight; otherwise the next one, shared with every commit that
+	// arrived meanwhile (Log.force). An acknowledged commit is durable.
 	DurSync DurabilityMode = iota
-	// DurGroup parks committers on the log-writer goroutine, which
-	// coalesces all waiting commits into a single device force and
-	// acknowledges them after it completes. An acknowledged commit is
-	// durable — same contract as DurSync — but concurrent committers share
-	// one force instead of serializing behind one each.
-	DurGroup
 	// DurPeriodic acknowledges commits immediately; the log-writer forces
 	// the device every PipelineConfig.Interval, or sooner when unforced
 	// bytes exceed PipelineConfig.Bytes. A crash loses at most the commits
@@ -37,6 +32,10 @@ const (
 	// accumulated. Same loss window as DurPeriodic (the unforced tail),
 	// typically shorter in practice because every commit triggers a force.
 	DurAsync
+
+	// Deprecated: DurGroup was a second implementation of DurSync's promise
+	// and is now another name for it, kept while benchmark/target.go uses it.
+	DurGroup = DurSync
 )
 
 // String returns the mode's flag/metric name.
@@ -44,8 +43,6 @@ func (m DurabilityMode) String() string {
 	switch m {
 	case DurSync:
 		return "sync"
-	case DurGroup:
-		return "group"
 	case DurPeriodic:
 		return "periodic"
 	case DurAsync:
@@ -56,31 +53,29 @@ func (m DurabilityMode) String() string {
 }
 
 // ParseDurabilityMode parses a mode name as used in command-line flags:
-// "sync", "group", "periodic" or "async".
+// "sync", "periodic" or "async". "group" is a deprecated spelling of "sync".
 func ParseDurabilityMode(s string) (DurabilityMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "sync", "":
+	case "sync", "group", "":
 		return DurSync, nil
-	case "group":
-		return DurGroup, nil
 	case "periodic":
 		return DurPeriodic, nil
 	case "async":
 		return DurAsync, nil
 	default:
-		return DurSync, fmt.Errorf("wal: unknown durability mode %q (want sync, group, periodic or async)", s)
+		return DurSync, fmt.Errorf("wal: unknown durability mode %q (want sync, periodic or async)", s)
 	}
 }
 
 // AckAfterForce reports whether the mode acknowledges commits only after
-// their LSN is durable (DurSync, DurGroup). Modes where it is false may
-// lose acknowledged-but-unforced commits at a crash; the crash harness
-// uses this to decide which commits count as promises.
+// their LSN is durable (DurSync). The other modes may lose acknowledged
+// commits at a crash; the crash harness uses this to decide which commits
+// count as promises.
 func (m DurabilityMode) AckAfterForce() bool {
-	return m == DurSync || m == DurGroup
+	return m == DurSync
 }
 
-// PipelineConfig parameterizes the log-writer pipeline started by
+// PipelineConfig parameterizes the commit pipeline configured by
 // StartPipeline.
 type PipelineConfig struct {
 	// Mode selects the durability mode. DurSync needs no pipeline
@@ -88,10 +83,10 @@ type PipelineConfig struct {
 	Mode DurabilityMode
 
 	// Interval is DurPeriodic's background force period (default 2ms).
-	// A negative Interval disables ALL autonomous forcing — no ticker, no
-	// byte-threshold trigger, no per-commit nudge in DurAsync — leaving
-	// Flush/FlushAll/Commit-parked forces only. The crash harness uses
-	// this to keep the persistence-operation stream deterministic.
+	// A negative Interval disables ALL autonomous forcing — no log-writer
+	// in either deferred mode — leaving explicit Flush/FlushAll forces only.
+	// The crash harness uses this to keep the persistence-operation stream
+	// deterministic.
 	Interval time.Duration
 
 	// Bytes is DurPeriodic's unforced-byte threshold (default 256 KiB):
@@ -113,306 +108,174 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	return c
 }
 
-// GroupStats counts the pipeline's activity. All fields are monotone.
+// GroupStats counts the commit path's activity. All fields are monotone.
 type GroupStats struct {
-	// Commits is the number of commits acknowledged by the log-writer
-	// after a coalesced force (DurGroup parked commits).
+	// Commits is the number of commits acknowledged after a force covering
+	// them (DurSync).
 	Commits uint64
 	// ImmediateAcks is the number of commits acknowledged before their
 	// force (DurPeriodic / DurAsync).
 	ImmediateAcks uint64
-	// Forces is the number of device forces the log-writer issued.
+	// Forces is the number of device forces that covered at least one
+	// waiting commit; Commits/Forces is the mean number sharing a force.
 	Forces uint64
-	// MaxBatch is the largest number of parked commits one force covered.
+	// MaxBatch is the largest number of waiting commits one force covered.
 	MaxBatch uint64
 }
 
-// GroupObserver is the optional Observer extension receiving group-commit
-// telemetry: per-force batch size and duration, and per-commit ack delay
-// (enqueue to acknowledgement). *obs.Registry implements it.
+// GroupObserver is the optional Observer extension receiving commit-path
+// telemetry. *obs.Registry implements it.
 type GroupObserver interface {
-	// LogGroupForce reports one log-writer force: how many parked commits
-	// it covered and how long the batch took end to end.
+	// LogGroupForce reports one force that covered waiting commits: how
+	// many, and how long the device took.
 	LogGroupForce(batch int, d time.Duration)
-	// LogGroupAck reports one parked commit's enqueue-to-ack delay.
+	// LogGroupAck reports one commit's delay from Commit to its
+	// acknowledgement after the covering force.
 	LogGroupAck(d time.Duration)
 }
 
-// ErrPipelineStopped is returned to commits parked on a pipeline that was
-// stopped without a final force (process-death simulation via Stop(false)).
+// ErrPipelineStopped is what a commit that needs a force gets from a log
+// stopped without one (process-death simulation via Stop(false)).
 var ErrPipelineStopped = errors.New("wal: commit pipeline stopped")
 
-// waiter is one commit parked on the log-writer.
-type waiter struct {
-	lsn LSN
-	ch  chan error
-	t0  time.Time
-	// traced, when non-nil, receives the commit's park and force durations
-	// before the acknowledgement is sent (CommitTraced).
-	traced func(park, force time.Duration)
+// commitWait is a commit inside force: when it asked, and its span times.
+type commitWait struct {
+	t0          time.Time
+	park, force time.Duration
 }
 
-// pipeline is the Log's group-commit state. Guarded by Log.mu except where
-// noted.
+// pipeline is the Log's durability mode, the log-writer of the two
+// ack-before-force modes, and the counters. Guarded by Log.mu.
 type pipeline struct {
-	cfg     PipelineConfig
-	pending []waiter      // commits awaiting the next force
-	wake    chan struct{} // 1-buffered writer nudge
-	stopCh  chan struct{}
-	done    chan struct{} // closed when the writer goroutine exits
-	running bool          // writer goroutine live
-	stopped bool          // Stop called; Commit falls back to direct force
-	drain   bool          // Stop(force): final force before exit
+	cfg    PipelineConfig
+	wake   chan struct{} // 1-buffered writer nudge; nil without a writer
+	stopCh chan struct{}
+	done   chan struct{} // closed when the writer goroutine exits
+	stop   sync.Once
 
 	// unforced counts appended bytes since the last force (byte trigger).
 	unforced int64
 
-	commits   atomic.Uint64
-	immediate atomic.Uint64
-	forces    atomic.Uint64
-	maxBatch  atomic.Uint64
+	stats GroupStats
 }
 
-// StartPipeline configures the log's durability mode and, for DurGroup and
-// (unless autonomous forcing is disabled) DurPeriodic/DurAsync, starts the
-// dedicated log-writer goroutine. Call once, before the log sees commits;
-// a log without a started pipeline behaves as DurSync. Stop shuts the
-// writer down.
+// StartPipeline configures the log's durability mode and, for DurPeriodic
+// and DurAsync (unless autonomous forcing is disabled), starts the
+// log-writer goroutine that forces in the background; Stop ends it. Call
+// once, before the log sees commits; without it a log behaves as DurSync.
 func (l *Log) StartPipeline(cfg PipelineConfig) {
 	cfg = cfg.withDefaults()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.p.cfg = cfg
-	manual := cfg.Interval < 0
-	needWriter := cfg.Mode == DurGroup ||
-		((cfg.Mode == DurPeriodic || cfg.Mode == DurAsync) && !manual)
-	if !needWriter || l.p.running {
+	if cfg.Mode.AckAfterForce() || cfg.Interval < 0 || l.p.done != nil {
 		return
 	}
 	l.p.wake = make(chan struct{}, 1)
 	l.p.stopCh = make(chan struct{})
 	l.p.done = make(chan struct{})
-	l.p.running = true
-	var tick <-chan time.Time
-	var ticker *time.Ticker
-	if cfg.Mode == DurPeriodic && cfg.Interval > 0 {
-		ticker = time.NewTicker(cfg.Interval)
-		tick = ticker.C
-	}
-	go l.writerLoop(tick, ticker)
+	go l.writerLoop()
 }
 
-// Mode returns the pipeline's durability mode (DurSync when StartPipeline
-// was never called).
-func (l *Log) Mode() DurabilityMode {
+// GroupStats returns the commit path's activity counters.
+func (l *Log) GroupStats() GroupStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.p.cfg.Mode
-}
-
-// GroupStats returns the pipeline's activity counters.
-func (l *Log) GroupStats() GroupStats {
-	return GroupStats{
-		Commits:       l.p.commits.Load(),
-		ImmediateAcks: l.p.immediate.Load(),
-		Forces:        l.p.forces.Load(),
-		MaxBatch:      l.p.maxBatch.Load(),
-	}
+	return l.p.stats
 }
 
 // Commit acknowledges the commit record at lsn according to the durability
-// mode: DurSync forces on the calling goroutine; DurGroup parks the caller
-// until the log-writer's next coalesced force covers lsn; DurPeriodic and
-// DurAsync return immediately (the record rides a later background force).
-// A nil return in an ack-after-force mode guarantees lsn is durable; in the
-// other modes it only guarantees the record was appended.
+// mode: DurSync returns after a force covering lsn (see force), so nil means
+// lsn is durable; DurPeriodic and DurAsync return at once (the record rides
+// a later background force), so nil only means it was appended.
 func (l *Log) Commit(lsn LSN) error {
-	return l.commit(lsn, nil)
+	return l.CommitTraced(lsn, nil)
 }
 
 // CommitTraced is Commit with span attribution: traced, when non-nil, is
-// called exactly once before the commit is acknowledged, with the time the
-// commit spent parked on the log-writer (enqueue to force start) and the
-// duration of the device force that covered it. DurSync reports the whole
-// synchronous flush as force time with zero park; the immediate-ack modes
-// (DurPeriodic, DurAsync) report both as zero. The callback runs on the
-// log-writer goroutine, but the acknowledgement channel orders it before
-// the caller resumes, so the caller may mutate its span from the callback
-// without further synchronization. Error paths may skip the callback.
+// called once before a successful return, on the calling goroutine, with
+// the time the commit waited for the force that covered it to start (a
+// leader's wait for the previous force, a follower's for the one after it)
+// and that force's duration. Both are zero when the record was already
+// durable, and in the immediate-ack modes.
 func (l *Log) CommitTraced(lsn LSN, traced func(park, force time.Duration)) error {
-	return l.commit(lsn, traced)
-}
-
-func (l *Log) commit(lsn LSN, traced func(park, force time.Duration)) error {
+	var c commitWait
 	l.mu.Lock()
 	mode := l.p.cfg.Mode
-	switch {
-	case mode == DurGroup && l.p.running && !l.p.stopped:
-		w := waiter{lsn: lsn, ch: make(chan error, 1), t0: time.Now(), traced: traced}
-		l.p.pending = append(l.p.pending, w)
-		l.mu.Unlock()
-		l.nudge()
-		return <-w.ch
-	case mode == DurPeriodic:
-		l.p.immediate.Add(1)
-		over := l.p.cfg.Bytes > 0 && l.p.unforced >= l.p.cfg.Bytes
-		running := l.p.running && !l.p.stopped
-		l.mu.Unlock()
-		if over && running {
-			l.nudge()
-		}
-		if traced != nil {
-			traced(0, 0)
-		}
-		return nil
-	case mode == DurAsync:
-		l.p.immediate.Add(1)
-		running := l.p.running && !l.p.stopped
-		l.mu.Unlock()
-		if running {
-			l.nudge()
-		}
-		if traced != nil {
-			traced(0, 0)
-		}
-		return nil
-	default:
-		// DurSync, or a group pipeline that is not (or no longer) running:
-		// force on the calling goroutine, exactly the classic behavior.
-		l.mu.Unlock()
-		t0 := time.Now()
-		err := l.Flush(lsn)
-		if traced != nil {
-			traced(0, time.Since(t0))
-		}
-		return err
-	}
-}
-
-// nudge wakes the log-writer; a pending nudge is enough (the writer drains
-// everything accumulated per wake-up).
-func (l *Log) nudge() {
-	select {
-	case l.p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// writerLoop is the dedicated log-writer goroutine: it coalesces parked
-// commits and unforced bytes into single device forces until stopped.
-func (l *Log) writerLoop(tick <-chan time.Time, ticker *time.Ticker) {
-	defer close(l.p.done)
-	if ticker != nil {
-		defer ticker.Stop()
-	}
-	for {
-		// Stop takes priority over a pending wake: once Stop has been
-		// called, the drain decision (final force vs ErrPipelineStopped)
-		// must govern every still-parked commit, not a leftover nudge.
-		select {
-		case <-l.p.stopCh:
-			l.flushBatch(true)
-			return
-		default:
-		}
-		select {
-		case <-l.p.stopCh:
-			l.flushBatch(true)
-			return
-		case <-l.p.wake:
-			l.flushBatch(false)
-		case <-tick:
-			l.flushBatch(false)
-		}
-	}
-}
-
-// flushBatch collects the parked commits and forces the device once for
-// all of them, acknowledging each afterwards. final marks the drain on
-// Stop: with drain disabled (process-death simulation) waiters get
-// ErrPipelineStopped instead of a force.
-func (l *Log) flushBatch(final bool) {
-	l.mu.Lock()
-	batch := l.p.pending
-	l.p.pending = nil
-	dirty := l.synced > l.flushed
-	drain := !final || l.p.drain
-	l.mu.Unlock()
-
-	if !drain {
-		for _, w := range batch {
-			w.ch <- ErrPipelineStopped
-		}
-		return
-	}
-	if len(batch) == 0 && !dirty {
-		return
-	}
-	t0 := time.Now()
-	err := l.force(0)
-	if err == nil {
-		l.p.forces.Add(1)
-		if n := uint64(len(batch)); n > 0 {
-			l.p.commits.Add(n)
-			for {
-				max := l.p.maxBatch.Load()
-				if n <= max || l.p.maxBatch.CompareAndSwap(max, n) {
-					break
-				}
+	if !mode.AckAfterForce() {
+		l.p.stats.ImmediateAcks++
+		if mode == DurAsync || l.p.unforced >= l.p.cfg.Bytes {
+			// Wake the log-writer, if there is one (a nil channel is never
+			// ready). One queued nudge is enough: each wake-up forces
+			// everything appended so far.
+			select {
+			case l.p.wake <- struct{}{}:
+			default:
 			}
 		}
-	}
-	end := time.Now()
-	// Every waiter in the batch appended its record before parking, so a
-	// successful force covers all of them: ack after, never before. A traced
-	// callback runs before its waiter's ack so the channel send orders the
-	// span mutation ahead of the committing goroutine's resume.
-	for _, w := range batch {
-		if w.traced != nil {
-			park := t0.Sub(w.t0)
-			if park < 0 {
-				park = 0
-			}
-			w.traced(park, end.Sub(t0))
-		}
-		w.ch <- err
-	}
-	if gobs, ok := l.obs.(GroupObserver); ok && gobs != nil {
-		gobs.LogGroupForce(len(batch), end.Sub(t0))
-		for _, w := range batch {
-			gobs.LogGroupAck(end.Sub(w.t0))
-		}
-	}
-}
-
-// Stop shuts the log-writer down. With force true the writer drains: any
-// parked commits are covered by one final force and acknowledged (Close
-// path). With force false the writer exits without touching the device and
-// parked commits receive ErrPipelineStopped (Abandon / process-death
-// simulation). After Stop, Commit falls back to DurSync semantics for
-// group mode and to append-only acks for periodic/async. Idempotent.
-func (l *Log) Stop(force bool) error {
-	l.mu.Lock()
-	if l.p.stopped {
-		running := l.p.running
 		l.mu.Unlock()
-		if running {
-			<-l.p.done
-		}
-		return nil
-	}
-	l.p.stopped = true
-	l.p.drain = force
-	running := l.p.running
-	l.mu.Unlock()
-	if running {
-		close(l.p.stopCh)
-		<-l.p.done
-		l.mu.Lock()
-		l.p.running = false
+	} else {
 		l.mu.Unlock()
-	} else if force {
-		return l.force(0)
+		c.t0 = time.Now()
+		if err := l.force(lsn, &c); err != nil {
+			return err
+		}
+		if gobs, ok := l.obs.(GroupObserver); ok {
+			gobs.LogGroupAck(time.Since(c.t0))
+		}
+	}
+	if traced != nil {
+		traced(c.park, c.force)
 	}
 	return nil
+}
+
+// writerLoop is the log-writer goroutine of the ack-before-force modes: on
+// a nudge or a tick it forces whatever has been appended.
+func (l *Log) writerLoop() {
+	defer close(l.p.done)
+	var tick <-chan time.Time
+	if l.p.cfg.Mode == DurPeriodic {
+		ticker := time.NewTicker(l.p.cfg.Interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for {
+		select {
+		case <-l.p.stopCh:
+			return
+		case <-l.p.wake:
+		case <-tick:
+		}
+		// A failed background force has nobody to report to; the records
+		// stay unforced and the next force, explicit ones included, retries.
+		_ = l.FlushAll()
+	}
+}
+
+// Stop ends the commit pipeline; the log-writer, if any, has exited when it
+// returns. With force true everything appended is then made durable, commits
+// still waiting for a force included (Close path); later DurSync commits
+// still force, periodic/async commits are append-only acks. With force
+// false nothing more reaches the device: commits waiting for a force, and
+// every later one, get ErrPipelineStopped (Abandon / process-death
+// simulation). Idempotent.
+func (l *Log) Stop(force bool) error {
+	var err error
+	l.p.stop.Do(func() {
+		if !force {
+			l.mu.Lock()
+			l.abandoned = true
+			l.mu.Unlock()
+			l.forceDone.Broadcast()
+		}
+		if l.p.done != nil {
+			close(l.p.stopCh)
+			<-l.p.done
+		}
+		if force {
+			err = l.FlushAll()
+		}
+	})
+	return err
 }

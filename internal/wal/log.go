@@ -8,11 +8,10 @@ import (
 // Log is the write-ahead log: it assigns LSNs, frames records onto a Device
 // and tracks the durable horizon. All methods are safe for concurrent use.
 //
-// Durability is governed by the commit pipeline (StartPipeline): in the
-// default DurSync mode every Commit forces the device on the calling
-// goroutine; the other modes batch or defer forces (see DurabilityMode).
-// Device forces never run under the append mutex, so record appends
-// pipeline behind an in-flight force instead of serializing on it.
+// When a Commit returns relative to the force covering its record is the
+// durability mode's choice (StartPipeline, DurabilityMode). Device forces
+// never run under the append mutex, so record appends pipeline behind an
+// in-flight force instead of serializing on it.
 type Log struct {
 	mu      sync.Mutex
 	dev     Device
@@ -28,12 +27,20 @@ type Log struct {
 	appends uint64
 	flushes uint64
 
-	// forceMu serializes device forces; it is never held together with mu
-	// (force takes mu briefly before and after the device Sync, not
-	// across it), so appends proceed while a force is in flight.
-	forceMu sync.Mutex
+	// One force runs at a time (see force). inflight is its target LSN,
+	// zero when none is running; forceDone, on mu, wakes every caller that
+	// arrived meanwhile when it ends, and when the log is abandoned.
+	inflight  LSN
+	forceDone sync.Cond
+	abandoned bool // Stop(false): nothing reaches the device any more
+	// Commits waiting for their acknowledgement, booked on the force that
+	// will cover them: batch on the one in flight, waiting on the next.
+	batch, waiting int
+	// Start and duration of the last successful force, for commit spans.
+	lastStart time.Time
+	lastDur   time.Duration
 
-	// p is the group-commit pipeline state (see group.go).
+	// p is the commit pipeline's configuration and counters (see group.go).
 	p pipeline
 
 	// obs, when set, is told how long appends and forced syncs take.
@@ -65,6 +72,7 @@ func NewLog(dev Device) (*Log, error) {
 	}
 	rs.Frames = nil
 	l := &Log{dev: dev, next: 1, end: rs.End, restart: rs, tail: recs}
+	l.forceDone.L = &l.mu
 	if n := len(recs); n > 0 {
 		l.next = recs[n-1].LSN + 1
 		l.flushed = recs[n-1].LSN
@@ -156,58 +164,107 @@ func (l *Log) Append(r *Record) (LSN, error) {
 // they are already durable (the WAL rule check in the buffer pool calls this
 // on every page write, so the common case must be cheap).
 func (l *Log) Flush(upto LSN) error {
-	l.mu.Lock()
-	covered := upto <= l.flushed
-	l.mu.Unlock()
-	if covered {
-		return nil
-	}
-	return l.force(upto)
+	return l.force(upto, nil)
 }
 
 // FlushAll forces durability of everything appended so far.
 func (l *Log) FlushAll() error {
-	return l.force(0)
+	return l.force(^LSN(0), nil)
 }
 
-// force makes every record appended so far durable: it captures the synced
-// horizon, releases the mutex, forces the device (serialized on forceMu so
-// concurrent forcers coalesce — a caller that waited behind another force
-// covering its target returns without a second device sync), then advances
-// the durable horizon. upto, when nonzero, is the caller's target LSN: a
-// horizon already past it skips the device sync entirely.
-func (l *Log) force(upto LSN) error {
-	l.forceMu.Lock()
-	defer l.forceMu.Unlock()
+// force returns once every record with LSN <= upto (clamped to what has
+// been appended) is durable; it is the one path to the device's Sync. A
+// caller that finds no force in flight leads one on its own goroutine. A
+// caller that arrives while one is in flight waits for it to end; all such
+// callers wake at once, those it covered return, and one of the rest leads
+// the next force, which therefore covers everything that arrived during the
+// previous one. c, when non-nil, is a commit waiting for its acknowledgement.
+func (l *Log) force(upto LSN, c *commitWait) error {
 	l.mu.Lock()
-	if upto != 0 && upto <= l.flushed {
+	upto = min(upto, l.synced)
+	if c != nil && upto > l.flushed {
+		if upto <= l.inflight {
+			l.batch++
+		} else {
+			l.waiting++
+		}
+	}
+	for l.inflight != 0 && upto > l.flushed && !l.abandoned {
+		l.forceDone.Wait()
+	}
+	// A wake-up is not an acknowledgement: the force that ended may have
+	// failed, or have started before this caller's record was appended.
+	if upto <= l.flushed {
+		l.ackLocked(c)
 		l.mu.Unlock()
 		return nil
 	}
+	if l.abandoned {
+		l.mu.Unlock()
+		return ErrPipelineStopped
+	}
+
+	// Lead. The Sync covers what was appended before it starts, so the
+	// durable horizon advances to the target captured here, not to where
+	// synced stands when the Sync returns.
 	target := l.synced
-	if target <= l.flushed {
-		l.mu.Unlock()
-		return nil
-	}
+	l.inflight = target
+	l.batch, l.waiting = l.waiting, 0
 	l.mu.Unlock()
-	var t0 time.Time
-	if l.obs != nil {
-		t0 = time.Now()
-	}
-	if err := l.dev.Sync(); err != nil {
-		return err
-	}
-	if l.obs != nil {
-		l.obs.LogFlush(time.Since(t0))
-	}
+
+	start := time.Now()
+	err := l.dev.Sync()
+	d := time.Since(start)
+
 	l.mu.Lock()
-	if target > l.flushed {
+	batch := l.batch
+	l.inflight, l.batch = 0, 0
+	if err != nil {
+		// The leader leaves with the error; the other commits booked on
+		// this force wait for the next.
+		l.waiting += batch
+		if c != nil {
+			l.waiting--
+		}
+	} else {
 		l.flushed = target
+		l.flushes++
+		l.p.unforced = 0
+		l.lastStart, l.lastDur = start, d
+		if batch > 0 {
+			l.p.stats.Forces++
+			l.p.stats.MaxBatch = max(l.p.stats.MaxBatch, uint64(batch))
+		}
+		l.ackLocked(c)
 	}
-	l.flushes++
-	l.p.unforced = 0
 	l.mu.Unlock()
-	return nil
+	// Woken after the unlock, the followers find the mutex free; woken
+	// under it they would queue on it and leave one at a time.
+	l.forceDone.Broadcast()
+	if err == nil && l.obs != nil {
+		l.obs.LogFlush(d)
+		if gobs, ok := l.obs.(GroupObserver); ok && batch > 0 {
+			gobs.LogGroupForce(batch, d)
+		}
+	}
+	return err
+}
+
+// ackLocked counts c, a commit whose record is durable, and charges its
+// span the last force if it waited for or led it: park until that force
+// started, then the force (nothing, when it ended before c asked). Caller
+// holds l.mu.
+func (l *Log) ackLocked(c *commitWait) {
+	if c == nil {
+		return
+	}
+	l.p.stats.Commits++
+	c.park = l.lastStart.Sub(c.t0)
+	c.force = l.lastDur
+	if c.park < 0 { // the force was running, or over, when c asked
+		c.force = max(c.force+c.park, 0)
+		c.park = 0
+	}
 }
 
 // FlushedLSN returns the durable horizon.
