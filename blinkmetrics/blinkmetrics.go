@@ -344,6 +344,8 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 	p.header("blinktree_wal_total", "Write-ahead log activity.", "counter")
 	p.printf("blinktree_wal_total{event=\"append\"} %d\n", m.LogAppends)
 	p.printf("blinktree_wal_total{event=\"force\"} %d\n", m.LogForces)
+	p.header("blinktree_wal_first_change_images_total", "Page images logged with a page's first change after a checkpoint.", "counter")
+	p.printf("blinktree_wal_first_change_images_total %d\n", s.FirstChangeImages)
 
 	g := m.WALGroup
 	p.header("blinktree_wal_group_total", "Commit path activity: commits acknowledged after a force, forces that covered waiting commits, immediate acks (periodic/async).", "counter")
@@ -357,7 +359,7 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 	p.printf("blinktree_height %d\n", m.Height)
 
 	// Recovery counters are fixed at open time; exporting them as a stable
-	// series set lets dashboards alert on torn pages or full-redo retries
+	// series set lets dashboards alert on torn pages or a whole-log read
 	// after a crash-restart.
 	rs := m.Recovery
 	p.header("blinktree_recovered", "1 when the last open replayed a log, 0 for a fresh start.", "gauge")
@@ -382,7 +384,6 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"bulk_chunks_skipped", rs.BulkChunksSkipped},
 		{"losers_undone", rs.LosersUndone},
 		{"corrupt_pages", rs.CorruptPages},
-		{"full_redo_retries", rs.FullRedoRetries},
 	} {
 		p.printf("blinktree_recovery_total{event=%q} %d\n", v.event, v.n)
 	}

@@ -101,7 +101,8 @@ func TestHandlerPrometheus(t *testing.T) {
 		"# TYPE blinktree_op_latency_seconds histogram",
 		"blinktree_recovered 0",
 		`blinktree_recovery_total{event="records_scanned"} 0`,
-		`blinktree_recovery_total{event="full_redo_retries"} 0`,
+		`blinktree_recovery_total{event="corrupt_pages"} 0`,
+		"# TYPE blinktree_wal_first_change_images_total counter",
 		"blinktree_recovery_torn_tail_bytes 0",
 	} {
 		if !strings.Contains(body, series) {

@@ -69,9 +69,8 @@ func main() {
 		if rs.LosersUndone > 0 {
 			fmt.Printf("recovery: rolled back %d uncommitted transactions\n", rs.LosersUndone)
 		}
-		if rs.CorruptPages > 0 || rs.FullRedoRetries > 0 {
-			fmt.Printf("recovery: healed %d torn/corrupt pages (%d full-log redo retries)\n",
-				rs.CorruptPages, rs.FullRedoRetries)
+		if rs.CorruptPages > 0 {
+			fmt.Printf("recovery: healed %d torn/corrupt pages from images in the redo window\n", rs.CorruptPages)
 		}
 		if rs.TornTail {
 			fmt.Printf("recovery: discarded torn log tail (%d trailing bytes past last valid frame)\n",

@@ -5,7 +5,8 @@
 // Usage:
 //
 //	blinkdump -path /data/mytree            # tree structure
-//	blinkdump -path /data/mytree -wal       # log records instead
+//	blinkdump -path /data/mytree -wal       # log records instead, then a
+//	                                        # per-kind summary of the log's bytes
 //	blinkdump -path /data/mytree -wal -tree # both
 //	blinkdump -trace events.jsonl           # render a trace dump ("-" = stdin)
 //	blinkdump -spans trace.json             # tail-latency attribution from a
@@ -18,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"blinktree/internal/buildinfo"
 	"blinktree/internal/core"
@@ -93,6 +95,7 @@ func main() {
 			}
 			fmt.Println(r)
 		}
+		printWALSummary(recs)
 		dev.Close()
 	}
 
@@ -122,6 +125,47 @@ func main() {
 			fmt.Fprintf(os.Stderr, "blinkdump: %v\n", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// printWALSummary ends the -wal listing with what the log is made of: per
+// record type (SMO kind for structure modifications) the records, their
+// framed bytes and how many of those bytes are page images.
+func printWALSummary(recs []*wal.Record) {
+	type row struct{ records, bytes, images int }
+	rows := map[string]*row{}
+	var kinds []string
+	var total row
+	for _, r := range recs {
+		kind := r.Type.String()
+		if r.Type == wal.TSMO {
+			kind += " " + r.SMO.String()
+		}
+		w := rows[kind]
+		if w == nil {
+			w = &row{}
+			rows[kind] = w
+			kinds = append(kinds, kind)
+		}
+		n, img := 8+len(r.Encode()), 0 // 8: the frame's length and checksum
+		for _, im := range r.Images {
+			img += len(im.Data)
+		}
+		for _, x := range []*row{w, &total} {
+			x.records++
+			x.bytes += n
+			x.images += img
+		}
+	}
+	sort.Strings(kinds)
+	fmt.Println("-- log by kind --")
+	fmt.Printf("%-18s %10s %14s %14s\n", "kind", "records", "bytes", "image bytes")
+	for _, k := range append(kinds, "total") {
+		w := &total
+		if k != "total" {
+			w = rows[k]
+		}
+		fmt.Printf("%-18s %10d %14d %14d\n", k, w.records, w.bytes, w.images)
 	}
 }
 

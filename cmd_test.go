@@ -69,6 +69,16 @@ func TestCommandLineTools(t *testing.T) {
 	if !strings.Contains(out, "SMO format") && !strings.Contains(out, "BEGIN") {
 		t.Fatalf("blinkdump WAL section missing records:\n%s", out)
 	}
+	// The listing ends with what the log is made of, per kind. This store
+	// logged no bulk load, so every image is a split's or a first change's.
+	summary := regexp.MustCompile(`(?m)^-- log by kind --\nkind +records +bytes +image bytes\n(?:.+\n)*total +(\d+) +(\d+) +(\d+)$`).FindStringSubmatch(out)
+	if summary == nil || !regexp.MustCompile(`(?m)^RECOP +\d+ +\d+ +\d+$`).MatchString(out) ||
+		!regexp.MustCompile(`(?m)^SMO split +\d+ +\d+ +[1-9]\d*$`).MatchString(out) {
+		t.Fatalf("blinkdump -wal has no per-kind summary with its RECOP, SMO split and total rows:\n%s", out)
+	}
+	if n := regexp.MustCompile(`write-ahead log: (\d+) records`).FindStringSubmatch(out); n == nil || n[1] != summary[1] {
+		t.Fatalf("blinkdump -wal summary totals %s records, the listing %v:\n%s", summary[1], n, out)
+	}
 	// The store was closed cleanly: the master record names the closing
 	// checkpoint, and the listing marks it as the restart point.
 	if !regexp.MustCompile(`master record: position \d+, LSN \d+, valid true`).MatchString(out) ||

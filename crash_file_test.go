@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"blinktree"
+	"blinktree/internal/core"
+	"blinktree/internal/storage"
 	"blinktree/internal/wal"
 )
 
@@ -136,6 +138,85 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 	}
 	if fromMaster == 0 || fromStart == 0 {
 		t.Fatalf("%d cuts restarted from the master record and %d from the start of the log; the sweep should see both", fromMaster, fromStart)
+	}
+}
+
+// syncSnapshotStore copies the store's directory right after the first
+// successful Sync once armed: the crash image of a power cut at that point.
+type syncSnapshotStore struct {
+	storage.Store
+	armed func()
+}
+
+func (s *syncSnapshotStore) Sync() error {
+	err := s.Store.Sync()
+	if err == nil && s.armed != nil {
+		s.armed()
+		s.armed = nil
+	}
+	return err
+}
+
+// TestFileBackedBulkLoadCutBeforeCommit cuts power on the real files of a
+// bulk load between its pre-commit store Sync — every page of the load
+// durable, pages.db's header listing them allocated — and its commit
+// record. Recovery must come up with the empty tree the load started from
+// and release the load's pages (VerifyDeep fails on a leaked one); the same
+// files a moment later, the load complete, recover it whole.
+func TestFileBackedBulkLoadCutBeforeCommit(t *testing.T) {
+	src := t.TempDir()
+	fs, err := storage.OpenFileStore(filepath.Join(src, "pages.db"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := wal.OpenFileDevice(filepath.Join(src, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &syncSnapshotStore{Store: fs}
+	tr, err := core.New(core.Options{PageSize: 512, Workers: core.WorkersNone, BulkChunkPages: 8, Store: store, LogDevice: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut string
+	store.armed = func() { cut = copyStore(t, src) }
+	const n = 3000
+	i := 0
+	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		i++
+		return []byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("val-%06d", i)), i <= n
+	}, 0.85); err != nil {
+		t.Fatal(err)
+	}
+	loaded := tr.Stats().BulkLoadPages
+	done := copyStore(t, src)
+	tr.Abandon()
+	dev.Close()
+	fs.Close()
+
+	for _, c := range []struct {
+		name    string
+		dir     string
+		records int
+	}{{"cut between the pre-commit Sync and the commit record", cut, 0}, {"load complete", done, n}} {
+		rec, err := blinktree.Open(blinktree.Options{Path: c.dir, PageSize: 512, Workers: -1})
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", c.name, err)
+		}
+		rep, err := rec.VerifyDeep()
+		if err != nil {
+			t.Fatalf("%s: deep audit: %v", c.name, err)
+		}
+		rs := rec.RecoveryStats()
+		if rep.Records != c.records {
+			t.Fatalf("%s: recovered %d records, want %d", c.name, rep.Records, c.records)
+		}
+		if c.records == 0 && (rs.BulkChunksSkipped == 0 || rs.DeallocsReplayed < int(loaded)) {
+			t.Fatalf("%s: %+v; want the load's %d pages released", c.name, rs, loaded)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -704,7 +704,7 @@ func E13CrashConsistency(scale Scale) (*Table, error) {
 		ID:    "E13",
 		Title: "crash-point enumeration: recover-and-verify sweep",
 		Header: []string{"faults", "seed", "crash points", "violations",
-			"torn pages", "torn tails", "smo redo", "recop redo", "losers undone", "full redo retries"},
+			"torn pages", "torn tails", "smo redo", "recop redo", "losers undone"},
 	}
 	// Scale maps onto workload length: Quick ~ the tier-1 smoke, Full adds
 	// seeds and a longer history.
@@ -729,7 +729,7 @@ func E13CrashConsistency(scale Scale) (*Table, error) {
 			}
 			t.AddRow(name, seed, rep.CrashPoints, len(rep.Violations),
 				rep.TornPages, rep.TornTails, rep.SMOsRedone, rep.RecOpsRedone,
-				rep.LosersUndone, rep.FullRedoRetries)
+				rep.LosersUndone)
 			for _, v := range rep.Violations {
 				t.Note("VIOLATION %s seed=%d: %s", name, seed, v)
 			}

@@ -19,9 +19,8 @@ var ErrBadParallel = errors.New("blinktree: bulk load parallelism must be >= 0")
 
 // defaultChunkPages is the number of leaves grouped into one build/log chunk
 // when Options.BulkChunkPages is zero. A chunk is the unit of WAL logging
-// (one SMOBulkChunk record) and of hand-off to a builder goroutine, so it
-// bounds both the largest log record and the pages pinned per in-flight
-// chunk.
+// (one SMOBulkChunk record of allocations) and of hand-off to a builder
+// goroutine, so it bounds the pages pinned per in-flight chunk.
 const defaultChunkPages = 64
 
 // BulkLoad populates an empty tree from strictly ascending (key, value)
@@ -33,9 +32,10 @@ const defaultChunkPages = 64
 // next returns the stream; ok=false ends it. fill in (0,1] defaults to
 // 0.85. The tree must be empty; concurrent operations are blocked for the
 // duration (the load holds the checkpoint gate exclusively). With logging
-// enabled the load is made durable as chunked SMO records sealed by a
-// commit record and a load-completion checkpoint: after a crash the load
-// either happened completely or not at all.
+// enabled the load logs its allocations in chunk records, writes each page
+// once through the buffer pool, forces them, and only then appends the
+// commit record, followed by a checkpoint: after a crash the load either
+// happened completely or not at all.
 func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) error {
 	return t.bulkLoad(next, fill, 1)
 }
@@ -166,9 +166,17 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 
 	// Commit point: one record naming the new root seals the session — its
 	// presence makes every chunk of this session redoable, its absence
-	// makes them all dead weight (recovery skips them), so the load is
-	// atomic across any crash point despite spanning many records.
+	// makes recovery release the chunks' allocations, so the load is atomic
+	// across any crash point despite spanning many records. The chunks
+	// carry no images, so every page of the load is forced first: the
+	// commit record never names a page the store could still lose.
 	if t.log != nil {
+		if err := t.pool.FlushAll(); err != nil {
+			return err
+		}
+		if err := t.store.Sync(); err != nil {
+			return err
+		}
 		if _, err := t.log.Append(&wal.Record{
 			Type:     wal.TSMO,
 			SMO:      wal.SMOBulkCommit,
@@ -202,32 +210,11 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		t.reclaim(oldRoot)
 	}
 
-	// Load-completion checkpoint: flush the freshly built pages and bound
-	// redo past the load, so no later recovery replays it. Inlined rather
-	// than calling Checkpoint (the load already holds the gate).
+	// Load-completion checkpoint: bound redo past the load, so no later
+	// recovery replays it, and make the loaded pages "before the
+	// checkpoint": the first change to each logs its image.
 	if t.log != nil {
-		if err := t.pool.FlushAll(); err != nil {
-			return err
-		}
-		if err := t.store.Sync(); err != nil {
-			return err
-		}
-		t.active.mu.Lock()
-		var act []wal.ActiveTxn
-		for id, x := range t.active.m {
-			act = append(act, wal.ActiveTxn{ID: id, LastLSN: x.last()})
-		}
-		t.active.mu.Unlock()
-		if _, err := t.log.Append(&wal.Record{
-			Type:   wal.TCheckpoint,
-			Root:   rootID,
-			Active: act,
-		}); err != nil {
-			return err
-		}
-		if err := t.log.FlushAll(); err != nil {
-			return err
-		}
+		return t.checkpointLocked()
 	}
 	return nil
 }
@@ -280,31 +267,29 @@ func (s *bulkSession) boundarySep(prevKey, k []byte) []byte {
 	return append([]byte(nil), k...)
 }
 
-// logChunk makes one chunk of freshly built nodes durable (one SMOBulkChunk
-// record carrying all after-images and allocations, stamped with the record
-// LSN), publishes their routing snapshots and unpins them dirty. The nodes
-// were private until now; they stay unreachable until the anchor flip, but
-// once unpinned they may be evicted, which is exactly why the images must
-// be in the log first (the WAL rule covers the write-back).
+// logChunk logs one chunk of freshly built nodes (one SMOBulkChunk record
+// of their allocations, its LSN stamped on each), publishes their routing
+// snapshots and unpins them dirty. The nodes were private until now; they
+// stay unreachable until the anchor flip, and once unpinned they may be
+// evicted: the WAL rule then forces the record — which is what lets
+// recovery release the pages if the load never commits — before the page
+// is written. The page itself is the only copy of its contents.
 func (s *bulkSession) logChunk(nodes []*node) error {
 	if len(nodes) == 0 {
 		return nil
 	}
 	t := s.t
 	if t.log != nil {
+		allocs := make([]page.PageID, len(nodes))
+		for i, n := range nodes {
+			allocs[i] = n.id
+		}
 		_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-			rec := &wal.Record{Type: wal.TSMO, SMO: wal.SMOBulkChunk, Txn: s.sid}
 			for _, n := range nodes {
 				n.c.LSN = uint64(lsn)
 				n.c.Epoch = uint64(lsn)
-				img, merr := n.Marshal(t.opts.PageSize)
-				if merr != nil {
-					panic(fmt.Sprintf("blinktree: bulk load image of %d: %v", n.id, merr))
-				}
-				rec.Images = append(rec.Images, wal.PageImage{ID: n.id, Data: img})
-				rec.Allocs = append(rec.Allocs, n.id)
 			}
-			return rec
+			return &wal.Record{Type: wal.TSMO, SMO: wal.SMOBulkChunk, Txn: s.sid, Allocs: allocs}
 		})
 		if err != nil {
 			return err

@@ -204,12 +204,13 @@ func TestBulkLoadRejectsShrunkNonEmptyTree(t *testing.T) {
 }
 
 // TestBulkLoadParallelSurvivesCrash crashes immediately after a parallel,
-// chunk-logged load — no page was flushed — and recovers from the log into
-// an empty store. Every chunk must replay (the commit record is durable).
+// chunk-logged load — nothing flushed after it — and recovers over the same
+// store, which the load forced before its commit record: no chunk is
+// skipped and the open starts at the load's own checkpoint.
 func TestBulkLoadParallelSurvivesCrash(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev, store := wal.NewMemDevice(), storage.NewMemStore(512)
 	tr, err := New(Options{PageSize: 512, LogDevice: dev, BulkChunkPages: 4,
-		Store: storage.NewMemStore(512), Workers: WorkersNone})
+		Store: store, Workers: WorkersNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestBulkLoadParallelSurvivesCrash(t *testing.T) {
 	tr.Abandon()
 
 	tr2, err := New(Options{PageSize: 512, LogDevice: dev,
-		Store: storage.NewMemStore(512), Workers: WorkersNone})
+		Store: store, Workers: WorkersNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestBulkLoadParallelSurvivesCrash(t *testing.T) {
 	if !rs.Recovered {
 		t.Fatal("no recovery ran")
 	}
-	if rs.BulkChunksSkipped != 0 {
-		t.Fatalf("committed load had %d chunks skipped", rs.BulkChunksSkipped)
+	if rs.BulkChunksSkipped != 0 || rs.FullLogRead != "" || rs.RecordsScanned != 1 {
+		t.Fatalf("%+v; want a restart at the load's checkpoint and no chunk skipped", rs)
 	}
 	if _, err := tr2.VerifyDeep(); err != nil {
 		t.Fatalf("deep verify after recovery: %v", err)

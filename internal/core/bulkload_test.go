@@ -130,9 +130,9 @@ func TestBulkLoadFillFactor(t *testing.T) {
 }
 
 func TestBulkLoadSurvivesCrash(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev, store := wal.NewMemDevice(), storage.NewMemStore(512)
 	tr, err := New(Options{PageSize: 512, LogDevice: dev,
-		Store: storage.NewMemStore(512), Workers: WorkersNone})
+		Store: store, Workers: WorkersNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,14 @@ func TestBulkLoadSurvivesCrash(t *testing.T) {
 	if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
 		t.Fatal(err)
 	}
-	// BulkLoad forces the log itself; crash without any page flush.
+	// BulkLoad forces its pages and then its log itself; crash with
+	// nothing else flushed. The log holds the load's allocations only: the
+	// store is the one copy of its pages.
 	dev.Crash()
 	tr.Abandon()
 
 	tr2, err := New(Options{PageSize: 512, LogDevice: dev,
-		Store: storage.NewMemStore(512), Workers: WorkersNone})
+		Store: store, Workers: WorkersNone})
 	if err != nil {
 		t.Fatal(err)
 	}

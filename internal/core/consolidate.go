@@ -178,15 +178,7 @@ func (t *Tree) logDrainMark(victim *node) {
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		victim.c.LSN = uint64(lsn)
-		img, merr := victim.Marshal(t.opts.PageSize)
-		if merr != nil {
-			panic(fmt.Sprintf("blinktree: drain mark image of %d: %v", victim.id, merr))
-		}
-		return &wal.Record{
-			Type:   wal.TSMO,
-			SMO:    wal.SMODrainMark,
-			Images: []wal.PageImage{{ID: victim.id, Data: img}},
-		}
+		return &wal.Record{Type: wal.TSMO, SMO: wal.SMODrainMark, Images: t.pageImage(victim)}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("blinktree: logging drain mark: %v", err))
@@ -223,21 +215,10 @@ func (t *Tree) logConsolidate(p, left, victim *node) {
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		p.c.LSN = uint64(lsn)
 		left.c.LSN = uint64(lsn)
-		pi, perr := p.Marshal(t.opts.PageSize)
-		if perr != nil {
-			panic(fmt.Sprintf("blinktree: consolidate image of parent %d: %v", p.id, perr))
-		}
-		li, lerr := left.Marshal(t.opts.PageSize)
-		if lerr != nil {
-			panic(fmt.Sprintf("blinktree: consolidate image of left %d: %v", left.id, lerr))
-		}
 		return &wal.Record{
-			Type: wal.TSMO,
-			SMO:  wal.SMOConsolidate,
-			Images: []wal.PageImage{
-				{ID: p.id, Data: pi},
-				{ID: left.id, Data: li},
-			},
+			Type:     wal.TSMO,
+			SMO:      wal.SMOConsolidate,
+			Images:   append(t.pageImage(p), t.pageImage(left)...),
 			Deallocs: []page.PageID{victim.id},
 		}
 	})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
 	"blinktree/internal/page"
@@ -228,16 +230,21 @@ func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpPar
 }
 
 // logRecOp appends the physiological log record for a leaf modification and
-// stamps the leaf's page LSN. No-op without a log.
+// stamps the leaf's page LSN; the leaf's first change since the checkpoint
+// also carries its after-image. No-op without a log.
 func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []byte) (wal.LSN, error) {
 	if t.log == nil {
 		return 0, nil
 	}
 	at0 := lp.sp.Now()
 	defer lp.sp.StageSince(obs.StageWALAppend, 0, at0)
+	first := t.firstChange(leaf)
+	if first {
+		t.c.firstChangeImages.Add(1)
+	}
 	return t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		leaf.c.LSN = uint64(lsn)
-		return &wal.Record{
+		r := &wal.Record{
 			Type:     wal.TRecOp,
 			Txn:      lp.txn,
 			PrevLSN:  lp.prevLSN,
@@ -249,7 +256,29 @@ func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []b
 			CLR:      lp.clr,
 			UndoNext: lp.undoNext,
 		}
+		if first {
+			r.Images = t.pageImage(leaf)
+		}
+		return r
 	})
+}
+
+// logImage gives n's first change since the checkpoint an image-only
+// record when nothing else logs that change (the D_D bump of accessParent):
+// a write-back of n can tear, and the redo window must hold a copy. Its
+// LSN stamps n, so the WAL rule forces the image before n is written.
+func (t *Tree) logImage(n *node) {
+	if t.log == nil || !t.firstChange(n) {
+		return
+	}
+	t.c.firstChangeImages.Add(1)
+	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
+		n.c.LSN = uint64(lsn)
+		return &wal.Record{Type: wal.TRecOp, Page: n.id, Images: t.pageImage(n)}
+	})
+	if err != nil {
+		panic(fmt.Sprintf("blinktree: logging image of page %d: %v", n.id, err))
+	}
 }
 
 // parentFromPath extracts the remembered parent reference and its D_D from

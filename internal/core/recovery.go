@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,14 +8,6 @@ import (
 	"blinktree/internal/page"
 	"blinktree/internal/wal"
 )
-
-// errTornPage aborts a checkpoint-bounded redo pass that found a torn page
-// image: a page whose on-disk bytes fail the checksum because a power cut
-// interrupted a post-checkpoint write-back, destroying the checkpointed
-// state that bounded redo depends on. The remedy is a full-log redo — SMO
-// records carry complete page after-images, so replaying from LSN 1
-// reconstructs every page from scratch (the log is never truncated).
-var errTornPage = errors.New("blinktree: torn page detected during checkpoint-bounded redo")
 
 // RecoveryStats reports what crash recovery found and did. The zero value
 // (Recovered false) means the tree was not recovered: it was opened fresh,
@@ -31,8 +22,8 @@ type RecoveryStats struct {
 	// LogBytesRead the bytes of log they came from and RestartLSN the
 	// first of them: after a checkpoint with no open transaction, that
 	// checkpoint's, whatever lies before it. FullLogRead is empty then;
-	// otherwise it says why the whole log was read: a wal.Why* reason for
-	// an unusable master record, or "torn page" when redo needed history.
+	// otherwise it is the wal.Why* reason the master record was unusable.
+	// Redo never needs more than the window after the last checkpoint.
 	RecordsScanned int
 	LogBytesRead   int64
 	RestartLSN     uint64
@@ -57,18 +48,16 @@ type RecoveryStats struct {
 	// LosersUndone is the number of unfinished transactions rolled back.
 	LosersUndone int
 
-	// BulkChunksSkipped counts bulk-load chunk records ignored because
-	// their session never reached its commit record: the load crashed
-	// mid-way, and skipping its chunks (images and allocations alike) is
+	// BulkChunksSkipped counts bulk-load chunk records not replayed
+	// because their session never reached its commit record: the load
+	// crashed mid-way, and releasing its chunks' allocations instead is
 	// what makes a chunked-logging load all-or-nothing.
 	BulkChunksSkipped int
 
 	// CorruptPages counts checksum-failing page images detected during
-	// redo (torn writes the crash left behind); each was repaired from
-	// logged after-images. FullRedoRetries counts redo passes restarted
-	// from LSN 1 because a torn page invalidated checkpoint-bounded redo.
-	CorruptPages    int
-	FullRedoRetries int
+	// redo (torn writes the crash left behind); each was overwritten by
+	// the image its first change since the checkpoint logged.
+	CorruptPages int
 
 	// TornTail reports whether the log device found garbage past its last
 	// valid frame (a frame append interrupted by the power cut), and
@@ -88,12 +77,11 @@ type RecoveryStats struct {
 // volatile and start empty: a crash drains all delete state (§1.3), and
 // lost index postings are re-discovered by side traversals.
 //
-// Redo normally starts at the last checkpoint, and the records the log read
-// at open may start there too. If it encounters a torn page — a
-// checksum-failing image whose pre-crash state the bounded pass needed — it
-// restarts from LSN 1, over the whole log: every page's first incarnation is
-// a full after-image in some SMO record, so the full-log pass self-heals any
-// torn page, and the page-LSN test keeps the rework idempotent.
+// Redo starts after the last checkpoint, and the records the log read at
+// open may start there too. A torn page — a post-checkpoint write-back the
+// crash interrupted — needs nothing older: the page's first change after the
+// checkpoint logged its after-image, redo meets that record first and, since
+// a torn page's LSN reads as zero, writes the image over it.
 //
 // Returns false if the log is empty (the caller formats a fresh tree).
 func (t *Tree) recover() (bool, error) {
@@ -128,29 +116,17 @@ func (t *Tree) recover() (bool, error) {
 		return false, fmt.Errorf("blinktree: log has records but no root (missing format record)")
 	}
 
-	// Checkpoint-bounded redo; fall back to full-log redo on a torn page.
-	err := t.redoPass(a.RedoRecords(), a.BulkCommitted, false)
-	if err == nil {
-		err = t.installRoot(root, false)
-	}
-	if errors.Is(err, errTornPage) {
-		t.recStats.FullRedoRetries++
-		if rs.Why == "" {
-			if recs, err = t.log.DurableRecords(); err != nil {
-				return false, err
-			}
-			a = wal.Analyze(recs)
-			t.recStats.RecordsScanned += len(recs)
-			t.recStats.LogBytesRead += rs.End
-			t.recStats.FullLogRead = "torn page"
-		}
-		if err = t.redoPass(recs, a.BulkCommitted, true); err == nil {
-			err = t.installRoot(root, true)
-		}
-	}
-	if err != nil {
+	// Changes from here on (undo's) log images by the same rule as before
+	// the crash: relative to the checkpoint this redo window starts after.
+	t.ckptLSN.Store(uint64(a.RedoStart) - 1)
+	if err := t.redoPass(a.RedoRecords(), a.BulkCommitted); err != nil {
 		return false, err
 	}
+	n, err := t.fetch(root)
+	if err != nil {
+		return false, fmt.Errorf("blinktree: recovered root %d: %w", root, err)
+	}
+	t.setAnchor(n, false)
 	t.txnSeq.Store(a.MaxTxn)
 
 	// Undo pass: roll back losers through ordinary (well-formed-tree)
@@ -174,57 +150,40 @@ func (t *Tree) recover() (bool, error) {
 	return true, nil
 }
 
-// redoPass replays the redoable records in LSN order. full marks a
-// full-log pass, in which a torn page is unrepairable (a hard error)
-// rather than a reason to widen the redo window. bulkCommitted gates
-// SMOBulkChunk records: chunks of a session with no durable commit record
-// are from a load that crashed before its commit point and are skipped
-// entirely, preserving the load's all-or-nothing contract.
-func (t *Tree) redoPass(recs []*wal.Record, bulkCommitted map[uint64]bool, full bool) error {
+// redoPass replays the redoable records in LSN order. bulkCommitted gates
+// SMOBulkChunk records: a session with no durable commit record crashed
+// before its commit point, and its chunks' allocations are released — the
+// load's pre-commit store Sync may have made them durable — preserving the
+// load's all-or-nothing contract without leaking its pages.
+func (t *Tree) redoPass(recs []*wal.Record, bulkCommitted map[uint64]bool) error {
 	for _, r := range recs {
-		switch r.Type {
-		case wal.TSMO:
-			if r.SMO == wal.SMOBulkChunk && !bulkCommitted[r.Txn] {
-				t.recStats.BulkChunksSkipped++
-				continue
-			}
-			if err := t.redoSMO(r); err != nil {
-				return err
-			}
+		var err error
+		switch {
+		case r.Type == wal.TSMO && r.SMO == wal.SMOBulkChunk && !bulkCommitted[r.Txn]:
+			t.recStats.BulkChunksSkipped++
+			err = t.redoDeallocs(r.LSN, r.Allocs)
+		case r.Type == wal.TSMO:
 			t.recStats.SMOsRedone++
-		case wal.TRecOp:
-			if err := t.redoRecOp(r, full); err != nil {
-				return err
+			err = t.redoSMO(r)
+		case r.Type == wal.TRecOp && len(r.Images) > 0:
+			// A page's first change since the checkpoint: its after-image
+			// already holds the operation.
+			var applied int
+			if applied, err = t.redoImages(r); applied > 0 {
+				t.recStats.RecOpsRedone++
 			}
+		case r.Type == wal.TRecOp:
+			err = t.redoRecOp(r)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// installRoot reads the recovered root and publishes it as the anchor. A
-// corrupt — or missing — root during the bounded pass means the store fell
-// behind the checkpoint that bounded redo (torn write-back, or a store that
-// lost pages wholesale); the full-log pass rewrites it from the grow/format
-// SMO images.
-func (t *Tree) installRoot(root page.PageID, full bool) error {
-	n, err := t.fetch(root)
-	if err != nil {
-		if !full {
-			if errors.Is(err, page.ErrCorrupt) {
-				t.recStats.CorruptPages++
-			}
-			return errTornPage
-		}
-		return fmt.Errorf("blinktree: recovered root %d: %w", root, err)
-	}
-	t.setAnchor(n, false)
 	return nil
 }
 
 // redoSMO applies one atomic structure modification: allocations, page
-// after-images (guarded by the page LSN test), then deallocations. A torn
-// page encountered here needs no special handling: its LSN reads as zero,
-// so the logged after-image simply overwrites — and heals — it.
+// after-images (guarded by the page LSN test), then deallocations.
 func (t *Tree) redoSMO(r *wal.Record) error {
 	for _, id := range r.Allocs {
 		if err := t.store.EnsureAllocated(id); err != nil {
@@ -232,24 +191,42 @@ func (t *Tree) redoSMO(r *wal.Record) error {
 		}
 		t.recStats.AllocsReplayed++
 	}
+	if _, err := t.redoImages(r); err != nil {
+		return err
+	}
+	return t.redoDeallocs(r.LSN, r.Deallocs)
+}
+
+// redoImages writes r's page images where the page predates r, and returns
+// how many it wrote. A torn page needs no special handling: its LSN reads
+// as zero, so the logged image simply overwrites — and heals — it.
+func (t *Tree) redoImages(r *wal.Record) (int, error) {
+	applied := 0
 	for _, im := range r.Images {
 		if err := t.store.EnsureAllocated(im.ID); err != nil {
-			return err
+			return applied, err
 		}
 		cur, err := t.pageLSN(im.ID)
 		if err != nil {
-			return err
+			return applied, err
 		}
 		if cur >= uint64(r.LSN) {
 			t.recStats.SkippedByLSN++
 			continue // page already reflects this or a later state
 		}
 		if err := t.store.Write(im.ID, im.Data); err != nil {
-			return err
+			return applied, err
 		}
 		t.recStats.ImagesApplied++
+		applied++
 	}
-	for _, id := range r.Deallocs {
+	return applied, nil
+}
+
+// redoDeallocs frees the pages a record at lsn deallocated, unless a page
+// has since been recycled by a later allocation whose state is on disk.
+func (t *Tree) redoDeallocs(lsn wal.LSN, ids []page.PageID) error {
+	for _, id := range ids {
 		if !t.store.Allocated(id) {
 			continue
 		}
@@ -257,9 +234,7 @@ func (t *Tree) redoSMO(r *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if cur > uint64(r.LSN) {
-			// The page was recycled by a later allocation whose state is
-			// already on disk: do not free it again.
+		if cur > uint64(lsn) {
 			continue
 		}
 		if err := t.store.Deallocate(id); err != nil {
@@ -272,7 +247,7 @@ func (t *Tree) redoSMO(r *wal.Record) error {
 
 // redoRecOp re-applies one physiological record operation to its page if
 // the page state predates it.
-func (t *Tree) redoRecOp(r *wal.Record, full bool) error {
+func (t *Tree) redoRecOp(r *wal.Record) error {
 	if !t.store.Allocated(r.Page) {
 		// The page was consolidated away later; the consolidation SMO's
 		// images carry the record's final location.
@@ -291,18 +266,11 @@ func (t *Tree) redoRecOp(r *wal.Record, full bool) error {
 			// in a state that needs redo.
 			return nil
 		}
-		// Non-blank but checksum-failing: a torn write. Bounded redo
-		// cannot trust any page state it did not itself rebuild, so
-		// restart from LSN 1 — the full pass rewrites this page from its
-		// creating SMO's after-image before reaching this record again.
+		// Non-blank but checksum-failing, yet no earlier record of this
+		// window carried the page's image: the first-change rule was
+		// broken (or the store lost a synced page). Nothing here repairs it.
 		t.recStats.CorruptPages++
-		if t.tracing() {
-			t.obs.Emit(obs.Event{Kind: obs.EvRecoveryTornPage, Page: uint64(r.Page)})
-		}
-		if full {
-			return fmt.Errorf("blinktree: page %d corrupt under full-log redo: %w", r.Page, err)
-		}
-		return errTornPage
+		return fmt.Errorf("blinktree: page %d torn with no image in the redo window: %w", r.Page, err)
 	}
 	if c.LSN >= uint64(r.LSN) {
 		t.recStats.SkippedByLSN++
@@ -393,6 +361,9 @@ func (t *Tree) pageLSN(id page.PageID) (uint64, error) {
 	if err != nil {
 		if !zeroPage(raw) {
 			t.recStats.CorruptPages++
+			if t.tracing() {
+				t.obs.Emit(obs.Event{Kind: obs.EvRecoveryTornPage, Page: uint64(id)})
+			}
 		}
 		return 0, nil
 	}

@@ -229,10 +229,10 @@ func TestCloseEndsWithCheckpoint(t *testing.T) {
 	}
 }
 
-// TestTornPageAfterMasterRestartReadsWholeLog: the torn-page remedy — redo
-// from LSN 1 — still works when the open read only the tail; it reads the
-// whole log then, once, and says so.
-func TestTornPageAfterMasterRestartReadsWholeLog(t *testing.T) {
+// TestTornPageHealsFromFirstChangeImage: a page torn by a write-back after
+// the checkpoint heals from the image its first change since then logged —
+// the tail's update carries it — so the open reads the tail only.
+func TestTornPageHealsFromFirstChangeImage(t *testing.T) {
 	store, dev := storage.NewMemStore(512), wal.NewMemDevice()
 	open := func() *Tree {
 		tr, err := New(Options{PageSize: 512, Workers: WorkersNone, Store: store, LogDevice: dev})
@@ -250,14 +250,17 @@ func TestTornPageAfterMasterRestartReadsWholeLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Put(key(0), valb(1))
+	if got := tr.Stats().FirstChangeImages; got != 1 {
+		t.Fatalf("FirstChangeImages = %d after one change since the checkpoint, want 1", got)
+	}
 	tr.FlushLog()
 	tr.Abandon()
 	frames, _ := dev.ReadDurable()
 
-	// Tear the leaf the tail's record lands on.
+	// The tail's update carries its leaf's image; tear the leaf.
 	last, err := wal.DecodeRecord(frames[len(frames)-1][8:])
-	if err != nil || last.Type != wal.TRecOp {
-		t.Fatalf("last record %v, %v; want the tail's update", last, err)
+	if err != nil || last.Type != wal.TRecOp || len(last.Images) != 1 || last.Images[0].ID != last.Page {
+		t.Fatalf("last record %v, %v; want the tail's update with its page's image", last, err)
 	}
 	img, _ := store.Read(last.Page)
 	img[len(img)/2] ^= 0xff
@@ -266,8 +269,8 @@ func TestTornPageAfterMasterRestartReadsWholeLog(t *testing.T) {
 	tr = open()
 	defer tr.Abandon()
 	rs := tr.RecoveryStats()
-	if rs.FullLogRead != "torn page" || rs.FullRedoRetries != 1 || rs.RecordsScanned != 2+len(frames) {
-		t.Fatalf("%+v; want the tail's 2 records, then all %d after the torn page", rs, len(frames))
+	if rs.FullLogRead != "" || rs.RecordsScanned != 2 || rs.CorruptPages != 1 || rs.ImagesApplied != 1 {
+		t.Fatalf("%+v; want the tail's 2 records read and the torn page healed from its image", rs)
 	}
 	for k := 0; k < 300; k++ {
 		want := valb(k)

@@ -164,6 +164,9 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 			p.c.DD++
 			t.c.ddIncrements.Add(1)
 			p.frame.MarkDirty()
+			// Unlogged, and the consolidation may yet abort: if this is
+			// p's first change since the checkpoint, log p's image.
+			t.logImage(p)
 		}
 		if checkState && t.opts.SingleDeleteState {
 			// Ablation: all deletes funnel into the global counter.
@@ -283,15 +286,7 @@ func (t *Tree) logPost(p *node) {
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		p.c.LSN = uint64(lsn)
-		img, merr := p.Marshal(t.opts.PageSize)
-		if merr != nil {
-			panic(fmt.Sprintf("blinktree: post image of %d: %v", p.id, merr))
-		}
-		return &wal.Record{
-			Type:   wal.TSMO,
-			SMO:    wal.SMOPost,
-			Images: []wal.PageImage{{ID: p.id, Data: img}},
-		}
+		return &wal.Record{Type: wal.TSMO, SMO: wal.SMOPost, Images: t.pageImage(p)}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("blinktree: logging post: %v", err))
@@ -383,14 +378,10 @@ func (t *Tree) growLocked(a action) {
 		_, err = t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 			root.c.LSN = uint64(lsn)
 			root.c.Epoch = uint64(lsn)
-			img, merr := root.Marshal(t.opts.PageSize)
-			if merr != nil {
-				panic(fmt.Sprintf("blinktree: grow image: %v", merr))
-			}
 			return &wal.Record{
 				Type:   wal.TSMO,
 				SMO:    wal.SMOGrow,
-				Images: []wal.PageImage{{ID: root.id, Data: img}},
+				Images: t.pageImage(root),
 				Allocs: []page.PageID{root.id},
 				Root:   root.id,
 			}

@@ -196,21 +196,10 @@ func (t *Tree) logSplit(orig, right *node) error {
 		orig.c.LSN = uint64(lsn)
 		right.c.LSN = uint64(lsn)
 		right.c.Epoch = uint64(lsn)
-		oi, err := orig.Marshal(t.opts.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("blinktree: split image of %d: %v", orig.id, err))
-		}
-		ri, err := right.Marshal(t.opts.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("blinktree: split image of %d: %v", right.id, err))
-		}
 		return &wal.Record{
-			Type: wal.TSMO,
-			SMO:  wal.SMOSplit,
-			Images: []wal.PageImage{
-				{ID: orig.id, Data: oi},
-				{ID: right.id, Data: ri},
-			},
+			Type:   wal.TSMO,
+			SMO:    wal.SMOSplit,
+			Images: append(t.pageImage(orig), t.pageImage(right)...),
 			Allocs: []page.PageID{right.id},
 		}
 	})

@@ -80,6 +80,10 @@ type Stats struct {
 	// Bulk load (bulkload.go).
 	BulkLoadPages  uint64 // pages built by bulk loads (leaves + index nodes)
 	BulkLoadChunks uint64 // chunks dispatched/logged by bulk loads
+
+	// Logging: page after-images logged because a change was its page's
+	// first since the last checkpoint (a record op's, or a D_D bump's).
+	FirstChangeImages uint64
 }
 
 // counters backs Stats; the two every read bumps are striped by stack hint.
@@ -102,6 +106,7 @@ type counters struct {
 	todoInlineAssists, todoDedupHits, drainBailouts  atomic.Uint64
 	appendFastHits, appendFastMisses                 atomic.Uint64
 	bulkLoadPages, bulkLoadChunks                    atomic.Uint64
+	firstChangeImages                                atomic.Uint64
 }
 
 // snapshot copies the counters into a Stats value.
@@ -153,5 +158,6 @@ func (c *counters) snapshot() Stats {
 		AppendFastMisses:  c.appendFastMisses.Load(),
 		BulkLoadPages:     c.bulkLoadPages.Load(),
 		BulkLoadChunks:    c.bulkLoadChunks.Load(),
+		FirstChangeImages: c.firstChangeImages.Load(),
 	}
 }

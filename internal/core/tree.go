@@ -106,6 +106,12 @@ type Tree struct {
 	// txnSeq issues transaction IDs (resumed above recovered IDs).
 	txnSeq atomic.Uint64
 
+	// ckptLSN is the LSN of the last checkpoint record appended (at open,
+	// the one redo started after). A page whose LSN is not above it has no
+	// image in the redo window, so its next change logs one (firstChange).
+	// Written only with every operation held out (checkpoint gate, or open).
+	ckptLSN atomic.Uint64
+
 	// active tracks live transactions for checkpoint records.
 	active activeTxns
 
@@ -267,14 +273,10 @@ func (t *Tree) format() error {
 		_, err = t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 			root.c.LSN = uint64(lsn)
 			root.c.Epoch = uint64(lsn)
-			img, merr := root.Marshal(t.opts.PageSize)
-			if merr != nil {
-				panic(merr) // fresh empty root always fits
-			}
 			return &wal.Record{
 				Type:   wal.TSMO,
 				SMO:    wal.SMOFormat,
-				Images: []wal.PageImage{{ID: root.id, Data: img}},
+				Images: t.pageImage(root),
 				Allocs: []page.PageID{root.id},
 				Root:   root.id,
 			}
@@ -506,6 +508,15 @@ func (t *Tree) Checkpoint() error {
 	}
 	t.gate.Lock()
 	defer t.gate.Unlock()
+	return t.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint for a caller holding the gate exclusively.
+// From the moment the record is appended, a page whose LSN precedes it
+// logs its image on its next change (firstChange), whether or not the
+// record then becomes durable: a record lost at a crash takes every later
+// one with it, and an older redo window only needs fewer images.
+func (t *Tree) checkpointLocked() error {
 	if err := t.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -522,9 +533,31 @@ func (t *Tree) Checkpoint() error {
 		act = append(act, wal.ActiveTxn{ID: id, LastLSN: x.last()})
 	}
 	t.active.mu.Unlock()
-	return t.log.Checkpoint(func() *wal.Record {
-		return &wal.Record{Type: wal.TCheckpoint, Txn: t.txnSeq.Load(), Root: root, Active: act}
+	rec := &wal.Record{Type: wal.TCheckpoint, Root: root, Active: act}
+	err := t.log.Checkpoint(func() *wal.Record {
+		rec.Txn = t.txnSeq.Load()
+		return rec
 	})
+	t.ckptLSN.Store(uint64(rec.LSN))
+	return err
+}
+
+// firstChange reports whether n's next logged change is its first since
+// the last checkpoint, and so must carry n's after-image: without one, a
+// write-back torn by a crash would leave n with no intact copy the redo
+// window can restore. The caller holds n exclusively.
+func (t *Tree) firstChange(n *node) bool {
+	return n.c.LSN <= t.ckptLSN.Load()
+}
+
+// pageImage marshals n for a log record; build functions call it after
+// stamping n's LSN. A node that does not fit its page is a bug.
+func (t *Tree) pageImage(n *node) []wal.PageImage {
+	img, err := n.Marshal(t.opts.PageSize)
+	if err != nil {
+		panic(fmt.Sprintf("blinktree: image of page %d: %v", n.id, err))
+	}
+	return []wal.PageImage{{ID: n.id, Data: img}}
 }
 
 // Close drains the to-do queue, flushes state and shuts the tree down. The

@@ -222,7 +222,8 @@ const (
 	// carries the number of records replayed, Dur the recovery wall time.
 	EvRecoveryRedo
 	// EvRecoveryTornPage: redo found a torn (checksum-failing) page image
-	// and repaired it from logged after-images; Page is the page ID.
+	// and overwrote it with the after-image logged by the page's first
+	// change after the checkpoint; Page is the page ID.
 	EvRecoveryTornPage
 	// EvRecoveryTornTail: the log device found garbage past its last valid
 	// frame (an append interrupted by the power cut); Page carries the

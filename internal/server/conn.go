@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 	"slices"
 	"strconv"
@@ -19,6 +20,9 @@ const (
 	// drainFlushTimeout bounds a socket write once the server drains: replies
 	// in flight are delivered, but not to a client that has stopped reading.
 	drainFlushTimeout = time.Second
+	// lingerTimeout bounds how long a finished connection waits for its
+	// client to close after the server has half-closed it (see linger).
+	lingerTimeout = 500 * time.Millisecond
 )
 
 // conn is one client session, served by one goroutine (serve): it parses a
@@ -156,7 +160,23 @@ func (c *conn) serve() {
 		c.srv.stats.disconnectAborts.Add(1)
 	}
 	c.flush() // an error here means the peer is gone, which Close settles
+	c.linger()
 	c.nc.Close()
+}
+
+// linger ends the session without a reset. A client may have sent commands
+// this connection will not execute — a drain stops between any two — and
+// closing a socket with unread input makes the kernel answer with RST,
+// which destroys replies still on their way to the client. So: half-close,
+// so the client reads every reply and then EOF, and discard its input
+// until it closes its end or lingerTimeout passes.
+func (c *conn) linger() {
+	hc, ok := c.nc.(interface{ CloseWrite() error })
+	if !ok || hc.CloseWrite() != nil {
+		return
+	}
+	c.nc.SetReadDeadline(time.Now().Add(lingerTimeout))
+	io.Copy(io.Discard, c.nc)
 }
 
 // dispatch looks up and executes one command, appending the encoded reply to

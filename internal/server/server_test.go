@@ -44,6 +44,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// CloseWrite keeps the half-close a finished session ends with (conn.linger).
+func (c *countingConn) CloseWrite() error { return c.Conn.(*net.TCPConn).CloseWrite() }
+
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
@@ -502,6 +505,75 @@ func TestShutdownResumesInterruptedFlush(t *testing.T) {
 	if want := srv.CommandCount("SCAN"); replies != want {
 		t.Fatalf("%d replies reached the client, %d commands were executed", replies, want)
 	}
+}
+
+// TestShutdownMidPipelineResetsNoReply: a drain stops a connection while its
+// client is still sending a 20 000-GET pipeline. The server must not close
+// over the unread rest of it — the kernel would answer with RST and could
+// destroy replies already sent — so every reply it wrote reaches the
+// client, followed by a clean EOF, never "connection reset by peer". The
+// 1 KB value makes the replies outgrow the socket buffers, so the drain
+// starts with most of the pipeline neither executed nor read; the 12-byte
+// key makes a GET 32 bytes, so a full read buffer ends on a command boundary
+// and the drain stops there instead of reading on for the rest of a split
+// command.
+func TestShutdownMidPipelineResetsNoReply(t *testing.T) {
+	tree, err := blinktree.Open(blinktree.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	val := bytes.Repeat([]byte("v"), 1000)
+	const key = "pipelinekey0"
+	if err := tree.Put([]byte(key), val); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(tree, Config{})
+	listen(t, srv)
+	go srv.Serve()
+	nc := dialRaw(t, srv.Addr().String())
+
+	const n = 20000
+	wrote := make(chan struct{})
+	go func() { // the client's sender: stops with an error once the server is gone
+		defer close(wrote)
+		bw := bufio.NewWriter(nc)
+		for i := 0; i < n; i++ {
+			if _, err := bw.Write(command("GET", key)); err != nil {
+				return
+			}
+		}
+		if bw.Flush() == nil {
+			nc.(*net.TCPConn).CloseWrite()
+		}
+	}()
+	waitFor(t, "the pipeline to start", func() bool { return srv.CommandCount("GET") > 0 })
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	waitFor(t, "the drain to start", srv.draining)
+
+	br, replies := bufio.NewReader(nc), uint64(0)
+	for {
+		rep, err := resp.ReadReply(br, 0)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || !bytes.Equal(rep.Bulk, val) {
+			t.Fatalf("reply %d = %.20q, %v", replies, rep.Bulk, err)
+		}
+		replies++
+	}
+	<-wrote
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := srv.CommandCount("GET"); replies != got || got == n {
+		t.Fatalf("%d replies read, %d GETs executed of %d sent; want every executed one read, and a drain mid-pipeline", replies, got, n)
+	}
+	t.Logf("%d of %d GETs executed and answered", replies, n)
 }
 
 // TestOneGoroutinePerConnection: N idle connections cost N goroutines.

@@ -139,12 +139,13 @@ type Report struct {
 
 	// Recovery totals across all reopens; MasterRestarts counts those
 	// that read the log from a master record's checkpoint, not its start.
-	MasterRestarts  int
-	FullRedoRetries int
-	CorruptPages    int
-	LosersUndone    int
-	SMOsRedone      int
-	RecOpsRedone    int
+	// CorruptPages are torn pages redo found and healed from the images
+	// logged on their first change after the checkpoint.
+	MasterRestarts int
+	CorruptPages   int
+	LosersUndone   int
+	SMOsRedone     int
+	RecOpsRedone   int
 }
 
 // Passed reports whether the sweep found no violations.
@@ -165,10 +166,10 @@ func DurabilityContract(m wal.DurabilityMode) string {
 // notes and test logs).
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"crash points %d over %d ops: %d violations; torn pages %d, dropped frames %d, torn tails %d; recovery: %d from a master record, %d SMOs, %d recops, %d losers undone, %d corrupt pages, %d full-redo retries",
+		"crash points %d over %d ops: %d violations; torn pages %d, dropped frames %d, torn tails %d; recovery: %d from a master record, %d SMOs, %d recops, %d losers undone, %d corrupt pages healed",
 		r.CrashPoints, r.Ops, len(r.Violations), r.TornPages, r.DroppedFrames,
 		r.TornTails, r.MasterRestarts, r.SMOsRedone, r.RecOpsRedone, r.LosersUndone,
-		r.CorruptPages, r.FullRedoRetries)
+		r.CorruptPages)
 }
 
 // simOp is one shadow-model mutation. A delete of an absent key is a no-op
@@ -661,7 +662,6 @@ func reopenAndCheck(cfg Config, disk *storage.SimDisk, sh *shadow, rep *Report) 
 	if rs.Recovered && rs.FullLogRead == "" {
 		rep.MasterRestarts++
 	}
-	rep.FullRedoRetries += rs.FullRedoRetries
 	rep.CorruptPages += rs.CorruptPages
 	rep.LosersUndone += rs.LosersUndone
 	rep.SMOsRedone += rs.SMOsRedone

@@ -19,6 +19,12 @@ import (
 // allocation is the write-ahead log's job (alloc/dealloc are logged and
 // replayed), so a torn header is repaired by recovery, not by the store.
 //
+// An allocated page reads as zeros until it is first written. Past the end
+// of the file that costs one Truncate for the whole run; a page the file
+// already covers — one reused from the free list, or one a crash left
+// behind beyond the persisted frontier — gets a zero write, so recovery can
+// tell "allocated, never written" from a torn page.
+//
 // Page I/O holds mu shared, so reads and writes of different pages overlap
 // in the kernel (pread/pwrite carry their own offset); whatever changes the
 // allocator state or closes the file holds it exclusively.
@@ -26,6 +32,7 @@ type FileStore struct {
 	mu       sync.RWMutex
 	f        *os.File
 	pageSize int
+	size     int64 // file length in bytes
 	next     page.PageID
 	free     []page.PageID
 	live     map[page.PageID]struct{}
@@ -63,11 +70,12 @@ func OpenFileStore(path string, pageSize int) (*FileStore, error) {
 		f.Close()
 		return nil, err
 	}
-	if info.Size() == 0 {
+	if s.size = info.Size(); s.size == 0 {
 		if err := s.writeHeader(); err != nil {
 			f.Close()
 			return nil, err
 		}
+		s.size = int64(pageSize)
 		return s, nil
 	}
 	if err := s.readHeader(); err != nil {
@@ -144,16 +152,33 @@ func (s *FileStore) Allocate() (page.PageID, error) {
 		id = s.next
 		s.next++
 	}
-	s.live[id] = struct{}{}
-	// Extend the file with a zero page so later reads of an allocated but
-	// never-written page succeed.
-	zero := make([]byte, s.pageSize)
-	if _, err := s.f.WriteAt(zero, int64(id)*int64(s.pageSize)); err != nil {
-		delete(s.live, id)
+	if err := s.zeroLocked(id, 1); err != nil {
+		s.free = append(s.free, id)
 		return page.InvalidPage, err
 	}
+	s.live[id] = struct{}{}
 	s.allocs++
 	return id, nil
+}
+
+// zeroLocked makes pages [first, first+n) read as zeros: the part the file
+// already covers is written with zeros, the rest is one Truncate that
+// extends the file. Caller holds s.mu exclusively.
+func (s *FileStore) zeroLocked(first page.PageID, n int) error {
+	off := int64(first) * int64(s.pageSize)
+	end := off + int64(n)*int64(s.pageSize)
+	if off < s.size {
+		if _, err := s.f.WriteAt(make([]byte, min(end, s.size)-off), off); err != nil {
+			return err
+		}
+	}
+	if end > s.size {
+		if err := s.f.Truncate(end); err != nil {
+			return err
+		}
+		s.size = end
+	}
+	return nil
 }
 
 // AllocateBatch implements BatchAllocator: n fresh pages under one lock
@@ -169,8 +194,7 @@ func (s *FileStore) AllocateBatch(n int) ([]page.PageID, error) {
 	for len(ids) < n && len(s.free) > 0 {
 		id := s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		zero := make([]byte, s.pageSize)
-		if _, err := s.f.WriteAt(zero, int64(id)*int64(s.pageSize)); err != nil {
+		if err := s.zeroLocked(id, 1); err != nil {
 			s.free = append(s.free, id)
 			s.rollbackBatch(ids)
 			return nil, err
@@ -181,8 +205,7 @@ func (s *FileStore) AllocateBatch(n int) ([]page.PageID, error) {
 	}
 	if rest := n - len(ids); rest > 0 {
 		first := s.next
-		zero := make([]byte, rest*s.pageSize)
-		if _, err := s.f.WriteAt(zero, int64(first)*int64(s.pageSize)); err != nil {
+		if err := s.zeroLocked(first, rest); err != nil {
 			s.rollbackBatch(ids)
 			return nil, err
 		}
@@ -229,12 +252,11 @@ func (s *FileStore) EnsureAllocated(id page.PageID) error {
 		}
 		s.next++
 	}
-	s.live[id] = struct{}{}
-	zero := make([]byte, s.pageSize)
-	if _, err := s.f.WriteAt(zero, int64(id)*int64(s.pageSize)); err != nil {
-		delete(s.live, id)
+	if err := s.zeroLocked(id, 1); err != nil {
+		s.free = append(s.free, id)
 		return err
 	}
+	s.live[id] = struct{}{}
 	s.allocs++
 	return nil
 }

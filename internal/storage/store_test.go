@@ -183,6 +183,78 @@ func TestFreshPageReadsZero(t *testing.T) {
 	}
 }
 
+// TestFileStoreAllocatedPagesReadZero: a FileStore grows its frontier by
+// extending the file (one Truncate, no page writes) and an allocated page
+// reads as zeros until it is written — off the frontier, from the free
+// list, and in a file a crash left longer than its persisted frontier,
+// whose stale pages must not read back as what they held.
+func TestFileStoreAllocatedPagesReadZero(t *testing.T) {
+	const ps = 256
+	path := filepath.Join(t.TempDir(), "pages.db")
+	s, err := OpenFileStore(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, ps)
+	mustZero := func(s *FileStore, ids ...page.PageID) {
+		t.Helper()
+		for _, id := range ids {
+			if got, err := s.Read(id); err != nil || !bytes.Equal(got, zero) {
+				t.Fatalf("allocated page %d reads %x, %v; want zeros", id, got, err)
+			}
+		}
+	}
+	a, _ := s.Allocate()
+	batch, err := s.AllocateBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnsureAllocated(9); err != nil { // 5–8 go to the free list
+		t.Fatal(err)
+	}
+	mustZero(s, append(batch, a, 9)...)
+	if st := s.Stats(); st.Writes != 0 {
+		t.Fatalf("allocation wrote %d pages, want none", st.Writes)
+	}
+	if info, _ := s.f.Stat(); info.Size() != 10*ps {
+		t.Fatalf("file is %d bytes after allocating up to page 9, want %d", info.Size(), 10*ps)
+	}
+
+	// Free-list reuse zeroes what the page held.
+	junk := bytes.Repeat([]byte{0xA5}, ps)
+	if err := s.Write(a, junk); err != nil {
+		t.Fatal(err)
+	}
+	s.Deallocate(a)
+	if b, _ := s.Allocate(); b != a {
+		t.Fatalf("reused %d, want %d", b, a)
+	}
+	mustZero(s, a)
+
+	// A crash image: the header persisted at frontier 10, then page 12
+	// allocated and written, and the process gone before the next Sync.
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.EnsureAllocated(12)
+	s.Write(12, junk)
+	s2, err := OpenFileStore(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ids, err := s2.AllocateBatch(6) // 8, 7, 6, 5 off the free list, then 10, 11
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s2.Allocate()
+	if c != 12 {
+		t.Fatalf("allocated %d, want the stale page 12", c)
+	}
+	mustZero(s2, append(ids, c)...)
+	s.f.Close()
+}
+
 func TestUseAfterFree(t *testing.T) {
 	for name, s := range stores(t, 256) {
 		t.Run(name, func(t *testing.T) {

@@ -26,7 +26,8 @@ type Device interface {
 	Sync() error
 	// ReadDurable returns every durable frame in append order: a clean
 	// prefix of the appended frames (see the Device durability contract).
-	// The full-log read: dump tools, and redo after a torn page.
+	// The full-log read, for the dump and audit tools: recovery never
+	// needs it (ReadRestart).
 	ReadDurable() ([][]byte, error)
 	// ReadRestart is the one read an open makes: the durable frames from
 	// the master record's checkpoint on, or every frame and why.

@@ -13,8 +13,8 @@ import (
 
 // realLogSeeds runs two small trees (the paper's delete policy and the drain
 // comparator) through every kind of logged work and returns one frame of
-// each record kind — every Type, every SMOKind, every Op, a CLR — as the
-// log devices hold them. It fails if a kind is missing, so the corpus
+// each record kind — every Type, every SMOKind, every Op, a CLR, a record
+// op carrying its page's first-change image — as the log devices hold them. It fails if a kind is missing, so the corpus
 // cannot silently thin out.
 func realLogSeeds(t testing.TB) [][]byte {
 	t.Helper()
@@ -88,6 +88,9 @@ func realLogSeeds(t testing.TB) [][]byte {
 				kind += " " + r.SMO.String()
 			case wal.TRecOp:
 				kind += fmt.Sprintf(" %s clr=%v", r.Op, r.CLR)
+				if len(r.Images) > 0 {
+					kind += " image"
+				}
 			}
 			if seen[kind] == nil {
 				seen[kind] = f
@@ -104,7 +107,8 @@ func realLogSeeds(t testing.TB) [][]byte {
 				kinds = append(kinds, typ.String()+" "+k.String())
 			}
 		case wal.TRecOp:
-			kinds = []string{"RECOP insert clr=false", "RECOP update clr=false", "RECOP delete clr=false", "RECOP delete clr=true"}
+			kinds = []string{"RECOP insert clr=false", "RECOP update clr=false", "RECOP delete clr=false", "RECOP delete clr=true",
+				"RECOP insert clr=false image"}
 		}
 		for _, k := range kinds {
 			if seen[k] == nil {

@@ -306,7 +306,7 @@ func decodeFrames(frames [][]byte) ([]*Record, error) {
 }
 
 // DurableRecords reads the whole log: every durable record in LSN order.
-// Used by the dump and audit tools, and by redo after a torn page.
+// Used by the dump and audit tools; recovery reads only what Restart returns.
 func (l *Log) DurableRecords() ([]*Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

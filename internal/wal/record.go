@@ -12,9 +12,17 @@
 //     single record carrying the after-images of every page it touched plus
 //     its allocator operations, so an SMO is atomic by construction: it is
 //     either entirely in the log or entirely absent. SMOs are never undone.
+//     A bulk load is the exception in size only: its chunk records carry
+//     allocations, its pages are forced to the store before its commit
+//     record is written, and the commit record makes the session happen.
 //   - User record operations (insert/delete/update of a record) are logged
 //     physiologically — against the page that held the record — with undo
 //     information and a per-transaction backchain (PrevLSN).
+//   - A page's first change after a checkpoint carries the page's
+//     after-image in its record (an SMO's images, or a TRecOp's Images);
+//     a change that is otherwise unlogged gets an image-only TRecOp. So
+//     every page a post-checkpoint write-back can tear has an intact image
+//     inside the redo window, and no recovery reads below the checkpoint.
 //   - Redo replays both kinds in LSN order guarded by the page LSN test.
 //     After redo the tree is exactly as it was at the crash, in particular
 //     well-formed. Undo then rolls back loser transactions *logically*
@@ -50,7 +58,10 @@ const (
 	TCommit
 	// TAbort marks a fully rolled-back user transaction.
 	TAbort
-	// TRecOp is a physiological user record operation with undo info.
+	// TRecOp is a physiological user record operation with undo info. On
+	// a page's first change after a checkpoint it also carries the page's
+	// after-image (Images), which redo applies in place of the operation;
+	// Op zero marks an image-only record, for a change nothing else logs.
 	TRecOp
 	// TSMO is an atomic structure modification with full page after-images.
 	TSMO
@@ -128,17 +139,20 @@ const (
 	// page empty prior to deletion (§1.3 point 2: "Extra updates lead to
 	// extra logging"). The paper's method never writes this record.
 	SMODrainMark
-	// SMOBulkChunk carries one chunk of a bulk load: the after-images and
-	// allocations of a contiguous run of freshly built nodes. Chunk
-	// records share a session ID in Txn and are inert on their own —
-	// recovery replays them only if a SMOBulkCommit with the same session
-	// ID made it into the log, which is what keeps a multi-record load
-	// all-or-nothing.
+	// SMOBulkChunk carries one chunk of a bulk load: the allocations of a
+	// contiguous run of freshly built nodes — no images, the pages reach
+	// the store through the buffer pool and are forced before the commit
+	// record is written. Chunk records share a session ID in Txn: recovery
+	// replays their allocations if a SMOBulkCommit with the same session
+	// ID made it into the log, and releases them if none did, which is
+	// what keeps a multi-record load all-or-nothing. (Records written
+	// before PR 21 also carry after-images; redo still applies them.)
 	SMOBulkChunk
 	// SMOBulkCommit completes a bulk-load session: it names the new root,
 	// deallocates the old one, and its presence in the durable log is the
 	// commit point that makes every SMOBulkChunk of the same session
-	// (matched via Txn) redoable.
+	// (matched via Txn) redoable. It is appended only after every page of
+	// the session is durable in the store.
 	SMOBulkCommit
 )
 
@@ -168,7 +182,8 @@ func (k SMOKind) String() string {
 	}
 }
 
-// PageImage is the full after-image of one page within an SMO record.
+// PageImage is the full after-image of one page within an SMO record, or
+// within a TRecOp that is its page's first change after a checkpoint.
 type PageImage struct {
 	ID   page.PageID
 	Data []byte // exactly one page
@@ -192,6 +207,7 @@ type Record struct {
 
 	// TRecOp fields. A compensation record (CLR) has CLR set and UndoNext
 	// pointing at the next record of the same transaction still to undo.
+	// A TRecOp may also carry Images (see TRecOp).
 	Op       Op
 	Page     page.PageID
 	Key      []byte
@@ -200,7 +216,7 @@ type Record struct {
 	CLR      bool
 	UndoNext LSN
 
-	// TSMO fields.
+	// TSMO fields (Images also on a page's first TRecOp after a checkpoint).
 	SMO      SMOKind
 	Images   []PageImage
 	Allocs   []page.PageID
@@ -279,6 +295,34 @@ func (d *decoder) bytes() []byte {
 	return v
 }
 
+// putImages appends a count-prefixed list of page images.
+func putImages(b []byte, ims []PageImage) []byte {
+	b = putU64(b, uint64(len(ims)))
+	for _, im := range ims {
+		b = putU64(b, uint64(im.ID))
+		b = putBytes(b, im.Data)
+	}
+	return b
+}
+
+// images decodes a list written by putImages.
+func (d *decoder) images() []PageImage {
+	var ims []PageImage
+	n := d.count(16)
+	for i := 0; i < n && d.err == nil; i++ {
+		id := page.PageID(d.u64())
+		ims = append(ims, PageImage{ID: id, Data: d.bytes()})
+	}
+	return ims
+}
+
+// TRecOp flag bits. A record written before first-change images existed
+// has flagImages clear and decodes exactly as it always did.
+const (
+	flagCLR    = 1 << 0
+	flagImages = 1 << 1
+)
+
 // Encode serializes r (without framing; the Log adds length+crc framing).
 func (r *Record) Encode() []byte {
 	b := make([]byte, 0, 64)
@@ -291,7 +335,10 @@ func (r *Record) Encode() []byte {
 		b = append(b, byte(r.Op))
 		var flags byte
 		if r.CLR {
-			flags |= 1
+			flags |= flagCLR
+		}
+		if len(r.Images) > 0 {
+			flags |= flagImages
 		}
 		b = append(b, flags)
 		b = putU64(b, uint64(r.Page))
@@ -299,14 +346,13 @@ func (r *Record) Encode() []byte {
 		b = putBytes(b, r.Key)
 		b = putBytes(b, r.Val)
 		b = putBytes(b, r.OldVal)
+		if len(r.Images) > 0 {
+			b = putImages(b, r.Images)
+		}
 	case TSMO:
 		b = append(b, byte(r.SMO))
 		b = putU64(b, uint64(r.Root))
-		b = putU64(b, uint64(len(r.Images)))
-		for _, im := range r.Images {
-			b = putU64(b, uint64(im.ID))
-			b = putBytes(b, im.Data)
-		}
+		b = putImages(b, r.Images)
 		b = putU64(b, uint64(len(r.Allocs)))
 		for _, id := range r.Allocs {
 			b = putU64(b, uint64(id))
@@ -346,14 +392,20 @@ func DecodeRecord(b []byte) (*Record, error) {
 		r.Op = Op(d.b[d.pos])
 		flags := d.b[d.pos+1]
 		d.pos += 2
-		if r.CLR = flags == 1; flags > 1 {
+		if flags&^(flagCLR|flagImages) != 0 {
 			return nil, fmt.Errorf("%w: unknown recop flags %#x", ErrBadRecord, flags)
 		}
+		r.CLR = flags&flagCLR != 0
 		r.Page = page.PageID(d.u64())
 		r.UndoNext = LSN(d.u64())
 		r.Key = d.bytes()
 		r.Val = d.bytes()
 		r.OldVal = d.bytes()
+		if flags&flagImages != 0 {
+			if r.Images = d.images(); d.err == nil && len(r.Images) == 0 {
+				return nil, fmt.Errorf("%w: recop image flag without images", ErrBadRecord)
+			}
+		}
 	case TSMO:
 		if d.pos+1 > len(d.b) {
 			return nil, fmt.Errorf("%w: truncated smo", ErrBadRecord)
@@ -361,12 +413,7 @@ func DecodeRecord(b []byte) (*Record, error) {
 		r.SMO = SMOKind(d.b[d.pos])
 		d.pos++
 		r.Root = page.PageID(d.u64())
-		nImages := d.count(16)
-		for i := 0; i < nImages && d.err == nil; i++ {
-			id := page.PageID(d.u64())
-			data := d.bytes()
-			r.Images = append(r.Images, PageImage{ID: id, Data: data})
-		}
+		r.Images = d.images()
 		nAllocs := d.count(8)
 		for i := 0; i < nAllocs && d.err == nil; i++ {
 			r.Allocs = append(r.Allocs, page.PageID(d.u64()))
@@ -425,6 +472,9 @@ func (r *Record) String() string {
 		clr := ""
 		if r.CLR {
 			clr = " CLR"
+		}
+		if len(r.Images) > 0 {
+			clr += " image"
 		}
 		return fmt.Sprintf("%d %s%s txn=%d prev=%d page=%d %s key=%q",
 			r.LSN, r.Type, clr, r.Txn, r.PrevLSN, r.Page, r.Op, r.Key)

@@ -26,6 +26,37 @@ func sampleRecords() []*Record {
 		{Type: TCommit, Txn: 1, PrevLSN: 4},
 		{Type: TCheckpoint, Active: []ActiveTxn{{ID: 2, LastLSN: 3}}},
 		{Type: TAbort, Txn: 2, PrevLSN: 3},
+		// A page's first change after a checkpoint, and an image-only record.
+		{Type: TRecOp, Txn: 3, Op: OpDelete, Page: 7, CLR: true, UndoNext: 2,
+			Key: []byte("k7"), OldVal: []byte("v7"), Images: []PageImage{{ID: 7, Data: []byte("img7")}}},
+		{Type: TRecOp, Page: 8, Images: []PageImage{{ID: 8, Data: []byte("img8")}}},
+	}
+}
+
+// TestRecOpImageFlag: the image flag is a new bit of the record-op flags
+// byte, so a record written before it — flags 0 or 1 — decodes exactly as
+// it did, and the bit is canonical: set if and only if images follow.
+func TestRecOpImageFlag(t *testing.T) {
+	old := &Record{Type: TRecOp, Txn: 1, Op: OpUpdate, Page: 5, CLR: true, Key: []byte("k"), Val: []byte("v")}
+	enc := old.Encode()
+	if flags := enc[26]; flags != flagCLR {
+		t.Fatalf("a record without images encodes flags %#x, want %#x", flags, flagCLR)
+	}
+	if got, err := DecodeRecord(enc); err != nil || !reflect.DeepEqual(got, old) || got.Images != nil {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, old)
+	}
+	for _, flags := range []byte{flagImages, flagCLR | flagImages, 4, 0x80} {
+		bad := append([]byte(nil), enc...)
+		bad[26] = flags
+		if _, err := DecodeRecord(bad); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("flags %#x with no image list: %v, want ErrBadRecord", flags, err)
+		}
+	}
+	// The flag with an empty list is not what Encode writes.
+	empty := append(append([]byte(nil), enc...), make([]byte, 8)...)
+	empty[26] |= flagImages
+	if _, err := DecodeRecord(empty); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("image flag with zero images: %v, want ErrBadRecord", err)
 	}
 }
 
