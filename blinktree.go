@@ -97,11 +97,13 @@ const (
 	DurabilityGroup = wal.DurGroup
 	// DurabilityPeriodic acknowledges Commit immediately; a background
 	// log-writer forces every FlushInterval or after FlushBytes of
-	// unforced log. A crash loses at most the unforced window.
+	// unforced log. A crash — of the machine or of the process — loses at
+	// most the unforced window.
 	DurabilityPeriodic = wal.DurPeriodic
 	// DurabilityAsync acknowledges Commit immediately and nudges the
-	// log-writer to force opportunistically. A crash loses at most the
-	// commits not yet forced; FlushLog is the explicit durability barrier.
+	// log-writer to force opportunistically. A crash of the machine or of
+	// the process loses at most the commits not yet forced; FlushLog is the
+	// explicit durability barrier.
 	DurabilityAsync = wal.DurAsync
 )
 
@@ -330,9 +332,11 @@ func Open(opts Options) (*Tree, error) {
 // Put inserts or replaces the record under key. Keys must be non-empty.
 //
 // Durability: the operation is write-ahead logged but the log is not
-// forced, so a crash immediately after Put may lose it. It is guaranteed
-// durable once any later FlushLog, Checkpoint, Close or transaction Commit
-// succeeds; recovery never applies it partially.
+// forced, so a crash immediately after Put may lose it — a crash of the
+// process as well as of the machine, since the log holds its unforced
+// records in memory. It is guaranteed durable once any later FlushLog,
+// Checkpoint, Close or transaction Commit succeeds; recovery never applies
+// it partially.
 func (t *Tree) Put(key, val []byte) error { return t.inner.Put(key, val) }
 
 // Get returns a copy of the value under key, or ErrKeyNotFound.

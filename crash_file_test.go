@@ -220,6 +220,74 @@ func TestFileBackedBulkLoadCutBeforeCommit(t *testing.T) {
 	}
 }
 
+// TestFileBackedProcessDeath kills the process on real files: sync commits
+// with autocommitted Puts between them, then Abandon — no Close, no final
+// force — and the files copied as the dead process left them. Recovery must
+// bring back every acknowledged commit and every Put a commit's force wrote
+// out; the Puts after the last commit were still in the log's tail in
+// memory, and a process death loses them.
+func TestFileBackedProcessDeath(t *testing.T) {
+	src := t.TempDir()
+	fs, err := storage.OpenFileStore(filepath.Join(src, "pages.db"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	dev, err := wal.OpenFileDevice(filepath.Join(src, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	tr, err := core.New(core.Options{PageSize: 512, Workers: core.WorkersNone, Store: fs, LogDevice: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, puts = 20, 5
+	for r := 0; r < rounds; r++ {
+		x, err := tr.Begin()
+		for _, k := range []string{"a", "b"} {
+			if err == nil {
+				err = x.Put([]byte(fmt.Sprintf("txn-%02d-%s", r, k)), []byte("committed"))
+			}
+		}
+		if err == nil {
+			err = x.Commit()
+		}
+		for i := 0; i < puts && err == nil; i++ {
+			err = tr.Put([]byte(fmt.Sprintf("put-%02d-%d", r, i)), []byte("auto"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Abandon()
+	dir := copyStore(t, src)
+
+	rec, err := blinktree.Open(blinktree.Options{Path: dir, PageSize: 512, Workers: -1})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	if _, err := rec.VerifyDeep(); err != nil {
+		t.Fatalf("deep audit: %v", err)
+	}
+	for r := 0; r < rounds; r++ {
+		for _, k := range []string{"a", "b"} {
+			if _, err := rec.Get([]byte(fmt.Sprintf("txn-%02d-%s", r, k))); err != nil {
+				t.Fatalf("acknowledged commit %d lost: %v", r, err)
+			}
+		}
+		// The next round's commit forced this round's Puts; the last
+		// round's stayed in the tail.
+		forced := r < rounds-1
+		for i := 0; i < puts; i++ {
+			if _, err := rec.Get([]byte(fmt.Sprintf("put-%02d-%d", r, i))); forced != (err == nil) {
+				t.Fatalf("put %d of round %d: %v; forced by a commit: %v", i, r, err, forced)
+			}
+		}
+	}
+}
+
 // copyStore copies the files of the store in src that exist into a new
 // temporary directory: a crash image when src is open, having flushed its log.
 func copyStore(t *testing.T, src string) string {

@@ -708,9 +708,9 @@ func E13CrashConsistency(scale Scale) (*Table, error) {
 	}
 	// Scale maps onto workload length: Quick ~ the tier-1 smoke, Full adds
 	// seeds and a longer history.
-	steps, seeds := 150, []int64{1}
+	steps, seeds := 350, []int64{1}
 	if scale.Ops > Quick.Ops {
-		steps, seeds = 250, []int64{1, 2, 3}
+		steps, seeds = 580, []int64{1, 2, 3}
 	}
 	for _, torn := range []bool{false, true} {
 		name := "clean-cut"

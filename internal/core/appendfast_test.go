@@ -131,20 +131,19 @@ func TestAppendFastPathConcurrent(t *testing.T) {
 	}
 }
 
-// hookDevice runs a callback before a log append reaches the device, i.e.
-// in the middle of whatever structure modification is being logged.
-type hookDevice struct {
-	wal.Device
-	onAppend func()
-}
+// hookObserver runs a callback once the log has encoded the next record —
+// under the log's append mutex, so in the middle of whatever structure
+// modification is being logged. (The device sees records only at a force.)
+type hookObserver struct{ onAppend func() }
 
-func (d *hookDevice) Append(frame []byte) error {
-	if f := d.onAppend; f != nil {
-		d.onAppend = nil
+func (o *hookObserver) LogAppend(time.Duration) {
+	if f := o.onAppend; f != nil {
+		o.onAppend = nil
 		f()
 	}
-	return d.Device.Append(frame)
 }
+
+func (o *hookObserver) LogFlush(time.Duration) {}
 
 // TestAppendFastPathHintOnPageReusedBySplit: the hint names a page ID, and
 // page IDs are reused. When the rightmost leaf is consolidated away and the
@@ -155,8 +154,9 @@ func (d *hookDevice) Append(frame []byte) error {
 // from birth; the append must miss and go round, not write into a node that
 // is still being logged (found as a data race by the hot-key stress test).
 func TestAppendFastPathHintOnPageReusedBySplit(t *testing.T) {
-	dev := &hookDevice{Device: wal.NewMemDevice()}
-	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4, LogDevice: dev})
+	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4, LogDevice: wal.NewMemDevice()})
+	hook := &hookObserver{}
+	tr.log.SetObserver(hook)
 	i := 0
 	for ; tr.Stats().Splits < 3; i++ {
 		if err := tr.Put(key(i), valb(i)); err != nil {
@@ -206,7 +206,7 @@ func TestAppendFastPathHintOnPageReusedBySplit(t *testing.T) {
 	before := tr.Stats()
 	done := make(chan error, 1)
 	var during Stats
-	dev.onAppend = func() {
+	hook.onAppend = func() {
 		if h := tr.rightEdge.Load(); h == nil || h.id != edge.ID || tr.Stats().Splits != before.Splits {
 			t.Errorf("the hook did not fire inside the first split, with the stale hint in place (hint %+v)", h)
 		}

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blinktree/internal/page"
 	"blinktree/internal/storage"
+	"blinktree/internal/wal"
 )
 
 // TestAllocFailureDuringSplit: an allocation failure mid-split must surface
@@ -130,6 +133,71 @@ func TestReadFailureSurfaces(t *testing.T) {
 		}
 	}
 	mustVerify(t, tr)
+}
+
+// fullLogDevice is a log device whose writes fail once full is set, as
+// they do on a full disk.
+type fullLogDevice struct {
+	*wal.MemDevice
+	full atomic.Bool
+}
+
+var errDiskFull = errors.New("fullLogDevice: no space left on device")
+
+func (d *fullLogDevice) Append(run []byte) error {
+	if d.full.Load() {
+		return errDiskFull
+	}
+	return d.MemDevice.Append(run)
+}
+
+// TestLogWriteFailureIsFailStop: when the log device stops taking writes,
+// the force that finds out — a sync commit's own, or under periodic the
+// log-writer's or FlushLog's — returns wal.ErrLogFailed wrapping the cause,
+// and so does every later Put, Begin, Commit and FlushLog. Nothing panics,
+// and nothing more reaches the device.
+func TestLogWriteFailureIsFailStop(t *testing.T) {
+	for _, mode := range []wal.DurabilityMode{wal.DurSync, wal.DurPeriodic} {
+		dev := &fullLogDevice{MemDevice: wal.NewMemDevice()}
+		tr := newTestTree(t, Options{LogDevice: dev, Durability: mode, FlushInterval: time.Millisecond})
+		if err := tr.Put(key(1), valb(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.FlushLog(); err != nil {
+			t.Fatal(err)
+		}
+		dev.full.Store(true)
+		var first error
+		if mode == wal.DurSync {
+			x, err := tr.Begin()
+			if err == nil {
+				err = x.Put(key(2), valb(2))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = x.Commit()
+		} else {
+			if err := tr.Put(key(2), valb(2)); err != nil && !errors.Is(err, wal.ErrLogFailed) {
+				t.Fatal(err)
+			}
+			first = tr.FlushLog()
+		}
+		if !errors.Is(first, wal.ErrLogFailed) || !errors.Is(first, errDiskFull) {
+			t.Fatalf("%s: the force that hit the full device returned %v", mode, first)
+		}
+		_, beginErr := tr.Begin()
+		for what, err := range map[string]error{"put": tr.Put(key(3), valb(3)), "begin": beginErr, "flush": tr.FlushLog()} {
+			if !errors.Is(err, wal.ErrLogFailed) || !errors.Is(err, errDiskFull) {
+				t.Fatalf("%s: %s after the failure returned %v", mode, what, err)
+			}
+		}
+		durable, _ := dev.ReadDurable()
+		time.Sleep(10 * time.Millisecond) // the periodic log-writer ticks meanwhile
+		if again, _ := dev.ReadDurable(); len(again) != len(durable) {
+			t.Fatalf("%s: the device took %d more frames after the failure", mode, len(again)-len(durable))
+		}
+	}
 }
 
 // TestBulkLoadAllocFailureCleansUp: an allocation fault mid-bulk-load frees

@@ -231,7 +231,9 @@ func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpPar
 
 // logRecOp appends the physiological log record for a leaf modification and
 // stamps the leaf's page LSN; the leaf's first change since the checkpoint
-// also carries its after-image. No-op without a log.
+// also carries its after-image. The record is encoded before AppendFunc
+// returns, so it can point at key, val and old, which the leaf latch keeps
+// valid until then. No-op without a log.
 func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []byte) (wal.LSN, error) {
 	if t.log == nil {
 		return 0, nil
@@ -250,9 +252,9 @@ func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []b
 			PrevLSN:  lp.prevLSN,
 			Op:       op,
 			Page:     leaf.id,
-			Key:      append([]byte(nil), key...),
-			Val:      append([]byte(nil), val...),
-			OldVal:   append([]byte(nil), old...),
+			Key:      key,
+			Val:      val,
+			OldVal:   old,
 			CLR:      lp.clr,
 			UndoNext: lp.undoNext,
 		}

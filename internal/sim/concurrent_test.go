@@ -12,16 +12,19 @@ import (
 	"blinktree/internal/wal"
 )
 
+// cutTxnsPerWrite is sized for about a hundred crash points per seed in the
+// strided sweep: a commit costs two persistence operations, its force's
+// write and Sync.
 const (
 	cutWriters      = 4
-	cutTxnsPerWrite = 50
+	cutTxnsPerWrite = 150
 )
 
 // yieldWAL hands the processor to another goroutine between the device's
-// Sync and the log's bookkeeping, so that other committers' records reach
-// the device buffer inside that window in most forces, not one in a
-// thousand. The window is where a log can go wrong: a record appended after
-// the Sync is not durable, whatever the appended horizon says by then.
+// Sync and the log's bookkeeping, so that other committers append records
+// inside that window in most forces, not one in a thousand. The window is
+// where a log can go wrong: a record appended after the run was swapped out
+// is not durable, whatever the appended horizon says by then.
 type yieldWAL struct{ *storage.SimWAL }
 
 func (w yieldWAL) Sync() error {

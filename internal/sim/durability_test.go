@@ -53,24 +53,52 @@ func TestDurabilityAckHorizon(t *testing.T) {
 	}
 }
 
+// TestProcessDeathSmoke kills the process, not the machine, at every other
+// persistence operation, in each mode: every frame written survives, synced
+// or not, every page written survives untorn, and the log's unwritten tail
+// is lost. sync must lose no acknowledged commit; periodic and async at most
+// the records appended since the last force — the tail — and only as a
+// suffix.
+func TestProcessDeathSmoke(t *testing.T) {
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rep, err := Run(Config{Seed: 13, Stride: 2, Durability: mode, ProcessDeath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %s", mode, rep)
+			if rep.CrashPoints < 40 {
+				t.Fatalf("sweep too small: %d crash points", rep.CrashPoints)
+			}
+			if rep.DroppedFrames+rep.TornPages+rep.TornTails != 0 {
+				t.Fatalf("a process death lost or tore written data: %s", rep)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("violation: %s", v)
+			}
+		})
+	}
+}
+
 // TestDurabilityContractMatrix is the CI durability-matrix job: every mode
-// crossed with the clean and torn fault models, exhaustive crash-point
-// stride. Gated behind BLINKTREE_DURABILITY_MATRIX because it replays the
-// workload a few thousand times.
+// crossed with the clean, torn and process-death fault models, exhaustive
+// crash-point stride. Gated behind BLINKTREE_DURABILITY_MATRIX because it
+// replays the workload a few thousand times.
 func TestDurabilityContractMatrix(t *testing.T) {
 	if os.Getenv("BLINKTREE_DURABILITY_MATRIX") == "" {
 		t.Skip("set BLINKTREE_DURABILITY_MATRIX=1 to run the full durability-contract matrix")
 	}
 	for _, mode := range allModes {
-		for _, torn := range []bool{false, true} {
-			name := fmt.Sprintf("mode=%s/torn=%v", mode, torn)
+		for _, fault := range []string{"clean", "torn", "death"} {
+			name := fmt.Sprintf("mode=%s/fault=%s", mode, fault)
 			t.Run(name, func(t *testing.T) {
 				rep, err := Run(Config{
 					Seed:           11,
-					Steps:          200,
+					Steps:          470,
 					Durability:     mode,
-					TornPageWrites: torn,
-					TornWALTail:    torn,
+					TornPageWrites: fault == "torn",
+					TornWALTail:    fault == "torn",
+					ProcessDeath:   fault == "death",
 				})
 				if err != nil {
 					t.Fatal(err)

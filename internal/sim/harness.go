@@ -45,6 +45,9 @@ type Config struct {
 
 	// Steps is the workload length; Keys bounds the key domain (small
 	// enough that deletes find their targets and leaves go under-utilized).
+	// The log writes records once per force, not once per record, so a step
+	// costs few persistence operations: the default of 350 steps is what
+	// gives the tier-1 sweeps their floors of crash points.
 	Steps int
 	Keys  int
 
@@ -58,6 +61,13 @@ type Config struct {
 	// page tearing and torn-final-frame modes.
 	TornPageWrites bool
 	TornWALTail    bool
+
+	// ProcessDeath makes each crash point a death of the process, not a
+	// power cut (storage.SimConfig.ProcessDeath): every write issued before
+	// it survives, synced or not, and what the process held in memory — the
+	// log's unwritten tail first of all — is lost. The contract checked is
+	// the same.
+	ProcessDeath bool
 
 	// Durability selects the commit acknowledgement mode under test; see
 	// DurabilityContract for the per-mode loss contract the sweep
@@ -94,7 +104,7 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 8
 	}
 	if c.Steps == 0 {
-		c.Steps = 150
+		c.Steps = 350
 	}
 	if c.Keys == 0 {
 		c.Keys = 64
@@ -360,10 +370,11 @@ func (d *driver) seedBulkLoad() error {
 }
 
 // autocommit records a single-op group. On success the group is in the
-// unsynced tail (logged, visibility decided by the survival lottery at the
-// crash); on a power cut the op is the final "attempted" group — its log
-// record may or may not have been appended before the cut, so it may or may
-// not be visible, which the prefix check accommodates.
+// unforced tail (logged, not forced: it survives the crash only if a force
+// wrote it out and the survival lottery kept it); on a power cut the op is
+// the final "attempted" group — its log record may or may not have been
+// appended before the cut, so it may or may not be visible, which the
+// prefix check accommodates.
 func (d *driver) autocommit(op simOp, err error) error {
 	if err != nil && !d.crashed(err) {
 		return fmt.Errorf("autocommit %q: %w", op.key, err)
@@ -569,12 +580,7 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{Contract: DurabilityContract(cfg.Durability)}
 
 	// Counting run: never crashes (CrashAt 0 disarms the trigger).
-	disk := storage.NewSimDisk(cfg.PageSize, storage.SimConfig{
-		Seed:           cfg.Seed,
-		SectorSize:     cfg.PageSize / 4,
-		TornPageWrites: cfg.TornPageWrites,
-		TornWALTail:    cfg.TornWALTail,
-	})
+	disk := storage.NewSimDisk(cfg.PageSize, cfg.disk(0))
 	tree, err := newTree(cfg, disk)
 	if err != nil {
 		return rep, fmt.Errorf("sim: counting run open: %w", err)
@@ -605,17 +611,24 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runCrashPoint replays the workload with the power cut armed at op k,
-// reboots and verifies. Fault-mode and recovery counters accumulate into
-// rep regardless of outcome.
+// disk is the simulated disk's configuration for a run cut at op crashAt
+// (zero: never).
+func (c Config) disk(crashAt int64) storage.SimConfig {
+	return storage.SimConfig{
+		Seed:           c.Seed,
+		CrashAt:        crashAt,
+		SectorSize:     c.PageSize / 4,
+		TornPageWrites: c.TornPageWrites,
+		TornWALTail:    c.TornWALTail,
+		ProcessDeath:   c.ProcessDeath,
+	}
+}
+
+// runCrashPoint replays the workload with the cut armed at op k, reboots
+// and verifies. Fault-mode and recovery counters accumulate into rep
+// regardless of outcome.
 func runCrashPoint(cfg Config, k int64, rep *Report) error {
-	disk := storage.NewSimDisk(cfg.PageSize, storage.SimConfig{
-		Seed:           cfg.Seed,
-		CrashAt:        k,
-		SectorSize:     cfg.PageSize / 4,
-		TornPageWrites: cfg.TornPageWrites,
-		TornWALTail:    cfg.TornWALTail,
-	})
+	disk := storage.NewSimDisk(cfg.PageSize, cfg.disk(k))
 	sh := &shadow{}
 	tree, err := newTree(cfg, disk)
 	switch {

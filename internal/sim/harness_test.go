@@ -102,7 +102,7 @@ func TestCrashloopFull(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rep, err := Run(Config{
 					Seed:           seed,
-					Steps:          220,
+					Steps:          510,
 					TornPageWrites: torn,
 					TornWALTail:    torn,
 					BulkLoad:       bulk,

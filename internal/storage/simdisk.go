@@ -45,6 +45,14 @@ type SimConfig struct {
 	// log reader must recognize as the end of the log. It also lets a cut
 	// that interrupts a master-record write leave that record torn.
 	TornWALTail bool
+
+	// ProcessDeath makes the cut a death of the process, not of the
+	// machine: every write issued before it survives, synced or not (the
+	// operating system holds it), and nothing tears. What is lost is what
+	// the process still held: the log's unwritten tail, dirty pages, and
+	// allocator changes since the last store Sync (a page file's header is
+	// written at Sync).
+	ProcessDeath bool
 }
 
 // SimDisk is a deterministic simulation of a crash-prone storage device
@@ -65,6 +73,9 @@ type SimConfig struct {
 //     any order — optionally with the first lost write torn mid-sector-run.
 //   - Allocator metadata (the page file header) reverts to the last store
 //     Sync; bytes written to pages the durable header never knew are lost.
+//
+// With SimConfig.ProcessDeath the cut models a process crash on a machine
+// that stays up instead: every issued write survives, none tears.
 //
 // After CrashNow or the scheduled cut, every facade operation returns
 // ErrPowerCut until Reboot resolves the surviving state; the facades then
@@ -207,7 +218,7 @@ func (d *SimDisk) crashLocked() {
 		if !ok {
 			continue
 		}
-		keep := d.rng.Intn(len(q) + 1)
+		keep := d.survivors(len(q))
 		img := base
 		if keep > 0 {
 			img = q[keep-1]
@@ -225,7 +236,7 @@ func (d *SimDisk) crashLocked() {
 	// recorded here but never returned by ReadDurable (mirroring how
 	// FileDevice stops at the first bad frame).
 	w := d.wal
-	keep := d.rng.Intn(len(w.buffered) + 1)
+	keep := d.survivors(len(w.buffered))
 	w.durable = append(w.durable, w.buffered[:keep]...)
 	if d.cfg.TornWALTail && keep < len(w.buffered) && d.rng.Intn(2) == 0 {
 		if n := len(w.buffered[keep]); n > 1 {
@@ -235,6 +246,15 @@ func (d *SimDisk) crashLocked() {
 	}
 	d.droppedFrames += len(w.buffered) - keep
 	w.buffered = nil
+}
+
+// survivors draws how many of n unsynced writes, in issue order, outlive
+// the crash: a random prefix, or all of them when only the process died.
+func (d *SimDisk) survivors(n int) int {
+	if d.cfg.ProcessDeath {
+		return n
+	}
+	return d.rng.Intn(n + 1)
 }
 
 // tornMix builds a torn page image: a per-sector mix of the old and new
@@ -473,16 +493,16 @@ type SimWAL struct {
 	syncs    uint64
 }
 
-// Append implements wal.Device. The frame is durable only after Sync.
-func (w *SimWAL) Append(frame []byte) error {
+// Append implements wal.Device: one persistence operation for the whole
+// run, whose frames are durable only after Sync. The crash lottery treats
+// them one by one, so a cut can keep a prefix that ends mid-run.
+func (w *SimWAL) Append(run []byte) error {
 	w.d.mu.Lock()
 	defer w.d.mu.Unlock()
 	if err := w.d.opLocked(); err != nil {
 		return err
 	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	w.buffered = append(w.buffered, cp)
+	w.buffered = append(w.buffered, wal.SplitRun(append([]byte(nil), run...))...)
 	return nil
 }
 
@@ -529,7 +549,7 @@ func (w *SimWAL) WriteMaster(m wal.Master) error {
 	err := w.d.opLocked()
 	if err == nil {
 		w.master = m.Encode()
-	} else if inFlight && w.d.cfg.TornWALTail && w.d.rng.Intn(2) == 0 {
+	} else if inFlight && w.d.cfg.TornWALTail && !w.d.cfg.ProcessDeath && w.d.rng.Intn(2) == 0 {
 		w.master = m.Encode()[:1+w.d.rng.Intn(23)]
 	}
 	return err

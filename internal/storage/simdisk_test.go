@@ -17,6 +17,30 @@ func fill(size int, b byte) []byte {
 	return buf
 }
 
+// logFrames returns n real log frames, as a wal.Log writes them: the
+// devices cut the runs they are given at the frames' length fields.
+func logFrames(t *testing.T, n int) [][]byte {
+	t.Helper()
+	dev := wal.NewMemDevice()
+	l, err := wal.NewLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(&wal.Record{Type: wal.TRecOp, Txn: uint64(i), Op: wal.OpInsert, Key: fill(1+i, 'k')}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	frames, err := dev.ReadDurable()
+	if err != nil || len(frames) != n {
+		t.Fatalf("%d frames, %v; want %d", len(frames), err, n)
+	}
+	return frames
+}
+
 func TestSimDiskSyncedWritesSurvive(t *testing.T) {
 	d := NewSimDisk(128, SimConfig{Seed: 1})
 	s := d.Store()
@@ -77,6 +101,7 @@ func TestSimDiskGhostWritesDropped(t *testing.T) {
 func TestSimDiskCrashAtOpBoundary(t *testing.T) {
 	// Counting run: how many ops does the sequence cost?
 	count := NewSimDisk(128, SimConfig{Seed: 3})
+	frame := logFrames(t, 1)[0]
 	seq := func(d *SimDisk) error {
 		s := d.Store()
 		id, err := s.Allocate()
@@ -86,7 +111,7 @@ func TestSimDiskCrashAtOpBoundary(t *testing.T) {
 		if err := s.Write(id, fill(128, 1)); err != nil {
 			return err
 		}
-		if err := d.WAL().Append([]byte("frame")); err != nil {
+		if err := d.WAL().Append(frame); err != nil {
 			return err
 		}
 		if err := d.WAL().Sync(); err != nil {
@@ -128,13 +153,11 @@ func TestSimDiskCrashAtOpBoundary(t *testing.T) {
 }
 
 func TestSimWALKeepsPrefix(t *testing.T) {
+	appended := logFrames(t, 10)
 	for seed := int64(0); seed < 20; seed++ {
 		d := NewSimDisk(128, SimConfig{Seed: seed})
 		w := d.WAL()
-		var appended [][]byte
-		for i := byte(0); i < 10; i++ {
-			f := []byte{i, i, i}
-			appended = append(appended, f)
+		for i, f := range appended {
 			if err := w.Append(f); err != nil {
 				t.Fatal(err)
 			}
@@ -156,6 +179,54 @@ func TestSimWALKeepsPrefix(t *testing.T) {
 			if !bytes.Equal(f, appended[i]) {
 				t.Fatalf("seed %d: frame %d is not a prefix element", seed, i)
 			}
+		}
+	}
+}
+
+// TestSimWALCutInsideARun: a run is one persistence operation holding many
+// frames, and a crash after it keeps the frames one by one — a power cut a
+// clean prefix that may end inside the run (under TornWALTail followed by a
+// torn frame the reader stops at), a process death all of them.
+func TestSimWALCutInsideARun(t *testing.T) {
+	appended := logFrames(t, 10)
+	synced, unsynced := bytes.Join(appended[:2], nil), bytes.Join(appended[2:], nil)
+	for _, cfg := range []SimConfig{{}, {TornWALTail: true}, {ProcessDeath: true}} {
+		var inside, torn int
+		for seed := int64(0); seed < 64; seed++ {
+			cfg.Seed = seed
+			d := NewSimDisk(128, cfg)
+			w := d.WAL()
+			if err := w.Append(synced); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(unsynced); err != nil {
+				t.Fatal(err)
+			}
+			d.Reboot()
+			frames, err := w.ReadDurable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) < 2 || (cfg.ProcessDeath && len(frames) != 10) {
+				t.Fatalf("%+v: %d frames survived", cfg, len(frames))
+			}
+			for i, f := range frames {
+				if !bytes.Equal(f, appended[i]) {
+					t.Fatalf("%+v: frame %d is not the %d-th frame appended", cfg, i, i)
+				}
+			}
+			if len(frames) > 2 && len(frames) < 10 {
+				inside++
+			}
+			if tt, _ := w.TailTorn(); tt {
+				torn++
+			}
+		}
+		if !cfg.ProcessDeath && inside == 0 || cfg.TornWALTail != (torn > 0) {
+			t.Fatalf("%+v: 64 seeds cut inside the run %d times and left a torn frame %d times", cfg, inside, torn)
 		}
 	}
 }
@@ -203,24 +274,25 @@ func TestSimDiskTornPageWrite(t *testing.T) {
 }
 
 func TestSimWALTornTailReported(t *testing.T) {
+	appended := logFrames(t, 6)
 	found := false
 	for seed := int64(0); seed < 64 && !found; seed++ {
 		d := NewSimDisk(128, SimConfig{Seed: seed, TornWALTail: true})
 		w := d.WAL()
-		for i := 0; i < 6; i++ {
-			if err := w.Append(fill(32, byte(i))); err != nil {
+		for _, f := range appended {
+			if err := w.Append(f); err != nil {
 				t.Fatal(err)
 			}
 		}
 		d.Reboot()
 		if torn, n := w.TailTorn(); torn {
 			found = true
-			if n <= 0 || n >= 32 {
-				t.Fatalf("torn tail bytes out of range: %d", n)
-			}
 			frames, _ := w.ReadDurable()
-			if len(frames) >= 6 {
+			if len(frames) >= len(appended) {
 				t.Fatalf("torn tail reported but all frames survived")
+			}
+			if n <= 0 || n >= int64(len(appended[len(frames)])) {
+				t.Fatalf("torn tail bytes out of range: %d", n)
 			}
 		}
 	}

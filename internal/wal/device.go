@@ -9,7 +9,9 @@ import (
 	"sync"
 )
 
-// Device is the append-only byte store beneath the Log.
+// Device is the append-only byte store beneath the Log. The Log buffers its
+// records and hands the device one run of frames per force (or full tail),
+// not one Append per record.
 //
 // Durability contract: frames covered by a Sync are durable; frames
 // appended but not yet synced may be lost at a crash. What survives a
@@ -20,8 +22,10 @@ import (
 // earlier records. FileDevice gets the prefix property for free: its frame
 // chain breaks at the first torn or corrupt frame.
 type Device interface {
-	// Append buffers one frame. The frame is durable only after Sync.
-	Append(frame []byte) error
+	// Append writes run, whole frames, after everything appended before;
+	// they are durable only after Sync. It must not keep run (the Log reuses
+	// it). After an error, any part of run may have been written.
+	Append(run []byte) error
 	// Sync makes all appended frames durable.
 	Sync() error
 	// ReadDurable returns every durable frame in append order: a clean
@@ -116,12 +120,11 @@ type MemDevice struct {
 // NewMemDevice returns an empty in-memory log device.
 func NewMemDevice() *MemDevice { return &MemDevice{} }
 
-// Append implements Device.
-func (d *MemDevice) Append(frame []byte) error {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
+// Append implements Device, keeping the run's frames apart.
+func (d *MemDevice) Append(run []byte) error {
+	frames := SplitRun(append([]byte(nil), run...))
 	d.mu.Lock()
-	d.buffered = append(d.buffered, cp)
+	d.buffered = append(d.buffered, frames...)
 	d.mu.Unlock()
 	return nil
 }
@@ -204,11 +207,11 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	return &FileDevice{f: f, path: path}, nil
 }
 
-// Append implements Device.
-func (d *FileDevice) Append(frame []byte) error {
+// Append implements Device with one write.
+func (d *FileDevice) Append(run []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, err := d.f.Write(frame)
+	_, err := d.f.Write(run)
 	return err
 }
 
@@ -297,13 +300,28 @@ func (d *FileDevice) Close() error {
 	return d.f.Close()
 }
 
-// frame wraps an encoded record with length+crc framing.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, recCRC))
-	copy(out[8:], payload)
-	return out
+// appendFrame appends to b one frame whose payload is what put appends,
+// behind the length and checksum it fills in afterwards.
+func appendFrame(b []byte, put func([]byte) []byte) []byte {
+	n := len(b)
+	b = put(append(b, 0, 0, 0, 0, 0, 0, 0, 0))
+	payload := b[n+8:]
+	binary.LittleEndian.PutUint32(b[n:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[n+4:], crc32.Checksum(payload, recCRC))
+	return b
+}
+
+// SplitRun cuts a run, as Device.Append receives it, into its frames (views
+// of run); bytes that do not hold a whole frame end it as one piece.
+func SplitRun(run []byte) (frames [][]byte) {
+	for n := 0; len(run) > 0; run = run[n:] {
+		n = len(run)
+		if n >= 8 {
+			n = int(min(uint64(n), 8+uint64(binary.LittleEndian.Uint32(run))))
+		}
+		frames = append(frames, run[:n:n])
+	}
+	return frames
 }
 
 // unframe strips and verifies framing.

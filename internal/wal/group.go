@@ -24,8 +24,8 @@ const (
 	DurSync DurabilityMode = iota
 	// DurPeriodic acknowledges commits immediately; the log-writer forces
 	// the device every PipelineConfig.Interval, or sooner when unforced
-	// bytes exceed PipelineConfig.Bytes. A crash loses at most the commits
-	// acknowledged inside the current unforced window.
+	// bytes exceed PipelineConfig.Bytes. A crash, of the machine or the
+	// process, loses at most the commits acknowledged since the last force.
 	DurPeriodic
 	// DurAsync acknowledges commits immediately and nudges the log-writer,
 	// which forces as fast as the device allows, coalescing whatever
@@ -69,8 +69,8 @@ func ParseDurabilityMode(s string) (DurabilityMode, error) {
 
 // AckAfterForce reports whether the mode acknowledges commits only after
 // their LSN is durable (DurSync). The other modes may lose acknowledged
-// commits at a crash; the crash harness uses this to decide which commits
-// count as promises.
+// commits at a power cut or a process crash; the crash harness uses this to
+// decide which commits count as promises.
 func (m DurabilityMode) AckAfterForce() bool {
 	return m == DurSync
 }
@@ -134,8 +134,8 @@ type GroupObserver interface {
 	LogGroupAck(d time.Duration)
 }
 
-// ErrPipelineStopped is what a commit that needs a force gets from a log
-// stopped without one (process-death simulation via Stop(false)).
+// ErrPipelineStopped is what every append, force and commit gets from a log
+// stopped without a force (process-death simulation via Stop(false)).
 var ErrPipelineStopped = errors.New("wal: commit pipeline stopped")
 
 // commitWait is a commit inside force: when it asked, and its span times.
@@ -203,6 +203,10 @@ func (l *Log) CommitTraced(lsn LSN, traced func(park, force time.Duration)) erro
 	l.mu.Lock()
 	mode := l.p.cfg.Mode
 	if !mode.AckAfterForce() {
+		if err := l.err; err != nil {
+			l.mu.Unlock()
+			return err
+		}
 		l.p.stats.ImmediateAcks++
 		if mode == DurAsync || l.p.unforced >= l.p.cfg.Bytes {
 			// Wake the log-writer, if there is one (a nil channel is never
@@ -247,8 +251,8 @@ func (l *Log) writerLoop() {
 		case <-l.p.wake:
 		case <-tick:
 		}
-		// A failed background force has nobody to report to; the records
-		// stay unforced and the next force, explicit ones included, retries.
+		// A failed background force has nobody to report to: the next force
+		// retries a failed Sync; after a failed write the log is stopped.
 		_ = l.FlushAll()
 	}
 }
@@ -257,15 +261,15 @@ func (l *Log) writerLoop() {
 // returns. With force true everything appended is then made durable, commits
 // still waiting for a force included (Close path); later DurSync commits
 // still force, periodic/async commits are append-only acks. With force
-// false nothing more reaches the device: commits waiting for a force, and
-// every later one, get ErrPipelineStopped (Abandon / process-death
-// simulation). Idempotent.
+// false nothing more reaches the device, the unwritten tail included:
+// commits waiting for a force, and every later append, force and commit,
+// get ErrPipelineStopped (Abandon / process-death simulation). Idempotent.
 func (l *Log) Stop(force bool) error {
 	var err error
 	l.p.stop.Do(func() {
 		if !force {
 			l.mu.Lock()
-			l.abandoned = true
+			l.err = ErrPipelineStopped
 			l.mu.Unlock()
 			l.forceDone.Broadcast()
 		}

@@ -408,13 +408,14 @@ func TestCloseCoversEverything(t *testing.T) {
 
 // TestAbandonWakesFollowers stops the log without a force (process-death
 // simulation) while commits wait behind one in flight: they must get
-// ErrPipelineStopped without waiting for it, and the device must see no
-// further force.
+// ErrPipelineStopped without waiting for it, so must later commits and
+// appends, and the device must see no further force.
 func TestAbandonWakesFollowers(t *testing.T) {
 	l, dev := newGatedLog(t)
 	first := holdFirstForce(t, l, dev)
 	const n = 4
 	rest, _ := followers(t, l, n)
+	late := appendCommit(t, l)
 
 	if err := l.Stop(false); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -428,8 +429,11 @@ func TestAbandonWakesFollowers(t *testing.T) {
 	if err := result(t, first); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
-	if err := l.Commit(appendCommit(t, l)); !errors.Is(err, ErrPipelineStopped) {
+	if err := l.Commit(late); !errors.Is(err, ErrPipelineStopped) {
 		t.Fatalf("commit after Stop(false): err = %v, want ErrPipelineStopped", err)
+	}
+	if _, err := l.Append(&Record{Type: TCommit, Txn: 1}); !errors.Is(err, ErrPipelineStopped) {
+		t.Fatalf("append after Stop(false): err = %v, want ErrPipelineStopped", err)
 	}
 	if syncs := dev.Syncs(); syncs != 1 {
 		t.Fatalf("device syncs = %d, want 1 (nothing after Stop(false))", syncs)

@@ -1,28 +1,47 @@
 package wal
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
 
-// Log is the write-ahead log: it assigns LSNs, frames records onto a Device
-// and tracks the durable horizon. All methods are safe for concurrent use.
-//
-// When a Commit returns relative to the force covering its record is the
-// durability mode's choice (StartPipeline, DurabilityMode). Device forces
-// never run under the append mutex, so record appends pipeline behind an
-// in-flight force instead of serializing on it.
+// tailCap bounds the log tail: an append that fills it writes the tail to
+// the device, without a Sync, unless a force is writing one already.
+const tailCap = 1 << 20
+
+// ErrLogFailed wraps the cause of a failed or short device write. The lost
+// run's records already carry LSNs, and frames written after a torn one
+// would be unreachable, so the log is fail-stop: the force or append that
+// hit the failure and every later append, force and commit return it.
+var ErrLogFailed = errors.New("wal: log device write failed")
+
+// Log is the write-ahead log: it assigns LSNs, frames records into a tail
+// buffer in memory, writes the tail to a Device — one write and one Sync per
+// force, outside the append mutex — and tracks the durable horizon. A
+// process that dies loses the unwritten tail. When a Commit returns relative
+// to the force covering its record is the durability mode's choice
+// (StartPipeline, DurabilityMode). All methods are safe for concurrent use.
 type Log struct {
-	mu      sync.Mutex
-	dev     Device
-	next    LSN   // next LSN to assign
-	flushed LSN   // all records with LSN <= flushed are durable
-	synced  LSN   // records appended to the device up to here (pre-Sync)
-	end     int64 // device position the next frame lands at (see Master)
+	mu       sync.Mutex
+	dev      Device
+	next     LSN   // next LSN to assign
+	flushed  LSN   // all records with LSN <= flushed are durable
+	appended LSN   // last LSN appended: in the tail or on the device
+	end      int64 // frame-stream position the next frame lands at (see Master)
+
+	// tail holds the frames appended since the last write, spare the buffer
+	// the last force wrote. Runs reach the device in the order they leave
+	// the tail: a full tail is written in place only while no force is.
+	tail, spare []byte
+	// err, once set, stops the log: ErrLogFailed, or ErrPipelineStopped
+	// from Stop(false). Every append, force and commit returns it.
+	err error
 
 	// What the open read, and the records decoded from it (see Restart).
-	restart Restart
-	tail    []*Record
+	restart   Restart
+	recovered []*Record
 
 	appends uint64
 	flushes uint64
@@ -32,7 +51,6 @@ type Log struct {
 	// arrived meanwhile when it ends, and when the log is abandoned.
 	inflight  LSN
 	forceDone sync.Cond
-	abandoned bool // Stop(false): nothing reaches the device any more
 	// Commits waiting for their acknowledgement, booked on the force that
 	// will cover them: batch on the one in flight, waiting on the next.
 	batch, waiting int
@@ -43,7 +61,7 @@ type Log struct {
 	// p is the commit pipeline's configuration and counters (see group.go).
 	p pipeline
 
-	// obs, when set, is told how long appends and forced syncs take.
+	// obs, when set, is told how long appends and forces take.
 	// Set once (SetObserver) before the log sees traffic.
 	obs Observer
 }
@@ -71,12 +89,12 @@ func NewLog(dev Device) (*Log, error) {
 		return nil, err
 	}
 	rs.Frames = nil
-	l := &Log{dev: dev, next: 1, end: rs.End, restart: rs, tail: recs}
+	l := &Log{dev: dev, next: 1, end: rs.End, restart: rs, recovered: recs}
 	l.forceDone.L = &l.mu
 	if n := len(recs); n > 0 {
 		l.next = recs[n-1].LSN + 1
 		l.flushed = recs[n-1].LSN
-		l.synced = l.flushed
+		l.appended = l.flushed
 	}
 	return l, nil
 }
@@ -86,8 +104,8 @@ func NewLog(dev Device) (*Log, error) {
 func (l *Log) Restart() (Restart, []*Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	recs := l.tail
-	l.tail = nil
+	recs := l.recovered
+	l.recovered = nil
 	return l.restart, recs
 }
 
@@ -95,12 +113,12 @@ func (l *Log) Restart() (Restart, []*Record) {
 // mutex, so what it reads is ordered against every record), forces it and,
 // unless an active transaction's undo chain lies before it, makes it the master.
 func (l *Log) Checkpoint(build func() *Record) error {
-	l.mu.Lock()
-	m := Master{Pos: l.end, LSN: l.next}
-	r := build()
-	r.LSN = l.next
-	err := l.appendLocked(r)
-	l.mu.Unlock()
+	var m Master
+	var r *Record
+	_, err := l.AppendFunc(func(lsn LSN) *Record {
+		m, r = Master{Pos: l.end, LSN: lsn}, build()
+		return r
+	})
 	if err == nil {
 		err = l.FlushAll()
 	}
@@ -114,50 +132,44 @@ func (l *Log) Checkpoint(build func() *Record) error {
 // record build returns. It exists for structure modifications: the pages an
 // SMO touches must be stamped with the SMO record's own LSN *before* their
 // after-images are encoded into that record, so LSN assignment and record
-// construction must be atomic.
+// construction must be atomic. The record is encoded before AppendFunc
+// returns; nothing keeps it.
 func (l *Log) AppendFunc(build func(lsn LSN) *Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r := build(l.next)
-	r.LSN = l.next
-	if err := l.appendLocked(r); err != nil {
-		return 0, err
+	if l.err != nil {
+		return 0, l.err
 	}
-	return r.LSN, nil
-}
-
-// appendLocked encodes and buffers r (LSN already assigned), timing the
-// device append for the observer. Caller holds l.mu.
-func (l *Log) appendLocked(r *Record) error {
+	r := build(l.next)
 	var t0 time.Time
 	if l.obs != nil {
 		t0 = time.Now()
 	}
-	f := frame(r.Encode())
-	if err := l.dev.Append(f); err != nil {
-		return err
+	r.LSN = l.next
+	n := len(l.tail)
+	l.tail = appendFrame(l.tail, r.AppendEncode)
+	l.next++
+	l.appended = r.LSN
+	l.appends++
+	l.end += int64(len(l.tail) - n)
+	l.p.unforced += int64(len(l.tail) - n)
+	if len(l.tail) >= tailCap && l.inflight == 0 {
+		if err := l.dev.Append(l.tail); err != nil {
+			l.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
+			return 0, l.err
+		}
+		l.tail = l.tail[:0]
 	}
 	if l.obs != nil {
 		l.obs.LogAppend(time.Since(t0))
 	}
-	l.next++
-	l.end += int64(len(f))
-	l.synced = r.LSN
-	l.appends++
-	l.p.unforced += int64(len(f))
-	return nil
+	return r.LSN, nil
 }
 
-// Append assigns the next LSN to r, encodes it and buffers it on the device.
-// The record is durable only after a Flush covering its LSN.
+// Append assigns the next LSN to r and frames it into the log's tail. The
+// record is durable only after a Flush covering its LSN.
 func (l *Log) Append(r *Record) (LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r.LSN = l.next
-	if err := l.appendLocked(r); err != nil {
-		return 0, err
-	}
-	return r.LSN, nil
+	return l.AppendFunc(func(LSN) *Record { return r })
 }
 
 // Flush forces durability of all records with LSN <= upto. It is a no-op if
@@ -181,7 +193,7 @@ func (l *Log) FlushAll() error {
 // previous one. c, when non-nil, is a commit waiting for its acknowledgement.
 func (l *Log) force(upto LSN, c *commitWait) error {
 	l.mu.Lock()
-	upto = min(upto, l.synced)
+	upto = min(upto, l.appended)
 	if c != nil && upto > l.flushed {
 		if upto <= l.inflight {
 			l.batch++
@@ -189,7 +201,7 @@ func (l *Log) force(upto LSN, c *commitWait) error {
 			l.waiting++
 		}
 	}
-	for l.inflight != 0 && upto > l.flushed && !l.abandoned {
+	for l.inflight != 0 && upto > l.flushed && l.err == nil {
 		l.forceDone.Wait()
 	}
 	// A wake-up is not an acknowledgement: the force that ended may have
@@ -199,29 +211,46 @@ func (l *Log) force(upto LSN, c *commitWait) error {
 		l.mu.Unlock()
 		return nil
 	}
-	if l.abandoned {
+	if err := l.err; err != nil {
 		l.mu.Unlock()
-		return ErrPipelineStopped
+		return err
 	}
 
-	// Lead. The Sync covers what was appended before it starts, so the
-	// durable horizon advances to the target captured here, not to where
-	// synced stands when the Sync returns.
-	target := l.synced
+	// Lead: swap the tail out, then write and sync it outside the mutex.
+	// The Sync covers this run and every earlier one, so the durable horizon
+	// advances to the target captured here, not to where appended stands
+	// when the Sync returns.
+	target := l.appended
+	run := l.tail
+	l.tail, l.spare = l.spare[:0], nil
 	l.inflight = target
 	l.batch, l.waiting = l.waiting, 0
 	l.mu.Unlock()
 
 	start := time.Now()
-	err := l.dev.Sync()
+	var err error
+	if len(run) > 0 {
+		if err = l.dev.Append(run); err != nil {
+			err = fmt.Errorf("%w: %w", ErrLogFailed, err)
+		}
+	}
+	if err == nil {
+		err = l.dev.Sync()
+	}
 	d := time.Since(start)
 
 	l.mu.Lock()
+	l.spare = run[:0]
 	batch := l.batch
 	l.inflight, l.batch = 0, 0
 	if err != nil {
-		// The leader leaves with the error; the other commits booked on
-		// this force wait for the next.
+		// A failed write is fail-stop (ErrLogFailed); after a failed Sync
+		// the run is on the device and the next force retries. The leader
+		// leaves with the error; the other commits booked on this force
+		// wait for the next.
+		if errors.Is(err, ErrLogFailed) {
+			l.err = err
+		}
 		l.waiting += batch
 		if c != nil {
 			l.waiting--

@@ -241,12 +241,8 @@ var (
 
 var recCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// appendUvarint-style helpers over a byte slice.
-func putU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
-}
+// putU64 appends a little-endian u64 field, putBytes a length-prefixed one.
+func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 func putBytes(b, v []byte) []byte {
 	b = putU64(b, uint64(len(v)))
@@ -324,8 +320,11 @@ const (
 )
 
 // Encode serializes r (without framing; the Log adds length+crc framing).
-func (r *Record) Encode() []byte {
-	b := make([]byte, 0, 64)
+func (r *Record) Encode() []byte { return r.AppendEncode(nil) }
+
+// AppendEncode appends r's serialization to b and returns the extended
+// slice: the Log encodes each record straight into its tail this way.
+func (r *Record) AppendEncode(b []byte) []byte {
 	b = append(b, byte(r.Type))
 	b = putU64(b, uint64(r.LSN))
 	b = putU64(b, r.Txn)
@@ -453,7 +452,7 @@ type Master struct {
 
 // Encode serializes m as one frame holding the position and the LSN.
 func (m Master) Encode() []byte {
-	return frame(putU64(putU64(nil, uint64(m.Pos)), uint64(m.LSN)))
+	return appendFrame(nil, func(b []byte) []byte { return putU64(putU64(b, uint64(m.Pos)), uint64(m.LSN)) })
 }
 
 // DecodeMaster parses a master record serialized by Encode.
