@@ -112,22 +112,6 @@ const (
 // "group", mean sync). Command binaries use it for their -durability flags.
 func ParseDurabilityMode(s string) (DurabilityMode, error) { return wal.ParseDurabilityMode(s) }
 
-// ReadPath selects how point reads and cursor positioning descend the
-// tree; see Options.OptimisticReads.
-type ReadPath = core.ReadPath
-
-const (
-	// ReadPathDefault lets the tree choose (currently optimistic).
-	ReadPathDefault = core.ReadPathDefault
-	// ReadPathOptimistic descends root-to-leaf without latching index
-	// nodes, validating a per-node version word instead, and takes a
-	// single shared latch at the target leaf. Falls back to the latched
-	// traversal after repeated validation failures.
-	ReadPathOptimistic = core.ReadPathOptimistic
-	// ReadPathPessimistic always uses the latch-coupled traversal.
-	ReadPathPessimistic = core.ReadPathPessimistic
-)
-
 // FeatureMode is a tri-state switch for an optional engine feature; see
 // Options.AppendFastPath.
 type FeatureMode = core.FeatureMode
@@ -215,15 +199,6 @@ type Options struct {
 	// every traversal; other workloads walk away after one comparison.
 	AppendFastPath FeatureMode
 
-	// OptimisticReads selects the read-path traversal. The default is
-	// optimistic: Get, transactional reads and cursor positioning descend
-	// without latching index nodes, validating each node's version word
-	// after reading its routing information, and latch only the target
-	// leaf in share mode. Validation failures restart the descent; after
-	// a few restarts the read falls back to the pessimistic latch-coupled
-	// traversal. Set ReadPathPessimistic to always latch-couple.
-	OptimisticReads ReadPath
-
 	// Observability enables per-operation latency histograms
 	// (Observability.Metrics), the SMO lifecycle trace ring
 	// (Observability.Trace), and/or sampled per-operation span tracing
@@ -276,9 +251,7 @@ func Open(opts Options) (*Tree, error) {
 		FlushBytes:    opts.FlushBytes,
 
 		AppendFastPath: opts.AppendFastPath,
-
-		OptimisticReads: opts.OptimisticReads,
-		BulkChunkPages:  opts.BulkChunkPages,
+		BulkChunkPages: opts.BulkChunkPages,
 	}
 	if opts.Workers < 0 {
 		cOpts.Workers = core.WorkersNone
@@ -368,8 +341,14 @@ func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 }
 
 // ScanReverse calls fn for each record in [start, end) in descending key
-// order. Backward iteration cannot ride side pointers, so each leaf
-// boundary crossed costs one descent from the root.
+// order; fn returning false stops the scan. No latches are held across fn
+// calls: the scan copies a leaf's in-range records under one shared latch,
+// releases it, and calls fn on the copies, so fn may call back into the tree.
+// What a reverse scan observes is a snapshot per leaf, as for Scan: a write
+// to the leaf being delivered is not reflected, a write to a leaf not yet
+// read is. Keys arrive in strictly descending order, and a record present
+// for the whole scan exactly once. Backward iteration cannot ride side
+// pointers, so each leaf read costs one descent from the root.
 func (t *Tree) ScanReverse(start, end []byte, fn func(key, val []byte) bool) error {
 	return t.inner.ScanReverse(start, end, fn)
 }

@@ -65,7 +65,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiments to run: all, figures, or comma-separated IDs (E1..E12)")
+		exp      = flag.String("exp", "all", "experiments to run: all, figures, or comma-separated IDs (see -list)")
 		scale    = flag.String("scale", "quick", "quick or full")
 		preload  = flag.Int("preload", 0, "override preload record count")
 		ops      = flag.Int("ops", 0, "override measured operation count")

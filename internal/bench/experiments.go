@@ -640,59 +640,6 @@ func E11Scheduler(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// E12ReadPath compares the optimistic versioned-latch read path against the
-// pessimistic latch-coupled traversal on a read-only uniform workload, where
-// index-node latching is pure overhead. A second mixed section shows the
-// optimistic path's restart/fallback behaviour when writers force validation
-// failures.
-func E12ReadPath(scale Scale) (*Table, error) {
-	t := &Table{
-		ID:    "E12",
-		Title: "optimistic vs pessimistic read path",
-		Header: []string{"config", "mix", "threads", "ops/s",
-			"latch waits", "opt attempts", "opt restarts", "fallbacks"},
-	}
-	readOnly := Spec{
-		KeySpace: scale.Preload,
-		Preload:  scale.Preload,
-		Ops:      scale.Ops,
-		Mix:      Mix{Search: 100},
-	}
-	mixed := Spec{
-		KeySpace: scale.Preload,
-		Preload:  scale.Preload,
-		Ops:      scale.Ops,
-		Mix:      Mix{Search: 80, Insert: 10, Delete: 10},
-	}
-	for _, sec := range []struct {
-		mix  string
-		spec Spec
-	}{{"read-only", readOnly}, {"80/20", mixed}} {
-		for _, path := range []struct {
-			name string
-			rp   core.ReadPath
-		}{
-			{"optimistic", core.ReadPathOptimistic},
-			{"pessimistic", core.ReadPathPessimistic},
-		} {
-			for _, threads := range scale.Threads {
-				cfg := Comparators(expPageSize, false)[0]
-				cfg.Opts.OptimisticReads = path.rp
-				res, err := Run(cfg, sec.spec, threads)
-				if err != nil {
-					return nil, fmt.Errorf("E12 %s/%s/%d: %w", path.name, sec.mix, threads, err)
-				}
-				t.AddRow(path.name, sec.mix, threads, int(res.Throughput),
-					res.Latch.Waits, res.Stats.OptReadAttempts,
-					res.Stats.OptReadRestarts, res.Stats.OptReadFallbacks)
-			}
-		}
-	}
-	t.Note("optimistic descends root-to-leaf with zero latches; only the target leaf is share-latched")
-	t.Note("restarts = version validation failures; fallbacks = reads that reverted to latch coupling")
-	return t, nil
-}
-
 // E13CrashConsistency runs the crash-point enumeration harness
 // (internal/sim): a seeded workload replayed once per persistence-operation
 // boundary, crashed there, rebooted and recovered, with structural and
@@ -859,7 +806,6 @@ var Experiments = map[string]func(Scale) (*Table, error){
 	"E9":  E9Recovery,
 	"E10": E10Overhead,
 	"E11": E11Scheduler,
-	"E12": E12ReadPath,
 	"E13": E13CrashConsistency,
 	"E14": E14SkewTolerance,
 	"E15": E15ScaleTier,
@@ -867,4 +813,4 @@ var Experiments = map[string]func(Scale) (*Table, error){
 }
 
 // ExperimentIDs lists experiment IDs in order.
-var ExperimentIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
+var ExperimentIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14", "E15", "E16"}

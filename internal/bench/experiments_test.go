@@ -360,34 +360,6 @@ func TestE11SchedulerShape(t *testing.T) {
 	}
 }
 
-func TestE12ReadPathShape(t *testing.T) {
-	tb, err := E12ReadPath(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renderToTestLog(t, tb)
-	// 2 mixes x 2 read paths x thread counts.
-	if len(tb.Rows) != 4*len(tiny.Threads) {
-		t.Fatalf("rows = %d, want %d", len(tb.Rows), 4*len(tiny.Threads))
-	}
-	for i, row := range tb.Rows {
-		if cellFloat(t, row[3]) <= 0 {
-			t.Fatalf("row %d: non-positive throughput", i)
-		}
-		attempts := cellFloat(t, row[5])
-		switch row[0] {
-		case "optimistic":
-			if attempts == 0 {
-				t.Fatalf("row %d: optimistic run recorded no attempts", i)
-			}
-		case "pessimistic":
-			if attempts != 0 {
-				t.Fatalf("row %d: pessimistic run recorded %v attempts", i, attempts)
-			}
-		}
-	}
-}
-
 func TestE13CrashConsistencyShape(t *testing.T) {
 	tb, err := E13CrashConsistency(tiny)
 	if err != nil {
@@ -466,7 +438,7 @@ func TestSkewReportGatesAndJSON(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	if len(ExperimentIDs) != 16 {
+	if len(ExperimentIDs) != 15 {
 		t.Fatalf("%d experiment IDs", len(ExperimentIDs))
 	}
 	for _, id := range ExperimentIDs {

@@ -44,6 +44,12 @@ type Cursor struct {
 	// the whole scan, accumulating positioning and side-step stages across
 	// Next calls.
 	sp *obs.Span
+
+	// reverse makes this a ReverseCursor's (reverse.go): pos is then the
+	// exclusive upper bound of what is left (nil = +inf), end the inclusive
+	// lower bound (nil/empty = -inf), batches run in descending order and
+	// path is unused.
+	reverse bool
 }
 
 // NewCursor returns a cursor over [start, end); end nil means +inf, start
@@ -84,6 +90,9 @@ func (c *Cursor) dropBatch() {
 // batches the first leaf that has something. It leaves the batch empty, and
 // the cursor done, when the range is exhausted.
 func (c *Cursor) fill() error {
+	if c.reverse {
+		return c.fillReverse()
+	}
 	g, err := c.t.opBegin()
 	if err != nil {
 		return err
@@ -131,8 +140,9 @@ func (c *Cursor) fill() error {
 }
 
 // load copies the given leaf entries into a fresh arena and makes them the
-// batch. The arena's tail holds the cursor's own copy of resume, the next
-// position, so the caller owns every byte it is handed.
+// batch, in the cursor's direction. The arena's tail holds the cursor's own
+// copy of resume, the next position, so the caller owns every byte it is
+// handed.
 func (c *Cursor) load(keys, vals [][]byte, resume []byte) {
 	size := len(resume)
 	for i := range keys {
@@ -140,7 +150,11 @@ func (c *Cursor) load(keys, vals [][]byte, resume []byte) {
 	}
 	arena := make([]byte, size)
 	a := 0
-	for i := range keys {
+	for j := range keys {
+		i := j
+		if c.reverse {
+			i = len(keys) - 1 - j
+		}
 		k := a + copy(arena[a:], keys[i])
 		v := k + copy(arena[k:], vals[i])
 		c.batch = append(c.batch, arena[a:k:k], arena[k:v:v])
@@ -197,16 +211,19 @@ func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	defer t.obsEnd(obs.OpScan, t0, sp)
 	cur := t.NewCursor(start, end)
 	cur.sp = sp
+	return cur.each(fn)
+}
+
+// each calls fn on every record the cursor delivers until fn returns false
+// or the range ends: the loop behind Scan and ScanReverse.
+func (c *Cursor) each(fn func(key, val []byte) bool) error {
 	for {
-		k, v, ok, err := cur.Next()
-		if err != nil {
+		k, v, ok, err := c.Next()
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
 		if !fn(k, v) {
-			cur.dropBatch() // publishes the records delivered so far
+			c.dropBatch() // publishes the records delivered so far
 			return nil
 		}
 	}

@@ -84,13 +84,6 @@ func (t *Tree) obsStart() time.Time {
 	return time.Time{}
 }
 
-// obsOp records an operation latency started at t0 (no-op when t0 is zero).
-func (t *Tree) obsOp(op obs.Op, t0 time.Time) {
-	if !t0.IsZero() {
-		t.obs.ObserveOp(op, time.Since(t0))
-	}
-}
-
 // obsBegin starts an operation's observation: the histogram start time plus
 // a span when the sampler selects this operation (nil otherwise). The
 // metrics-off path is one nil check, no clock read, no span.

@@ -25,22 +25,6 @@ const (
 	Drain
 )
 
-// ReadPath selects the traversal strategy for point reads and cursor
-// positioning.
-type ReadPath uint8
-
-const (
-	// ReadPathDefault resolves to ReadPathOptimistic.
-	ReadPathDefault ReadPath = iota
-	// ReadPathOptimistic descends root-to-leaf without latching, validating
-	// each index node against its latch version word and taking a single
-	// Shared latch at the target leaf; validation failures restart, and a
-	// bounded number of restarts falls back to the latched traversal.
-	ReadPathOptimistic
-	// ReadPathPessimistic always uses the latch-coupled traversal.
-	ReadPathPessimistic
-)
-
 // FeatureMode is a tri-state switch for optional engine features whose
 // resolved default is on: the zero value lets the tree choose.
 type FeatureMode uint8
@@ -160,13 +144,6 @@ type Options struct {
 	// should abort far more postings under leaf-delete load.
 	SingleDeleteState bool
 
-	// OptimisticReads selects the read-path strategy: the default
-	// (ReadPathDefault / ReadPathOptimistic) descends latch-free with
-	// version validation, paying latches only at the leaf; set
-	// ReadPathPessimistic to force the classic latch-coupled traversal
-	// everywhere (comparators and debugging).
-	OptimisticReads ReadPath
-
 	// Deprecated: Combining selected hot-leaf operation combining, which
 	// has been removed (EXPERIMENTS.md E14); every value is accepted and
 	// ignored. The field exists only because benchmark/workload.go, frozen
@@ -216,9 +193,6 @@ func (o Options) withDefaults() Options {
 		o.TodoSoftCap = 128
 	case o.TodoSoftCap < 0:
 		o.TodoSoftCap = 0 // TodoSoftCapNone: backpressure disabled
-	}
-	if o.OptimisticReads == ReadPathDefault {
-		o.OptimisticReads = ReadPathOptimistic
 	}
 	if o.AppendFastPath == FeatureDefault {
 		o.AppendFastPath = FeatureOn

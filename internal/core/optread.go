@@ -50,10 +50,11 @@ const maxOptAttempts = 3
 func (t *Tree) unpin(n *node) { n.frame.Unpin(false) }
 
 // traverseRead is the entry point for Shared leaf traversals (Get,
-// transactional point reads, cursor positioning): optimistic first, latched
-// fallback. Non-read shapes go straight to traverse. buf is as for traverse.
+// transactional point reads, forward and reverse cursor positioning):
+// optimistic first, latched fallback. Non-read shapes go straight to
+// traverse. buf is as for traverse.
 func (t *Tree) traverseRead(o traverseOpts, buf []pathEntry) (*node, []pathEntry, error) {
-	if t.optReads && o.intent == latch.Shared && o.level == 0 && !o.promote {
+	if !t.latchedReads && o.intent == latch.Shared && o.level == 0 && !o.promote {
 		for attempt := 0; attempt < maxOptAttempts; attempt++ {
 			t.c.optAttempts.Add(obs.StackHint(), 1)
 			o.sp.EnterPhase(obs.StageDescend)
@@ -124,10 +125,10 @@ func (t *Tree) optStep(a *anchorRec, n *node, v uint64, next page.PageID, sp *ob
 	return m, ok
 }
 
-// traverseOpt makes one optimistic descent attempt for o.key. ok=false
-// means a validation failed and the caller should retry or fall back;
-// on ok=true the covering leaf is returned pinned and Shared-latched with
-// the remembered path, exactly like traverse.
+// traverseOpt makes one optimistic descent attempt for o. ok=false means a
+// validation failed and the caller should retry or fall back; on ok=true the
+// target leaf is returned pinned and Shared-latched with the remembered
+// path, exactly like traverse.
 func (t *Tree) traverseOpt(o traverseOpts, buf []pathEntry) (*node, []pathEntry, bool) {
 	a, n, ok := t.optRoot(o.sp)
 	if !ok {
@@ -142,33 +143,30 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	level := a.level
 	for level > 0 {
 		r, v, ok := n.routeView()
-		// A key below the node's key space is reachable here, unlike in the
-		// latched traversal: the route that sent us was stale. Restart.
-		if !ok || r.dead || r.level != level || t.cmp(o.key, r.low) < 0 {
+		if !ok || r.dead || r.level != level {
 			t.optDrop(a, n)
 			return nil, nil, false
 		}
 		next := r.right
-		side := r.high != nil && t.cmp(o.key, r.high) >= 0
+		side := o.pastHigh(t.cmp, r.high)
 		if side {
 			// Side traversal; reaching a node only via its side pointer
 			// means its index term is missing (§2.3).
 			if next != 0 {
 				t.enqueuePostFromRoute(n.id, r, path, o.dx)
 			}
+		} else if ci := o.childIn(t.cmp, r.keys); ci >= 0 {
+			next = r.children[ci]
+			path = append(path, pathEntry{
+				ref:   ref{id: n.id, epoch: r.epoch},
+				level: r.level,
+				dd:    r.dd,
+			})
+			t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
 		} else {
-			ci := childIndex(t.cmp, r.keys, o.key)
-			if ci < 0 || ci >= len(r.children) {
-				next = 0
-			} else {
-				next = r.children[ci]
-				path = append(path, pathEntry{
-					ref:   ref{id: n.id, epoch: r.epoch},
-					level: r.level,
-					dd:    r.dd,
-				})
-				t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
-			}
+			// A target below the node's key space is reachable here, unlike
+			// in the latched traversal: the route that sent us was stale.
+			next = 0
 		}
 		if next == 0 {
 			t.optDrop(a, n)
@@ -188,11 +186,11 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	lt0 := o.sp.Now()
 	n.latch.Acquire(latch.Shared)
 	o.sp.StageSince(obs.StageLatchS, 0, lt0)
-	if n.dead || !n.isLeaf() || t.cmp(o.key, n.c.Low) < 0 {
+	if n.dead || !n.isLeaf() || !o.reaches(t.cmp, n.c.Low) {
 		t.unlatchUnpin(n, latch.Shared, false)
 		return nil, nil, false
 	}
-	for n.pastHigh(t.cmp, o.key) {
+	for o.pastHigh(t.cmp, n.c.High) {
 		t.enqueuePostFromSideMove(n, path, o.dx)
 		var err error
 		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); err != nil {
@@ -262,100 +260,4 @@ func (t *Tree) maybeEnqueueDeleteFromRoute(id page.PageID, r *route, path []path
 		parent: parent.ref,
 		dx:     dx,
 	})
-}
-
-// reverse positioning --------------------------------------------------
-
-// descendPredRead is the read-path entry for backward positioning:
-// optimistic descents with the same restart budget and fallback as
-// traverseRead, landing on descendPred when exhausted.
-func (t *Tree) descendPredRead(bound []byte) (*node, func(), error) {
-	if t.optReads {
-		for attempt := 0; attempt < maxOptAttempts; attempt++ {
-			t.c.optAttempts.Add(obs.StackHint(), 1)
-			leaf, release, ok := t.descendPredOpt(bound)
-			if ok {
-				return leaf, release, nil
-			}
-			t.c.optRestarts.Add(1)
-		}
-		t.c.optFallbacks.Add(1)
-		t.traceOptFallback()
-	}
-	return t.descendPred(bound)
-}
-
-// descendPredOpt makes one optimistic attempt at descendPred: descend to
-// the leaf that may contain keys strictly below bound (nil = +inf) without
-// latching, then Shared-latch it. ok=false restarts; leaf == nil with
-// ok=true means no subtree lies below the bound (validated verdict).
-func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
-	a, n, ok := t.optRoot(nil)
-	if !ok {
-		return nil, nil, false
-	}
-	level := a.level
-	for level > 0 {
-		r, v, ok := n.routeView()
-		if !ok || r.dead || r.level != level {
-			t.optDrop(a, n)
-			return nil, nil, false
-		}
-		// Move right while some sibling still has keys below bound (see
-		// descendPred for the strictness argument); otherwise choose the
-		// rightmost child with any key space below bound.
-		var next page.PageID
-		side := r.right != 0 && bound == nil ||
-			bound != nil && r.high != nil && t.cmp(r.high, bound) < 0
-		if side {
-			next = r.right
-		} else {
-			ci := len(r.children) - 1
-			if bound != nil {
-				ci = lowerBound(t.cmp, r.keys, bound) - 1
-				if ci < 0 {
-					// Even keys[0] >= bound: nothing below bound here. The
-					// verdict is only as current as the snapshot — validate
-					// before trusting it.
-					ok := t.optValid(a, n, v)
-					t.optDrop(a, n)
-					if !ok {
-						return nil, nil, false
-					}
-					return nil, func() {}, true
-				}
-			}
-			if ci < len(r.children) {
-				next = r.children[ci]
-			}
-		}
-		if next == 0 {
-			t.optDrop(a, n)
-			return nil, nil, false
-		}
-		if n, ok = t.optStep(a, n, v, next, nil); !ok {
-			return nil, nil, false
-		}
-		if side {
-			t.c.sideTraversals.Add(1)
-		} else {
-			level--
-		}
-	}
-	n.latch.Acquire(latch.Shared)
-	if n.dead || !n.isLeaf() {
-		t.unlatchUnpin(n, latch.Shared, false)
-		return nil, nil, false
-	}
-	// Re-run the rightward checks under real latches: the leaf may still
-	// need side steps (splits since validation, or a stale landing).
-	for bound == nil && n.c.Right != 0 ||
-		bound != nil && n.c.High != nil && t.cmp(n.c.High, bound) < 0 {
-		var err error
-		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, nil); err != nil {
-			return nil, nil, false
-		}
-	}
-	leaf := n
-	return leaf, func() { t.unlatchUnpin(leaf, latch.Shared, false) }, true
 }

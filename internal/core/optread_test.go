@@ -12,9 +12,10 @@ import (
 	"blinktree/internal/obs"
 )
 
-// TestOptReadBasic checks that default-on optimistic reads return the same
-// answers as pessimistic ones on a multi-level tree, and that the attempt
-// counter moves.
+// TestOptReadBasic checks that optimistic reads return the right answers on
+// a multi-level tree, that the attempt counter moves, and that a quiescent
+// tree never sends a read to the latched fallback — a read path that always
+// fell back would otherwise pass every answer check and the scaling gate.
 func TestOptReadBasic(t *testing.T) {
 	tr := newTestTree(t, Options{})
 	const n = 2000
@@ -38,31 +39,15 @@ func TestOptReadBasic(t *testing.T) {
 	}
 	s := tr.Stats()
 	if s.OptReadAttempts == 0 {
-		t.Fatal("no optimistic attempts recorded with OptimisticReads default-on")
+		t.Fatal("no optimistic attempts recorded")
+	}
+	if s.OptReadFallbacks != 0 {
+		t.Fatalf("%d quiescent reads fell back to the latched traversal", s.OptReadFallbacks)
 	}
 	if s.OptReadAttempts < s.OptReadRestarts {
 		t.Fatalf("restarts %d exceed attempts %d", s.OptReadRestarts, s.OptReadAttempts)
 	}
 	mustVerify(t, tr)
-}
-
-// TestOptReadDisabled checks the pessimistic toggle: no optimistic counters
-// move.
-func TestOptReadDisabled(t *testing.T) {
-	tr := newTestTree(t, Options{OptimisticReads: ReadPathPessimistic})
-	for i := 0; i < 500; i++ {
-		if err := tr.Put(key(i), valb(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 500; i++ {
-		if _, err := tr.Get(key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := tr.Stats(); s.OptReadAttempts != 0 || s.OptReadFallbacks != 0 {
-		t.Fatalf("pessimistic tree recorded optimistic activity: %+v", s)
-	}
 }
 
 // TestOptReadFallback forces validation failures by holding the root's
@@ -124,6 +109,57 @@ func TestOptReadFallback(t *testing.T) {
 	if !sawFallback {
 		t.Fatal("no EvOptFallback trace event")
 	}
+}
+
+// TestOptReadReverseFallback is TestOptReadFallback for a reverse scan: with
+// the root held exclusively every optimistic descent below a bound fails at
+// once, the scan falls back to the latched traversal, which waits for the
+// latch, and the scan's span records the restarts and the fallback.
+func TestOptReadReverseFallback(t *testing.T) {
+	if !obs.Compiled {
+		t.Skip("spans compiled out (obsoff)")
+	}
+	tr := newTestTree(t, Options{Observability: &obs.Config{Spans: true, SampleEvery: 1}})
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	rootID, _ := tr.readAnchor()
+	root, err := tr.fetch(rootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.latch.Acquire(latch.Exclusive)
+
+	done := make(chan error, 1)
+	go func() {
+		var got []byte
+		err := tr.ScanReverse(nil, nil, func(k, _ []byte) bool { got = k; return false })
+		if err == nil && !bytes.Equal(got, key(n-1)) {
+			err = fmt.Errorf("first record of the reverse scan %q, want %q", got, key(n-1))
+		}
+		done <- err
+	}()
+	for tr.Stats().OptReadFallbacks == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("ScanReverse finished before fallback was recorded: %v", err)
+		default:
+		}
+	}
+	tr.unlatchUnpin(root, latch.Exclusive, false)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Op == obs.OpScan && sp.Fallback && sp.Restarts >= maxOptAttempts {
+			return
+		}
+	}
+	t.Fatal("no scan span recorded the optimistic restarts and the fallback")
 }
 
 // TestTraverseExhaustedCounter drives both paths into livelock with a
@@ -278,18 +314,19 @@ func TestOptReadSideChainsUnderSplits(t *testing.T) {
 }
 
 // TestOptReadUnderEvictionPressure reruns the read path with a cache far
-// smaller than the tree, so descents race page loads and evictions, in both
-// read-path modes.
+// smaller than the tree, so descents race page loads and evictions, both
+// optimistic and, as the reference, latched.
 func TestOptReadUnderEvictionPressure(t *testing.T) {
-	for _, rp := range []ReadPath{ReadPathOptimistic, ReadPathPessimistic} {
+	for _, latched := range []bool{false, true} {
 		name := "optimistic"
-		if rp == ReadPathPessimistic {
+		if latched {
 			name = "pessimistic"
 		}
 		t.Run(name, func(t *testing.T) {
-			tr := newTestTree(t, Options{
-				CacheSize: 64, Workers: 2, OptimisticReads: rp,
-			})
+			tr := newTestTree(t, Options{CacheSize: 64, Workers: 2})
+			if latched {
+				withLatchedReads(tr)
+			}
 			const n = 8000
 			for i := 0; i < n; i++ {
 				if err := tr.Put(key(i), valb(i)); err != nil {
@@ -315,11 +352,14 @@ func TestOptReadUnderEvictionPressure(t *testing.T) {
 }
 
 // TestOptReadMixedEquivalence runs one deterministic workload against an
-// optimistic and a pessimistic tree concurrently mutated the same way, then
-// compares full contents.
+// optimistic tree and a latched-read one concurrently mutated the same way,
+// then compares full contents.
 func TestOptReadMixedEquivalence(t *testing.T) {
-	run := func(rp ReadPath) map[string][]byte {
-		tr := newTestTree(t, Options{Workers: 2, OptimisticReads: rp})
+	run := func(latched bool) map[string][]byte {
+		tr := newTestTree(t, Options{Workers: 2})
+		if latched {
+			withLatchedReads(tr)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -349,8 +389,8 @@ func TestOptReadMixedEquivalence(t *testing.T) {
 		}
 		return recs
 	}
-	opt := run(ReadPathOptimistic)
-	pes := run(ReadPathPessimistic)
+	opt := run(false)
+	pes := run(true)
 	if len(opt) != len(pes) {
 		t.Fatalf("record counts differ: optimistic %d, pessimistic %d", len(opt), len(pes))
 	}

@@ -246,3 +246,142 @@ func TestQuickReverseMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReverseScanFetchesPerLeaf: a reverse scan reads a leaf per latch, so
+// its buffer-pool fetches are bounded by one descent per leaf crossed — at
+// most height+1 fetches each — not one descent per record.
+func TestReverseScanFetchesPerLeaf(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	const n = 400
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	leaves, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := int(tr.Height())
+	if height == 0 {
+		t.Fatal("tree did not grow; test needs index levels")
+	}
+	fetches := func() uint64 { s := tr.PoolStats(); return s.Hits + s.Misses }
+	before := fetches()
+	seen := 0
+	if err := tr.ScanReverse(nil, nil, func(_, _ []byte) bool { seen++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	got := fetches() - before
+	if seen != n {
+		t.Fatalf("reverse scan saw %d records, want %d", seen, n)
+	}
+	if bound := uint64((height + 1) * len(leaves)); got > bound {
+		t.Fatalf("reverse scan of %d records over %d leaves (height %d) made %d buffer fetches, want <= %d",
+			n, len(leaves), height, got, bound)
+	}
+}
+
+// TestReverseScanSideStepEnqueuesPosting: a reverse descent that reaches a
+// node through a side pointer has found a missing index term, and enqueues
+// its posting exactly as a forward descent does (§2.3).
+func TestReverseScanSideStepEnqueuesPosting(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	i := 0
+	for ; i < 100; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if tr.Height() == 0 {
+		t.Fatal("tree did not grow; test needs index levels")
+	}
+	// Split the rightmost leaf and drop the posting the split enqueued: its
+	// right half is now reachable only through the side pointer.
+	for splits := tr.Stats().Splits; tr.Stats().Splits == splits; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.todo.takeAll()
+	before := tr.Stats()
+	seen := 0
+	if err := tr.ScanReverse(nil, nil, func(_, _ []byte) bool { seen++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	after := tr.Stats()
+	if seen != i {
+		t.Fatalf("reverse scan saw %d records, want %d", seen, i)
+	}
+	if after.SideTraversals == before.SideTraversals {
+		t.Fatal("reverse scan made no side traversal: the posting was not missing")
+	}
+	if after.PostsEnqueued == before.PostsEnqueued {
+		t.Fatal("reverse scan side-stepped past an unposted split without enqueueing its posting")
+	}
+	mustVerify(t, tr)
+}
+
+// TestScanReverseLeafSnapshot pins ScanReverse to Scan's semantics: a
+// snapshot per leaf. A record deleted from the leaf being delivered is still
+// returned; one deleted from a leaf not yet read is not.
+func TestScanReverseLeafSnapshot(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	const n = 100
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	leaves, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leaves) < 3 {
+		t.Fatalf("%d leaves; test needs at least 3", len(leaves))
+	}
+	last, err := tr.NodeSnapshot(leaves[len(leaves)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := n - 1 // the largest record left of the last leaf: read by the next fill
+	for bytes.Compare(key(below), last.Low) >= 0 {
+		below--
+	}
+	if below >= n-2 {
+		t.Fatalf("last leaf holds %d records; test needs at least 2", n-1-below)
+	}
+	var got []int
+	err = tr.ScanReverse(nil, nil, func(k, v []byte) bool {
+		if len(got) == 0 {
+			if err := tr.Delete(key(n - 2)); err != nil { // in the leaf being delivered
+				t.Fatal(err)
+			}
+			if err := tr.Delete(key(below)); err != nil { // in a leaf not yet read
+				t.Fatal(err)
+			}
+		}
+		var i int
+		fmt.Sscanf(string(k), "key-%d", &i)
+		if !bytes.Equal(v, valb(i)) {
+			t.Fatalf("record %q = %q", k, v)
+		}
+		got = append(got, i)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i := n - 1; i >= 0; i-- {
+		if i != below {
+			want = append(want, i)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reverse scan returned %v, want %v", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
@@ -28,7 +29,13 @@ type pathBuf [8]pathEntry
 
 // traverseOpts parameterizes a traversal (Appendix A.1).
 type traverseOpts struct {
-	key    []byte
+	key []byte
+	// below selects the search bound. Unset, the target is the node covering
+	// key; set, it is the node holding the largest keys strictly below key,
+	// nil key meaning +inf (the rightmost node) — how a reverse cursor
+	// positions. The bound changes only whether a key space beginning at a
+	// given key is reached (reaches); child choice and side moves follow.
+	below  bool
 	level  uint8      // requested level; 0 for leaves
 	intent latch.Mode // latch mode at the target level: Shared or Update
 	// promote upgrades the target's Update latch to Exclusive before
@@ -44,8 +51,31 @@ type traverseOpts struct {
 
 const maxTraverseRestarts = 10000
 
-// traverse descends from the root to the node at o.level covering o.key,
-// returning it latched (and pinned) together with the remembered path from
+// reaches reports whether the target lies in a key space beginning at sep:
+// sep <= key for the covering node, sep < key (or key +inf) below it.
+func (o *traverseOpts) reaches(cmp Compare, sep []byte) bool {
+	if o.below {
+		return o.key == nil || cmp(sep, o.key) < 0
+	}
+	return cmp(sep, o.key) <= 0
+}
+
+// childIn returns the position of the child to descend into in an index
+// node keyed by keys (keys[i] is child i's low fence, keys[0] the node's):
+// the last child whose key space the target reaches, or -1 when the target
+// lies below the node's low fence.
+func (o *traverseOpts) childIn(cmp Compare, keys [][]byte) int {
+	return sort.Search(len(keys), func(i int) bool { return !o.reaches(cmp, keys[i]) }) - 1
+}
+
+// pastHigh reports whether the target lies beyond a node whose high fence is
+// high (nil = +inf), so the descent moves right.
+func (o *traverseOpts) pastHigh(cmp Compare, high []byte) bool {
+	return high != nil && o.reaches(cmp, high)
+}
+
+// traverse descends from the root to the node at o.level covering o.key (or,
+// with o.below, holding the largest keys below it), returning it latched (and pinned) together with the remembered path from
 // the root (topmost first). Latch coupling is used downward and rightward
 // unless the tree was built with NoDeleteSupport, in which case a single
 // latch is held at a time (§3.1.1: coupling is only required because nodes
@@ -83,11 +113,11 @@ restart:
 		}
 		path := buf[:0]
 		for {
-			// Side traversals: the key lies beyond this node's key space,
-			// so follow the side pointer. Reaching a node only via its
+			// Side traversals: the target lies beyond this node's key
+			// space, so follow the side pointer. Reaching a node only via its
 			// side pointer means its index term is missing: re-discover
 			// the posting (§2.3).
-			for n.pastHigh(t.cmp, o.key) {
+			for o.pastHigh(t.cmp, n.c.High) {
 				if n.c.Right == 0 {
 					t.unlatchUnpin(n, mode, false)
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
@@ -110,7 +140,7 @@ restart:
 			// address and latching it: its deleter would need this node
 			// exclusively latched to remove the index term (latch
 			// coupling argument, §3.1.1).
-			ci := n.childFor(t.cmp, o.key)
+			ci := o.childIn(t.cmp, n.c.Keys)
 			if ci < 0 {
 				t.unlatchUnpin(n, mode, false)
 				return nil, nil, fmt.Errorf("blinktree: key %q below node %d low fence", o.key, n.id)
@@ -146,6 +176,31 @@ restart:
 	}
 	t.traverseExhausted()
 	return nil, nil, fmt.Errorf("blinktree: traversal live-locked after %d restarts", maxTraverseRestarts)
+}
+
+// sideStep latches n's right sibling in mode (coupled when couple), releases
+// n, which the caller holds in the same mode, and counts the side traversal.
+// A sibling that cannot be fetched or is dead is an error with nothing held.
+func (t *Tree) sideStep(n *node, mode latch.Mode, couple bool, sp *obs.Span) (*node, error) {
+	sib := n.c.Right
+	var m *node
+	var err error
+	if couple {
+		m, err = t.pinLatchSpan(sib, mode, sp)
+		t.unlatchUnpin(n, mode, false)
+	} else {
+		t.unlatchUnpin(n, mode, false)
+		m, err = t.pinLatchSpan(sib, mode, sp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m.dead {
+		t.unlatchUnpin(m, mode, false)
+		return nil, errDeadSibling
+	}
+	t.c.sideTraversals.Add(1)
+	return m, nil
 }
 
 // modeFor selects the latch mode for a node at nodeLevel during a traversal

@@ -72,8 +72,10 @@ type Tree struct {
 	cmp      Compare
 	bytewise bool
 
-	// optReads enables the latch-free optimistic read path (optread.go).
-	optReads bool
+	// latchedReads sends every read down the latched traversal instead of the
+	// optimistic descent (optread.go). Only tests set it, as the reference
+	// the optimistic descent is checked against.
+	latchedReads bool
 
 	// appendFast enables the right-edge append fast path (set in New,
 	// before sharing). rightEdge is that path's cache: a hint naming the
@@ -189,7 +191,6 @@ func New(opts Options) (*Tree, error) {
 		t.bytewise = true
 	}
 	t.active.m = make(map[uint64]*Txn)
-	t.optReads = opts.OptimisticReads == ReadPathOptimistic
 	t.appendFast = opts.AppendFastPath == FeatureOn
 
 	// Observability: resolve the config (the obstrace build tag forces full
