@@ -445,7 +445,7 @@ func TestPrometheusBulkLoadFamily(t *testing.T) {
 		i++
 		return k, k, true
 	}
-	if err := tr.BulkLoadParallel(next, 0.85, 4); err != nil {
+	if err := tr.BulkLoad(next, 0.85); err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
 

@@ -154,7 +154,9 @@ type Options struct {
 	MinFill float64
 	// Workers is the number of background maintenance goroutines
 	// processing lazy structure modifications (default 2). Use -1 for
-	// none; call Maintain to run maintenance manually.
+	// none: the tree then starts neither maintenance nor bulk-load
+	// goroutines, so maintenance runs only when Maintain is called, and
+	// BulkLoad builds on the calling goroutine.
 	Workers int
 	// MaintenanceSoftCap is the backpressure threshold: above this many
 	// queued maintenance actions, a completing operation processes one
@@ -163,12 +165,6 @@ type Options struct {
 	MaintenanceSoftCap int
 	// Baseline optionally selects a comparator algorithm.
 	Baseline Baseline
-
-	// BulkChunkPages is the number of pages grouped into one bulk-load
-	// chunk — the unit of WAL logging and of hand-off to BulkLoadParallel's
-	// builder goroutines (default 64, clamped to fit the cache). Most
-	// callers leave it zero.
-	BulkChunkPages int
 
 	// Durability selects when Txn.Commit acknowledges relative to the log
 	// force that makes the commit durable: after it (DurabilitySync, the
@@ -251,7 +247,6 @@ func Open(opts Options) (*Tree, error) {
 		FlushBytes:    opts.FlushBytes,
 
 		AppendFastPath: opts.AppendFastPath,
-		BulkChunkPages: opts.BulkChunkPages,
 	}
 	if opts.Workers < 0 {
 		cOpts.Workers = core.WorkersNone
@@ -383,25 +378,16 @@ func (t *Tree) Count(start, end []byte) (int, error) { return t.inner.Count(star
 
 // BulkLoad populates an empty tree from strictly ascending (key, value)
 // pairs, building it bottom-up at the given fill factor (0 < fill <= 1;
-// 0 defaults to 0.85). Much faster than repeated Put. Returns an error on
-// a non-empty tree or unsorted input. With a durable tree the whole load
-// is one atomic, crash-recoverable action: it is logged as a sequence of
-// chunk records sealed by a commit record, and recovery replays either all
-// of it or none of it.
+// 0 defaults to 0.85). Much faster than repeated Put: the calling goroutine
+// cuts the stream into chunks of leaves and one builder goroutine per
+// GOMAXPROCS turns them into pages (with Workers: -1, the calling goroutine
+// builds them itself). Returns an error on a non-empty tree or unsorted
+// input. With a durable tree the whole load is one atomic,
+// crash-recoverable action: it is logged as a sequence of chunk records
+// sealed by a commit record, and recovery replays either all of it or none
+// of it.
 func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) error {
 	return t.inner.BulkLoad(next, fill)
-}
-
-// BulkLoadParallel is BulkLoad with parallel builder goroutines. The
-// ascending stream is partitioned into contiguous key-range chunks built
-// concurrently by up to parallel workers, each under a page-ID lease taken
-// from the allocator up front; fences and side pointers are stitched across
-// chunk seams and the upper index levels are built over the whole leaf
-// level, so the resulting tree is structurally identical to a serial load's.
-// parallel <= 1 degrades to the serial path. The durability contract is the
-// same as BulkLoad's: all-or-nothing across any crash point.
-func (t *Tree) BulkLoadParallel(next func() (key, val []byte, ok bool), fill float64, parallel int) error {
-	return t.inner.BulkLoadParallel(next, fill, parallel)
 }
 
 // Len returns the total number of records.

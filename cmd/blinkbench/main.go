@@ -21,13 +21,9 @@
 //	                                    # ... persist the trajectory and fail
 //	                                    #     unless 16 writers share forces
 //	                                    #     and run >= 4x one writer
-//	blinkbench -load                    # bulk-load scale sweep (10M + 20M keys,
-//	                                    #     serial vs parallel fan-outs)
-//	blinkbench -load -keys 10000000 -fill 0.9 -parallel 1,8 \
-//	           -out BENCH_scale.json -speedup 3.0
-//	                                    # ... persist the trajectory and fail
-//	                                    #     unless parallel@8 loads >= 3x the
-//	                                    #     serial rows/s
+//	blinkbench -load                    # bulk-load scale sweep (10M + 20M keys)
+//	blinkbench -load -keys 10000000 -fill 0.9 -out BENCH_scale.json
+//	                                    # ... persist the trajectory
 //	blinkbench -skew                    # skew scenario matrix (distribution x
 //	                                    #     goroutines x append fast path)
 //	blinkbench -skew -out BENCH_skew.json -skewfrac 0.25
@@ -85,11 +81,9 @@ func main() {
 		out        = flag.String("out", "", "with -commit or -skew: also write the JSON report to this file")
 		gate       = flag.Float64("gate", 0, "with -commit: exit nonzero unless, at the highest writer count, sync runs >= 2 commits/force and >= gate x the one-writer commits/s (0 disables)")
 
-		load         = flag.Bool("load", false, "run the bulk-load scale sweep instead of experiments")
-		loadKeys     = flag.String("keys", "10000000,20000000", "with -load: comma-separated tier sizes (keys to load)")
-		loadFill     = flag.Float64("fill", 0.85, "with -load: bulk-load fill factor")
-		loadParallel = flag.String("parallel", "1,8", "with -load: comma-separated bulk-load fan-outs (1 = serial baseline)")
-		loadSpeedup  = flag.Float64("speedup", 0, "with -load: exit nonzero unless the highest fan-out loads at least speedup x the serial rows/s at the smallest tier (0 disables)")
+		load     = flag.Bool("load", false, "run the bulk-load scale sweep instead of experiments")
+		loadKeys = flag.String("keys", "10000000,20000000", "with -load: comma-separated tier sizes (keys to load)")
+		loadFill = flag.Float64("fill", 0.85, "with -load: bulk-load fill factor")
 
 		remote    = flag.String("remote", "", "drive a running blinkd server at this address instead of running experiments")
 		conns     = flag.Int("conns", 4, "with -remote: concurrent client connections")
@@ -125,7 +119,7 @@ func main() {
 	}
 
 	if *load {
-		if err := loadSweep(os.Stdout, *loadKeys, *loadParallel, *loadFill, *out, *loadSpeedup); err != nil {
+		if err := loadSweep(os.Stdout, *loadKeys, *loadFill, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "load sweep: %v\n", err)
 			os.Exit(1)
 		}
@@ -288,9 +282,8 @@ func commitSweep(w io.Writer, modesCSV, writersCSV string, ops int, outPath stri
 }
 
 // loadSweep runs the bulk-load scale sweep, prints rows/s and pages-built
-// per cell, optionally persists the JSON report (BENCH_scale.json) and
-// applies the parallel-speedup gate.
-func loadSweep(w io.Writer, keysCSV, parallelCSV string, fill float64, outPath string, speedup float64) error {
+// per tier and optionally persists the JSON report (BENCH_scale.json).
+func loadSweep(w io.Writer, keysCSV string, fill float64, outPath string) error {
 	cfg := bench.ScaleConfig{Fill: fill}
 	for _, s := range strings.Split(keysCSV, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -299,24 +292,18 @@ func loadSweep(w io.Writer, keysCSV, parallelCSV string, fill float64, outPath s
 		}
 		cfg.Tiers = append(cfg.Tiers, n)
 	}
-	for _, s := range strings.Split(parallelCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -parallel entry %q", s)
-		}
-		cfg.Parallel = append(cfg.Parallel, n)
-	}
 
 	rep, err := bench.RunScale(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "== bulk-load scale sweep: fill %.2f, page size %d ==\n", rep.Fill, rep.PageSize)
+	fmt.Fprintf(w, "== bulk-load scale sweep: fill %.2f, page size %d, %d cores (GOMAXPROCS %d), rev %q ==\n",
+		rep.Fill, rep.PageSize, rep.Cores, rep.GOMAXPROCS, rep.GitRev)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "keys\tparallel\trows/s\tpages built\tchunks\theight\tfanout\tget p50\tput p50\tscan ns/key\tclean")
+	fmt.Fprintln(tw, "keys\trows/s\tpages built\tchunks\theight\tfanout\tget p50\tput p50\tscan ns/key\tclean")
 	for _, r := range rep.Results {
-		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%d\t%d\t%d\t%.1f\t%s\t%s\t%.0f\t%v\n",
-			r.Keys, r.Parallel, r.RowsPerSec, r.PagesBuilt, r.Chunks,
+		fmt.Fprintf(tw, "%d\t%.0f\t%d\t%d\t%d\t%.1f\t%s\t%s\t%.0f\t%v\n",
+			r.Keys, r.RowsPerSec, r.PagesBuilt, r.Chunks,
 			r.Height, r.IndexFanout,
 			time.Duration(r.GetP50NS), time.Duration(r.PutP50NS),
 			r.ScanNSPerKey, r.VerifyClean)
@@ -336,13 +323,6 @@ func loadSweep(w io.Writer, keysCSV, parallelCSV string, fill float64, outPath s
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
-	if speedup > 0 {
-		desc, err := rep.GateParallelSpeedup(speedup)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "speedup gate ok: %s\n", desc)
 	}
 	return nil
 }

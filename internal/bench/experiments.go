@@ -721,37 +721,33 @@ func E14SkewTolerance(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// E15ScaleTier measures the scale tier (scale.go): parallel bulk-load
-// throughput against the serial baseline, the built tree's shape (height
-// and index fanout under compact separators), and post-load point/range
-// latency. Tiers derive from the scale so that Full lands exactly on the
-// 10M/20M acceptance tiers.
+// E15ScaleTier measures the scale tier (scale.go): bulk-load throughput,
+// the built tree's shape (height and index fanout under compact
+// separators), and post-load point/range latency. Tiers derive from the
+// scale so that Full lands exactly on the 10M/20M acceptance tiers.
 func E15ScaleTier(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
-		Title: "scale tier: parallel bulk load + compact index pages",
-		Header: []string{"keys", "parallel", "rows/s", "pages", "chunks", "height",
+		Title: "scale tier: bulk load + compact index pages",
+		Header: []string{"keys", "rows/s", "pages", "chunks", "height",
 			"fanout", "get p50", "get p99", "put p50", "put p99", "scan ns/key", "clean"},
 	}
 	cfg := ScaleConfig{
-		Tiers:    []int{scale.Preload * 50, scale.Preload * 100},
-		Parallel: []int{1, 8},
-		Probes:   1000,
+		Tiers:  []int{scale.Preload * 50, scale.Preload * 100},
+		Probes: 1000,
 	}
 	rep, err := RunScale(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("E15: %w", err)
 	}
 	for _, res := range rep.Results {
-		t.AddRow(res.Keys, res.Parallel, int(res.RowsPerSec), res.PagesBuilt,
+		t.AddRow(res.Keys, int(res.RowsPerSec), res.PagesBuilt,
 			res.Chunks, res.Height, res.IndexFanout,
 			time.Duration(res.GetP50NS).String(), time.Duration(res.GetP99NS).String(),
 			time.Duration(res.PutP50NS).String(), time.Duration(res.PutP99NS).String(),
 			fmt.Sprintf("%.0f", res.ScanNSPerKey), fmt.Sprint(res.VerifyClean))
 	}
-	if desc, err := rep.GateParallelSpeedup(1.0); err == nil {
-		t.Note("speedup: %s", desc)
-	}
+	t.Note("%d cores, GOMAXPROCS %d (one bulk-load builder each), rev %q", rep.Cores, rep.GOMAXPROCS, rep.GitRev)
 	t.Note("at -scale full the tiers are 10M and 20M keys (the acceptance tier); quick shrinks them 20x")
 	t.Note("fanout = avg children per index node; fixed-width keys isolate the compact-separator effect")
 	return t, nil

@@ -5,21 +5,20 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
+	"blinktree/internal/buildinfo"
 	"blinktree/internal/core"
 )
 
-// ScaleConfig parameterizes the scale-tier sweep (experiment E15): bulk
-// loads of Tiers keys at each Parallel fan-out, followed by point and range
-// probes against the loaded tree.
+// ScaleConfig parameterizes the scale-tier sweep (experiment E15): a bulk
+// load of each tier's keys, followed by point and range probes against the
+// loaded tree.
 type ScaleConfig struct {
 	// Tiers are the key counts to load (default 10M and 20M).
 	Tiers []int
-	// Parallel are the bulk-load fan-outs to measure (default 1 and 8;
-	// 1 is the serial baseline the speedup gate divides by).
-	Parallel []int
 	// Fill is the bulk-load fill factor (default 0.85).
 	Fill float64
 	// PageSize is the page size for every cell (default 4096 — the scale
@@ -37,9 +36,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if len(c.Tiers) == 0 {
 		c.Tiers = []int{10_000_000, 20_000_000}
 	}
-	if len(c.Parallel) == 0 {
-		c.Parallel = []int{1, 8}
-	}
 	if c.Fill == 0 {
 		c.Fill = 0.85
 	}
@@ -55,11 +51,10 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// ScaleResult is one (tier, parallel) cell of the sweep.
+// ScaleResult is one tier of the sweep.
 type ScaleResult struct {
-	// Keys is the tier size; Parallel the bulk-load fan-out.
-	Keys     int `json:"keys"`
-	Parallel int `json:"parallel"`
+	// Keys is the tier size.
+	Keys int `json:"keys"`
 	// LoadNS is the wall time of the bulk load; RowsPerSec the headline
 	// load throughput.
 	LoadNS     int64   `json:"load_ns"`
@@ -86,53 +81,18 @@ type ScaleResult struct {
 // ScaleReport is the persisted scale-tier sweep, serialized to
 // BENCH_scale.json at the repo root by the CI perf-trajectory job.
 type ScaleReport struct {
+	// Cores, GOMAXPROCS and GitRev say where the sweep was measured: the
+	// host's CPU count, the scheduler's (which sets the bulk load's builder
+	// count), and the VCS revision of the binary ("" when not stamped).
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GitRev     string `json:"git_rev"`
+
 	// PageSize and Fill restate the per-cell configuration.
 	PageSize int     `json:"page_size"`
 	Fill     float64 `json:"fill"`
 	// Results holds every measured cell.
 	Results []ScaleResult `json:"results"`
-}
-
-// Lookup returns the cell for (keys, parallel), if present.
-func (r *ScaleReport) Lookup(keys, parallel int) (ScaleResult, bool) {
-	for _, res := range r.Results {
-		if res.Keys == keys && res.Parallel == parallel {
-			return res, true
-		}
-	}
-	return ScaleResult{}, false
-}
-
-// GateParallelSpeedup checks the headline acceptance ratio: at the smallest
-// tier, the highest measured fan-out must load at least ratio times the
-// serial rows/s, with both cells verify-clean. Returns a description of the
-// comparison and an error when the gate fails.
-func (r *ScaleReport) GateParallelSpeedup(ratio float64) (string, error) {
-	tier, maxPar := 0, 0
-	for _, res := range r.Results {
-		if tier == 0 || res.Keys < tier {
-			tier = res.Keys
-		}
-	}
-	for _, res := range r.Results {
-		if res.Keys == tier && res.Parallel > maxPar {
-			maxPar = res.Parallel
-		}
-	}
-	serial, ok1 := r.Lookup(tier, 1)
-	par, ok2 := r.Lookup(tier, maxPar)
-	if !ok1 || !ok2 || maxPar <= 1 {
-		return "", fmt.Errorf("bench: report lacks serial and parallel cells at tier %d", tier)
-	}
-	if !serial.VerifyClean || !par.VerifyClean {
-		return "", fmt.Errorf("bench: tier %d cells are not verify-clean", tier)
-	}
-	desc := fmt.Sprintf("%d keys: parallel@%d %.0f rows/s vs serial %.0f rows/s (%.2fx, gate %.2fx)",
-		tier, maxPar, par.RowsPerSec, serial.RowsPerSec, par.RowsPerSec/serial.RowsPerSec, ratio)
-	if par.RowsPerSec < serial.RowsPerSec*ratio {
-		return desc, fmt.Errorf("bench: parallel-speedup gate failed: %s", desc)
-	}
-	return desc, nil
 }
 
 // WriteJSON serializes the report (indented, trailing newline) for
@@ -172,27 +132,32 @@ func scaleFeeder(n int) func() ([]byte, []byte, bool) {
 	}
 }
 
-// RunScale measures every (tier, parallel) cell of the sweep.
+// RunScale measures every tier of the sweep.
 func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &ScaleReport{PageSize: cfg.PageSize, Fill: cfg.Fill}
+	rep := &ScaleReport{
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GitRev:     buildinfo.Revision(),
+		PageSize:   cfg.PageSize,
+		Fill:       cfg.Fill,
+	}
 	for _, tier := range cfg.Tiers {
-		for _, par := range cfg.Parallel {
-			res, err := runScaleCell(cfg, tier, par)
-			if err != nil {
-				return nil, fmt.Errorf("bench: scale %d/%d: %w", tier, par, err)
-			}
-			rep.Results = append(rep.Results, res)
+		res, err := runScaleCell(cfg, tier)
+		if err != nil {
+			return nil, fmt.Errorf("bench: scale %d: %w", tier, err)
 		}
+		rep.Results = append(rep.Results, res)
 	}
 	return rep, nil
 }
 
-func runScaleCell(cfg ScaleConfig, tier, parallel int) (ScaleResult, error) {
+// runScaleCell loads one tier into a tree with the default Workers, so the
+// load runs one builder per GOMAXPROCS, and probes it.
+func runScaleCell(cfg ScaleConfig, tier int) (ScaleResult, error) {
 	tr, err := core.New(core.Options{
 		PageSize:  cfg.PageSize,
 		CacheSize: 1 << 15,
-		Workers:   core.WorkersNone,
 	})
 	if err != nil {
 		return ScaleResult{}, err
@@ -200,13 +165,13 @@ func runScaleCell(cfg ScaleConfig, tier, parallel int) (ScaleResult, error) {
 	defer tr.Close()
 
 	start := time.Now()
-	if err := tr.BulkLoadParallel(scaleFeeder(tier), cfg.Fill, parallel); err != nil {
+	if err := tr.BulkLoad(scaleFeeder(tier), cfg.Fill); err != nil {
 		return ScaleResult{}, err
 	}
 	loadNS := time.Since(start).Nanoseconds()
 
 	res := ScaleResult{
-		Keys: tier, Parallel: parallel,
+		Keys:       tier,
 		LoadNS:     loadNS,
 		RowsPerSec: float64(tier) / (float64(loadNS) / 1e9),
 		PagesBuilt: tr.Stats().BulkLoadPages,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"blinktree/internal/latch"
@@ -14,13 +15,10 @@ import (
 // ErrNotEmpty is returned by BulkLoad on a tree that already has records.
 var ErrNotEmpty = errors.New("blinktree: bulk load requires an empty tree")
 
-// ErrBadParallel is returned for a negative parallelism degree.
-var ErrBadParallel = errors.New("blinktree: bulk load parallelism must be >= 0")
-
-// defaultChunkPages is the number of leaves grouped into one build/log chunk
-// when Options.BulkChunkPages is zero. A chunk is the unit of WAL logging
-// (one SMOBulkChunk record of allocations) and of hand-off to a builder
-// goroutine, so it bounds the pages pinned per in-flight chunk.
+// defaultChunkPages is the number of leaves grouped into one chunk when
+// Options.BulkChunkPages is zero. A chunk is the unit of page-ID leasing, of
+// WAL logging (one SMOBulkChunk record of allocations) and of hand-off to a
+// builder goroutine, so it bounds the pages pinned per in-flight chunk.
 const defaultChunkPages = 64
 
 // BulkLoad populates an empty tree from strictly ascending (key, value)
@@ -28,6 +26,12 @@ const defaultChunkPages = 64
 // each index level is built over the one below. This is far faster than
 // repeated Put (no traversals, no splits) and yields a tree at the chosen
 // fill factor.
+//
+// The calling goroutine cuts the stream into chunks of whole leaves, each
+// under one page-ID lease; builder goroutines, one per GOMAXPROCS, turn the
+// chunks into pages, and the caller stitches the seams between chunks and
+// builds the index levels. A tree opened with WorkersNone starts no
+// goroutine: it builds each chunk on the caller, into the same pages.
 //
 // next returns the stream; ok=false ends it. fill in (0,1] defaults to
 // 0.85. The tree must be empty; concurrent operations are blocked for the
@@ -37,59 +41,6 @@ const defaultChunkPages = 64
 // commit record, followed by a checkpoint: after a crash the load either
 // happened completely or not at all.
 func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) error {
-	return t.bulkLoad(next, fill, 1)
-}
-
-// BulkLoadParallel is BulkLoad with parallel builder goroutines: the
-// ascending stream is partitioned into contiguous key-range chunks, each
-// chunk's leaves are built by a worker from a page-ID lease taken up front
-// (so workers never contend on the allocator), and the coordinator stitches
-// fences and side pointers across chunk seams before building the shared
-// upper index levels. The resulting tree satisfies structure invariants
-// identical to a serial load's. parallel <= 1 degrades to the serial path;
-// 0 means serial.
-func (t *Tree) BulkLoadParallel(next func() (key, val []byte, ok bool), fill float64, parallel int) error {
-	if parallel < 0 {
-		return ErrBadParallel
-	}
-	return t.bulkLoad(next, fill, parallel)
-}
-
-// bulkChild is one node of the level below the one being built: its low
-// fence and page ID, all an index level needs.
-type bulkChild struct {
-	low []byte
-	id  page.PageID
-}
-
-// bulkSession carries the state of one load across its phases.
-type bulkSession struct {
-	t        *Tree
-	target   int // fill * PageSize
-	parallel int
-	chunk    int    // leaves per chunk
-	sid      uint64 // WAL bulk session ID (Record.Txn)
-
-	// allocated records every page this load reserved, for reclamation if
-	// the load fails before the anchor flip.
-	allocated []page.PageID
-
-	// level accumulates (low fence, page ID) of the level most recently
-	// completed, bottom-up; rootLvl is the height after the index build.
-	level   []bulkChild
-	rootLvl uint8
-
-	// pending holds built-but-unlogged nodes of the serial leaf path and
-	// of the index-level build; flushPending logs and unpins them.
-	pending []*node
-
-	pages  uint64 // nodes built
-	chunks uint64 // chunk groups logged/flushed
-}
-
-// bulkLoad is the shared implementation behind BulkLoad and
-// BulkLoadParallel.
-func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, parallel int) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -120,12 +71,8 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		return ErrNotEmpty
 	}
 
-	s := &bulkSession{
-		t:        t,
-		target:   int(fill * float64(t.opts.PageSize)),
-		parallel: parallel,
-		chunk:    t.bulkChunkPages(parallel),
-	}
+	s := &bulkSession{t: t, target: int(fill * float64(t.opts.PageSize))}
+	s.chunk, s.builders = t.bulkShape()
 	if t.log != nil {
 		s.sid = t.txnSeq.Add(1)
 	}
@@ -147,12 +94,7 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 		}
 	}()
 
-	if s.parallel > 1 {
-		err = s.loadLeavesParallel(next)
-	} else {
-		err = s.loadLeavesSerial(next)
-	}
-	if err != nil {
+	if err := s.loadLeaves(next); err != nil {
 		return err
 	}
 	rootID, err := s.buildIndexLevels()
@@ -219,31 +161,54 @@ func (t *Tree) bulkLoad(next func() (key, val []byte, ok bool), fill float64, pa
 	return nil
 }
 
-// bulkChunkPages resolves the chunk size, clamped so the pinned working set
-// (the in-flight dispatch window plus one building chunk plus the index
-// pending group) stays safely inside the buffer pool.
-func (t *Tree) bulkChunkPages(parallel int) int {
-	cp := t.opts.BulkChunkPages
-	if cp <= 0 {
-		cp = defaultChunkPages
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	budget := t.opts.CacheSize - 8
-	if max := budget / (parallel + 2); cp > max {
-		cp = max
-	}
-	if cp < 1 {
-		cp = 1
-	}
-	return cp
+// bulkChild is one node of the level below the one being built: its low
+// fence and page ID, all an index level needs.
+type bulkChild struct {
+	low []byte
+	id  page.PageID
 }
 
-// rootLevel returns the level of the single remaining node after the index
-// build. s.level holds exactly that node.
-func (s *bulkSession) rootLevel() uint8 {
-	return s.rootLvl
+// bulkSession carries the state of one load across its phases.
+type bulkSession struct {
+	t        *Tree
+	target   int    // fill * PageSize
+	chunk    int    // leaves per chunk
+	builders int    // builder goroutines; 0 builds each chunk on the caller
+	sid      uint64 // WAL bulk session ID (Record.Txn)
+
+	// allocated records every page this load reserved, for reclamation if
+	// the load fails before the anchor flip.
+	allocated []page.PageID
+
+	// level accumulates (low fence, page ID) of the level most recently
+	// completed, bottom-up.
+	level []bulkChild
+
+	// pending holds built-but-unlogged nodes of the index-level build;
+	// flushPending logs and unpins them.
+	pending []*node
+
+	pages  uint64 // nodes built
+	chunks uint64 // chunk groups logged/flushed
+}
+
+// bulkShape resolves the chunk size and the builder count: one builder per
+// GOMAXPROCS, none under WorkersNone. The leaf build pins at most
+// builders + 1 chunks at once, so both are clamped to keep builders + 2
+// chunks inside the buffer pool with 8 frames to spare — the chunk to fit
+// one builder, which leaves it the same at every builder count, then the
+// builders to fit the chunk.
+func (t *Tree) bulkShape() (chunk, builders int) {
+	chunk = t.opts.BulkChunkPages
+	if chunk <= 0 {
+		chunk = defaultChunkPages
+	}
+	budget := t.opts.CacheSize - 8
+	chunk = max(min(chunk, budget/3), 1)
+	if t.opts.Workers == 0 { // WorkersNone, after New
+		return chunk, 0
+	}
+	return chunk, max(min(runtime.GOMAXPROCS(0), budget/chunk-2), 1)
 }
 
 // leafBoundary reports whether adding an entry of the given key/value sizes
@@ -310,14 +275,12 @@ func (s *bulkSession) flushPending() error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	err := s.logChunk(s.pending)
-	if err != nil {
-		for _, n := range s.pending {
-			s.t.unpin(n)
-		}
+	if err := s.logChunk(s.pending); err != nil {
+		s.unpinPending()
+		return err
 	}
 	s.pending = s.pending[:0]
-	return err
+	return nil
 }
 
 // unpinPending releases the pending nodes without logging (failure path).
@@ -341,85 +304,6 @@ func (s *bulkSession) allocTracked(c page.Content) (*node, error) {
 	return n, nil
 }
 
-// loadLeavesSerial is the single-goroutine leaf build: the baseline the
-// parallel path is measured against. It streams entries into the open leaf
-// with per-entry copies, closing leaves at the shared boundary rule and
-// logging/unpinning them a chunk at a time so the pinned working set stays
-// bounded no matter how large the load is.
-func (s *bulkSession) loadLeavesSerial(next func() (key, val []byte, ok bool)) error {
-	t := s.t
-	fail := func(cur *node, err error) error {
-		if cur != nil {
-			t.unpin(cur)
-		}
-		s.unpinPending()
-		return err
-	}
-	cur, err := s.allocTracked(page.Content{
-		Kind: page.Leaf, Level: 0,
-		Low:  []byte{},
-		Keys: [][]byte{}, Vals: [][]byte{},
-	})
-	if err != nil {
-		return err
-	}
-	var prevKey []byte
-	count := 0
-	for {
-		k, v, ok := next()
-		if !ok {
-			break
-		}
-		if err := t.validateEntry(k, v); err != nil {
-			return fail(cur, err)
-		}
-		if count > 0 && t.cmp(prevKey, k) >= 0 {
-			return fail(cur, fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k))
-		}
-		if s.leafBoundary(cur.size(), len(cur.c.Keys), len(k), len(v)) {
-			sep := s.boundarySep(prevKey, k)
-			nxt, err := s.allocTracked(page.Content{
-				Kind: page.Leaf, Level: 0,
-				Low:  sep,
-				Keys: [][]byte{}, Vals: [][]byte{},
-			})
-			if err != nil {
-				return fail(cur, err)
-			}
-			cur.setHigh(sep)
-			cur.c.Right = nxt.id
-			if err := s.closeLeaf(cur); err != nil {
-				return fail(nxt, err)
-			}
-			cur = nxt
-		}
-		cur.insertLeafAt(len(cur.c.Keys), k, v)
-		prevKey = append(prevKey[:0], k...)
-		count++
-	}
-	if err := s.closeLeaf(cur); err != nil {
-		return fail(nil, err)
-	}
-	if err := s.flushPending(); err != nil {
-		s.unpinPending()
-		return err
-	}
-	return nil
-}
-
-// closeLeaf files a completed leaf: it joins the level hand-off list for
-// the index build and the pending chunk, which is flushed when full.
-func (s *bulkSession) closeLeaf(n *node) error {
-	s.level = append(s.level, bulkChild{low: n.c.Low, id: n.id})
-	s.pending = append(s.pending, n)
-	if len(s.pending) >= s.chunk {
-		return s.flushPending()
-	}
-	return nil
-}
-
-// --- parallel leaf build ---
-
 // bulkEnt locates one entry inside a chunk arena: the key starts at off,
 // the value follows it immediately.
 type bulkEnt struct {
@@ -435,9 +319,9 @@ type bulkLeafSpec struct {
 	low   []byte
 }
 
-// bulkChunk is the unit of hand-off between the coordinator and a builder
-// goroutine: a contiguous key-range of whole leaves, the arena holding
-// their bytes, and the page-ID lease the leaves adopt.
+// bulkChunk is the unit of hand-off between the coordinator and a builder:
+// a contiguous key-range of whole leaves, the arena holding their bytes,
+// and the page-ID lease the leaves adopt.
 type bulkChunk struct {
 	buf    []byte
 	ents   []bulkEnt
@@ -450,47 +334,54 @@ type bulkChunk struct {
 	nextLow []byte
 	nextID  page.PageID
 
-	// Worker results. done is closed when the worker is finished; on
-	// success nodes holds one pinned node per leaf, on failure err is set
-	// and the worker has already unpinned whatever it had inserted.
-	nodes    []*node
-	err      error
-	done     chan struct{}
-	finished bool
+	// Build results. done is closed when the build is finished; on success
+	// nodes holds one pinned node per leaf, on failure err is set and the
+	// build has already unpinned whatever it had inserted.
+	nodes []*node
+	err   error
+	done  chan struct{}
 }
 
-// loadLeavesParallel is the multi-goroutine leaf build. The coordinator
-// (the calling goroutine) streams entries into per-chunk arenas and decides
-// every leaf boundary with the same rule as the serial path — which is what
-// makes the two paths structurally identical — while builder goroutines
-// turn completed chunks into pinned leaf nodes under pre-leased page IDs.
+// loadLeaves is the leaf build. The coordinator (the calling goroutine)
+// streams entries into per-chunk arenas and decides every leaf boundary; a
+// sealed chunk takes one page-ID lease and is built into pinned leaf nodes —
+// by a builder goroutine, or by the coordinator itself when there are none.
 // Chunks are finished (seam-stitched, logged, unpinned) strictly in key
-// order, at most `parallel` chunks in flight, so memory stays bounded and
-// the WAL sees chunk records in ascending key order.
-func (s *bulkSession) loadLeavesParallel(next func() (key, val []byte, ok bool)) error {
+// order, at most max(builders, 1) in flight beyond the one just sealed:
+// chunk i is finished once chunk i+1 has its low fence and first page ID.
+// So memory stays bounded, the WAL sees chunk records in ascending key
+// order, and every builder count builds the same pages.
+func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 	t := s.t
 
-	in := make(chan *bulkChunk, s.parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < s.parallel; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range in {
-				s.buildChunk(c)
-				close(c.done)
-			}
-		}()
+	build := func(c *bulkChunk) {
+		s.buildChunk(c)
+		close(c.done)
 	}
+	dispatch := build
+	if s.builders > 0 {
+		// A slot per builder: under the window below, a send waits at most
+		// for an idle builder to take a chunk.
+		in := make(chan *bulkChunk, s.builders)
+		var wg sync.WaitGroup
+		for range s.builders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c := range in {
+					build(c)
+				}
+			}()
+		}
+		defer wg.Wait()
+		defer close(in)
+		dispatch = func(c *bulkChunk) { in <- c }
+	}
+	window := max(s.builders, 1)
 
 	var chunks []*bulkChunk
 	nextFinish := 0 // chunks[:nextFinish] are finished
-	inClosed := false
 	abort := func(err error) error {
-		if !inClosed {
-			close(in)
-		}
-		wg.Wait()
 		for _, c := range chunks[nextFinish:] {
 			<-c.done
 			for _, n := range c.nodes {
@@ -523,9 +414,8 @@ func (s *bulkSession) loadLeavesParallel(next func() (key, val []byte, ok bool))
 			prev.nextID = ids[0]
 		}
 		chunks = append(chunks, c)
-		in <- c
-		// Keep at most `parallel` chunks in flight beyond this one.
-		if len(chunks)-nextFinish > s.parallel {
+		dispatch(c)
+		if len(chunks)-nextFinish > window {
 			if err := s.finishChunk(chunks[nextFinish]); err != nil {
 				return err
 			}
@@ -548,8 +438,8 @@ func (s *bulkSession) loadLeavesParallel(next func() (key, val []byte, ok bool))
 			return abort(err)
 		}
 		if s.leafBoundary(leafSize, leafEnts, len(k), len(v)) {
-			// The boundary pair is ordering-checked here; builders check
-			// the pairs interior to each leaf. Together every adjacent
+			// The boundary pair is ordering-checked here; buildChunk
+			// checks the pairs interior to each leaf. Together every adjacent
 			// pair is checked exactly once.
 			if t.cmp(prevKey, k) >= 0 {
 				return abort(fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k))
@@ -580,19 +470,16 @@ func (s *bulkSession) loadLeavesParallel(next func() (key, val []byte, ok bool))
 	if err := seal(cur); err != nil {
 		return abort(err)
 	}
-	inClosed = true
-	close(in)
 	for ; nextFinish < len(chunks); nextFinish++ {
 		if err := s.finishChunk(chunks[nextFinish]); err != nil {
 			return abort(err)
 		}
 	}
-	wg.Wait()
 	return nil
 }
 
-// buildChunk turns one sealed chunk into pinned leaf nodes (run on a
-// builder goroutine). Keys and values alias the chunk arena — the tree
+// buildChunk turns one sealed chunk into pinned leaf nodes, on a builder
+// goroutine or the coordinator. Keys and values alias the chunk arena — the tree
 // never mutates stored key/value bytes in place, so the zero-copy slices
 // are safe and the build does two allocations per leaf instead of two per
 // entry. On failure the nodes already inserted are unpinned and err is set.
@@ -643,14 +530,12 @@ func (s *bulkSession) buildChunk(c *bulkChunk) {
 	c.nodes = nodes
 }
 
-// finishChunk completes one built chunk in key order: waits for its
-// builder, stitches the seam to the following chunk (the last leaf's high
-// fence and side pointer), logs the chunk record, and releases the nodes.
+// finishChunk completes one built chunk in key order: waits for its build,
+// stitches the seam to the following chunk (the last leaf's high fence and
+// side pointer), logs the chunk record, and releases the nodes.
 func (s *bulkSession) finishChunk(c *bulkChunk) error {
-	t := s.t
 	<-c.done
 	if c.err != nil {
-		c.finished = true
 		return c.err
 	}
 	last := c.nodes[len(c.nodes)-1]
@@ -659,18 +544,12 @@ func (s *bulkSession) finishChunk(c *bulkChunk) error {
 		last.c.Right = c.nextID
 	}
 	if err := s.logChunk(c.nodes); err != nil {
-		for _, n := range c.nodes {
-			t.unpin(n)
-		}
-		c.nodes = nil
-		c.finished = true
-		return err
+		return err // abort unpins c.nodes
 	}
 	for i := range c.nodes {
 		s.level = append(s.level, bulkChild{low: c.leaves[i].low, id: c.ids[i]})
 	}
 	c.nodes = nil
-	c.finished = true
 	return nil
 }
 
@@ -729,15 +608,14 @@ func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 			return 0, fail(nil, err)
 		}
 		if err := s.flushPending(); err != nil {
-			s.unpinPending()
 			return 0, err
 		}
 	}
-	s.rootLvl = lvl
 	return s.level[0].id, nil
 }
 
-// closeIndex files a completed index node, mirroring closeLeaf.
+// closeIndex files a completed index node: it joins the level hand-off list
+// for the next level up and the pending group, which is flushed when full.
 func (s *bulkSession) closeIndex(n *node) error {
 	s.level = append(s.level, bulkChild{low: n.c.Low, id: n.id})
 	s.pending = append(s.pending, n)

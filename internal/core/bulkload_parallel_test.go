@@ -4,74 +4,79 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"blinktree/internal/page"
 	"blinktree/internal/storage"
 	"blinktree/internal/wal"
 )
 
-// collect scans a tree's full contents into parallel key/value slices.
-func collect(t *testing.T, tr *Tree) ([][]byte, [][]byte) {
-	t.Helper()
-	var keys, vals [][]byte
-	err := tr.Scan(nil, nil, func(k, v []byte) bool {
-		keys = append(keys, append([]byte(nil), k...))
-		vals = append(vals, append([]byte(nil), v...))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return keys, vals
-}
+// bulkModes are the two ways BulkLoad builds its chunks: on the calling
+// goroutine (WorkersNone) and on builder goroutines (any Workers >= 1).
+var bulkModes = []struct {
+	name    string
+	workers int
+}{{"inline", WorkersNone}, {"builders", 1}}
 
-// TestBulkLoadParallelMatchesSerial is the structural-identity property: a
-// parallel load at any fan-out yields a tree with the same records, the
-// same height and the same per-level node counts as a serial load of the
-// same stream, and both pass the deep audit.
+// TestBulkLoadParallelMatchesSerial is the identity property of the one
+// leaf build: builder goroutines, one per GOMAXPROCS, build the tree the
+// calling goroutine builds alone under WorkersNone — the same height,
+// per-level node counts and records, and the same page images, since
+// page-ID leases and chunk records are taken in key order either way. The
+// WorkersNone load must start no goroutine: the crash harness's
+// deterministic replays rely on it.
 func TestBulkLoadParallelMatchesSerial(t *testing.T) {
 	const n = 20000
-	serial := newTestTree(t, Options{PageSize: 512})
-	if err := serial.BulkLoad(pairFeeder(n), 0.85); err != nil {
-		t.Fatal(err)
+	load := func(t *testing.T, workers int) (*DeepReport, [][]byte) {
+		store := storage.NewMemStore(512)
+		tr := newTestTree(t, Options{PageSize: 512, Workers: workers, Store: store, LogDevice: wal.NewMemDevice()})
+		base, started, feed := runtime.NumGoroutine(), 0, pairFeeder(n)
+		next := func() ([]byte, []byte, bool) {
+			started = max(started, runtime.NumGoroutine()-base)
+			return feed()
+		}
+		if err := tr.BulkLoad(next, 0.85); err != nil {
+			t.Fatal(err)
+		}
+		if inline := workers == WorkersNone; inline != (started == 0) {
+			t.Fatalf("Workers %d: the load ran beside %d goroutines of its own", workers, started)
+		}
+		rep, err := tr.VerifyDeep()
+		if err != nil {
+			t.Fatalf("deep verify: %v", err)
+		}
+		if rep.Records != n {
+			t.Fatalf("records = %d, want %d", rep.Records, n)
+		}
+		var images [][]byte
+		for id := page.PageID(1); id <= store.Stats().HighestPage; id++ {
+			img, _ := store.Read(id) // nil for the retired formatting root
+			images = append(images, img)
+		}
+		return rep, images
 	}
-	sRep, err := serial.VerifyDeep()
-	if err != nil {
-		t.Fatalf("serial deep verify: %v", err)
-	}
-	sKeys, sVals := collect(t, serial)
-	if len(sKeys) != n {
-		t.Fatalf("serial records = %d, want %d", len(sKeys), n)
-	}
+	sRep, sImages := load(t, WorkersNone)
 
-	for _, k := range []int{2, 4, 8} {
-		k := k
+	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("parallel=%d", k), func(t *testing.T) {
-			tr := newTestTree(t, Options{PageSize: 512})
-			if err := tr.BulkLoadParallel(pairFeeder(n), 0.85, k); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := tr.VerifyDeep()
-			if err != nil {
-				t.Fatalf("deep verify: %v", err)
-			}
-			if rep.Height != sRep.Height {
-				t.Errorf("height = %d, serial %d", rep.Height, sRep.Height)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
+			rep, images := load(t, 1)
+			if rep.Height != sRep.Height || rep.Records != sRep.Records {
+				t.Errorf("height/records = %d/%d, inline %d/%d", rep.Height, rep.Records, sRep.Height, sRep.Records)
 			}
 			for lvl := range sRep.NodesPerLevel {
 				if rep.NodesPerLevel[lvl] != sRep.NodesPerLevel[lvl] {
-					t.Errorf("level %d nodes = %d, serial %d",
+					t.Errorf("level %d nodes = %d, inline %d",
 						lvl, rep.NodesPerLevel[lvl], sRep.NodesPerLevel[lvl])
 				}
 			}
-			keys, vals := collect(t, tr)
-			if len(keys) != len(sKeys) {
-				t.Fatalf("records = %d, serial %d", len(keys), len(sKeys))
+			if len(images) != len(sImages) {
+				t.Fatalf("%d pages, inline %d", len(images), len(sImages))
 			}
-			for i := range keys {
-				if !bytes.Equal(keys[i], sKeys[i]) || !bytes.Equal(vals[i], sVals[i]) {
-					t.Fatalf("record %d mismatch: %q/%q vs %q/%q",
-						i, keys[i], vals[i], sKeys[i], sVals[i])
+			for i := range images {
+				if !bytes.Equal(images[i], sImages[i]) {
+					t.Fatalf("page %d differs from the inline load's", i+1)
 				}
 			}
 		})
@@ -79,35 +84,30 @@ func TestBulkLoadParallelMatchesSerial(t *testing.T) {
 }
 
 // TestBulkLoadParallelCustomComparator checks the non-bytewise path: no
-// suffix truncation, no prefix compression, yet serial and parallel loads
+// suffix truncation, no prefix compression, yet inline and builder loads
 // still agree structurally.
 func TestBulkLoadParallelCustomComparator(t *testing.T) {
 	rev := func(a, b []byte) int { return bytes.Compare(a, b) } // bytewise order, custom identity
 	const n = 6000
-	serial := newTestTree(t, Options{PageSize: 512, Compare: rev})
-	if err := serial.BulkLoad(pairFeeder(n), 0.85); err != nil {
-		t.Fatal(err)
+	var reps []*DeepReport
+	for _, m := range bulkModes {
+		tr := newTestTree(t, Options{PageSize: 512, Compare: rev, Workers: m.workers})
+		if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		rep, err := tr.VerifyDeep()
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		reps = append(reps, rep)
 	}
-	sRep, err := serial.VerifyDeep()
-	if err != nil {
-		t.Fatal(err)
+	a, b := reps[0], reps[1]
+	if a.Height != b.Height || a.Records != b.Records || a.Records != n {
+		t.Fatalf("inline %d/%d vs builders %d/%d height/records", a.Height, a.Records, b.Height, b.Records)
 	}
-	tr := newTestTree(t, Options{PageSize: 512, Compare: rev})
-	if err := tr.BulkLoadParallel(pairFeeder(n), 0.85, 4); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tr.VerifyDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Height != sRep.Height || rep.Records != sRep.Records {
-		t.Fatalf("parallel %d/%d vs serial %d/%d",
-			rep.Height, rep.Records, sRep.Height, sRep.Records)
-	}
-	for lvl := range sRep.NodesPerLevel {
-		if rep.NodesPerLevel[lvl] != sRep.NodesPerLevel[lvl] {
-			t.Errorf("level %d nodes = %d, serial %d",
-				lvl, rep.NodesPerLevel[lvl], sRep.NodesPerLevel[lvl])
+	for lvl := range a.NodesPerLevel {
+		if a.NodesPerLevel[lvl] != b.NodesPerLevel[lvl] {
+			t.Errorf("level %d nodes = %d inline, %d builders", lvl, a.NodesPerLevel[lvl], b.NodesPerLevel[lvl])
 		}
 	}
 }
@@ -115,24 +115,26 @@ func TestBulkLoadParallelCustomComparator(t *testing.T) {
 // TestBulkLoadParallelStats checks the BulkLoadPages/BulkLoadChunks
 // counters: pages equals the audit's node count, chunks is positive.
 func TestBulkLoadParallelStats(t *testing.T) {
-	tr := newTestTree(t, Options{PageSize: 512, BulkChunkPages: 8})
-	if err := tr.BulkLoadParallel(pairFeeder(5000), 0.85, 4); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tr.VerifyDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range rep.NodesPerLevel {
-		total += c
-	}
-	s := tr.Stats()
-	if s.BulkLoadPages != uint64(total) {
-		t.Errorf("BulkLoadPages = %d, audit reached %d nodes", s.BulkLoadPages, total)
-	}
-	if s.BulkLoadChunks == 0 {
-		t.Error("BulkLoadChunks = 0")
+	for _, m := range bulkModes {
+		tr := newTestTree(t, Options{PageSize: 512, BulkChunkPages: 8, Workers: m.workers})
+		if err := tr.BulkLoad(pairFeeder(5000), 0.85); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tr.VerifyDeep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, c := range rep.NodesPerLevel {
+			total += c
+		}
+		s := tr.Stats()
+		if s.BulkLoadPages != uint64(total) {
+			t.Errorf("%s: BulkLoadPages = %d, audit reached %d nodes", m.name, s.BulkLoadPages, total)
+		}
+		if s.BulkLoadChunks == 0 {
+			t.Errorf("%s: BulkLoadChunks = 0", m.name)
+		}
 	}
 }
 
@@ -203,48 +205,52 @@ func TestBulkLoadRejectsShrunkNonEmptyTree(t *testing.T) {
 	}
 }
 
-// TestBulkLoadParallelSurvivesCrash crashes immediately after a parallel,
+// TestBulkLoadParallelSurvivesCrash crashes immediately after a
 // chunk-logged load — nothing flushed after it — and recovers over the same
 // store, which the load forced before its commit record: no chunk is
 // skipped and the open starts at the load's own checkpoint.
 func TestBulkLoadParallelSurvivesCrash(t *testing.T) {
-	dev, store := wal.NewMemDevice(), storage.NewMemStore(512)
-	tr, err := New(Options{PageSize: 512, LogDevice: dev, BulkChunkPages: 4,
-		Store: store, Workers: WorkersNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5000
-	if err := tr.BulkLoadParallel(pairFeeder(n), 0.85, 4); err != nil {
-		t.Fatal(err)
-	}
-	dev.Crash()
-	tr.Abandon()
+	for _, m := range bulkModes {
+		t.Run(m.name, func(t *testing.T) {
+			dev, store := wal.NewMemDevice(), storage.NewMemStore(512)
+			tr, err := New(Options{PageSize: 512, LogDevice: dev, BulkChunkPages: 4,
+				Store: store, Workers: m.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 5000
+			if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
+				t.Fatal(err)
+			}
+			dev.Crash()
+			tr.Abandon()
 
-	tr2, err := New(Options{PageSize: 512, LogDevice: dev,
-		Store: store, Workers: WorkersNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	rs := tr2.RecoveryStats()
-	if !rs.Recovered {
-		t.Fatal("no recovery ran")
-	}
-	if rs.BulkChunksSkipped != 0 || rs.FullLogRead != "" || rs.RecordsScanned != 1 {
-		t.Fatalf("%+v; want a restart at the load's checkpoint and no chunk skipped", rs)
-	}
-	if _, err := tr2.VerifyDeep(); err != nil {
-		t.Fatalf("deep verify after recovery: %v", err)
-	}
-	if cnt, _ := tr2.Len(); cnt != n {
-		t.Fatalf("recovered Len = %d, want %d", cnt, n)
-	}
-	for i := 0; i < n; i += 173 {
-		got, err := tr2.Get(key(i))
-		if err != nil || !bytes.Equal(got, valb(i)) {
-			t.Fatalf("recovered get %d: %q, %v", i, got, err)
-		}
+			tr2, err := New(Options{PageSize: 512, LogDevice: dev,
+				Store: store, Workers: WorkersNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr2.Close()
+			rs := tr2.RecoveryStats()
+			if !rs.Recovered {
+				t.Fatal("no recovery ran")
+			}
+			if rs.BulkChunksSkipped != 0 || rs.FullLogRead != "" || rs.RecordsScanned != 1 {
+				t.Fatalf("%+v; want a restart at the load's checkpoint and no chunk skipped", rs)
+			}
+			if _, err := tr2.VerifyDeep(); err != nil {
+				t.Fatalf("deep verify after recovery: %v", err)
+			}
+			if cnt, _ := tr2.Len(); cnt != n {
+				t.Fatalf("recovered Len = %d, want %d", cnt, n)
+			}
+			for i := 0; i < n; i += 173 {
+				got, err := tr2.Get(key(i))
+				if err != nil || !bytes.Equal(got, valb(i)) {
+					t.Fatalf("recovered get %d: %q, %v", i, got, err)
+				}
+			}
+		})
 	}
 }
 
@@ -270,16 +276,15 @@ func badFeeder(good int) func() ([]byte, []byte, bool) {
 // every chunk of the committed-less session — the abandoned pages stay
 // unallocated and invisible — and replay only the work after the failure.
 func TestBulkLoadAbortedChunksSkippedOnRecovery(t *testing.T) {
-	for _, parallel := range []int{1, 4} {
-		parallel := parallel
-		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+	for _, m := range bulkModes {
+		t.Run(m.name, func(t *testing.T) {
 			dev := wal.NewMemDevice()
 			tr, err := New(Options{PageSize: 512, LogDevice: dev, BulkChunkPages: 2,
-				Store: storage.NewMemStore(512), Workers: WorkersNone})
+				Store: storage.NewMemStore(512), Workers: m.workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.BulkLoadParallel(badFeeder(400), 0.85, parallel); err == nil {
+			if err := tr.BulkLoad(badFeeder(400), 0.85); err == nil {
 				t.Fatal("unsorted bulk load accepted")
 			}
 			// The failed load must leave a usable tree; this put is the only
@@ -316,19 +321,23 @@ func TestBulkLoadAbortedChunksSkippedOnRecovery(t *testing.T) {
 	}
 }
 
-// TestBulkLoadTinyCachePins checks the chunk-size clamp: a parallel load
-// through a pool far smaller than the tree must stream without exhausting
-// pins.
+// TestBulkLoadTinyCachePins checks the clamp on the pinned working set: a
+// load through a 16-frame pool, far smaller than the tree, must stream
+// without exhausting pins — also at GOMAXPROCS 64, where one builder per
+// processor would want more frames than the pool has.
 func TestBulkLoadTinyCachePins(t *testing.T) {
-	tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16})
-	const n = 20000
-	if err := tr.BulkLoadParallel(pairFeeder(n), 0.85, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.VerifyDeep(); err != nil {
-		t.Fatal(err)
-	}
-	if cnt, _ := tr.Len(); cnt != n {
-		t.Fatalf("Len = %d", cnt)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	for _, m := range bulkModes {
+		tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16, Workers: m.workers})
+		const n = 20000
+		if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if _, err := tr.VerifyDeep(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if cnt, _ := tr.Len(); cnt != n {
+			t.Fatalf("%s: Len = %d", m.name, cnt)
+		}
 	}
 }

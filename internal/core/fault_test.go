@@ -204,15 +204,13 @@ func TestLogWriteFailureIsFailStop(t *testing.T) {
 // everything built so far.
 func TestBulkLoadAllocFailureCleansUp(t *testing.T) {
 	fs := storage.NewFaultyStore(storage.NewMemStore(512))
-	tr, err := New(Options{PageSize: 512, Store: fs, Workers: WorkersNone})
+	tr, err := New(Options{PageSize: 512, Store: fs, Workers: WorkersNone, BulkChunkPages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	fs.FailNextAllocs(0)
-	// Fail the 5th allocation: several leaves exist by then.
-	allocsSoFar := tr.StoreStats().Allocs
-	_ = allocsSoFar
+	// Fail the 5th allocation, inside the third two-leaf lease: several
+	// leaves exist by then.
 	i := 0
 	fs.FailNextAllocs(5)
 	err = tr.BulkLoad(func() ([]byte, []byte, bool) {

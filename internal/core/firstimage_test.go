@@ -45,13 +45,13 @@ func durableRecords(t *testing.T, dev *wal.MemDevice) []*wal.Record {
 // through evictions during the load (the pool holds 16 of its ~130 pages)
 // and the flush before its commit record — not again at its checkpoint.
 func TestBulkLoadWritesEachPageOnce(t *testing.T) {
-	for _, parallel := range []int{1, 4} {
+	for _, m := range bulkModes {
 		store := &writeCountingStore{Store: storage.NewMemStore(512), writes: map[page.PageID]int{}}
 		dev := wal.NewMemDevice()
-		tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16, BulkChunkPages: 4, Store: store, LogDevice: dev})
+		tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16, BulkChunkPages: 4, Store: store, LogDevice: dev, Workers: m.workers})
 		before := len(durableRecords(t, dev))
 		const n = 2000
-		if err := tr.BulkLoadParallel(pairFeeder(n), 0.85, parallel); err != nil {
+		if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
 			t.Fatal(err)
 		}
 		var loaded []page.PageID
@@ -68,24 +68,24 @@ func TestBulkLoadWritesEachPageOnce(t *testing.T) {
 			}
 		}
 		if imageBytes != 0 || commits != 1 {
-			t.Fatalf("parallel=%d: chunk records hold %d image bytes and %d commits; want 0 and 1", parallel, imageBytes, commits)
+			t.Fatalf("%s: chunk records hold %d image bytes and %d commits; want 0 and 1", m.name, imageBytes, commits)
 		}
 		rep, err := tr.VerifyDeep()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(loaded) != rep.LivePages || uint64(len(loaded)) != tr.Stats().BulkLoadPages {
-			t.Fatalf("parallel=%d: chunks allocate %d pages; the tree has %d, the load built %d", parallel, len(loaded), rep.LivePages, tr.Stats().BulkLoadPages)
+			t.Fatalf("%s: chunks allocate %d pages; the tree has %d, the load built %d", m.name, len(loaded), rep.LivePages, tr.Stats().BulkLoadPages)
 		}
 		store.mu.Lock()
 		for _, id := range loaded {
 			if w := store.writes[id]; w != 1 {
-				t.Fatalf("parallel=%d: page %d written %d times, want once", parallel, id, w)
+				t.Fatalf("%s: page %d written %d times, want once", m.name, id, w)
 			}
 		}
 		store.mu.Unlock()
 		if cnt, _ := tr.Len(); cnt != n {
-			t.Fatalf("parallel=%d: Len = %d", parallel, cnt)
+			t.Fatalf("%s: Len = %d", m.name, cnt)
 		}
 	}
 }

@@ -72,9 +72,11 @@ type Options struct {
 	MinFill float64
 
 	// Workers is the number of to-do queue worker goroutines processing
-	// lazy structure modifications. Zero means no background workers; the
-	// caller drives the queue with DrainTodo (deterministic tests do this).
-	// Default 2.
+	// lazy structure modifications. Zero means the default, 2. WorkersNone
+	// means none, and the tree then starts neither maintenance nor
+	// bulk-load goroutines: the caller drives the queue with DrainTodo
+	// (deterministic tests and the crash harness do this), and BulkLoad
+	// builds every chunk on the calling goroutine.
 	Workers int
 
 	// TodoSoftCap is the scheduler's backpressure threshold: when the
@@ -160,12 +162,12 @@ type Options struct {
 	// back to the normal traversal.
 	AppendFastPath FeatureMode
 
-	// BulkChunkPages is the number of pages grouped into one bulk-load
-	// chunk — the unit of WAL logging (one SMOBulkChunk record per chunk)
-	// and of hand-off to parallel builder goroutines. Zero means the
-	// default (64); the value is clamped down so the in-flight chunks of a
-	// parallel load always fit inside the buffer pool. Small values make
-	// good crash-test granularity; large values amortize log appends.
+	// BulkChunkPages is the number of leaves grouped into one bulk-load
+	// chunk — the unit of page-ID leasing, of WAL logging (one SMOBulkChunk
+	// record per chunk) and of hand-off to a builder goroutine. Zero means
+	// the default (64); the value is clamped down so the in-flight chunks
+	// always fit inside the buffer pool. The crash harnesses set it low for
+	// crash-point granularity; it is not exported by package blinktree.
 	BulkChunkPages int
 
 	// Observability enables per-operation latency histograms and/or the

@@ -89,10 +89,11 @@ type Config struct {
 	// The sweep then verifies the load's all-or-nothing contract at every
 	// crash point inside it: either every loaded record survives recovery
 	// (the commit record was durable) or none does — chunk records without
-	// a commit are skipped wholesale. The load runs serially (parallel=1):
-	// worker goroutines would make the persistence-operation stream
-	// nondeterministic across replays, and the chunked logging under test
-	// is identical either way.
+	// a commit are skipped wholesale. The tree runs with WorkersNone, so the
+	// load builds every chunk on the calling goroutine: builder goroutines
+	// would make the persistence-operation stream nondeterministic across
+	// replays, and the chunks, pages and log records are the same either
+	// way.
 	BulkLoad bool
 }
 
@@ -356,7 +357,7 @@ func (d *driver) seedBulkLoad() error {
 		i++
 		return []byte(op.key), []byte(op.val), true
 	}
-	err := d.tree.BulkLoadParallel(next, 0.85, 1)
+	err := d.tree.BulkLoad(next, 0.85)
 	d.sh.groups = append(d.sh.groups, g)
 	switch {
 	case err == nil:
