@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
 	blinktree "blinktree"
+	"blinktree/internal/buildinfo"
 	"blinktree/internal/resp"
 	"blinktree/internal/server"
 )
@@ -289,9 +291,16 @@ type NetResult struct {
 }
 
 // NetReport is the persisted result set of the E16 comparison
-// (BENCH_net.json), in the repo's standard report shape: the effective
-// config restated plus one row per cell.
+// (BENCH_net.json), in the repo's standard report shape: where it was
+// measured, the effective config restated, and one row per cell.
 type NetReport struct {
+	// Cores, GOMAXPROCS and GitRev say where the sweep was measured: the
+	// host's CPU count, the scheduler's, and the VCS revision of the binary
+	// ("" when not stamped, e.g. under go run).
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GitRev     string `json:"git_rev"`
+
 	Config  NetConfig   `json:"config"`
 	Results []NetResult `json:"results"`
 }
@@ -302,7 +311,12 @@ type NetReport struct {
 // insert/search mix on both sides.
 func RunNet(cfg NetConfig) (*NetReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &NetReport{Config: cfg}
+	rep := &NetReport{
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GitRev:     buildinfo.Revision(),
+		Config:     cfg,
+	}
 	spec := Spec{
 		KeySpace: cfg.KeySpace,
 		Preload:  cfg.Preload,

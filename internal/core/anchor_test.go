@@ -107,7 +107,7 @@ func TestOptReadStaleAnchorAcrossGrow(t *testing.T) {
 	victim, _ := tr.NodeSnapshot(leaves[1])
 	k := victim.Keys[len(victim.Keys)-1]
 	r := a.node.route.Load()
-	if ci := childIndex(tr.cmp, r.keys, k); ci < 0 || r.children[ci] != victim.ID {
+	if ci := (&traverseOpts{key: k}).childIn(tr, r.keys, &r.hs); ci < 0 || r.children[ci] != victim.ID {
 		t.Fatalf("scenario: the orphan does not route %s to leaf %d", k, victim.ID)
 	}
 

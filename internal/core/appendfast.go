@@ -66,7 +66,7 @@ func (t *Tree) noteRightEdge(leaf *node) {
 // traversal.
 func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, updated, done bool, err error) {
 	h := t.rightEdge.Load()
-	if h == nil || t.cmp(key, h.low) < 0 {
+	if h == nil || t.compare(key, h.low) < 0 {
 		return 0, false, false, nil
 	}
 	leaf, ferr := t.fetchSpan(h.id, lp.sp)
@@ -97,7 +97,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 		return 0, false, false, nil
 	}
 	// Authoritative validation under the update latch.
-	if leaf.dead || !leaf.isLeaf() || leaf.c.High != nil || t.cmp(key, leaf.c.Low) < 0 {
+	if leaf.dead || !leaf.isLeaf() || leaf.c.High != nil || t.compare(key, leaf.c.Low) < 0 {
 		stale := leaf.dead || leaf.c.High != nil || !leaf.isLeaf()
 		leaf.latch.Release(latch.Update)
 		t.unpin(leaf)
@@ -109,7 +109,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 	}
 	// Fit check: the fast path never splits (it has no parent hint worth
 	// trusting for an SMO); a full leaf falls back to the normal path.
-	pos, found := leaf.searchLeaf(t.cmp, key)
+	pos, found := leaf.searchLeaf(t, key)
 	fits := false
 	if found {
 		fits = leaf.size()+len(val)-len(leaf.c.Vals[pos]) <= t.opts.PageSize

@@ -602,7 +602,7 @@ func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 				}
 				cur = nxt
 			}
-			cur.insertIndexTerm(t.cmp, ch.low, ch.id)
+			cur.insertIndexTerm(t, ch.low, ch.id)
 		}
 		if err := s.closeIndex(cur); err != nil {
 			return 0, fail(nil, err)

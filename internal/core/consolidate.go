@@ -41,7 +41,7 @@ func (t *Tree) processDelete(a action) {
 	}
 	// p is exclusively latched and covers a.sep (the victim's immutable
 	// low key). Locate the victim's index term.
-	found, i := p.searchIndexKey(t.cmp, a.sep)
+	found, i := p.searchIndexKey(t, a.sep)
 	if !found || p.c.Children[i] != a.origID {
 		// The term was never posted, or the victim is already gone.
 		t.c.deleteAbortEdge.Add(1)
@@ -123,6 +123,7 @@ func (t *Tree) processDelete(a action) {
 		left.c.Children = append(left.c.Children, victim.c.Children...)
 	}
 	left.raw = left.countRaw()
+	left.hs.rebuild(left.c.Keys)
 	if victim.c.Level == 1 {
 		// Merging two parent-of-leaf nodes invalidates D_D values
 		// remembered against either: force a visible change.

@@ -107,17 +107,18 @@ func (c *Cursor) fill() error {
 		keys := leaf.c.Keys
 		lo := 0
 		if len(c.pos) > 0 {
-			lo = lowerBound(c.t.cmp, keys, c.pos)
+			lo, _ = keySearch(c.t.cmp, keys, c.pos)
 		}
 		hi := len(keys)
 		if c.end != nil {
-			hi = lo + lowerBound(c.t.cmp, keys[lo:], c.end)
+			i, _ := keySearch(c.t.cmp, keys[lo:], c.end)
+			hi = lo + i
 		}
 		sib := leaf.c.Right
 		// Done when a key at or past end exists here, when there is no later
 		// leaf, or when every later leaf lies past end.
 		c.done = hi < len(keys) || sib == 0 ||
-			(c.end != nil && !leaf.pastHigh(c.t.cmp, c.end))
+			(c.end != nil && !leaf.pastHigh(c.t, c.end))
 		if lo < hi {
 			// Resume at this leaf's high fence: whatever is written below it
 			// from now on belongs to the snapshot just taken.

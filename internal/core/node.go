@@ -50,6 +50,10 @@ type node struct {
 	// size checks every operation makes are O(1). Verify recounts.
 	raw int
 
+	// hs are the key heads every in-node search of a bytewise tree runs on
+	// (heads.go), maintained wherever raw is. Verify recounts them too.
+	hs keyHeads
+
 	// route is the immutable routing snapshot optimistic readers descend
 	// through without latching; nil for leaves (leaves are always read
 	// under a Shared latch). It is republished whenever the exclusive
@@ -73,6 +77,7 @@ type route struct {
 	low, high []byte
 	right     page.PageID
 	keys      [][]byte
+	hs        keyHeads
 	children  []page.PageID
 }
 
@@ -93,6 +98,7 @@ func (n *node) publishRoute() {
 		high:     n.c.High,
 		right:    n.c.Right,
 		keys:     append([][]byte(nil), n.c.Keys...),
+		hs:       keyHeads{pfx: n.hs.pfx, h: append([]uint64(nil), n.hs.h...)},
 		children: append([]page.PageID(nil), n.c.Children...),
 	})
 }
@@ -102,6 +108,7 @@ func newNode(id page.PageID, c page.Content) *node {
 	c.ID = id
 	n := &node{id: id, c: c}
 	n.raw = n.countRaw()
+	n.hs.rebuild(c.Keys)
 	return n
 }
 
@@ -131,62 +138,35 @@ func (n *node) isLeaf() bool { return n.c.Kind == page.Leaf }
 // level returns the node's level; leaves are level 0.
 func (n *node) level() uint8 { return n.c.Level }
 
-// covers reports whether key falls in [Low, High) under cmp.
-func (n *node) covers(cmp Compare, key []byte) bool {
-	if cmp(key, n.c.Low) < 0 {
-		return false
-	}
-	return n.c.High == nil || cmp(key, n.c.High) < 0
-}
-
 // pastHigh reports whether key belongs to a right sibling.
-func (n *node) pastHigh(cmp Compare, key []byte) bool {
-	return n.c.High != nil && cmp(key, n.c.High) >= 0
+func (n *node) pastHigh(t *Tree, key []byte) bool {
+	return n.c.High != nil && t.compare(key, n.c.High) >= 0
 }
 
-// lowerBound returns the index of the first key in keys that is >= key
-// under cmp (len(keys) when every key is smaller). It is the single binary
-// search underlying every in-node lookup; keys within a node are unique.
-func lowerBound(cmp Compare, keys [][]byte, key []byte) int {
-	return sort.Search(len(keys), func(i int) bool {
-		return cmp(keys[i], key) >= 0
-	})
-}
-
-// keySearch returns the lower-bound position of key in keys and whether the
-// key at that position is an exact match.
+// keySearch returns the index of the first key in keys that is >= key under
+// cmp (len(keys) when every key is smaller) and whether it equals key: the
+// search of a custom-comparator tree, of the cursors and of recovery.
 func keySearch(cmp Compare, keys [][]byte, key []byte) (int, bool) {
-	i := lowerBound(cmp, keys, key)
+	i := sort.Search(len(keys), func(i int) bool { return cmp(keys[i], key) >= 0 })
 	return i, i < len(keys) && cmp(keys[i], key) == 0
-}
-
-// childIndex returns the position of the child covering key in an index
-// node keyed by keys (keys[i] is child i's low fence): the last position
-// whose key is <= key, or -1 when key sorts below keys[0].
-func childIndex(cmp Compare, keys [][]byte, key []byte) int {
-	i, found := keySearch(cmp, keys, key)
-	if found {
-		return i
-	}
-	return i - 1
 }
 
 // searchLeaf returns the position of key in a leaf and whether it is
 // present; absent keys return their insertion position.
-func (n *node) searchLeaf(cmp Compare, key []byte) (int, bool) {
-	return keySearch(cmp, n.c.Keys, key)
+func (n *node) searchLeaf(t *Tree, key []byte) (int, bool) {
+	return t.search(n.c.Keys, &n.hs, key)
 }
 
 // childFor returns the index of the child covering key in an index node.
 // The caller must have established key >= Low (keys[0] == Low).
-func (n *node) childFor(cmp Compare, key []byte) int {
-	return childIndex(cmp, n.c.Keys, key)
+func (n *node) childFor(t *Tree, key []byte) int {
+	return (&traverseOpts{key: key}).childIn(t, n.c.Keys, &n.hs)
 }
 
 // searchIndexKey reports whether an index node has an entry with exactly
 // this separator key, and its position.
-func (n *node) searchIndexKey(cmp Compare, key []byte) (bool, int) {
-	i, found := keySearch(cmp, n.c.Keys, key)
+func (n *node) searchIndexKey(t *Tree, key []byte) (bool, int) {
+	i, found := t.search(n.c.Keys, &n.hs, key)
 	return found, i
 }
 
@@ -210,6 +190,7 @@ func (n *node) insertLeafAt(i int, key, val []byte) {
 	copy(n.c.Vals[i+1:], n.c.Vals[i:])
 	n.c.Vals[i] = append([]byte(nil), val...)
 	n.raw += page.EntrySize(page.Leaf, len(key), len(val))
+	n.hs.changed(n.c.Keys, i, true)
 }
 
 // removeLeafAt removes the entry at position i, returning its value.
@@ -218,14 +199,15 @@ func (n *node) removeLeafAt(i int) []byte {
 	n.raw -= page.EntrySize(page.Leaf, len(n.c.Keys[i]), len(old))
 	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
 	n.c.Vals = append(n.c.Vals[:i], n.c.Vals[i+1:]...)
+	n.hs.changed(n.c.Keys, i, false)
 	return old
 }
 
 // insertIndexTerm inserts the separator key -> child entry in sorted
 // position. It reports false if a term with the same key already exists
 // (the posting was already done, e.g. re-discovered twice).
-func (n *node) insertIndexTerm(cmp Compare, key []byte, child page.PageID) bool {
-	i, found := keySearch(cmp, n.c.Keys, key)
+func (n *node) insertIndexTerm(t *Tree, key []byte, child page.PageID) bool {
+	i, found := t.search(n.c.Keys, &n.hs, key)
 	if found {
 		return false
 	}
@@ -236,6 +218,7 @@ func (n *node) insertIndexTerm(cmp Compare, key []byte, child page.PageID) bool 
 	copy(n.c.Children[i+1:], n.c.Children[i:])
 	n.c.Children[i] = child
 	n.raw += page.EntrySize(page.Index, len(key), 0)
+	n.hs.changed(n.c.Keys, i, true)
 	return true
 }
 
@@ -244,6 +227,7 @@ func (n *node) removeIndexTermAt(i int) {
 	n.raw -= page.EntrySize(page.Index, len(n.c.Keys[i]), 0)
 	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
 	n.c.Children = append(n.c.Children[:i], n.c.Children[i+1:]...)
+	n.hs.changed(n.c.Keys, i, false)
 }
 
 // size returns the marshaled byte size, the occupancy measure.

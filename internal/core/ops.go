@@ -59,7 +59,7 @@ func (t *Tree) lookup(dst, key []byte, value bool) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	pos, found := leaf.searchLeaf(t.cmp, key)
+	pos, found := leaf.searchLeaf(t, key)
 	if found && value {
 		dst = append(dst, leaf.c.Vals[pos]...)
 	}
@@ -137,7 +137,7 @@ func (t *Tree) putInternal(lp recOpParams, key, val []byte) (wal.LSN, bool, erro
 // latch and pin.
 func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams, key, val []byte) (wal.LSN, bool, error) {
 	for {
-		pos, found := leaf.searchLeaf(t.cmp, key)
+		pos, found := leaf.searchLeaf(t, key)
 		if found {
 			delta := len(val) - len(leaf.c.Vals[pos])
 			if leaf.size()+delta <= t.opts.PageSize {
@@ -189,7 +189,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 		// the new sibling reachable through the parent at once, so by the
 		// time its latch is granted here other writers may have filled and
 		// split it again, and the key may lie further right still.
-		for leaf.pastHigh(t.cmp, key) {
+		for leaf.pastHigh(t, key) {
 			right, err := t.pinLatchSpan(leaf.c.Right, latch.Exclusive, lp.sp)
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			if err != nil {
@@ -216,7 +216,7 @@ func (t *Tree) deleteInternal(lp recOpParams, key []byte) (wal.LSN, error) {
 // deleteOnLeaf removes key from an exclusively latched leaf, consuming the
 // latch and pin.
 func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams, key []byte) (wal.LSN, error) {
-	pos, found := leaf.searchLeaf(t.cmp, key)
+	pos, found := leaf.searchLeaf(t, key)
 	if !found {
 		t.unlatchUnpin(leaf, latch.Exclusive, false)
 		return 0, ErrKeyNotFound

@@ -148,14 +148,14 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 			return nil, nil, false
 		}
 		next := r.right
-		side := o.pastHigh(t.cmp, r.high)
+		side := o.pastHigh(t, r.high)
 		if side {
 			// Side traversal; reaching a node only via its side pointer
 			// means its index term is missing (§2.3).
 			if next != 0 {
 				t.enqueuePostFromRoute(n.id, r, path, o.dx)
 			}
-		} else if ci := o.childIn(t.cmp, r.keys); ci >= 0 {
+		} else if ci := o.childIn(t, r.keys, &r.hs); ci >= 0 {
 			next = r.children[ci]
 			path = append(path, pathEntry{
 				ref:   ref{id: n.id, epoch: r.epoch},
@@ -186,11 +186,11 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	lt0 := o.sp.Now()
 	n.latch.Acquire(latch.Shared)
 	o.sp.StageSince(obs.StageLatchS, 0, lt0)
-	if n.dead || !n.isLeaf() || !o.reaches(t.cmp, n.c.Low) {
+	if n.dead || !n.isLeaf() || !o.reaches(t, n.c.Low) {
 		t.unlatchUnpin(n, latch.Shared, false)
 		return nil, nil, false
 	}
-	for o.pastHigh(t.cmp, n.c.High) {
+	for o.pastHigh(t, n.c.High) {
 		t.enqueuePostFromSideMove(n, path, o.dx)
 		var err error
 		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); err != nil {

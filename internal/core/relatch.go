@@ -35,7 +35,7 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 		return nil, nil, errDeleteState
 	}
 	// Rightward moves for parent splits since the original traversal.
-	for p.pastHigh(t.cmp, key) {
+	for p.pastHigh(t, key) {
 		sib := p.c.Right
 		q, err := t.pinLatch(sib, latch.Shared)
 		t.unlatchUnpin(p, latch.Shared, false)
@@ -53,7 +53,7 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 	if p.c.DD == parent.dd {
 		t.c.relatchFast.Add(1)
 	}
-	ci := p.childFor(t.cmp, key)
+	ci := p.childFor(t, key)
 	if ci < 0 {
 		t.unlatchUnpin(p, latch.Shared, false)
 		return nil, nil, errDeleteState
@@ -73,7 +73,7 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 		return nil, nil, errDeleteState
 	}
 	// Leaf-level rightward moves (splits below the parent's knowledge).
-	for leaf.pastHigh(t.cmp, key) {
+	for leaf.pastHigh(t, key) {
 		if leaf, err = t.sideStep(leaf, intent, true, nil); err != nil {
 			return nil, nil, errDeleteState
 		}

@@ -60,11 +60,11 @@ func (c *Cursor) fillReverse() error {
 		keys, low := leaf.c.Keys, leaf.c.Low
 		hi := len(keys)
 		if c.pos != nil {
-			hi = lowerBound(c.t.cmp, keys, c.pos)
+			hi, _ = keySearch(c.t.cmp, keys, c.pos)
 		}
 		lo := 0
 		if len(c.end) > 0 {
-			lo = lowerBound(c.t.cmp, keys[:hi], c.end)
+			lo, _ = keySearch(c.t.cmp, keys[:hi], c.end)
 		}
 		// Done at the leftmost leaf, or when every key left of this leaf
 		// lies below end.

@@ -2,40 +2,49 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"testing"
 )
 
-// BenchmarkKeySearch measures the shared in-node binary search helpers that
-// every traversal step funnels through (satellite of the optimistic read
-// path: one descent is a handful of these plus pointer chases).
+// BenchmarkKeySearch measures the in-node search every traversal step
+// funnels through, the generic keySearch (comparator calls under
+// sort.Search) beside the key-head search a bytewise tree runs, on two key
+// shapes: ASCII "key-%06d", and the benchmark harness's 8 zero bytes plus a
+// big-endian id, whose shared leading zeros are why the heads skip keys[0].
 func BenchmarkKeySearch(b *testing.B) {
 	cmp := bytes.Compare
-	for _, n := range []int{16, 64, 256} {
-		keys := make([][]byte, n)
-		for i := range keys {
-			keys[i] = []byte(fmt.Sprintf("key-%06d", i*3))
+	shapes := []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"ascii", func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }},
+		{"binary", func(i int) []byte { return binary.BigEndian.AppendUint64(make([]byte, 8, 16), uint64(i)) }},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{16, 64, 256} {
+			keys := make([][]byte, n)
+			for i := range keys {
+				keys[i] = shape.key(i * 3)
+			}
+			probe := make([][]byte, 64)
+			for i := range probe {
+				probe[i] = shape.key((i * 97) % (n * 3))
+			}
+			var kh keyHeads
+			kh.rebuild(keys)
+			b.Run(fmt.Sprintf("keySearch/%s/%d", shape.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					keySearch(cmp, keys, probe[i%len(probe)])
+				}
+			})
+			b.Run(fmt.Sprintf("heads/%s/%d", shape.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kh.search(keys, probe[i%len(probe)])
+				}
+			})
 		}
-		probe := make([][]byte, 64)
-		for i := range probe {
-			probe[i] = []byte(fmt.Sprintf("key-%06d", (i*97)%(n*3)))
-		}
-		b.Run(fmt.Sprintf("lowerBound/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lowerBound(cmp, keys, probe[i%len(probe)])
-			}
-		})
-		b.Run(fmt.Sprintf("keySearch/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				keySearch(cmp, keys, probe[i%len(probe)])
-			}
-		})
-		b.Run(fmt.Sprintf("childIndex/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				childIndex(cmp, keys, probe[i%len(probe)])
-			}
-		})
 	}
 }
 

@@ -135,7 +135,7 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 
 	// Step 5: the parent may have split; follow side pointers (latch
 	// coupled, Update mode) until the node covering the separator key.
-	for p.pastHigh(t.cmp, a.sep) {
+	for p.pastHigh(t, a.sep) {
 		sib := p.c.Right
 		if sib == 0 {
 			t.unlatchUnpin(p, latch.Update, false)
@@ -246,7 +246,7 @@ func (t *Tree) postInto(p *node, a action) {
 		// A term with the same key but a different child means the key
 		// space boundary was recreated by unrelated SMOs; the posting is
 		// stale. Abandon.
-		if i, _ := p.searchIndexKey(t.cmp, a.sep); i {
+		if i, _ := p.searchIndexKey(t, a.sep); i {
 			t.c.postsDuplicate.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, false)
 			t.traceSMO(obs.EvCompleted, &a)
@@ -254,7 +254,7 @@ func (t *Tree) postInto(p *node, a action) {
 		}
 		need := page.EntrySize(page.Index, len(a.sep), 0)
 		if p.size()+need <= t.opts.PageSize {
-			p.insertIndexTerm(t.cmp, a.sep, a.newID)
+			p.insertIndexTerm(t, a.sep, a.newID)
 			t.logPost(p)
 			t.c.postsDone.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, true)
@@ -268,7 +268,7 @@ func (t *Tree) postInto(p *node, a action) {
 			t.unlatchUnpin(p, latch.Exclusive, true)
 			return
 		}
-		if p.pastHigh(t.cmp, a.sep) {
+		if p.pastHigh(t, a.sep) {
 			right, err := t.pinLatch(p.c.Right, latch.Exclusive)
 			t.unlatchUnpin(p, latch.Exclusive, true)
 			if err != nil {

@@ -229,7 +229,7 @@ func TestRelatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !leaf2.covers(tr.cmp, k) {
+	if !covers(tr, leaf2, k) {
 		t.Fatal("re-latched leaf does not cover the key")
 	}
 	tr.unlatchUnpin(leaf2, latch.Shared, false)
@@ -239,6 +239,11 @@ func TestRelatchDirect(t *testing.T) {
 	if _, _, err := tr.relatch(path, k, dx, latch.Shared, false); !errors.Is(err, errDeleteState) {
 		t.Fatalf("re-latch with stale D_X: %v", err)
 	}
+}
+
+// covers reports whether key falls in n's key space [Low, High).
+func covers(tr *Tree, n *node, key []byte) bool {
+	return tr.compare(key, n.c.Low) >= 0 && !n.pastHigh(tr, key)
 }
 
 // TestRelatchAfterLeafSplit: the remembered leaf splits while unlatched;
@@ -260,7 +265,7 @@ func TestRelatchAfterLeafSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !leaf2.covers(tr.cmp, k) {
+	if !covers(tr, leaf2, k) {
 		t.Fatal("re-latch missed the split")
 	}
 	tr.unlatchUnpin(leaf2, latch.Exclusive, false)

@@ -73,6 +73,7 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	n.c.High = sep
 	n.c.Right = right.id
 	n.raw = n.countRaw()
+	n.hs.rebuild(n.c.Keys)
 
 	err = t.logSplit(n, right)
 	// The new half becomes reachable through n's side pointer once the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
@@ -53,25 +52,32 @@ const maxTraverseRestarts = 10000
 
 // reaches reports whether the target lies in a key space beginning at sep:
 // sep <= key for the covering node, sep < key (or key +inf) below it.
-func (o *traverseOpts) reaches(cmp Compare, sep []byte) bool {
+func (o *traverseOpts) reaches(t *Tree, sep []byte) bool {
 	if o.below {
-		return o.key == nil || cmp(sep, o.key) < 0
+		return o.key == nil || t.compare(sep, o.key) < 0
 	}
-	return cmp(sep, o.key) <= 0
+	return t.compare(sep, o.key) <= 0
 }
 
 // childIn returns the position of the child to descend into in an index
-// node keyed by keys (keys[i] is child i's low fence, keys[0] the node's):
-// the last child whose key space the target reaches, or -1 when the target
-// lies below the node's low fence.
-func (o *traverseOpts) childIn(cmp Compare, keys [][]byte) int {
-	return sort.Search(len(keys), func(i int) bool { return !o.reaches(cmp, keys[i]) }) - 1
+// node keyed by keys with heads kh (keys[i] is child i's low fence, keys[0]
+// the node's): the last child whose key space the target reaches, or -1 when
+// the target lies below the node's low fence.
+func (o *traverseOpts) childIn(t *Tree, keys [][]byte, kh *keyHeads) int {
+	if o.below && o.key == nil {
+		return len(keys) - 1
+	}
+	i, found := t.search(keys, kh, o.key)
+	if found && !o.below {
+		return i
+	}
+	return i - 1
 }
 
 // pastHigh reports whether the target lies beyond a node whose high fence is
 // high (nil = +inf), so the descent moves right.
-func (o *traverseOpts) pastHigh(cmp Compare, high []byte) bool {
-	return high != nil && o.reaches(cmp, high)
+func (o *traverseOpts) pastHigh(t *Tree, high []byte) bool {
+	return high != nil && o.reaches(t, high)
 }
 
 // traverse descends from the root to the node at o.level covering o.key (or,
@@ -117,7 +123,7 @@ restart:
 			// space, so follow the side pointer. Reaching a node only via its
 			// side pointer means its index term is missing: re-discover
 			// the posting (§2.3).
-			for o.pastHigh(t.cmp, n.c.High) {
+			for o.pastHigh(t, n.c.High) {
 				if n.c.Right == 0 {
 					t.unlatchUnpin(n, mode, false)
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
@@ -140,7 +146,7 @@ restart:
 			// address and latching it: its deleter would need this node
 			// exclusively latched to remove the index term (latch
 			// coupling argument, §3.1.1).
-			ci := o.childIn(t.cmp, n.c.Keys)
+			ci := o.childIn(t, n.c.Keys, &n.hs)
 			if ci < 0 {
 				t.unlatchUnpin(n, mode, false)
 				return nil, nil, fmt.Errorf("blinktree: key %q below node %d low fence", o.key, n.id)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"blinktree/internal/page"
 )
@@ -131,6 +132,13 @@ func (t *Tree) verifyNode(n *node) error {
 		}
 		if n.c.High != nil && t.cmp(k, n.c.High) >= 0 {
 			return fmt.Errorf("verify: node %d key %q at/above high fence %q", n.id, k, n.c.High)
+		}
+	}
+	if t.bytewise {
+		var want keyHeads
+		want.rebuild(n.c.Keys)
+		if want.pfx != n.hs.pfx || !slices.Equal(want.h, n.hs.h) {
+			return fmt.Errorf("verify: node %d key heads stale (prefix %d, recount %d)", n.id, n.hs.pfx, want.pfx)
 		}
 	}
 	if n.isLeaf() {

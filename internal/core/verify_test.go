@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -86,6 +88,31 @@ func TestVerifyDetectsStaleCachedSize(t *testing.T) {
 		n.c.Vals[0] = append(n.c.Vals[0], 'x')
 	})
 	expectViolation(t, tr, "cached size")
+}
+
+// TestVerifyDetectsStaleKeyHeads: a mutator that forgets the key heads leaves
+// every key in place and every search of the node wrong. Verify recounts the
+// heads and names the node, in a bytewise tree; a custom comparator never
+// searches them, so there it does not look.
+func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
+	tr := buildVerifyTree(t)
+	var id page.PageID
+	stale := func(n *node) {
+		id = n.id
+		n.hs.h[len(n.hs.h)-1]++
+	}
+	withNode(t, tr, 1, 0, stale)
+	expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
+
+	custom := newTestTree(t, Options{PageSize: 512, Compare: func(a, b []byte) int { return bytes.Compare(a, b) }})
+	for i := 0; i < 600; i++ {
+		custom.Put(key(i), valb(i))
+	}
+	custom.DrainTodo()
+	withNode(t, custom, 1, 0, stale)
+	if err := custom.Verify(); err != nil {
+		t.Fatalf("custom-comparator tree: %v", err)
+	}
 }
 
 func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
