@@ -68,13 +68,12 @@ func Publish(name string, src Source) {
 // sorted order, so the output is deterministic for a given snapshot.
 func ExpvarDoc(m blinktree.Metrics) map[string]any {
 	doc := map[string]any{
-		"stats":     m.Stats,
-		"scheduler": m.Sched,
-		"latch":     m.Latch,
-		"pool":      m.Pool,
-		"store":     m.Store,
-		"locks":     m.Locks,
-		"height":    m.Height,
+		"stats":  m.Stats,
+		"latch":  m.Latch,
+		"pool":   m.Pool,
+		"store":  m.Store,
+		"locks":  m.Locks,
+		"height": m.Height,
 		"wal": map[string]uint64{
 			"appends":              m.LogAppends,
 			"forces":               m.LogForces,
@@ -263,8 +262,7 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 	}{
 		{"enqueued_post", s.PostsEnqueued}, {"enqueued_delete", s.DeletesEnqueued},
 		{"processed", s.TodoProcessed}, {"requeued", s.PostsRequeued},
-		{"inline_assist", s.TodoInlineAssists}, {"dedup_hit", s.TodoDedupHits},
-		{"drain_bailout", s.DrainBailouts},
+		{"dedup_hit", s.TodoDedupHits}, {"drain_bailout", s.DrainBailouts},
 	} {
 		p.printf("blinktree_scheduler_total{event=%q} %d\n", v.event, v.n)
 	}

@@ -57,7 +57,7 @@ func TestHandlerExpvarJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	for _, key := range []string{"stats", "scheduler", "latch", "pool", "store", "locks", "latency", "trace"} {
+	for _, key := range []string{"stats", "latch", "pool", "store", "locks", "latency", "trace"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("missing top-level key %q", key)
 		}

@@ -112,17 +112,15 @@ const (
 // "group", mean sync). Command binaries use it for their -durability flags.
 func ParseDurabilityMode(s string) (DurabilityMode, error) { return wal.ParseDurabilityMode(s) }
 
-// FeatureMode is a tri-state switch for an optional engine feature; see
-// Options.AppendFastPath.
+// FeatureMode is the type of the deprecated Options.Combining, a tri-state
+// switch no engine feature reads any more.
 type FeatureMode = core.FeatureMode
 
+// The three FeatureMode values; Options.Combining ignores all of them.
 const (
-	// FeatureDefault lets the tree choose (currently on).
 	FeatureDefault = core.FeatureDefault
-	// FeatureOn enables the feature explicitly.
-	FeatureOn = core.FeatureOn
-	// FeatureOff disables the feature explicitly.
-	FeatureOff = core.FeatureOff
+	FeatureOn      = core.FeatureOn
+	FeatureOff     = core.FeatureOff
 )
 
 // Options configures a Tree. The zero value is a sensible volatile tree:
@@ -158,11 +156,6 @@ type Options struct {
 	// goroutines, so maintenance runs only when Maintain is called, and
 	// BulkLoad builds on the calling goroutine.
 	Workers int
-	// MaintenanceSoftCap is the backpressure threshold: above this many
-	// queued maintenance actions, a completing operation processes one
-	// action inline. 0 means the default (128); -1 disables
-	// backpressure. Only active when Workers > 0.
-	MaintenanceSoftCap int
 	// Baseline optionally selects a comparator algorithm.
 	Baseline Baseline
 
@@ -188,12 +181,6 @@ type Options struct {
 	// for non-benchmark changes, still sets it; a benchmark-only change
 	// removes that setter, and then this field goes.
 	Combining FeatureMode
-	// AppendFastPath selects the right-edge append fast path (default on):
-	// the tree caches the rightmost leaf, and inserts of keys at or past its
-	// low fence try it directly — validated under the latch — instead of
-	// descending from the root. Monotonic (append-shaped) loads skip almost
-	// every traversal; other workloads walk away after one comparison.
-	AppendFastPath FeatureMode
 
 	// Observability enables per-operation latency histograms
 	// (Observability.Metrics), the SMO lifecycle trace ring
@@ -235,24 +222,18 @@ type Tree struct {
 // Open creates or recovers a tree.
 func Open(opts Options) (*Tree, error) {
 	cOpts := core.Options{
-		PageSize:    opts.PageSize,
-		CacheSize:   opts.CacheSize,
-		MinFill:     opts.MinFill,
-		Workers:     opts.Workers,
-		Compare:     opts.Comparator,
-		TodoSoftCap: opts.MaintenanceSoftCap,
+		PageSize:  opts.PageSize,
+		CacheSize: opts.CacheSize,
+		MinFill:   opts.MinFill,
+		Workers:   opts.Workers,
+		Compare:   opts.Comparator,
 
 		Durability:    opts.Durability,
 		FlushInterval: opts.FlushInterval,
 		FlushBytes:    opts.FlushBytes,
-
-		AppendFastPath: opts.AppendFastPath,
 	}
 	if opts.Workers < 0 {
 		cOpts.Workers = core.WorkersNone
-	}
-	if opts.MaintenanceSoftCap < 0 {
-		cOpts.TodoSoftCap = core.TodoSoftCapNone
 	}
 	cOpts.Observability = opts.Observability
 	switch opts.Baseline {
@@ -484,11 +465,6 @@ func (t *Tree) RecoveryStats() RecoveryStats { return t.inner.RecoveryStats() }
 // Stats returns a snapshot of internal activity counters.
 func (t *Tree) Stats() Stats { return Stats(t.inner.Stats()) }
 
-// SchedulerStats returns a snapshot of the maintenance scheduler: the
-// queue-depth high-water mark, backpressure and dedup activity, and the
-// enqueue-to-process latency histogram.
-func (t *Tree) SchedulerStats() SchedulerStats { return t.inner.SchedulerStats() }
-
 // Snapshot returns the tree's full metrics in one consistent read. The
 // histogram section (Metrics.Obs) is nil unless Options.Observability
 // enabled metrics.
@@ -585,7 +561,3 @@ func (x *Txn) Abort() error { return x.inner.Abort() }
 // comments on the internal definition for the paper sections each counter
 // measures.
 type Stats core.Stats
-
-// SchedulerStats mirrors the maintenance scheduler's observability
-// snapshot; see the internal definition for field semantics.
-type SchedulerStats = core.SchedulerStats

@@ -25,7 +25,7 @@
 //	blinkbench -load -keys 10000000 -fill 0.9 -out BENCH_scale.json
 //	                                    # ... persist the trajectory
 //	blinkbench -skew                    # skew scenario matrix (distribution x
-//	                                    #     goroutines x append fast path)
+//	                                    #     goroutines)
 //	blinkbench -skew -out BENCH_skew.json -skewfrac 0.25
 //	                                    # ... persist the matrix and fail
 //	                                    #     unless zipf holds 25% of uniform
@@ -101,7 +101,7 @@ func main() {
 		skew       = flag.Bool("skew", false, "run the skew scenario matrix instead of experiments")
 		skewThread = flag.String("skewthreads", "1,4,8,16", "with -skew: comma-separated goroutine counts")
 		skewOps    = flag.Int("skewops", 0, "with -skew: measured operations per cell (0 = default 20000)")
-		skewFrac   = flag.Float64("skewfrac", 0, "with -skew: exit nonzero unless zipf throughput >= skewfrac * uniform throughput at the highest goroutine count, append fast path on (0 disables)")
+		skewFrac   = flag.Float64("skewfrac", 0, "with -skew: exit nonzero unless zipf throughput >= skewfrac * uniform throughput at the highest goroutine count (0 disables)")
 	)
 	flag.Parse()
 
@@ -348,14 +348,10 @@ func skewSweep(w io.Writer, threadsCSV string, ops int, outPath string, skewFrac
 	fmt.Fprintf(w, "== skew matrix: %d keys, %d preloaded, %d ops/cell, zipf s=%.2f, %d cores (GOMAXPROCS %d) ==\n",
 		rep.KeySpace, rep.Preload, rep.Ops, rep.ZipfS, rep.Cores, rep.GOMAXPROCS)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dist\tgoroutines\tfastpath\tops/s\tfastpath hits\tlatch waits")
+	fmt.Fprintln(tw, "dist\tgoroutines\tops/s\tfastpath hits\tlatch waits")
 	for _, r := range rep.Results {
-		fast := "off"
-		if r.AppendFastPath {
-			fast = "on"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.0f\t%d\t%d\n",
-			r.Dist, r.Goroutines, fast, r.OpsPerSec, r.AppendFastHits, r.LatchWaits)
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%d\n",
+			r.Dist, r.Goroutines, r.OpsPerSec, r.AppendFastHits, r.LatchWaits)
 	}
 	tw.Flush()
 

@@ -609,15 +609,13 @@ func E10Overhead(scale Scale) (*Table, error) {
 }
 
 // E11Scheduler profiles the maintenance scheduler under an SMO-heavy mixed
-// workload: the queue-depth high-water mark, duplicate discoveries
-// collapsed, backpressure inline assists, and the enqueue-to-process
-// latency histogram, across thread counts.
+// workload: the queue-depth high-water mark, actions processed and
+// duplicate discoveries collapsed, across thread counts.
 func E11Scheduler(scale Scale) (*Table, error) {
 	t := &Table{
-		ID:    "E11",
-		Title: "maintenance scheduler: ordering, backpressure",
-		Header: []string{"threads", "ops/s", "queue hw",
-			"dedup hits", "assists", "lat<100µs", "lat<1ms", "lat≥1ms"},
+		ID:     "E11",
+		Title:  "maintenance scheduler: ordering, queue depth",
+		Header: []string{"threads", "ops/s", "queue hw", "processed", "dedup hits"},
 	}
 	spec := Spec{
 		KeySpace: scale.Preload,
@@ -630,13 +628,11 @@ func E11Scheduler(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E11 threads=%d: %w", threads, err)
 		}
-		lb := res.Sched.LatencyBuckets
-		t.AddRow(threads, int(res.Throughput),
-			res.Sched.QueueHighWater, res.Sched.DedupHits,
-			res.Sched.InlineAssists, lb[0], lb[1], lb[2]+lb[3]+lb[4])
+		s := res.Stats
+		t.AddRow(threads, int(res.Throughput), s.TodoQueueHighWater, s.TodoProcessed, s.TodoDedupHits)
 	}
 	t.Note("index posts and shrinks pop first, then leaf work; index-node deletes pop last (they bump D_X)")
-	t.Note("assists = foreground ops self-throttled past the soft cap (backpressure)")
+	t.Note("only the background workers run actions: no foreground operation is throttled")
 	return t, nil
 }
 
@@ -688,15 +684,14 @@ func E13CrashConsistency(scale Scale) (*Table, error) {
 }
 
 // E14SkewTolerance runs the skew scenario matrix (skew.go): every key
-// distribution at every goroutine count, right-edge append fast path on
-// and off. The table shows whether skewed load collapses throughput
-// relative to uniform and whether the fast path pays for itself where it
-// should (seq-append: fast-path hits).
+// distribution at every goroutine count. The table shows whether skewed load
+// collapses throughput relative to uniform, and where the right-edge append
+// fast path serves inserts (seq-append: fast-path hits).
 func E14SkewTolerance(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:     "E14",
-		Title:  "skew tolerance: distribution x goroutines x append fast path",
-		Header: []string{"dist", "threads", "fastpath", "ops/s", "fastpath hits", "latch waits"},
+		Title:  "skew tolerance: distribution x goroutines",
+		Header: []string{"dist", "threads", "ops/s", "fastpath hits", "latch waits"},
 	}
 	cfg := SkewConfig{
 		KeySpace: scale.Preload * 2,
@@ -711,13 +706,9 @@ func E14SkewTolerance(scale Scale) (*Table, error) {
 		return nil, fmt.Errorf("E14: %w", err)
 	}
 	for _, res := range rep.Results {
-		on := "off"
-		if res.AppendFastPath {
-			on = "on"
-		}
-		t.AddRow(res.Dist, res.Goroutines, on, int(res.OpsPerSec), res.AppendFastHits, res.LatchWaits)
+		t.AddRow(res.Dist, res.Goroutines, int(res.OpsPerSec), res.AppendFastHits, res.LatchWaits)
 	}
-	t.Note("fast-path hits are zero with the path off; seq-append rows are where it serves nearly every insert")
+	t.Note("seq-append rows are where the append fast path serves nearly every insert")
 	return t, nil
 }
 

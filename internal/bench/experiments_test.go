@@ -387,16 +387,16 @@ func TestE14SkewToleranceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderToTestLog(t, tb)
-	// 5 distributions x 1 thread count x append fast path on/off.
-	if len(tb.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(tb.Rows))
+	// 5 distributions x 1 thread count.
+	if len(tb.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}
 	for i, row := range tb.Rows {
-		if cellFloat(t, row[3]) <= 0 {
+		if cellFloat(t, row[2]) <= 0 {
 			t.Fatalf("row %d: non-positive throughput", i)
 		}
-		if row[2] == "off" && cellFloat(t, row[4]) != 0 {
-			t.Fatalf("row %d: fast-path-off run served %v fast-path hits", i, row[4])
+		if row[0] == "seq-append" && cellFloat(t, row[3]) == 0 {
+			t.Fatalf("row %d: seq-append served no fast-path hits", i)
 		}
 	}
 }
@@ -410,13 +410,13 @@ func TestSkewReportGatesAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rep.Results); got != 12 {
-		t.Fatalf("cells = %d, want 12", got)
+	if got := len(rep.Results); got != 6 {
+		t.Fatalf("cells = %d, want 6", got)
 	}
 	if g := rep.MaxGoroutines(); g != 2 {
 		t.Fatalf("MaxGoroutines = %d", g)
 	}
-	if _, ok := rep.Lookup("seq-append", 2, true); !ok {
+	if _, ok := rep.Lookup("seq-append", 2); !ok {
 		t.Fatal("seq-append cell missing")
 	}
 	// The gate must at least evaluate at a trivially permissive bound.

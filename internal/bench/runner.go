@@ -53,9 +53,6 @@ type Result struct {
 	Throughput float64 // ops per second
 
 	Stats core.Stats
-	// Sched is the maintenance scheduler's observability snapshot (queue
-	// high-water mark, inline assists, latency histogram).
-	Sched core.SchedulerStats
 	// Latch is this tree's latch activity (per-tree recorder; other trees
 	// in the process do not pollute it).
 	Latch latch.Stats
@@ -129,7 +126,6 @@ func Run(cfg Config, spec Spec, goroutines int) (Result, error) {
 		Elapsed:    elapsed,
 		Throughput: float64(perG*goroutines) / elapsed.Seconds(),
 		Stats:      tr.Stats(),
-		Sched:      tr.SchedulerStats(),
 		Latch:      tr.LatchStats(),
 		LivePages:  tr.StoreStats().LivePages,
 	}

@@ -12,8 +12,7 @@ import (
 )
 
 // SkewConfig parameterizes one skew scenario matrix sweep: every configured
-// key distribution crossed with every goroutine count, each measured with
-// the right-edge append fast path on and off.
+// key distribution crossed with every goroutine count.
 type SkewConfig struct {
 	// Dists are the key distributions to sweep (default uniform, zipf,
 	// hotspot, moving-hotspot, seq-append).
@@ -51,16 +50,13 @@ func (c SkewConfig) withDefaults() SkewConfig {
 	return c
 }
 
-// SkewResult is one (distribution, goroutines, append fast path) cell.
+// SkewResult is one (distribution, goroutines) cell.
 type SkewResult struct {
 	// Dist is the distribution's flag name (uniform, zipf, hotspot,
 	// moving-hotspot, seq-append).
 	Dist string `json:"dist"`
 	// Goroutines is the worker count.
 	Goroutines int `json:"goroutines"`
-	// AppendFastPath reports whether the right-edge append fast path was
-	// enabled for this cell.
-	AppendFastPath bool `json:"append_fast_path"`
 	// Ops is the measured operation count.
 	Ops int `json:"ops"`
 	// ElapsedNS is the measured wall time in nanoseconds.
@@ -95,11 +91,10 @@ type SkewReport struct {
 	Results []SkewResult `json:"results"`
 }
 
-// Lookup returns the cell for (dist, goroutines, append fast path), if
-// present.
-func (r *SkewReport) Lookup(dist string, goroutines int, appendFast bool) (SkewResult, bool) {
+// Lookup returns the cell for (dist, goroutines), if present.
+func (r *SkewReport) Lookup(dist string, goroutines int) (SkewResult, bool) {
 	for _, res := range r.Results {
-		if res.Dist == dist && res.Goroutines == goroutines && res.AppendFastPath == appendFast {
+		if res.Dist == dist && res.Goroutines == goroutines {
 			return res, true
 		}
 	}
@@ -118,13 +113,13 @@ func (r *SkewReport) MaxGoroutines() int {
 }
 
 // GateSkewVsUniform checks the skew-tolerance invariant: at the highest
-// goroutine count with the append fast path on, Zipf throughput must be at
-// least frac times uniform throughput (skew must not collapse the tree).
+// goroutine count, Zipf throughput must be at least frac times uniform
+// throughput (skew must not collapse the tree).
 // Returns a description of the comparison and an error when the gate fails.
 func (r *SkewReport) GateSkewVsUniform(frac float64) (string, error) {
 	g := r.MaxGoroutines()
-	uni, ok1 := r.Lookup("uniform", g, true)
-	zipf, ok2 := r.Lookup("zipf", g, true)
+	uni, ok1 := r.Lookup("uniform", g)
+	zipf, ok2 := r.Lookup("zipf", g)
 	if !ok1 || !ok2 {
 		return "", fmt.Errorf("bench: report lacks uniform/zipf cells at %d goroutines", g)
 	}
@@ -168,23 +163,17 @@ func (c SkewConfig) skewSpec(d Dist) Spec {
 // skewOptions builds the tree configuration for one cell. The matrix runs
 // against a logged tree (MemDevice) so WAL appends are part of what is
 // measured.
-func skewOptions(appendFast bool) core.Options {
-	mode := core.FeatureOff
-	if appendFast {
-		mode = core.FeatureOn
-	}
+func skewOptions() core.Options {
 	return core.Options{
-		PageSize:       expPageSize,
-		MinFill:        0.35,
-		Workers:        2,
-		LogDevice:      wal.NewMemDevice(),
-		AppendFastPath: mode,
+		PageSize:  expPageSize,
+		MinFill:   0.35,
+		Workers:   2,
+		LogDevice: wal.NewMemDevice(),
 	}
 }
 
 // RunSkew measures the full skew scenario matrix: every configured
-// distribution at every goroutine count, with the append fast path on and
-// off.
+// distribution at every goroutine count.
 func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &SkewReport{
@@ -199,27 +188,24 @@ func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 	}
 	for _, d := range cfg.Dists {
 		for _, g := range cfg.Goroutines {
-			for _, appendFast := range []bool{true, false} {
-				res, err := runSkewCell(cfg, d, g, appendFast)
-				if err != nil {
-					return nil, fmt.Errorf("bench: skew %s/%d/appendfast=%v: %w", d, g, appendFast, err)
-				}
-				rep.Results = append(rep.Results, res)
+			res, err := runSkewCell(cfg, d, g)
+			if err != nil {
+				return nil, fmt.Errorf("bench: skew %s/%d: %w", d, g, err)
 			}
+			rep.Results = append(rep.Results, res)
 		}
 	}
 	return rep, nil
 }
 
-func runSkewCell(cfg SkewConfig, d Dist, goroutines int, appendFast bool) (SkewResult, error) {
-	res, err := Run(Config{Name: d.String(), Opts: skewOptions(appendFast)}, cfg.skewSpec(d), goroutines)
+func runSkewCell(cfg SkewConfig, d Dist, goroutines int) (SkewResult, error) {
+	res, err := Run(Config{Name: d.String(), Opts: skewOptions()}, cfg.skewSpec(d), goroutines)
 	if err != nil {
 		return SkewResult{}, err
 	}
 	return SkewResult{
 		Dist:           d.String(),
 		Goroutines:     goroutines,
-		AppendFastPath: appendFast,
 		Ops:            res.Ops,
 		ElapsedNS:      res.Elapsed.Nanoseconds(),
 		OpsPerSec:      res.Throughput,

@@ -25,7 +25,8 @@ import (
 // the reader's record, and the next unused key number.
 func staleRootReader(t *testing.T) (*Tree, *anchorRec, int) {
 	t.Helper()
-	tr := newTestTree(t, Options{MinFill: 0.4, AppendFastPath: FeatureOff})
+	tr := newTestTree(t, Options{MinFill: 0.4})
+	withoutAppendFast(tr)
 	next := 0
 	put := func() {
 		if err := tr.Put(key(next), valb(next)); err != nil {

@@ -48,7 +48,7 @@ type rightEdgeHint struct {
 // are the right edge; re-publishing an unchanged hint is skipped so the
 // steady state costs one atomic load and no allocation.
 func (t *Tree) noteRightEdge(leaf *node) {
-	if !t.appendFast || leaf.c.High != nil || leaf.dead || !leaf.isLeaf() {
+	if t.noAppendFast || leaf.c.High != nil || leaf.dead || !leaf.isLeaf() {
 		return
 	}
 	if h := t.rightEdge.Load(); h != nil && h.id == leaf.id {

@@ -17,10 +17,9 @@ import (
 // invariants intact. A scattering of non-append keys must fall back cleanly.
 func TestAppendFastPathMonotonic(t *testing.T) {
 	tr, err := New(Options{
-		PageSize:       1024,
-		Workers:        WorkersNone,
-		LogDevice:      wal.NewMemDevice(),
-		AppendFastPath: FeatureOn,
+		PageSize:  1024,
+		Workers:   WorkersNone,
+		LogDevice: wal.NewMemDevice(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,17 +60,32 @@ func TestAppendFastPathMonotonic(t *testing.T) {
 	}
 }
 
+// TestWithoutAppendFastDescends: the test seam that turns the fast path off
+// leaves every monotonic insert to the descent — no hint, no attempt.
+func TestWithoutAppendFastDescends(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	withoutAppendFast(tr)
+	for i := 0; i < 500; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := tr.Stats(); s.AppendFastHits+s.AppendFastMisses != 0 || tr.rightEdge.Load() != nil {
+		t.Fatalf("fast path used with the seam set: %d hits, %d misses", s.AppendFastHits, s.AppendFastMisses)
+	}
+	mustVerify(t, tr)
+}
+
 // TestAppendFastPathConcurrent interleaves monotonic appenders with random
 // writers and deleters under -race: the hint may go stale at any moment
 // (splits move the right edge, consolidations kill leaves) and every miss
 // must fall back without losing an operation.
 func TestAppendFastPathConcurrent(t *testing.T) {
 	tr, err := New(Options{
-		PageSize:       1024,
-		Workers:        2,
-		MinFill:        0.35,
-		LogDevice:      wal.NewMemDevice(),
-		AppendFastPath: FeatureOn,
+		PageSize:  1024,
+		Workers:   2,
+		MinFill:   0.35,
+		LogDevice: wal.NewMemDevice(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,14 +23,12 @@ func (s *syncHookStore) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestCheckpointGateQuiescesWriters: writers, a maintenance worker and inline
-// assists (soft cap 1, so completing operations run queued actions
-// themselves, behind the gate) against concurrent Checkpoint and BulkLoad
-// calls. Inside the exclusive section no operation is in flight (the drain
-// policy counts them) and no stripe admits one; and it all finishes — a
-// worker that took an action and then waited for the gate used to deadlock
-// BulkLoad's drain, and an assist re-entering the gate from inside an
-// operation would deadlock against a checkpoint.
+// TestCheckpointGateQuiescesWriters: writers and a maintenance worker (which
+// runs each action behind the gate) against concurrent Checkpoint and
+// BulkLoad calls. Inside the exclusive section no operation is in flight
+// (the drain policy counts them) and no stripe admits one; and it all
+// finishes — a worker that took an action and then waited for the gate used
+// to deadlock BulkLoad's drain.
 func TestCheckpointGateQuiescesWriters(t *testing.T) {
 	var tr *Tree
 	var sections atomic.Int64
@@ -52,7 +50,7 @@ func TestCheckpointGateQuiescesWriters(t *testing.T) {
 	}
 	tr = newTestTree(t, Options{
 		PageSize: 512, Store: store, LogDevice: wal.NewMemDevice(),
-		Workers: 1, TodoSoftCap: 1, MinFill: 0.4, DeletePolicy: Drain,
+		Workers: 1, MinFill: 0.4, DeletePolicy: Drain,
 	})
 	round := func(seed int) {
 		var wg sync.WaitGroup
@@ -97,13 +95,11 @@ func TestCheckpointGateQuiescesWriters(t *testing.T) {
 		}()
 		wg.Wait()
 	}
-	// Whether a completing operation finds the queue past its cap is up to
-	// the scheduler; go round until some did.
-	for seed := 0; seed == 0 || (tr.Stats().TodoInlineAssists == 0 && !t.Failed()); seed++ {
-		if seed == 50 {
-			t.Fatal("no inline assist ran in 50 rounds; the test needs them behind the gate")
-		}
+	for seed := 0; seed < 3 && !t.Failed(); seed++ {
 		round(seed)
+	}
+	if tr.Stats().TodoProcessed == 0 {
+		t.Fatal("the worker ran no action; the test needs them behind the gate")
 	}
 	if sections.Load() < 20 {
 		t.Fatalf("only %d exclusive sections observed", sections.Load())

@@ -17,13 +17,12 @@ import (
 // instants. Each family is internally consistent (atomic loads); families
 // are read back-to-back.
 type TreeMetrics struct {
-	Stats  Stats          // operation/SMO counters
-	Sched  SchedulerStats // maintenance scheduler
-	Latch  latch.Stats    // per-tree latch activity
-	Pool   buffer.Stats   // buffer pool
-	Store  storage.Stats  // page store
-	Locks  lock.Stats     // record lock manager
-	Height uint8          // current root level
+	Stats  Stats         // operation/SMO/maintenance-scheduler counters
+	Latch  latch.Stats   // per-tree latch activity
+	Pool   buffer.Stats  // buffer pool
+	Store  storage.Stats // page store
+	Locks  lock.Stats    // record lock manager
+	Height uint8         // current root level
 
 	// LogAppends/LogForces are zero when logging is disabled.
 	LogAppends uint64
@@ -47,7 +46,6 @@ type TreeMetrics struct {
 func (t *Tree) Snapshot() TreeMetrics {
 	m := TreeMetrics{
 		Stats:    t.Stats(),
-		Sched:    t.SchedulerStats(),
 		Latch:    t.latchRec.Snapshot(),
 		Pool:     t.pool.Snapshot(),
 		Store:    t.store.Stats(),

@@ -43,7 +43,6 @@ func TestSnapshotConcurrent(t *testing.T) {
 				_ = tr.Stats()
 				_ = tr.LatchStats()
 				_ = tr.TraceEvents()
-				_ = tr.SchedulerStats()
 			}
 		}()
 	}

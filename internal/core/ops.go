@@ -116,7 +116,7 @@ func (t *Tree) Delete(key []byte) error {
 // append fast path (appendfast.go), which falls through here when it
 // declines.
 func (t *Tree) putInternal(lp recOpParams, key, val []byte) (wal.LSN, bool, error) {
-	if lp.txn == 0 && !lp.clr && t.appendFast {
+	if lp.txn == 0 && !lp.clr {
 		if lsn, updated, done, err := t.appendFastPut(lp, key, val); done {
 			return lsn, updated, err
 		}

@@ -25,16 +25,14 @@ const (
 	Drain
 )
 
-// FeatureMode is a tri-state switch for optional engine features whose
-// resolved default is on: the zero value lets the tree choose.
+// FeatureMode is the type of the deprecated Options.Combining: a tri-state
+// switch whose zero value lets the tree choose. No engine feature reads it.
 type FeatureMode uint8
 
+// The three FeatureMode values; Options.Combining ignores all of them.
 const (
-	// FeatureDefault lets the tree choose (currently on).
 	FeatureDefault FeatureMode = iota
-	// FeatureOn enables the feature explicitly.
 	FeatureOn
-	// FeatureOff disables the feature.
 	FeatureOff
 )
 
@@ -78,15 +76,6 @@ type Options struct {
 	// (deterministic tests and the crash harness do this), and BulkLoad
 	// builds every chunk on the calling goroutine.
 	Workers int
-
-	// TodoSoftCap is the scheduler's backpressure threshold: when the
-	// number of queued maintenance actions exceeds it, a completing
-	// foreground operation processes one action inline, throttling
-	// producers to the rate maintenance can sustain. Zero means the
-	// default (128). TodoSoftCapNone disables backpressure.
-	// Backpressure is only active when Workers > 0: worker-less trees are
-	// driven deterministically via DrainTodo.
-	TodoSoftCap int
 
 	// Store supplies the page store. Nil means a fresh in-memory store.
 	Store storage.Store
@@ -153,15 +142,6 @@ type Options struct {
 	// removes that setter, and then this field goes.
 	Combining FeatureMode
 
-	// AppendFastPath enables the right-edge append fast path (default on):
-	// the rightmost leaf is cached, and an insert of a key at or beyond its
-	// low fence tries that leaf directly — a version-word pre-check, then
-	// an authoritative re-validation under its latch — skipping the full
-	// root-to-leaf descent that monotonic (sequential-append) workloads
-	// would otherwise pay on every insert. Any validation failure falls
-	// back to the normal traversal.
-	AppendFastPath FeatureMode
-
 	// BulkChunkPages is the number of leaves grouped into one bulk-load
 	// chunk — the unit of page-ID leasing, of WAL logging (one SMOBulkChunk
 	// record per chunk) and of hand-off to a builder goroutine. Zero means
@@ -190,15 +170,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 2
 	}
-	switch {
-	case o.TodoSoftCap == 0:
-		o.TodoSoftCap = 128
-	case o.TodoSoftCap < 0:
-		o.TodoSoftCap = 0 // TodoSoftCapNone: backpressure disabled
-	}
-	if o.AppendFastPath == FeatureDefault {
-		o.AppendFastPath = FeatureOn
-	}
 	if o.Store == nil {
 		o.Store = storage.NewMemStore(o.PageSize)
 	}
@@ -211,6 +182,3 @@ func (o Options) withDefaults() Options {
 // explicit sentinel: Workers < 0 means "no workers" after defaulting.
 // Callers pass WorkersNone to run the queue manually.
 const WorkersNone = -1
-
-// TodoSoftCapNone disables scheduler backpressure (inline assists).
-const TodoSoftCapNone = -1

@@ -169,7 +169,8 @@ func TestPutFollowsResplitSibling(t *testing.T) {
 		}
 		return bytes.Compare(a, b)
 	}
-	tr = newTestTree(t, Options{Compare: cmp, AppendFastPath: FeatureOff})
+	tr = newTestTree(t, Options{Compare: cmp})
+	withoutAppendFast(tr)
 	// Fill the root leaf to one record short of its first split.
 	need := page.EntrySize(page.Leaf, len(big), len(valb(0)))
 	for {

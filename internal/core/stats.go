@@ -67,11 +67,17 @@ type Stats struct {
 	ReclaimRetry  uint64 // page reclaim retried due to concurrent pin
 	TodoProcessed uint64
 
-	// Maintenance scheduler (latency histogram in Tree.SchedulerStats).
-	TodoInlineAssists  uint64 // foreground ops that ran an action inline (backpressure)
+	// Maintenance scheduler.
 	TodoDedupHits      uint64 // enqueues/probes collapsed onto a pending duplicate
 	TodoQueueHighWater uint64 // maximum queued actions observed
 	DrainBailouts      uint64 // DrainTodo gave up on a non-shrinking queue
+
+	// Deprecated: TodoInlineAssists is always zero: scheduler backpressure,
+	// which it counted, has been removed (DESIGN.md §4b). The field exists
+	// only because benchmark/layers.go, frozen for non-benchmark changes,
+	// still reads it; a benchmark-only change drops that metric, and then
+	// this field goes.
+	TodoInlineAssists uint64
 
 	// Right-edge append fast path (appendfast.go).
 	AppendFastHits   uint64 // inserts served by the cached rightmost leaf
@@ -103,7 +109,7 @@ type counters struct {
 	noWaitDenied, relatches, relatchFast             atomic.Uint64
 	txnAbortsDX, txnDeadlocks, txnCommits, txnAborts atomic.Uint64
 	reclaimRetry, todoProcessed                      atomic.Uint64
-	todoInlineAssists, todoDedupHits, drainBailouts  atomic.Uint64
+	todoDedupHits, drainBailouts                     atomic.Uint64
 	appendFastHits, appendFastMisses                 atomic.Uint64
 	bulkLoadPages, bulkLoadChunks                    atomic.Uint64
 	firstChangeImages                                atomic.Uint64
@@ -151,7 +157,6 @@ func (c *counters) snapshot() Stats {
 		TxnAborts:         c.txnAborts.Load(),
 		ReclaimRetry:      c.reclaimRetry.Load(),
 		TodoProcessed:     c.todoProcessed.Load(),
-		TodoInlineAssists: c.todoInlineAssists.Load(),
 		TodoDedupHits:     c.todoDedupHits.Load(),
 		DrainBailouts:     c.drainBailouts.Load(),
 		AppendFastHits:    c.appendFastHits.Load(),

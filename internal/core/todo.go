@@ -74,10 +74,6 @@ type action struct {
 	dd uint64
 
 	retries int
-
-	// enqAt is the (re-)enqueue time, feeding the scheduler's
-	// enqueue-to-process latency histogram.
-	enqAt time.Time
 }
 
 // The to-do queue pops by class, lowest first, FIFO within a class.
@@ -132,17 +128,15 @@ const maxActionRetries = 1000
 // Stats.DrainBailouts (stuck actions keep the tree correct regardless).
 const maxDrainSpins = 1_000_000
 
-// todoLatencyBounds are the upper edges of the enqueue-to-process latency
-// buckets: <100µs, <1ms, <10ms, <100ms, and one more for ≥100ms.
-var todoLatencyBounds = [...]time.Duration{
-	100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
-}
-
-const todoLatencyBuckets = len(todoLatencyBounds) + 1
-
 // todoQueue is the volatile maintenance scheduler for lazy structure
 // modifications, with a small worker pool: one mutex, one dedup map, one
 // FIFO per class. It does not survive crashes and is never logged (§4.1.3).
+//
+// Only the workers and DrainTodo run actions; a foreground operation never
+// does. The dedup map collapses re-discoveries of one need, so the queue
+// holds about an action per outstanding need — a post per unposted split, a
+// delete per under-utilized node — and grows with the tree's unfinished
+// work, not with the operation rate.
 type todoQueue struct {
 	t *Tree
 
@@ -155,23 +149,10 @@ type todoQueue struct {
 	busy    int // actions popped and still being processed
 
 	// queued is the number of actions sitting in classes and highWater its
-	// maximum. Both are written under mu and read without it, so maybeAssist
-	// costs a foreground operation one load.
+	// maximum (Stats.TodoQueueHighWater). Both are written under mu and read
+	// without it, so tryPop's empty check and a Stats call take no lock.
 	queued    atomic.Int64
 	highWater atomic.Int64
-
-	// latency is the enqueue-to-process histogram (todoLatencyBuckets).
-	latency [todoLatencyBuckets]atomic.Uint64
-
-	// softCap is the backpressure threshold: when the queued depth exceeds
-	// it, a completing foreground operation processes one action inline
-	// (the paper's atomic-action model permits any thread to run any
-	// action). <= 0 disables backpressure.
-	softCap int
-	// assist gates backpressure on having background workers at all:
-	// worker-less trees are driven deterministically via DrainTodo, and
-	// inline assists would destroy that determinism.
-	assist bool
 
 	stopped atomic.Bool
 
@@ -186,8 +167,6 @@ func newTodoQueue(t *Tree, workers int) *todoQueue {
 	q := &todoQueue{
 		t:              t,
 		pending:        make(map[dedupKey]struct{}),
-		softCap:        t.opts.TodoSoftCap,
-		assist:         workers > 0 && t.opts.TodoSoftCap > 0,
 		drainSpinLimit: maxDrainSpins,
 		workers:        workers,
 	}
@@ -232,7 +211,6 @@ func (q *todoQueue) enqueue(a action) {
 		return
 	}
 	key := a.dedup()
-	a.enqAt = time.Now()
 	q.mu.Lock()
 	if _, dup := q.pending[key]; dup {
 		q.mu.Unlock()
@@ -255,7 +233,6 @@ func (q *todoQueue) requeue(a action) {
 	if q.stopped.Load() {
 		return
 	}
-	a.enqAt = time.Now()
 	q.mu.Lock()
 	// Deliberately not deduplicated: the pending entry for this action is
 	// removed by finish after process() returns, so re-adding under the
@@ -286,25 +263,11 @@ func (q *todoQueue) tryPop() (action, bool) {
 			q.queued.Add(-1)
 			q.busy++
 			q.mu.Unlock()
-			q.observeLatency(a)
 			return a, true
 		}
 	}
 	q.mu.Unlock()
 	return action{}, false
-}
-
-// observeLatency buckets the action's enqueue-to-process latency.
-func (q *todoQueue) observeLatency(a action) {
-	if a.enqAt.IsZero() {
-		return
-	}
-	d := time.Since(a.enqAt)
-	b := 0
-	for b < len(todoLatencyBounds) && d >= todoLatencyBounds[b] {
-		b++
-	}
-	q.latency[b].Add(1)
 }
 
 // finish marks an action's processing complete and clears its dedup slot.
@@ -323,11 +286,10 @@ func (q *todoQueue) run(a action) {
 }
 
 // runNextGated pops one action and runs it behind the checkpoint gate,
-// reporting whether there was one: workers and inline assists mutate pages
-// concurrently with everything else, so a sharp checkpoint must be able to
-// quiesce them exactly like foreground operations (the pool's FlushAll
-// contract: no page may be modified during the flush). The gate is entered
-// before the pop: an action in hand outside it keeps the queue busy while
+// reporting whether there was one: workers mutate pages concurrently with
+// everything else, so a sharp checkpoint must be able to quiesce them
+// exactly like foreground operations (the pool's FlushAll contract: no page
+// may be modified during the flush). The gate is entered before the pop: an action in hand outside it keeps the queue busy while
 // its holder waits for the gate, and BulkLoad, draining the queue with the
 // gate locked, would wait for it forever (so drain paths run ungated).
 func (q *todoQueue) runNextGated() bool {
@@ -350,22 +312,6 @@ func (q *todoQueue) worker() {
 			q.wake.Wait()
 		}
 		q.mu.Unlock()
-	}
-}
-
-// maybeAssist is the backpressure hook, called by foreground operations as
-// they complete (no latches held): past the soft cap the operation
-// processes one action inline, throttling producers to the rate the
-// maintenance machinery can sustain.
-func (q *todoQueue) maybeAssist() {
-	if !q.assist || q.stopped.Load() {
-		return
-	}
-	if int(q.queued.Load()) <= q.softCap {
-		return
-	}
-	if q.runNextGated() {
-		q.t.c.todoInlineAssists.Add(1)
 	}
 }
 
@@ -437,41 +383,4 @@ func (q *todoQueue) stop() {
 	q.wake.Broadcast()
 	q.mu.Unlock()
 	q.wg.Wait()
-}
-
-// SchedulerStats is a snapshot of the maintenance scheduler's internals:
-// the queue depth high-water mark, backpressure and dedup activity, and the
-// enqueue-to-process latency histogram.
-type SchedulerStats struct {
-	// SoftCap is the backpressure threshold (0 = disabled).
-	SoftCap int
-	// QueueHighWater is the maximum queued depth observed.
-	QueueHighWater uint64
-	// InlineAssists counts foreground operations that processed an action
-	// inline because the queue was over the soft cap.
-	InlineAssists uint64
-	// DedupHits counts enqueues and pending-probes collapsed onto an
-	// already-queued identical action.
-	DedupHits uint64
-	// DrainBailouts counts DrainTodo calls that gave up on a queue that
-	// refused to shrink (perpetually requeuing actions).
-	DrainBailouts uint64
-	// LatencyBuckets is the enqueue-to-process histogram:
-	// <100µs, <1ms, <10ms, <100ms, ≥100ms.
-	LatencyBuckets [todoLatencyBuckets]uint64
-}
-
-// snapshot collects the scheduler observability counters.
-func (q *todoQueue) snapshot() SchedulerStats {
-	s := SchedulerStats{
-		SoftCap:        q.softCap,
-		QueueHighWater: uint64(q.highWater.Load()),
-		InlineAssists:  q.t.c.todoInlineAssists.Load(),
-		DedupHits:      q.t.c.todoDedupHits.Load(),
-		DrainBailouts:  q.t.c.drainBailouts.Load(),
-	}
-	for i := range q.latency {
-		s.LatencyBuckets[i] = q.latency[i].Load()
-	}
-	return s
 }

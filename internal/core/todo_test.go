@@ -273,63 +273,6 @@ func TestTodoIndexDeleteRunsAfterLeafDeletes(t *testing.T) {
 	mustVerify(t, tr)
 }
 
-func TestTodoBackpressureInlineAssist(t *testing.T) {
-	tr := newTestTree(t, Options{TodoSoftCap: 1})
-	// Worker-less trees disable assists for determinism; force the gate
-	// open to exercise the mechanism deterministically.
-	tr.todo.assist = true
-	if tr.todo.softCap != 1 {
-		t.Fatalf("softCap = %d, want 1", tr.todo.softCap)
-	}
-	// Three junk posts with a bogus parent: each aborts quickly when run.
-	for i := 0; i < 3; i++ {
-		tr.todo.enqueue(action{kind: actPost, origID: page.PageID(100 + i), newID: 2,
-			sep: []byte("x"), parent: ref{id: 999, epoch: 1}})
-	}
-	depth := tr.TodoLen()
-	// Any completing operation self-throttles past the soft cap.
-	if _, err := tr.Get([]byte("absent")); err == nil {
-		t.Fatal("expected ErrKeyNotFound")
-	}
-	if got := tr.Stats().TodoInlineAssists; got == 0 {
-		t.Fatal("operation over soft cap did not assist")
-	}
-	if got := tr.TodoLen(); got >= depth {
-		t.Fatalf("assist did not shrink the queue: %d -> %d", depth, got)
-	}
-	// Below the cap no assist happens.
-	tr.todo.takeAll()
-	assists := tr.Stats().TodoInlineAssists
-	tr.todo.enqueue(action{kind: actPost, origID: 200, newID: 2,
-		sep: []byte("x"), parent: ref{id: 999, epoch: 1}})
-	tr.Get([]byte("absent"))
-	if got := tr.Stats().TodoInlineAssists; got != assists {
-		t.Fatalf("assist fired below soft cap: %d -> %d", assists, got)
-	}
-	tr.todo.takeAll()
-}
-
-func TestTodoBackpressureUnderLoad(t *testing.T) {
-	// End-to-end: with workers and a tiny soft cap, a split-heavy load
-	// must trigger inline assists without corrupting the tree.
-	tr := newTestTree(t, Options{PageSize: 512, Workers: 1, TodoSoftCap: 1})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				tr.Put(key(g*400+i), valb(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	mustVerify(t, tr)
-	if tr.Stats().TodoInlineAssists == 0 {
-		t.Skip("load never exceeded the soft cap (scheduling-dependent)")
-	}
-}
-
 func TestMaintainRacesPutDelete(t *testing.T) {
 	// Maintain (DrainTodo) must be safe against concurrent writers; run
 	// under -race this exercises the scheduler's synchronization.
@@ -407,36 +350,24 @@ func TestDrainBailoutOnPerpetualRequeue(t *testing.T) {
 	}
 }
 
-func TestSchedulerStatsSnapshot(t *testing.T) {
-	tr := newTestTree(t, Options{TodoSoftCap: 7})
-	s := tr.SchedulerStats()
-	if s.SoftCap != 7 {
-		t.Fatalf("snapshot soft cap = %d, want 7", s.SoftCap)
-	}
-	for i := 0; i < 20; i++ {
-		if err := tr.Put(key(i), valb(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestTodoQueueHighWater: Stats.TodoQueueHighWater is the deepest the queue
+// has been, and a drain does not lower it.
+func TestTodoQueueHighWater(t *testing.T) {
+	tr := newTestTree(t, Options{})
+	deepest := 0
 	for i := 0; i < 600; i++ {
 		if err := tr.Put(key(i), valb(i)); err != nil {
 			t.Fatal(err)
 		}
+		deepest = max(deepest, tr.TodoLen())
+	}
+	hw := tr.Stats().TodoQueueHighWater
+	if deepest == 0 || hw != uint64(deepest) {
+		t.Fatalf("high-water mark %d, deepest queue seen %d", hw, deepest)
 	}
 	tr.DrainTodo()
-	s = tr.SchedulerStats()
-	if s.QueueHighWater == 0 || s.QueueHighWater != tr.Stats().TodoQueueHighWater {
-		t.Fatalf("high-water mark not maintained: %+v", s)
-	}
-	var processed uint64
-	for _, b := range s.LatencyBuckets {
-		processed += b
-	}
-	if processed == 0 {
-		t.Fatal("latency histogram empty after drain")
-	}
-	if processed != tr.Stats().TodoProcessed {
-		t.Fatalf("latency histogram total %d != processed %d", processed, tr.Stats().TodoProcessed)
+	if s := tr.Stats(); s.TodoQueueHighWater != hw || s.TodoProcessed == 0 {
+		t.Fatalf("after drain: high-water mark %d (was %d), %d processed", s.TodoQueueHighWater, hw, s.TodoProcessed)
 	}
 }
 

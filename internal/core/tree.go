@@ -77,11 +77,12 @@ type Tree struct {
 	// the optimistic descent is checked against.
 	latchedReads bool
 
-	// appendFast enables the right-edge append fast path (set in New,
-	// before sharing). rightEdge is that path's cache: a hint naming the
-	// rightmost leaf and its low fence (see appendfast.go).
-	appendFast bool
-	rightEdge  atomic.Pointer[rightEdgeHint]
+	// rightEdge is the right-edge append fast path's cache: a hint naming
+	// the rightmost leaf and its low fence (see appendfast.go).
+	// noAppendFast keeps it empty, so every insert descends; only tests set
+	// it, before the tree is shared.
+	noAppendFast bool
+	rightEdge    atomic.Pointer[rightEdgeHint]
 
 	// anchor is replaced only by setAnchor, under anchorMu.
 	anchor atomic.Pointer[anchorRec]
@@ -191,7 +192,6 @@ func New(opts Options) (*Tree, error) {
 		t.bytewise = true
 	}
 	t.active.m = make(map[uint64]*Txn)
-	t.appendFast = opts.AppendFastPath == FeatureOn
 
 	// Observability: resolve the config (the obstrace build tag forces full
 	// tracing; the obsoff tag compiles all of it out), then point every
@@ -438,11 +438,6 @@ func (t *Tree) Stats() Stats {
 	return s
 }
 
-// SchedulerStats returns a snapshot of the maintenance scheduler: the
-// queue-depth high-water mark, backpressure/dedup activity and the
-// enqueue-to-process latency histogram.
-func (t *Tree) SchedulerStats() SchedulerStats { return t.todo.snapshot() }
-
 // DX returns the current global index-delete-state counter, for tests and
 // experiment reporting.
 func (t *Tree) DX() uint64 { return t.dx.v.Load() }
@@ -632,9 +627,6 @@ func (t *Tree) opEnd(g int) {
 		t.opsFinished.Add(1)
 	}
 	t.gate.Leave(g)
-	// Backpressure: a completing operation holds no latches, so it is a
-	// safe point to self-throttle by running one queued action inline.
-	t.todo.maybeAssist()
 }
 
 // drainDefer parks a deleted page until outstanding references could have

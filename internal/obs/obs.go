@@ -177,7 +177,7 @@ type EventKind uint8
 const (
 	// EvEnqueued: an action entered the to-do queue.
 	EvEnqueued EventKind = iota + 1
-	// EvStarted: a worker (or inline assist / drain) began processing.
+	// EvStarted: a worker (or a drain) began processing.
 	EvStarted
 	// EvCompleted: the action finished (including found-already-done).
 	EvCompleted
