@@ -12,10 +12,10 @@ package core
 //	pin hint.id
 //	v, ok ← latch.OptVersion()      (seqlock pre-check: back off while an
 //	                                 exclusive holder is mutating)
-//	try-acquire Update; Validate(v); then AUTHORITATIVE checks under the
-//	latch: not dead, a leaf, High == nil (covers every key >= Low), and
-//	key >= Low — the update latch excludes writers, so these cannot go
-//	stale before the promote
+//	try-acquire Update; then AUTHORITATIVE checks under the latch: not
+//	dead, the hint's incarnation (so a leaf, and key >= its Low), and
+//	High == nil (covers every key >= Low) — the update latch excludes
+//	writers, so these cannot go stale before the promote
 //	fit check (no splits on the fast path), Promote, insert via putOnLeaf
 //
 // Any failure is a miss: the hint is dropped if it is definitively stale
@@ -35,11 +35,11 @@ import (
 	"blinktree/internal/wal"
 )
 
-// rightEdgeHint names the believed-rightmost leaf. low is the leaf's low
-// fence at publish time; a node's low fence never changes in place, so the
-// copy stays accurate for the leaf's lifetime.
+// rightEdgeHint names the believed-rightmost leaf by reference. low is the
+// leaf's low fence at publish time; a node's low fence never changes in
+// place, so the copy stays accurate for the incarnation's lifetime.
 type rightEdgeHint struct {
-	id  page.PageID
+	ref
 	low []byte
 }
 
@@ -51,11 +51,11 @@ func (t *Tree) noteRightEdge(leaf *node) {
 	if t.noAppendFast || leaf.c.High != nil || leaf.dead || !leaf.isLeaf() {
 		return
 	}
-	if h := t.rightEdge.Load(); h != nil && h.id == leaf.id {
+	if h := t.rightEdge.Load(); h != nil && h.id == leaf.id && h.epoch == leaf.c.Epoch {
 		return
 	}
 	t.rightEdge.Store(&rightEdgeHint{
-		id:  leaf.id,
+		ref: ref{id: leaf.id, epoch: leaf.c.Epoch},
 		low: append([]byte(nil), leaf.c.Low...),
 	})
 }
@@ -75,8 +75,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 		t.c.appendFastMisses.Add(1)
 		return 0, false, false, nil
 	}
-	v, ok := leaf.latch.OptVersion()
-	if !ok {
+	if _, ok := leaf.latch.OptVersion(); !ok {
 		// An exclusive holder is mutating the leaf right now (it may be
 		// splitting); don't pile onto its latch from the fast path.
 		t.unpin(leaf)
@@ -88,22 +87,12 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 		t.c.appendFastMisses.Add(1)
 		return 0, false, false, nil
 	}
-	if !leaf.latch.Validate(v) && leaf.dead {
-		// Version moved and the leaf died in the window: definitely stale.
+	// Authoritative validation under the update latch. The hint's own
+	// incarnation is a leaf whose low fence key passed above.
+	if leaf.dead || leaf.c.Epoch != h.epoch || leaf.c.High != nil {
 		leaf.latch.Release(latch.Update)
 		t.unpin(leaf)
 		t.rightEdge.CompareAndSwap(h, nil)
-		t.c.appendFastMisses.Add(1)
-		return 0, false, false, nil
-	}
-	// Authoritative validation under the update latch.
-	if leaf.dead || !leaf.isLeaf() || leaf.c.High != nil || t.compare(key, leaf.c.Low) < 0 {
-		stale := leaf.dead || leaf.c.High != nil || !leaf.isLeaf()
-		leaf.latch.Release(latch.Update)
-		t.unpin(leaf)
-		if stale {
-			t.rightEdge.CompareAndSwap(h, nil)
-		}
 		t.c.appendFastMisses.Add(1)
 		return 0, false, false, nil
 	}

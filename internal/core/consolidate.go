@@ -59,11 +59,8 @@ func (t *Tree) processDelete(a action) {
 		return
 	}
 
-	left, err := t.pinLatch(p.c.Children[i-1], latch.Exclusive)
-	if err != nil || left.dead {
-		if err == nil {
-			t.unlatchUnpin(left, latch.Exclusive, false)
-		}
+	left, ok := t.fetchLive(p.c.Children[i-1], latch.Exclusive, nil)
+	if !ok {
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
 		t.unlatchUnpin(p, latch.Exclusive, true)
@@ -78,11 +75,8 @@ func (t *Tree) processDelete(a action) {
 		t.unlatchUnpin(p, latch.Exclusive, true)
 		return
 	}
-	victim, err := t.pinLatch(a.origID, latch.Exclusive)
-	if err != nil || victim.dead || victim.c.Epoch != a.origEpoch {
-		if err == nil {
-			t.unlatchUnpin(victim, latch.Exclusive, false)
-		}
+	victim, ok := t.fetchSame(ref{id: a.origID, epoch: a.origEpoch}, latch.Exclusive, nil)
+	if !ok {
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
 		t.unlatchUnpin(left, latch.Exclusive, false)
@@ -240,12 +234,11 @@ func (t *Tree) processShrink(a action) {
 	t.dx.l.Acquire(latch.Exclusive)
 	defer t.dx.l.Release(latch.Exclusive)
 
-	root, err := t.pinLatch(a.origID, latch.Exclusive)
-	if err != nil {
+	root, ok := t.fetchSame(ref{id: a.origID, epoch: a.origEpoch}, latch.Exclusive, nil)
+	if !ok {
 		return
 	}
-	if root.dead || root.isLeaf() || len(root.c.Children) != 1 || root.c.Right != 0 ||
-		root.c.Epoch != a.origEpoch {
+	if root.isLeaf() || len(root.c.Children) != 1 || root.c.Right != 0 {
 		t.unlatchUnpin(root, latch.Exclusive, false)
 		return
 	}

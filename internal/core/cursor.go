@@ -131,7 +131,8 @@ func (c *Cursor) fill() error {
 		}
 		// Nothing in range in this leaf: follow the side pointer (latch
 		// coupled); every key of the sibling is >= pos.
-		if leaf, err = c.t.sideStep(leaf, latch.Shared, true, c.sp); err != nil {
+		var ok bool
+		if leaf, ok = c.t.sideStep(leaf, latch.Shared, true, c.sp); !ok {
 			// Rare: restart positioning from the remembered key.
 			if leaf, err = c.freshTraverse(); err != nil {
 				return err

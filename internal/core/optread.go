@@ -192,8 +192,8 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	}
 	for o.pastHigh(t, n.c.High) {
 		t.enqueuePostFromSideMove(n, path, o.dx)
-		var err error
-		if n, err = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); err != nil {
+		var ok bool
+		if n, ok = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); !ok {
 			return nil, nil, false
 		}
 	}

@@ -25,27 +25,15 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 		return nil, nil, errDeleteState
 	}
 	parent := path[len(path)-1]
-	p, err := t.fetch(parent.id)
-	if err != nil {
-		return nil, nil, errDeleteState
-	}
-	p.latch.Acquire(latch.Shared)
-	if p.dead || p.c.Epoch != parent.epoch || p.c.Level != 1 {
-		t.unlatchUnpin(p, latch.Shared, false)
+	p, ok := t.fetchSame(parent.ref, latch.Shared, nil)
+	if !ok {
 		return nil, nil, errDeleteState
 	}
 	// Rightward moves for parent splits since the original traversal.
 	for p.pastHigh(t, key) {
-		sib := p.c.Right
-		q, err := t.pinLatch(sib, latch.Shared)
-		t.unlatchUnpin(p, latch.Shared, false)
-		if err != nil || q.dead {
-			if err == nil {
-				t.unlatchUnpin(q, latch.Shared, false)
-			}
+		if p, ok = t.sideStep(p, latch.Shared, true, nil); !ok {
 			return nil, nil, errDeleteState
 		}
-		p = q
 	}
 	// "Finding the correct leaf can be immediate if D_D indicates that the
 	// remembered leaf node still exists" — we count the fast path; either
@@ -58,23 +46,18 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 		t.unlatchUnpin(p, latch.Shared, false)
 		return nil, nil, errDeleteState
 	}
-	child := p.c.Children[ci]
 	newPath := append(append([]pathEntry(nil), path[:len(path)-1]...), pathEntry{
 		ref:   ref{id: p.id, epoch: p.c.Epoch},
 		level: p.c.Level,
 		dd:    p.c.DD,
 	})
-	leaf, err := t.pinLatch(child, intent)
-	t.unlatchUnpin(p, latch.Shared, false)
-	if err != nil || leaf.dead {
-		if err == nil {
-			t.unlatchUnpin(leaf, intent, false)
-		}
+	leaf, ok := t.step(p, latch.Shared, p.c.Children[ci], intent, true, nil)
+	if !ok {
 		return nil, nil, errDeleteState
 	}
 	// Leaf-level rightward moves (splits below the parent's knowledge).
 	for leaf.pastHigh(t, key) {
-		if leaf, err = t.sideStep(leaf, intent, true, nil); err != nil {
+		if leaf, ok = t.sideStep(leaf, intent, true, nil); !ok {
 			return nil, nil, errDeleteState
 		}
 	}

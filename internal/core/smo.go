@@ -111,24 +111,14 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		}
 	}
 
-	// Step 4: latch the remembered parent, then release D_X.
-	p, err := t.fetch(a.parent.id)
-	if err != nil {
-		if checkState {
-			t.dx.l.Release(dxMode)
-		}
-		t.traceAbort(obs.EvAbortIdentity, a, 0, 0)
-		return nil, errDeleteState
-	}
-	p.latch.Acquire(latch.Update)
+	// Step 4: latch the remembered parent, then release D_X. Identity
+	// check: the reference must still name the same incarnation (closes the
+	// recycled-page ABA window; DESIGN.md).
+	p, ok := t.fetchSame(a.parent, latch.Update, nil)
 	if checkState {
 		t.dx.l.Release(dxMode)
 	}
-
-	// Identity check: the remembered reference must still name the same
-	// incarnation (closes the recycled-page ABA window; DESIGN.md).
-	if p.dead || p.c.Epoch != a.parent.epoch || p.c.Level != a.level+1 {
-		t.unlatchUnpin(p, latch.Update, false)
+	if !ok {
 		t.traceAbort(obs.EvAbortIdentity, a, 0, 0)
 		return nil, errIdentity
 	}
@@ -136,23 +126,14 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 	// Step 5: the parent may have split; follow side pointers (latch
 	// coupled, Update mode) until the node covering the separator key.
 	for p.pastHigh(t, a.sep) {
-		sib := p.c.Right
-		if sib == 0 {
+		if p.c.Right == 0 {
 			t.unlatchUnpin(p, latch.Update, false)
 			return nil, fmt.Errorf("blinktree: parent %d high fence without sibling", p.id)
 		}
-		q, err := t.pinLatch(sib, latch.Update)
-		t.unlatchUnpin(p, latch.Update, false)
-		if err != nil {
+		if p, ok = t.sideStep(p, latch.Update, true, nil); !ok {
 			t.traceAbort(obs.EvAbortIdentity, a, 0, 0)
 			return nil, errDeleteState
 		}
-		if q.dead {
-			t.unlatchUnpin(q, latch.Update, false)
-			t.traceAbort(obs.EvAbortIdentity, a, 0, 0)
-			return nil, errDeleteState
-		}
-		p = q
 	}
 
 	if forDelete {
@@ -346,11 +327,10 @@ func (t *Tree) postAtRootLevel(a action) {
 // made it: alive, on the split's level, and beginning at the separator. A
 // false result is counted and traced as an identity abort.
 func (t *Tree) newNodeStands(a *action) bool {
-	n, err := t.pinLatch(a.newID, latch.Shared)
-	if err == nil {
-		ok := !n.dead && n.c.Level == a.level && t.cmp(n.c.Low, a.sep) == 0
+	if n, ok := t.fetchLive(a.newID, latch.Shared, nil); ok {
+		stands := n.c.Level == a.level && t.cmp(n.c.Low, a.sep) == 0
 		t.unlatchUnpin(n, latch.Shared, false)
-		if ok {
+		if stands {
 			return true
 		}
 	}

@@ -115,6 +115,50 @@ func TestShrinkStaleActionIgnored(t *testing.T) {
 	mustVerify(t, tr)
 }
 
+// TestShrinkStaleIncarnation: a shrink remembered against an earlier
+// incarnation of the root's page must not remove the root now there, even
+// when that root has one child and could be shrunk.
+func TestShrinkStaleIncarnation(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4})
+	for i := 0; tr.Stats().Splits == 0; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustVerify(t, tr) // posts the split: a root over two leaves
+	// Empty the right leaf and consolidate it, leaving the root one child.
+	root, err := tr.NodeSnapshot(tr.RootID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := tr.NodeSnapshot(root.Children[len(root.Children)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range right.Keys {
+		if err := tr.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range takeQueuedActions(tr) {
+		if a.kind == actDelete {
+			tr.processDelete(a)
+		}
+	}
+	if root, _ = tr.NodeSnapshot(root.ID); len(root.Children) != 1 || root.Right != 0 {
+		t.Fatalf("root %d has %d children and right sibling %d; the scenario needs one child and none", root.ID, len(root.Children), root.Right)
+	}
+	tr.processShrink(action{kind: actShrink, origID: root.ID, origEpoch: root.Epoch - 1, level: 1})
+	if tr.Stats().Shrinks != 0 || tr.Height() != 1 {
+		t.Fatal("a shrink remembered against an earlier incarnation removed the root")
+	}
+	tr.processShrink(action{kind: actShrink, origID: root.ID, origEpoch: root.Epoch, level: 1})
+	if tr.Stats().Shrinks != 1 || tr.Height() != 0 {
+		t.Fatal("the root's own shrink did not run")
+	}
+	mustVerify(t, tr)
+}
+
 // TestDeleteActionStaleVictim: the victim was already consolidated (or its
 // page recycled); the delete action must abort on the epoch/side checks.
 func TestDeleteActionStaleVictim(t *testing.T) {
@@ -239,6 +283,25 @@ func TestRelatchDirect(t *testing.T) {
 	if _, _, err := tr.relatch(path, k, dx, latch.Shared, false); !errors.Is(err, errDeleteState) {
 		t.Fatalf("re-latch with stale D_X: %v", err)
 	}
+}
+
+// TestRelatchStaleParentIncarnation: a remembered parent-of-leaf whose page
+// now holds another incarnation must not be re-latched, even with D_X
+// unchanged; the caller then aborts or re-traverses.
+func TestRelatchStaleParentIncarnation(t *testing.T) {
+	tr := buildFigureTree(t)
+	dx := tr.DX()
+	k := key(150)
+	leaf, path, err := tr.traverse(traverseOpts{key: k, intent: latch.Shared, dx: dx}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.unlatchUnpin(leaf, latch.Shared, false)
+	path[len(path)-1].epoch-- // an earlier incarnation of the parent's page
+	if _, _, err := tr.relatch(path, k, dx, latch.Shared, false); !errors.Is(err, errDeleteState) {
+		t.Fatalf("re-latch through a stale parent incarnation: %v", err)
+	}
+	mustVerify(t, tr)
 }
 
 // covers reports whether key falls in n's key space [Low, High).
@@ -440,4 +503,62 @@ func TestTraverseRejectsReusedRootPage(t *testing.T) {
 		}
 		mustVerify(t, tr)
 	}
+}
+
+// TestFetchSame: a remembered reference is re-found only while it names the
+// live incarnation it was taken from, in every latch mode; a refusal leaves
+// no pin and no latch behind.
+func TestFetchSame(t *testing.T) {
+	tr := buildFigureTree(t)
+	leaves, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := tr.NodeSnapshot(leaves[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := tr.fetch(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.unpin(n) // n stays resident: the pool holds the whole tree
+	live := ref{id: info.ID, epoch: info.Epoch}
+	cases := []struct {
+		name string
+		r    ref
+		dead bool
+		want bool
+	}{
+		{"live", live, false, true},
+		{"dead", live, true, false},
+		{"other epoch", ref{id: live.id, epoch: live.epoch + 1}, false, false},
+		{"fetch error", ref{id: 1 << 40, epoch: live.epoch}, false, false},
+	}
+	for _, m := range []latch.Mode{latch.Shared, latch.Update, latch.Exclusive} {
+		for _, c := range cases {
+			n.dead = c.dead
+			pinned := tr.PoolStats().Pinned
+			got, ok := tr.fetchSame(c.r, m, nil)
+			if ok != c.want {
+				t.Fatalf("mode %v, %s: fetchSame = %v, want %v", m, c.name, ok, c.want)
+			}
+			if ok {
+				if got != n {
+					t.Fatalf("mode %v, %s: fetchSame returned node %d, want %d", m, c.name, got.id, n.id)
+				}
+				tr.unlatchUnpin(got, m, false)
+				continue
+			}
+			if got := tr.PoolStats().Pinned; got != pinned {
+				t.Fatalf("mode %v, %s: %d pinned frames after a refusal, %d before", m, c.name, got, pinned)
+			}
+			if !n.latch.TryAcquire(latch.Exclusive) {
+				t.Fatalf("mode %v, %s: latch still held after a refusal", m, c.name)
+			}
+			n.latch.Release(latch.Exclusive)
+		}
+	}
+	n.dead = false
+	mustVerify(t, tr)
 }

@@ -5,6 +5,7 @@ import (
 
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
+	"blinktree/internal/page"
 )
 
 // pathEntry remembers one node the traversal descended through. The
@@ -95,25 +96,18 @@ func (t *Tree) traverse(o traverseOpts, buf []pathEntry) (*node, []pathEntry, er
 	couple := !t.opts.NoDeleteSupport
 restart:
 	for attempt := 0; attempt < maxTraverseRestarts; attempt++ {
-		rootID, rootLevel := t.readAnchor()
-		if rootLevel < o.level {
-			return nil, nil, fmt.Errorf("blinktree: requested level %d above root level %d", o.level, rootLevel)
+		a := t.anchor.Load()
+		if a.level < o.level {
+			return nil, nil, fmt.Errorf("blinktree: requested level %d above root level %d", o.level, a.level)
 		}
-		mode := t.modeFor(rootLevel, o.level, o.intent)
-		n, err := t.pinLatchSpan(rootID, mode, o.sp)
-		if err != nil {
-			// The root was shrunk away between the anchor read and the
-			// fetch; retry from the new anchor.
-			t.c.restarts.Add(1)
-			continue restart
-		}
-		// The anchor is read before the latch is taken, and a root that was
-		// shrunk away in between has its page reused: the node now under
-		// rootID must still be what a root is — alive, on the level the
-		// latch mode was chosen for, and leftmost on it (a former root that
-		// has since split is, and still reaches everything from there).
-		if n.dead || n.level() != rootLevel || len(n.c.Low) != 0 {
-			t.unlatchUnpin(n, mode, false)
+		mode := t.modeFor(a.level, o.level, o.intent)
+		// The anchor is read before the latch is taken, and a root shrunk
+		// away in between may have its page reused: only the record's own
+		// incarnation is on the level the mode was chosen for and leftmost
+		// on it (a former root that has since split still reaches
+		// everything from there). Otherwise retry from the new anchor.
+		n, ok := t.fetchSame(ref{id: a.id, epoch: a.node.c.Epoch}, mode, o.sp)
+		if !ok {
 			t.c.restarts.Add(1)
 			continue restart
 		}
@@ -129,7 +123,7 @@ restart:
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
 				}
 				t.enqueuePostFromSideMove(n, path, o.dx)
-				if n, err = t.sideStep(n, mode, couple, o.sp); err != nil {
+				if n, ok = t.sideStep(n, mode, couple, o.sp); !ok {
 					t.c.restarts.Add(1)
 					continue restart
 				}
@@ -161,22 +155,10 @@ restart:
 			})
 			t.maybeEnqueueDelete(n, path, o.dx)
 
-			var m *node
-			if couple {
-				m, err = t.pinLatchSpan(child, childMode, o.sp)
-				t.unlatchUnpin(n, mode, false)
-			} else {
-				t.unlatchUnpin(n, mode, false)
-				m, err = t.pinLatchSpan(child, childMode, o.sp)
-			}
-			if err != nil || m.dead {
-				if err == nil {
-					t.unlatchUnpin(m, childMode, false)
-				}
+			if n, ok = t.step(n, mode, child, childMode, couple, o.sp); !ok {
 				t.c.restarts.Add(1)
 				continue restart
 			}
-			n = m
 			mode = childMode
 		}
 	}
@@ -184,29 +166,26 @@ restart:
 	return nil, nil, fmt.Errorf("blinktree: traversal live-locked after %d restarts", maxTraverseRestarts)
 }
 
-// sideStep latches n's right sibling in mode (coupled when couple), releases
-// n, which the caller holds in the same mode, and counts the side traversal.
-// A sibling that cannot be fetched or is dead is an error with nothing held.
-func (t *Tree) sideStep(n *node, mode latch.Mode, couple bool, sp *obs.Span) (*node, error) {
-	sib := n.c.Right
-	var m *node
-	var err error
-	if couple {
-		m, err = t.pinLatchSpan(sib, mode, sp)
-		t.unlatchUnpin(n, mode, false)
-	} else {
-		t.unlatchUnpin(n, mode, false)
-		m, err = t.pinLatchSpan(sib, mode, sp)
+// step latches the live node next in mode nm (coupled when couple) and
+// releases n, which the caller holds in mode m. On false nothing is held.
+func (t *Tree) step(n *node, m latch.Mode, next page.PageID, nm latch.Mode, couple bool, sp *obs.Span) (*node, bool) {
+	if !couple {
+		t.unlatchUnpin(n, m, false)
+		return t.fetchLive(next, nm, sp)
 	}
-	if err != nil {
-		return nil, err
+	q, ok := t.fetchLive(next, nm, sp)
+	t.unlatchUnpin(n, m, false)
+	return q, ok
+}
+
+// sideStep is the step to n's right sibling, in n's mode, counted as a side
+// traversal.
+func (t *Tree) sideStep(n *node, mode latch.Mode, couple bool, sp *obs.Span) (*node, bool) {
+	n, ok := t.step(n, mode, n.c.Right, mode, couple, sp)
+	if ok {
+		t.c.sideTraversals.Add(1)
 	}
-	if m.dead {
-		t.unlatchUnpin(m, mode, false)
-		return nil, errDeadSibling
-	}
-	t.c.sideTraversals.Add(1)
-	return m, nil
+	return n, ok
 }
 
 // modeFor selects the latch mode for a node at nodeLevel during a traversal

@@ -31,9 +31,6 @@ var (
 	// errDeleteState aborts a structure modification whose delete state
 	// changed (paper §2.3): the action is abandoned, to be re-discovered.
 	errDeleteState = errors.New("blinktree: delete state changed")
-	// errDeadSibling is sideStep finding the right sibling deleted; every
-	// caller restarts or abandons, so it is one value, not one per restart.
-	errDeadSibling = errors.New("blinktree: dead sibling")
 )
 
 // deleteState is the global index-delete state D_X (§4.1.1): a counter
@@ -325,8 +322,7 @@ func (t *Tree) fetch(id page.PageID) (*node, error) {
 }
 
 // pinLatch pins id and acquires its latch in the given mode. On error
-// nothing is held. The caller must check n.dead where a deleted node is
-// possible.
+// nothing is held.
 func (t *Tree) pinLatch(id page.PageID, m latch.Mode) (*node, error) {
 	n, err := t.fetch(id)
 	if err != nil {
@@ -334,6 +330,35 @@ func (t *Tree) pinLatch(id page.PageID, m latch.Mode) (*node, error) {
 	}
 	n.latch.Acquire(m)
 	return n, nil
+}
+
+// fetchLive pins id and latches it in mode m, refusing a node that has been
+// deleted. It follows a page ID that carries no epoch: a child or side
+// pointer, or a posting's new node. On false nothing is held.
+func (t *Tree) fetchLive(id page.PageID, m latch.Mode, sp *obs.Span) (*node, bool) {
+	n, err := t.pinLatchSpan(id, m, sp)
+	if err != nil {
+		return nil, false
+	}
+	if n.dead {
+		t.unlatchUnpin(n, m, false)
+		return nil, false
+	}
+	return n, true
+}
+
+// fetchSame is fetchLive for a remembered reference: it also refuses a node
+// that is not r's incarnation, its page having been freed and reused since.
+// An epoch is stamped only when a node is created, and a live node's level
+// and low fence never change in place, so a match vouches for both. On false
+// nothing is held.
+func (t *Tree) fetchSame(r ref, m latch.Mode, sp *obs.Span) (*node, bool) {
+	n, ok := t.fetchLive(r.id, m, sp)
+	if ok && n.c.Epoch != r.epoch {
+		t.unlatchUnpin(n, m, false)
+		return nil, false
+	}
+	return n, ok
 }
 
 // unlatchUnpin releases the latch and the pin. Every exclusive release of

@@ -169,14 +169,20 @@ func (c *conn) serve() {
 // closing a socket with unread input makes the kernel answer with RST,
 // which destroys replies still on their way to the client. So: half-close,
 // so the client reads every reply and then EOF, and discard its input
-// until it closes its end or lingerTimeout passes.
+// until it closes its end or lingerTimeout passes. Shutdown's kick may land
+// after the deadline is set; as in Read and Write, it does not end the wait.
 func (c *conn) linger() {
 	hc, ok := c.nc.(interface{ CloseWrite() error })
 	if !ok || hc.CloseWrite() != nil {
 		return
 	}
-	c.nc.SetReadDeadline(time.Now().Add(lingerTimeout))
-	io.Copy(io.Discard, c.nc)
+	at := time.Now().Add(lingerTimeout)
+	for {
+		c.nc.SetReadDeadline(at)
+		if _, err := io.Copy(io.Discard, c.nc); !kicked(err, at) {
+			return
+		}
+	}
 }
 
 // dispatch looks up and executes one command, appending the encoded reply to

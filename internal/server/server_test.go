@@ -576,6 +576,53 @@ func TestShutdownMidPipelineResetsNoReply(t *testing.T) {
 	t.Logf("%d of %d GETs executed and answered", replies, n)
 }
 
+// kickOnceConn is a server-side socket on which Shutdown's kick lands right
+// after the first read deadline the connection sets: that deadline is at
+// once moved into the past, as Shutdown's SetDeadline(time.Now()) does.
+type kickOnceConn struct {
+	*net.TCPConn
+	kicked bool
+}
+
+func (c *kickOnceConn) SetReadDeadline(at time.Time) error {
+	err := c.TCPConn.SetReadDeadline(at)
+	if !c.kicked {
+		c.kicked = true
+		c.TCPConn.SetDeadline(time.Now())
+	}
+	return err
+}
+
+// TestLingerOutlastsKick is the deterministic form of the reset that
+// TestShutdownMidPipelineResetsNoReply saw now and then: a kick landing after
+// linger has set its deadline must not end the linger with the client's input
+// unread, for the Close that follows would answer it with RST.
+func TestLingerOutlastsKick(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client := dialRaw(t, ln.Addr().String())
+	sc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	// Commands the drain will not execute, then the client's end of the
+	// stream.
+	if _, err := client.Write(command("GET", "k")); err != nil {
+		t.Fatal(err)
+	}
+	client.(*net.TCPConn).CloseWrite()
+
+	(&conn{nc: &kickOnceConn{TCPConn: sc.(*net.TCPConn)}}).linger()
+	sc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := sc.Read(make([]byte, 64)); n > 0 || err != io.EOF {
+		t.Fatalf("after linger the socket still holds unread input (read %d bytes, %v)", n, err)
+	}
+}
+
 // TestOneGoroutinePerConnection: N idle connections cost N goroutines.
 func TestOneGoroutinePerConnection(t *testing.T) {
 	_, addr := startServer(t, Config{})
