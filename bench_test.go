@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"blinktree"
@@ -140,10 +141,9 @@ func BenchmarkE1Mixed(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			tr := mkTree(b, cfg.Opts, 20_000)
 			b.ResetTimer()
-			var seed int64
+			var seed atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
-				seed++
-				g := bench.NewGen(spec, seed)
+				g := bench.NewGen(spec, seed.Add(1))
 				for pb.Next() {
 					op := g.Next()
 					k := bench.Key(op.K)
@@ -271,10 +271,9 @@ func BenchmarkE5TxnHotspot(b *testing.B) {
 	tr := mkTree(b, cfg.Opts, 64)
 	val := make([]byte, 24)
 	b.ResetTimer()
-	var seed int64
+	var seed atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
-		seed++
-		g := bench.NewGen(bench.Spec{KeySpace: 64, Mix: bench.Mix{Insert: 60, Search: 40}}, seed)
+		g := bench.NewGen(bench.Spec{KeySpace: 64, Mix: bench.Mix{Insert: 60, Search: 40}}, seed.Add(1))
 		for pb.Next() {
 			for {
 				x, err := tr.Begin()
@@ -473,11 +472,10 @@ func BenchmarkE10Overhead(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			tr := mkTree(b, cfg.Opts, 20_000)
 			b.ResetTimer()
-			var seed int64
+			var seed atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
-				seed++
 				g := bench.NewGen(bench.Spec{KeySpace: 40_000,
-					Mix: bench.Mix{Insert: 40, Search: 60}}, seed)
+					Mix: bench.Mix{Insert: 40, Search: 60}}, seed.Add(1))
 				for pb.Next() {
 					op := g.Next()
 					if op.Kind == bench.OpInsert {

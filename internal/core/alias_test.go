@@ -58,7 +58,7 @@ func (s *imageLog) check(t *testing.T, all bool) {
 // with a fresh allocation and never writes its bytes. The test drives the
 // real writers — insertLeafAt, value overwrite, removeLeafAt,
 // insertIndexTerm / removeIndexTermAt, split, consolidate, and recovery's
-// applyRecOp — through a tree whose pool is so small that nodes are decoded
+// record-operation redo — through a tree whose pool is so small that nodes are decoded
 // over and over, against a shadow model, and checks after every step that no
 // image Read ever handed out has changed.
 func TestDecodedImagesAreNeverWritten(t *testing.T) {
@@ -135,8 +135,8 @@ func TestDecodedImagesAreNeverWritten(t *testing.T) {
 	mustVerify(t, tr)
 
 	// Crash with the log durable and only some pages written back:
-	// redo decodes the stale pages and applies record operations to
-	// the decoded content in place (applyRecOp).
+	// redo decodes the stale pages into the pool and applies record
+	// operations to the decoded nodes in place.
 	if err := tr.log.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

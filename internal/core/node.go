@@ -145,7 +145,7 @@ func (n *node) pastHigh(t *Tree, key []byte) bool {
 
 // keySearch returns the index of the first key in keys that is >= key under
 // cmp (len(keys) when every key is smaller) and whether it equals key: the
-// search of a custom-comparator tree, of the cursors and of recovery.
+// search of a custom-comparator tree and of the cursors.
 func keySearch(cmp Compare, keys [][]byte, key []byte) (int, bool) {
 	i := sort.Search(len(keys), func(i int) bool { return cmp(keys[i], key) >= 0 })
 	return i, i < len(keys) && cmp(keys[i], key) == 0
@@ -201,6 +201,12 @@ func (n *node) removeLeafAt(i int) []byte {
 	n.c.Vals = append(n.c.Vals[:i], n.c.Vals[i+1:]...)
 	n.hs.changed(n.c.Keys, i, false)
 	return old
+}
+
+// setLeafVal replaces the value at position i.
+func (n *node) setLeafVal(i int, val []byte) {
+	n.raw += len(val) - len(n.c.Vals[i])
+	n.c.Vals[i] = append([]byte(nil), val...)
 }
 
 // insertIndexTerm inserts the separator key -> child entry in sorted

@@ -142,8 +142,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 			delta := len(val) - len(leaf.c.Vals[pos])
 			if leaf.size()+delta <= t.opts.PageSize {
 				old := leaf.c.Vals[pos]
-				leaf.c.Vals[pos] = append([]byte(nil), val...)
-				leaf.raw += delta
+				leaf.setLeafVal(pos, val)
 				lsn, err := t.logRecOp(leaf, lp, wal.OpUpdate, key, val, old)
 				t.noteRightEdge(leaf)
 				t.unlatchUnpin(leaf, latch.Exclusive, true)
@@ -237,6 +236,9 @@ func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpPar
 func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []byte) (wal.LSN, error) {
 	if t.log == nil {
 		return 0, nil
+	}
+	if lp.txn == 0 || lp.clr {
+		old = nil // undo reads old only from a transaction's own, non-CLR record
 	}
 	at0 := lp.sp.Now()
 	defer lp.sp.StageSince(obs.StageWALAppend, 0, at0)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -39,8 +40,8 @@ type RecoveryStats struct {
 	SkippedByLSN int
 
 	// ImagesApplied, AllocsReplayed and DeallocsReplayed break down SMO
-	// redo work: full page after-images written, allocations and
-	// deallocations replayed.
+	// redo work: full page after-images installed in the buffer pool,
+	// allocations and deallocations replayed.
 	ImagesApplied    int
 	AllocsReplayed   int
 	DeallocsReplayed int
@@ -81,7 +82,11 @@ type RecoveryStats struct {
 // open may start there too. A torn page — a post-checkpoint write-back the
 // crash interrupted — needs nothing older: the page's first change after the
 // checkpoint logged its after-image, redo meets that record first and, since
-// a torn page's LSN reads as zero, writes the image over it.
+// a torn page's LSN reads as zero, installs the image in its place.
+//
+// Redo works on the buffer pool's nodes with the foreground's own leaf edits
+// and writes no page itself: every page it changes is a dirty frame that
+// reaches the disk by the WAL rule, at eviction or at a checkpoint.
 //
 // Returns false if the log is empty (the caller formats a fresh tree).
 func (t *Tree) recover() (bool, error) {
@@ -197,9 +202,10 @@ func (t *Tree) redoSMO(r *wal.Record) error {
 	return t.redoDeallocs(r.LSN, r.Deallocs)
 }
 
-// redoImages writes r's page images where the page predates r, and returns
-// how many it wrote. A torn page needs no special handling: its LSN reads
-// as zero, so the logged image simply overwrites — and heals — it.
+// redoImages installs r's page images where the page predates r, and
+// returns how many it installed. A torn page needs no special handling: its
+// LSN reads as zero, so the logged image simply replaces — and heals — it.
+// An installed image is a dirty frame, written back by the WAL rule.
 func (t *Tree) redoImages(r *wal.Record) (int, error) {
 	applied := 0
 	for _, im := range r.Images {
@@ -214,9 +220,14 @@ func (t *Tree) redoImages(r *wal.Record) (int, error) {
 			t.recStats.SkippedByLSN++
 			continue // page already reflects this or a later state
 		}
-		if err := t.store.Write(im.ID, im.Data); err != nil {
+		obj, err := codec{t}.Unmarshal(im.Data)
+		if err != nil {
 			return applied, err
 		}
+		if err := t.pool.Insert(im.ID, obj); err != nil {
+			return applied, err
+		}
+		obj.(*node).frame.Unpin(false)
 		t.recStats.ImagesApplied++
 		applied++
 	}
@@ -225,6 +236,7 @@ func (t *Tree) redoImages(r *wal.Record) (int, error) {
 
 // redoDeallocs frees the pages a record at lsn deallocated, unless a page
 // has since been recycled by a later allocation whose state is on disk.
+// Redo holds no pin between records, so the discard never has to wait.
 func (t *Tree) redoDeallocs(lsn wal.LSN, ids []page.PageID) error {
 	for _, id := range ids {
 		if !t.store.Allocated(id) {
@@ -237,7 +249,9 @@ func (t *Tree) redoDeallocs(lsn wal.LSN, ids []page.PageID) error {
 		if cur > uint64(lsn) {
 			continue
 		}
-		if err := t.store.Deallocate(id); err != nil {
+		if _, err := t.pool.DiscardIfUnpinned(id, func() error {
+			return t.store.Deallocate(id)
+		}); err != nil {
 			return err
 		}
 		t.recStats.DeallocsReplayed++
@@ -245,75 +259,43 @@ func (t *Tree) redoDeallocs(lsn wal.LSN, ids []page.PageID) error {
 	return nil
 }
 
-// redoRecOp re-applies one physiological record operation to its page if
-// the page state predates it.
+// redoRecOp re-applies one physiological record operation to its leaf, in
+// the pool and with the foreground's own leaf edits, if the leaf predates it.
 func (t *Tree) redoRecOp(r *wal.Record) error {
 	if !t.store.Allocated(r.Page) {
 		// The page was consolidated away later; the consolidation SMO's
 		// images carry the record's final location.
 		return nil
 	}
-	raw, err := t.store.Read(r.Page)
-	if err != nil {
+	leaf, torn, err := t.redoFetch(r.Page)
+	if torn {
+		// No earlier record of this window carried the page's image: the
+		// first-change rule was broken, or the store lost a synced page.
+		return fmt.Errorf("blinktree: page %d torn with no image in the redo window", r.Page)
+	}
+	if leaf == nil {
+		// Allocated but never written: image redo already handled every
+		// logged state of the page, so a blank one needs no record redone.
 		return err
 	}
-	c, err := page.Unmarshal(raw)
-	if err != nil {
-		if zeroPage(raw) {
-			// Allocated but never written (crash between the alloc and the
-			// image write-back): the SMO image redo already handled every
-			// logged state, so a blank page cannot be this record's target
-			// in a state that needs redo.
-			return nil
-		}
-		// Non-blank but checksum-failing, yet no earlier record of this
-		// window carried the page's image: the first-change rule was
-		// broken (or the store lost a synced page). Nothing here repairs it.
-		t.recStats.CorruptPages++
-		return fmt.Errorf("blinktree: page %d torn with no image in the redo window: %w", r.Page, err)
-	}
-	if c.LSN >= uint64(r.LSN) {
+	if leaf.c.LSN >= uint64(r.LSN) {
 		t.recStats.SkippedByLSN++
+		leaf.frame.Unpin(false)
 		return nil
 	}
-	applyRecOp(t.cmp, c, r)
-	c.LSN = uint64(r.LSN)
-	out, err := page.Marshal(c, t.opts.PageSize)
-	if err != nil {
-		return err
+	i, found := leaf.searchLeaf(t, r.Key)
+	switch {
+	case found && r.Op == wal.OpDelete:
+		leaf.removeLeafAt(i)
+	case found:
+		leaf.setLeafVal(i, r.Val)
+	case r.Op == wal.OpInsert:
+		leaf.insertLeafAt(i, r.Key, r.Val)
 	}
-	if err := t.store.Write(r.Page, out); err != nil {
-		return err
-	}
+	leaf.c.LSN = uint64(r.LSN)
+	leaf.frame.Unpin(true)
 	t.recStats.RecOpsRedone++
 	return nil
-}
-
-// applyRecOp applies a record operation to leaf content in place.
-func applyRecOp(cmp Compare, c *page.Content, r *wal.Record) {
-	i, found := keySearch(cmp, c.Keys, r.Key)
-	switch r.Op {
-	case wal.OpInsert:
-		if found {
-			c.Vals[i] = append([]byte(nil), r.Val...)
-			return
-		}
-		c.Keys = append(c.Keys, nil)
-		copy(c.Keys[i+1:], c.Keys[i:])
-		c.Keys[i] = append([]byte(nil), r.Key...)
-		c.Vals = append(c.Vals, nil)
-		copy(c.Vals[i+1:], c.Vals[i:])
-		c.Vals[i] = append([]byte(nil), r.Val...)
-	case wal.OpUpdate:
-		if found {
-			c.Vals[i] = append([]byte(nil), r.Val...)
-		}
-	case wal.OpDelete:
-		if found {
-			c.Keys = append(c.Keys[:i], c.Keys[i+1:]...)
-			c.Vals = append(c.Vals[:i], c.Vals[i+1:]...)
-		}
-	}
 }
 
 // undoLoser rolls back one unfinished transaction after redo, walking its
@@ -348,35 +330,33 @@ func (t *Tree) undoLoser(a *wal.Analysis, txn uint64) error {
 	return err
 }
 
-// pageLSN reads the LSN of a page directly from the store; zero for pages
-// never written or with a torn (checksum-failing) image. Reporting a torn
-// page as LSN zero is what makes SMO image redo self-healing: the image is
-// never skipped, so the torn bytes are overwritten with logged state.
+// pageLSN returns the LSN of a page as redo has left it so far; zero for a
+// page never written or torn (checksum-failing). Reporting a torn page as LSN
+// zero is what makes image redo self-healing: the image is never skipped, so
+// it replaces the torn bytes with logged state.
 func (t *Tree) pageLSN(id page.PageID) (uint64, error) {
-	raw, err := t.store.Read(id)
-	if err != nil {
+	n, _, err := t.redoFetch(id)
+	if n == nil {
 		return 0, err
 	}
-	c, err := page.Unmarshal(raw)
-	if err != nil {
-		if !zeroPage(raw) {
-			t.recStats.CorruptPages++
-			if t.tracing() {
-				t.obs.Emit(obs.Event{Kind: obs.EvRecoveryTornPage, Page: uint64(id)})
-			}
-		}
-		return 0, nil
-	}
-	return c.LSN, nil
+	defer n.frame.Unpin(false)
+	return n.c.LSN, nil
 }
 
-// zeroPage reports whether a page image is entirely zero bytes (allocated
-// but never written), as distinct from a torn write's garbage.
-func zeroPage(raw []byte) bool {
-	for _, b := range raw {
-		if b != 0 {
-			return false
-		}
+// redoFetch pins id's node from the pool. A page that does not decode gives
+// a nil node; only then is the raw page read, and torn reports whether it
+// holds a torn write (counted) rather than zeros (allocated, never written).
+func (t *Tree) redoFetch(id page.PageID) (n *node, torn bool, err error) {
+	if n, err = t.fetch(id); err == nil {
+		return n, false, nil
 	}
-	return true
+	raw, err := t.store.Read(id)
+	if err != nil || bytes.Count(raw, []byte{0}) == len(raw) {
+		return nil, false, err
+	}
+	t.recStats.CorruptPages++
+	if t.tracing() {
+		t.obs.Emit(obs.Event{Kind: obs.EvRecoveryTornPage, Page: uint64(id)})
+	}
+	return nil, true, nil
 }

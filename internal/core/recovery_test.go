@@ -169,6 +169,66 @@ func TestRecoveryUndoesLoserTxn(t *testing.T) {
 	mustVerify(t, tr2)
 }
 
+// TestOldValOnlyWhereUndoReadsIt reads the log back: an autocommitted update
+// or delete carries no old value, since no record of Txn 0 is ever undone,
+// and neither do the CLRs of an abort. A transaction's own update and delete
+// keep theirs, which loser undo (TestRecoveryUndoesLoserTxn) restores.
+func TestOldValOnlyWhereUndoReadsIt(t *testing.T) {
+	env := &crashEnv{dev: wal.NewMemDevice()}
+	tr := env.openLogged(t, storage.NewMemStore(512))
+	defer tr.Close()
+	for _, k := range []string{"auto", "txn"} {
+		if err := tr.Put([]byte(k), []byte("old-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Put([]byte("auto"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Delete([]byte("auto")); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := tr.Begin()
+	if err := x.Put([]byte("txn"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Delete([]byte("txn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.log.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for _, r := range durableRecords(t, env.dev) {
+		if r.Type != wal.TRecOp || r.Op == wal.OpInsert || r.Op == 0 {
+			continue
+		}
+		who := "auto"
+		if r.Txn != 0 {
+			who = "txn"
+			if r.CLR {
+				who = "clr"
+			}
+		}
+		seen[fmt.Sprintf("%s %v", who, r.Op)] = string(r.OldVal)
+	}
+	want := map[string]string{
+		fmt.Sprintf("auto %v", wal.OpUpdate): "",
+		fmt.Sprintf("auto %v", wal.OpDelete): "",
+		fmt.Sprintf("txn %v", wal.OpUpdate):  "old-txn",
+		fmt.Sprintf("txn %v", wal.OpDelete):  "new",
+		fmt.Sprintf("clr %v", wal.OpUpdate):  "",
+	}
+	for k, v := range want {
+		if got, ok := seen[k]; !ok || got != v {
+			t.Errorf("%s record: OldVal %q (logged %v), want %q", k, got, ok, v)
+		}
+	}
+}
+
 func TestRecoveryIdempotentDoubleCrash(t *testing.T) {
 	// Crash, recover, crash again immediately (undo CLRs durable), recover
 	// again: same final state.
@@ -193,6 +253,63 @@ func TestRecoveryIdempotentDoubleCrash(t *testing.T) {
 		t.Fatalf("after double crash Len = %d, want 0", cnt)
 	}
 	mustVerify(t, tr3)
+}
+
+// TestRedoEvictsRedoneLeaves replays a redo window over far more leaves than
+// the pool has frames, so redo's own nodes are evicted between the records
+// that change them. Each must leave redo as a dirty frame and reach the store
+// by write-back: a leaf dropped clean would come back as the checkpoint's
+// page, and the rounds redone on it would be lost.
+func TestRedoEvictsRedoneLeaves(t *testing.T) {
+	store, dev := storage.NewMemStore(512), wal.NewMemDevice()
+	open := func(frames int) *Tree {
+		tr, err := New(Options{
+			PageSize: 512, CacheSize: frames, Workers: WorkersNone, MinFill: 0.4,
+			Store: store, LogDevice: dev,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	val := func(round, i int) []byte { return []byte(fmt.Sprintf("r%d-%06d", round, i)) }
+	const n, rounds = 2000, 3
+	tr := open(0)
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), val(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Every round updates every leaf: the first logs each leaf's image, the
+	// rest are record operations on it.
+	for r := 1; r <= rounds; r++ {
+		for i := 0; i < n; i++ {
+			if err := tr.Put(key(i), val(r, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tr.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Abandon() // the store keeps the checkpoint's pages
+
+	tr2 := open(8)
+	defer tr2.Close()
+	rs, ps := tr2.RecoveryStats(), tr2.PoolStats()
+	if rs.RecOpsRedone < (rounds-1)*n || ps.WriteBacks == 0 {
+		t.Fatalf("redo did %d record operations with %d write-backs; the window does not overflow the pool", rs.RecOpsRedone, ps.WriteBacks)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := tr2.Get(key(i)); err != nil || !bytes.Equal(got, val(rounds, i)) {
+			t.Fatalf("key %d after redo: %q, %v; want %q", i, got, err, val(rounds, i))
+		}
+	}
+	mustVerify(t, tr2)
 }
 
 func TestCheckpointBoundsRedo(t *testing.T) {

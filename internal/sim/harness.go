@@ -14,6 +14,9 @@
 //     and the crash (unsynced tail operations may each survive or vanish,
 //     but never partially apply and never out of order).
 //
+// RunNested adds a second cut inside the recovery itself, at each of its
+// persistence operations, and checks the recovery after that.
+//
 // The harness is exercised by a bounded smoke test under `go test ./...`
 // (tier-1) and by the full seed/fault-mode sweep behind the
 // BLINKTREE_CRASHLOOP environment variable (the CI crashloop job).
@@ -134,8 +137,10 @@ type Report struct {
 	// points are enumerated over [1, Ops].
 	Ops int64
 
-	// CrashPoints is the number of crash points actually exercised.
-	CrashPoints int
+	// CrashPoints is the number of crash points actually exercised, and
+	// RecoveryCuts the second cuts RunNested made inside their recoveries.
+	CrashPoints  int
+	RecoveryCuts int
 
 	// Violations describes each failing crash point, capped at
 	// Config.MaxViolations.
@@ -176,11 +181,15 @@ func DurabilityContract(m wal.DurabilityMode) string {
 // String renders a one-paragraph summary (used by the E13 experiment table
 // notes and test logs).
 func (r *Report) String() string {
-	return fmt.Sprintf(
+	s := fmt.Sprintf(
 		"crash points %d over %d ops: %d violations; torn pages %d, dropped frames %d, torn tails %d; recovery: %d from a master record, %d SMOs, %d recops, %d losers undone, %d corrupt pages healed",
 		r.CrashPoints, r.Ops, len(r.Violations), r.TornPages, r.DroppedFrames,
 		r.TornTails, r.MasterRestarts, r.SMOsRedone, r.RecOpsRedone, r.LosersUndone,
 		r.CorruptPages)
+	if r.RecoveryCuts > 0 {
+		s += fmt.Sprintf("; %d cuts inside recovery", r.RecoveryCuts)
+	}
+	return s
 }
 
 // simOp is one shadow-model mutation. A delete of an absent key is a no-op
@@ -576,7 +585,19 @@ func matchPrefix(sh *shadow, rec map[string][]byte) error {
 // point. The returned error reports harness-level failures only (the
 // counting run itself failing); per-crash-point failures are collected in
 // Report.Violations.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (*Report, error) { return sweep(cfg, runCrashPoint) }
+
+// RunNested is the second-order sweep: it crashes recovery itself. For each
+// enumerated first crash point it counts the persistence operations of the
+// recovery that follows (redo's eviction write-backs and deallocations,
+// undo's log appends and forces), then cuts at each of them in turn, reboots,
+// recovers again and checks against the shadow of the first run. Multi-level
+// recovery (§2.1) is only as robust as it is idempotent.
+func RunNested(cfg Config) (*Report, error) { return sweep(cfg, runNestedPoint) }
+
+// sweep runs the counting run, checks its clean recovery, then runs point
+// on every Stride-th crash point.
+func sweep(cfg Config, point func(Config, int64, *Report) error) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{Contract: DurabilityContract(cfg.Durability)}
 
@@ -605,7 +626,7 @@ func Run(cfg Config) (*Report, error) {
 			break
 		}
 		rep.CrashPoints++
-		if err := runCrashPoint(cfg, k, rep); err != nil {
+		if err := point(cfg, k, rep); err != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("crash point %d: %v", k, err))
 		}
 	}
@@ -625,42 +646,101 @@ func (c Config) disk(crashAt int64) storage.SimConfig {
 	}
 }
 
-// runCrashPoint replays the workload with the cut armed at op k, reboots
-// and verifies. Fault-mode and recovery counters accumulate into rep
-// regardless of outcome.
-func runCrashPoint(cfg Config, k int64, rep *Report) error {
+// replayCut replays the workload with the cut armed at op k and returns the
+// crashed disk, not yet rebooted, with the shadow the replay recorded.
+func replayCut(cfg Config, k int64) (*storage.SimDisk, *shadow, error) {
 	disk := storage.NewSimDisk(cfg.PageSize, cfg.disk(k))
-	sh := &shadow{}
 	tree, err := newTree(cfg, disk)
 	switch {
 	case err != nil && disk.Crashed():
 		// The cut fired while the initial open was formatting the tree:
 		// nothing was ever acknowledged, so recovery to any state up to
 		// and including the empty tree is correct.
+		return disk, &shadow{}, nil
 	case err != nil:
-		return fmt.Errorf("open: %w", err)
-	default:
-		d := &driver{cfg: cfg, disk: disk, tree: tree, rng: rand.New(rand.NewSource(cfg.Seed))}
-		if err := d.run(); err != nil {
-			tree.Abandon()
-			return err
-		}
-		if !disk.Crashed() {
-			// The workload is deterministic, so op k must be reached — the
-			// counting run performed rep.Ops >= k operations.
-			tree.Abandon()
-			return fmt.Errorf("crash point never fired (nondeterministic op stream?)")
-		}
-		tree.Abandon()
-		sh = &d.sh
+		return nil, nil, fmt.Errorf("open: %w", err)
 	}
+	d := &driver{cfg: cfg, disk: disk, tree: tree, rng: rand.New(rand.NewSource(cfg.Seed))}
+	err = d.run()
+	tree.Abandon()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !disk.Crashed() {
+		// The workload is deterministic, so op k must be reached — the
+		// counting run performed rep.Ops >= k operations.
+		return nil, nil, fmt.Errorf("crash point never fired (nondeterministic op stream?)")
+	}
+	return disk, &d.sh, nil
+}
 
-	disk.Reboot()
-	rep.TornPages += disk.TornPages()
-	rep.DroppedFrames += disk.DroppedFrames()
+// tally folds the fault modes the disk has injected so far into rep.
+func (r *Report) tally(disk *storage.SimDisk) {
+	r.TornPages += disk.TornPages()
+	r.DroppedFrames += disk.DroppedFrames()
 	if torn, _ := disk.WAL().TailTorn(); torn {
-		rep.TornTails++
+		r.TornTails++
 	}
+}
+
+// runCrashPoint replays the workload with the cut armed at op k, reboots
+// and verifies. Fault-mode and recovery counters accumulate into rep
+// regardless of outcome.
+func runCrashPoint(cfg Config, k int64, rep *Report) error {
+	disk, sh, err := replayCut(cfg, k)
+	if err != nil {
+		return err
+	}
+	disk.Reboot()
+	rep.tally(disk)
+	return reopenAndCheck(cfg, disk, sh, rep)
+}
+
+// runNestedPoint counts the persistence operations of the recovery after a
+// cut at op k, then for each of them replays the cut at k, cuts the
+// recovery there, reboots and verifies the second recovery.
+func runNestedPoint(cfg Config, k int64, rep *Report) error {
+	disk, _, err := replayCut(cfg, k)
+	if err != nil {
+		return err
+	}
+	disk.Reboot()
+	before := disk.Ops()
+	t, err := newTree(cfg, disk)
+	if err != nil {
+		return fmt.Errorf("recovery: %w", err)
+	}
+	n := disk.Ops() - before
+	t.Abandon()
+	for j := int64(1); j <= n; j++ {
+		rep.RecoveryCuts++
+		if err := runRecoveryCut(cfg, k, j, rep); err != nil {
+			return fmt.Errorf("recovery cut at its op %d of %d: %w", j, n, err)
+		}
+	}
+	return nil
+}
+
+// runRecoveryCut replays the cut at op k, cuts the recovery that follows at
+// its op j, then reboots and verifies against the first replay's shadow.
+func runRecoveryCut(cfg Config, k, j int64, rep *Report) error {
+	disk, sh, err := replayCut(cfg, k)
+	if err != nil {
+		return err
+	}
+	disk.RebootAndArm(j)
+	err = survivePowerCut(disk, func() error {
+		t, err := newTree(cfg, disk)
+		if err == nil {
+			t.Abandon()
+		}
+		return err
+	})
+	if !disk.Crashed() {
+		return fmt.Errorf("cut inside recovery never fired (recovery: %v)", err)
+	}
+	disk.Reboot()
+	rep.tally(disk)
 	return reopenAndCheck(cfg, disk, sh, rep)
 }
 

@@ -169,12 +169,19 @@ func (d *SimDisk) DroppedFrames() int {
 // longer fires, and a recovering tree can be opened over Store() and WAL().
 // If power was never cut, Reboot cuts it first (a reboot without a clean
 // shutdown is a power cut).
-func (d *SimDisk) Reboot() {
+func (d *SimDisk) Reboot() { d.RebootAndArm(0) }
+
+// RebootAndArm is Reboot followed by a new cut k persistence operations
+// later (none if k <= 0), which lands inside whatever runs over the rebooted
+// disk: the recovery first of all. The new cut draws on the same fault
+// modes and random stream as the first.
+func (d *SimDisk) RebootAndArm(k int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.crashLocked()
 	d.crashed = false
-	d.armed = false
+	d.armed = k > 0
+	d.cfg.CrashAt = d.ops + k
 	d.store.cur = d.store.dur.clone()
 }
 

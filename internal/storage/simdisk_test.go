@@ -152,6 +152,43 @@ func TestSimDiskCrashAtOpBoundary(t *testing.T) {
 	}
 }
 
+// TestSimDiskRebootAndArm: a reboot can arm a second cut, counted from the
+// reboot, that fires inside what runs next; state synced before either cut
+// survives both, and a plain Reboot afterwards disarms again.
+func TestSimDiskRebootAndArm(t *testing.T) {
+	d := NewSimDisk(128, SimConfig{Seed: 5, CrashAt: 3})
+	s := d.Store()
+	id, err := s.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(id, fill(128, 1)); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("op 3: got %v, want ErrPowerCut", err)
+	}
+	d.RebootAndArm(2)
+	if err := s.Write(id, fill(128, 2)); err != nil {
+		t.Fatalf("first op after the reboot: %v", err)
+	}
+	if err := s.Sync(); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("second op after the reboot: got %v, want ErrPowerCut", err)
+	}
+	if d.Ops() != 5 {
+		t.Fatalf("counted %d ops, want 5", d.Ops())
+	}
+	d.Reboot()
+	if !s.Allocated(id) {
+		t.Fatal("allocation synced before the first cut lost at the second")
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Write(id, fill(128, 3)); err != nil {
+			t.Fatalf("write after a plain reboot: %v", err)
+		}
+	}
+}
+
 func TestSimWALKeepsPrefix(t *testing.T) {
 	appended := logFrames(t, 10)
 	for seed := int64(0); seed < 20; seed++ {

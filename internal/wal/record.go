@@ -207,7 +207,8 @@ type Record struct {
 
 	// TRecOp fields. A compensation record (CLR) has CLR set and UndoNext
 	// pointing at the next record of the same transaction still to undo.
-	// A TRecOp may also carry Images (see TRecOp).
+	// OldVal is set only where undo can read it: on a transaction's own
+	// (non-CLR) update or delete. A TRecOp may also carry Images (see TRecOp).
 	Op       Op
 	Page     page.PageID
 	Key      []byte
