@@ -302,26 +302,47 @@ func TestScanPrefix(t *testing.T) {
 	}
 }
 
+// TestBulkLoadPublicAPI loads a volatile tree and a durable one; the
+// durable load's builders write its leaf chunks, about ten, to a real
+// pages.db, which must reopen with every record.
 func TestBulkLoadPublicAPI(t *testing.T) {
-	tr, _ := blinktree.Open(blinktree.Options{PageSize: 512})
-	defer tr.Close()
-	i := 0
-	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= 2000 {
-			return nil, nil, false
+	const n = 20000
+	dir := t.TempDir()
+	for _, opts := range []blinktree.Options{{PageSize: 512}, {PageSize: 512, Path: dir}} {
+		tr, err := blinktree.Open(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		k := []byte(fmt.Sprintf("k%06d", i))
-		i++
-		return k, []byte("v"), true
-	}, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := tr.Len(); n != 2000 {
-		t.Fatalf("Len = %d", n)
-	}
-	if err := tr.Verify(); err != nil {
-		t.Fatal(err)
+		i := 0
+		err = tr.BulkLoad(func() ([]byte, []byte, bool) {
+			if i >= n {
+				return nil, nil, false
+			}
+			k := []byte(fmt.Sprintf("k%06d", i))
+			i++
+			return k, []byte("v"), true
+		}, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Path != "" {
+			if c := tr.Snapshot().Stats.BulkLoadChunks; c < 2 {
+				t.Fatalf("the durable load took %d chunks; want several", c)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tr, err = blinktree.Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, _ := tr.Len(); got != n {
+			t.Fatalf("Path %q: Len = %d", opts.Path, got)
+		}
+		if err := tr.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
 	}
 }
 

@@ -17,8 +17,8 @@ var ErrNotEmpty = errors.New("blinktree: bulk load requires an empty tree")
 
 // defaultChunkPages is the number of leaves grouped into one chunk when
 // Options.BulkChunkPages is zero. A chunk is the unit of page-ID leasing, of
-// WAL logging (one SMOBulkChunk record of allocations) and of hand-off to a
-// builder goroutine, so it bounds the pages pinned per in-flight chunk.
+// WAL logging (one SMOBulkChunk record of allocations), of hand-off to a
+// builder goroutine and of store writes (one run per chunk).
 const defaultChunkPages = 64
 
 // BulkLoad populates an empty tree from strictly ascending (key, value)
@@ -36,10 +36,12 @@ const defaultChunkPages = 64
 // next returns the stream; ok=false ends it. fill in (0,1] defaults to
 // 0.85. The tree must be empty; concurrent operations are blocked for the
 // duration (the load holds the checkpoint gate exclusively). With logging
-// enabled the load logs its allocations in chunk records, writes each page
-// once through the buffer pool, forces them, and only then appends the
-// commit record, followed by a checkpoint: after a crash the load either
-// happened completely or not at all.
+// enabled the load logs its allocations in chunk records and writes each
+// page once: the leaves straight to the store, one write per chunk after its
+// record is forced, never entering the buffer pool (so none is resident
+// after the load); the index levels through the pool. It forces them all,
+// and only then appends the commit record, followed by a checkpoint: after a
+// crash the load either happened completely or not at all.
 func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -72,7 +74,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 	}
 
 	s := &bulkSession{t: t, target: int(fill * float64(t.opts.PageSize))}
-	s.chunk, s.builders = t.bulkShape()
+	s.chunk, s.group, s.builders = t.bulkShape()
 	if t.log != nil {
 		s.sid = t.txnSeq.Add(1)
 	}
@@ -173,6 +175,7 @@ type bulkSession struct {
 	t        *Tree
 	target   int    // fill * PageSize
 	chunk    int    // leaves per chunk
+	group    int    // index nodes per pending group
 	builders int    // builder goroutines; 0 builds each chunk on the caller
 	sid      uint64 // WAL bulk session ID (Record.Txn)
 
@@ -192,23 +195,21 @@ type bulkSession struct {
 	chunks uint64 // chunk groups logged/flushed
 }
 
-// bulkShape resolves the chunk size and the builder count: one builder per
-// GOMAXPROCS, none under WorkersNone. The leaf build pins at most
-// builders + 1 chunks at once, so both are clamped to keep builders + 2
-// chunks inside the buffer pool with 8 frames to spare — the chunk to fit
-// one builder, which leaves it the same at every builder count, then the
-// builders to fit the chunk.
-func (t *Tree) bulkShape() (chunk, builders int) {
+// bulkShape resolves the chunk size, the index build's pending group and the
+// builder count: one builder per GOMAXPROCS, none under WorkersNone. Leaves
+// never enter the buffer pool, so only the pending group — index nodes stay
+// pinned until their chunk record is logged — is clamped, to leave the pool
+// 8 frames to spare.
+func (t *Tree) bulkShape() (chunk, group, builders int) {
 	chunk = t.opts.BulkChunkPages
 	if chunk <= 0 {
 		chunk = defaultChunkPages
 	}
-	budget := t.opts.CacheSize - 8
-	chunk = max(min(chunk, budget/3), 1)
+	group = max(min(chunk, t.opts.CacheSize-8), 1)
 	if t.opts.Workers == 0 { // WorkersNone, after New
-		return chunk, 0
+		return chunk, group, 0
 	}
-	return chunk, max(min(runtime.GOMAXPROCS(0), budget/chunk-2), 1)
+	return chunk, group, runtime.GOMAXPROCS(0)
 }
 
 // leafBoundary reports whether adding an entry of the given key/value sizes
@@ -232,11 +233,11 @@ func (s *bulkSession) boundarySep(prevKey, k []byte) []byte {
 	return append([]byte(nil), k...)
 }
 
-// logChunk logs one chunk of freshly built nodes (one SMOBulkChunk record
-// of their allocations, its LSN stamped on each), publishes their routing
-// snapshots and unpins them dirty. The nodes were private until now; they
-// stay unreachable until the anchor flip, and once unpinned they may be
-// evicted: the WAL rule then forces the record — which is what lets
+// logChunk logs one chunk of freshly built index nodes (one SMOBulkChunk
+// record of their allocations, its LSN stamped on each), publishes their
+// routing snapshots and unpins them dirty. The nodes were private until
+// now; they stay unreachable until the anchor flip, and once unpinned they
+// may be evicted: the WAL rule then forces the record — which is what lets
 // recovery release the pages if the load never commits — before the page
 // is written. The page itself is the only copy of its contents.
 func (s *bulkSession) logChunk(nodes []*node) error {
@@ -321,12 +322,16 @@ type bulkLeafSpec struct {
 
 // bulkChunk is the unit of hand-off between the coordinator and a builder:
 // a contiguous key-range of whole leaves, the arena holding their bytes,
-// and the page-ID lease the leaves adopt.
+// the page-ID lease the leaves take and the chunk record that logs it.
 type bulkChunk struct {
 	buf    []byte
 	ents   []bulkEnt
 	leaves []bulkLeafSpec
 	ids    []page.PageID
+
+	// lsn is the chunk record's LSN, every leaf's page LSN (zero without a
+	// log); epoch is every leaf's incarnation number.
+	lsn, epoch uint64
 
 	// Seam stitching: the low fence and page ID of the next chunk's first
 	// leaf, filled in by the coordinator when that chunk is sealed; zero
@@ -334,31 +339,32 @@ type bulkChunk struct {
 	nextLow []byte
 	nextID  page.PageID
 
-	// Build results. done is closed when the build is finished; on success
-	// nodes holds one pinned node per leaf, on failure err is set and the
-	// build has already unpinned whatever it had inserted.
-	nodes []*node
-	err   error
-	done  chan struct{}
+	// done is closed when the build is finished; err is its outcome.
+	err  error
+	done chan struct{}
+}
+
+// bulkScratch is a builder's reused memory: the run buffer its chunks'
+// leaves are encoded into (made at its first chunk), and one leaf's key and
+// value slices.
+type bulkScratch struct {
+	run        []byte
+	keys, vals [][]byte
 }
 
 // loadLeaves is the leaf build. The coordinator (the calling goroutine)
-// streams entries into per-chunk arenas and decides every leaf boundary; a
-// sealed chunk takes one page-ID lease and is built into pinned leaf nodes —
-// by a builder goroutine, or by the coordinator itself when there are none.
-// Chunks are finished (seam-stitched, logged, unpinned) strictly in key
-// order, at most max(builders, 1) in flight beyond the one just sealed:
-// chunk i is finished once chunk i+1 has its low fence and first page ID.
-// So memory stays bounded, the WAL sees chunk records in ascending key
-// order, and every builder count builds the same pages.
+// streams entries into per-chunk arenas and decides every leaf boundary. It
+// seals a full chunk — one page-ID lease, one chunk record — and, once the
+// next chunk is sealed and the seam is known, hands it to a builder
+// goroutine, or builds it itself when there are none. A builder encodes the
+// leaves and writes them to the store; the coordinator finishes chunks
+// strictly in key order, at most max(builders, 1) in flight, and reuses a
+// finished chunk's memory for the next. So memory stays bounded, the WAL
+// sees chunk records in ascending key order, and every builder count builds
+// the same pages.
 func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 	t := s.t
-
-	build := func(c *bulkChunk) {
-		s.buildChunk(c)
-		close(c.done)
-	}
-	dispatch := build
+	var dispatch func(c *bulkChunk)
 	if s.builders > 0 {
 		// A slot per builder: under the window below, a send waits at most
 		// for an idle builder to take a chunk.
@@ -368,38 +374,70 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var sc bulkScratch
 				for c := range in {
-					build(c)
+					s.buildChunk(c, &sc)
 				}
 			}()
 		}
 		defer wg.Wait()
 		defer close(in)
 		dispatch = func(c *bulkChunk) { in <- c }
+	} else {
+		var sc bulkScratch
+		dispatch = func(c *bulkChunk) { s.buildChunk(c, &sc) }
 	}
 	window := max(s.builders, 1)
 
-	var chunks []*bulkChunk
-	nextFinish := 0 // chunks[:nextFinish] are finished
+	var (
+		held     *bulkChunk   // sealed, waiting for the next chunk's seam
+		inflight []*bulkChunk // dispatched, unfinished, in key order
+		spare    []*bulkChunk // finished, memory free for reuse
+	)
 	abort := func(err error) error {
-		for _, c := range chunks[nextFinish:] {
+		for _, c := range inflight {
 			<-c.done
-			for _, n := range c.nodes {
-				t.unpin(n)
-			}
 		}
 		return err
 	}
+	finish := func() error {
+		c := inflight[0]
+		inflight = inflight[1:]
+		<-c.done
+		if c.err != nil {
+			return c.err
+		}
+		for i, lf := range c.leaves {
+			s.level = append(s.level, bulkChild{low: lf.low, id: c.ids[i]})
+		}
+		s.pages += uint64(len(c.leaves))
+		s.chunks++
+		spare = append(spare, c)
+		return nil
+	}
+	send := func(c *bulkChunk) error {
+		inflight = append(inflight, c)
+		dispatch(c)
+		if len(inflight) > window {
+			return finish()
+		}
+		return nil
+	}
 
 	arenaCap := s.chunk * s.target
-	newChunk := func() *bulkChunk {
-		return &bulkChunk{
-			buf:    make([]byte, 0, arenaCap),
-			leaves: []bulkLeafSpec{{start: 0, low: []byte{}}},
-			done:   make(chan struct{}),
+	newChunk := func(low []byte) *bulkChunk {
+		c := &bulkChunk{done: make(chan struct{})}
+		if n := len(spare); n > 0 {
+			old := spare[n-1]
+			spare = spare[:n-1]
+			c.buf, c.ents, c.leaves = old.buf[:0], old.ents[:0], old.leaves[:0]
+		} else {
+			c.buf = make([]byte, 0, arenaCap)
 		}
+		c.leaves = append(c.leaves, bulkLeafSpec{start: 0, low: low})
+		return c
 	}
-	cur := newChunk()
+	cur := newChunk([]byte{})
 
 	seal := func(c *bulkChunk) error {
 		ids, err := storage.AllocateBatch(t.store, len(c.leaves))
@@ -408,20 +446,22 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 		}
 		s.allocated = append(s.allocated, ids...)
 		c.ids = ids
-		if len(chunks) > 0 {
-			prev := chunks[len(chunks)-1]
-			prev.nextLow = c.leaves[0].low
-			prev.nextID = ids[0]
-		}
-		chunks = append(chunks, c)
-		dispatch(c)
-		if len(chunks)-nextFinish > window {
-			if err := s.finishChunk(chunks[nextFinish]); err != nil {
+		if t.log != nil {
+			lsn, err := t.log.Append(&wal.Record{Type: wal.TSMO, SMO: wal.SMOBulkChunk, Txn: s.sid, Allocs: ids})
+			if err != nil {
 				return err
 			}
-			nextFinish++
+			c.lsn, c.epoch = uint64(lsn), uint64(lsn)
+		} else {
+			c.epoch = t.epochGen.Add(1)
 		}
-		return nil
+		prev := held
+		held = c
+		if prev == nil {
+			return nil
+		}
+		prev.nextLow, prev.nextID = c.leaves[0].low, ids[0]
+		return send(prev)
 	}
 
 	leafBase := (&page.Content{Kind: page.Leaf}).Size()
@@ -449,8 +489,7 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 				if err := seal(cur); err != nil {
 					return abort(err)
 				}
-				cur = newChunk()
-				cur.leaves[0].low = sep
+				cur = newChunk(sep)
 			} else {
 				cur.leaves = append(cur.leaves, bulkLeafSpec{start: len(cur.ents), low: sep})
 			}
@@ -470,87 +509,74 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 	if err := seal(cur); err != nil {
 		return abort(err)
 	}
-	for ; nextFinish < len(chunks); nextFinish++ {
-		if err := s.finishChunk(chunks[nextFinish]); err != nil {
+	if err := send(held); err != nil {
+		return abort(err)
+	}
+	for len(inflight) > 0 {
+		if err := finish(); err != nil {
 			return abort(err)
 		}
 	}
 	return nil
 }
 
-// buildChunk turns one sealed chunk into pinned leaf nodes, on a builder
-// goroutine or the coordinator. Keys and values alias the chunk arena — the tree
-// never mutates stored key/value bytes in place, so the zero-copy slices
-// are safe and the build does two allocations per leaf instead of two per
-// entry. On failure the nodes already inserted are unpinned and err is set.
-func (s *bulkSession) buildChunk(c *bulkChunk) {
+// buildChunk encodes one sealed, seam-stitched chunk into the builder's run
+// buffer and writes it to the store, on a builder goroutine or the
+// coordinator. The leaves never become nodes or frames: keys and values go
+// from the chunk arena straight into the page images. Two rules make the
+// direct write safe. The WAL rule: the chunk record — what lets recovery
+// release the pages if the load never commits — is forced first, as the
+// pool's write-back would force it. And a frame still cached for a reused
+// page ID is discarded first, so neither a stale read nor a stale
+// write-back can shadow the new image.
+func (s *bulkSession) buildChunk(c *bulkChunk, sc *bulkScratch) {
+	defer close(c.done)
 	t := s.t
-	fail := func(nodes []*node, err error) {
-		for _, n := range nodes {
-			t.unpin(n)
-		}
-		c.err = err
+	ps := t.opts.PageSize
+	if sc.run == nil {
+		sc.run = make([]byte, s.chunk*ps)
 	}
-	nodes := make([]*node, 0, len(c.leaves))
+	run := sc.run[:len(c.leaves)*ps]
 	for i, lf := range c.leaves {
+		cont := page.Content{
+			ID: c.ids[i], Kind: page.Leaf, LSN: c.lsn, Epoch: c.epoch,
+			Low: lf.low, High: c.nextLow, Right: c.nextID,
+		}
 		end := len(c.ents)
 		if i+1 < len(c.leaves) {
 			end = c.leaves[i+1].start
+			cont.High, cont.Right = c.leaves[i+1].low, c.ids[i+1]
 		}
-		keys := make([][]byte, 0, end-lf.start)
-		vals := make([][]byte, 0, end-lf.start)
+		keys, vals := sc.keys[:0], sc.vals[:0]
 		var prev []byte
 		for _, e := range c.ents[lf.start:end] {
 			k := c.buf[e.off : e.off+e.klen]
-			v := c.buf[e.off+e.klen : e.off+e.klen+e.vlen]
 			if prev != nil && t.cmp(prev, k) >= 0 {
-				fail(nodes, fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k))
+				c.err = fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k)
 				return
 			}
 			prev = k
 			keys = append(keys, k)
-			vals = append(vals, v)
+			vals = append(vals, c.buf[e.off+e.klen:e.off+e.klen+e.vlen])
 		}
-		cont := page.Content{
-			Kind: page.Leaf, Level: 0,
-			Low:  lf.low,
-			Keys: keys, Vals: vals,
-		}
-		if i+1 < len(c.leaves) {
-			cont.High = c.leaves[i+1].low
-			cont.Right = c.ids[i+1]
-		}
-		n, err := t.adoptNode(c.ids[i], cont, false)
-		if err != nil {
-			fail(nodes, err)
+		sc.keys, sc.vals = keys, vals
+		cont.Keys, cont.Vals = keys, vals
+		if c.err = page.MarshalInto(&cont, run[i*ps:(i+1)*ps]); c.err != nil {
 			return
 		}
-		nodes = append(nodes, n)
 	}
-	c.nodes = nodes
-}
-
-// finishChunk completes one built chunk in key order: waits for its build,
-// stitches the seam to the following chunk (the last leaf's high fence and
-// side pointer), logs the chunk record, and releases the nodes.
-func (s *bulkSession) finishChunk(c *bulkChunk) error {
-	<-c.done
-	if c.err != nil {
-		return c.err
+	if t.log != nil {
+		if c.err = t.log.Flush(wal.LSN(c.lsn)); c.err != nil {
+			return
+		}
 	}
-	last := c.nodes[len(c.nodes)-1]
-	if c.nextID != 0 {
-		last.setHigh(c.nextLow)
-		last.c.Right = c.nextID
+	for _, id := range c.ids {
+		if ok, _ := t.pool.DiscardIfUnpinned(id, nil); !ok {
+			c.err = fmt.Errorf("blinktree: bulk load: reused page %d is pinned", id)
+			return
+		}
 	}
-	if err := s.logChunk(c.nodes); err != nil {
-		return err // abort unpins c.nodes
-	}
-	for i := range c.nodes {
-		s.level = append(s.level, bulkChild{low: c.leaves[i].low, id: c.ids[i]})
-	}
-	c.nodes = nil
-	return nil
+	c.err = storage.WriteRun(t.store, c.ids, run)
 }
 
 // buildIndexLevels builds the shared upper levels over the completed leaf
@@ -558,7 +584,7 @@ func (s *bulkSession) finishChunk(c *bulkChunk) error {
 // chunked logging as the leaves. Separators are the children's low fences —
 // already suffix-truncated by the boundary rule — so index pages inherit
 // the short keys, and prefix compression (page.Content.Compress, set by
-// adoptNode under the bytewise comparator) densifies them further at
+// allocNode under the bytewise comparator) densifies them further at
 // marshal time. Returns the root's page ID.
 func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 	t := s.t
@@ -619,7 +645,7 @@ func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
 func (s *bulkSession) closeIndex(n *node) error {
 	s.level = append(s.level, bulkChild{low: n.c.Low, id: n.id})
 	s.pending = append(s.pending, n)
-	if len(s.pending) >= s.chunk {
+	if len(s.pending) >= s.group {
 		return s.flushPending()
 	}
 	return nil

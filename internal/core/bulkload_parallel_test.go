@@ -179,6 +179,93 @@ func TestBulkLoadEmptiedByDeletes(t *testing.T) {
 	}
 }
 
+// TestBulkLoadOverReusedPageIDs: a load into a tree emptied by deletes
+// writes its leaves over page IDs the store recycles, while the pool may
+// still hold a frame for such an ID — here one a latch-free descent fetched
+// in the instant the allocator re-issued the ID with its old image
+// (reissueStore). The load must discard that frame before writing the page,
+// or the stale frame shadows the new leaf for every later read. The tree is
+// grown and emptied without workers, then reopened for the load. The pool
+// is the default size, large enough to keep every stale frame: with 16
+// frames the index build evicts them all before anything reads them, and
+// the test could not see a missing discard.
+func TestBulkLoadOverReusedPageIDs(t *testing.T) {
+	for _, m := range bulkModes {
+		t.Run(m.name, func(t *testing.T) {
+			rs := &reissueStore{Store: storage.NewMemStore(512), images: map[page.PageID][]byte{}}
+			dev := wal.NewMemDevice()
+			opts := Options{PageSize: 512, Store: rs, LogDevice: dev, Workers: WorkersNone}
+			tr := newTestTree(t, opts)
+			const n = 3000
+			for i := 0; i < n; i++ {
+				if err := tr.Put(key(i), valb(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.DrainTodo()
+			if err := tr.pool.FlushAll(); err != nil { // every leaf now has a store image
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := tr.Delete(key(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round := 0; round < 30 && tr.Height() > 0; round++ {
+				for i := 0; i < n; i += 37 {
+					tr.Get(key(i))
+				}
+				tr.DrainTodo()
+			}
+			if h := tr.Height(); h != 0 {
+				t.Fatalf("tree did not shrink back to a leaf root (height %d)", h)
+			}
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			tr.Abandon()
+			opts.Workers = m.workers
+			tr = newTestTree(t, opts)
+			highest := tr.StoreStats().HighestPage
+
+			stale := 0
+			rs.afterAlloc = func(id page.PageID) {
+				if nd, err := tr.fetch(id); err == nil { // the descent's fetch ...
+					tr.unpin(nd) // ... and its back-off
+					stale++
+				}
+			}
+			newVal := func(i int) []byte { return []byte(fmt.Sprintf("new-%06d", i)) }
+			i := 0
+			err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+				if i >= n {
+					return nil, nil, false
+				}
+				i++
+				return key(i - 1), newVal(i - 1), true
+			}, 0.85)
+			rs.afterAlloc = nil
+			if err != nil {
+				t.Fatalf("bulk load over reused page IDs: %v", err)
+			}
+			if stale == 0 {
+				t.Fatal("no re-issued page ID was fetched before the load wrote it; nothing was tested")
+			}
+			if got := tr.StoreStats().HighestPage; got != highest {
+				t.Fatalf("the load grew the store to page %d from %d; it must reuse freed IDs", got, highest)
+			}
+			if _, err := tr.VerifyDeep(); err != nil {
+				t.Fatalf("deep verify: %v", err)
+			}
+			for i := 0; i < n; i++ {
+				if got, err := tr.Get(key(i)); err != nil || !bytes.Equal(got, newVal(i)) {
+					t.Fatalf("get %d after the load: %q, %v", i, got, err)
+				}
+			}
+		})
+	}
+}
+
 // TestBulkLoadRejectsShrunkNonEmptyTree is the counterpart: a tree shrunk
 // back to a level-0 root that still holds records is refused.
 func TestBulkLoadRejectsShrunkNonEmptyTree(t *testing.T) {
@@ -323,8 +410,10 @@ func TestBulkLoadAbortedChunksSkippedOnRecovery(t *testing.T) {
 
 // TestBulkLoadTinyCachePins checks the clamp on the pinned working set: a
 // load through a 16-frame pool, far smaller than the tree, must stream
-// without exhausting pins — also at GOMAXPROCS 64, where one builder per
-// processor would want more frames than the pool has.
+// without exhausting pins — also at GOMAXPROCS 64, with 64 builders. The
+// leaves never take a frame; what the clamp bounds is the index build's
+// pending group, whose nodes stay pinned until their chunk record is
+// logged.
 func TestBulkLoadTinyCachePins(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
 	for _, m := range bulkModes {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,12 +242,15 @@ func TestBulkLoadAllocFailureCleansUp(t *testing.T) {
 // latch-free descent holding a stale route can fetch the id.
 type reissueStore struct {
 	storage.Store
+	mu         sync.Mutex // guards images: bulk-load builders write concurrently
 	images     map[page.PageID][]byte
 	afterAlloc func(page.PageID)
 }
 
 func (s *reissueStore) Write(id page.PageID, buf []byte) error {
+	s.mu.Lock()
 	s.images[id] = append([]byte(nil), buf...)
+	s.mu.Unlock()
 	return s.Store.Write(id, buf)
 }
 
@@ -255,7 +259,10 @@ func (s *reissueStore) Allocate() (page.PageID, error) {
 	if err != nil {
 		return id, err
 	}
-	if img, ok := s.images[id]; ok {
+	s.mu.Lock()
+	img, ok := s.images[id]
+	s.mu.Unlock()
+	if ok {
 		if err := s.Store.Write(id, img); err != nil {
 			return id, err
 		}

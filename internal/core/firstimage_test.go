@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,18 +11,44 @@ import (
 	"blinktree/internal/wal"
 )
 
-// writeCountingStore counts the writes each page receives.
+// writeCountingStore counts the writes each page receives, and the write
+// calls that delivered them.
 type writeCountingStore struct {
 	storage.Store
 	mu     sync.Mutex
 	writes map[page.PageID]int
+	calls  int
 }
 
 func (s *writeCountingStore) Write(id page.PageID, buf []byte) error {
 	s.mu.Lock()
 	s.writes[id]++
+	s.calls++
 	s.mu.Unlock()
 	return s.Store.Write(id, buf)
+}
+
+// runCountingStore adds storage.RunWriter to a writeCountingStore: one
+// call per run, each page of it counted.
+type runCountingStore struct {
+	*writeCountingStore
+	runs int
+}
+
+func (s *runCountingStore) WriteRun(ids []page.PageID, buf []byte) error {
+	s.mu.Lock()
+	s.runs++
+	for _, id := range ids {
+		s.writes[id]++
+	}
+	s.mu.Unlock()
+	ps := s.PageSize()
+	for i, id := range ids {
+		if err := s.Store.Write(id, buf[i*ps:(i+1)*ps]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // durableRecords decodes every durable frame of dev.
@@ -41,51 +68,84 @@ func durableRecords(t *testing.T, dev *wal.MemDevice) []*wal.Record {
 }
 
 // TestBulkLoadWritesEachPageOnce: a 2 000-key load logs allocations and no
-// page bytes, and writes each of its pages to the store exactly once —
-// through evictions during the load (the pool holds 16 of its ~130 pages)
-// and the flush before its commit record — not again at its checkpoint.
+// page bytes, and writes each of its pages to the store exactly once, not
+// again at its checkpoint. Its leaves bypass the 16-frame pool: nothing is
+// evicted during the load and the pool writes back only the index pages,
+// at the flush before the commit record. On a store with RunWriter each
+// leaf chunk is one write call; on one without, each page is one.
 func TestBulkLoadWritesEachPageOnce(t *testing.T) {
+	const n, chunk = 2000, 4
 	for _, m := range bulkModes {
-		store := &writeCountingStore{Store: storage.NewMemStore(512), writes: map[page.PageID]int{}}
-		dev := wal.NewMemDevice()
-		tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16, BulkChunkPages: 4, Store: store, LogDevice: dev, Workers: m.workers})
-		before := len(durableRecords(t, dev))
-		const n = 2000
-		if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
-			t.Fatal(err)
-		}
-		var loaded []page.PageID
-		imageBytes, commits := 0, 0
-		for _, r := range durableRecords(t, dev)[before:] {
-			switch {
-			case r.Type == wal.TSMO && r.SMO == wal.SMOBulkChunk:
-				loaded = append(loaded, r.Allocs...)
-				for _, im := range r.Images {
-					imageBytes += len(im.Data)
+		for _, runs := range []bool{false, true} {
+			counted := &writeCountingStore{Store: storage.NewMemStore(512), writes: map[page.PageID]int{}}
+			var store storage.Store = counted
+			rs := &runCountingStore{writeCountingStore: counted}
+			if runs {
+				store = rs
+			}
+			dev := wal.NewMemDevice()
+			tr := newTestTree(t, Options{PageSize: 512, CacheSize: 16, BulkChunkPages: chunk, Store: store, LogDevice: dev, Workers: m.workers})
+			name := fmt.Sprintf("%s/runs=%v", m.name, runs)
+			// The formatting root goes out first, so the load's write-backs
+			// and write calls are its own.
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before := len(durableRecords(t, dev))
+			pool0 := tr.pool.Snapshot()
+			counted.mu.Lock()
+			calls0 := counted.calls
+			counted.mu.Unlock()
+			if err := tr.BulkLoad(pairFeeder(n), 0.85); err != nil {
+				t.Fatal(err)
+			}
+			pool1 := tr.pool.Snapshot()
+			var loaded []page.PageID
+			imageBytes, commits := 0, 0
+			for _, r := range durableRecords(t, dev)[before:] {
+				switch {
+				case r.Type == wal.TSMO && r.SMO == wal.SMOBulkChunk:
+					loaded = append(loaded, r.Allocs...)
+					for _, im := range r.Images {
+						imageBytes += len(im.Data)
+					}
+				case r.Type == wal.TSMO && r.SMO == wal.SMOBulkCommit:
+					commits++
 				}
-			case r.Type == wal.TSMO && r.SMO == wal.SMOBulkCommit:
-				commits++
 			}
-		}
-		if imageBytes != 0 || commits != 1 {
-			t.Fatalf("%s: chunk records hold %d image bytes and %d commits; want 0 and 1", m.name, imageBytes, commits)
-		}
-		rep, err := tr.VerifyDeep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loaded) != rep.LivePages || uint64(len(loaded)) != tr.Stats().BulkLoadPages {
-			t.Fatalf("%s: chunks allocate %d pages; the tree has %d, the load built %d", m.name, len(loaded), rep.LivePages, tr.Stats().BulkLoadPages)
-		}
-		store.mu.Lock()
-		for _, id := range loaded {
-			if w := store.writes[id]; w != 1 {
-				t.Fatalf("%s: page %d written %d times, want once", m.name, id, w)
+			if imageBytes != 0 || commits != 1 {
+				t.Fatalf("%s: chunk records hold %d image bytes and %d commits; want 0 and 1", name, imageBytes, commits)
 			}
-		}
-		store.mu.Unlock()
-		if cnt, _ := tr.Len(); cnt != n {
-			t.Fatalf("%s: Len = %d", m.name, cnt)
+			rep, err := tr.VerifyDeep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(loaded) != rep.LivePages || uint64(len(loaded)) != tr.Stats().BulkLoadPages {
+				t.Fatalf("%s: chunks allocate %d pages; the tree has %d, the load built %d", name, len(loaded), rep.LivePages, tr.Stats().BulkLoadPages)
+			}
+			leaves := rep.NodesPerLevel[0]
+			index := rep.LivePages - leaves
+			if ev, wb := pool1.Evictions-pool0.Evictions, pool1.WriteBacks-pool0.WriteBacks; ev != 0 || wb != uint64(index) {
+				t.Fatalf("%s: the load evicted %d frames and wrote back %d; want 0 and its %d index pages", name, ev, wb, index)
+			}
+			counted.mu.Lock()
+			for _, id := range loaded {
+				if w := counted.writes[id]; w != 1 {
+					t.Fatalf("%s: page %d written %d times, want once", name, id, w)
+				}
+			}
+			calls := counted.calls + rs.runs - calls0
+			counted.mu.Unlock()
+			want := rep.LivePages
+			if runs {
+				want = (leaves+chunk-1)/chunk + index
+			}
+			if calls != want {
+				t.Fatalf("%s: %d leaves and %d index pages took %d write calls, want %d", name, leaves, index, calls, want)
+			}
+			if cnt, _ := tr.Len(); cnt != n {
+				t.Fatalf("%s: Len = %d", name, cnt)
+			}
 		}
 	}
 }

@@ -144,10 +144,11 @@ type Options struct {
 
 	// BulkChunkPages is the number of leaves grouped into one bulk-load
 	// chunk — the unit of page-ID leasing, of WAL logging (one SMOBulkChunk
-	// record per chunk) and of hand-off to a builder goroutine. Zero means
-	// the default (64); the value is clamped down so the in-flight chunks
-	// always fit inside the buffer pool. The crash harnesses set it low for
-	// crash-point granularity; it is not exported by package blinktree.
+	// record per chunk), of hand-off to a builder goroutine and of store
+	// writes. Zero means the default (64). Leaves bypass the buffer pool, so
+	// only the index build's pinned group is clamped to fit it. The crash
+	// harnesses set it low for crash-point granularity; it is not exported
+	// by package blinktree.
 	BulkChunkPages int
 
 	// Observability enables per-operation latency histograms and/or the

@@ -387,33 +387,17 @@ func (t *Tree) allocNode(c page.Content) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.adoptNode(id, c, true)
-	if err != nil {
-		derr := t.store.Deallocate(id)
-		if derr != nil {
-			return nil, errors.Join(err, derr)
-		}
-		return nil, err
-	}
-	return n, nil
-}
-
-// adoptNode registers a node for an already-allocated page ID, returned
-// pinned and, if latched is set, exclusively latched (see allocNode). Bulk
-// load leases page-ID batches from the allocator up front and adopts them
-// here, so builder goroutines never touch the allocator lock; it runs alone
-// behind the checkpoint gate and leaves its nodes unlatched.
-func (t *Tree) adoptNode(id page.PageID, c page.Content, latched bool) (*node, error) {
 	if t.log == nil {
 		c.Epoch = t.epochGen.Add(1)
 	}
 	c.Compress = t.bytewise
 	n := newNode(id, c)
 	n.latch.SetRecorder(&t.latchRec)
-	if latched {
-		n.latch.Acquire(latch.Exclusive)
-	}
+	n.latch.Acquire(latch.Exclusive)
 	if err := t.pool.Insert(id, n); err != nil {
+		if derr := t.store.Deallocate(id); derr != nil {
+			return nil, errors.Join(err, derr)
+		}
 		return nil, err
 	}
 	return n, nil

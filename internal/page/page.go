@@ -214,12 +214,22 @@ func EntrySize(kind Kind, klen, vlen int) int {
 
 // Marshal serializes c into a buffer of exactly pageSize bytes.
 func Marshal(c *Content, pageSize int) ([]byte, error) {
-	if err := c.validate(); err != nil {
+	buf := make([]byte, pageSize)
+	if err := MarshalInto(c, buf); err != nil {
 		return nil, err
 	}
-	need := c.Size()
-	if need > pageSize {
-		return nil, fmt.Errorf("%w: need %d, page %d", ErrTooLarge, need, pageSize)
+	return buf, nil
+}
+
+// MarshalInto serializes c into buf, whose length is the page size: the
+// bytes Marshal returns, the unused tail zeroed, so a caller can encode
+// many pages into one reused buffer.
+func MarshalInto(c *Content, buf []byte) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	if need := c.Size(); need > len(buf) {
+		return fmt.Errorf("%w: need %d, page %d", ErrTooLarge, need, len(buf))
 	}
 	cp := c.PrefixLen()
 	if cp > 0 {
@@ -230,11 +240,10 @@ func Marshal(c *Content, pageSize int) ([]byte, error) {
 		// preserve the prefix property.
 		for i, k := range c.Keys {
 			if len(k) < cp || string(k[:cp]) != string(c.Low[:cp]) {
-				return nil, fmt.Errorf("page: key %d lacks fence prefix under compression", i)
+				return fmt.Errorf("page: key %d lacks fence prefix under compression", i)
 			}
 		}
 	}
-	buf := make([]byte, pageSize)
 	copy(buf[0:4], magic)
 	buf[offKind] = byte(c.Kind)
 	buf[offLevel] = c.Level
@@ -273,8 +282,9 @@ func Marshal(c *Content, pageSize int) ([]byte, error) {
 			p += 8
 		}
 	}
+	clear(buf[p:])
 	binary.LittleEndian.PutUint32(buf[offCRC:], crc32.Checksum(buf[crcStart:p], castagnoli))
-	return buf, nil
+	return nil
 }
 
 // Unmarshal parses a page image produced by Marshal and takes ownership of

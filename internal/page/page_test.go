@@ -50,6 +50,31 @@ func TestRoundTripLeaf(t *testing.T) {
 	}
 }
 
+// TestMarshalIntoMatchesMarshal: encoding into a reused, dirty buffer gives
+// Marshal's bytes — the tail past the payload zeroed — and a buffer too
+// small for the content is refused.
+func TestMarshalIntoMatchesMarshal(t *testing.T) {
+	idx := indexContent()
+	idx.Low, idx.High, idx.Compress = []byte("k0"), []byte("k9"), true
+	idx.Keys[0] = []byte("k0")
+	for _, c := range []*Content{leafContent(), indexContent(), idx} {
+		want, err := Marshal(c, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.Repeat([]byte{0xFF}, 512)
+		if err := MarshalInto(c, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%s: MarshalInto differs from Marshal", c.Kind)
+		}
+		if err := MarshalInto(c, buf[:c.Size()-1]); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: MarshalInto one byte short: %v, want ErrTooLarge", c.Kind, err)
+		}
+	}
+}
+
 func TestRoundTripIndex(t *testing.T) {
 	c := indexContent()
 	buf, err := Marshal(c, 4096)

@@ -315,6 +315,37 @@ func (s *FileStore) Write(id page.PageID, buf []byte) error {
 	return nil
 }
 
+// WriteRun implements RunWriter: after checking every page is allocated, one
+// pwrite per stretch of consecutive page IDs — a single one for a batch
+// allocated off the frontier.
+func (s *FileStore) WriteRun(ids []page.PageID, buf []byte) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if len(buf) != len(ids)*s.pageSize {
+		return fmt.Errorf("%w: got %d for %d pages of %d", ErrBadSize, len(buf), len(ids), s.pageSize)
+	}
+	for _, id := range ids {
+		if _, ok := s.live[id]; !ok {
+			return fmt.Errorf("%w: write %d", ErrNotAllocated, id)
+		}
+	}
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		if _, err := s.f.WriteAt(buf[i*s.pageSize:j*s.pageSize], int64(ids[i])*int64(s.pageSize)); err != nil {
+			return err
+		}
+		s.writes.Add(uint64(j - i))
+		i = j
+	}
+	return nil
+}
+
 // Allocated implements Store.
 func (s *FileStore) Allocated(id page.PageID) bool {
 	s.mu.RLock()

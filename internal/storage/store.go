@@ -95,6 +95,39 @@ func AllocateBatch(s Store, n int) ([]page.PageID, error) {
 	return ids, nil
 }
 
+// RunWriter is an optional Store capability: writing many pages in one
+// call. Bulk load encodes a chunk of leaves into one buffer and hands it
+// over whole, so a file store can issue one write for the run instead of one
+// per page.
+type RunWriter interface {
+	// WriteRun writes buf[i*PageSize:(i+1)*PageSize] to ids[i] for every
+	// i; len(buf) must be len(ids)*PageSize. If any page is not allocated
+	// it returns ErrNotAllocated and writes nothing. Stats.Writes counts
+	// the pages, not the calls.
+	WriteRun(ids []page.PageID, buf []byte) error
+}
+
+// WriteRun writes the pages of buf to ids (see RunWriter), using s's
+// RunWriter when present and one Write per page otherwise, stopping at the
+// first that fails — so wrappers like the fault-injecting store, and the
+// simulated disk, whose crash cuts fall between page writes, keep their
+// per-page semantics.
+func WriteRun(s Store, ids []page.PageID, buf []byte) error {
+	if rw, ok := s.(RunWriter); ok {
+		return rw.WriteRun(ids, buf)
+	}
+	ps := s.PageSize()
+	if len(buf) != len(ids)*ps {
+		return fmt.Errorf("%w: got %d for %d pages of %d", ErrBadSize, len(buf), len(ids), ps)
+	}
+	for i, id := range ids {
+		if err := s.Write(id, buf[i*ps:(i+1)*ps]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Stats counts store operations.
 type Stats struct {
 	Reads       uint64

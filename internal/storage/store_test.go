@@ -499,3 +499,64 @@ func TestQuickAllocFreeCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileStoreWriteRun: WriteRun writes every page of a run, including one
+// whose IDs are not consecutive (a batch that took recycled IDs), reads
+// back byte for byte, and counts pages, not calls, in Stats.Writes. A run
+// naming an unallocated page is refused whole: nothing of it is written.
+// The other stores take the per-page fallback with the same results.
+func TestFileStoreWriteRun(t *testing.T) {
+	const ps = 256
+	for name, s := range allStores(t, ps) {
+		t.Run(name, func(t *testing.T) {
+			if _, ok := s.(RunWriter); ok != (name == "file") {
+				t.Fatalf("RunWriter implemented: %v", ok)
+			}
+			ids, err := AllocateBatch(s, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Deallocate(ids[1]); err != nil {
+				t.Fatal(err)
+			}
+			run := []page.PageID{ids[0], ids[2], ids[3], ids[4]}
+			image := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, ps) }
+			buf := make([]byte, 0, len(run)*ps)
+			for i := range run {
+				buf = append(buf, image(i)...)
+			}
+			before := s.Stats().Writes
+			bad := []page.PageID{ids[0], ids[1], ids[2], ids[3]} // ids[1] is free
+			if err := WriteRun(s, bad, buf); !errors.Is(err, ErrNotAllocated) {
+				t.Fatalf("run over a free page: %v, want ErrNotAllocated", err)
+			}
+			if name == "file" {
+				if w := s.Stats().Writes; w != before {
+					t.Fatalf("refused run counted %d writes", w-before)
+				}
+				if got, _ := s.Read(ids[0]); !bytes.Equal(got, make([]byte, ps)) {
+					t.Fatal("refused run wrote its first page")
+				}
+			}
+			before = s.Stats().Writes
+			if err := WriteRun(s, run, buf); err != nil {
+				t.Fatal(err)
+			}
+			if w := s.Stats().Writes - before; w != uint64(len(run)) {
+				t.Fatalf("Stats.Writes rose by %d for a %d-page run", w, len(run))
+			}
+			for i, id := range run {
+				got, err := s.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, image(i)) {
+					t.Fatalf("page %d reads back %x..., want %x...", id, got[:4], image(i)[:4])
+				}
+			}
+			if err := WriteRun(s, run, buf[:ps]); !errors.Is(err, ErrBadSize) {
+				t.Fatalf("short run buffer: %v, want ErrBadSize", err)
+			}
+		})
+	}
+}
