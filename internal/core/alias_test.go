@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"blinktree/internal/latch"
 	"blinktree/internal/page"
 	"blinktree/internal/storage"
 	"blinktree/internal/wal"
@@ -152,4 +153,132 @@ func TestDecodedImagesAreNeverWritten(t *testing.T) {
 	}
 	agree(tr2)
 	st.check(t, true)
+}
+
+// viewLog remembers key and value views leaves handed out, each with a
+// private copy of its bytes.
+type viewLog struct{ views, copies [][]byte }
+
+// leaf records every key and value view of the leaf covering k.
+func (l *viewLog) leaf(t *testing.T, tr *Tree, k []byte) {
+	t.Helper()
+	leaf, _, err := tr.traverseRead(traverseOpts{key: k, intent: latch.Shared, dx: tr.dx.v.Load()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range leaf.c.Recs.Len() {
+		for _, v := range [][]byte{leaf.c.Recs.Key(i), leaf.c.Recs.Val(i)} {
+			l.views, l.copies = append(l.views, v), append(l.copies, bytes.Clone(v))
+		}
+	}
+	tr.unlatchUnpin(leaf, latch.Shared, false)
+}
+
+// all records the views of every leaf.
+func (l *viewLog) all(t *testing.T, tr *Tree) {
+	t.Helper()
+	ids, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		info, err := tr.NodeSnapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.leaf(t, tr, info.Low)
+	}
+}
+
+func (l *viewLog) check(t *testing.T) {
+	t.Helper()
+	for i, v := range l.views {
+		if !bytes.Equal(v, l.copies[i]) {
+			t.Fatalf("view %d of %d (%q, was %q) was rewritten", i, len(l.views), v, l.copies[i])
+		}
+	}
+}
+
+// TestLeafViewsAreNeverRewritten pins the write-once rule of node-owned leaf
+// buffers (page.Records): a key or value slice a leaf hands out — to Get, a
+// scan, the log, a split or a consolidation — stays valid and unchanged
+// whatever the leaf does next. The first write copies a decoded image,
+// later records go to the free tail, a delete drops a slot, a full tail
+// compacts into a fresh buffer, split and consolidate copy into the
+// receiving leaf's buffer, and redo edits decoded leaves the same way. The
+// test records the views of the leaf each operation touched, and of every
+// leaf now and then and after a crash recovery, and checks that none of
+// them ever changes.
+func TestLeafViewsAreNeverRewritten(t *testing.T) {
+	dev := wal.NewMemDevice()
+	opts := Options{
+		PageSize: 256, CacheSize: 12, MinFill: 0.4,
+		Workers: WorkersNone, Store: storage.NewMemStore(256), LogDevice: dev,
+	}
+	tr, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views viewLog
+	rng := rand.New(rand.NewSource(29))
+	run := func(tr *Tree, steps int) {
+		for step := 0; step < steps; step++ {
+			k := key(rng.Intn(400))
+			switch op := rng.Intn(10); {
+			case op < 6-step/700%2*4: // growing and shrinking phases
+				v := make([]byte, 1+rng.Intn(30))
+				rng.Read(v)
+				if err := tr.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+			case op < 8:
+				if err := tr.Delete(k); err != nil && !errors.Is(err, ErrKeyNotFound) {
+					t.Fatal(err)
+				}
+			case op < 9:
+				if _, err := tr.Get(k); err != nil && !errors.Is(err, ErrKeyNotFound) {
+					t.Fatal(err)
+				}
+			default:
+				if err := tr.Scan(k, nil, func(_, _ []byte) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			views.leaf(t, tr, k)
+			if step%16 == 0 {
+				tr.DrainTodo()
+			}
+			if step%200 == 0 {
+				views.all(t, tr)
+				views.check(t)
+			}
+		}
+		views.check(t)
+	}
+	run(tr, 3000)
+	s := tr.Stats()
+	if s.Splits == 0 || s.LeafConsolidated == 0 {
+		t.Fatalf("workload did not exercise the SMOs: %d splits, %d leaf consolidations", s.Splits, s.LeafConsolidated)
+	}
+	mustVerify(t, tr)
+
+	// Redo applies record operations to decoded leaves: record what it
+	// left, then keep writing.
+	if err := tr.log.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash()
+	tr.todo.stop()
+	tr2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Close()
+	if tr2.RecoveryStats().RecOpsRedone == 0 {
+		t.Fatal("recovery redid no record operation")
+	}
+	views.all(t, tr2)
+	run(tr2, 1500)
+	mustVerify(t, tr2)
+	t.Logf("%d views checked", len(views.views))
 }

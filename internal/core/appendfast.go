@@ -101,7 +101,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 	pos, found := leaf.searchLeaf(t, key)
 	fits := false
 	if found {
-		fits = leaf.size()+len(val)-len(leaf.c.Vals[pos]) <= t.opts.PageSize
+		fits = leaf.size()+len(val)-len(leaf.c.Recs.Val(pos)) <= t.opts.PageSize
 	} else {
 		fits = leaf.size()+page.EntrySize(page.Leaf, len(key), len(val)) <= t.opts.PageSize
 	}

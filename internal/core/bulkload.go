@@ -67,7 +67,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 	if err != nil {
 		return err
 	}
-	empty := len(r.c.Keys) == 0
+	empty := r.c.Recs.Len() == 0
 	t.unpin(r)
 	if !empty {
 		return ErrNotEmpty

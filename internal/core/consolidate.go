@@ -41,7 +41,7 @@ func (t *Tree) processDelete(a action) {
 	}
 	// p is exclusively latched and covers a.sep (the victim's immutable
 	// low key). Locate the victim's index term.
-	found, i := p.searchIndexKey(t, a.sep)
+	i, found := t.search(p.c.Keys, &p.hs, a.sep)
 	if !found || p.c.Children[i] != a.origID {
 		// The term was never posted, or the victim is already gone.
 		t.c.deleteAbortEdge.Add(1)
@@ -110,10 +110,10 @@ func (t *Tree) processDelete(a action) {
 	// fence and side pointer.
 	left.c.High = victim.c.High
 	left.c.Right = victim.c.Right
-	left.c.Keys = append(left.c.Keys, victim.c.Keys...)
 	if victim.isLeaf() {
-		left.c.Vals = append(left.c.Vals, victim.c.Vals...)
+		left.c.Recs.AppendFrom(&victim.c.Recs, 0)
 	} else {
+		left.c.Keys = append(left.c.Keys, victim.c.Keys...)
 		left.c.Children = append(left.c.Children, victim.c.Children...)
 	}
 	left.raw = left.countRaw()

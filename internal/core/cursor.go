@@ -3,6 +3,7 @@ package core
 import (
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
+	"blinktree/internal/page"
 )
 
 // Cursor iterates records in key order without holding latches between
@@ -104,25 +105,24 @@ func (c *Cursor) fill() error {
 		return err
 	}
 	for {
-		keys := leaf.c.Keys
-		lo := 0
+		recs := &leaf.c.Recs
+		lo, hi := 0, recs.Len()
 		if len(c.pos) > 0 {
-			lo, _ = keySearch(c.t.cmp, keys, c.pos)
+			lo, _ = recs.Search(c.t.cmp, c.pos)
 		}
-		hi := len(keys)
 		if c.end != nil {
-			i, _ := keySearch(c.t.cmp, keys[lo:], c.end)
-			hi = lo + i
+			hi, _ = recs.Search(c.t.cmp, c.end)
+			hi = max(hi, lo)
 		}
 		sib := leaf.c.Right
 		// Done when a key at or past end exists here, when there is no later
 		// leaf, or when every later leaf lies past end.
-		c.done = hi < len(keys) || sib == 0 ||
+		c.done = hi < recs.Len() || sib == 0 ||
 			(c.end != nil && !leaf.pastHigh(c.t, c.end))
 		if lo < hi {
 			// Resume at this leaf's high fence: whatever is written below it
 			// from now on belongs to the snapshot just taken.
-			c.load(keys[lo:hi], leaf.c.Vals[lo:hi], leaf.c.High)
+			c.load(recs, lo, hi, leaf.c.High)
 			c.dx = c.t.dx.v.Load()
 		}
 		if lo < hi || c.done {
@@ -141,24 +141,24 @@ func (c *Cursor) fill() error {
 	}
 }
 
-// load copies the given leaf entries into a fresh arena and makes them the
-// batch, in the cursor's direction. The arena's tail holds the cursor's own
-// copy of resume, the next position, so the caller owns every byte it is
+// load copies a leaf's records [lo, hi) into a fresh arena and makes them
+// the batch, in the cursor's direction. The arena's tail holds the cursor's
+// own copy of resume, the next position, so the caller owns every byte it is
 // handed.
-func (c *Cursor) load(keys, vals [][]byte, resume []byte) {
+func (c *Cursor) load(recs *page.Records, lo, hi int, resume []byte) {
 	size := len(resume)
-	for i := range keys {
-		size += len(keys[i]) + len(vals[i])
+	for i := lo; i < hi; i++ {
+		size += len(recs.Key(i)) + len(recs.Val(i))
 	}
 	arena := make([]byte, size)
 	a := 0
-	for j := range keys {
+	for j := lo; j < hi; j++ {
 		i := j
 		if c.reverse {
-			i = len(keys) - 1 - j
+			i = hi - 1 - (j - lo)
 		}
-		k := a + copy(arena[a:], keys[i])
-		v := k + copy(arena[k:], vals[i])
+		k := a + copy(arena[a:], recs.Key(i))
+		v := k + copy(arena[k:], recs.Val(i))
 		c.batch = append(c.batch, arena[a:k:k], arena[k:v:v])
 		a = v
 	}

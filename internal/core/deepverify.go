@@ -87,7 +87,7 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 				}
 			}
 			if lvl == 0 {
-				rep.Records += len(n.c.Keys)
+				rep.Records += n.c.Recs.Len()
 			}
 			if lvl > 0 && next == 0 {
 				next = n.c.Children[0]

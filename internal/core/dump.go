@@ -45,7 +45,7 @@ func (t *Tree) NodeSnapshot(id page.PageID) (NodeInfo, error) {
 	if n.c.High != nil {
 		info.High = append([]byte(nil), n.c.High...)
 	}
-	for _, k := range n.c.Keys {
+	for _, k := range n.keys() {
 		info.Keys = append(info.Keys, append([]byte(nil), k...))
 	}
 	info.Children = append(info.Children, n.c.Children...)

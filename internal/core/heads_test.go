@@ -127,14 +127,14 @@ func TestKeyHeadsMaintenanceMatchesRebuild(t *testing.T) {
 		if len(pool) == 0 {
 			continue
 		}
-		leaf := newNode(1, page.Content{Kind: page.Leaf, Keys: [][]byte{}, Vals: [][]byte{}})
+		leaf := newNode(1, page.Content{Kind: page.Leaf})
 		index := newNode(2, page.Content{Kind: page.Index, Level: 1, Keys: [][]byte{}, Children: []page.PageID{}})
 		for step := 0; step < 100; step++ {
 			k := pool[rng.Intn(len(pool))]
 			if i, found := leaf.searchLeaf(bytewiseTree, k); !found && rng.Intn(3) > 0 {
 				leaf.insertLeafAt(i, k, nil)
 				index.insertIndexTerm(bytewiseTree, k, page.PageID(step+1))
-			} else if n := len(leaf.c.Keys); n > 0 {
+			} else if n := leaf.c.Recs.Len(); n > 0 {
 				i := []int{0, n - 1, rng.Intn(n)}[rng.Intn(3)]
 				leaf.removeLeafAt(i)
 				index.removeIndexTermAt(i)

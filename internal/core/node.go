@@ -112,6 +112,19 @@ func newNode(id page.PageID, c page.Content) *node {
 	return n
 }
 
+// keys returns n's keys: an index node's separators, or views of a leaf's
+// record keys in a slice of their own.
+func (n *node) keys() [][]byte {
+	if !n.isLeaf() {
+		return n.c.Keys
+	}
+	keys := make([][]byte, n.c.Recs.Len())
+	for i := range keys {
+		keys[i] = n.c.Recs.Key(i)
+	}
+	return keys
+}
+
 // countRaw walks the content for the size raw caches.
 func (n *node) countRaw() int { return n.c.Size() + len(n.c.Keys)*n.c.PrefixLen() }
 
@@ -154,20 +167,16 @@ func keySearch(cmp Compare, keys [][]byte, key []byte) (int, bool) {
 // searchLeaf returns the position of key in a leaf and whether it is
 // present; absent keys return their insertion position.
 func (n *node) searchLeaf(t *Tree, key []byte) (int, bool) {
-	return t.search(n.c.Keys, &n.hs, key)
+	if t.bytewise {
+		return n.c.Recs.Search(nil, key)
+	}
+	return n.c.Recs.Search(t.cmp, key)
 }
 
 // childFor returns the index of the child covering key in an index node.
 // The caller must have established key >= Low (keys[0] == Low).
 func (n *node) childFor(t *Tree, key []byte) int {
 	return (&traverseOpts{key: key}).childIn(t, n.c.Keys, &n.hs)
-}
-
-// searchIndexKey reports whether an index node has an entry with exactly
-// this separator key, and its position.
-func (n *node) searchIndexKey(t *Tree, key []byte) (bool, int) {
-	i, found := t.search(n.c.Keys, &n.hs, key)
-	return found, i
 }
 
 // findChild returns the position of the index entry pointing at child, or
@@ -183,30 +192,22 @@ func (n *node) findChild(child page.PageID) int {
 
 // insertLeafAt inserts (key, val) at position i.
 func (n *node) insertLeafAt(i int, key, val []byte) {
-	n.c.Keys = append(n.c.Keys, nil)
-	copy(n.c.Keys[i+1:], n.c.Keys[i:])
-	n.c.Keys[i] = append([]byte(nil), key...)
-	n.c.Vals = append(n.c.Vals, nil)
-	copy(n.c.Vals[i+1:], n.c.Vals[i:])
-	n.c.Vals[i] = append([]byte(nil), val...)
+	n.c.Recs.Insert(i, key, val)
 	n.raw += page.EntrySize(page.Leaf, len(key), len(val))
-	n.hs.changed(n.c.Keys, i, true)
 }
 
 // removeLeafAt removes the entry at position i, returning its value.
 func (n *node) removeLeafAt(i int) []byte {
-	old := n.c.Vals[i]
-	n.raw -= page.EntrySize(page.Leaf, len(n.c.Keys[i]), len(old))
-	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
-	n.c.Vals = append(n.c.Vals[:i], n.c.Vals[i+1:]...)
-	n.hs.changed(n.c.Keys, i, false)
+	old := n.c.Recs.Val(i)
+	n.raw -= page.EntrySize(page.Leaf, len(n.c.Recs.Key(i)), len(old))
+	n.c.Recs.Delete(i)
 	return old
 }
 
 // setLeafVal replaces the value at position i.
 func (n *node) setLeafVal(i int, val []byte) {
-	n.raw += len(val) - len(n.c.Vals[i])
-	n.c.Vals[i] = append([]byte(nil), val...)
+	n.raw += len(val) - len(n.c.Recs.Val(i))
+	n.c.Recs.Set(i, val)
 }
 
 // insertIndexTerm inserts the separator key -> child entry in sorted
@@ -250,7 +251,7 @@ func (n *node) logicalSize() int { return n.raw }
 func (n *node) String() string {
 	return fmt.Sprintf("node %d %s L%d [%q,%q) right=%d keys=%d dd=%d lsn=%d",
 		n.id, n.c.Kind, n.c.Level, n.c.Low, highString(n.c.High), n.c.Right,
-		len(n.c.Keys), n.c.DD, n.c.LSN)
+		len(n.c.Keys)+n.c.Recs.Len(), n.c.DD, n.c.LSN)
 }
 
 func highString(h []byte) string {

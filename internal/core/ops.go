@@ -61,7 +61,7 @@ func (t *Tree) lookup(dst, key []byte, value bool) ([]byte, error) {
 	}
 	pos, found := leaf.searchLeaf(t, key)
 	if found && value {
-		dst = append(dst, leaf.c.Vals[pos]...)
+		dst = append(dst, leaf.c.Recs.Val(pos)...)
 	}
 	t.maybeEnqueueLeafDelete(leaf, path, dx)
 	t.unlatchUnpin(leaf, latch.Shared, false)
@@ -139,9 +139,8 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 	for {
 		pos, found := leaf.searchLeaf(t, key)
 		if found {
-			delta := len(val) - len(leaf.c.Vals[pos])
-			if leaf.size()+delta <= t.opts.PageSize {
-				old := leaf.c.Vals[pos]
+			old := leaf.c.Recs.Val(pos)
+			if leaf.size()+len(val)-len(old) <= t.opts.PageSize {
 				leaf.setLeafVal(pos, val)
 				lsn, err := t.logRecOp(leaf, lp, wal.OpUpdate, key, val, old)
 				t.noteRightEdge(leaf)
@@ -220,7 +219,7 @@ func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpPar
 		t.unlatchUnpin(leaf, latch.Exclusive, false)
 		return 0, ErrKeyNotFound
 	}
-	kcopy := leaf.c.Keys[pos]
+	kcopy := leaf.c.Recs.Key(pos)
 	old := leaf.removeLeafAt(pos)
 	lsn, err := t.logRecOp(leaf, lp, wal.OpDelete, kcopy, nil, old)
 	t.maybeEnqueueLeafDelete(leaf, path, dx)

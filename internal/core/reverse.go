@@ -57,20 +57,20 @@ func (c *Cursor) fillReverse() error {
 		if err != nil {
 			return err
 		}
-		keys, low := leaf.c.Keys, leaf.c.Low
-		hi := len(keys)
+		recs, low := &leaf.c.Recs, leaf.c.Low
+		lo, hi := 0, recs.Len()
 		if c.pos != nil {
-			hi, _ = keySearch(c.t.cmp, keys, c.pos)
+			hi, _ = recs.Search(c.t.cmp, c.pos)
 		}
-		lo := 0
 		if len(c.end) > 0 {
-			lo, _ = keySearch(c.t.cmp, keys[:hi], c.end)
+			lo, _ = recs.Search(c.t.cmp, c.end)
+			lo = min(lo, hi)
 		}
 		// Done at the leftmost leaf, or when every key left of this leaf
 		// lies below end.
 		c.done = len(low) == 0 || len(c.end) > 0 && c.t.cmp(low, c.end) <= 0
 		if lo < hi {
-			c.load(keys[lo:hi], leaf.c.Vals[lo:hi], low)
+			c.load(recs, lo, hi, low)
 		} else if !c.done {
 			c.pos = append(c.pos[:0], low...)
 		}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"blinktree/internal/storage"
 )
 
 // BenchmarkKeySearch measures the in-node search every traversal step
@@ -94,4 +97,44 @@ func BenchmarkCachedGet(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLeafMiss is the standing cost of a leaf miss: each op fetches and
+// unpins a leaf that is not resident, so it is one FileStore read, one decode
+// and one node, plus the eviction of a clean frame. The tree holds the
+// benchmark harness's record shape (16-byte keys, 100-byte values, 85 %-full
+// 4 KiB leaves) in 16 times more leaves than the pool has frames.
+func BenchmarkLeafMiss(b *testing.B) {
+	const frames = 64
+	store, err := storage.OpenFileStore(filepath.Join(b.TempDir(), "pages.db"), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := newTestTree(b, Options{PageSize: 4096, CacheSize: frames, Store: store})
+	val := bytes.Repeat([]byte{'v'}, 100)
+	i := 0
+	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		i++
+		return binary.BigEndian.AppendUint64(make([]byte, 8, 16), uint64(i)), val, i <= 16*frames*30
+	}, 0.85); err != nil {
+		b.Fatal(err)
+	}
+	leaves, err := tr.LevelNodes(0)
+	if err != nil || len(leaves) < 16*frames {
+		b.Fatalf("%d leaves for %d frames (%v)", len(leaves), frames, err)
+	}
+	before := tr.PoolStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := tr.fetch(leaves[i%len(leaves)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.unpin(n)
+	}
+	b.StopTimer()
+	if hits := tr.PoolStats().Hits - before.Hits; hits > 0 {
+		b.Fatalf("%d of %d fetches hit: the leaves were resident", hits, b.N)
+	}
 }

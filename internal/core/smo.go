@@ -39,7 +39,7 @@ func (t *Tree) serializedSplit(key []byte, need int) error {
 	if err != nil {
 		return err
 	}
-	if leaf.size()+need > t.opts.PageSize && len(leaf.c.Keys) >= 2 {
+	if leaf.size()+need > t.opts.PageSize && leaf.c.Recs.Len() >= 2 {
 		parent, dd := parentFromPath(path)
 		err = t.splitLocked(leaf, parent, dd, dx)
 	}
@@ -227,7 +227,7 @@ func (t *Tree) postInto(p *node, a action) {
 		// A term with the same key but a different child means the key
 		// space boundary was recreated by unrelated SMOs; the posting is
 		// stale. Abandon.
-		if i, _ := p.searchIndexKey(t, a.sep); i {
+		if _, found := t.search(p.c.Keys, &p.hs, a.sep); found {
 			t.c.postsDuplicate.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, false)
 			t.traceSMO(obs.EvCompleted, &a)

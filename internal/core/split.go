@@ -21,7 +21,8 @@ import (
 // The whole first half split is one atomic action: a single SMO log record
 // carries both after-images and the allocation.
 func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
-	nk := len(n.c.Keys)
+	keys := n.keys()
+	nk := len(keys)
 	if nk < 2 {
 		return fmt.Errorf("blinktree: splitting node %d with %d entries", n.id, nk)
 	}
@@ -32,11 +33,11 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		// partitions the halves correctly, so pick the shortest one. Short
 		// separators shrink every index level above. Only valid under
 		// bytewise ordering (a custom comparator need not order prefixes).
-		sep = shortestSeparator(n.c.Keys[mid-1], n.c.Keys[mid])
+		sep = shortestSeparator(keys[mid-1], keys[mid])
 	} else {
 		// Index separators must stay exact: an index term's key must equal
 		// its child's low fence.
-		sep = append([]byte(nil), n.c.Keys[mid]...)
+		sep = append([]byte(nil), keys[mid]...)
 	}
 
 	newC := page.Content{
@@ -50,10 +51,10 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		// traversal (monotone along the copy chain).
 		DD: n.c.DD,
 	}
-	newC.Keys = append([][]byte(nil), n.c.Keys[mid:]...)
 	if n.isLeaf() {
-		newC.Vals = append([][]byte(nil), n.c.Vals[mid:]...)
+		newC.Recs.AppendFrom(&n.c.Recs, mid)
 	} else {
+		newC.Keys = append([][]byte(nil), n.c.Keys[mid:]...)
 		newC.Children = append([]page.PageID(nil), n.c.Children[mid:]...)
 	}
 
@@ -64,11 +65,10 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 
 	// Shrink the original in place and hook up the side pointer carrying
 	// the new node's key space description (High of n == Low of new).
-	n.c.Keys = n.c.Keys[:mid]
 	if n.isLeaf() {
-		n.c.Vals = n.c.Vals[:mid]
+		n.c.Recs.Truncate(mid)
 	} else {
-		n.c.Children = n.c.Children[:mid]
+		n.c.Keys, n.c.Children = n.c.Keys[:mid], n.c.Children[:mid]
 	}
 	n.c.High = sep
 	n.c.Right = right.id
@@ -127,19 +127,17 @@ func shortestSeparator(a, b []byte) []byte {
 // every level above — the index-level analogue of leaf suffix truncation,
 // and sound under any comparator because the separator is an existing key.
 func (t *Tree) splitPoint(n *node) int {
-	total := 0
-	sizes := make([]int, len(n.c.Keys))
-	for i, k := range n.c.Keys {
-		var s int
+	keys := n.keys()
+	nk, total := len(keys), 0
+	sizes := make([]int, nk)
+	for i, k := range keys {
 		if n.isLeaf() {
-			s = page.EntrySize(page.Leaf, len(k), len(n.c.Vals[i]))
+			sizes[i] = page.EntrySize(page.Leaf, len(k), len(n.c.Recs.Val(i)))
 		} else {
-			s = page.EntrySize(page.Index, len(k), 0)
+			sizes[i] = page.EntrySize(page.Index, len(k), 0)
 		}
-		sizes[i] = s
-		total += s
+		total += sizes[i]
 	}
-	nk := len(n.c.Keys)
 	mid := nk / 2
 	half := total / 2
 	acc := 0
@@ -217,6 +215,6 @@ func (t *Tree) logSplit(orig, right *node) error {
 func (t *Tree) mergedSize(left, victim *node) int {
 	m := page.Content{Kind: left.c.Kind, Low: left.c.Low, High: victim.c.High, Compress: left.c.Compress}
 	entries := func(n *node) int { return n.raw - (&page.Content{Low: n.c.Low, High: n.c.High}).Size() }
-	nk := len(left.c.Keys) + len(victim.c.Keys)
+	nk := len(left.c.Keys) + len(victim.c.Keys) // index keys: a leaf's are never compressed
 	return m.Size() + entries(left) + entries(victim) - nk*m.PrefixLen()
 }

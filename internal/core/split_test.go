@@ -92,23 +92,21 @@ func TestSplitPointBalancesBySize(t *testing.T) {
 	n := newNode(1, pageLeafContent())
 	// One giant value at the front, many small ones after: the byte-wise
 	// split point must land after the giant entry, not at the key midpoint.
-	n.c.Keys = append(n.c.Keys, []byte("aaa"))
-	n.c.Vals = append(n.c.Vals, bytes.Repeat([]byte("X"), 1000))
+	n.insertLeafAt(0, []byte("aaa"), bytes.Repeat([]byte("X"), 1000))
 	for i := 0; i < 20; i++ {
-		n.c.Keys = append(n.c.Keys, []byte{byte('b' + i)})
-		n.c.Vals = append(n.c.Vals, []byte("v"))
+		n.insertLeafAt(i+1, []byte{byte('b' + i)}, []byte("v"))
 	}
 	mid := tr.splitPoint(n)
 	if mid > 5 {
 		t.Fatalf("splitPoint = %d; size-weighted split should land early", mid)
 	}
-	if mid < 1 || mid >= len(n.c.Keys) {
+	if mid < 1 || mid >= n.c.Recs.Len() {
 		t.Fatalf("splitPoint = %d out of range", mid)
 	}
 }
 
 func pageLeafContent() page.Content {
-	return page.Content{Kind: page.Leaf, Low: []byte{}, Keys: [][]byte{}, Vals: [][]byte{}}
+	return page.Content{Kind: page.Leaf, Low: []byte{}}
 }
 
 func TestSplitPointIndexPrefersShortFence(t *testing.T) {

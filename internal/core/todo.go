@@ -118,9 +118,9 @@ func (a action) dedup() dedupKey {
 	return dedupKey{kind: a.kind, orig: a.origID, new: a.newID}
 }
 
-// maxActionRetries bounds re-enqueues of one action (root-grow races,
-// reclaim of a transiently pinned page). A dropped post or delete is always
-// safe: the need for it is re-discovered (§2.3).
+// maxActionRetries bounds re-enqueues of one action (root-grow races). A
+// dropped post or delete is safe: the need is re-discovered (§2.3). A
+// reclaim's page is dead and unreachable, so a reclaim is never dropped.
 const maxActionRetries = 1000
 
 // maxDrainSpins bounds drain's tolerance for actions that keep requeuing
@@ -223,12 +223,14 @@ func (q *todoQueue) enqueue(a action) {
 	q.t.traceSMO(obs.EvEnqueued, &a)
 }
 
-// requeue re-adds an action that must be retried later (with backoff via
-// retry counting; beyond the cap it is dropped and will be re-discovered).
+// requeue re-adds an action that must be retried later. Past the cap it is
+// dropped, or, a reclaim, backs off: the descent pinning the dead frame may
+// need the queue mutex its retries hammer.
 func (q *todoQueue) requeue(a action) {
-	a.retries++
-	if a.retries > maxActionRetries {
+	if a.retries++; a.retries > maxActionRetries && a.kind != actReclaim {
 		return
+	} else if a.retries > maxActionRetries {
+		time.Sleep(100 * time.Microsecond)
 	}
 	if q.stopped.Load() {
 		return

@@ -545,3 +545,48 @@ func TestTraceAbortCarriesDDValues(t *testing.T) {
 		t.Errorf("PostsAbortDD = %d, want 1", got)
 	}
 }
+
+// TestReclaimSurvivesLongPin: a dead page's frame stays pinned across more
+// than maxActionRetries tries of its reclaim. Nothing would ever re-discover
+// the page, so the reclaim must not be dropped: once the pin goes, a drain
+// frees the page and VerifyDeep finds no leak.
+func TestReclaimSurvivesLongPin(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	for i := 0; i < 200; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	leaves, err := tr.LevelNodes(0)
+	if err != nil || len(leaves) < 3 {
+		t.Fatalf("%d leaves (%v)", len(leaves), err)
+	}
+	info, err := tr.NodeSnapshot(leaves[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := tr.fetch(leaves[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range info.Keys {
+		if err := tr.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.todo.drainSpinLimit = maxActionRetries + 100 // the drain bails out, the pin held
+	tr.DrainTodo()
+	if !pinned.dead {
+		t.Fatal("the emptied leaf was not consolidated")
+	}
+	if n := tr.Stats().ReclaimRetry; n <= maxActionRetries+1 {
+		t.Fatalf("reclaim tried %d times, want more than %d", n, maxActionRetries+1)
+	}
+	tr.unpin(pinned)
+	tr.todo.drainSpinLimit = maxDrainSpins
+	tr.DrainTodo()
+	if _, err := tr.VerifyDeep(); err != nil {
+		t.Fatal(err)
+	}
+}

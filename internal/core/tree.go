@@ -151,11 +151,11 @@ type codec struct{ t *Tree }
 
 // Unmarshal implements buffer.Codec.
 func (cd codec) Unmarshal(data []byte) (buffer.Object, error) {
-	c, err := page.Unmarshal(data)
-	if err != nil {
+	var c page.Content
+	if err := page.UnmarshalInto(&c, data); err != nil {
 		return nil, err
 	}
-	n := newNode(c.ID, *c)
+	n := newNode(c.ID, c)
 	// Prefix compression is a property of the tree's comparator, not of the
 	// stored image: a bytewise tree (re)compresses index pages on write-out,
 	// a custom-comparator tree never does (its key order need not preserve
@@ -691,7 +691,7 @@ func (t *Tree) validateEntry(key, val []byte) error {
 // method of [15] also requires pages to be empty."); the paper's method
 // consolidates at any utilization bound.
 func (t *Tree) underutilized(n *node) bool {
-	return t.underutilizedRaw(n.logicalSize(), len(n.c.Keys))
+	return t.underutilizedRaw(n.logicalSize(), len(n.c.Keys)+n.c.Recs.Len())
 }
 
 // underutilizedRaw is the underutilized policy on raw numbers, shared with

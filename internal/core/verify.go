@@ -107,9 +107,9 @@ func (t *Tree) verifyLevel(start page.PageID, lvl uint8) ([]page.PageID, error) 
 
 // verifyNode checks one node's internal invariants.
 func (t *Tree) verifyNode(n *node) error {
-	// Slice-shape checks come first: size() indexes Vals by Keys position.
-	if n.isLeaf() && len(n.c.Vals) != len(n.c.Keys) {
-		return fmt.Errorf("verify: leaf %d has %d keys, %d vals", n.id, len(n.c.Keys), len(n.c.Vals))
+	// Slice-shape checks come first: a leaf's records are in Recs only.
+	if n.isLeaf() && len(n.c.Keys)+len(n.c.Vals) > 0 {
+		return fmt.Errorf("verify: leaf %d has entries outside its records", n.id)
 	}
 	if !n.isLeaf() && len(n.c.Children) != len(n.c.Keys) {
 		return fmt.Errorf("verify: index %d has %d keys, %d children", n.id, len(n.c.Keys), len(n.c.Children))
@@ -123,8 +123,9 @@ func (t *Tree) verifyNode(n *node) error {
 	if n.c.High != nil && t.cmp(n.c.Low, n.c.High) >= 0 {
 		return fmt.Errorf("verify: node %d fences inverted: [%q, %q)", n.id, n.c.Low, n.c.High)
 	}
-	for i, k := range n.c.Keys {
-		if i > 0 && t.cmp(n.c.Keys[i-1], k) >= 0 {
+	keys := n.keys()
+	for i, k := range keys {
+		if i > 0 && t.cmp(keys[i-1], k) >= 0 {
 			return fmt.Errorf("verify: node %d keys out of order at %d", n.id, i)
 		}
 		if t.cmp(k, n.c.Low) < 0 {
@@ -172,39 +173,28 @@ func (t *Tree) verifyNode(n *node) error {
 	return nil
 }
 
-// verifyLeafOrder walks the full leaf chain checking global key order.
+// verifyLeafOrder walks the full leaf chain checking global key order. A
+// key is a view of its leaf's page, never rewritten, so prev may outlive the
+// pin.
 func (t *Tree) verifyLeafOrder() error {
-	id, lvl := t.readAnchor()
-	for lvl > 0 {
-		n, err := t.fetch(id)
-		if err != nil {
-			return err
-		}
-		next := n.c.Children[0]
-		lvl = n.level() - 1
-		t.unpin(n)
-		id = next
-	}
+	ids, err := t.LevelNodes(0)
 	var prev []byte
-	haveAny := false
-	for id != 0 {
+	for _, id := range ids {
 		n, err := t.fetch(id)
 		if err != nil {
 			return err
 		}
-		for _, k := range n.c.Keys {
-			if haveAny && t.cmp(prev, k) >= 0 {
+		for i := range n.c.Recs.Len() {
+			k := n.c.Recs.Key(i)
+			if prev != nil && t.cmp(prev, k) >= 0 {
 				t.unpin(n)
 				return fmt.Errorf("verify: leaf chain order violation at key %q (prev %q)", k, prev)
 			}
-			prev = append(prev[:0], k...)
-			haveAny = true
+			prev = k
 		}
-		next := n.c.Right
 		t.unpin(n)
-		id = next
 	}
-	return nil
+	return err
 }
 
 // Records returns every record in key order (quiescent use only).

@@ -54,8 +54,10 @@ func expectViolation(t *testing.T, tr *Tree, substr string) {
 func TestVerifyDetectsKeyOrderViolation(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		if len(n.c.Keys) >= 2 {
-			n.c.Keys[0], n.c.Keys[1] = n.c.Keys[1], n.c.Keys[0]
+		if r := &n.c.Recs; r.Len() >= 2 {
+			k, v := r.Key(0), r.Val(0)
+			r.Delete(0)
+			r.Insert(1, k, v)
 		}
 	})
 	expectViolation(t, tr, "out of order")
@@ -64,7 +66,9 @@ func TestVerifyDetectsKeyOrderViolation(t *testing.T) {
 func TestVerifyDetectsFenceViolation(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		n.c.Keys[0] = []byte("\x00below-everything")
+		v := n.c.Recs.Val(0)
+		n.c.Recs.Delete(0)
+		n.c.Recs.Insert(0, []byte("\x00below-everything"), v)
 		n.raw = n.countRaw()
 	})
 	expectViolation(t, tr, "below")
@@ -85,15 +89,15 @@ func TestVerifyDetectsChainGap(t *testing.T) {
 func TestVerifyDetectsStaleCachedSize(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		n.c.Vals[0] = append(n.c.Vals[0], 'x')
+		n.c.Recs.Set(0, append(bytes.Clone(n.c.Recs.Val(0)), 'x'))
 	})
 	expectViolation(t, tr, "cached size")
 }
 
-// TestVerifyDetectsStaleKeyHeads: a mutator that forgets the key heads leaves
-// every key in place and every search of the node wrong. Verify recounts the
-// heads and names the node, in a bytewise tree; a custom comparator never
-// searches them, so there it does not look.
+// TestVerifyDetectsStaleKeyHeads: a mutator that forgets an index node's key
+// heads leaves every key in place and every search of the node wrong. Verify
+// recounts the heads and names the node, in a bytewise tree; a custom
+// comparator never searches them, so there it does not look.
 func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
 	tr := buildVerifyTree(t)
 	var id page.PageID
@@ -101,7 +105,7 @@ func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
 		id = n.id
 		n.hs.h[len(n.hs.h)-1]++
 	}
-	withNode(t, tr, 1, 0, stale)
+	withNode(t, tr, 0, 1, stale)
 	expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
 
 	custom := newTestTree(t, Options{PageSize: 512, Compare: func(a, b []byte) int { return bytes.Compare(a, b) }})
@@ -109,7 +113,7 @@ func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
 		custom.Put(key(i), valb(i))
 	}
 	custom.DrainTodo()
-	withNode(t, custom, 1, 0, stale)
+	withNode(t, custom, 0, 1, stale)
 	if err := custom.Verify(); err != nil {
 		t.Fatalf("custom-comparator tree: %v", err)
 	}
@@ -134,9 +138,9 @@ func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
 func TestVerifyDetectsMismatchedVals(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 0, 0, func(n *node) {
-		n.c.Vals = n.c.Vals[:len(n.c.Vals)-1]
+		n.c.Vals = [][]byte{[]byte("stray")}
 	})
-	expectViolation(t, tr, "vals")
+	expectViolation(t, tr, "outside its records")
 }
 
 func TestNodeSnapshotAndLevelNodes(t *testing.T) {
@@ -167,7 +171,7 @@ func TestNodeSnapshotAndLevelNodes(t *testing.T) {
 }
 
 func TestNodeStringForms(t *testing.T) {
-	n := newNode(7, page.Content{Kind: page.Leaf, Low: []byte("a"), Keys: [][]byte{}, Vals: [][]byte{}})
+	n := newNode(7, page.Content{Kind: page.Leaf, Low: []byte("a")})
 	if s := n.String(); !strings.Contains(s, "node 7") {
 		t.Fatalf("node.String() = %q", s)
 	}
@@ -199,10 +203,10 @@ func TestMergedSizeIsExact(t *testing.T) {
 				c.High = []byte(high)
 			}
 			for i, k := range keys {
-				c.Keys = append(c.Keys, []byte(k))
 				if tc.kind == page.Leaf {
-					c.Vals = append(c.Vals, valb(i))
+					c.Recs.Insert(i, []byte(k), valb(i))
 				} else {
+					c.Keys = append(c.Keys, []byte(k))
 					c.Children = append(c.Children, page.PageID(i+1))
 				}
 			}

@@ -95,15 +95,20 @@ type Content struct {
 	// keys were stored stripped.
 	Compress bool
 
-	// Keys are the record keys (leaf) or separator keys (index), sorted.
+	// Keys are the separator keys of an index page, sorted. A leaf's
+	// records are in Recs once decoded; Keys and Vals are the form a
+	// writer may build a new leaf in for Marshal (the bulk load does), and
+	// a leaf uses one form or the other, never both.
 	Keys [][]byte
-	// Vals holds the record values; used only when Kind == Leaf.
+	// Vals holds the record values of a leaf built in that form.
 	Vals [][]byte
 	// Children holds child pointers; used only when Kind == Index.
 	// Children[i] covers [Keys[i], Keys[i+1]) with Children[len-1]
 	// covering [Keys[len-1], High). An index node with n keys has n
 	// children; the node's Low equals Keys[0].
 	Children []PageID
+	// Recs holds a decoded or resident leaf's records in place.
+	Recs Records
 }
 
 // Serialization layout (little endian):
@@ -190,7 +195,7 @@ func commonPrefix(a, b []byte) int {
 // under-utilized). With prefix compression in effect the size reflects the
 // stripped keys, so occupancy decisions see the real on-page density.
 func (c *Content) Size() int {
-	n := headerSize + len(c.Low) + len(c.High)
+	n := headerSize + len(c.Low) + len(c.High) + c.Recs.bytes
 	for i, k := range c.Keys {
 		n += 2 + len(k)
 		if c.Kind == Leaf {
@@ -260,7 +265,7 @@ func MarshalInto(c *Content, buf []byte) error {
 	binary.LittleEndian.PutUint64(buf[offRight:], uint64(c.Right))
 	binary.LittleEndian.PutUint64(buf[offDD:], c.DD)
 	binary.LittleEndian.PutUint64(buf[offEpoch:], c.Epoch)
-	binary.LittleEndian.PutUint16(buf[offKeyCount:], uint16(len(c.Keys)))
+	binary.LittleEndian.PutUint16(buf[offKeyCount:], uint16(len(c.Keys)+c.Recs.Len()))
 	binary.LittleEndian.PutUint16(buf[offLowLen:], uint16(len(c.Low)))
 	binary.LittleEndian.PutUint16(buf[offHighLen:], uint16(len(c.High)))
 
@@ -282,26 +287,39 @@ func MarshalInto(c *Content, buf []byte) error {
 			p += 8
 		}
 	}
+	for i := range c.Recs.slots {
+		p += copy(buf[p:], c.Recs.record(i))
+	}
 	clear(buf[p:])
 	binary.LittleEndian.PutUint32(buf[offCRC:], crc32.Checksum(buf[crcStart:p], castagnoli))
 	return nil
 }
 
-// Unmarshal parses a page image produced by Marshal and takes ownership of
-// buf: leaf values are sub-slices of it, so the caller must not modify or
-// reuse buf afterwards (storage.Store.Read hands over exactly such a private
-// buffer). Fences and keys — prefix-compressed index keys rebuilt in full —
-// are copied into one dense arena, so a binary search touches contiguous
-// memory and an index node does not retain its image at all. Every returned
-// slice has cap == len and none may be written through: a holder replaces a
-// slot with a fresh allocation, never its bytes, which is what lets slice
-// headers move between nodes (split, consolidate), into WAL undo images and
-// into route snapshots without copying.
+// Unmarshal parses a page image produced by Marshal; see UnmarshalInto.
 func Unmarshal(buf []byte) (*Content, error) {
-	if len(buf) < headerSize || string(buf[0:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	c := new(Content)
+	if err := UnmarshalInto(c, buf); err != nil {
+		return nil, err
 	}
-	c := &Content{
+	return c, nil
+}
+
+// UnmarshalInto parses a page image produced by Marshal into c and takes
+// ownership of buf: the caller must not modify or reuse it afterwards
+// (storage.Store.Read hands over exactly such a private buffer), and the
+// decoder writes nothing. A leaf's records are decoded in place, a Records
+// over buf, so its decode is the checksum, one walk that fills the slots and
+// a copy of the fences. An index page's fences and keys — prefix-compressed
+// keys rebuilt in full — are copied into one dense arena, so its search
+// touches contiguous memory and the node does not retain its image. Every
+// slice has cap == len and none may be written through, which is what lets
+// slices move between nodes (split, consolidate), into WAL records and into
+// route snapshots without copying.
+func UnmarshalInto(c *Content, buf []byte) error {
+	if len(buf) < headerSize || string(buf[0:4]) != magic {
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	*c = Content{
 		Kind:  Kind(buf[offKind]),
 		Level: buf[offLevel],
 		ID:    PageID(binary.LittleEndian.Uint64(buf[offID:])),
@@ -311,65 +329,70 @@ func Unmarshal(buf []byte) (*Content, error) {
 		Epoch: binary.LittleEndian.Uint64(buf[offEpoch:]),
 	}
 	if c.Kind != Leaf && c.Kind != Index {
-		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, c.Kind)
+		return fmt.Errorf("%w: kind %d", ErrCorrupt, c.Kind)
 	}
 	flags := binary.LittleEndian.Uint16(buf[offFlags:])
 	if flags&^(flagHasHigh|flagPrefix) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
+		return fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
 	}
 	nkeys := int(binary.LittleEndian.Uint16(buf[offKeyCount:]))
 	lowLen := int(binary.LittleEndian.Uint16(buf[offLowLen:]))
 	highLen := int(binary.LittleEndian.Uint16(buf[offHighLen:]))
 	if flags&flagHasHigh == 0 && highLen != 0 {
-		return nil, fmt.Errorf("%w: high length without flag", ErrCorrupt)
+		return fmt.Errorf("%w: high length without flag", ErrCorrupt)
 	}
 	entries := offPayload + lowLen + highLen
 	if entries > len(buf) {
-		return nil, fmt.Errorf("%w: truncated fence keys", ErrCorrupt)
+		return fmt.Errorf("%w: truncated fence keys", ErrCorrupt)
 	}
-	c.Low = buf[offPayload : offPayload+lowLen]
+	c.Low = buf[offPayload : offPayload+lowLen : offPayload+lowLen]
 	if flags&flagHasHigh != 0 {
-		c.High = buf[offPayload+lowLen : entries]
+		c.High = buf[offPayload+lowLen : entries : entries]
 	}
 	cp := 0
 	if flags&flagPrefix != 0 {
 		c.Compress = true
 		if cp = c.PrefixLen(); cp == 0 {
-			return nil, fmt.Errorf("%w: prefix flag on incompressible page", ErrCorrupt)
+			return fmt.Errorf("%w: prefix flag on incompressible page", ErrCorrupt)
 		}
 	}
 
-	// First walk: bounds-check every length before anything is sliced by it,
-	// and size the arena. The checksum covers exactly the bytes walked.
+	// One walk bounds-checks every length before anything is sliced by it,
+	// sizes an index page's arena and fills a leaf's slots. The checksum
+	// covers exactly the bytes walked.
+	var slots []uint32
+	if c.Kind == Leaf {
+		slots = make([]uint32, nkeys)
+	}
 	arenaLen, p := lowLen+highLen, entries
 	for i := 0; i < nkeys; i++ {
 		if p+2 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated key length at offset %d", ErrCorrupt, p)
+			return fmt.Errorf("%w: truncated key length at offset %d", ErrCorrupt, p)
 		}
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
 		if cp+klen > maxEntryLen {
-			return nil, fmt.Errorf("%w: key %d longer than %d", ErrCorrupt, i, maxEntryLen)
+			return fmt.Errorf("%w: key %d longer than %d", ErrCorrupt, i, maxEntryLen)
 		}
-		arenaLen += cp + klen
-		p += 2 + klen
 		if c.Kind == Index {
-			p += 8
+			arenaLen += cp + klen
+			p += 2 + klen + 8
 			continue
 		}
-		if p+2 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated value length at offset %d", ErrCorrupt, p)
+		slots[i] = uint32(p)
+		if p += 2 + klen; p+2 > len(buf) {
+			return fmt.Errorf("%w: truncated value length at offset %d", ErrCorrupt, p)
 		}
 		p += 2 + int(binary.LittleEndian.Uint16(buf[p:]))
 	}
 	if p > len(buf) {
-		return nil, fmt.Errorf("%w: entries run past the page end", ErrCorrupt)
+		return fmt.Errorf("%w: entries run past the page end", ErrCorrupt)
 	}
 	want := binary.LittleEndian.Uint32(buf[offCRC:])
 	if got := crc32.Checksum(buf[crcStart:p], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+		return fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
-
-	// Second walk: the lengths are the ones just validated.
+	// The fences, and an index page's keys, are copied into one arena: what
+	// a node keeps of its image is its records, and only while unwritten.
 	arena := make([]byte, arenaLen)
 	a := copy(arena, c.Low)
 	c.Low = arena[:a:a]
@@ -378,11 +401,12 @@ func Unmarshal(buf []byte) (*Content, error) {
 		c.High, a = arena[a:b:b], b
 	}
 	if c.Kind == Leaf {
-		hdrs := make([][]byte, 2*nkeys)
-		c.Keys, c.Vals = hdrs[:nkeys:nkeys], hdrs[nkeys:]
-	} else {
-		c.Keys, c.Children = make([][]byte, nkeys), make([]PageID, nkeys)
+		c.Recs = Records{buf: buf, slots: slots, tail: len(buf), bytes: p - entries}
+		return nil
 	}
+
+	// Second walk, index pages only: the lengths are the ones just validated.
+	c.Keys, c.Children = make([][]byte, nkeys), make([]PageID, nkeys)
 	p = entries
 	for i := range c.Keys {
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
@@ -393,18 +417,10 @@ func Unmarshal(buf []byte) (*Content, error) {
 		}
 		b += copy(arena[b:], buf[p:p+klen])
 		c.Keys[i], a = arena[a:b:b], b
-		p += klen
-		if c.Kind == Leaf {
-			vlen := int(binary.LittleEndian.Uint16(buf[p:]))
-			p += 2
-			c.Vals[i] = buf[p : p+vlen : p+vlen]
-			p += vlen
-		} else {
-			c.Children[i] = PageID(binary.LittleEndian.Uint64(buf[p:]))
-			p += 8
-		}
+		c.Children[i] = PageID(binary.LittleEndian.Uint64(buf[p+klen:]))
+		p += klen + 8
 	}
-	return c, nil
+	return nil
 }
 
 // validate checks structural consistency before marshaling.
@@ -415,11 +431,14 @@ func (c *Content) validate() error {
 	if c.Kind == Leaf && len(c.Vals) != len(c.Keys) {
 		return fmt.Errorf("page: leaf with %d keys, %d vals", len(c.Keys), len(c.Vals))
 	}
+	if c.Recs.Len() > 0 && (len(c.Keys) > 0 || c.Kind == Index) {
+		return fmt.Errorf("page: %s with records in two forms", c.Kind)
+	}
 	if c.Kind == Index && len(c.Children) != len(c.Keys) {
 		return fmt.Errorf("page: index with %d keys, %d children", len(c.Keys), len(c.Children))
 	}
-	if len(c.Keys) > maxEntryLen {
-		return fmt.Errorf("page: too many keys (%d)", len(c.Keys))
+	if len(c.Keys)+c.Recs.Len() > maxEntryLen {
+		return fmt.Errorf("page: too many keys (%d)", len(c.Keys)+c.Recs.Len())
 	}
 	if len(c.Low) > maxEntryLen || len(c.High) > maxEntryLen {
 		return fmt.Errorf("page: fence key too long")

@@ -45,9 +45,24 @@ func TestRoundTripLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c, got) {
+	if !reflect.DeepEqual(c, flat(got)) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
+}
+
+// flat returns c with a leaf's records moved from Recs into Keys and Vals,
+// the form a writer builds a leaf in, so a decoded page compares with the
+// content it was marshaled from.
+func flat(c *Content) *Content {
+	if c.Kind != Leaf {
+		return c
+	}
+	f := *c
+	f.Keys, f.Vals, f.Recs = [][]byte{}, [][]byte{}, Records{}
+	for i := range c.Recs.Len() {
+		f.Keys, f.Vals = append(f.Keys, c.Recs.Key(i)), append(f.Vals, c.Recs.Val(i))
+	}
+	return &f
 }
 
 // TestMarshalIntoMatchesMarshal: encoding into a reused, dirty buffer gives
@@ -233,10 +248,11 @@ func TestUnmarshalRejectsOversizedRebuiltKey(t *testing.T) {
 	}
 }
 
-// TestUnmarshalOwnership pins the decode contract: leaf values are views of
-// the image handed over, fences and keys are copies (an index node does not
-// retain its image), every slice is cap-limited so an append can never grow
-// into a neighbour, and the decoder itself never writes the image.
+// TestUnmarshalOwnership pins the decode contract: a leaf's keys and values
+// are views of the image handed over; fences and an index page's keys are
+// arena copies (a node keeps no view of its image but its records); every
+// slice is cap-limited so an append can never grow into a neighbour; and the
+// decoder itself never writes the image.
 func TestUnmarshalOwnership(t *testing.T) {
 	for name, c := range pageFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -253,20 +269,28 @@ func TestUnmarshalOwnership(t *testing.T) {
 				t.Fatal("Unmarshal wrote to the image")
 			}
 			checkCapLimited(t, got)
+			g := flat(got) // the record views, taken before the image changes
 			for i := range img {
 				img[i] ^= 0xFF
 			}
+			// A view follows the flipped image; a copy keeps the bytes (an
+			// empty slice passes as either).
+			view := func(got, was []byte) bool { return len(was) == 0 || !bytes.Equal(got, was) }
+			leaf := c.Kind == Leaf
+			if view(got.Low, c.Low) && len(c.Low) > 0 || view(got.High, c.High) && len(c.High) > 0 {
+				t.Fatal("a fence follows the image: fences must be arena copies")
+			}
 			for i, k := range got.Keys {
-				if !bytes.Equal(k, c.Keys[i]) {
-					t.Fatalf("key %d follows the image: keys must be arena copies", i)
+				if len(k) > 0 && view(k, c.Keys[i]) {
+					t.Fatalf("index key %d follows the image: it must be an arena copy", i)
 				}
 			}
-			if !bytes.Equal(got.Low, c.Low) || !bytes.Equal(got.High, c.High) {
-				t.Fatal("fences follow the image: fences must be arena copies")
+			if len(got.Vals) > 0 || leaf && got.Recs.Len() != len(c.Keys) {
+				t.Fatalf("leaf decoded into %d values and %d records, want %d records", len(got.Vals), got.Recs.Len(), len(c.Keys))
 			}
-			for i, v := range got.Vals {
-				if len(v) > 0 && bytes.Equal(v, c.Vals[i]) {
-					t.Fatalf("value %d was copied: values must be views of the image", i)
+			for i := range got.Recs.Len() {
+				if !view(g.Keys[i], c.Keys[i]) || !view(g.Vals[i], c.Vals[i]) {
+					t.Fatalf("record %d was copied: a leaf's keys and values must be views of the image", i)
 				}
 			}
 		})
@@ -281,8 +305,13 @@ func checkCapLimited(t *testing.T, c *Content) {
 		t.Fatal("fence or header slice with cap > len")
 	}
 	for i, k := range c.Keys {
-		if cap(k) != len(k) || (c.Kind == Leaf && cap(c.Vals[i]) != len(c.Vals[i])) {
+		if cap(k) != len(k) {
 			t.Fatalf("entry %d has cap > len", i)
+		}
+	}
+	for i := range c.Recs.Len() {
+		if k, v := c.Recs.Key(i), c.Recs.Val(i); cap(k) != len(k) || cap(v) != len(v) {
+			t.Fatalf("record %d has cap > len", i)
 		}
 	}
 }
@@ -360,7 +389,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			t.Logf("unmarshal: %v", err)
 			return false
 		}
-		return reflect.DeepEqual(c, got)
+		return reflect.DeepEqual(c, flat(got))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -438,17 +467,18 @@ func pageFixtures() map[string]*Content {
 }
 
 // BenchmarkUnmarshal decodes a full leaf and a prefix-compressed index page.
-// The allocation count is a gate, not a report: a decode is a handful of
-// per-page allocations (node, arena, slice headers), never one per entry.
+// The allocation counts are gates, not reports: a leaf decodes into its
+// Content and one slot array, an index page into its Content, one arena and
+// two slices; neither ever allocates per entry.
 func BenchmarkUnmarshal(b *testing.B) {
-	for _, name := range []string{"leaf", "index"} {
+	for name, gate := range map[string]float64{"leaf": 2, "index": 4} {
 		b.Run(name, func(b *testing.B) {
 			img, err := Marshal(pageFixtures()[name], 4096)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(100, func() { Unmarshal(img) }); n > 6 {
-				b.Fatalf("Unmarshal(%s) = %.0f allocs/op, gate is 6", name, n)
+			if n := testing.AllocsPerRun(100, func() { Unmarshal(img) }); n > gate {
+				b.Fatalf("Unmarshal(%s) = %.0f allocs/op, gate is %.0f", name, n, gate)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -487,8 +517,9 @@ func entriesEnd(img []byte) int {
 
 // FuzzUnmarshalPage: bad bytes give ErrCorrupt — never a panic, never a slice
 // reaching past the image — and an image that decodes re-marshals to the
-// same used bytes. With stamp set the checksum is recomputed after mutation,
-// so the fuzzer gets past the CRC into the structural checks.
+// same used bytes: an index page from its arena, a leaf from the records its
+// slots find in the image. With stamp set the checksum is recomputed after
+// mutation, so the fuzzer gets past the CRC into the structural checks.
 func FuzzUnmarshalPage(f *testing.F) {
 	for _, c := range pageFixtures() {
 		img, err := Marshal(c, 4096)

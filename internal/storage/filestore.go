@@ -35,7 +35,8 @@ type FileStore struct {
 	size     int64 // file length in bytes
 	next     page.PageID
 	free     []page.PageID
-	live     map[page.PageID]struct{}
+	live     []uint64 // bit id%64 of word id/64 is set while page id is allocated
+	nlive    int      // set bits in live
 	closed   bool
 
 	reads    atomic.Uint64 // counted under mu held shared
@@ -63,7 +64,6 @@ func OpenFileStore(path string, pageSize int) (*FileStore, error) {
 		f:        f,
 		pageSize: pageSize,
 		next:     1,
-		live:     make(map[page.PageID]struct{}),
 	}
 	info, err := f.Stat()
 	if err != nil {
@@ -128,10 +128,33 @@ func (s *FileStore) readHeader() error {
 	}
 	for id := page.PageID(1); id < s.next; id++ {
 		if _, ok := freeSet[id]; !ok {
-			s.live[id] = struct{}{}
+			s.setLive(id, true)
 		}
 	}
 	return nil
+}
+
+// isLive reports whether page id is allocated. Caller holds s.mu.
+func (s *FileStore) isLive(id page.PageID) bool {
+	w := int(id >> 6)
+	return w < len(s.live) && s.live[w]&(1<<(id&63)) != 0
+}
+
+// setLive marks page id allocated or free, growing the bitset to cover it.
+// Caller holds s.mu exclusively.
+func (s *FileStore) setLive(id page.PageID, on bool) {
+	if w := int(id >> 6); w >= len(s.live) {
+		s.live = append(s.live, make([]uint64, w+1-len(s.live))...)
+	}
+	if s.isLive(id) == on {
+		return
+	}
+	s.live[id>>6] ^= 1 << (id & 63)
+	if on {
+		s.nlive++
+	} else {
+		s.nlive--
+	}
 }
 
 // PageSize implements Store.
@@ -156,7 +179,7 @@ func (s *FileStore) Allocate() (page.PageID, error) {
 		s.free = append(s.free, id)
 		return page.InvalidPage, err
 	}
-	s.live[id] = struct{}{}
+	s.setLive(id, true)
 	s.allocs++
 	return id, nil
 }
@@ -199,7 +222,7 @@ func (s *FileStore) AllocateBatch(n int) ([]page.PageID, error) {
 			s.rollbackBatch(ids)
 			return nil, err
 		}
-		s.live[id] = struct{}{}
+		s.setLive(id, true)
 		s.allocs++
 		ids = append(ids, id)
 	}
@@ -211,7 +234,7 @@ func (s *FileStore) AllocateBatch(n int) ([]page.PageID, error) {
 		}
 		for i := 0; i < rest; i++ {
 			id := first + page.PageID(i)
-			s.live[id] = struct{}{}
+			s.setLive(id, true)
 			s.allocs++
 			ids = append(ids, id)
 		}
@@ -224,7 +247,7 @@ func (s *FileStore) AllocateBatch(n int) ([]page.PageID, error) {
 // Caller holds s.mu.
 func (s *FileStore) rollbackBatch(ids []page.PageID) {
 	for _, id := range ids {
-		delete(s.live, id)
+		s.setLive(id, false)
 		s.free = append(s.free, id)
 		s.deallocs++
 	}
@@ -237,7 +260,7 @@ func (s *FileStore) EnsureAllocated(id page.PageID) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.live[id]; ok {
+	if s.isLive(id) {
 		return nil
 	}
 	for i, f := range s.free {
@@ -256,7 +279,7 @@ func (s *FileStore) EnsureAllocated(id page.PageID) error {
 		s.free = append(s.free, id)
 		return err
 	}
-	s.live[id] = struct{}{}
+	s.setLive(id, true)
 	s.allocs++
 	return nil
 }
@@ -268,10 +291,10 @@ func (s *FileStore) Deallocate(id page.PageID) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.live[id]; !ok {
+	if !s.isLive(id) {
 		return fmt.Errorf("%w: deallocate %d", ErrNotAllocated, id)
 	}
-	delete(s.live, id)
+	s.setLive(id, false)
 	s.free = append(s.free, id)
 	s.deallocs++
 	return nil
@@ -284,7 +307,7 @@ func (s *FileStore) Read(id page.PageID) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := s.live[id]; !ok {
+	if !s.isLive(id) {
 		return nil, fmt.Errorf("%w: read %d", ErrNotAllocated, id)
 	}
 	buf := make([]byte, s.pageSize)
@@ -305,7 +328,7 @@ func (s *FileStore) Write(id page.PageID, buf []byte) error {
 	if len(buf) != s.pageSize {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(buf), s.pageSize)
 	}
-	if _, ok := s.live[id]; !ok {
+	if !s.isLive(id) {
 		return fmt.Errorf("%w: write %d", ErrNotAllocated, id)
 	}
 	if _, err := s.f.WriteAt(buf, int64(id)*int64(s.pageSize)); err != nil {
@@ -328,7 +351,7 @@ func (s *FileStore) WriteRun(ids []page.PageID, buf []byte) error {
 		return fmt.Errorf("%w: got %d for %d pages of %d", ErrBadSize, len(buf), len(ids), s.pageSize)
 	}
 	for _, id := range ids {
-		if _, ok := s.live[id]; !ok {
+		if !s.isLive(id) {
 			return fmt.Errorf("%w: write %d", ErrNotAllocated, id)
 		}
 	}
@@ -350,8 +373,7 @@ func (s *FileStore) WriteRun(ids []page.PageID, buf []byte) error {
 func (s *FileStore) Allocated(id page.PageID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.live[id]
-	return ok
+	return s.isLive(id)
 }
 
 // Stats implements Store.
@@ -361,7 +383,7 @@ func (s *FileStore) Stats() Stats {
 	return Stats{
 		Reads: s.reads.Load(), Writes: s.writes.Load(),
 		Allocs: s.allocs, Deallocs: s.deallocs,
-		LivePages: len(s.live), HighestPage: s.next - 1,
+		LivePages: s.nlive, HighestPage: s.next - 1,
 	}
 }
 
