@@ -64,10 +64,38 @@ func main() {
 	}
 }
 
+// The tree's defaults for -cache and for its maintenance workers
+// (blinktree.Options.CacheSize and Workers), which blinkd does not change.
+const (
+	defaultCache = 4096
+	workers      = 2
+)
+
+// checkPinFloor refuses a pool that the server's own load can exhaust:
+// every connection inside the tree and every maintenance worker pins up to
+// three frames (parent, node, sibling), and an operation that finds them
+// all pinned fails with ErrPoolFull.
+func checkPinFloor(cacheSize, maxConns int) error {
+	if cacheSize == 0 {
+		cacheSize = defaultCache
+	}
+	if maxConns == 0 {
+		maxConns = server.DefaultMaxConns
+	}
+	if floor := 3 * (maxConns + workers); cacheSize < floor {
+		return fmt.Errorf("-cache %d is below the pin floor 3 × (-maxconns %d + %d workers) = %d frames",
+			cacheSize, maxConns, workers, floor)
+	}
+	return nil
+}
+
 func run(addr, admin, path string, pageSize, cacheSize int, durability string,
 	flushInterval time.Duration, flushBytes int64, maxConns int,
 	idle time.Duration, maxScan int, drainTimeout time.Duration) error {
 
+	if err := checkPinFloor(cacheSize, maxConns); err != nil {
+		return err
+	}
 	opts := blinktree.Options{
 		Path:          path,
 		PageSize:      pageSize,

@@ -310,6 +310,33 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBlinkdRefusesPoolBelowPinFloor: a -cache the server's own connections
+// and workers could pin full is refused at start, with the floor named,
+// instead of failing user commands with ErrPoolFull under load.
+func TestBlinkdRefusesPoolBelowPinFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd tools are slow to build; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "blinkd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/blinkd").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/blinkd: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args  []string
+		floor string
+	}{
+		{[]string{"-cache", "3077"}, "= 3078 frames"},                // default -maxconns 1024
+		{[]string{"-cache", "35", "-maxconns", "10"}, "= 36 frames"}, // one frame short
+	} {
+		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+		defer time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() }).Stop()
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "pin floor") || !strings.Contains(string(out), tc.floor) {
+			t.Fatalf("blinkd %v: %v, want a non-zero exit naming the pin floor %q:\n%s", tc.args, err, tc.floor, out)
+		}
+	}
+}
+
 func httpGet(t *testing.T, url string) string {
 	t.Helper()
 	client := &http.Client{Timeout: 10 * time.Second}

@@ -21,7 +21,8 @@
 // never observable: waiters look the page up again and report their own read
 // error. A dirty victim is written back — log flushed to its page LSN first,
 // the WAL rule — while still linked, so a fetch waits instead of reading the
-// old image.
+// old image. An evicted frame whose object vouches for its image (Recycler)
+// keeps the buffer its load read, and the frame's next load reads into it.
 //
 // Pin-word protocol. A hit is: hash → walk the chain → CAS the word to pins+1
 // (and ref bit) iff the state is ready → re-check frame.id, because between
@@ -70,6 +71,16 @@ type Framed interface {
 	SetFrame(*Frame)
 }
 
+// Recycler is implemented by Objects that can vouch for the page image they
+// were decoded from. An evicted object whose Recyclable reports true promises
+// that nothing it handed out still refers to that image, and the pool reads
+// the next miss into that frame into the same buffer instead of allocating
+// one. The pool asks only about an image its own load read for the frame —
+// never about an object Insert installed. DESIGN.md §4b has the rule.
+type Recycler interface {
+	Recyclable() bool
+}
+
 // Codec deserializes page images into Objects.
 type Codec interface {
 	Unmarshal(data []byte) (Object, error)
@@ -105,7 +116,8 @@ type Frame struct {
 	id   atomic.Uint64 // page.PageID; 0 while the frame is in no chain
 	next atomic.Pointer[Frame]
 	obj  Object // written by the frame's owner, read under a pin
-	_    [16]byte
+	slot uint32 // index in Pool.frames and Pool.reads
+	_    [12]byte
 }
 
 // Unpin releases one pin. If dirty is true the object is marked modified and
@@ -232,7 +244,12 @@ type Pool struct {
 	log   *wal.Log // may be nil: volatile configurations skip the WAL rule
 	codec Codec
 
-	frames  []Frame
+	frames []Frame
+	// reads[i] is the buffer load read frames[i]'s object from, nil when
+	// Insert installed it or the frame is free. Only the frame's owner
+	// touches it; evict keeps it for the next load when the object vouches
+	// for it (Recycler), so a miss then reads into the evicted leaf's image.
+	reads   [][]byte
 	buckets []bucket
 	shift   uint          // 64 - log2(len(buckets))
 	hand    atomic.Uint32 // clock hand over frames
@@ -279,12 +296,14 @@ func NewPool(store storage.Store, log *wal.Log, codec Codec, capacity int) *Pool
 		log:      log,
 		codec:    codec,
 		frames:   make([]Frame, capacity),
+		reads:    make([][]byte, capacity),
 		buckets:  make([]bucket, 1<<logBuckets),
 		shift:    64 - logBuckets,
 		free:     make([]*Frame, capacity),
 		fullWait: time.Second,
 	}
 	for i := range p.frames {
+		p.frames[i].slot = uint32(i)
 		p.free[capacity-1-i] = &p.frames[i]
 	}
 	p.cond = sync.NewCond(&p.waitMu)
@@ -349,7 +368,7 @@ func (p *Pool) load(id page.PageID) (obj Object, loaded bool, err error) {
 	if p.obs != nil {
 		t0 = time.Now()
 	}
-	data, err := p.store.Read(id)
+	data, err := storage.ReadInto(p.store, id, p.reads[f.slot])
 	if err == nil {
 		obj, err = p.codec.Unmarshal(data)
 	}
@@ -362,6 +381,7 @@ func (p *Pool) load(id page.PageID) (obj Object, loaded bool, err error) {
 		p.wake()
 		return nil, false, err
 	}
+	p.reads[f.slot] = data
 	p.publish(f, obj, stateReady|refBit|pinOne)
 	p.wake()
 	return obj, true, nil
@@ -419,7 +439,7 @@ func (p *Pool) unlink(f *Frame) {
 
 // release returns an owned, unlinked frame to the free list.
 func (p *Pool) release(f *Frame) {
-	f.obj = nil
+	f.obj, p.reads[f.slot] = nil, nil
 	f.word.Store(stateFree)
 	p.freeMu.Lock()
 	p.free = append(p.free, f)
@@ -466,8 +486,9 @@ func (p *Pool) claim() (*Frame, error) {
 // reference bits, the second takes the first frame that is still unpinned
 // and unreferenced. A dirty victim is written back (honoring the WAL rule)
 // while it stays in its chain as evicting, so a concurrent fetch of the page
-// waits for the write instead of reading the old image. It returns nil, nil
-// when nothing is evictable.
+// waits for the write instead of reading the old image. The frame keeps its
+// read buffer for the claimer's load only if the victim vouches for it. It
+// returns nil, nil when nothing is evictable.
 func (p *Pool) evict() (*Frame, error) {
 	n := uint32(len(p.frames))
 	for i := uint32(0); i < 2*n; i++ {
@@ -492,6 +513,9 @@ func (p *Pool) evict() (*Frame, error) {
 			}
 		}
 		p.unlink(f)
+		if r, ok := f.obj.(Recycler); !ok || !r.Recyclable() {
+			p.reads[f.slot] = nil
+		}
 		p.evictions.Add(1)
 		p.wake()
 		return f, nil
@@ -511,6 +535,7 @@ func (p *Pool) Insert(id page.PageID, obj Object) error {
 	if err != nil {
 		return err
 	}
+	p.reads[f.slot] = nil // obj was not decoded from it
 	b := p.bucket(id)
 	var since time.Time
 	for try := 0; ; try++ {

@@ -137,6 +137,11 @@ func (n *node) setHigh(h []byte) {
 // SetFrame implements buffer.Framed.
 func (n *node) SetFrame(f *buffer.Frame) { n.frame = f }
 
+// Recyclable implements buffer.Recycler: a live leaf that no mutator has
+// touched since its decode was only read under S or U latch, by readers that
+// copy what they keep past the unpin (DESIGN.md §4b).
+func (n *node) Recyclable() bool { return !n.dead && n.c.Recs.Untouched() }
+
 // PageLSN implements buffer.Object.
 func (n *node) PageLSN() wal.LSN { return wal.LSN(n.c.LSN) }
 

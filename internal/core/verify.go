@@ -173,9 +173,9 @@ func (t *Tree) verifyNode(n *node) error {
 	return nil
 }
 
-// verifyLeafOrder walks the full leaf chain checking global key order. A
-// key is a view of its leaf's page, never rewritten, so prev may outlive the
-// pin.
+// verifyLeafOrder walks the full leaf chain checking global key order. prev
+// outlives its leaf's pin, and the pool may read another page into an
+// untouched leaf's image once it is evicted, so prev is a copy.
 func (t *Tree) verifyLeafOrder() error {
 	ids, err := t.LevelNodes(0)
 	var prev []byte
@@ -190,7 +190,7 @@ func (t *Tree) verifyLeafOrder() error {
 				t.unpin(n)
 				return fmt.Errorf("verify: leaf chain order violation at key %q (prev %q)", k, prev)
 			}
-			prev = k
+			prev = append(prev[:0], k...)
 		}
 		t.unpin(n)
 	}

@@ -305,16 +305,17 @@ func Unmarshal(buf []byte) (*Content, error) {
 }
 
 // UnmarshalInto parses a page image produced by Marshal into c and takes
-// ownership of buf: the caller must not modify or reuse it afterwards
-// (storage.Store.Read hands over exactly such a private buffer), and the
-// decoder writes nothing. A leaf's records are decoded in place, a Records
-// over buf, so its decode is the checksum, one walk that fills the slots and
-// a copy of the fences. An index page's fences and keys — prefix-compressed
-// keys rebuilt in full — are copied into one dense arena, so its search
-// touches contiguous memory and the node does not retain its image. Every
-// slice has cap == len and none may be written through, which is what lets
-// slices move between nodes (split, consolidate), into WAL records and into
-// route snapshots without copying.
+// ownership of buf: the caller must not modify it afterwards, and the decoder
+// writes nothing. A leaf's records are decoded in place, a Records over buf,
+// so its decode is the checksum, one walk that fills the slots and a copy of
+// the fences. An index page's fences and keys — prefix-compressed keys
+// rebuilt in full — are copied into one dense arena, so its search touches
+// contiguous memory and the node does not retain its image. Every slice has
+// cap == len and none may be written through, which is what lets slices move
+// between nodes (split, consolidate), into WAL records and into route
+// snapshots without copying. The one sanctioned reuse of buf: once a leaf is
+// dropped while c.Recs is still Untouched, nothing it handed out outlives its
+// readers, and the buffer pool reads the next page into buf (DESIGN.md §4b).
 func UnmarshalInto(c *Content, buf []byte) error {
 	if len(buf) < headerSize || string(buf[0:4]) != magic {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -401,7 +402,7 @@ func UnmarshalInto(c *Content, buf []byte) error {
 		c.High, a = arena[a:b:b], b
 	}
 	if c.Kind == Leaf {
-		c.Recs = Records{buf: buf, slots: slots, tail: len(buf), bytes: p - entries}
+		c.Recs = Records{buf: buf, slots: slots, tail: len(buf), bytes: p - entries, image: true}
 		return nil
 	}
 

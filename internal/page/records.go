@@ -13,20 +13,29 @@ import (
 // value). So a decode fills the slots and copies nothing, a search reads
 // keys in place, and an encode copies each live record once.
 //
-// Bytes a Records has handed out are never written. A decoded image has no
+// A Records never writes bytes it has handed out. A decoded image has no
 // free tail, so the first Insert or Set copies the live records into a fresh
 // buffer; later records are appended to that buffer's free tail; Delete only
 // drops a slot; and a full tail compacts the live records into another fresh
-// buffer. A key or value slice taken from a Records therefore stays valid and
-// unchanged for as long as it is held, whatever the leaf does next. Every
-// slice handed out has cap == len. A Records is not safe for concurrent
+// buffer. A key or value slice taken from a Records that has been written
+// (Untouched is false) therefore stays valid and unchanged for as long as it
+// is held, whatever the leaf does next. A slice of a still Untouched image
+// stays valid only until the leaf is evicted untouched, when the buffer pool
+// may read another page into the image (DESIGN.md §4b): a holder that
+// outlives its pin copies it, unless it mutates the leaf first. Every slice
+// handed out has cap == len. A Records is not safe for concurrent
 // mutation: the tree's leaf latch guards it.
 type Records struct {
 	buf   []byte
 	slots []uint32
-	tail  int // first free byte of buf; len(buf) for a decoded image
-	bytes int // encoded size of the live records
+	tail  int  // first free byte of buf; len(buf) for a decoded image
+	bytes int  // encoded size of the live records
+	image bool // buf is the decoded image and no mutator has run since
 }
+
+// Untouched reports whether r still reads the image UnmarshalInto decoded it
+// from and no mutator has run on it since. Every mutator clears it for good.
+func (r *Records) Untouched() bool { return r.image }
 
 // Len returns the number of records.
 func (r *Records) Len() int { return len(r.slots) }
@@ -97,12 +106,14 @@ func (r *Records) Set(i int, val []byte) {
 
 // Delete drops record i.
 func (r *Records) Delete(i int) {
+	r.image = false
 	r.bytes -= len(r.record(i))
 	r.slots = slices.Delete(r.slots, i, i+1)
 }
 
 // Truncate drops the records from i on.
 func (r *Records) Truncate(i int) {
+	r.image = false
 	for j := i; j < len(r.slots); j++ {
 		r.bytes -= len(r.record(j))
 	}
@@ -124,11 +135,13 @@ func (r *Records) AppendFrom(src *Records, i int) {
 	}
 }
 
-// room reserves need bytes at the free tail and returns their offset. A tail
-// without room — always so for a decoded image — first moves the live
-// records into a fresh buffer twice the size they and need take, so the
-// copies cost a constant per byte written, however full the leaf.
+// room reserves need bytes at the free tail and returns their offset; Insert,
+// Set and AppendFrom all write through it. A tail without room — always so
+// for a decoded image — first moves the live records into a fresh buffer
+// twice the size they and need take, so the copies cost a constant per byte
+// written, however full the leaf.
 func (r *Records) room(need int) int {
+	r.image = false
 	if r.tail+need > len(r.buf) {
 		buf, p := make([]byte, 2*(r.bytes+need)), 0
 		for i := range r.slots {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 
 	"blinktree/internal/page"
 )
@@ -51,6 +52,22 @@ func (s *FaultyStore) Read(id page.PageID) ([]byte, error) {
 		return nil, err
 	}
 	return s.Inner.Read(id)
+}
+
+// ReadInto implements PageReader, failing wherever Read would.
+func (s *FaultyStore) ReadInto(id page.PageID, buf []byte) error {
+	if err := s.readErr(); err != nil {
+		return err
+	}
+	got, err := ReadInto(s.Inner, id, buf)
+	if err != nil {
+		return err
+	}
+	if len(got) != len(buf) {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(buf), len(got))
+	}
+	copy(buf, got) // got is buf itself when the inner store reads into it
+	return nil
 }
 
 // Write implements Store.

@@ -302,20 +302,31 @@ func (s *FileStore) Deallocate(id page.PageID) error {
 
 // Read implements Store.
 func (s *FileStore) Read(id page.PageID) ([]byte, error) {
+	buf := make([]byte, s.pageSize)
+	if err := s.ReadInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto implements PageReader: one pread into buf.
+func (s *FileStore) ReadInto(id page.PageID, buf []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
+	}
+	if len(buf) != s.pageSize {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(buf), s.pageSize)
 	}
 	if !s.isLive(id) {
-		return nil, fmt.Errorf("%w: read %d", ErrNotAllocated, id)
+		return fmt.Errorf("%w: read %d", ErrNotAllocated, id)
 	}
-	buf := make([]byte, s.pageSize)
 	if _, err := s.f.ReadAt(buf, int64(id)*int64(s.pageSize)); err != nil {
-		return nil, err
+		return err
 	}
 	s.reads.Add(1)
-	return buf, nil
+	return nil
 }
 
 // Write implements Store.

@@ -129,19 +129,30 @@ func (s *MemStore) Deallocate(id page.PageID) error {
 
 // Read implements Store.
 func (s *MemStore) Read(id page.PageID) ([]byte, error) {
+	buf := make([]byte, s.pageSize)
+	if err := s.ReadInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto implements PageReader.
+func (s *MemStore) ReadInto(id page.PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	buf, ok := s.pages[id]
+	if len(buf) != s.pageSize {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(buf), s.pageSize)
+	}
+	src, ok := s.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: read %d", ErrNotAllocated, id)
+		return fmt.Errorf("%w: read %d", ErrNotAllocated, id)
 	}
 	s.reads++
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out, nil
+	copy(buf, src)
+	return nil
 }
 
 // Write implements Store.

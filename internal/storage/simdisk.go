@@ -405,22 +405,33 @@ func (s *SimStore) Deallocate(id page.PageID) error {
 // Read implements Store. Reads observe the volatile view (the OS page
 // cache serves unsynced writes back to the writer).
 func (s *SimStore) Read(id page.PageID) ([]byte, error) {
-	if err := s.readErr(); err != nil {
+	buf := make([]byte, s.pageSize)
+	if err := s.ReadInto(id, buf); err != nil {
 		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto implements PageReader, observing the volatile view like Read.
+func (s *SimStore) ReadInto(id page.PageID, buf []byte) error {
+	if err := s.readErr(); err != nil {
+		return err
 	}
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
 	if s.d.crashed {
-		return nil, ErrPowerCut
+		return ErrPowerCut
 	}
-	buf, ok := s.cur.pages[id]
+	if len(buf) != s.pageSize {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(buf), s.pageSize)
+	}
+	src, ok := s.cur.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: read %d", ErrNotAllocated, id)
+		return fmt.Errorf("%w: read %d", ErrNotAllocated, id)
 	}
 	s.reads++
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out, nil
+	copy(buf, src)
+	return nil
 }
 
 // Write implements Store. The write is durable only once covered by Sync;

@@ -47,9 +47,9 @@ type Store interface {
 	// allocation frontier past it if needed. Recovery uses it to replay
 	// logged allocations at their original IDs; it is idempotent.
 	EnsureAllocated(id page.PageID) error
-	// Read returns the page image in a buffer the caller owns: the store
-	// neither retains nor reuses it, so the caller may keep views into it
-	// for as long as it likes (page.Unmarshal does).
+	// Read returns the page image in a fresh buffer the caller owns: the
+	// store neither retains nor reuses it, so the caller may keep views
+	// into it for as long as it likes (page.Unmarshal does).
 	Read(id page.PageID) ([]byte, error)
 	// Write replaces the page image. len(buf) must equal PageSize. The
 	// store copies buf out before returning and keeps no reference to it.
@@ -126,6 +126,31 @@ func WriteRun(s Store, ids []page.PageID, buf []byte) error {
 		}
 	}
 	return nil
+}
+
+// PageReader is an optional Store capability: reading a page into a buffer
+// the caller supplies. The buffer pool reads a miss into the image of the
+// leaf it has just evicted untouched (DESIGN.md §4b), so steady misses
+// allocate no page.
+type PageReader interface {
+	// ReadInto reads page id into buf, which must be PageSize long. It
+	// fails wherever Read fails, and keeps no reference to buf.
+	ReadInto(id page.PageID, buf []byte) error
+}
+
+// ReadInto reads page id into buf through s's PageReader and returns buf. A
+// nil buf, or a store without the capability (a wrapper that embeds Store,
+// like the benchmark's tracing store), falls back to Read and returns the
+// buffer it allocated.
+func ReadInto(s Store, id page.PageID, buf []byte) ([]byte, error) {
+	pr, ok := s.(PageReader)
+	if !ok || buf == nil {
+		return s.Read(id)
+	}
+	if err := pr.ReadInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Stats counts store operations.

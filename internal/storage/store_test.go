@@ -112,6 +112,77 @@ func TestReadHandsOverOwnership(t *testing.T) {
 // goroutines while another allocates and deallocates: page I/O holds the
 // FileStore lock shared, the allocator holds it exclusively, and the
 // operation counters must not lose updates.
+// TestReadIntoContract runs the PageReader contract on every store: ReadInto
+// fills the caller's buffer with the bytes Read returns, fails with the
+// sentinel Read fails with (not allocated, closed, power cut, injected
+// fault), and refuses a buffer that is not one page long. The ReadInto
+// helper falls back to Read for a store that hides the capability.
+func TestReadIntoContract(t *testing.T) {
+	for name, s := range allStores(t, 256) {
+		t.Run(name, func(t *testing.T) {
+			pr, ok := s.(PageReader)
+			if !ok {
+				t.Fatalf("%T does not implement PageReader", s)
+			}
+			// same asserts that Read(id) and ReadInto(id) both fail with
+			// want (succeed, when want is nil), and that ReadInto fills the
+			// buffer with Read's bytes.
+			same := func(what string, id page.PageID, want error) {
+				t.Helper()
+				img, rerr := s.Read(id)
+				buf := bytes.Repeat([]byte{0x5A}, 256)
+				ierr := pr.ReadInto(id, buf)
+				if !errors.Is(rerr, want) || !errors.Is(ierr, want) {
+					t.Fatalf("%s: Read fails with %v, ReadInto with %v, want %v", what, rerr, ierr, want)
+				}
+				if want == nil && !bytes.Equal(buf, img) {
+					t.Fatalf("%s: ReadInto read %x..., Read %x...", what, buf[:8], img[:8])
+				}
+			}
+			id, _ := s.Allocate()
+			freed, _ := s.Allocate()
+			if err := s.Write(id, bytes.Repeat([]byte{0xC3}, 256)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Deallocate(freed); err != nil {
+				t.Fatal(err)
+			}
+			same("written page", id, nil)
+			same("freed page", freed, ErrNotAllocated)
+			same("never allocated", 999, ErrNotAllocated)
+			for _, n := range []int{0, 255, 257} {
+				if err := pr.ReadInto(id, make([]byte, n)); !errors.Is(err, ErrBadSize) {
+					t.Fatalf("ReadInto of %d bytes: %v, want ErrBadSize", n, err)
+				}
+			}
+
+			// The helper reads into buf through the capability, and into a
+			// fresh buffer through a wrapper that hides it.
+			buf := make([]byte, 256)
+			if got, err := ReadInto(s, id, buf); err != nil || &got[0] != &buf[0] {
+				t.Fatalf("ReadInto helper over %T did not read into the buffer given (%v)", s, err)
+			}
+			got, err := ReadInto(struct{ Store }{s}, id, buf)
+			if err != nil || &got[0] == &buf[0] || !bytes.Equal(got, buf) {
+				t.Fatalf("ReadInto helper over a wrapper did not fall back to Read (%v)", err)
+			}
+
+			if inj, ok := s.(interface{ SetFailReads(bool) }); ok {
+				inj.SetFailReads(true)
+				same("injected read fault", id, ErrInjected)
+				inj.SetFailReads(false)
+			}
+			if sim, ok := s.(*SimStore); ok {
+				sim.d.CrashNow()
+				same("after a power cut", id, ErrPowerCut)
+				return // a SimStore's Close is a no-op
+			}
+			s.Close()
+			same("after Close", id, ErrClosed)
+		})
+	}
+}
+
 func TestConcurrentPageIO(t *testing.T) {
 	for name, s := range allStores(t, 256) {
 		t.Run(name, func(t *testing.T) {
