@@ -17,10 +17,8 @@ package blinkmetrics
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	blinktree "blinktree"
 	"blinktree/internal/buildinfo"
@@ -143,58 +141,18 @@ func WriteExpvar(w io.Writer, m blinktree.Metrics) error {
 	return enc.Encode(ExpvarDoc(m))
 }
 
-// promWriter accumulates Prometheus text exposition lines, remembering the
-// first write error so call sites stay linear.
-type promWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-func (p *promWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// hist emits one histogram in Prometheus form (cumulative le buckets, in
-// seconds) with a fixed label.
-func (p *promWriter) hist(name, labelKey, labelVal string, h obs.HistogramSnapshot) {
-	label := ""
-	if labelKey != "" {
-		label = labelKey + `="` + labelVal + `",`
-	}
-	var cum uint64
-	for i := 0; i < obs.HistBuckets-1; i++ {
-		cum += h.Buckets[i]
-		le := strconv.FormatFloat(h.BucketBound(i).Seconds(), 'g', -1, 64)
-		p.printf("%s_bucket{%sle=\"%s\"} %d\n", name, label, le, cum)
-	}
-	p.printf("%s_bucket{%sle=\"+Inf\"} %d\n", name, label, h.Count)
-	flabel := ""
-	if labelKey != "" {
-		flabel = "{" + labelKey + `="` + labelVal + `"}`
-	}
-	p.printf("%s_sum%s %g\n", name, flabel, float64(h.Sum)/1e9)
-	p.printf("%s_count%s %d\n", name, flabel, h.Count)
-}
-
 // WritePrometheus writes m in Prometheus text exposition format. Every
 // series is emitted even at zero, so scrapes see a stable set and the SMO
 // abort causes (dx vs dd vs identity vs edge) are always distinguishable.
 func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
-	p := &promWriter{w: w}
+	p := obs.NewPromWriter(w)
 	s := m.Stats
 
-	p.header("blinktree_build_info", "Build metadata; the value is always 1.", "gauge")
-	p.printf("blinktree_build_info{version=%q,goversion=%q,tags=%q,revision=%q} 1\n",
+	p.Header("blinktree_build_info", "Build metadata; the value is always 1.", "gauge")
+	p.Printf("blinktree_build_info{version=%q,goversion=%q,tags=%q,revision=%q} 1\n",
 		buildinfo.Version(), buildinfo.GoVersion(), buildinfo.Tags(), buildinfo.Revision())
 
-	p.header("blinktree_ops_total", "Completed operations by class.", "counter")
+	p.Header("blinktree_ops_total", "Completed operations by class.", "counter")
 	for _, v := range []struct {
 		op string
 		n  uint64
@@ -202,15 +160,15 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"search", s.Searches}, {"insert", s.Inserts}, {"update", s.Updates},
 		{"delete", s.Deletes}, {"scan", s.Scans},
 	} {
-		p.printf("blinktree_ops_total{op=%q} %d\n", v.op, v.n)
+		p.Printf("blinktree_ops_total{op=%q} %d\n", v.op, v.n)
 	}
 
-	p.header("blinktree_traversal_total", "Traversal behaviour.", "counter")
-	p.printf("blinktree_traversal_total{event=\"side\"} %d\n", s.SideTraversals)
-	p.printf("blinktree_traversal_total{event=\"restart\"} %d\n", s.Restarts)
-	p.printf("blinktree_traversal_total{event=\"exhausted\"} %d\n", s.TraverseExhausted)
+	p.Header("blinktree_traversal_total", "Traversal behaviour.", "counter")
+	p.Printf("blinktree_traversal_total{event=\"side\"} %d\n", s.SideTraversals)
+	p.Printf("blinktree_traversal_total{event=\"restart\"} %d\n", s.Restarts)
+	p.Printf("blinktree_traversal_total{event=\"exhausted\"} %d\n", s.TraverseExhausted)
 
-	p.header("blinktree_optread_total", "Optimistic read-path traversal outcomes.", "counter")
+	p.Header("blinktree_optread_total", "Optimistic read-path traversal outcomes.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -218,10 +176,10 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"attempt", s.OptReadAttempts}, {"restart", s.OptReadRestarts},
 		{"fallback", s.OptReadFallbacks},
 	} {
-		p.printf("blinktree_optread_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_optread_total{event=%q} %d\n", v.event, v.n)
 	}
 
-	p.header("blinktree_smo_total", "Structure modifications completed by kind.", "counter")
+	p.Header("blinktree_smo_total", "Structure modifications completed by kind.", "counter")
 	for _, v := range []struct {
 		kind string
 		n    uint64
@@ -231,12 +189,12 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"index_consolidate", s.IndexConsolidated},
 		{"grow", s.Grows}, {"shrink", s.Shrinks},
 	} {
-		p.printf("blinktree_smo_total{kind=%q} %d\n", v.kind, v.n)
+		p.Printf("blinktree_smo_total{kind=%q} %d\n", v.kind, v.n)
 	}
 
 	// Abort causes are split so D_X (global index-delete state) and D_D
 	// (per-parent data-delete state) remain distinguishable downstream.
-	p.header("blinktree_smo_aborts_total", "Maintenance actions abandoned, by action and cause.", "counter")
+	p.Header("blinktree_smo_aborts_total", "Maintenance actions abandoned, by action and cause.", "counter")
 	for _, v := range []struct {
 		action, cause string
 		n             uint64
@@ -249,13 +207,13 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"delete", "identity", s.DeleteAbortID},
 		{"delete", "edge", s.DeleteAbortEdge},
 	} {
-		p.printf("blinktree_smo_aborts_total{action=%q,cause=%q} %d\n", v.action, v.cause, v.n)
+		p.Printf("blinktree_smo_aborts_total{action=%q,cause=%q} %d\n", v.action, v.cause, v.n)
 	}
 
-	p.header("blinktree_smo_skips_total", "Consolidations skipped (victim refilled or does not fit).", "counter")
-	p.printf("blinktree_smo_skips_total %d\n", s.DeleteSkipFit)
+	p.Header("blinktree_smo_skips_total", "Consolidations skipped (victim refilled or does not fit).", "counter")
+	p.Printf("blinktree_smo_skips_total %d\n", s.DeleteSkipFit)
 
-	p.header("blinktree_scheduler_total", "Maintenance scheduler activity.", "counter")
+	p.Header("blinktree_scheduler_total", "Maintenance scheduler activity.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -264,18 +222,18 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"processed", s.TodoProcessed}, {"requeued", s.PostsRequeued},
 		{"dedup_hit", s.TodoDedupHits}, {"drain_bailout", s.DrainBailouts},
 	} {
-		p.printf("blinktree_scheduler_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_scheduler_total{event=%q} %d\n", v.event, v.n)
 	}
 
-	p.header("blinktree_append_fastpath_total", "Right-edge append fast-path outcomes.", "counter")
-	p.printf("blinktree_append_fastpath_total{event=\"hit\"} %d\n", s.AppendFastHits)
-	p.printf("blinktree_append_fastpath_total{event=\"miss\"} %d\n", s.AppendFastMisses)
+	p.Header("blinktree_append_fastpath_total", "Right-edge append fast-path outcomes.", "counter")
+	p.Printf("blinktree_append_fastpath_total{event=\"hit\"} %d\n", s.AppendFastHits)
+	p.Printf("blinktree_append_fastpath_total{event=\"miss\"} %d\n", s.AppendFastMisses)
 
-	p.header("blinktree_bulkload_total", "Bulk-load build activity.", "counter")
-	p.printf("blinktree_bulkload_total{event=\"pages\"} %d\n", s.BulkLoadPages)
-	p.printf("blinktree_bulkload_total{event=\"chunks\"} %d\n", s.BulkLoadChunks)
+	p.Header("blinktree_bulkload_total", "Bulk-load build activity.", "counter")
+	p.Printf("blinktree_bulkload_total{event=\"pages\"} %d\n", s.BulkLoadPages)
+	p.Printf("blinktree_bulkload_total{event=\"chunks\"} %d\n", s.BulkLoadChunks)
 
-	p.header("blinktree_txn_total", "Transaction outcomes and §2.4 lock/latch interaction.", "counter")
+	p.Header("blinktree_txn_total", "Transaction outcomes and §2.4 lock/latch interaction.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -285,23 +243,23 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"nowait_denied", s.NoWaitDenied}, {"relatch", s.Relatches},
 		{"relatch_fast", s.RelatchFast},
 	} {
-		p.printf("blinktree_txn_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_txn_total{event=%q} %d\n", v.event, v.n)
 	}
 
-	p.header("blinktree_latch_acquire_total", "Granted latch requests by mode.", "counter")
-	p.printf("blinktree_latch_acquire_total{mode=\"shared\"} %d\n", m.Latch.AcquireShared)
-	p.printf("blinktree_latch_acquire_total{mode=\"update\"} %d\n", m.Latch.AcquireUpdate)
-	p.printf("blinktree_latch_acquire_total{mode=\"exclusive\"} %d\n", m.Latch.AcquireExclusive)
-	p.header("blinktree_latch_waits_total", "Blocking latch acquisitions.", "counter")
-	p.printf("blinktree_latch_waits_total %d\n", m.Latch.Waits)
-	p.header("blinktree_latch_wait_seconds_total", "Total time spent blocked on latches.", "counter")
-	p.printf("blinktree_latch_wait_seconds_total %g\n", float64(m.Latch.WaitNanos)/1e9)
-	p.header("blinktree_latch_long_waits_total", "Latch waits at or above the configured threshold.", "counter")
-	p.printf("blinktree_latch_long_waits_total %d\n", m.Latch.LongWaits)
-	p.header("blinktree_latch_try_failures_total", "TryAcquire refusals.", "counter")
-	p.printf("blinktree_latch_try_failures_total %d\n", m.Latch.TryFailures)
+	p.Header("blinktree_latch_acquire_total", "Granted latch requests by mode.", "counter")
+	p.Printf("blinktree_latch_acquire_total{mode=\"shared\"} %d\n", m.Latch.AcquireShared)
+	p.Printf("blinktree_latch_acquire_total{mode=\"update\"} %d\n", m.Latch.AcquireUpdate)
+	p.Printf("blinktree_latch_acquire_total{mode=\"exclusive\"} %d\n", m.Latch.AcquireExclusive)
+	p.Header("blinktree_latch_waits_total", "Blocking latch acquisitions.", "counter")
+	p.Printf("blinktree_latch_waits_total %d\n", m.Latch.Waits)
+	p.Header("blinktree_latch_wait_seconds_total", "Total time spent blocked on latches.", "counter")
+	p.Printf("blinktree_latch_wait_seconds_total %g\n", float64(m.Latch.WaitNanos)/1e9)
+	p.Header("blinktree_latch_long_waits_total", "Latch waits at or above the configured threshold.", "counter")
+	p.Printf("blinktree_latch_long_waits_total %d\n", m.Latch.LongWaits)
+	p.Header("blinktree_latch_try_failures_total", "TryAcquire refusals.", "counter")
+	p.Printf("blinktree_latch_try_failures_total %d\n", m.Latch.TryFailures)
 
-	p.header("blinktree_lock_total", "Record lock manager activity.", "counter")
+	p.Header("blinktree_lock_total", "Record lock manager activity.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -310,10 +268,10 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"nowait_denied", m.Locks.NoWaitDenials}, {"wait", m.Locks.Waits},
 		{"deadlock", m.Locks.Deadlocks},
 	} {
-		p.printf("blinktree_lock_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_lock_total{event=%q} %d\n", v.event, v.n)
 	}
 
-	p.header("blinktree_pool_total", "Buffer pool activity.", "counter")
+	p.Header("blinktree_pool_total", "Buffer pool activity.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -321,12 +279,12 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"hit", m.Pool.Hits}, {"miss", m.Pool.Misses},
 		{"eviction", m.Pool.Evictions}, {"writeback", m.Pool.WriteBacks},
 	} {
-		p.printf("blinktree_pool_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_pool_total{event=%q} %d\n", v.event, v.n)
 	}
-	p.header("blinktree_pool_resident_pages", "Pages resident in the buffer pool.", "gauge")
-	p.printf("blinktree_pool_resident_pages %d\n", m.Pool.Resident)
+	p.Header("blinktree_pool_resident_pages", "Pages resident in the buffer pool.", "gauge")
+	p.Printf("blinktree_pool_resident_pages %d\n", m.Pool.Resident)
 
-	p.header("blinktree_store_total", "Page store I/O.", "counter")
+	p.Header("blinktree_store_total", "Page store I/O.", "counter")
 	for _, v := range []struct {
 		event string
 		n     uint64
@@ -334,39 +292,39 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"read", m.Store.Reads}, {"write", m.Store.Writes},
 		{"alloc", m.Store.Allocs}, {"dealloc", m.Store.Deallocs},
 	} {
-		p.printf("blinktree_store_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_store_total{event=%q} %d\n", v.event, v.n)
 	}
-	p.header("blinktree_store_live_pages", "Currently allocated pages.", "gauge")
-	p.printf("blinktree_store_live_pages %d\n", m.Store.LivePages)
+	p.Header("blinktree_store_live_pages", "Currently allocated pages.", "gauge")
+	p.Printf("blinktree_store_live_pages %d\n", m.Store.LivePages)
 
-	p.header("blinktree_wal_total", "Write-ahead log activity.", "counter")
-	p.printf("blinktree_wal_total{event=\"append\"} %d\n", m.LogAppends)
-	p.printf("blinktree_wal_total{event=\"force\"} %d\n", m.LogForces)
-	p.header("blinktree_wal_first_change_images_total", "Page images logged with a page's first change after a checkpoint.", "counter")
-	p.printf("blinktree_wal_first_change_images_total %d\n", s.FirstChangeImages)
+	p.Header("blinktree_wal_total", "Write-ahead log activity.", "counter")
+	p.Printf("blinktree_wal_total{event=\"append\"} %d\n", m.LogAppends)
+	p.Printf("blinktree_wal_total{event=\"force\"} %d\n", m.LogForces)
+	p.Header("blinktree_wal_first_change_images_total", "Page images logged with a page's first change after a checkpoint.", "counter")
+	p.Printf("blinktree_wal_first_change_images_total %d\n", s.FirstChangeImages)
 
 	g := m.WALGroup
-	p.header("blinktree_wal_group_total", "Commit path activity: commits acknowledged after a force, forces that covered waiting commits, immediate acks (periodic/async).", "counter")
-	p.printf("blinktree_wal_group_total{event=\"commit\"} %d\n", g.Commits)
-	p.printf("blinktree_wal_group_total{event=\"immediate_ack\"} %d\n", g.ImmediateAcks)
-	p.printf("blinktree_wal_group_total{event=\"force\"} %d\n", g.Forces)
-	p.header("blinktree_wal_group_batch_max", "Largest number of commits acknowledged by one coalesced force.", "gauge")
-	p.printf("blinktree_wal_group_batch_max %d\n", g.MaxBatch)
+	p.Header("blinktree_wal_group_total", "Commit path activity: commits acknowledged after a force, forces that covered waiting commits, immediate acks (periodic/async).", "counter")
+	p.Printf("blinktree_wal_group_total{event=\"commit\"} %d\n", g.Commits)
+	p.Printf("blinktree_wal_group_total{event=\"immediate_ack\"} %d\n", g.ImmediateAcks)
+	p.Printf("blinktree_wal_group_total{event=\"force\"} %d\n", g.Forces)
+	p.Header("blinktree_wal_group_batch_max", "Largest number of commits acknowledged by one coalesced force.", "gauge")
+	p.Printf("blinktree_wal_group_batch_max %d\n", g.MaxBatch)
 
-	p.header("blinktree_height", "Current root level.", "gauge")
-	p.printf("blinktree_height %d\n", m.Height)
+	p.Header("blinktree_height", "Current root level.", "gauge")
+	p.Printf("blinktree_height %d\n", m.Height)
 
 	// Recovery counters are fixed at open time; exporting them as a stable
 	// series set lets dashboards alert on torn pages or a whole-log read
 	// after a crash-restart.
 	rs := m.Recovery
-	p.header("blinktree_recovered", "1 when the last open replayed a log, 0 for a fresh start.", "gauge")
+	p.Header("blinktree_recovered", "1 when the last open replayed a log, 0 for a fresh start.", "gauge")
 	recovered := 0
 	if rs.Recovered {
 		recovered = 1
 	}
-	p.printf("blinktree_recovered %d\n", recovered)
-	p.header("blinktree_recovery_total", "Work performed by crash recovery at the last open.", "counter")
+	p.Printf("blinktree_recovered %d\n", recovered)
+	p.Header("blinktree_recovery_total", "Work performed by crash recovery at the last open.", "counter")
 	for _, v := range []struct {
 		event string
 		n     int
@@ -383,55 +341,55 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 		{"losers_undone", rs.LosersUndone},
 		{"corrupt_pages", rs.CorruptPages},
 	} {
-		p.printf("blinktree_recovery_total{event=%q} %d\n", v.event, v.n)
+		p.Printf("blinktree_recovery_total{event=%q} %d\n", v.event, v.n)
 	}
-	p.header("blinktree_recovery_restart_lsn", "LSN of the first log record the last open read: a checkpoint's, or 1.", "gauge")
-	p.printf("blinktree_recovery_restart_lsn %d\n", rs.RestartLSN)
-	p.header("blinktree_recovery_full_log_read", "Whether the last open read the whole log, with the reason as a label.", "gauge")
+	p.Header("blinktree_recovery_restart_lsn", "LSN of the first log record the last open read: a checkpoint's, or 1.", "gauge")
+	p.Printf("blinktree_recovery_restart_lsn %d\n", rs.RestartLSN)
+	p.Header("blinktree_recovery_full_log_read", "Whether the last open read the whole log, with the reason as a label.", "gauge")
 	if rs.FullLogRead != "" {
-		p.printf("blinktree_recovery_full_log_read{reason=%q} 1\n", rs.FullLogRead)
+		p.Printf("blinktree_recovery_full_log_read{reason=%q} 1\n", rs.FullLogRead)
 	}
-	p.header("blinktree_recovery_torn_tail_bytes", "Trailing bytes past the last valid WAL frame at the last open.", "gauge")
-	p.printf("blinktree_recovery_torn_tail_bytes %d\n", rs.TornTailBytes)
+	p.Header("blinktree_recovery_torn_tail_bytes", "Trailing bytes past the last valid WAL frame at the last open.", "gauge")
+	p.Printf("blinktree_recovery_torn_tail_bytes %d\n", rs.TornTailBytes)
 
 	if m.Obs != nil {
-		p.header("blinktree_op_latency_seconds", "Operation latency by class.", "histogram")
+		p.Header("blinktree_op_latency_seconds", "Operation latency by class.", "histogram")
 		for op := obs.OpSearch; op < obs.OpCount; op++ {
-			p.hist("blinktree_op_latency_seconds", "op", op.String(), m.Obs.Ops[op])
+			p.Hist("blinktree_op_latency_seconds", "op", op.String(), m.Obs.Ops[op])
 		}
-		p.header("blinktree_action_latency_seconds", "Maintenance action processing latency by kind.", "histogram")
+		p.Header("blinktree_action_latency_seconds", "Maintenance action processing latency by kind.", "histogram")
 		for a := obs.ActPost; a < obs.ActCount; a++ {
-			p.hist("blinktree_action_latency_seconds", "action", a.String(), m.Obs.Actions[a])
+			p.Hist("blinktree_action_latency_seconds", "action", a.String(), m.Obs.Actions[a])
 		}
-		p.header("blinktree_io_latency_seconds", "Buffer pool and WAL I/O latency.", "histogram")
-		p.hist("blinktree_io_latency_seconds", "io", "page_load", m.Obs.PageLoad)
-		p.hist("blinktree_io_latency_seconds", "io", "writeback", m.Obs.WriteBack)
-		p.hist("blinktree_io_latency_seconds", "io", "log_append", m.Obs.LogAppend)
-		p.hist("blinktree_io_latency_seconds", "io", "log_flush", m.Obs.LogFlush)
-		p.header("blinktree_lock_wait_seconds", "Blocking record-lock wait latency.", "histogram")
-		p.hist("blinktree_lock_wait_seconds", "", "", m.Obs.LockWait)
-		p.header("blinktree_wal_group_force_seconds", "Wall time of one log force that covered waiting commits.", "histogram")
-		p.hist("blinktree_wal_group_force_seconds", "", "", m.Obs.GroupForce)
-		p.header("blinktree_wal_group_ack_seconds", "Delay from Commit to its acknowledgement after the covering force.", "histogram")
-		p.hist("blinktree_wal_group_ack_seconds", "", "", m.Obs.GroupAck)
-		p.header("blinktree_wal_group_batch_commits", "Commits per counted coalesced force (sum over count).", "counter")
-		p.printf("blinktree_wal_group_batch_commits{stat=\"sum\"} %d\n", m.Obs.GroupBatchSum)
-		p.printf("blinktree_wal_group_batch_commits{stat=\"count\"} %d\n", m.Obs.GroupBatchCount)
+		p.Header("blinktree_io_latency_seconds", "Buffer pool and WAL I/O latency.", "histogram")
+		p.Hist("blinktree_io_latency_seconds", "io", "page_load", m.Obs.PageLoad)
+		p.Hist("blinktree_io_latency_seconds", "io", "writeback", m.Obs.WriteBack)
+		p.Hist("blinktree_io_latency_seconds", "io", "log_append", m.Obs.LogAppend)
+		p.Hist("blinktree_io_latency_seconds", "io", "log_flush", m.Obs.LogFlush)
+		p.Header("blinktree_lock_wait_seconds", "Blocking record-lock wait latency.", "histogram")
+		p.Hist("blinktree_lock_wait_seconds", "", "", m.Obs.LockWait)
+		p.Header("blinktree_wal_group_force_seconds", "Wall time of one log force that covered waiting commits.", "histogram")
+		p.Hist("blinktree_wal_group_force_seconds", "", "", m.Obs.GroupForce)
+		p.Header("blinktree_wal_group_ack_seconds", "Delay from Commit to its acknowledgement after the covering force.", "histogram")
+		p.Hist("blinktree_wal_group_ack_seconds", "", "", m.Obs.GroupAck)
+		p.Header("blinktree_wal_group_batch_commits", "Commits per counted coalesced force (sum over count).", "counter")
+		p.Printf("blinktree_wal_group_batch_commits{stat=\"sum\"} %d\n", m.Obs.GroupBatchSum)
+		p.Printf("blinktree_wal_group_batch_commits{stat=\"count\"} %d\n", m.Obs.GroupBatchCount)
 
-		p.header("blinktree_trace_events_total", "Trace events emitted and dropped by the bounded ring.", "counter")
-		p.printf("blinktree_trace_events_total{state=\"emitted\"} %d\n", m.Obs.TraceSeq)
-		p.printf("blinktree_trace_events_total{state=\"dropped\"} %d\n", m.Obs.TraceDropped)
+		p.Header("blinktree_trace_events_total", "Trace events emitted and dropped by the bounded ring.", "counter")
+		p.Printf("blinktree_trace_events_total{state=\"emitted\"} %d\n", m.Obs.TraceSeq)
+		p.Printf("blinktree_trace_events_total{state=\"dropped\"} %d\n", m.Obs.TraceDropped)
 
-		p.header("blinktree_stage_latency_seconds", "Per-stage time within sampled operation spans.", "histogram")
+		p.Header("blinktree_stage_latency_seconds", "Per-stage time within sampled operation spans.", "histogram")
 		for st := obs.SpanStage(0); st < obs.StageCount; st++ {
-			p.hist("blinktree_stage_latency_seconds", "stage", st.String(), m.Obs.SpanStages[st])
+			p.Hist("blinktree_stage_latency_seconds", "stage", st.String(), m.Obs.SpanStages[st])
 		}
-		p.header("blinktree_spans_total", "Sampled spans and slow-op flight-recorder captures.", "counter")
-		p.printf("blinktree_spans_total{event=\"sampled\"} %d\n", m.Obs.SpansSampled)
-		p.printf("blinktree_spans_total{event=\"slow\"} %d\n", m.Obs.SlowOps)
-		p.header("blinktree_slow_op_threshold_seconds", "Current slow-op flight-recorder threshold.", "gauge")
-		p.printf("blinktree_slow_op_threshold_seconds %g\n", float64(m.Obs.SlowOpThresholdNS)/1e9)
+		p.Header("blinktree_spans_total", "Sampled spans and slow-op flight-recorder captures.", "counter")
+		p.Printf("blinktree_spans_total{event=\"sampled\"} %d\n", m.Obs.SpansSampled)
+		p.Printf("blinktree_spans_total{event=\"slow\"} %d\n", m.Obs.SlowOps)
+		p.Header("blinktree_slow_op_threshold_seconds", "Current slow-op flight-recorder threshold.", "gauge")
+		p.Printf("blinktree_slow_op_threshold_seconds %g\n", float64(m.Obs.SlowOpThresholdNS)/1e9)
 	}
 
-	return p.err
+	return p.Err()
 }

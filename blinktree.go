@@ -359,10 +359,10 @@ func (t *Tree) Count(start, end []byte) (int, error) { return t.inner.Count(star
 
 // BulkLoad populates an empty tree from strictly ascending (key, value)
 // pairs, building it bottom-up at the given fill factor (0 < fill <= 1;
-// 0 defaults to 0.85). Much faster than repeated Put: the calling goroutine
-// cuts the stream into chunks of leaves and one builder goroutine per
-// GOMAXPROCS turns them into pages (with Workers: -1, the calling goroutine
-// builds them itself). Returns an error on a non-empty tree or unsorted
+// 0 defaults to 0.85). Much faster than repeated Put: for every level, the
+// calling goroutine cuts it into chunks of nodes and one builder goroutine
+// per GOMAXPROCS turns them into pages (with Workers: -1, the calling
+// goroutine builds them itself). Returns an error on a non-empty tree or unsorted
 // input. With a durable tree the whole load is one atomic,
 // crash-recoverable action: it is logged as a sequence of chunk records
 // sealed by a commit record, and recovery replays either all of it or none

@@ -15,7 +15,7 @@ import (
 // ErrNotEmpty is returned by BulkLoad on a tree that already has records.
 var ErrNotEmpty = errors.New("blinktree: bulk load requires an empty tree")
 
-// defaultChunkPages is the number of leaves grouped into one chunk when
+// defaultChunkPages is the number of nodes grouped into one chunk when
 // Options.BulkChunkPages is zero. A chunk is the unit of page-ID leasing, of
 // WAL logging (one SMOBulkChunk record of allocations), of hand-off to a
 // builder goroutine and of store writes (one run per chunk).
@@ -27,21 +27,21 @@ const defaultChunkPages = 64
 // repeated Put (no traversals, no splits) and yields a tree at the chosen
 // fill factor.
 //
-// The calling goroutine cuts the stream into chunks of whole leaves, each
-// under one page-ID lease; builder goroutines, one per GOMAXPROCS, turn the
-// chunks into pages, and the caller stitches the seams between chunks and
-// builds the index levels. A tree opened with WorkersNone starts no
-// goroutine: it builds each chunk on the caller, into the same pages.
+// Every level is built the same way. The calling goroutine cuts the level
+// into chunks of whole nodes, each under one page-ID lease; builder
+// goroutines, one per GOMAXPROCS, turn the chunks into pages, and the caller
+// stitches the seams between chunks. A tree opened with WorkersNone starts
+// no goroutine: it builds each chunk on the caller, into the same pages.
 //
 // next returns the stream; ok=false ends it. fill in (0,1] defaults to
 // 0.85. The tree must be empty; concurrent operations are blocked for the
 // duration (the load holds the checkpoint gate exclusively). With logging
 // enabled the load logs its allocations in chunk records and writes each
-// page once: the leaves straight to the store, one write per chunk after its
-// record is forced, never entering the buffer pool (so none is resident
-// after the load); the index levels through the pool. It forces them all,
-// and only then appends the commit record, followed by a checkpoint: after a
-// crash the load either happened completely or not at all.
+// page once, straight to the store: one write per chunk after its record is
+// forced. No page of the load enters the buffer pool, so only the root,
+// fetched at the commit, is resident after it. The load syncs the store,
+// and only then appends the commit record, followed by a checkpoint: after
+// a crash the load either happened completely or not at all.
 func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -74,7 +74,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 	}
 
 	s := &bulkSession{t: t, target: int(fill * float64(t.opts.PageSize))}
-	s.chunk, s.group, s.builders = t.bulkShape()
+	s.chunk, s.builders = t.bulkShape()
 	if t.log != nil {
 		s.sid = t.txnSeq.Add(1)
 	}
@@ -86,8 +86,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 			return
 		}
 		// Failed load: every reserved page is unreferenced (the anchor
-		// never flipped); release and free them so nothing leaks. The
-		// phases have already unpinned whatever they had pinned.
+		// never flipped); release and free them so nothing leaks.
 		if root != nil {
 			t.unpin(root)
 		}
@@ -96,13 +95,30 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 		}
 	}()
 
-	if err := s.loadLeaves(next); err != nil {
+	if err := s.buildLevel(0, func() ([]byte, []byte, page.PageID, bool) {
+		k, v, ok := next()
+		return k, v, 0, ok
+	}); err != nil {
 		return err
 	}
-	rootID, err := s.buildIndexLevels()
-	if err != nil {
-		return err
+	// Each index level is built over the (low fence, page ID) pairs of the
+	// level below, until one node — the root — is left.
+	for lvl := uint8(1); len(s.level) > 1; lvl++ {
+		children := s.level
+		s.level = nil
+		i := 0
+		if err := s.buildLevel(lvl, func() ([]byte, []byte, page.PageID, bool) {
+			if i == len(children) {
+				return nil, nil, 0, false
+			}
+			ch := children[i]
+			i++
+			return ch.low, nil, ch.id, true
+		}); err != nil {
+			return err
+		}
 	}
+	rootID := s.level[0].id
 	// Pinned before the commit point: the pin becomes the anchor's.
 	if root, err = t.fetch(rootID); err != nil {
 		return err
@@ -170,12 +186,11 @@ type bulkChild struct {
 	id  page.PageID
 }
 
-// bulkSession carries the state of one load across its phases.
+// bulkSession carries the state of one load across its levels.
 type bulkSession struct {
 	t        *Tree
 	target   int    // fill * PageSize
-	chunk    int    // leaves per chunk
-	group    int    // index nodes per pending group
+	chunk    int    // nodes per chunk
 	builders int    // builder goroutines; 0 builds each chunk on the caller
 	sid      uint64 // WAL bulk session ID (Record.Txn)
 
@@ -187,39 +202,22 @@ type bulkSession struct {
 	// completed, bottom-up.
 	level []bulkChild
 
-	// pending holds built-but-unlogged nodes of the index-level build;
-	// flushPending logs and unpins them.
-	pending []*node
-
 	pages  uint64 // nodes built
-	chunks uint64 // chunk groups logged/flushed
+	chunks uint64 // chunks built
 }
 
-// bulkShape resolves the chunk size, the index build's pending group and the
-// builder count: one builder per GOMAXPROCS, none under WorkersNone. Leaves
-// never enter the buffer pool, so only the pending group — index nodes stay
-// pinned until their chunk record is logged — is clamped, to leave the pool
-// 8 frames to spare.
-func (t *Tree) bulkShape() (chunk, group, builders int) {
+// bulkShape resolves the chunk size and the builder count: one builder per
+// GOMAXPROCS, none under WorkersNone. No page of the load enters the buffer
+// pool, so the pool's size bounds neither.
+func (t *Tree) bulkShape() (chunk, builders int) {
 	chunk = t.opts.BulkChunkPages
 	if chunk <= 0 {
 		chunk = defaultChunkPages
 	}
-	group = max(min(chunk, t.opts.CacheSize-8), 1)
 	if t.opts.Workers == 0 { // WorkersNone, after New
-		return chunk, group, 0
+		return chunk, 0
 	}
-	return chunk, group, runtime.GOMAXPROCS(0)
-}
-
-// leafBoundary reports whether adding an entry of the given key/value sizes
-// would overfill the open leaf. size is the leaf's current serialized size.
-// len(k) extra bytes are reserved for the high fence the leaf will receive
-// when it closes: the separator is never longer than the first key of the
-// next leaf, so the reservation is a safe upper bound — without it a load
-// at fill=1.0 could build a leaf that no longer fits once its fence is set.
-func (s *bulkSession) leafBoundary(size, nkeys, klen, vlen int) bool {
-	return nkeys > 0 && size+page.EntrySize(page.Leaf, klen, vlen)+klen > s.target
+	return chunk, runtime.GOMAXPROCS(0)
 }
 
 // boundarySep returns the fence separating two adjacent leaves: the
@@ -233,109 +231,40 @@ func (s *bulkSession) boundarySep(prevKey, k []byte) []byte {
 	return append([]byte(nil), k...)
 }
 
-// logChunk logs one chunk of freshly built index nodes (one SMOBulkChunk
-// record of their allocations, its LSN stamped on each), publishes their
-// routing snapshots and unpins them dirty. The nodes were private until
-// now; they stay unreachable until the anchor flip, and once unpinned they
-// may be evicted: the WAL rule then forces the record — which is what lets
-// recovery release the pages if the load never commits — before the page
-// is written. The page itself is the only copy of its contents.
-func (s *bulkSession) logChunk(nodes []*node) error {
-	if len(nodes) == 0 {
-		return nil
-	}
-	t := s.t
-	if t.log != nil {
-		allocs := make([]page.PageID, len(nodes))
-		for i, n := range nodes {
-			allocs[i] = n.id
-		}
-		_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-			for _, n := range nodes {
-				n.c.LSN = uint64(lsn)
-				n.c.Epoch = uint64(lsn)
-			}
-			return &wal.Record{Type: wal.TSMO, SMO: wal.SMOBulkChunk, Txn: s.sid, Allocs: allocs}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for _, n := range nodes {
-		n.publishRoute()
-		n.frame.Unpin(true)
-	}
-	s.pages += uint64(len(nodes))
-	s.chunks++
-	return nil
-}
-
-// flushPending logs and releases the accumulated pending nodes. On a log
-// failure the nodes are unpinned anyway (the load is aborting).
-func (s *bulkSession) flushPending() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	if err := s.logChunk(s.pending); err != nil {
-		s.unpinPending()
-		return err
-	}
-	s.pending = s.pending[:0]
-	return nil
-}
-
-// unpinPending releases the pending nodes without logging (failure path).
-func (s *bulkSession) unpinPending() {
-	for _, n := range s.pending {
-		s.t.unpin(n)
-	}
-	s.pending = s.pending[:0]
-}
-
-// allocTracked allocates a node and records its page for failure cleanup.
-func (s *bulkSession) allocTracked(c page.Content) (*node, error) {
-	n, err := s.t.allocNode(c)
-	if err != nil {
-		return nil, err
-	}
-	// The load runs alone behind the checkpoint gate: nothing can reach the
-	// node through a stale reference while it is being filled.
-	n.latch.Release(latch.Exclusive)
-	s.allocated = append(s.allocated, n.id)
-	return n, nil
-}
-
 // bulkEnt locates one entry inside a chunk arena: the key starts at off,
-// the value follows it immediately.
+// a leaf's value follows it immediately, and an index entry's child is kid.
 type bulkEnt struct {
 	off  int
 	klen int
 	vlen int
+	kid  page.PageID
 }
 
-// bulkLeafSpec describes one leaf of a chunk: its first entry index and its
-// low fence (an owned copy, produced by the coordinator's boundary rule).
-type bulkLeafSpec struct {
+// bulkNodeSpec describes one node of a chunk: its first entry index and its
+// low fence, memory no chunk arena reuses (a leaf's is the separator the
+// boundary rule made, an index node's its first child's low fence).
+type bulkNodeSpec struct {
 	start int
 	low   []byte
 }
 
 // bulkChunk is the unit of hand-off between the coordinator and a builder:
-// a contiguous key-range of whole leaves, the arena holding their bytes,
-// the page-ID lease the leaves take and the chunk record that logs it.
+// a contiguous key-range of whole nodes of one level, the arena holding
+// their bytes, the page-ID lease the nodes take and the chunk record that
+// logs it.
 type bulkChunk struct {
-	buf    []byte
-	ents   []bulkEnt
-	leaves []bulkLeafSpec
-	ids    []page.PageID
+	buf   []byte
+	ents  []bulkEnt
+	nodes []bulkNodeSpec
+	ids   []page.PageID
 
-	// lsn is the chunk record's LSN, every leaf's page LSN (zero without a
-	// log); epoch is every leaf's incarnation number.
+	// lsn is the chunk record's LSN, every node's page LSN (zero without a
+	// log); epoch is every node's incarnation number.
 	lsn, epoch uint64
 
 	// Seam stitching: the low fence and page ID of the next chunk's first
-	// leaf, filled in by the coordinator when that chunk is sealed; zero
-	// on the final chunk (its last leaf keeps High=nil, Right=0).
+	// node, filled in by the coordinator when that chunk is sealed; zero
+	// on the level's final chunk (its last node keeps High=nil, Right=0).
 	nextLow []byte
 	nextID  page.PageID
 
@@ -345,24 +274,27 @@ type bulkChunk struct {
 }
 
 // bulkScratch is a builder's reused memory: the run buffer its chunks'
-// leaves are encoded into (made at its first chunk), and one leaf's key and
-// value slices.
+// nodes are encoded into (made at its first chunk), and one node's keys,
+// values and children.
 type bulkScratch struct {
 	run        []byte
 	keys, vals [][]byte
+	kids       []page.PageID
 }
 
-// loadLeaves is the leaf build. The coordinator (the calling goroutine)
-// streams entries into per-chunk arenas and decides every leaf boundary. It
+// buildLevel builds one level of the tree from next, whose entries are the
+// caller's (key, value) pairs at level 0 and the (low fence, page ID) pairs
+// of the level below above it. The coordinator (the calling goroutine)
+// streams entries into per-chunk arenas and decides every node boundary. It
 // seals a full chunk — one page-ID lease, one chunk record — and, once the
 // next chunk is sealed and the seam is known, hands it to a builder
 // goroutine, or builds it itself when there are none. A builder encodes the
-// leaves and writes them to the store; the coordinator finishes chunks
-// strictly in key order, at most max(builders, 1) in flight, and reuses a
-// finished chunk's memory for the next. So memory stays bounded, the WAL
-// sees chunk records in ascending key order, and every builder count builds
-// the same pages.
-func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
+// nodes and writes them to the store; the coordinator finishes chunks
+// strictly in key order, at most max(builders, 1) in flight, reuses a
+// finished chunk's memory for the next and appends the chunk's nodes to
+// s.level. So memory stays bounded, the WAL sees chunk records in ascending
+// key order, level by level, and every builder count builds the same pages.
+func (s *bulkSession) buildLevel(lvl uint8, next func() (key, val []byte, kid page.PageID, ok bool)) error {
 	t := s.t
 	var dispatch func(c *bulkChunk)
 	if s.builders > 0 {
@@ -376,7 +308,7 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 				defer wg.Done()
 				var sc bulkScratch
 				for c := range in {
-					s.buildChunk(c, &sc)
+					s.buildChunk(lvl, c, &sc)
 				}
 			}()
 		}
@@ -385,7 +317,7 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 		dispatch = func(c *bulkChunk) { in <- c }
 	} else {
 		var sc bulkScratch
-		dispatch = func(c *bulkChunk) { s.buildChunk(c, &sc) }
+		dispatch = func(c *bulkChunk) { s.buildChunk(lvl, c, &sc) }
 	}
 	window := max(s.builders, 1)
 
@@ -407,10 +339,10 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 		if c.err != nil {
 			return c.err
 		}
-		for i, lf := range c.leaves {
-			s.level = append(s.level, bulkChild{low: lf.low, id: c.ids[i]})
+		for i, nd := range c.nodes {
+			s.level = append(s.level, bulkChild{low: nd.low, id: c.ids[i]})
 		}
-		s.pages += uint64(len(c.leaves))
+		s.pages += uint64(len(c.nodes))
 		s.chunks++
 		spare = append(spare, c)
 		return nil
@@ -430,17 +362,17 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 		if n := len(spare); n > 0 {
 			old := spare[n-1]
 			spare = spare[:n-1]
-			c.buf, c.ents, c.leaves = old.buf[:0], old.ents[:0], old.leaves[:0]
+			c.buf, c.ents, c.nodes = old.buf[:0], old.ents[:0], old.nodes[:0]
 		} else {
 			c.buf = make([]byte, 0, arenaCap)
 		}
-		c.leaves = append(c.leaves, bulkLeafSpec{start: 0, low: low})
+		c.nodes = append(c.nodes, bulkNodeSpec{start: 0, low: low})
 		return c
 	}
 	cur := newChunk([]byte{})
 
 	seal := func(c *bulkChunk) error {
-		ids, err := storage.AllocateBatch(t.store, len(c.leaves))
+		ids, err := storage.AllocateBatch(t.store, len(c.nodes))
 		if err != nil {
 			return err
 		}
@@ -460,49 +392,67 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 		if prev == nil {
 			return nil
 		}
-		prev.nextLow, prev.nextID = c.leaves[0].low, ids[0]
+		prev.nextLow, prev.nextID = c.nodes[0].low, ids[0]
 		return send(prev)
 	}
 
-	leafBase := (&page.Content{Kind: page.Leaf}).Size()
-	leafSize := leafBase // open leaf's serialized size (Low is empty)
-	leafEnts := 0
+	kind := page.Leaf
+	if lvl > 0 {
+		kind = page.Index
+	}
+	base := (&page.Content{Kind: kind}).Size()
+	size := base // open node's serialized size (Low is empty)
+	ents := 0
 	var prevKey []byte // last appended key, aliasing a chunk arena
 
 	for {
-		k, v, ok := next()
+		k, v, kid, ok := next()
 		if !ok {
 			break
 		}
-		if err := t.validateEntry(k, v); err != nil {
-			return abort(err)
+		// Only the caller's entries need checking: an index entry's key is
+		// a child's low fence, and the leftmost one is empty.
+		if lvl == 0 {
+			if err := t.validateEntry(k, v); err != nil {
+				return abort(err)
+			}
 		}
-		if s.leafBoundary(leafSize, leafEnts, len(k), len(v)) {
+		// len(k) extra bytes are reserved for the high fence the node will
+		// receive when it closes: it is never longer than the first key of
+		// the next node, so the reservation is a safe upper bound — without
+		// it a load at fill=1.0 could build a node that no longer fits once
+		// its fence is set.
+		if ents > 0 && size+page.EntrySize(kind, len(k), len(v))+len(k) > s.target {
 			// The boundary pair is ordering-checked here; buildChunk
-			// checks the pairs interior to each leaf. Together every adjacent
-			// pair is checked exactly once.
+			// checks the pairs interior to each node. Together every
+			// adjacent pair is checked exactly once.
 			if t.cmp(prevKey, k) >= 0 {
 				return abort(fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k))
 			}
-			sep := s.boundarySep(prevKey, k)
-			if len(cur.leaves) >= s.chunk {
+			// A leaf's low fence is a separator; an index node's is its
+			// first child's low fence, so Keys[0] == Low holds.
+			sep := k
+			if lvl == 0 {
+				sep = s.boundarySep(prevKey, k)
+			}
+			if len(cur.nodes) >= s.chunk {
 				if err := seal(cur); err != nil {
 					return abort(err)
 				}
 				cur = newChunk(sep)
 			} else {
-				cur.leaves = append(cur.leaves, bulkLeafSpec{start: len(cur.ents), low: sep})
+				cur.nodes = append(cur.nodes, bulkNodeSpec{start: len(cur.ents), low: sep})
 			}
-			leafSize = leafBase + len(sep)
-			leafEnts = 0
+			size = base + len(sep)
+			ents = 0
 		}
 		off := len(cur.buf)
 		cur.buf = append(cur.buf, k...)
 		cur.buf = append(cur.buf, v...)
-		cur.ents = append(cur.ents, bulkEnt{off: off, klen: len(k), vlen: len(v)})
+		cur.ents = append(cur.ents, bulkEnt{off: off, klen: len(k), vlen: len(v), kid: kid})
 		prevKey = cur.buf[off : off+len(k)]
-		leafSize += page.EntrySize(page.Leaf, len(k), len(v))
-		leafEnts++
+		size += page.EntrySize(kind, len(k), len(v))
+		ents++
 	}
 
 	// Final (possibly partial, possibly empty) chunk, then drain in order.
@@ -520,36 +470,40 @@ func (s *bulkSession) loadLeaves(next func() (key, val []byte, ok bool)) error {
 	return nil
 }
 
-// buildChunk encodes one sealed, seam-stitched chunk into the builder's run
-// buffer and writes it to the store, on a builder goroutine or the
-// coordinator. The leaves never become nodes or frames: keys and values go
-// from the chunk arena straight into the page images. Two rules make the
-// direct write safe. The WAL rule: the chunk record — what lets recovery
-// release the pages if the load never commits — is forced first, as the
-// pool's write-back would force it. And a frame still cached for a reused
-// page ID is discarded first, so neither a stale read nor a stale
-// write-back can shadow the new image.
-func (s *bulkSession) buildChunk(c *bulkChunk, sc *bulkScratch) {
+// buildChunk encodes one sealed, seam-stitched chunk of level lvl into the
+// builder's run buffer and writes it to the store, on a builder goroutine
+// or the coordinator. The pages never become nodes or frames: keys, values
+// and children go from the chunk arena straight into the page images. Two
+// rules make the direct write safe. The WAL rule (§2.1): the chunk record —
+// what lets recovery release the pages if the load never commits — is
+// forced first, as the pool's write-back would force it. And a frame still
+// cached for a reused page ID is discarded first, so neither a stale read
+// nor a stale write-back can shadow the new image.
+func (s *bulkSession) buildChunk(lvl uint8, c *bulkChunk, sc *bulkScratch) {
 	defer close(c.done)
 	t := s.t
 	ps := t.opts.PageSize
 	if sc.run == nil {
 		sc.run = make([]byte, s.chunk*ps)
 	}
-	run := sc.run[:len(c.leaves)*ps]
-	for i, lf := range c.leaves {
+	run := sc.run[:len(c.nodes)*ps]
+	kind := page.Leaf
+	if lvl > 0 {
+		kind = page.Index
+	}
+	for i, nd := range c.nodes {
 		cont := page.Content{
-			ID: c.ids[i], Kind: page.Leaf, LSN: c.lsn, Epoch: c.epoch,
-			Low: lf.low, High: c.nextLow, Right: c.nextID,
+			ID: c.ids[i], Kind: kind, Level: lvl, LSN: c.lsn, Epoch: c.epoch,
+			Low: nd.low, High: c.nextLow, Right: c.nextID, Compress: t.bytewise,
 		}
 		end := len(c.ents)
-		if i+1 < len(c.leaves) {
-			end = c.leaves[i+1].start
-			cont.High, cont.Right = c.leaves[i+1].low, c.ids[i+1]
+		if i+1 < len(c.nodes) {
+			end = c.nodes[i+1].start
+			cont.High, cont.Right = c.nodes[i+1].low, c.ids[i+1]
 		}
-		keys, vals := sc.keys[:0], sc.vals[:0]
+		keys, vals, kids := sc.keys[:0], sc.vals[:0], sc.kids[:0]
 		var prev []byte
-		for _, e := range c.ents[lf.start:end] {
+		for _, e := range c.ents[nd.start:end] {
 			k := c.buf[e.off : e.off+e.klen]
 			if prev != nil && t.cmp(prev, k) >= 0 {
 				c.err = fmt.Errorf("blinktree: bulk load keys not strictly ascending at %q", k)
@@ -557,10 +511,14 @@ func (s *bulkSession) buildChunk(c *bulkChunk, sc *bulkScratch) {
 			}
 			prev = k
 			keys = append(keys, k)
-			vals = append(vals, c.buf[e.off+e.klen:e.off+e.klen+e.vlen])
+			if lvl == 0 {
+				vals = append(vals, c.buf[e.off+e.klen:e.off+e.klen+e.vlen])
+			} else {
+				kids = append(kids, e.kid)
+			}
 		}
-		sc.keys, sc.vals = keys, vals
-		cont.Keys, cont.Vals = keys, vals
+		sc.keys, sc.vals, sc.kids = keys, vals, kids
+		cont.Keys, cont.Vals, cont.Children = keys, vals, kids
 		if c.err = page.MarshalInto(&cont, run[i*ps:(i+1)*ps]); c.err != nil {
 			return
 		}
@@ -577,76 +535,4 @@ func (s *bulkSession) buildChunk(c *bulkChunk, sc *bulkScratch) {
 		}
 	}
 	c.err = storage.WriteRun(t.store, c.ids, run)
-}
-
-// buildIndexLevels builds the shared upper levels over the completed leaf
-// level, serially, using the same packing rule at every level and the same
-// chunked logging as the leaves. Separators are the children's low fences —
-// already suffix-truncated by the boundary rule — so index pages inherit
-// the short keys, and prefix compression (page.Content.Compress, set by
-// allocNode under the bytewise comparator) densifies them further at
-// marshal time. Returns the root's page ID.
-func (s *bulkSession) buildIndexLevels() (page.PageID, error) {
-	t := s.t
-	lvl := uint8(0)
-	for len(s.level) > 1 {
-		lvl++
-		children := s.level
-		s.level = nil
-		fail := func(cur *node, err error) error {
-			if cur != nil {
-				t.unpin(cur)
-			}
-			s.unpinPending()
-			return err
-		}
-		cur, err := s.allocTracked(page.Content{
-			Kind: page.Index, Level: lvl,
-			Low:  []byte{},
-			Keys: [][]byte{}, Children: []page.PageID{},
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, ch := range children {
-			term := page.EntrySize(page.Index, len(ch.low), 0)
-			// Same shape as the leaf boundary rule: reserve len(low) for
-			// the high fence this node receives when it closes.
-			if len(cur.c.Keys) > 0 && cur.size()+term+len(ch.low) > s.target {
-				nxt, err := s.allocTracked(page.Content{
-					Kind: page.Index, Level: lvl,
-					Low:  ch.low,
-					Keys: [][]byte{}, Children: []page.PageID{},
-				})
-				if err != nil {
-					return 0, fail(cur, err)
-				}
-				cur.setHigh(ch.low)
-				cur.c.Right = nxt.id
-				if err := s.closeIndex(cur); err != nil {
-					return 0, fail(nxt, err)
-				}
-				cur = nxt
-			}
-			cur.insertIndexTerm(t, ch.low, ch.id)
-		}
-		if err := s.closeIndex(cur); err != nil {
-			return 0, fail(nil, err)
-		}
-		if err := s.flushPending(); err != nil {
-			return 0, err
-		}
-	}
-	return s.level[0].id, nil
-}
-
-// closeIndex files a completed index node: it joins the level hand-off list
-// for the next level up and the pending group, which is flushed when full.
-func (s *bulkSession) closeIndex(n *node) error {
-	s.level = append(s.level, bulkChild{low: n.c.Low, id: n.id})
-	s.pending = append(s.pending, n)
-	if len(s.pending) >= s.group {
-		return s.flushPending()
-	}
-	return nil
 }

@@ -20,17 +20,19 @@ var bulkModes = []struct {
 }{{"inline", WorkersNone}, {"builders", 1}}
 
 // TestBulkLoadParallelMatchesSerial is the identity property of the one
-// leaf build: builder goroutines, one per GOMAXPROCS, build the tree the
+// level build: builder goroutines, one per GOMAXPROCS, build the tree the
 // calling goroutine builds alone under WorkersNone — the same height,
-// per-level node counts and records, and the same page images, since
-// page-ID leases and chunk records are taken in key order either way. The
-// WorkersNone load must start no goroutine: the crash harness's
-// deterministic replays rely on it.
+// per-level node counts and records, the same page images, leaves and
+// index pages alike, and the same durable log, since page-ID leases and
+// chunk records are taken in key order, level by level, either way. The
+// chunk is small enough that level 1 spans several chunks, so index chunks
+// are built by builders too. The WorkersNone load must start no goroutine:
+// the crash harness's deterministic replays rely on it.
 func TestBulkLoadParallelMatchesSerial(t *testing.T) {
-	const n = 20000
-	load := func(t *testing.T, workers int) (*DeepReport, [][]byte) {
-		store := storage.NewMemStore(512)
-		tr := newTestTree(t, Options{PageSize: 512, Workers: workers, Store: store, LogDevice: wal.NewMemDevice()})
+	const n, chunk = 20000, 8
+	load := func(t *testing.T, workers int) (*DeepReport, [][]byte, [][]byte) {
+		store, dev := storage.NewMemStore(512), wal.NewMemDevice()
+		tr := newTestTree(t, Options{PageSize: 512, Workers: workers, BulkChunkPages: chunk, Store: store, LogDevice: dev})
 		base, started, feed := runtime.NumGoroutine(), 0, pairFeeder(n)
 		next := func() ([]byte, []byte, bool) {
 			started = max(started, runtime.NumGoroutine()-base)
@@ -49,19 +51,26 @@ func TestBulkLoadParallelMatchesSerial(t *testing.T) {
 		if rep.Records != n {
 			t.Fatalf("records = %d, want %d", rep.Records, n)
 		}
+		if rep.Height < 2 || rep.NodesPerLevel[1] <= chunk {
+			t.Fatalf("height %d, level nodes %v: want level 1 to span more than one %d-node chunk", rep.Height, rep.NodesPerLevel, chunk)
+		}
 		var images [][]byte
 		for id := page.PageID(1); id <= store.Stats().HighestPage; id++ {
 			img, _ := store.Read(id) // nil for the retired formatting root
 			images = append(images, img)
 		}
-		return rep, images
+		frames, err := dev.ReadDurable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, images, frames
 	}
-	sRep, sImages := load(t, WorkersNone)
+	sRep, sImages, sFrames := load(t, WorkersNone)
 
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("parallel=%d", k), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
-			rep, images := load(t, 1)
+			rep, images, frames := load(t, 1)
 			if rep.Height != sRep.Height || rep.Records != sRep.Records {
 				t.Errorf("height/records = %d/%d, inline %d/%d", rep.Height, rep.Records, sRep.Height, sRep.Records)
 			}
@@ -77,6 +86,14 @@ func TestBulkLoadParallelMatchesSerial(t *testing.T) {
 			for i := range images {
 				if !bytes.Equal(images[i], sImages[i]) {
 					t.Fatalf("page %d differs from the inline load's", i+1)
+				}
+			}
+			if len(frames) != len(sFrames) {
+				t.Fatalf("%d durable log frames, inline %d", len(frames), len(sFrames))
+			}
+			for i := range frames {
+				if !bytes.Equal(frames[i], sFrames[i]) {
+					t.Fatalf("durable log frame %d differs from the inline load's", i)
 				}
 			}
 		})
@@ -180,89 +197,110 @@ func TestBulkLoadEmptiedByDeletes(t *testing.T) {
 }
 
 // TestBulkLoadOverReusedPageIDs: a load into a tree emptied by deletes
-// writes its leaves over page IDs the store recycles, while the pool may
+// writes its pages over page IDs the store recycles, while the pool may
 // still hold a frame for such an ID — here one a latch-free descent fetched
 // in the instant the allocator re-issued the ID with its old image
 // (reissueStore). The load must discard that frame before writing the page,
-// or the stale frame shadows the new leaf for every later read. The tree is
-// grown and emptied without workers, then reopened for the load. The pool
-// is the default size, large enough to keep every stale frame: with 16
-// frames the index build evicts them all before anything reads them, and
-// the test could not see a missing discard.
+// leaf or index, or the stale frame shadows the new page for every later
+// read. The tree is grown and emptied without workers, then reopened for
+// the load, once with the default pool, large enough to keep every stale
+// frame, and once with 16 frames. Some re-issued ID must become an index
+// page, so the index levels' discard is tested too.
 func TestBulkLoadOverReusedPageIDs(t *testing.T) {
 	for _, m := range bulkModes {
 		t.Run(m.name, func(t *testing.T) {
-			rs := &reissueStore{Store: storage.NewMemStore(512), images: map[page.PageID][]byte{}}
-			dev := wal.NewMemDevice()
-			opts := Options{PageSize: 512, Store: rs, LogDevice: dev, Workers: WorkersNone}
-			tr := newTestTree(t, opts)
-			const n = 3000
-			for i := 0; i < n; i++ {
-				if err := tr.Put(key(i), valb(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tr.DrainTodo()
-			if err := tr.pool.FlushAll(); err != nil { // every leaf now has a store image
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if err := tr.Delete(key(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for round := 0; round < 30 && tr.Height() > 0; round++ {
-				for i := 0; i < n; i += 37 {
-					tr.Get(key(i))
-				}
-				tr.DrainTodo()
-			}
-			if h := tr.Height(); h != 0 {
-				t.Fatalf("tree did not shrink back to a leaf root (height %d)", h)
-			}
-			if err := tr.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			tr.Abandon()
-			opts.Workers = m.workers
-			tr = newTestTree(t, opts)
-			highest := tr.StoreStats().HighestPage
-
-			stale := 0
-			rs.afterAlloc = func(id page.PageID) {
-				if nd, err := tr.fetch(id); err == nil { // the descent's fetch ...
-					tr.unpin(nd) // ... and its back-off
-					stale++
-				}
-			}
-			newVal := func(i int) []byte { return []byte(fmt.Sprintf("new-%06d", i)) }
-			i := 0
-			err := tr.BulkLoad(func() ([]byte, []byte, bool) {
-				if i >= n {
-					return nil, nil, false
-				}
-				i++
-				return key(i - 1), newVal(i - 1), true
-			}, 0.85)
-			rs.afterAlloc = nil
-			if err != nil {
-				t.Fatalf("bulk load over reused page IDs: %v", err)
-			}
-			if stale == 0 {
-				t.Fatal("no re-issued page ID was fetched before the load wrote it; nothing was tested")
-			}
-			if got := tr.StoreStats().HighestPage; got != highest {
-				t.Fatalf("the load grew the store to page %d from %d; it must reuse freed IDs", got, highest)
-			}
-			if _, err := tr.VerifyDeep(); err != nil {
-				t.Fatalf("deep verify: %v", err)
-			}
-			for i := 0; i < n; i++ {
-				if got, err := tr.Get(key(i)); err != nil || !bytes.Equal(got, newVal(i)) {
-					t.Fatalf("get %d after the load: %q, %v", i, got, err)
-				}
+			for _, cache := range []int{0, 16} {
+				t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+					loadOverReusedPageIDs(t, m.workers, cache)
+				})
 			}
 		})
+	}
+}
+
+func loadOverReusedPageIDs(t *testing.T, workers, cache int) {
+	rs := &reissueStore{Store: storage.NewMemStore(512), images: map[page.PageID][]byte{}}
+	dev := wal.NewMemDevice()
+	opts := Options{PageSize: 512, CacheSize: cache, Store: rs, LogDevice: dev, Workers: WorkersNone}
+	tr := newTestTree(t, opts)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if err := tr.pool.FlushAll(); err != nil { // every leaf now has a store image
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tr.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 30 && tr.Height() > 0; round++ {
+		for i := 0; i < n; i += 37 {
+			tr.Get(key(i))
+		}
+		tr.DrainTodo()
+	}
+	if h := tr.Height(); h != 0 {
+		t.Fatalf("tree did not shrink back to a leaf root (height %d)", h)
+	}
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Abandon()
+	opts.Workers = workers
+	tr = newTestTree(t, opts)
+	highest := tr.StoreStats().HighestPage
+
+	stale := map[page.PageID]bool{}
+	rs.afterAlloc = func(id page.PageID) {
+		if nd, err := tr.fetch(id); err == nil { // the descent's fetch ...
+			tr.unpin(nd) // ... and its back-off
+			stale[id] = true
+		}
+	}
+	newVal := func(i int) []byte { return []byte(fmt.Sprintf("new-%06d", i)) }
+	i := 0
+	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		if i >= n {
+			return nil, nil, false
+		}
+		i++
+		return key(i - 1), newVal(i - 1), true
+	}, 0.85)
+	rs.afterAlloc = nil
+	if err != nil {
+		t.Fatalf("bulk load over reused page IDs: %v", err)
+	}
+	if len(stale) == 0 {
+		t.Fatal("no re-issued page ID was fetched before the load wrote it; nothing was tested")
+	}
+	staleIndex := 0
+	for id := range stale { // what the store holds, whatever the pool does
+		img, err := rs.Store.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := page.Unmarshal(img); err == nil && c.Kind == page.Index {
+			staleIndex++
+		}
+	}
+	if staleIndex == 0 {
+		t.Fatal("no re-issued page ID fetched before the load became an index page; the index levels were not tested")
+	}
+	if got := tr.StoreStats().HighestPage; got != highest {
+		t.Fatalf("the load grew the store to page %d from %d; it must reuse freed IDs", got, highest)
+	}
+	if _, err := tr.VerifyDeep(); err != nil {
+		t.Fatalf("deep verify: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := tr.Get(key(i)); err != nil || !bytes.Equal(got, newVal(i)) {
+			t.Fatalf("get %d after the load: %q, %v", i, got, err)
+		}
 	}
 }
 
@@ -408,12 +446,10 @@ func TestBulkLoadAbortedChunksSkippedOnRecovery(t *testing.T) {
 	}
 }
 
-// TestBulkLoadTinyCachePins checks the clamp on the pinned working set: a
-// load through a 16-frame pool, far smaller than the tree, must stream
-// without exhausting pins — also at GOMAXPROCS 64, with 64 builders. The
-// leaves never take a frame; what the clamp bounds is the index build's
-// pending group, whose nodes stay pinned until their chunk record is
-// logged.
+// TestBulkLoadTinyCachePins: a load through a 16-frame pool, far smaller
+// than the tree, must stream without exhausting pins — also at GOMAXPROCS
+// 64, with 64 builders. No page of the load takes a frame, so the pool
+// bounds no part of the load; only the root is fetched, at the commit.
 func TestBulkLoadTinyCachePins(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
 	for _, m := range bulkModes {

@@ -142,11 +142,11 @@ type Options struct {
 	// removes that setter, and then this field goes.
 	Combining FeatureMode
 
-	// BulkChunkPages is the number of leaves grouped into one bulk-load
-	// chunk — the unit of page-ID leasing, of WAL logging (one SMOBulkChunk
-	// record per chunk), of hand-off to a builder goroutine and of store
-	// writes. Zero means the default (64). Leaves bypass the buffer pool, so
-	// only the index build's pinned group is clamped to fit it. The crash
+	// BulkChunkPages is the number of nodes of one level grouped into one
+	// bulk-load chunk — the unit of page-ID leasing, of WAL logging (one
+	// SMOBulkChunk record per chunk), of hand-off to a builder goroutine and
+	// of store writes. Zero means the default (64). No page of a load enters
+	// the buffer pool, so the pool's size does not bound it. The crash
 	// harnesses set it low for crash-point granularity; it is not exported
 	// by package blinktree.
 	BulkChunkPages int

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	blinktree "blinktree"
+	"blinktree/internal/obs"
 	"blinktree/internal/resp"
 )
 
@@ -974,6 +975,38 @@ func TestAdminHandler(t *testing.T) {
 	}
 	if body := get("/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine profile:") {
 		t.Errorf("pprof goroutine profile = %.80q", body)
+	}
+}
+
+// TestVerbLatencyBucketsStable: a fresh server's scrape already carries
+// every latency bucket of every verb, +Inf included, each at zero — the
+// series set does not change as buckets are first hit.
+func TestVerbLatencyBucketsStable(t *testing.T) {
+	tree, err := blinktree.Open(blinktree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	rec := httptest.NewRecorder()
+	AdminHandler(New(tree, Config{})).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	body := rec.Body.String()
+	for _, name := range verbNames {
+		prefix := `blinktree_server_verb_latency_seconds_bucket{verb="` + name + `",le="`
+		buckets := 0
+		for _, line := range strings.Split(body, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				buckets++
+				if !strings.HasSuffix(line, "} 0") {
+					t.Errorf("fresh server: %s", line)
+				}
+			}
+		}
+		if buckets != obs.HistBuckets {
+			t.Errorf("verb %s: %d bucket lines, want %d", name, buckets, obs.HistBuckets)
+		}
+		if !strings.Contains(body, prefix+`+Inf"} 0`+"\n") {
+			t.Errorf("verb %s: no +Inf bucket", name)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"blinktree/internal/obs"
 )
@@ -133,35 +132,35 @@ func (s *Server) CommandCount(verbName string) uint64 {
 // Prometheus text exposition format. It complements (and is normally
 // concatenated after) blinkmetrics.WritePrometheus's tree series.
 func (st Stats) WritePrometheus(w io.Writer) error {
-	p := &statsPrinter{w: w}
-	p.header("blinktree_server_connections", "Currently open client connections.", "gauge")
-	p.line("blinktree_server_connections", "", st.Open)
-	p.header("blinktree_server_connections_total", "Connection lifecycle events.", "counter")
-	p.line("blinktree_server_connections_total", `event="accepted"`, st.Accepted)
-	p.line("blinktree_server_connections_total", `event="rejected"`, st.Rejected)
-	p.line("blinktree_server_connections_total", `event="idle_closed"`, st.IdleClosed)
-	p.line("blinktree_server_connections_total", `event="proto_error"`, st.ProtoErrors)
-	p.header("blinktree_server_commands_total", "Commands dispatched by verb.", "counter")
+	p := obs.NewPromWriter(w)
+	p.Header("blinktree_server_connections", "Currently open client connections.", "gauge")
+	p.Line("blinktree_server_connections", "", st.Open)
+	p.Header("blinktree_server_connections_total", "Connection lifecycle events.", "counter")
+	p.Line("blinktree_server_connections_total", `event="accepted"`, st.Accepted)
+	p.Line("blinktree_server_connections_total", `event="rejected"`, st.Rejected)
+	p.Line("blinktree_server_connections_total", `event="idle_closed"`, st.IdleClosed)
+	p.Line("blinktree_server_connections_total", `event="proto_error"`, st.ProtoErrors)
+	p.Header("blinktree_server_commands_total", "Commands dispatched by verb.", "counter")
 	for _, name := range verbNames {
-		p.line("blinktree_server_commands_total", `verb="`+name+`"`, st.Commands[name])
+		p.Line("blinktree_server_commands_total", `verb="`+name+`"`, st.Commands[name])
 	}
-	p.line("blinktree_server_commands_total", `verb="UNKNOWN"`, st.Unknown)
-	p.header("blinktree_server_txn_total", "Session transaction outcomes.", "counter")
-	p.line("blinktree_server_txn_total", `event="begin"`, st.TxnBegins)
-	p.line("blinktree_server_txn_total", `event="commit"`, st.TxnCommits)
-	p.line("blinktree_server_txn_total", `event="abort"`, st.TxnAborts)
-	p.line("blinktree_server_txn_total", `event="disconnect_abort"`, st.DisconnectAborts)
-	p.header("blinktree_server_pipeline_depth_max", "Most replies sent in one flush.", "gauge")
-	p.line("blinktree_server_pipeline_depth_max", "", st.PipelineMaxDepth)
-	p.header("blinktree_server_pipeline_depth_sum", "Sum of replies-per-flush samples (one per flush).", "counter")
-	p.line("blinktree_server_pipeline_depth_sum", "", st.PipelineDepthSum)
-	p.header("blinktree_server_pipeline_depth_count", "Number of replies-per-flush samples.", "counter")
-	p.line("blinktree_server_pipeline_depth_count", "", st.PipelineDepthObs)
-	p.header("blinktree_server_verb_latency_seconds", "Command execution latency by verb.", "histogram")
+	p.Line("blinktree_server_commands_total", `verb="UNKNOWN"`, st.Unknown)
+	p.Header("blinktree_server_txn_total", "Session transaction outcomes.", "counter")
+	p.Line("blinktree_server_txn_total", `event="begin"`, st.TxnBegins)
+	p.Line("blinktree_server_txn_total", `event="commit"`, st.TxnCommits)
+	p.Line("blinktree_server_txn_total", `event="abort"`, st.TxnAborts)
+	p.Line("blinktree_server_txn_total", `event="disconnect_abort"`, st.DisconnectAborts)
+	p.Header("blinktree_server_pipeline_depth_max", "Most replies sent in one flush.", "gauge")
+	p.Line("blinktree_server_pipeline_depth_max", "", st.PipelineMaxDepth)
+	p.Header("blinktree_server_pipeline_depth_sum", "Sum of replies-per-flush samples (one per flush).", "counter")
+	p.Line("blinktree_server_pipeline_depth_sum", "", st.PipelineDepthSum)
+	p.Header("blinktree_server_pipeline_depth_count", "Number of replies-per-flush samples.", "counter")
+	p.Line("blinktree_server_pipeline_depth_count", "", st.PipelineDepthObs)
+	p.Header("blinktree_server_verb_latency_seconds", "Command execution latency by verb.", "histogram")
 	for _, name := range verbNames {
-		p.hist("blinktree_server_verb_latency_seconds", "verb", name, st.VerbLatency[name])
+		p.Hist("blinktree_server_verb_latency_seconds", "verb", name, st.VerbLatency[name])
 	}
-	return p.err
+	return p.Err()
 }
 
 // ExpvarDoc builds the "server" JSON sub-document the admin handler merges
@@ -201,48 +200,4 @@ func (st Stats) ExpvarDoc() map[string]any {
 			"depth_count": st.PipelineDepthObs,
 		},
 	}
-}
-
-// statsPrinter accumulates Prometheus exposition lines, remembering the
-// first write error (mirrors blinkmetrics' internal writer).
-type statsPrinter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *statsPrinter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-func (p *statsPrinter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *statsPrinter) line(name, labels string, v uint64) {
-	if labels == "" {
-		p.printf("%s %d\n", name, v)
-	} else {
-		p.printf("%s{%s} %d\n", name, labels, v)
-	}
-}
-
-// hist emits one histogram with cumulative le buckets in seconds.
-func (p *statsPrinter) hist(name, labelKey, labelVal string, h obs.HistogramSnapshot) {
-	var cum uint64
-	for i, c := range h.Buckets {
-		cum += c
-		if c == 0 && i != obs.HistBuckets-1 {
-			continue
-		}
-		le := "+Inf"
-		if i != obs.HistBuckets-1 {
-			le = fmt.Sprintf("%g", h.BucketBound(i).Seconds())
-		}
-		p.printf("%s_bucket{%s=%q,le=%q} %d\n", name, labelKey, labelVal, le, cum)
-	}
-	p.printf("%s_sum{%s=%q} %g\n", name, labelKey, labelVal, time.Duration(h.Sum).Seconds())
-	p.printf("%s_count{%s=%q} %d\n", name, labelKey, labelVal, h.Count)
 }

@@ -481,7 +481,7 @@ func newTree(cfg Config, disk *storage.SimDisk) (*core.Tree, error) {
 		FlushInterval: -1,
 	}
 	if cfg.BulkLoad {
-		// One leaf per chunk record: maximizes distinct crash points inside
+		// One node per chunk record: maximizes distinct crash points inside
 		// the chunked-logging path.
 		opts.BulkChunkPages = 1
 	}

@@ -64,7 +64,7 @@ func TestCrashPointsBulkLoad(t *testing.T) {
 
 // TestCrashPointsBulkLoadTorn is the bulk-load sweep under both tearing
 // modes: a load writes its pages only to the store, so a cut while they are
-// written back, or while the commit record is, must still leave the load
+// written, or while the commit record is, must still leave the load
 // all-or-nothing, with the pages of an uncommitted load released and every
 // page torn after the checkpoint healed. Strided in tier-1; BLINKTREE_CRASHLOOP
 // runs every crash point.
