@@ -45,11 +45,21 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 			if err := tr.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			fi, err := os.Stat(filepath.Join(src, "wal.log"))
+			// The checkpoint's frame ends the log as it stood: past it, an
+			// open log's file holds zeros written ahead.
+			master, err := os.ReadFile(filepath.Join(src, "wal.log.ckpt"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkpointEnd = int(fi.Size())
+			m, err := wal.DecodeMaster(master)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := os.ReadFile(filepath.Join(src, "wal.log"))
+			if err != nil || int64(len(log)) <= m.Pos {
+				t.Fatalf("wal.log is %d bytes, %v; the master names position %d", len(log), err, m.Pos)
+			}
+			checkpointEnd = int(m.Pos) + len(wal.SplitRun(log[m.Pos:])[0])
 		}
 	}
 	tr.Maintain()

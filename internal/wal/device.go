@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -181,16 +183,29 @@ func (d *MemDevice) Syncs() uint64 {
 // Close implements Device.
 func (d *MemDevice) Close() error { return nil }
 
-// FileDevice is a Device over an append-only file. Frames are framed as
-// u32 length + u32 crc32c + payload; a torn tail (partial or corrupt final
-// frame, as a power cut mid-append leaves behind) is tolerated at a read,
-// treated as the end of the log, and reported by TailTorn. The master
-// record is the file path+".ckpt", rewritten in place: a torn or lost
-// rewrite fails its checksum or names an older checkpoint.
+// zeroAhead is how far FileDevice writes zeros past a run that grows the
+// file: later runs overwrite those blocks, so their force (fdatasync)
+// flushes data and commits no file-system journal.
+const zeroAhead = 64 << 10
+
+var zeros [zeroAhead]byte
+
+// FileDevice is a Device over a file of frames, each u32 length + u32
+// crc32c + payload, written at the end of the last frame. A run that grows
+// the file is followed by zeroAhead zeros, which Close cuts off. A read
+// ends at the first zero header (no frame is empty), torn or corrupt
+// frame; the bytes past the last frame, up to the last non-zero one, are a
+// torn tail (a power cut mid-append), tolerated and reported by TailTorn.
+// The master record is the file path+".ckpt", rewritten in place: a torn
+// or lost rewrite fails its checksum or names an older checkpoint.
 type FileDevice struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+
+	// end is the end of the last frame, where the next run lands; the bytes
+	// from there to size, the length the file was grown to, are zeros.
+	end, size int64
 
 	// tornTail/tornBytes record the tail observation of the last read:
 	// whether bytes past the last valid frame were found.
@@ -200,27 +215,39 @@ type FileDevice struct {
 
 // OpenFileDevice opens or creates the log file at path.
 func OpenFileDevice(path string) (*FileDevice, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &FileDevice{f: f, path: path}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &FileDevice{f: f, path: path, end: fi.Size(), size: fi.Size()}, nil
 }
 
-// Append implements Device with one write.
+// Append implements Device: one write at the end of the last frame, and one
+// of zeros after it when it grew the file.
 func (d *FileDevice) Append(run []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, err := d.f.Write(run)
+	n, err := d.f.WriteAt(run, d.end)
+	d.end += int64(n)
+	if err == nil && d.end > d.size {
+		n, err = d.f.WriteAt(zeros[:], d.end)
+		d.size = d.end + int64(n)
+	}
 	return err
 }
 
-// Sync implements Device, outside the mutex: appends proceed during a force.
-func (d *FileDevice) Sync() error { return d.f.Sync() }
+// Sync implements Device with fdatasync, outside the mutex: appends proceed
+// during a force.
+func (d *FileDevice) Sync() error { return datasync(d.f) }
 
 // scan reads the file from offset from into one buffer and returns the
-// frames there, as views of it, up to the first torn or corrupt one (bytes
-// from there on are the torn tail), and their end. Caller holds d.mu.
+// frames there, as views of it, up to the first zero header, torn or corrupt
+// frame, and their end. Caller holds d.mu.
 func (d *FileDevice) scan(from int64) ([][]byte, int64, error) {
 	fi, err := d.f.Stat()
 	if err != nil {
@@ -231,18 +258,18 @@ func (d *FileDevice) scan(from int64) ([][]byte, int64, error) {
 		return nil, 0, err
 	}
 	var frames [][]byte
-	for off := 0; len(buf)-off >= 8; {
+	off := 0
+	for len(buf)-off >= 8 {
 		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		if n > len(buf)-off-8 || crc32.Checksum(buf[off+8:off+8+n], recCRC) != binary.LittleEndian.Uint32(buf[off+4:]) {
-			break // torn or corrupt frame: end of log
+		if n == 0 || n > len(buf)-off-8 || crc32.Checksum(buf[off+8:off+8+n], recCRC) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			break // zeros written ahead, or a torn or corrupt frame: end of log
 		}
 		frames = append(frames, buf[off:off+8+n:off+8+n])
 		off += 8 + n
-		from += int64(8 + n)
 	}
-	d.tornBytes = fi.Size() - from
+	d.tornBytes = int64(len(bytes.TrimRight(buf[off:], "\x00")))
 	d.tornTail = d.tornBytes > 0
-	return frames, from, nil
+	return frames, from + int64(off), nil
 }
 
 // ReadDurable implements Device: every frame from the start of the file.
@@ -253,8 +280,9 @@ func (d *FileDevice) ReadDurable() ([][]byte, error) {
 	return frames, err
 }
 
-// ReadRestart implements Device. Appends follow it, so it cuts off a torn
-// tail: frames written after garbage would be unreachable by the next read.
+// ReadRestart implements Device. Appends follow it, so it cuts off all past
+// the last frame: a torn tail, zeros, and any frame that outlived a lost
+// page before it, which a run written over the gap could bring back.
 func (d *FileDevice) ReadRestart() (Restart, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -263,10 +291,20 @@ func (d *FileDevice) ReadRestart() (Restart, error) {
 		return Restart{}, err
 	}
 	r, err := readRestart(master, d.scan)
-	if err == nil && d.tornTail {
-		err = d.f.Truncate(r.End)
+	if err == nil {
+		err = d.cut(r.End)
 	}
 	return r, err
+}
+
+// cut makes end the end of the last frame and of the file. Caller holds d.mu.
+func (d *FileDevice) cut(end int64) error {
+	d.end = end
+	if d.size <= end {
+		return nil
+	}
+	d.size = end
+	return d.f.Truncate(end)
 }
 
 // WriteMaster implements Device.
@@ -276,7 +314,7 @@ func (d *FileDevice) WriteMaster(m Master) error {
 		return err
 	}
 	if _, err = f.WriteAt(m.Encode(), 0); err == nil {
-		err = f.Sync()
+		err = datasync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -285,19 +323,20 @@ func (d *FileDevice) WriteMaster(m Master) error {
 }
 
 // TailTorn implements TailReporter: it reports the tail observation of the
-// most recent read (trailing bytes past the last valid frame, left
-// by a frame append a power cut interrupted).
+// most recent read (bytes past the last valid frame up to the last non-zero
+// one, left by a frame append a power cut interrupted).
 func (d *FileDevice) TailTorn() (bool, int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.tornTail, d.tornBytes
 }
 
-// Close implements Device.
+// Close implements Device. It cuts the zeros written ahead off the file,
+// which then holds its frames and nothing else.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.f.Close()
+	return errors.Join(d.cut(d.end), d.f.Close())
 }
 
 // appendFrame appends to b one frame whose payload is what put appends,

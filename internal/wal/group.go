@@ -251,8 +251,8 @@ func (l *Log) writerLoop() {
 		case <-l.p.wake:
 		case <-tick:
 		}
-		// A failed background force has nobody to report to: the next force
-		// retries a failed Sync; after a failed write the log is stopped.
+		// A failed background force has nobody to report to: it stops the
+		// log, and every later append, force and commit returns the error.
 		_ = l.FlushAll()
 	}
 }

@@ -297,8 +297,9 @@ func TestCommitTracedChargesTheCoveringForce(t *testing.T) {
 }
 
 // TestFollowerNotAckedByFailedForce fails the force that followers wait
-// on: its leader gets the error, no follower is acknowledged by the
-// wake-up, and the retry one of them leads acknowledges all.
+// on: its leader and every follower get the error, and the log stops. No
+// later force reaches the device or acknowledges a commit, because a failed
+// fsync may have dropped the pages a retry would report durable.
 func TestFollowerNotAckedByFailedForce(t *testing.T) {
 	l, dev := newGatedLog(t)
 	// Some records are in the log before the leader's force starts and are
@@ -317,26 +318,38 @@ func TestFollowerNotAckedByFailedForce(t *testing.T) {
 
 	dev.failNext.Store(true)
 	dev.release <- struct{}{}
-	if err := result(t, first); !errors.Is(err, errSyncFailed) {
-		t.Fatalf("leader of the failed force: err = %v, want %v", err, errSyncFailed)
+	failed := func(who string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrLogFailed) || !errors.Is(err, errSyncFailed) {
+			t.Fatalf("%s: err = %v, want %v wrapping %v", who, err, ErrLogFailed, errSyncFailed)
+		}
 	}
-	awaitForce(t, dev, rest) // the retry, led by a follower
+	failed("leader of the failed force", result(t, first))
+	for range lsns {
+		select {
+		case err := <-rest:
+			failed("follower of the failed force", err)
+		case <-dev.enter:
+			t.Fatal("a follower led another force after the failed one")
+		case <-time.After(10 * time.Second):
+			t.Fatal("follower still waiting after 10s (lost wake-up?)")
+		}
+	}
+
+	// A force that reached the device now would succeed: none may.
+	dev.ungated.Store(true)
+	failed("commit after the failed force", commitChecked(l, lsns[0]))
+	failed("FlushAll after the failed force", l.FlushAll())
+	_, err := l.Append(&Record{Type: TCommit, Txn: 1})
+	failed("append after the failed force", err)
 	if got := l.FlushedLSN(); got != 0 {
 		t.Fatalf("durable horizon %d after a failed force, want 0", got)
 	}
-	select {
-	case err := <-rest:
-		t.Fatalf("follower returned (%v) before the retry force ended", err)
-	default:
+	if n := dev.Syncs(); n != 0 {
+		t.Fatalf("%d forces reached the device after the failed one", n)
 	}
-	dev.release <- struct{}{}
-	for range lsns {
-		if err := result(t, rest); err != nil {
-			t.Fatalf("follower: %v", err)
-		}
-	}
-	if gs := l.GroupStats(); gs.Commits != early+late || gs.Forces != 1 || gs.MaxBatch != early+late {
-		t.Fatalf("GroupStats = %+v, want %d commits on 1 force", gs, early+late)
+	if gs := l.GroupStats(); gs.Commits != 0 || gs.Forces != 0 {
+		t.Fatalf("GroupStats = %+v, want no commit acknowledged", gs)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 // the device, without a Sync, unless a force is writing one already.
 const tailCap = 1 << 20
 
-// ErrLogFailed wraps the cause of a failed or short device write. The lost
-// run's records already carry LSNs, and frames written after a torn one
-// would be unreachable, so the log is fail-stop: the force or append that
-// hit the failure and every later append, force and commit return it.
+// ErrLogFailed wraps the cause of a failed or short device write, or of a
+// failed Sync. The lost run's records already carry LSNs, frames written
+// after a torn one would be unreachable, and a failed Sync may have dropped
+// what it was to make durable, so the log is fail-stop: the force or append
+// that hit the failure and every later append, force and commit return it.
 var ErrLogFailed = errors.New("wal: log device write failed")
 
 // Log is the write-ahead log: it assigns LSNs, frames records into a tail
@@ -230,12 +231,13 @@ func (l *Log) force(upto LSN, c *commitWait) error {
 	start := time.Now()
 	var err error
 	if len(run) > 0 {
-		if err = l.dev.Append(run); err != nil {
-			err = fmt.Errorf("%w: %w", ErrLogFailed, err)
-		}
+		err = l.dev.Append(run)
 	}
 	if err == nil {
 		err = l.dev.Sync()
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: %w", ErrLogFailed, err)
 	}
 	d := time.Since(start)
 
@@ -244,17 +246,11 @@ func (l *Log) force(upto LSN, c *commitWait) error {
 	batch := l.batch
 	l.inflight, l.batch = 0, 0
 	if err != nil {
-		// A failed write is fail-stop (ErrLogFailed); after a failed Sync
-		// the run is on the device and the next force retries. The leader
-		// leaves with the error; the other commits booked on this force
-		// wait for the next.
-		if errors.Is(err, ErrLogFailed) {
-			l.err = err
-		}
-		l.waiting += batch
-		if c != nil {
-			l.waiting--
-		}
+		// A failed write or Sync is fail-stop: after a failed fsync the
+		// kernel may have dropped the dirty pages, so a later Sync that
+		// succeeds proves nothing about this run. Every commit booked on
+		// this force, and every later one, gets the error.
+		l.err = err
 	} else {
 		l.flushed = target
 		l.flushes++

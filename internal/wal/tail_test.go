@@ -148,15 +148,16 @@ func TestTailConcurrentCommitters(t *testing.T) {
 	t.Logf("%d device appends, %d forces, %d MiB", a, s, full)
 }
 
-// TestTailFileBytesAreTheFrames: the file holds exactly the records' frames,
-// one after another, as it did when each record was written on its own.
+// TestTailFileBytesAreTheFrames: up to the log's end the file holds exactly
+// the records' frames, one after another, as it did when each record was
+// written on its own. While the log is open the rest is zeros written
+// ahead; after Close there is no rest.
 func TestTailFileBytesAreTheFrames(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	dev, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dev.Close()
 	l, _ := NewLog(dev)
 	var want []byte
 	for i, r := range sampleRecords() {
@@ -174,8 +175,18 @@ func TestTailFileBytesAreTheFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
+	if err != nil || len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("open wal.log holds %d bytes, %v; want the %d bytes of the records' frames first", len(got), err, len(want))
+	}
+	if len(bytes.Trim(got[len(want):], "\x00")) != 0 || len(got) == len(want) {
+		t.Fatalf("open wal.log: the %d bytes past the frames are not zeros written ahead", len(got)-len(want))
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err = os.ReadFile(path)
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("wal.log holds %d bytes, %v; want the %d bytes of the records' frames", len(got), err, len(want))
+		t.Fatalf("closed wal.log holds %d bytes, %v; want the %d bytes of the records' frames", len(got), err, len(want))
 	}
 }
 
