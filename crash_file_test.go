@@ -1,6 +1,7 @@
 package blinktree_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,10 +89,24 @@ func TestFileBackedWALTruncationSweep(t *testing.T) {
 		t.Fatalf("wal too small to sweep: %d bytes", len(wal))
 	}
 
-	// Sweep truncation points: step through the log in uneven strides so
-	// both frame boundaries and mid-frame (torn) offsets are hit.
+	// Sweep truncation points: step through the frames in uneven strides so
+	// both frame boundaries and mid-frame (torn) offsets are hit. Past the
+	// last frame the open log's file holds the zeros written ahead, and
+	// every cut there recovers the same tree: cut only at their first, one
+	// interior and their last byte.
+	frames := 0
+	for frames+8 <= len(wal) && binary.LittleEndian.Uint32(wal[frames:]) != 0 {
+		frames += 8 + int(binary.LittleEndian.Uint32(wal[frames:]))
+	}
+	if len(wal)-frames < 3 {
+		t.Fatalf("wal.log has %d bytes past its last frame; the sweep expects the zeros written ahead", len(wal)-frames)
+	}
+	cuts := []int{len(wal), (frames + len(wal)) / 2, frames + 1}
+	for cut := frames; cut > 0; cut -= 37 {
+		cuts = append(cuts, cut)
+	}
 	fromMaster, fromStart := 0, 0
-	for cut := len(wal); cut > 0; cut -= 37 {
+	for _, cut := range cuts {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "wal.log.ckpt"), master, 0o644); err != nil {
 			t.Fatal(err)

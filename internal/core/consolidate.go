@@ -112,12 +112,11 @@ func (t *Tree) processDelete(a action) {
 	left.c.Right = victim.c.Right
 	if victim.isLeaf() {
 		left.c.Recs.AppendFrom(&victim.c.Recs, 0)
+		left.raw = left.countRaw()
 	} else {
-		left.c.Keys = append(left.c.Keys, victim.c.Keys...)
-		left.c.Children = append(left.c.Children, victim.c.Children...)
+		k, c := left.c.Keys, left.c.Children
+		left.setTerms(spliced(k, len(k), len(k), victim.c.Keys...), spliced(c, len(c), len(c), victim.c.Children...))
 	}
-	left.raw = left.countRaw()
-	left.hs.rebuild(left.c.Keys)
 	if victim.c.Level == 1 {
 		// Merging two parent-of-leaf nodes invalidates D_D values
 		// remembered against either: force a visible change.
@@ -139,14 +138,7 @@ func (t *Tree) processDelete(a action) {
 	// the action runs; the anchor must not be read while holding latches.)
 	dxNow := t.dx.v.Load()
 	if t.underutilized(p) {
-		t.c.deletesEnqueued.Add(1)
-		t.todo.enqueue(action{
-			kind:   actDelete,
-			level:  p.c.Level,
-			origID: p.id, origEpoch: p.c.Epoch,
-			sep: append([]byte(nil), p.c.Low...),
-			dx:  dxNow, // parent ref unknown: resolved at processing time
-		})
+		t.enqueueDelete(p.c.Level, ref{id: p.id, epoch: p.c.Epoch}, p.c.Low, ref{}, dxNow)
 	}
 
 	// Step 7: release the parent; the left sibling and victim latches

@@ -52,40 +52,19 @@ func headPrefix(keys [][]byte) int {
 	return i
 }
 
-// rebuild recomputes the prefix and every head of keys.
+// rebuild computes the prefix and every head of keys into a new array: a
+// published route may share the old one (see route), so it is never
+// written again.
 func (kh *keyHeads) rebuild(keys [][]byte) {
 	p := headPrefix(keys)
 	w := (p + 7) >> 3
-	if cap(kh.h) < w+len(keys) {
-		kh.h = make([]uint64, w+len(keys))
-	}
-	kh.pfx, kh.h = p, kh.h[:w+len(keys)]
+	kh.pfx, kh.h = p, make([]uint64, w+len(keys))
 	for j := range w {
 		kh.h[j] = wordAt(keys[1][:p], 8*j)
 	}
 	for i, k := range keys {
 		kh.h[w+i] = headAt(k, p)
 	}
-}
-
-// changed updates the heads after keys gained (inserted) or lost the key at
-// position i: one head shifted in or out, unless the prefix length changed
-// (an append or a remove across a byte boundary), which rebuilds. The same
-// length is the same prefix: one insert or remove never changes both keys[1]
-// and keys[n-1], and the one left standing holds the prefix.
-func (kh *keyHeads) changed(keys [][]byte, i int, inserted bool) {
-	if headPrefix(keys) != kh.pfx {
-		kh.rebuild(keys)
-		return
-	}
-	j := (kh.pfx+7)>>3 + i
-	if !inserted {
-		kh.h = append(kh.h[:j], kh.h[j+1:]...)
-		return
-	}
-	kh.h = append(kh.h, 0)
-	copy(kh.h[j+1:], kh.h[j:])
-	kh.h[j] = headAt(keys[i], kh.pfx)
 }
 
 // search returns the position of the first key in keys that is >= key, and

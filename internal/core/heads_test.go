@@ -118,8 +118,8 @@ func TestKeyHeadsMatchSortSearch(t *testing.T) {
 
 // TestKeyHeadsMaintenanceMatchesRebuild drives a leaf and an index node
 // through random inserts and removes, at the edges as churn does and in the
-// middle, and checks after every step that the heads kept up incrementally
-// are the heads a rebuild would compute.
+// middle, and checks after every step that the heads the edit left are the
+// heads a rebuild of the node's keys would compute.
 func TestKeyHeadsMaintenanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 200; round++ {

@@ -51,22 +51,28 @@ type node struct {
 	raw int
 
 	// hs are the key heads every in-node search of a bytewise tree runs on
-	// (heads.go), maintained wherever raw is. Verify recounts them too.
+	// (heads.go), rebuilt wherever an index node's keys change. Verify
+	// recounts them too.
 	hs keyHeads
 
-	// route is the immutable routing snapshot optimistic readers descend
-	// through without latching; nil for leaves (leaves are always read
-	// under a Shared latch). It is republished whenever the exclusive
-	// latch is released and the reader validates currency against the
-	// latch version word (see optread.go).
+	// route is the immutable routing snapshot of an index node; nil for
+	// leaves (leaves are always read under a Shared latch). It is
+	// republished whenever the exclusive latch is released, so it is
+	// current for a Shared holder, and an optimistic reader validates its
+	// currency against the latch version word (see optread.go).
 	route atomic.Pointer[route]
 }
 
-// route is an immutable snapshot of everything an optimistic reader needs
-// from an index node: fences, side pointer, separator keys and child
+// route is an immutable snapshot of everything a descent needs from an
+// index node: fences, side pointer, separator keys, their heads and child
 // addresses, plus the identity (epoch) and delete state (D_D) that a
 // traversal path entry remembers. A published route is never mutated; a
 // new one replaces it wholesale under the exclusive latch.
+//
+// The entry arrays are the node's own: an index node's keys, children and
+// heads are copy-on-write. Every edit builds new arrays, and each array
+// has cap == len (as page.UnmarshalInto builds them), so an append to one
+// allocates too; no write reaches an array a route may hold.
 type route struct {
 	level uint8
 	epoch uint64
@@ -81,9 +87,10 @@ type route struct {
 	children  []page.PageID
 }
 
-// publishRoute installs a fresh routing snapshot. The caller must hold the
-// node's exclusive latch, or own the node privately (creation, load, bulk
-// build) so no concurrent reader exists yet. Leaves publish nothing.
+// publishRoute installs a fresh routing snapshot, sharing the node's entry
+// arrays. The caller must hold the node's exclusive latch, or own the node
+// privately (creation, load) so no concurrent reader exists yet. Leaves
+// publish nothing.
 func (n *node) publishRoute() {
 	if n.isLeaf() {
 		return
@@ -97,9 +104,9 @@ func (n *node) publishRoute() {
 		low:      n.c.Low,
 		high:     n.c.High,
 		right:    n.c.Right,
-		keys:     append([][]byte(nil), n.c.Keys...),
-		hs:       keyHeads{pfx: n.hs.pfx, h: append([]uint64(nil), n.hs.h...)},
-		children: append([]page.PageID(nil), n.c.Children...),
+		keys:     n.c.Keys,
+		hs:       n.hs,
+		children: n.c.Children,
 	})
 }
 
@@ -223,23 +230,29 @@ func (n *node) insertIndexTerm(t *Tree, key []byte, child page.PageID) bool {
 	if found {
 		return false
 	}
-	n.c.Keys = append(n.c.Keys, nil)
-	copy(n.c.Keys[i+1:], n.c.Keys[i:])
-	n.c.Keys[i] = append([]byte(nil), key...)
-	n.c.Children = append(n.c.Children, 0)
-	copy(n.c.Children[i+1:], n.c.Children[i:])
-	n.c.Children[i] = child
-	n.raw += page.EntrySize(page.Index, len(key), 0)
-	n.hs.changed(n.c.Keys, i, true)
+	n.setTerms(spliced(n.c.Keys, i, i, append([]byte(nil), key...)), spliced(n.c.Children, i, i, child))
 	return true
 }
 
 // removeIndexTermAt removes the index entry at position i.
 func (n *node) removeIndexTermAt(i int) {
-	n.raw -= page.EntrySize(page.Index, len(n.c.Keys[i]), 0)
-	n.c.Keys = append(n.c.Keys[:i], n.c.Keys[i+1:]...)
-	n.c.Children = append(n.c.Children[:i], n.c.Children[i+1:]...)
-	n.hs.changed(n.c.Keys, i, false)
+	n.setTerms(spliced(n.c.Keys, i, i+1), spliced(n.c.Children, i, i+1))
+}
+
+// setTerms makes keys and children an index node's entries, new arrays of
+// cap == len that nothing writes again (see route), and recounts the size
+// and the heads for them.
+func (n *node) setTerms(keys [][]byte, children []page.PageID) {
+	n.c.Keys, n.c.Children = keys, children
+	n.raw = n.countRaw()
+	n.hs.rebuild(keys)
+}
+
+// spliced returns s with s[i:j] replaced by v, in a new array of exactly
+// that length.
+func spliced[E any](s []E, i, j int, v ...E) []E {
+	out := make([]E, 0, len(s)-(j-i)+len(v))
+	return append(append(append(out, s[:i]...), v...), s[j:]...)
 }
 
 // size returns the marshaled byte size, the occupancy measure.

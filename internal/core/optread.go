@@ -152,21 +152,12 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 		if side {
 			// Side traversal; reaching a node only via its side pointer
 			// means its index term is missing (§2.3).
-			if next != 0 {
-				t.enqueuePostFromRoute(n.id, r, path, o.dx)
-			}
-		} else if ci := o.childIn(t, r.keys, &r.hs); ci >= 0 {
-			next = r.children[ci]
-			path = append(path, pathEntry{
-				ref:   ref{id: n.id, epoch: r.epoch},
-				level: r.level,
-				dd:    r.dd,
-			})
-			t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
+			t.enqueueSidePost(n.id, r.epoch, r.level, r.right, r.high, path, o.dx)
 		} else {
-			// A target below the node's key space is reachable here, unlike
-			// in the latched traversal: the route that sent us was stale.
-			next = 0
+			// A target below the node's key space (next 0) is reachable
+			// here, unlike in the latched traversal: the route that sent
+			// us was stale.
+			next, path = t.descendRoute(n.id, r, &o, path)
 		}
 		if next == 0 {
 			t.optDrop(a, n)
@@ -191,73 +182,11 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 		return nil, nil, false
 	}
 	for o.pastHigh(t, n.c.High) {
-		t.enqueuePostFromSideMove(n, path, o.dx)
+		t.enqueueSidePost(n.id, n.c.Epoch, n.c.Level, n.c.Right, n.c.High, path, o.dx)
 		var ok bool
 		if n, ok = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); !ok {
 			return nil, nil, false
 		}
 	}
 	return n, path, true
-}
-
-// enqueuePostFromRoute is enqueuePostFromSideMove for an optimistic side
-// move: the snapshot carries the sibling's address and key space (the
-// Pi-tree property), which is the complete index term to post. A stale
-// snapshot enqueues a posting that the D_D/D_X verification in processPost
-// will abandon — the same safety argument as every other lazy action.
-func (t *Tree) enqueuePostFromRoute(id page.PageID, r *route, path []pathEntry, dx uint64) {
-	if t.todo.postPending(id, r.right) {
-		return
-	}
-	var parent ref
-	var dd uint64
-	if len(path) > 0 {
-		top := path[len(path)-1]
-		parent = top.ref
-		dd = top.dd
-	}
-	a := action{
-		kind:   actPost,
-		level:  r.level,
-		origID: id, origEpoch: r.epoch,
-		newID:  r.right,
-		sep:    append([]byte(nil), r.high...),
-		parent: parent,
-		dx:     dx,
-		dd:     dd,
-	}
-	t.c.postsEnqueued.Add(1)
-	t.todo.enqueue(a)
-}
-
-// maybeEnqueueDeleteFromRoute is maybeEnqueueDelete for an optimistic
-// descent, working from the snapshot's size and child count. path already
-// includes the node itself (appended just before the call), matching the
-// latched traversal's calling convention.
-func (t *Tree) maybeEnqueueDeleteFromRoute(id page.PageID, r *route, path []pathEntry, dx uint64) {
-	if t.opts.NoDeleteSupport {
-		return
-	}
-	isRoot := len(path) <= 1
-	if isRoot {
-		if len(r.children) == 1 && r.right == 0 {
-			t.todo.enqueue(action{
-				kind: actShrink, origID: id, origEpoch: r.epoch, level: r.level,
-			})
-		}
-		return
-	}
-	if !t.underutilizedRaw(r.size, len(r.keys)) {
-		return
-	}
-	parent := path[len(path)-2]
-	t.c.deletesEnqueued.Add(1)
-	t.todo.enqueue(action{
-		kind:   actDelete,
-		level:  r.level,
-		origID: id, origEpoch: r.epoch,
-		sep:    append([]byte(nil), r.low...),
-		parent: parent.ref,
-		dx:     dx,
-	})
 }

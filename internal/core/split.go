@@ -54,8 +54,8 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	if n.isLeaf() {
 		newC.Recs.AppendFrom(&n.c.Recs, mid)
 	} else {
-		newC.Keys = append([][]byte(nil), n.c.Keys[mid:]...)
-		newC.Children = append([]page.PageID(nil), n.c.Children[mid:]...)
+		// The halves share n's arrays, which nothing writes (see route).
+		newC.Keys, newC.Children = n.c.Keys[mid:], n.c.Children[mid:]
 	}
 
 	right, err := t.allocNode(newC)
@@ -63,17 +63,16 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		return err
 	}
 
-	// Shrink the original in place and hook up the side pointer carrying
-	// the new node's key space description (High of n == Low of new).
-	if n.isLeaf() {
-		n.c.Recs.Truncate(mid)
-	} else {
-		n.c.Keys, n.c.Children = n.c.Keys[:mid], n.c.Children[:mid]
-	}
+	// Shrink the original and hook up the side pointer carrying the new
+	// node's key space description (High of n == Low of new).
 	n.c.High = sep
 	n.c.Right = right.id
-	n.raw = n.countRaw()
-	n.hs.rebuild(n.c.Keys)
+	if n.isLeaf() {
+		n.c.Recs.Truncate(mid)
+		n.raw = n.countRaw()
+	} else {
+		n.setTerms(n.c.Keys[:mid:mid], n.c.Children[:mid:mid])
+	}
 
 	err = t.logSplit(n, right)
 	// The new half becomes reachable through n's side pointer once the

@@ -122,7 +122,7 @@ restart:
 					t.unlatchUnpin(n, mode, false)
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
 				}
-				t.enqueuePostFromSideMove(n, path, o.dx)
+				t.enqueueSidePost(n.id, n.c.Epoch, n.c.Level, n.c.Right, n.c.High, path, o.dx)
 				if n, ok = t.sideStep(n, mode, couple, o.sp); !ok {
 					t.c.restarts.Add(1)
 					continue restart
@@ -136,25 +136,17 @@ restart:
 				}
 				return n, path, nil
 			}
-			// Descend. The child cannot be deleted between reading its
-			// address and latching it: its deleter would need this node
-			// exclusively latched to remove the index term (latch
-			// coupling argument, §3.1.1).
-			ci := o.childIn(t, n.c.Keys, &n.hs)
-			if ci < 0 {
+			// Descend, through the route of the node held Shared. The
+			// child cannot be deleted between reading its address and
+			// latching it: its deleter would need this node exclusively
+			// latched to remove the index term (latch coupling argument,
+			// §3.1.1).
+			var child page.PageID
+			if child, path = t.descendRoute(n.id, n.route.Load(), &o, path); child == 0 {
 				t.unlatchUnpin(n, mode, false)
 				return nil, nil, fmt.Errorf("blinktree: key %q below node %d low fence", o.key, n.id)
 			}
-			child := n.c.Children[ci]
 			childMode := t.modeFor(n.level()-1, o.level, o.intent)
-
-			path = append(path, pathEntry{
-				ref:   ref{id: n.id, epoch: n.c.Epoch},
-				level: n.level(),
-				dd:    n.c.DD,
-			})
-			t.maybeEnqueueDelete(n, path, o.dx)
-
 			if n, ok = t.step(n, mode, child, childMode, couple, o.sp); !ok {
 				t.c.restarts.Add(1)
 				continue restart
@@ -198,11 +190,14 @@ func (t *Tree) modeFor(nodeLevel, reqLevel uint8, intent latch.Mode) latch.Mode 
 	return intent
 }
 
-// enqueuePostFromSideMove re-discovers a missing index term: n's side link
-// carries the sibling's address and key space (the Pi-tree property), which
-// is the complete index term to post.
-func (t *Tree) enqueuePostFromSideMove(n *node, path []pathEntry, dx uint64) {
-	if n.c.Right == 0 || t.todo.postPending(n.id, n.c.Right) {
+// enqueueSidePost re-discovers a missing index term on a side move from
+// node id (epoch, level): its side link — the sibling's address right and
+// key space from high, the Pi-tree property — is the complete index term to
+// post. An optimistic descent passes its route's fields: a stale snapshot
+// enqueues a posting that the D_D/D_X verification in processPost abandons,
+// the same safety argument as every other lazy action.
+func (t *Tree) enqueueSidePost(id page.PageID, epoch uint64, level uint8, right page.PageID, high []byte, path []pathEntry, dx uint64) {
+	if right == 0 || t.todo.postPending(id, right) {
 		return // nothing to post, or already re-discovered
 	}
 	var parent ref
@@ -215,68 +210,75 @@ func (t *Tree) enqueuePostFromSideMove(n *node, path []pathEntry, dx uint64) {
 	// The sibling has not been latched: whether it still exists when the
 	// post runs is verified through D_D/D_X, or, with no parent remembered,
 	// by looking at it then (newNodeStands).
-	a := action{
+	t.c.postsEnqueued.Add(1)
+	t.todo.enqueue(action{
 		kind:   actPost,
-		level:  n.level(),
-		origID: n.id, origEpoch: n.c.Epoch,
-		newID:  n.c.Right,
-		sep:    append([]byte(nil), n.c.High...),
+		level:  level,
+		origID: id, origEpoch: epoch,
+		newID:  right,
+		sep:    append([]byte(nil), high...),
 		parent: parent,
 		dx:     dx,
 		dd:     dd,
-	}
-	t.c.postsEnqueued.Add(1)
-	t.todo.enqueue(a)
+	})
 }
 
-// maybeEnqueueDelete enqueues a consolidation for an under-utilized node
-// seen during traversal (A.1 step 5). The root is never consolidated, but a
-// single-child index root triggers a shrink.
-func (t *Tree) maybeEnqueueDelete(n *node, path []pathEntry, dx uint64) {
+// descendRoute is one downward step of either descent through index node
+// id, read as its route r: the child covering o's target (0 when the target
+// lies below r's key space), with the node remembered on path and checked
+// for consolidation. The latched descent passes the route of the node it
+// holds Shared, which is current: every exclusive release publishes first.
+func (t *Tree) descendRoute(id page.PageID, r *route, o *traverseOpts, path []pathEntry) (page.PageID, []pathEntry) {
+	ci := o.childIn(t, r.keys, &r.hs)
+	if ci < 0 {
+		return 0, path
+	}
+	path = append(path, pathEntry{ref: ref{id: id, epoch: r.epoch}, level: r.level, dd: r.dd})
+	t.maybeEnqueueDelete(id, r, path, o.dx)
+	return r.children[ci], path
+}
+
+// maybeEnqueueDelete enqueues a consolidation for an under-utilized index
+// node id seen during a descent as route r (A.1 step 5); path already ends
+// with the node. The root is never consolidated, but a single-child index
+// root triggers a shrink.
+func (t *Tree) maybeEnqueueDelete(id page.PageID, r *route, path []pathEntry, dx uint64) {
 	if t.opts.NoDeleteSupport {
 		return
 	}
-	// Never read the anchor here: we hold n's latch, and the shrink SMO
-	// holds the anchor while waiting for a node latch. Whether n really is
-	// the root is re-verified by processShrink under the anchor.
-	isRoot := len(path) <= 1 // path already includes n itself when called after append
-	if isRoot {
-		if !n.isLeaf() && len(n.c.Children) == 1 && n.c.Right == 0 {
-			t.todo.enqueue(action{
-				kind: actShrink, origID: n.id, origEpoch: n.c.Epoch, level: n.level(),
-			})
+	// Never read the anchor here: a latched descent holds the node's latch,
+	// and the shrink SMO holds the anchor while waiting for a node latch.
+	// Whether the node really is the root is re-verified by processShrink
+	// under the anchor.
+	if len(path) <= 1 {
+		if len(r.children) == 1 && r.right == 0 {
+			t.todo.enqueue(action{kind: actShrink, origID: id, origEpoch: r.epoch, level: r.level})
 		}
 		return
 	}
-	if !t.underutilized(n) {
-		return
+	if t.underutilizedRaw(r.size, len(r.keys)) {
+		t.enqueueDelete(r.level, ref{id: id, epoch: r.epoch}, r.low, path[len(path)-2].ref, dx)
 	}
-	parent := path[len(path)-2] // entry above n
-	t.c.deletesEnqueued.Add(1)
-	t.todo.enqueue(action{
-		kind:   actDelete,
-		level:  n.level(),
-		origID: n.id, origEpoch: n.c.Epoch,
-		sep:    append([]byte(nil), n.c.Low...),
-		parent: parent.ref,
-		dx:     dx,
-	})
 }
 
 // maybeEnqueueLeafDelete is the leaf-level under-utilization check done by
 // read node / update node (§3.1.2–3.1.3) after an operation.
 func (t *Tree) maybeEnqueueLeafDelete(leaf *node, path []pathEntry, dx uint64) {
-	if t.opts.NoDeleteSupport || len(path) == 0 || !t.underutilized(leaf) {
-		return
+	if !t.opts.NoDeleteSupport && len(path) > 0 && t.underutilized(leaf) {
+		t.enqueueDelete(leaf.level(), ref{id: leaf.id, epoch: leaf.c.Epoch}, leaf.c.Low, path[len(path)-1].ref, dx)
 	}
-	parent := path[len(path)-1]
+}
+
+// enqueueDelete enqueues the consolidation of node orig, at level with low
+// fence low, under parent (zero: resolved when the action runs).
+func (t *Tree) enqueueDelete(level uint8, orig ref, low []byte, parent ref, dx uint64) {
 	t.c.deletesEnqueued.Add(1)
 	t.todo.enqueue(action{
 		kind:   actDelete,
-		level:  leaf.level(),
-		origID: leaf.id, origEpoch: leaf.c.Epoch,
-		sep:    append([]byte(nil), leaf.c.Low...),
-		parent: parent.ref,
+		level:  level,
+		origID: orig.id, origEpoch: orig.epoch,
+		sep:    append([]byte(nil), low...),
+		parent: parent,
 		dx:     dx,
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,7 +104,10 @@ func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
 	var id page.PageID
 	stale := func(n *node) {
 		id = n.id
-		n.hs.h[len(n.hs.h)-1]++
+		// Copy-on-write, as every mutator: the route shares the heads.
+		h := slices.Clone(n.hs.h)
+		h[len(h)-1]++
+		n.hs.h = h
 	}
 	withNode(t, tr, 0, 1, stale)
 	expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
