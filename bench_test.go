@@ -51,10 +51,12 @@ func BenchmarkPut(b *testing.B) {
 
 func BenchmarkGet(b *testing.B) {
 	tr := mkTree(b, core.Options{PageSize: 4096, Workers: 2}, 100_000)
+	var k []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Get(bench.Key(i % 100_000)); err != nil {
+		k = bench.AppendKey(k[:0], i%100_000)
+		if _, err := tr.Get(k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,11 +65,13 @@ func BenchmarkGet(b *testing.B) {
 func BenchmarkDelete(b *testing.B) {
 	tr := mkTree(b, core.Options{PageSize: 4096, MinFill: 0.35, Workers: 2}, 0)
 	val := make([]byte, 24)
+	var k []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Put(bench.Key(i), val)
-		if err := tr.Delete(bench.Key(i)); err != nil {
+		k = bench.AppendKey(k[:0], i)
+		tr.Put(k, val)
+		if err := tr.Delete(k); err != nil {
 			b.Fatal(err)
 		}
 	}

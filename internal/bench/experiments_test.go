@@ -473,3 +473,23 @@ func TestTableHelpers(t *testing.T) {
 func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
+
+// TestAppendKeyMatchesKey: AppendKey appends exactly Key's bytes, across
+// the zero padding's edges, negatives and keys wider than the padding, and
+// allocates nothing into a buffer with room.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	is := []int{0, 1, 9, 10, 99_999, 999_999_999, 1_000_000_000, 9_999_999_999, 10_000_000_000, -1, -123_456_789, -1_000_000_000}
+	for i := -1000; i <= 1000; i += 7 {
+		is = append(is, i, i*1_000_003)
+	}
+	buf := []byte("prefix")
+	for _, i := range is {
+		if got, want := AppendKey(buf, i), append([]byte("prefix"), Key(i)...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendKey(%d) = %q, want %q", i, got, want)
+		}
+	}
+	dst := make([]byte, 0, 32)
+	if n := testing.AllocsPerRun(100, func() { dst = AppendKey(dst[:0], 123_456) }); n != 0 {
+		t.Fatalf("AppendKey into a buffer with room: %.0f allocs", n)
+	}
+}

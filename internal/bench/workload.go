@@ -6,6 +6,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // OpKind is one workload operation type.
@@ -178,6 +179,21 @@ func (s Spec) withDefaults() Spec {
 // Key renders the i'th key of the key space. Keys are fixed-width so
 // ordering matches integer order.
 func Key(i int) []byte { return []byte(fmt.Sprintf("user%010d", i)) }
+
+// AppendKey appends Key(i)'s bytes to dst without fmt, so a caller that
+// reuses dst makes no allocation.
+func AppendKey(dst []byte, i int) []byte {
+	var b [20]byte
+	sign, digits := []byte(nil), strconv.AppendInt(b[:0], int64(i), 10)
+	if i < 0 {
+		sign, digits = digits[:1], digits[1:]
+	}
+	dst = append(append(dst, "user"...), sign...)
+	for w := len(sign) + len(digits); w < 10; w++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 // Op is one generated operation.
 type Op struct {

@@ -18,9 +18,11 @@ import (
 // itself and a private copy — so a test can assert that nobody wrote through
 // the views page.Unmarshal keeps into it, and that the pool reads into an
 // image only when the rule allows it (DESIGN.md §4b): the buffer is one a
-// read of this store filled, and its page saw no write since — a leaf that
-// wrote was dirty, and eviction writes a dirty leaf back before it decides
-// what becomes of the image.
+// read of this store filled, it held a leaf — an index node's snapshot may
+// hold its image for as long as a latch-free reader holds the snapshot —
+// and its page saw no write since — a leaf that wrote was dirty, and
+// eviction writes a dirty leaf back before it decides what becomes of the
+// image.
 type imageLog struct {
 	storage.Store
 	mu       sync.Mutex
@@ -28,6 +30,7 @@ type imageLog struct {
 	byBuf    map[*byte]*readImage
 	writes   map[page.PageID]int
 	recycled int
+	indexes  int // reads of an index page
 	errs     []string
 }
 
@@ -63,6 +66,8 @@ func (s *imageLog) ReadInto(id page.PageID, buf []byte) error {
 		s.errs = append(s.errs, fmt.Sprintf("read of page %d into a buffer no read filled", id))
 	case !bytes.Equal(im.buf, im.copy):
 		s.errs = append(s.errs, fmt.Sprintf("image of page %d written through before it was read into", im.id))
+	case kindOf(im.copy) == page.Index:
+		s.errs = append(s.errs, fmt.Sprintf("image of index page %d read into", im.id))
 	case s.writes[im.id] != im.writes:
 		s.errs = append(s.errs, fmt.Sprintf("image of page %d read into after its leaf wrote", im.id))
 	}
@@ -77,9 +82,21 @@ func (s *imageLog) ReadInto(id page.PageID, buf []byte) error {
 	return err
 }
 
+// kindOf returns the kind of the page image img holds.
+func kindOf(img []byte) page.Kind {
+	c, err := page.Unmarshal(bytes.Clone(img))
+	if err != nil {
+		return 0
+	}
+	return c.Kind
+}
+
 // filled notes that im now holds page id. Caller holds mu.
 func (s *imageLog) filled(im *readImage, id page.PageID) {
 	im.copy, im.id, im.writes = bytes.Clone(im.buf), id, s.writes[id]
+	if kindOf(im.copy) == page.Index {
+		s.indexes++
+	}
 }
 
 func (s *imageLog) Write(id page.PageID, buf []byte) error {
@@ -114,17 +131,18 @@ func (s *imageLog) check(t *testing.T, all bool) {
 // TestDecodedImagesAreNeverWritten pins the ownership contract of
 // page.Unmarshal from the tree's side. Decoded nodes keep views into their
 // page images, and slice headers travel between nodes, into WAL records and
-// route snapshots; that is safe only because every writer replaces a slot
+// index snapshots; that is safe only because every writer replaces a slot
 // with a fresh allocation and never writes its bytes, and because the pool
-// reads into an image only after its leaf was evicted untouched. The test
-// drives the real writers — insertLeafAt, value overwrite, removeLeafAt,
-// insertIndexTerm / removeIndexTermAt, split, consolidate, and recovery's
-// record-operation and image redo — through a tree whose pool is so small
-// that nodes are decoded over and over, against a shadow model. It checks
-// after every step that no image was ever written but by a read into it,
-// that such a read found its page unwritten since the image was read (so no
-// image a leaf wrote from is ever rewritten), and that every buffer read
-// into is one a read filled (so no log-record image redo installed is).
+// reads into an image only after its leaf was evicted untouched — never into
+// an index page's. The test drives the real writers — insertLeafAt, value
+// overwrite, removeLeafAt, insertIndexTerm / removeIndexTermAt, split,
+// consolidate, and recovery's record-operation and image redo — through a
+// tree whose pool is so small that nodes are decoded over and over, against
+// a shadow model. It checks after every step that no image was ever written
+// but by a read into it, that such a read found its page unwritten since the
+// image was read (so no image a leaf wrote from is ever rewritten), that it
+// is a leaf's image, and that every buffer read into is one a read filled
+// (so no log-record image redo installed is).
 func TestDecodedImagesAreNeverWritten(t *testing.T) {
 	st := newImageLog(storage.NewMemStore(256))
 	dev := wal.NewMemDevice()
@@ -194,11 +212,11 @@ func TestDecodedImagesAreNeverWritten(t *testing.T) {
 		t.Fatalf("workload did not exercise the SMOs: %d splits, %d posts, %d leaf consolidations",
 			s.Splits, s.PostsDone, s.LeafConsolidated)
 	}
-	if st.recycled == 0 {
-		t.Fatal("the pool never read into an evicted leaf's image")
+	if st.recycled == 0 || st.indexes == 0 {
+		t.Fatalf("the pool read %d index pages and %d times into an evicted leaf's image", st.indexes, st.recycled)
 	}
-	t.Logf("%d images read, %d reads into an evicted image; %d splits, %d posts, %d leaf and %d index consolidations",
-		len(st.images), st.recycled, s.Splits, s.PostsDone, s.LeafConsolidated, s.IndexConsolidated)
+	t.Logf("%d images read, %d of index pages, %d reads into an evicted image; %d splits, %d posts, %d leaf and %d index consolidations",
+		len(st.images), st.indexes, st.recycled, s.Splits, s.PostsDone, s.LeafConsolidated, s.IndexConsolidated)
 	mustVerify(t, tr)
 
 	// Crash with the log durable and only some pages written back:
@@ -256,11 +274,11 @@ func (l *viewLog) leaf(t *testing.T, tr *Tree, k []byte) {
 		t.Fatal(err)
 	}
 	var of *node
-	if leaf.c.Recs.Untouched() {
+	if leaf.c().Recs.Untouched() {
 		of = leaf
 	}
-	for i := range leaf.c.Recs.Len() {
-		for _, v := range [][]byte{leaf.c.Recs.Key(i), leaf.c.Recs.Val(i)} {
+	for i := range leaf.c().Recs.Len() {
+		for _, v := range [][]byte{leaf.c().Recs.Key(i), leaf.c().Recs.Val(i)} {
 			l.views, l.copies = append(l.views, v), append(l.copies, bytes.Clone(v))
 			l.of = append(l.of, of)
 		}
@@ -296,7 +314,7 @@ func (l *viewLog) check(t *testing.T, tr *Tree) {
 		if bytes.Equal(l.views[i], l.copies[i]) {
 			continue
 		}
-		if n := l.of[i]; n == nil || n.dead || !n.c.Recs.Untouched() || resident(tr, n) {
+		if n := l.of[i]; n == nil || n.c().dead || !n.c().Recs.Untouched() || resident(tr, n) {
 			t.Fatalf("view %d of %d (%q, was %q) was rewritten", i, len(l.views), l.views[i], l.copies[i])
 		}
 		l.recycled++

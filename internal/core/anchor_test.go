@@ -79,7 +79,7 @@ func staleRootReader(t *testing.T) (*Tree, *anchorRec, int) {
 // restart, then checks an ordinary read still finds k.
 func resumeStaleReader(t *testing.T, tr *Tree, a *anchorRec, k []byte) {
 	t.Helper()
-	if _, even := a.node.latch.OptVersion(); !even || a.node.route.Load().dead {
+	if _, even := a.node.latch.OptVersion(); !even || a.node.c().dead {
 		t.Fatal("scenario: the orphaned root must look alive and unlatched")
 	}
 	var pb pathBuf
@@ -107,8 +107,8 @@ func TestOptReadStaleAnchorAcrossGrow(t *testing.T) {
 	left, _ := tr.NodeSnapshot(leaves[0])
 	victim, _ := tr.NodeSnapshot(leaves[1])
 	k := victim.Keys[len(victim.Keys)-1]
-	r := a.node.route.Load()
-	if ci := (&traverseOpts{key: k}).childIn(tr, r.keys, &r.hs); ci < 0 || r.children[ci] != victim.ID {
+	s := a.node.c()
+	if ci := (&traverseOpts{key: k}).childIn(tr, s); ci < 0 || s.Recs.Child(ci) != victim.ID {
 		t.Fatalf("scenario: the orphan does not route %s to leaf %d", k, victim.ID)
 	}
 

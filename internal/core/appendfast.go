@@ -48,15 +48,15 @@ type rightEdgeHint struct {
 // are the right edge; re-publishing an unchanged hint is skipped so the
 // steady state costs one atomic load and no allocation.
 func (t *Tree) noteRightEdge(leaf *node) {
-	if t.noAppendFast || leaf.c.High != nil || leaf.dead || !leaf.isLeaf() {
+	if t.noAppendFast || leaf.c().High != nil || leaf.c().dead || !leaf.isLeaf() {
 		return
 	}
-	if h := t.rightEdge.Load(); h != nil && h.id == leaf.id && h.epoch == leaf.c.Epoch {
+	if h := t.rightEdge.Load(); h != nil && h.id == leaf.id && h.epoch == leaf.c().Epoch {
 		return
 	}
 	t.rightEdge.Store(&rightEdgeHint{
-		ref: ref{id: leaf.id, epoch: leaf.c.Epoch},
-		low: append([]byte(nil), leaf.c.Low...),
+		ref: ref{id: leaf.id, epoch: leaf.c().Epoch},
+		low: append([]byte(nil), leaf.c().Low...),
 	})
 }
 
@@ -89,7 +89,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 	}
 	// Authoritative validation under the update latch. The hint's own
 	// incarnation is a leaf whose low fence key passed above.
-	if leaf.dead || leaf.c.Epoch != h.epoch || leaf.c.High != nil {
+	if leaf.c().dead || leaf.c().Epoch != h.epoch || leaf.c().High != nil {
 		leaf.latch.Release(latch.Update)
 		t.unpin(leaf)
 		t.rightEdge.CompareAndSwap(h, nil)
@@ -101,7 +101,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 	pos, found := leaf.searchLeaf(t, key)
 	fits := false
 	if found {
-		fits = leaf.size()+len(val)-len(leaf.c.Recs.Val(pos)) <= t.opts.PageSize
+		fits = leaf.size()+len(val)-len(leaf.c().Recs.Val(pos)) <= t.opts.PageSize
 	} else {
 		fits = leaf.size()+page.EntrySize(page.Leaf, len(key), len(val)) <= t.opts.PageSize
 	}

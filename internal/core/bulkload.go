@@ -67,7 +67,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 	if err != nil {
 		return err
 	}
-	empty := r.c.Recs.Len() == 0
+	empty := r.c().Recs.Len() == 0
 	t.unpin(r)
 	if !empty {
 		return ErrNotEmpty
@@ -164,7 +164,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, ok bool), fill float64) er
 	old, err := t.fetch(oldRoot)
 	if err == nil {
 		old.latch.Acquire(latch.Exclusive)
-		old.dead = true
+		old.kill()
 		old.latch.Release(latch.Exclusive)
 		t.unpin(old)
 		t.reclaim(oldRoot)

@@ -41,8 +41,8 @@ func (t *Tree) processDelete(a action) {
 	}
 	// p is exclusively latched and covers a.sep (the victim's immutable
 	// low key). Locate the victim's index term.
-	i, found := t.search(p.c.Keys, &p.hs, a.sep)
-	if !found || p.c.Children[i] != a.origID {
+	i, found := t.search(p.c(), a.sep)
+	if !found || p.c().Recs.Child(i) != a.origID {
 		// The term was never posted, or the victim is already gone.
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
@@ -59,7 +59,7 @@ func (t *Tree) processDelete(a action) {
 		return
 	}
 
-	left, ok := t.fetchLive(p.c.Children[i-1], latch.Exclusive, nil)
+	left, ok := t.fetchLive(p.c().Recs.Child(i-1), latch.Exclusive, nil)
 	if !ok {
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
@@ -68,7 +68,7 @@ func (t *Tree) processDelete(a action) {
 	}
 	// Reach the victim by side traversal from its left sibling (A.5 step
 	// 3); a mismatch means splits intervened.
-	if left.c.Right != a.origID {
+	if left.c().Right != a.origID {
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
 		t.unlatchUnpin(left, latch.Exclusive, false)
@@ -85,7 +85,7 @@ func (t *Tree) processDelete(a action) {
 	}
 
 	// Step 4: still worth consolidating, and does it fit?
-	if !t.underutilized(victim) || t.mergedSize(left, victim) > t.opts.PageSize {
+	if !t.underutilized(victim.c()) || t.mergedSize(left, victim) > t.opts.PageSize {
 		t.c.deleteSkipFit.Add(1)
 		t.traceSMO(obs.EvSkipFit, &a)
 		t.unlatchUnpin(victim, latch.Exclusive, false)
@@ -108,21 +108,17 @@ func (t *Tree) processDelete(a action) {
 
 	// Step 8: merge the victim into the left sibling — contents, high
 	// fence and side pointer.
-	left.c.High = victim.c.High
-	left.c.Right = victim.c.Right
-	if victim.isLeaf() {
-		left.c.Recs.AppendFrom(&victim.c.Recs, 0)
-		left.raw = left.countRaw()
-	} else {
-		k, c := left.c.Keys, left.c.Children
-		left.setTerms(spliced(k, len(k), len(k), victim.c.Keys...), spliced(c, len(c), len(c), victim.c.Children...))
-	}
-	if victim.c.Level == 1 {
+	l, v := left.edit(), victim.c()
+	l.High, l.Right = v.High, v.Right
+	l.Recs.AppendFrom(&v.Recs, 0)
+	if v.Level == 1 {
 		// Merging two parent-of-leaf nodes invalidates D_D values
 		// remembered against either: force a visible change.
-		left.c.DD = left.c.DD + victim.c.DD + 1
+		l.DD += v.DD + 1
 	}
-	victim.dead = true
+	l.reindex()
+	left.install(l)
+	victim.kill()
 
 	t.logConsolidate(p, left, victim)
 
@@ -137,8 +133,8 @@ func (t *Tree) processDelete(a action) {
 	// is actually consolidatable — e.g. not the root — is re-checked when
 	// the action runs; the anchor must not be read while holding latches.)
 	dxNow := t.dx.v.Load()
-	if t.underutilized(p) {
-		t.enqueueDelete(p.c.Level, ref{id: p.id, epoch: p.c.Epoch}, p.c.Low, ref{}, dxNow)
+	if t.underutilized(p.c()) {
+		t.enqueueDelete(p.c().Level, ref{id: p.id, epoch: p.c().Epoch}, p.c().Low, ref{}, dxNow)
 	}
 
 	// Step 7: release the parent; the left sibling and victim latches
@@ -164,7 +160,7 @@ func (t *Tree) logDrainMark(victim *node) {
 		return
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		victim.c.LSN = uint64(lsn)
+		victim.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TSMO, SMO: wal.SMODrainMark, Images: t.pageImage(victim)}
 	})
 	if err != nil {
@@ -187,7 +183,7 @@ func (t *Tree) resolveParent(a *action) bool {
 	if err != nil {
 		return false
 	}
-	a.parent = ref{id: p.id, epoch: p.c.Epoch}
+	a.parent = ref{id: p.id, epoch: p.c().Epoch}
 	a.dx = dx
 	t.unlatchUnpin(p, latch.Shared, false)
 	return true
@@ -200,8 +196,8 @@ func (t *Tree) logConsolidate(p, left, victim *node) {
 		return
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		p.c.LSN = uint64(lsn)
-		left.c.LSN = uint64(lsn)
+		p.lsn = uint64(lsn)
+		left.lsn = uint64(lsn)
 		return &wal.Record{
 			Type:     wal.TSMO,
 			SMO:      wal.SMOConsolidate,
@@ -230,19 +226,19 @@ func (t *Tree) processShrink(a action) {
 	if !ok {
 		return
 	}
-	if root.isLeaf() || len(root.c.Children) != 1 || root.c.Right != 0 {
+	if root.isLeaf() || root.c().Recs.Len() != 1 || root.c().Right != 0 {
 		t.unlatchUnpin(root, latch.Exclusive, false)
 		return
 	}
 	// The pin taken here becomes the new anchor record's standing pin.
-	child, err := t.fetch(root.c.Children[0])
+	child, err := t.fetch(root.c().Recs.Child(0))
 	if err != nil {
 		t.unlatchUnpin(root, latch.Exclusive, false)
 		return
 	}
 	t.dx.v.Add(1)
 	t.c.dxIncrements.Add(1)
-	root.dead = true
+	root.kill()
 
 	if t.log != nil {
 		_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {

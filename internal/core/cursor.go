@@ -105,7 +105,7 @@ func (c *Cursor) fill() error {
 		return err
 	}
 	for {
-		recs := &leaf.c.Recs
+		recs := &leaf.c().Recs
 		lo, hi := 0, recs.Len()
 		if len(c.pos) > 0 {
 			lo, _ = recs.Search(c.t.cmp, c.pos)
@@ -114,7 +114,7 @@ func (c *Cursor) fill() error {
 			hi, _ = recs.Search(c.t.cmp, c.end)
 			hi = max(hi, lo)
 		}
-		sib := leaf.c.Right
+		sib := leaf.c().Right
 		// Done when a key at or past end exists here, when there is no later
 		// leaf, or when every later leaf lies past end.
 		c.done = hi < recs.Len() || sib == 0 ||
@@ -122,7 +122,7 @@ func (c *Cursor) fill() error {
 		if lo < hi {
 			// Resume at this leaf's high fence: whatever is written below it
 			// from now on belongs to the snapshot just taken.
-			c.load(recs, lo, hi, leaf.c.High)
+			c.load(recs, lo, hi, leaf.c().High)
 			c.dx = c.t.dx.v.Load()
 		}
 		if lo < hi || c.done {

@@ -79,20 +79,20 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 			}
 			reachable[id] = uint8(lvl)
 			rep.NodesPerLevel[lvl]++
-			if n.c.DD != 0 {
+			if n.c().DD != 0 {
 				rep.DDCarriers++
 				if lvl != 1 {
 					t.unpin(n)
-					return rep, fmt.Errorf("verify-deep: node %d at level %d carries D_D=%d; only level-1 nodes (data-node parents) may", id, lvl, n.c.DD)
+					return rep, fmt.Errorf("verify-deep: node %d at level %d carries D_D=%d; only level-1 nodes (data-node parents) may", id, lvl, n.c().DD)
 				}
 			}
 			if lvl == 0 {
-				rep.Records += n.c.Recs.Len()
+				rep.Records += n.c().Recs.Len()
 			}
 			if lvl > 0 && next == 0 {
-				next = n.c.Children[0]
+				next = n.c().Recs.Child(0)
 			}
-			right := n.c.Right
+			right := n.c().Right
 			t.unpin(n)
 			id = right
 		}
@@ -112,7 +112,7 @@ func (t *Tree) VerifyDeep() (*DeepReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("verify-deep: allocated page %d does not deserialize: %w", id, err)
 		}
-		selfID := n.c.ID
+		selfID := n.c().ID
 		t.unpin(n)
 		if selfID != id {
 			return rep, fmt.Errorf("verify-deep: page %d names itself %d", id, selfID)

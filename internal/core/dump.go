@@ -37,18 +37,21 @@ func (t *Tree) NodeSnapshot(id page.PageID) (NodeInfo, error) {
 		return NodeInfo{}, err
 	}
 	defer t.unpin(n)
+	s := n.c()
 	info := NodeInfo{
-		ID: n.id, Kind: n.c.Kind, Level: n.c.Level,
-		Low: append([]byte(nil), n.c.Low...), Right: n.c.Right,
-		DD: n.c.DD, Epoch: n.c.Epoch, Size: n.size(),
+		ID: n.id, Kind: s.Kind, Level: s.Level,
+		Low: append([]byte(nil), s.Low...), Right: s.Right,
+		DD: s.DD, Epoch: s.Epoch, Size: n.size(),
 	}
-	if n.c.High != nil {
-		info.High = append([]byte(nil), n.c.High...)
+	if s.High != nil {
+		info.High = append([]byte(nil), s.High...)
 	}
-	for _, k := range n.keys() {
-		info.Keys = append(info.Keys, append([]byte(nil), k...))
+	for i := range s.Recs.Len() {
+		info.Keys = append(info.Keys, append([]byte(nil), s.Recs.Key(i)...))
+		if s.Kind == page.Index {
+			info.Children = append(info.Children, s.Recs.Child(i))
+		}
 	}
-	info.Children = append(info.Children, n.c.Children...)
 	return info, nil
 }
 
@@ -68,7 +71,7 @@ func (t *Tree) LevelNodes(lvl uint8) ([]page.PageID, error) {
 			t.unpin(n)
 			break
 		}
-		next := n.c.Children[0]
+		next := n.c().Recs.Child(0)
 		t.unpin(n)
 		id = next
 	}
@@ -79,7 +82,7 @@ func (t *Tree) LevelNodes(lvl uint8) ([]page.PageID, error) {
 		if err != nil {
 			return nil, err
 		}
-		next := n.c.Right
+		next := n.c().Right
 		t.unpin(n)
 		id = next
 	}

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+
+	"blinktree/internal/page"
 )
 
-// keyHeads is a node's search index under the bytewise order (DESIGN.md
-// §4b, "In-node search"): the prefix its keys but keys[0] share, then one
-// integer head per key for what follows it. A search checks the prefix once
+// keyHeads is an index node's search index under the bytewise order
+// (DESIGN.md §4b, "In-node search"): the prefix its keys but keys[0] share,
+// then one integer head per key for what follows it; the keys are read
+// through the node's Records. A search checks the prefix once
 // and binary-searches the heads; only equal heads look at the keys. keys[0]
 // is left out of the prefix because an index node's first key is its low
 // fence, empty on the leftmost spine; it is compared once, when the answer
@@ -38,13 +41,14 @@ func headAt(k []byte, pfx int) uint64 {
 	return wordAt(k, pfx)&^0xff | uint64(min(max(len(k)-pfx, 0), 8))
 }
 
-// headPrefix is the length of the prefix the heads of keys are taken after.
-func headPrefix(keys [][]byte) int {
-	n := len(keys)
+// headPrefix is the length of the prefix the heads of r's keys are taken
+// after.
+func headPrefix(r *page.Records) int {
+	n := r.Len()
 	if n < 3 {
 		return 0
 	}
-	a, b := keys[1], keys[n-1]
+	a, b := r.Key(1), r.Key(n-1)
 	i := 0
 	for i < len(a) && i < len(b) && a[i] == b[i] {
 		i++
@@ -52,25 +56,26 @@ func headPrefix(keys [][]byte) int {
 	return i
 }
 
-// rebuild computes the prefix and every head of keys into a new array: a
-// published route may share the old one (see route), so it is never
+// rebuild computes the prefix and every head of r's keys into a new array:
+// an installed snapshot may hold the old one (see node.s), so it is never
 // written again.
-func (kh *keyHeads) rebuild(keys [][]byte) {
-	p := headPrefix(keys)
+func (kh *keyHeads) rebuild(r *page.Records) {
+	p := headPrefix(r)
 	w := (p + 7) >> 3
-	kh.pfx, kh.h = p, make([]uint64, w+len(keys))
+	kh.pfx, kh.h = p, make([]uint64, w+r.Len())
 	for j := range w {
-		kh.h[j] = wordAt(keys[1][:p], 8*j)
+		kh.h[j] = wordAt(r.Key(1)[:p], 8*j)
 	}
-	for i, k := range keys {
-		kh.h[w+i] = headAt(k, p)
+	for i := range r.Len() {
+		kh.h[w+i] = headAt(r.Key(i), p)
 	}
 }
 
-// search returns the position of the first key in keys that is >= key, and
-// whether that key equals key. keys are sorted bytewise and kh is their heads.
-func (kh *keyHeads) search(keys [][]byte, key []byte) (int, bool) {
-	n, p, w := len(keys), kh.pfx, (kh.pfx+7)>>3
+// search returns the position of the first key of r that is >= key, and
+// whether that key equals key. r's keys are sorted bytewise and kh is their
+// heads.
+func (kh *keyHeads) search(r *page.Records, key []byte) (int, bool) {
+	n, p, w := r.Len(), kh.pfx, (kh.pfx+7)>>3
 	// The prefix, word by word: a key that differs or ends inside it sorts
 	// below keys[1] or above keys[n-1]. (An empty node answers 0.)
 	lo, hi := min(1, n), n
@@ -98,7 +103,7 @@ func (kh *keyHeads) search(keys [][]byte, key []byte) (int, bool) {
 			if want&0xff < 8 {
 				return mid, true // both tails inside the head
 			}
-			c := bytes.Compare(keys[mid][p+7:], key[p+7:])
+			c := bytes.Compare(r.Key(mid)[p+7:], key[p+7:])
 			if c == 0 {
 				return mid, true
 			}
@@ -111,20 +116,20 @@ func (kh *keyHeads) search(keys [][]byte, key []byte) (int, bool) {
 		}
 	}
 	if lo == 1 { // keys[0], outside the prefix, decides between 0 and 1
-		if c := bytes.Compare(keys[0], key); c >= 0 {
+		if c := bytes.Compare(r.Key(0), key); c >= 0 {
 			return 0, c == 0
 		}
 	}
 	return lo, false
 }
 
-// search is every in-node search of the tree: on the heads kh under the
+// search is every in-node search of an index node s: on its heads under the
 // bytewise order, through the comparator otherwise.
-func (t *Tree) search(keys [][]byte, kh *keyHeads, key []byte) (int, bool) {
+func (t *Tree) search(s *state, key []byte) (int, bool) {
 	if t.bytewise {
-		return kh.search(keys, key)
+		return s.hs.search(&s.Recs, key)
 	}
-	return keySearch(t.cmp, keys, key)
+	return s.Recs.Search(t.cmp, key)
 }
 
 // compare orders two keys, calling bytes.Compare directly when that is the

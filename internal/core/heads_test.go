@@ -13,35 +13,41 @@ import (
 // bytewiseTree is enough of a Tree for the search helpers: the default order.
 var bytewiseTree = &Tree{cmp: bytes.Compare, bytewise: true}
 
+// indexOver returns the state of an index node whose keys are keys (sorted,
+// duplicate-free), with its heads.
+func indexOver(keys [][]byte) *state {
+	keys = append([][]byte{}, keys...)
+	return newNode(1, page.Content{Kind: page.Index, Keys: keys, Children: make([]page.PageID, len(keys))}).c()
+}
+
 // checkHeadsSearch compares every search that runs on key heads — search,
 // and childIn under both bounds — with sort.Search under bytes.Compare, for
 // one sorted, duplicate-free key set and each probe.
 func checkHeadsSearch(t *testing.T, keys [][]byte, probes ...[]byte) {
 	t.Helper()
-	var kh keyHeads
-	kh.rebuild(keys)
+	s := indexOver(keys)
 	for _, probe := range probes {
-		checkHeadsProbe(t, keys, &kh, probe)
+		checkHeadsProbe(t, keys, s, probe)
 	}
 }
 
-func checkHeadsProbe(t *testing.T, keys [][]byte, kh *keyHeads, probe []byte) {
+func checkHeadsProbe(t *testing.T, keys [][]byte, s *state, probe []byte) {
 	t.Helper()
 	n := len(keys)
 	lb := sort.Search(n, func(i int) bool { return bytes.Compare(keys[i], probe) >= 0 })
 	found := lb < n && bytes.Equal(keys[lb], probe)
-	if i, ok := kh.search(keys, probe); i != lb || ok != found {
+	if i, ok := s.hs.search(&s.Recs, probe); i != lb || ok != found {
 		t.Fatalf("search(%q) in %q = %d, %v; sort.Search says %d, %v", probe, keys, i, ok, lb, found)
 	}
 	ub := sort.Search(n, func(i int) bool { return bytes.Compare(keys[i], probe) > 0 })
-	if ci := (&traverseOpts{key: probe}).childIn(bytewiseTree, keys, kh); ci != ub-1 {
+	if ci := (&traverseOpts{key: probe}).childIn(bytewiseTree, s); ci != ub-1 {
 		t.Fatalf("covering childIn(%q) in %q = %d, want %d", probe, keys, ci, ub-1)
 	}
 	// Under the below bound a nil key is +inf, checked next.
-	if ci := (&traverseOpts{key: probe, below: true}).childIn(bytewiseTree, keys, kh); probe != nil && ci != lb-1 {
+	if ci := (&traverseOpts{key: probe, below: true}).childIn(bytewiseTree, s); probe != nil && ci != lb-1 {
 		t.Fatalf("below childIn(%q) in %q = %d, want %d", probe, keys, ci, lb-1)
 	}
-	if ci := (&traverseOpts{below: true}).childIn(bytewiseTree, keys, kh); ci != n-1 {
+	if ci := (&traverseOpts{below: true}).childIn(bytewiseTree, s); ci != n-1 {
 		t.Fatalf("below childIn(+inf) in %q = %d, want %d", keys, ci, n-1)
 	}
 }
@@ -116,10 +122,20 @@ func TestKeyHeadsMatchSortSearch(t *testing.T) {
 	}
 }
 
+// keysOf returns views of n's entry keys.
+func keysOf(n *node) [][]byte {
+	r := &n.c().Recs
+	keys := make([][]byte, r.Len())
+	for i := range keys {
+		keys[i] = r.Key(i)
+	}
+	return keys
+}
+
 // TestKeyHeadsMaintenanceMatchesRebuild drives a leaf and an index node
 // through random inserts and removes, at the edges as churn does and in the
-// middle, and checks after every step that the heads the edit left are the
-// heads a rebuild of the node's keys would compute.
+// middle, and checks after every step that the index node holds the leaf's
+// keys and the heads a rebuild of them would compute.
 func TestKeyHeadsMaintenanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 200; round++ {
@@ -134,18 +150,20 @@ func TestKeyHeadsMaintenanceMatchesRebuild(t *testing.T) {
 			if i, found := leaf.searchLeaf(bytewiseTree, k); !found && rng.Intn(3) > 0 {
 				leaf.insertLeafAt(i, k, nil)
 				index.insertIndexTerm(bytewiseTree, k, page.PageID(step+1))
-			} else if n := leaf.c.Recs.Len(); n > 0 {
+			} else if n := leaf.c().Recs.Len(); n > 0 {
 				i := []int{0, n - 1, rng.Intn(n)}[rng.Intn(3)]
 				leaf.removeLeafAt(i)
 				index.removeIndexTermAt(i)
 			}
-			for _, nd := range []*node{leaf, index} {
-				var want keyHeads
-				want.rebuild(nd.c.Keys)
-				if nd.hs.pfx != want.pfx || !slices.Equal(nd.hs.h, want.h) {
-					t.Fatalf("round %d step %d: heads of %q kept as %d %x, rebuild gives %d %x",
-						round, step, nd.c.Keys, nd.hs.pfx, nd.hs.h, want.pfx, want.h)
-				}
+			s := index.c()
+			if keys := keysOf(leaf); !slices.EqualFunc(keys, keysOf(index), bytes.Equal) {
+				t.Fatalf("round %d step %d: index keys %q, leaf keys %q", round, step, keysOf(index), keys)
+			}
+			var want keyHeads
+			want.rebuild(&s.Recs)
+			if s.hs.pfx != want.pfx || !slices.Equal(s.hs.h, want.h) {
+				t.Fatalf("round %d step %d: heads of %q kept as %d %x, rebuild gives %d %x",
+					round, step, keysOf(index), s.hs.pfx, s.hs.h, want.pfx, want.h)
 			}
 		}
 	}

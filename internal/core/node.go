@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"blinktree/internal/buffer"
@@ -23,10 +22,10 @@ import (
 	"blinktree/internal/wal"
 )
 
-// node is the in-memory form of one tree node. The latch protects every
-// field except id, which is immutable. A node must be pinned in the buffer
-// pool while latched (pin before latch, unlatch before unpin), so eviction
-// can never race with a latch holder.
+// node is the in-memory form of one tree node. The latch guards its state
+// and page LSN; id is immutable. A node must be pinned in the buffer pool
+// while latched (pin before latch, unlatch before unpin), so eviction can
+// never race with a latch holder.
 type node struct {
 	latch latch.Latch
 	id    page.PageID
@@ -36,109 +35,95 @@ type node struct {
 	// dirty through it, so neither needs a page-table lookup.
 	frame *buffer.Frame
 
+	// lsn is the page LSN, stamped under the exclusive latch by each logged
+	// change. The pool's write-back and redo read it, and no descent does,
+	// so it stays out of the state a descent reads.
+	lsn uint64
+
+	// s is the node's state (c). A leaf's is its own, edited in place under
+	// the exclusive latch. An index node's is the snapshot both descents
+	// read: never written once installed, it is replaced by each change
+	// (edit, install), so a latch-free reader holds one version of the node
+	// and validates it against the latch's version word (optread.go). A
+	// node born X-latched (allocNode) is private until that latch's release.
+	s atomic.Pointer[state]
+
+	// first is the state newNode installs, in the node's allocation: a
+	// leaf's for good, an index node's until its first change.
+	first state
+}
+
+// state is a node's content with what the tree keeps beside it.
+type state struct {
+	// hs are the key heads every in-node search of a bytewise index node
+	// runs on (heads.go), rebuilt by reindex; leaves have none. Verify
+	// recounts them too.
+	hs keyHeads
+
+	// raw caches countRaw(): the content's marshaled size before
+	// fence-prefix compression, the under-utilization policy's measure (a
+	// well-filled index page whose keys share a long fence prefix marshals
+	// far below the threshold; consolidating it would force a re-split).
+	// The leaf record operations maintain it by the entry's size, every
+	// other edit recounts it (reindex). Verify recounts.
+	raw int
+
 	// dead marks a consolidated node. It is set under the exclusive latch
 	// just before deallocation; any latcher that finds it must back off.
 	dead bool
 
-	// c is the node's logical content (fences, side pointer, entries, D_D,
-	// page LSN). It is mutated in place under the exclusive latch.
-	c page.Content
-
-	// raw caches countRaw(): c's marshaled size before fence-prefix
-	// compression. Every mutator of c's fences and entries maintains it (the
-	// per-record ones by the entry's size, the rest by recounting), so the
-	// size checks every operation makes are O(1). Verify recounts.
-	raw int
-
-	// hs are the key heads every in-node search of a bytewise tree runs on
-	// (heads.go), rebuilt wherever an index node's keys change. Verify
-	// recounts them too.
-	hs keyHeads
-
-	// route is the immutable routing snapshot of an index node; nil for
-	// leaves (leaves are always read under a Shared latch). It is
-	// republished whenever the exclusive latch is released, so it is
-	// current for a Shared holder, and an optimistic reader validates its
-	// currency against the latch version word (see optread.go).
-	route atomic.Pointer[route]
+	page.Content
 }
 
-// route is an immutable snapshot of everything a descent needs from an
-// index node: fences, side pointer, separator keys, their heads and child
-// addresses, plus the identity (epoch) and delete state (D_D) that a
-// traversal path entry remembers. A published route is never mutated; a
-// new one replaces it wholesale under the exclusive latch.
-//
-// The entry arrays are the node's own: an index node's keys, children and
-// heads are copy-on-write. Every edit builds new arrays, and each array
-// has cap == len (as page.UnmarshalInto builds them), so an append to one
-// allocates too; no write reaches an array a route may hold.
-type route struct {
-	level uint8
-	epoch uint64
-	dd    uint64
-	dead  bool
-	size  int // logical (pre-compression) size at publish time (under-utilization check)
+// c returns n's state. Under n's latch in any mode nobody writes it
+// meanwhile; a latch-free reader may hold an index node's, and validates
+// what it read (optread.go).
+func (n *node) c() *state { return n.s.Load() }
 
-	low, high []byte
-	right     page.PageID
-	keys      [][]byte
-	hs        keyHeads
-	children  []page.PageID
-}
-
-// publishRoute installs a fresh routing snapshot, sharing the node's entry
-// arrays. The caller must hold the node's exclusive latch, or own the node
-// privately (creation, load) so no concurrent reader exists yet. Leaves
-// publish nothing.
-func (n *node) publishRoute() {
-	if n.isLeaf() {
-		return
+// edit returns the state a change to n writes under n's exclusive latch: a
+// leaf's own, or a copy of an index node's, which n takes on at install.
+func (n *node) edit() *state {
+	s := n.c()
+	if s.Kind == page.Leaf {
+		return s
 	}
-	n.route.Store(&route{
-		level:    n.c.Level,
-		epoch:    n.c.Epoch,
-		dd:       n.c.DD,
-		dead:     n.dead,
-		size:     n.logicalSize(),
-		low:      n.c.Low,
-		high:     n.c.High,
-		right:    n.c.Right,
-		keys:     n.c.Keys,
-		hs:       n.hs,
-		children: n.c.Children,
-	})
+	c := *s
+	return &c
 }
 
-// newNode wraps fresh content.
-func newNode(id page.PageID, c page.Content) *node {
-	c.ID = id
-	n := &node{id: id, c: c}
-	n.raw = n.countRaw()
-	n.hs.rebuild(c.Keys)
-	return n
+// install makes s, from edit, n's state.
+func (n *node) install(s *state) { n.s.Store(s) }
+
+// kill marks n consolidated, under its exclusive latch.
+func (n *node) kill() {
+	s := n.edit()
+	s.dead = true
+	n.install(s)
 }
 
-// keys returns n's keys: an index node's separators, or views of a leaf's
-// record keys in a slice of their own.
-func (n *node) keys() [][]byte {
-	if !n.isLeaf() {
-		return n.c.Keys
+// reindex recounts s's size and an index node's heads after an edit of
+// its entries or fences.
+func (s *state) reindex() {
+	s.raw = s.countRaw()
+	if s.Kind == page.Index {
+		s.hs.rebuild(&s.Recs)
 	}
-	keys := make([][]byte, n.c.Recs.Len())
-	for i := range keys {
-		keys[i] = n.c.Recs.Key(i)
-	}
-	return keys
 }
 
 // countRaw walks the content for the size raw caches.
-func (n *node) countRaw() int { return n.c.Size() + len(n.c.Keys)*n.c.PrefixLen() }
+func (s *state) countRaw() int { return s.Size() + s.Recs.Len()*s.PrefixLen() }
 
-// setHigh replaces the high fence.
-func (n *node) setHigh(h []byte) {
-	n.raw += len(h) - len(n.c.High)
-	n.c.High = h
+// newNode wraps fresh content, moving entries built in Keys form into Recs.
+func newNode(id page.PageID, c page.Content) *node {
+	c.ID = id
+	if c.Keys != nil {
+		c.Pack()
+	}
+	n := &node{id: id, lsn: c.LSN, first: state{Content: c}}
+	n.first.LSN = 0 // n.lsn is the page LSN
+	n.first.reindex()
+	n.install(&n.first)
+	return n
 }
 
 // SetFrame implements buffer.Framed.
@@ -146,56 +131,50 @@ func (n *node) SetFrame(f *buffer.Frame) { n.frame = f }
 
 // Recyclable implements buffer.Recycler: a live leaf that no mutator has
 // touched since its decode was only read under S or U latch, by readers that
-// copy what they keep past the unpin (DESIGN.md §4b).
-func (n *node) Recyclable() bool { return !n.dead && n.c.Recs.Untouched() }
+// copy what they keep past the unpin (DESIGN.md §4b). An index node never
+// is: a latch-free reader may still hold a snapshot of its entries.
+func (n *node) Recyclable() bool {
+	s := n.c()
+	return s.Kind == page.Leaf && !s.dead && s.Recs.Untouched()
+}
 
 // PageLSN implements buffer.Object.
-func (n *node) PageLSN() wal.LSN { return wal.LSN(n.c.LSN) }
+func (n *node) PageLSN() wal.LSN { return wal.LSN(n.lsn) }
 
 // Marshal implements buffer.Object.
 func (n *node) Marshal(pageSize int) ([]byte, error) {
-	return page.Marshal(&n.c, pageSize)
+	c := n.c().Content
+	c.LSN = n.lsn
+	return page.Marshal(&c, pageSize)
 }
 
 // isLeaf reports whether n is a data node.
-func (n *node) isLeaf() bool { return n.c.Kind == page.Leaf }
+func (n *node) isLeaf() bool { return n.c().Kind == page.Leaf }
 
 // level returns the node's level; leaves are level 0.
-func (n *node) level() uint8 { return n.c.Level }
+func (n *node) level() uint8 { return n.c().Level }
 
 // pastHigh reports whether key belongs to a right sibling.
 func (n *node) pastHigh(t *Tree, key []byte) bool {
-	return n.c.High != nil && t.compare(key, n.c.High) >= 0
-}
-
-// keySearch returns the index of the first key in keys that is >= key under
-// cmp (len(keys) when every key is smaller) and whether it equals key: the
-// search of a custom-comparator tree and of the cursors.
-func keySearch(cmp Compare, keys [][]byte, key []byte) (int, bool) {
-	i := sort.Search(len(keys), func(i int) bool { return cmp(keys[i], key) >= 0 })
-	return i, i < len(keys) && cmp(keys[i], key) == 0
+	h := n.c().High
+	return h != nil && t.compare(key, h) >= 0
 }
 
 // searchLeaf returns the position of key in a leaf and whether it is
 // present; absent keys return their insertion position.
 func (n *node) searchLeaf(t *Tree, key []byte) (int, bool) {
 	if t.bytewise {
-		return n.c.Recs.Search(nil, key)
+		return n.c().Recs.Search(nil, key)
 	}
-	return n.c.Recs.Search(t.cmp, key)
-}
-
-// childFor returns the index of the child covering key in an index node.
-// The caller must have established key >= Low (keys[0] == Low).
-func (n *node) childFor(t *Tree, key []byte) int {
-	return (&traverseOpts{key: key}).childIn(t, n.c.Keys, &n.hs)
+	return n.c().Recs.Search(t.cmp, key)
 }
 
 // findChild returns the position of the index entry pointing at child, or
 // -1 if absent.
 func (n *node) findChild(child page.PageID) int {
-	for i, c := range n.c.Children {
-		if c == child {
+	r := &n.c().Recs
+	for i := range r.Len() {
+		if r.Child(i) == child {
 			return i
 		}
 	}
@@ -204,72 +183,58 @@ func (n *node) findChild(child page.PageID) int {
 
 // insertLeafAt inserts (key, val) at position i.
 func (n *node) insertLeafAt(i int, key, val []byte) {
-	n.c.Recs.Insert(i, key, val)
-	n.raw += page.EntrySize(page.Leaf, len(key), len(val))
+	s := n.c()
+	s.Recs.Insert(i, key, val)
+	s.raw += page.EntrySize(page.Leaf, len(key), len(val))
 }
 
 // removeLeafAt removes the entry at position i, returning its value.
 func (n *node) removeLeafAt(i int) []byte {
-	old := n.c.Recs.Val(i)
-	n.raw -= page.EntrySize(page.Leaf, len(n.c.Recs.Key(i)), len(old))
-	n.c.Recs.Delete(i)
+	s := n.c()
+	old := s.Recs.Val(i)
+	s.raw -= page.EntrySize(page.Leaf, len(s.Recs.Key(i)), len(old))
+	s.Recs.Delete(i)
 	return old
 }
 
 // setLeafVal replaces the value at position i.
 func (n *node) setLeafVal(i int, val []byte) {
-	n.raw += len(val) - len(n.c.Recs.Val(i))
-	n.c.Recs.Set(i, val)
+	s := n.c()
+	s.raw += len(val) - len(s.Recs.Val(i))
+	s.Recs.Set(i, val)
 }
 
 // insertIndexTerm inserts the separator key -> child entry in sorted
 // position. It reports false if a term with the same key already exists
 // (the posting was already done, e.g. re-discovered twice).
 func (n *node) insertIndexTerm(t *Tree, key []byte, child page.PageID) bool {
-	i, found := t.search(n.c.Keys, &n.hs, key)
+	i, found := t.search(n.c(), key)
 	if found {
 		return false
 	}
-	n.setTerms(spliced(n.c.Keys, i, i, append([]byte(nil), key...)), spliced(n.c.Children, i, i, child))
+	s := n.edit()
+	s.Recs.InsertChild(i, key, child)
+	s.reindex()
+	n.install(s)
 	return true
 }
 
 // removeIndexTermAt removes the index entry at position i.
 func (n *node) removeIndexTermAt(i int) {
-	n.setTerms(spliced(n.c.Keys, i, i+1), spliced(n.c.Children, i, i+1))
-}
-
-// setTerms makes keys and children an index node's entries, new arrays of
-// cap == len that nothing writes again (see route), and recounts the size
-// and the heads for them.
-func (n *node) setTerms(keys [][]byte, children []page.PageID) {
-	n.c.Keys, n.c.Children = keys, children
-	n.raw = n.countRaw()
-	n.hs.rebuild(keys)
-}
-
-// spliced returns s with s[i:j] replaced by v, in a new array of exactly
-// that length.
-func spliced[E any](s []E, i, j int, v ...E) []E {
-	out := make([]E, 0, len(s)-(j-i)+len(v))
-	return append(append(append(out, s[:i]...), v...), s[j:]...)
+	s := n.edit()
+	s.Recs.Delete(i)
+	s.reindex()
+	n.install(s)
 }
 
 // size returns the marshaled byte size, the occupancy measure.
-func (n *node) size() int { return n.raw - len(n.c.Keys)*n.c.PrefixLen() }
-
-// logicalSize is size before fence-prefix compression: the occupancy
-// measure for the under-utilization policy. The policy must ignore
-// compression — a well-filled index page whose keys share a long fence
-// prefix marshals far below the threshold, and consolidating it would only
-// force an immediate re-split (and abort postings via D_X churn).
-func (n *node) logicalSize() int { return n.raw }
+func (n *node) size() int { return n.c().Size() }
 
 // String renders a debug description; used by blinkdump and tests.
 func (n *node) String() string {
 	return fmt.Sprintf("node %d %s L%d [%q,%q) right=%d keys=%d dd=%d lsn=%d",
-		n.id, n.c.Kind, n.c.Level, n.c.Low, highString(n.c.High), n.c.Right,
-		len(n.c.Keys)+n.c.Recs.Len(), n.c.DD, n.c.LSN)
+		n.id, n.c().Kind, n.c().Level, n.c().Low, highString(n.c().High), n.c().Right,
+		n.c().Recs.Len(), n.c().DD, n.lsn)
 }
 
 func highString(h []byte) string {

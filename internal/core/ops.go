@@ -61,7 +61,7 @@ func (t *Tree) lookup(dst, key []byte, value bool) ([]byte, error) {
 	}
 	pos, found := leaf.searchLeaf(t, key)
 	if found && value {
-		dst = append(dst, leaf.c.Recs.Val(pos)...)
+		dst = append(dst, leaf.c().Recs.Val(pos)...)
 	}
 	t.maybeEnqueueLeafDelete(leaf, path, dx)
 	t.unlatchUnpin(leaf, latch.Shared, false)
@@ -139,7 +139,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 	for {
 		pos, found := leaf.searchLeaf(t, key)
 		if found {
-			old := leaf.c.Recs.Val(pos)
+			old := leaf.c().Recs.Val(pos)
 			if leaf.size()+len(val)-len(old) <= t.opts.PageSize {
 				leaf.setLeafVal(pos, val)
 				lsn, err := t.logRecOp(leaf, lp, wal.OpUpdate, key, val, old)
@@ -188,7 +188,7 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 		// time its latch is granted here other writers may have filled and
 		// split it again, and the key may lie further right still.
 		for leaf.pastHigh(t, key) {
-			right, err := t.pinLatchSpan(leaf.c.Right, latch.Exclusive, lp.sp)
+			right, err := t.pinLatchSpan(leaf.c().Right, latch.Exclusive, lp.sp)
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			if err != nil {
 				return 0, false, err
@@ -219,7 +219,7 @@ func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpPar
 		t.unlatchUnpin(leaf, latch.Exclusive, false)
 		return 0, ErrKeyNotFound
 	}
-	kcopy := leaf.c.Recs.Key(pos)
+	kcopy := leaf.c().Recs.Key(pos)
 	old := leaf.removeLeafAt(pos)
 	lsn, err := t.logRecOp(leaf, lp, wal.OpDelete, kcopy, nil, old)
 	t.maybeEnqueueLeafDelete(leaf, path, dx)
@@ -246,7 +246,7 @@ func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []b
 		t.c.firstChangeImages.Add(1)
 	}
 	return t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		leaf.c.LSN = uint64(lsn)
+		leaf.lsn = uint64(lsn)
 		r := &wal.Record{
 			Type:     wal.TRecOp,
 			Txn:      lp.txn,
@@ -276,7 +276,7 @@ func (t *Tree) logImage(n *node) {
 	}
 	t.c.firstChangeImages.Add(1)
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		n.c.LSN = uint64(lsn)
+		n.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TRecOp, Page: n.id, Images: t.pageImage(n)}
 	})
 	if err != nil {

@@ -9,13 +9,13 @@ import (
 // Optimistic (latch-free) read path.
 //
 // A read descends root→leaf taking no latches at all: each index node is
-// read through its immutable routing snapshot (node.route, republished on
-// every exclusive-latch release) and validated against the latch's version
+// read through its state, a snapshot that each change replaces and nothing
+// writes once installed (node.s), and validated against the latch's version
 // word. The protocol per index node is
 //
 //	v    ← latch.OptVersion()        (fails while an X holder exists)
-//	r    ← route snapshot
-//	        fence / level / dead checks on r; pick child or side pointer
+//	s    ← the node's state
+//	        level / dead / fence checks on s; pick child or side pointer
 //	pin the next node
 //	ok   ← latch.Validate(v)         (no X ownership intervened)
 //
@@ -73,21 +73,6 @@ func (t *Tree) traverseRead(o traverseOpts, buf []pathEntry) (*node, []pathEntry
 	return t.traverse(o, buf)
 }
 
-// routeView samples n's version word and routing snapshot for one
-// optimistic step. ok is false when an exclusive holder is active or no
-// snapshot exists (a leaf, or a node loaded before publication).
-func (n *node) routeView() (*route, uint64, bool) {
-	v, ok := n.latch.OptVersion()
-	if !ok {
-		return nil, 0, false
-	}
-	r := n.route.Load()
-	if r == nil {
-		return nil, 0, false
-	}
-	return r, v, true
-}
-
 // optRoot starts an optimistic descent. An index root is borrowed from the
 // anchor record, unpinned; a leaf root, about to be latched and handed to the
 // caller, gets this descent's own pin.
@@ -142,22 +127,25 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	path := buf[:0]
 	level := a.level
 	for level > 0 {
-		r, v, ok := n.routeView()
-		if !ok || r.dead || r.level != level {
+		// The level first: a leaf's state, which its writers edit in
+		// place, is read no further.
+		v, ok := n.latch.OptVersion()
+		s := n.c()
+		if !ok || s.Level != level || s.dead {
 			t.optDrop(a, n)
 			return nil, nil, false
 		}
-		next := r.right
-		side := o.pastHigh(t, r.high)
+		next := s.Right
+		side := o.pastHigh(t, s.High)
 		if side {
 			// Side traversal; reaching a node only via its side pointer
 			// means its index term is missing (§2.3).
-			t.enqueueSidePost(n.id, r.epoch, r.level, r.right, r.high, path, o.dx)
+			t.enqueueSidePost(n.id, s, path, o.dx)
 		} else {
 			// A target below the node's key space (next 0) is reachable
-			// here, unlike in the latched traversal: the route that sent
-			// us was stale.
-			next, path = t.descendRoute(n.id, r, &o, path)
+			// here, unlike in the latched traversal: the snapshot that
+			// sent us was stale.
+			next, path = t.descend(n.id, s, &o, path)
 		}
 		if next == 0 {
 			t.optDrop(a, n)
@@ -177,12 +165,12 @@ func (t *Tree) traverseOptFrom(a *anchorRec, n *node, o traverseOpts, buf []path
 	lt0 := o.sp.Now()
 	n.latch.Acquire(latch.Shared)
 	o.sp.StageSince(obs.StageLatchS, 0, lt0)
-	if n.dead || !n.isLeaf() || !o.reaches(t, n.c.Low) {
+	if s := n.c(); s.dead || s.Kind != page.Leaf || !o.reaches(t, s.Low) {
 		t.unlatchUnpin(n, latch.Shared, false)
 		return nil, nil, false
 	}
-	for o.pastHigh(t, n.c.High) {
-		t.enqueueSidePost(n.id, n.c.Epoch, n.c.Level, n.c.Right, n.c.High, path, o.dx)
+	for o.pastHigh(t, n.c().High) {
+		t.enqueueSidePost(n.id, n.c(), path, o.dx)
 		var ok bool
 		if n, ok = t.sideStep(n, latch.Shared, !t.opts.NoDeleteSupport, o.sp); !ok {
 			return nil, nil, false

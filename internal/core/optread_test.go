@@ -181,7 +181,7 @@ func TestTraverseExhaustedCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.latch.Acquire(latch.Exclusive)
-	root.dead = true
+	root.kill()
 	tr.unlatchUnpin(root, latch.Exclusive, false)
 
 	_, err = tr.Get(key(1))
@@ -268,7 +268,7 @@ func TestOptReadConcurrentRootShrink(t *testing.T) {
 // TestOptReadSideChainsUnderSplits runs readers over a tree whose index
 // terms are never posted (no workers, no drains during the run), so every
 // descent lands left of its target and walks split-sibling chains via side
-// pointers — through route snapshots on index levels and latched side steps
+// pointers — through index snapshots on index levels and latched side steps
 // at the leaves.
 func TestOptReadSideChainsUnderSplits(t *testing.T) {
 	tr := newTestTree(t, Options{}) // WorkersNone via newTestTree

@@ -278,7 +278,7 @@ func (t *Tree) redoRecOp(r *wal.Record) error {
 		// logged state of the page, so a blank one needs no record redone.
 		return err
 	}
-	if leaf.c.LSN >= uint64(r.LSN) {
+	if leaf.lsn >= uint64(r.LSN) {
 		t.recStats.SkippedByLSN++
 		leaf.frame.Unpin(false)
 		return nil
@@ -292,7 +292,7 @@ func (t *Tree) redoRecOp(r *wal.Record) error {
 	case r.Op == wal.OpInsert:
 		leaf.insertLeafAt(i, r.Key, r.Val)
 	}
-	leaf.c.LSN = uint64(r.LSN)
+	leaf.lsn = uint64(r.LSN)
 	leaf.frame.Unpin(true)
 	t.recStats.RecOpsRedone++
 	return nil
@@ -340,7 +340,7 @@ func (t *Tree) pageLSN(id page.PageID) (uint64, error) {
 		return 0, err
 	}
 	defer n.frame.Unpin(false)
-	return n.c.LSN, nil
+	return n.lsn, nil
 }
 
 // redoFetch pins id's node from the pool. A page that does not decode gives

@@ -30,6 +30,34 @@ func (s *poisonStore) ReadInto(id page.PageID, buf []byte) error {
 	return s.MemStore.ReadInto(id, buf)
 }
 
+// TestIndexNodesAreNeverRecyclable: an index page stored unstripped
+// decodes in place, its entries views of the image, and the node never
+// vouches for that image, though no mutator touched it — a latch-free reader
+// may hold the snapshot past the node's eviction. A leaf decoded alike does.
+func TestIndexNodesAreNeverRecyclable(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	for _, c := range []page.Content{
+		{Kind: page.Index, Level: 1, Low: []byte{}, Keys: [][]byte{{}, key(5)}, Children: []page.PageID{7, 8}},
+		{Kind: page.Leaf, Low: []byte{}, Keys: [][]byte{key(5)}, Vals: [][]byte{valb(5)}},
+	} {
+		img, err := page.Marshal(&c, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := codec{tr}.Unmarshal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := obj.(*node)
+		if !n.c().Recs.Untouched() {
+			t.Fatalf("%s: decoded out of its image", c.Kind)
+		}
+		if got, want := n.Recyclable(), c.Kind == page.Leaf; got != want {
+			t.Fatalf("%s decoded in place: Recyclable = %v, want %v", c.Kind, got, want)
+		}
+	}
+}
+
 // TestRecycledImagesAgainstModel runs a tree whose pool reads most misses
 // into an evicted leaf's image — 12 frames over a poisoning store — through
 // puts, deletes, gets, forward and reverse scans and transactions against a

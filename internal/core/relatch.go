@@ -38,20 +38,21 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 	// "Finding the correct leaf can be immediate if D_D indicates that the
 	// remembered leaf node still exists" — we count the fast path; either
 	// way one latch-coupled descent reaches the right leaf.
-	if p.c.DD == parent.dd {
+	s := p.c()
+	if s.DD == parent.dd {
 		t.c.relatchFast.Add(1)
 	}
-	ci := p.childFor(t, key)
+	ci := (&traverseOpts{key: key}).childIn(t, s)
 	if ci < 0 {
 		t.unlatchUnpin(p, latch.Shared, false)
 		return nil, nil, errDeleteState
 	}
 	newPath := append(append([]pathEntry(nil), path[:len(path)-1]...), pathEntry{
-		ref:   ref{id: p.id, epoch: p.c.Epoch},
-		level: p.c.Level,
-		dd:    p.c.DD,
+		ref:   ref{id: p.id, epoch: s.Epoch},
+		level: s.Level,
+		dd:    s.DD,
 	})
-	leaf, ok := t.step(p, latch.Shared, p.c.Children[ci], intent, true, nil)
+	leaf, ok := t.step(p, latch.Shared, s.Recs.Child(ci), intent, true, nil)
 	if !ok {
 		return nil, nil, errDeleteState
 	}

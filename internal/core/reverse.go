@@ -57,7 +57,7 @@ func (c *Cursor) fillReverse() error {
 		if err != nil {
 			return err
 		}
-		recs, low := &leaf.c.Recs, leaf.c.Low
+		recs, low := &leaf.c().Recs, leaf.c().Low
 		lo, hi := 0, recs.Len()
 		if c.pos != nil {
 			hi, _ = recs.Search(c.t.cmp, c.pos)

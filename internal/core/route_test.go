@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -10,32 +11,41 @@ import (
 	"blinktree/internal/page"
 )
 
-// routeImage is a deep copy of what a route routes by.
-type routeImage struct {
-	keys     [][]byte
-	children []page.PageID
-	hs       keyHeads
+// snapImage is a deep copy of what an index node's snapshot holds: its
+// header, its entries and their heads.
+type snapImage struct {
+	level     uint8
+	epoch, dd uint64
+	dead      bool
+	raw       int
+	low, high []byte
+	right     page.PageID
+	keys      [][]byte
+	children  []page.PageID
+	pfx       int
+	heads     []uint64
 }
 
-func imageOf(r *route) routeImage {
-	keys := make([][]byte, len(r.keys))
-	for i, k := range r.keys {
-		keys[i] = bytes.Clone(k)
+func imageOf(s *state) snapImage {
+	im := snapImage{
+		level: s.Level, epoch: s.Epoch, dd: s.DD, dead: s.dead, raw: s.raw,
+		low: bytes.Clone(s.Low), high: bytes.Clone(s.High), right: s.Right,
+		pfx: s.hs.pfx, heads: slices.Clone(s.hs.h),
 	}
-	return routeImage{keys, slices.Clone(r.children), keyHeads{pfx: r.hs.pfx, h: slices.Clone(r.hs.h)}}
+	for i := range s.Recs.Len() {
+		im.keys = append(im.keys, bytes.Clone(s.Recs.Key(i)))
+		im.children = append(im.children, s.Recs.Child(i))
+	}
+	return im
 }
 
-func (im routeImage) matches(r *route) bool {
-	return slices.EqualFunc(im.keys, r.keys, bytes.Equal) && slices.Equal(im.children, r.children) &&
-		im.hs.pfx == r.hs.pfx && slices.Equal(im.hs.h, r.hs.h)
-}
-
-// TestRoutesSurviveIndexEdits: a route shares its index node's key, child
-// and head arrays, so no edit of the node may write one. One node goes
-// through each index edit — a posting, a term removal, a split and a
-// consolidation into it — and after every edit each route loaded from it so
-// far must still hold what it held when it was loaded, while the node's own
-// arrays keep cap == len.
+// TestRoutesSurviveIndexEdits: an index node's snapshot is what both
+// descents read, and a latch-free reader may hold one across any change, so
+// no change may write one: each installs a new snapshot. One node goes
+// through every kind of change — a posting, a term removal, a D_D bump, a
+// split and a consolidation into it — and after each, every snapshot loaded
+// from it so far must still hold the header, entries and heads it held when
+// it was loaded, and the current one must show the change.
 func TestRoutesSurviveIndexEdits(t *testing.T) {
 	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.6})
 	for i := 0; i < 3000; i++ {
@@ -52,33 +62,32 @@ func TestRoutesSurviveIndexEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := ids[0]
-	current := func() *node {
+	current := func() *state {
 		n, err := tr.fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.unpin(n)
-		return n
+		return n.c()
 	}
-	var routes []*route
-	var images []routeImage
+	var snaps []*state
+	var images []snapImage
 	load := func() {
-		r := current().route.Load()
-		routes, images = append(routes, r), append(images, imageOf(r))
+		s := current()
+		snaps, images = append(snaps, s), append(images, imageOf(s))
 	}
-	check := func(edit string) {
+	check := func(edit string, changed func(was, now snapImage) bool) {
 		t.Helper()
-		for i, r := range routes {
-			if !images[i].matches(r) {
-				t.Fatalf("after the %s, the route loaded before edit %d no longer holds what it held", edit, i)
+		for i, s := range snaps {
+			if !reflect.DeepEqual(images[i], imageOf(s)) {
+				t.Fatalf("after the %s, the snapshot loaded before change %d no longer holds what it held", edit, i)
 			}
 		}
-		n := current()
-		if cap(n.c.Keys) != len(n.c.Keys) || cap(n.c.Children) != len(n.c.Children) || cap(n.hs.h) != len(n.hs.h) {
-			t.Fatalf("after the %s, node %d holds an array with spare capacity", edit, id)
+		if now := imageOf(current()); !changed(images[len(images)-1], now) {
+			t.Fatalf("the %s did not show in node %d's snapshot", edit, id)
 		}
 	}
-	edit := func(name string, fn func(n *node)) {
+	edit := func(name string, fn func(n *node), changed func(was, now snapImage) bool) {
 		t.Helper()
 		load()
 		n, err := tr.pinLatch(id, latch.Exclusive)
@@ -87,30 +96,36 @@ func TestRoutesSurviveIndexEdits(t *testing.T) {
 		}
 		fn(n)
 		tr.unlatchUnpin(n, latch.Exclusive, true)
-		check(name)
+		check(name, changed)
 	}
+	terms := func(was, now snapImage) int { return len(now.keys) - len(was.keys) }
 
 	var sep []byte
 	edit("posting", func(n *node) {
-		sep = append(bytes.Clone(n.c.Keys[1]), 0)
+		sep = append(bytes.Clone(n.c().Recs.Key(1)), 0)
 		if !n.insertIndexTerm(tr, sep, ^page.PageID(0)) {
 			t.Fatalf("posting %q refused", sep)
 		}
-	})
+	}, func(was, now snapImage) bool { return terms(was, now) == 1 })
 	edit("term removal", func(n *node) {
-		i, found := tr.search(n.c.Keys, &n.hs, sep)
+		i, found := tr.search(n.c(), sep)
 		if !found {
 			t.Fatalf("posted term %q missing", sep)
 		}
 		n.removeIndexTermAt(i)
-	})
+	}, func(was, now snapImage) bool { return terms(was, now) == -1 })
+	edit("D_D bump", func(n *node) {
+		s := n.edit() // as accessParent does
+		s.DD++
+		n.install(s)
+	}, func(was, now snapImage) bool { return now.dd == was.dd+1 })
 	var right page.PageID
 	edit("split", func(n *node) {
 		if err := tr.splitLocked(n, ref{}, 0, tr.DX()); err != nil {
 			t.Fatal(err)
 		}
-		right = n.c.Right
-	})
+		right = n.c().Right
+	}, func(was, now snapImage) bool { return terms(was, now) < 0 && now.right != was.right })
 
 	// Post the new half's term, then consolidate the half back into the node.
 	tr.DrainTodo()
@@ -119,14 +134,17 @@ func TestRoutesSurviveIndexEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := action{kind: actDelete, level: 1, origID: right, origEpoch: q.c.Epoch, sep: bytes.Clone(q.c.Low), dx: tr.DX()}
+	a := action{kind: actDelete, level: 1, origID: right, origEpoch: q.c().Epoch, sep: bytes.Clone(q.c().Low), dx: tr.DX()}
 	tr.unpin(q)
 	before := tr.Stats().IndexConsolidated
 	tr.processDelete(a)
-	if tr.Stats().IndexConsolidated != before+1 || current().c.Right == right {
+	if tr.Stats().IndexConsolidated != before+1 {
 		t.Fatalf("the split's right half %d was not consolidated back into node %d", right, id)
 	}
-	check("consolidation")
+	check("consolidation", func(was, now snapImage) bool { return terms(was, now) > 0 && now.right != right })
+	if !q.c().dead {
+		t.Fatalf("the consolidated half %d is not dead", right)
+	}
 	mustVerify(t, tr)
 }
 
@@ -147,11 +165,12 @@ func allocsOf(runs int, setup, f func()) (allocs, bytes uint64) {
 	return allocs / uint64(runs), bytes / uint64(runs)
 }
 
-// TestIndexRouteAllocs pins what an index node's route costs on a 150-term
-// node: publishing shares the entry arrays and allocates only the route's
-// header. An exclusive release of an unchanged node allocates that header
-// alone; a posting, the term's key, the new key, child and head arrays and
-// the header; a decode, the node, its arrays, its heads and the header.
+// TestIndexRouteAllocs pins what an index node's snapshot costs on a
+// 150-term node. An exclusive release publishes nothing, so releasing an
+// unchanged node allocates nothing; a posting allocates the new snapshot,
+// its slot array and its heads (and, now and then, a larger buffer for the
+// entries); a decode, the node with its first snapshot, its slot array and
+// its heads, the entries staying in the image.
 func TestIndexRouteAllocs(t *testing.T) {
 	tr := newTestTree(t, Options{PageSize: 4096})
 	keys, kids := make([][]byte, 150), make([]page.PageID, 150)
@@ -176,8 +195,10 @@ func TestIndexRouteAllocs(t *testing.T) {
 	}
 
 	release := xedit(func(*node) {})
-	if allocs, bytes := allocsOf(100, func() {}, release); allocs != 1 {
-		t.Errorf("exclusive release of an unchanged index node: %d allocs, %d B; want 1 (the route header)", allocs, bytes)
+	allocs, bytes := allocsOf(100, func() {}, release)
+	t.Logf("exclusive release of an unchanged index node: %d allocs, %d B", allocs, bytes)
+	if allocs != 0 {
+		t.Errorf("exclusive release of an unchanged index node: %d allocs, %d B; want 0", allocs, bytes)
 	}
 
 	const child = 9999
@@ -185,25 +206,96 @@ func TestIndexRouteAllocs(t *testing.T) {
 	post := xedit(func(m *node) { m.insertIndexTerm(tr, sep, child) })
 	unpost := xedit(func(m *node) { m.removeIndexTermAt(m.findChild(child)) })
 	post() // each measured posting follows the removal of the one before
-	allocs, bytes := allocsOf(100, unpost, post)
-	if allocs != 5 || bytes > 6848 {
-		t.Errorf("posting into a 150-term index node: %d allocs, %d B; want 5 allocs (key, keys, children, heads, route) and <= 6848 B", allocs, bytes)
+	allocs, bytes = allocsOf(100, unpost, post)
+	t.Logf("posting: %d allocs, %d B", allocs, bytes)
+	if allocs > 5 || bytes > 6848 {
+		t.Errorf("posting into a 150-term index node: %d allocs, %d B; want <= 5 and <= 6848 B", allocs, bytes)
 	}
 
-	image, err := page.Marshal(&n.c, tr.opts.PageSize)
+	image, err := n.Marshal(tr.opts.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decode := func() { codec{tr}.Unmarshal(image) }
-	if allocs, bytes := allocsOf(100, func() {}, decode); allocs != 6 {
-		t.Errorf("decoding a 150-term index page: %d allocs, %d B; want 6", allocs, bytes)
+	allocs, bytes = allocsOf(100, func() {}, decode)
+	t.Logf("decode: %d allocs, %d B", allocs, bytes)
+	if allocs >= 6 || bytes >= 8816 {
+		t.Errorf("decoding a 150-term index page: %d allocs, %d B; want < 6 and < 8816 B", allocs, bytes)
 	}
 }
 
+// TestOptStepValidatesNonRootVersion: an optimistic step from an index node
+// below the root must fail once the node has been changed under its
+// exclusive latch since the step's version was read — optValid's version
+// check, the only guard for a non-root node (the anchor check covers the
+// root alone).
+func TestOptStepValidatesNonRootVersion(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	for i := 0; i < 3000; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.DrainTodo()
+	if _, lvl := tr.readAnchor(); lvl < 2 {
+		t.Fatalf("root level %d: the level-1 node must not be the root", lvl)
+	}
+	ids, err := tr.LevelNodes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ids[0]
+	a := tr.anchor.Load()
+	step := func(change func(n *node)) bool {
+		t.Helper()
+		n, err := tr.fetch(id) // the reader's pin, as its step from the parent takes
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := n.latch.OptVersion()
+		s := n.c()
+		if !ok {
+			t.Fatalf("node %d is latched exclusively", id)
+		}
+		if change != nil {
+			m, err := tr.pinLatch(id, latch.Exclusive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			change(m)
+			tr.unlatchUnpin(m, latch.Exclusive, true)
+		}
+		next, ok := tr.optStep(a, n, v, s.Recs.Child(0), nil)
+		if ok {
+			tr.unpin(next)
+		}
+		return ok
+	}
+	if !step(nil) {
+		t.Fatal("a step from a node nobody latched failed to validate")
+	}
+	const child = 9999
+	sep := key(1)
+	if step(func(m *node) {
+		if !m.insertIndexTerm(tr, sep, child) {
+			t.Fatalf("posting %q refused", sep)
+		}
+	}) {
+		t.Fatal("a step from a node changed since its version was read validated")
+	}
+	m, err := tr.pinLatch(id, latch.Exclusive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.removeIndexTermAt(m.findChild(child))
+	tr.unlatchUnpin(m, latch.Exclusive, true)
+	mustVerify(t, tr)
+}
+
 // TestOptReadDeadRouteRestarts stages an optimistic reader pinned on an
-// index node that is consolidated before the reader reads its route, and
-// the page of the child that route names for the key freed and reissued as
-// a leaf further left. The route's dead test restarts the descent. Without
+// index node that is consolidated before the reader reads its snapshot, and
+// the page of the child that snapshot names for the key freed and reissued
+// as a leaf further left. The snapshot's dead test restarts the descent. Without
 // it the answer is still right, and the failure message says so: the
 // version check passes (nothing latched the node since), and the descent
 // lands on the reissued leaf, whose low fence the key reaches, then side
@@ -229,7 +321,7 @@ func TestOptReadDeadRouteRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, left, nid := ref{id: p.id, epoch: p.c.Epoch}, p.c.Children[0], p.c.Children[1]
+	parent, left, nid := ref{id: p.id, epoch: p.c().Epoch}, p.c().Recs.Child(0), p.c().Recs.Child(1)
 	tr.unpin(p)
 
 	// The reader's pin on the node, taken as its step from the parent would.
@@ -237,25 +329,25 @@ func TestOptReadDeadRouteRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := n.route.Load()
-	k, child := bytes.Clone(r.keys[1]), r.children[1]
+	s := n.c()
+	k, child := bytes.Clone(s.Recs.Key(1)), s.Recs.Child(1)
 
 	stats := tr.Stats()
-	tr.processDelete(action{kind: actDelete, level: 1, origID: nid, origEpoch: r.epoch, sep: bytes.Clone(r.low), parent: parent, dx: tr.DX()})
+	tr.processDelete(action{kind: actDelete, level: 1, origID: nid, origEpoch: s.Epoch, sep: bytes.Clone(s.Low), parent: parent, dx: tr.DX()})
 	l, err := tr.fetch(left)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leftRef := ref{id: l.id, epoch: l.c.Epoch}
+	leftRef := ref{id: l.id, epoch: l.c().Epoch}
 	tr.unpin(l)
 	c, err := tr.fetch(child)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca := action{kind: actDelete, level: 0, origID: child, origEpoch: c.c.Epoch, sep: bytes.Clone(c.c.Low), parent: leftRef, dx: tr.DX()}
+	ca := action{kind: actDelete, level: 0, origID: child, origEpoch: c.c().Epoch, sep: bytes.Clone(c.c().Low), parent: leftRef, dx: tr.DX()}
 	tr.unpin(c)
 	tr.processDelete(ca)
-	if got := tr.Stats(); !n.route.Load().dead || got.IndexConsolidated != stats.IndexConsolidated+1 || got.LeafConsolidated != stats.LeafConsolidated+1 {
+	if got := tr.Stats(); !n.c().dead || got.IndexConsolidated != stats.IndexConsolidated+1 || got.LeafConsolidated != stats.LeafConsolidated+1 {
 		t.Fatalf("scenario: node %d and then its child %d must be consolidated", nid, child)
 	}
 
@@ -269,7 +361,8 @@ func TestOptReadDeadRouteRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reissued := c.isLeaf() && !c.dead && bytes.Compare(c.c.Low, k) < 0 && c.c.High != nil && bytes.Compare(c.c.High, k) <= 0
+	cs := c.c()
+	reissued := c.isLeaf() && !cs.dead && bytes.Compare(cs.Low, k) < 0 && cs.High != nil && bytes.Compare(cs.High, k) <= 0
 	tr.unpin(c)
 	if !reissued {
 		t.Fatalf("scenario: page %d was not reissued as a leaf left of %s", child, k)
@@ -279,9 +372,10 @@ func TestOptReadDeadRouteRestarts(t *testing.T) {
 	var pb pathBuf
 	leaf, _, ok := tr.traverseOptFrom(a, n, traverseOpts{key: k, intent: latch.Shared, dx: tr.DX()}, pb[:0])
 	if ok {
-		covers := bytes.Compare(leaf.c.Low, k) <= 0 && (leaf.c.High == nil || bytes.Compare(k, leaf.c.High) < 0)
+		ls := leaf.c()
+		covers := bytes.Compare(ls.Low, k) <= 0 && (ls.High == nil || bytes.Compare(k, ls.High) < 0)
 		tr.unlatchUnpin(leaf, latch.Shared, false)
-		t.Fatalf("a descent through consolidated node %d validated and reached leaf %d (covering %s: %v); its dead route must restart it", nid, leaf.id, k, covers)
+		t.Fatalf("a descent through consolidated node %d validated and reached leaf %d (covering %s: %v); its dead snapshot must restart it", nid, leaf.id, k, covers)
 	}
 	mustVerify(t, tr)
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // BenchmarkKeySearch measures the in-node search every traversal step
-// funnels through, the generic keySearch (comparator calls under
-// sort.Search) beside the key-head search a bytewise tree runs, on two key
+// funnels through, the comparator search (Records.Search under a comparator
+// call per probe) beside the key-head search a bytewise tree runs, on two key
 // shapes: ASCII "key-%06d", and the benchmark harness's 8 zero bytes plus a
 // big-endian id, whose shared leading zeros are why the heads skip keys[0].
 func BenchmarkKeySearch(b *testing.B) {
@@ -37,16 +37,15 @@ func BenchmarkKeySearch(b *testing.B) {
 			for i := range probe {
 				probe[i] = shape.key((i * 97) % (n * 3))
 			}
-			var kh keyHeads
-			kh.rebuild(keys)
+			s := indexOver(keys)
 			b.Run(fmt.Sprintf("keySearch/%s/%d", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					keySearch(cmp, keys, probe[i%len(probe)])
+					s.Recs.Search(cmp, probe[i%len(probe)])
 				}
 			})
 			b.Run(fmt.Sprintf("heads/%s/%d", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					kh.search(keys, probe[i%len(probe)])
+					s.hs.search(&s.Recs, probe[i%len(probe)])
 				}
 			})
 		}

@@ -39,7 +39,7 @@ func (t *Tree) serializedSplit(key []byte, need int) error {
 	if err != nil {
 		return err
 	}
-	if leaf.size()+need > t.opts.PageSize && leaf.c.Recs.Len() >= 2 {
+	if leaf.size()+need > t.opts.PageSize && leaf.c().Recs.Len() >= 2 {
 		parent, dd := parentFromPath(path)
 		err = t.splitLocked(leaf, parent, dd, dx)
 	}
@@ -126,7 +126,7 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 	// Step 5: the parent may have split; follow side pointers (latch
 	// coupled, Update mode) until the node covering the separator key.
 	for p.pastHigh(t, a.sep) {
-		if p.c.Right == 0 {
+		if p.c().Right == 0 {
 			t.unlatchUnpin(p, latch.Update, false)
 			return nil, fmt.Errorf("blinktree: parent %d high fence without sibling", p.id)
 		}
@@ -142,7 +142,9 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		// it (step 6).
 		p.latch.Promote()
 		if checkState && a.level == 0 {
-			p.c.DD++
+			s := p.edit()
+			s.DD++
+			p.install(s)
 			t.c.ddIncrements.Add(1)
 			p.frame.MarkDirty()
 			// Unlogged, and the consolidation may yet abort: if this is
@@ -168,7 +170,7 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		} else if a.level == 0 {
 			// Data node: its deletion would have bumped this parent's
 			// D_D (or a value copied forward through parent splits).
-			if seen := p.c.DD; seen != a.dd {
+			if seen := p.c().DD; seen != a.dd {
 				t.unlatchUnpin(p, latch.Update, false)
 				t.traceAbort(obs.EvAbortDD, a, a.dd, seen)
 				return nil, errDDChanged
@@ -227,7 +229,7 @@ func (t *Tree) postInto(p *node, a action) {
 		// A term with the same key but a different child means the key
 		// space boundary was recreated by unrelated SMOs; the posting is
 		// stale. Abandon.
-		if _, found := t.search(p.c.Keys, &p.hs, a.sep); found {
+		if _, found := t.search(p.c(), a.sep); found {
 			t.c.postsDuplicate.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, false)
 			t.traceSMO(obs.EvCompleted, &a)
@@ -250,7 +252,7 @@ func (t *Tree) postInto(p *node, a action) {
 			return
 		}
 		if p.pastHigh(t, a.sep) {
-			right, err := t.pinLatch(p.c.Right, latch.Exclusive)
+			right, err := t.pinLatch(p.c().Right, latch.Exclusive)
 			t.unlatchUnpin(p, latch.Exclusive, true)
 			if err != nil {
 				return
@@ -266,7 +268,7 @@ func (t *Tree) logPost(p *node) {
 		return
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		p.c.LSN = uint64(lsn)
+		p.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TSMO, SMO: wal.SMOPost, Images: t.pageImage(p)}
 	})
 	if err != nil {
@@ -328,7 +330,7 @@ func (t *Tree) postAtRootLevel(a action) {
 // false result is counted and traced as an identity abort.
 func (t *Tree) newNodeStands(a *action) bool {
 	if n, ok := t.fetchLive(a.newID, latch.Shared, nil); ok {
-		stands := n.c.Level == a.level && t.cmp(n.c.Low, a.sep) == 0
+		stands := n.c().Level == a.level && t.cmp(n.c().Low, a.sep) == 0
 		t.unlatchUnpin(n, latch.Shared, false)
 		if stands {
 			return true
@@ -356,8 +358,8 @@ func (t *Tree) growLocked(a action) {
 	}
 	if t.log != nil {
 		_, err = t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-			root.c.LSN = uint64(lsn)
-			root.c.Epoch = uint64(lsn)
+			root.lsn = uint64(lsn)
+			root.c().Epoch = uint64(lsn)
 			return &wal.Record{
 				Type:   wal.TSMO,
 				SMO:    wal.SMOGrow,

@@ -306,7 +306,7 @@ func TestRelatchStaleParentIncarnation(t *testing.T) {
 
 // covers reports whether key falls in n's key space [Low, High).
 func covers(tr *Tree, n *node, key []byte) bool {
-	return tr.compare(key, n.c.Low) >= 0 && !n.pastHigh(tr, key)
+	return tr.compare(key, n.c().Low) >= 0 && !n.pastHigh(tr, key)
 }
 
 // TestRelatchAfterLeafSplit: the remembered leaf splits while unlatched;
@@ -537,7 +537,9 @@ func TestFetchSame(t *testing.T) {
 	}
 	for _, m := range []latch.Mode{latch.Shared, latch.Update, latch.Exclusive} {
 		for _, c := range cases {
-			n.dead = c.dead
+			s := n.edit()
+			s.dead = c.dead
+			n.install(s)
 			pinned := tr.PoolStats().Pinned
 			got, ok := tr.fetchSame(c.r, m, nil)
 			if ok != c.want {
@@ -559,6 +561,8 @@ func TestFetchSame(t *testing.T) {
 			n.latch.Release(latch.Exclusive)
 		}
 	}
-	n.dead = false
+	s := n.edit()
+	s.dead = false
+	n.install(s)
 	mustVerify(t, tr)
 }

@@ -21,42 +21,36 @@ import (
 // The whole first half split is one atomic action: a single SMO log record
 // carries both after-images and the allocation.
 func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
-	keys := n.keys()
-	nk := len(keys)
-	if nk < 2 {
+	s := n.edit()
+	if nk := s.Recs.Len(); nk < 2 {
 		return fmt.Errorf("blinktree: splitting node %d with %d entries", n.id, nk)
 	}
-	mid := t.splitPoint(n)
+	mid := t.splitPoint(s)
 	var sep []byte
-	if n.isLeaf() && t.bytewise {
+	if s.Kind == page.Leaf && t.bytewise {
 		// Suffix truncation: any separator s with lastLeft < s <= firstRight
 		// partitions the halves correctly, so pick the shortest one. Short
 		// separators shrink every index level above. Only valid under
 		// bytewise ordering (a custom comparator need not order prefixes).
-		sep = shortestSeparator(keys[mid-1], keys[mid])
+		sep = shortestSeparator(s.Recs.Key(mid-1), s.Recs.Key(mid))
 	} else {
 		// Index separators must stay exact: an index term's key must equal
 		// its child's low fence.
-		sep = append([]byte(nil), keys[mid]...)
+		sep = append([]byte(nil), s.Recs.Key(mid)...)
 	}
 
 	newC := page.Content{
-		Kind:  n.c.Kind,
-		Level: n.c.Level,
+		Kind:  s.Kind,
+		Level: s.Level,
 		Low:   sep,
-		High:  n.c.High, // may be nil (+inf)
-		Right: n.c.Right,
+		High:  s.High, // may be nil (+inf)
+		Right: s.Right,
 		// D_D is copied to the new half so delete-state values remembered
 		// against the old parent remain comparable after rightward
 		// traversal (monotone along the copy chain).
-		DD: n.c.DD,
+		DD: s.DD,
 	}
-	if n.isLeaf() {
-		newC.Recs.AppendFrom(&n.c.Recs, mid)
-	} else {
-		// The halves share n's arrays, which nothing writes (see route).
-		newC.Keys, newC.Children = n.c.Keys[mid:], n.c.Children[mid:]
-	}
+	newC.Recs.AppendFrom(&s.Recs, mid)
 
 	right, err := t.allocNode(newC)
 	if err != nil {
@@ -65,20 +59,15 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 
 	// Shrink the original and hook up the side pointer carrying the new
 	// node's key space description (High of n == Low of new).
-	n.c.High = sep
-	n.c.Right = right.id
-	if n.isLeaf() {
-		n.c.Recs.Truncate(mid)
-		n.raw = n.countRaw()
-	} else {
-		n.setTerms(n.c.Keys[:mid:mid], n.c.Children[:mid:mid])
-	}
+	s.High, s.Right = sep, right.id
+	s.Recs.Truncate(mid)
+	s.reindex()
+	n.install(s)
 
 	err = t.logSplit(n, right)
 	// The new half becomes reachable through n's side pointer once the
 	// caller releases n; through its page ID it has been reachable since
-	// allocNode, which is why it was born latched. Releasing it publishes
-	// its routing snapshot; n's own is republished at n's release.
+	// allocNode, which is why it was born latched.
 	t.unlatchUnpin(right, latch.Exclusive, true)
 	if err != nil {
 		return err
@@ -87,8 +76,8 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 
 	a := action{
 		kind:   actPost,
-		level:  n.level(),
-		origID: n.id, origEpoch: n.c.Epoch,
+		level:  s.Level,
+		origID: n.id, origEpoch: s.Epoch,
 		newID:  right.id,
 		sep:    sep,
 		parent: parent,
@@ -125,16 +114,12 @@ func shortestSeparator(a, b []byte) []byte {
 // fences and the separator posted one level up, so a short pick shrinks
 // every level above — the index-level analogue of leaf suffix truncation,
 // and sound under any comparator because the separator is an existing key.
-func (t *Tree) splitPoint(n *node) int {
-	keys := n.keys()
-	nk, total := len(keys), 0
+func (t *Tree) splitPoint(s *state) int {
+	r := &s.Recs
+	nk, total := r.Len(), 0
 	sizes := make([]int, nk)
-	for i, k := range keys {
-		if n.isLeaf() {
-			sizes[i] = page.EntrySize(page.Leaf, len(k), len(n.c.Recs.Val(i)))
-		} else {
-			sizes[i] = page.EntrySize(page.Index, len(k), 0)
-		}
+	for i := range sizes {
+		sizes[i] = r.Size(i)
 		total += sizes[i]
 	}
 	mid := nk / 2
@@ -150,7 +135,7 @@ func (t *Tree) splitPoint(n *node) int {
 			break
 		}
 	}
-	if n.isLeaf() {
+	if s.Kind == page.Leaf {
 		return mid
 	}
 	// Shortest-fence window selection for index nodes.
@@ -167,8 +152,8 @@ func (t *Tree) splitPoint(n *node) int {
 	}
 	best := mid
 	for i := lo; i <= hi; i++ {
-		kl := len(n.c.Keys[i])
-		bl := len(n.c.Keys[best])
+		kl := len(r.Key(i))
+		bl := len(r.Key(best))
 		if kl < bl || (kl == bl && abs(i-mid) < abs(best-mid)) {
 			best = i
 		}
@@ -191,9 +176,9 @@ func (t *Tree) logSplit(orig, right *node) error {
 		return nil
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-		orig.c.LSN = uint64(lsn)
-		right.c.LSN = uint64(lsn)
-		right.c.Epoch = uint64(lsn)
+		orig.lsn = uint64(lsn)
+		right.lsn = uint64(lsn)
+		right.c().Epoch = uint64(lsn)
 		return &wal.Record{
 			Type:   wal.TSMO,
 			SMO:    wal.SMOSplit,
@@ -212,8 +197,9 @@ func (t *Tree) logSplit(orig, right *node) error {
 // So: the merged node's header and fences, both nodes' uncompressed entries,
 // less the prefix the merged fences share.
 func (t *Tree) mergedSize(left, victim *node) int {
-	m := page.Content{Kind: left.c.Kind, Low: left.c.Low, High: victim.c.High, Compress: left.c.Compress}
-	entries := func(n *node) int { return n.raw - (&page.Content{Low: n.c.Low, High: n.c.High}).Size() }
-	nk := len(left.c.Keys) + len(victim.c.Keys) // index keys: a leaf's are never compressed
-	return m.Size() + entries(left) + entries(victim) - nk*m.PrefixLen()
+	l, v := left.c(), victim.c()
+	m := page.Content{Kind: l.Kind, Low: l.Low, High: v.High, Compress: l.Compress}
+	entries := func(s *state) int { return s.raw - (&page.Content{Low: s.Low, High: s.High}).Size() }
+	nk := l.Recs.Len() + v.Recs.Len() // a leaf's m.PrefixLen() is 0
+	return m.Size() + entries(l) + entries(v) - nk*m.PrefixLen()
 }

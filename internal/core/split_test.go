@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,11 +97,11 @@ func TestSplitPointBalancesBySize(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.insertLeafAt(i+1, []byte{byte('b' + i)}, []byte("v"))
 	}
-	mid := tr.splitPoint(n)
+	mid := tr.splitPoint(n.c())
 	if mid > 5 {
 		t.Fatalf("splitPoint = %d; size-weighted split should land early", mid)
 	}
-	if mid < 1 || mid >= n.c.Recs.Len() {
+	if mid < 1 || mid >= n.c().Recs.Len() {
 		t.Fatalf("splitPoint = %d out of range", mid)
 	}
 }
@@ -127,13 +128,14 @@ func TestSplitPointIndexPrefersShortFence(t *testing.T) {
 		c.Keys = append(c.Keys, k)
 		c.Children = append(c.Children, page.PageID(100+i))
 	}
-	n := newNode(1, c)
-	if got := tr.splitPoint(n); got != short {
+	long := c
+	long.Keys = slices.Clone(c.Keys)
+	long.Keys[short] = bytes.Repeat([]byte{'z'}, 40)
+	if got := tr.splitPoint(newNode(1, c).c()); got != short {
 		t.Fatalf("splitPoint = %d, want the short fence at %d", got, short)
 	}
 	// With no short key in the window, the choice stays near the midpoint.
-	n.c.Keys[short] = bytes.Repeat([]byte{'z'}, 40)
-	mid := tr.splitPoint(n)
+	mid := tr.splitPoint(newNode(1, long).c())
 	if abs(mid-nk/2) > nk/8+1 {
 		t.Fatalf("splitPoint = %d strayed outside the window around %d", mid, nk/2)
 	}

@@ -577,7 +577,7 @@ func TestReclaimSurvivesLongPin(t *testing.T) {
 	}
 	tr.todo.drainSpinLimit = maxActionRetries + 100 // the drain bails out, the pin held
 	tr.DrainTodo()
-	if !pinned.dead {
+	if !pinned.c().dead {
 		t.Fatal("the emptied leaf was not consolidated")
 	}
 	if n := tr.Stats().ReclaimRetry; n <= maxActionRetries+1 {

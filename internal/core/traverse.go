@@ -60,15 +60,15 @@ func (o *traverseOpts) reaches(t *Tree, sep []byte) bool {
 	return t.compare(sep, o.key) <= 0
 }
 
-// childIn returns the position of the child to descend into in an index
-// node keyed by keys with heads kh (keys[i] is child i's low fence, keys[0]
-// the node's): the last child whose key space the target reaches, or -1 when
-// the target lies below the node's low fence.
-func (o *traverseOpts) childIn(t *Tree, keys [][]byte, kh *keyHeads) int {
+// childIn returns the position of the child to descend into in index node
+// s (key i is child i's low fence, key 0 the node's): the last child whose
+// key space the target reaches, or -1 when the target lies below the node's
+// low fence.
+func (o *traverseOpts) childIn(t *Tree, s *state) int {
 	if o.below && o.key == nil {
-		return len(keys) - 1
+		return s.Recs.Len() - 1
 	}
-	i, found := t.search(keys, kh, o.key)
+	i, found := t.search(s, o.key)
 	if found && !o.below {
 		return i
 	}
@@ -106,7 +106,7 @@ restart:
 		// incarnation is on the level the mode was chosen for and leftmost
 		// on it (a former root that has since split still reaches
 		// everything from there). Otherwise retry from the new anchor.
-		n, ok := t.fetchSame(ref{id: a.id, epoch: a.node.c.Epoch}, mode, o.sp)
+		n, ok := t.fetchSame(ref{id: a.id, epoch: a.node.c().Epoch}, mode, o.sp)
 		if !ok {
 			t.c.restarts.Add(1)
 			continue restart
@@ -117,12 +117,12 @@ restart:
 			// space, so follow the side pointer. Reaching a node only via its
 			// side pointer means its index term is missing: re-discover
 			// the posting (§2.3).
-			for o.pastHigh(t, n.c.High) {
-				if n.c.Right == 0 {
+			for o.pastHigh(t, n.c().High) {
+				if n.c().Right == 0 {
 					t.unlatchUnpin(n, mode, false)
 					return nil, nil, fmt.Errorf("blinktree: node %d high fence without sibling", n.id)
 				}
-				t.enqueueSidePost(n.id, n.c.Epoch, n.c.Level, n.c.Right, n.c.High, path, o.dx)
+				t.enqueueSidePost(n.id, n.c(), path, o.dx)
 				if n, ok = t.sideStep(n, mode, couple, o.sp); !ok {
 					t.c.restarts.Add(1)
 					continue restart
@@ -136,13 +136,13 @@ restart:
 				}
 				return n, path, nil
 			}
-			// Descend, through the route of the node held Shared. The
+			// Descend, through the state of the node held Shared. The
 			// child cannot be deleted between reading its address and
 			// latching it: its deleter would need this node exclusively
 			// latched to remove the index term (latch coupling argument,
 			// §3.1.1).
 			var child page.PageID
-			if child, path = t.descendRoute(n.id, n.route.Load(), &o, path); child == 0 {
+			if child, path = t.descend(n.id, n.c(), &o, path); child == 0 {
 				t.unlatchUnpin(n, mode, false)
 				return nil, nil, fmt.Errorf("blinktree: key %q below node %d low fence", o.key, n.id)
 			}
@@ -173,7 +173,7 @@ func (t *Tree) step(n *node, m latch.Mode, next page.PageID, nm latch.Mode, coup
 // sideStep is the step to n's right sibling, in n's mode, counted as a side
 // traversal.
 func (t *Tree) sideStep(n *node, mode latch.Mode, couple bool, sp *obs.Span) (*node, bool) {
-	n, ok := t.step(n, mode, n.c.Right, mode, couple, sp)
+	n, ok := t.step(n, mode, n.c().Right, mode, couple, sp)
 	if ok {
 		t.c.sideTraversals.Add(1)
 	}
@@ -191,13 +191,13 @@ func (t *Tree) modeFor(nodeLevel, reqLevel uint8, intent latch.Mode) latch.Mode 
 }
 
 // enqueueSidePost re-discovers a missing index term on a side move from
-// node id (epoch, level): its side link — the sibling's address right and
-// key space from high, the Pi-tree property — is the complete index term to
-// post. An optimistic descent passes its route's fields: a stale snapshot
+// node id in state s: its side link — the sibling's address and key space
+// from s's high fence, the Pi-tree property — is the complete index term to
+// post. An optimistic descent passes the snapshot it read: a stale one
 // enqueues a posting that the D_D/D_X verification in processPost abandons,
 // the same safety argument as every other lazy action.
-func (t *Tree) enqueueSidePost(id page.PageID, epoch uint64, level uint8, right page.PageID, high []byte, path []pathEntry, dx uint64) {
-	if right == 0 || t.todo.postPending(id, right) {
+func (t *Tree) enqueueSidePost(id page.PageID, s *state, path []pathEntry, dx uint64) {
+	if s.Right == 0 || t.todo.postPending(id, s.Right) {
 		return // nothing to post, or already re-discovered
 	}
 	var parent ref
@@ -213,36 +213,36 @@ func (t *Tree) enqueueSidePost(id page.PageID, epoch uint64, level uint8, right 
 	t.c.postsEnqueued.Add(1)
 	t.todo.enqueue(action{
 		kind:   actPost,
-		level:  level,
-		origID: id, origEpoch: epoch,
-		newID:  right,
-		sep:    append([]byte(nil), high...),
+		level:  s.Level,
+		origID: id, origEpoch: s.Epoch,
+		newID:  s.Right,
+		sep:    append([]byte(nil), s.High...),
 		parent: parent,
 		dx:     dx,
 		dd:     dd,
 	})
 }
 
-// descendRoute is one downward step of either descent through index node
-// id, read as its route r: the child covering o's target (0 when the target
-// lies below r's key space), with the node remembered on path and checked
-// for consolidation. The latched descent passes the route of the node it
-// holds Shared, which is current: every exclusive release publishes first.
-func (t *Tree) descendRoute(id page.PageID, r *route, o *traverseOpts, path []pathEntry) (page.PageID, []pathEntry) {
-	ci := o.childIn(t, r.keys, &r.hs)
+// descend is one downward step of either descent through index node id,
+// read as its state s: the child covering o's target (0 when the target
+// lies below s's key space), with the node remembered on path and checked
+// for consolidation. The latched descent passes the state of the node it
+// holds Shared, which no one changes meanwhile.
+func (t *Tree) descend(id page.PageID, s *state, o *traverseOpts, path []pathEntry) (page.PageID, []pathEntry) {
+	ci := o.childIn(t, s)
 	if ci < 0 {
 		return 0, path
 	}
-	path = append(path, pathEntry{ref: ref{id: id, epoch: r.epoch}, level: r.level, dd: r.dd})
-	t.maybeEnqueueDelete(id, r, path, o.dx)
-	return r.children[ci], path
+	path = append(path, pathEntry{ref: ref{id: id, epoch: s.Epoch}, level: s.Level, dd: s.DD})
+	t.maybeEnqueueDelete(id, s, path, o.dx)
+	return s.Recs.Child(ci), path
 }
 
 // maybeEnqueueDelete enqueues a consolidation for an under-utilized index
-// node id seen during a descent as route r (A.1 step 5); path already ends
+// node id seen during a descent as state s (A.1 step 5); path already ends
 // with the node. The root is never consolidated, but a single-child index
 // root triggers a shrink.
-func (t *Tree) maybeEnqueueDelete(id page.PageID, r *route, path []pathEntry, dx uint64) {
+func (t *Tree) maybeEnqueueDelete(id page.PageID, s *state, path []pathEntry, dx uint64) {
 	if t.opts.NoDeleteSupport {
 		return
 	}
@@ -251,21 +251,21 @@ func (t *Tree) maybeEnqueueDelete(id page.PageID, r *route, path []pathEntry, dx
 	// Whether the node really is the root is re-verified by processShrink
 	// under the anchor.
 	if len(path) <= 1 {
-		if len(r.children) == 1 && r.right == 0 {
-			t.todo.enqueue(action{kind: actShrink, origID: id, origEpoch: r.epoch, level: r.level})
+		if s.Recs.Len() == 1 && s.Right == 0 {
+			t.todo.enqueue(action{kind: actShrink, origID: id, origEpoch: s.Epoch, level: s.Level})
 		}
 		return
 	}
-	if t.underutilizedRaw(r.size, len(r.keys)) {
-		t.enqueueDelete(r.level, ref{id: id, epoch: r.epoch}, r.low, path[len(path)-2].ref, dx)
+	if t.underutilized(s) {
+		t.enqueueDelete(s.Level, ref{id: id, epoch: s.Epoch}, s.Low, path[len(path)-2].ref, dx)
 	}
 }
 
 // maybeEnqueueLeafDelete is the leaf-level under-utilization check done by
 // read node / update node (§3.1.2–3.1.3) after an operation.
 func (t *Tree) maybeEnqueueLeafDelete(leaf *node, path []pathEntry, dx uint64) {
-	if !t.opts.NoDeleteSupport && len(path) > 0 && t.underutilized(leaf) {
-		t.enqueueDelete(leaf.level(), ref{id: leaf.id, epoch: leaf.c.Epoch}, leaf.c.Low, path[len(path)-1].ref, dx)
+	if !t.opts.NoDeleteSupport && len(path) > 0 && t.underutilized(leaf.c()) {
+		t.enqueueDelete(leaf.level(), ref{id: leaf.id, epoch: leaf.c().Epoch}, leaf.c().Low, path[len(path)-1].ref, dx)
 	}
 }
 

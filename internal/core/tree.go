@@ -155,16 +155,13 @@ func (cd codec) Unmarshal(data []byte) (buffer.Object, error) {
 	if err := page.UnmarshalInto(&c, data); err != nil {
 		return nil, err
 	}
-	n := newNode(c.ID, c)
 	// Prefix compression is a property of the tree's comparator, not of the
 	// stored image: a bytewise tree (re)compresses index pages on write-out,
 	// a custom-comparator tree never does (its key order need not preserve
 	// byte prefixes). Unmarshal already reconstructed full keys either way.
-	n.c.Compress = cd.t.bytewise
+	c.Compress = cd.t.bytewise
+	n := newNode(c.ID, c)
 	n.latch.SetRecorder(&cd.t.latchRec)
-	// The node is private until the pool publishes the frame; optimistic
-	// readers arriving later need the routing snapshot in place.
-	n.publishRoute()
 	return n, nil
 }
 
@@ -269,8 +266,8 @@ func (t *Tree) format() error {
 	}
 	if t.log != nil {
 		_, err = t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
-			root.c.LSN = uint64(lsn)
-			root.c.Epoch = uint64(lsn)
+			root.lsn = uint64(lsn)
+			root.c().Epoch = uint64(lsn)
 			return &wal.Record{
 				Type:   wal.TSMO,
 				SMO:    wal.SMOFormat,
@@ -298,15 +295,14 @@ func (t *Tree) readAnchor() (page.PageID, uint8) {
 
 // setAnchor publishes root. The caller's pin on it becomes the new record's
 // standing pin; the replaced record's is dropped. A root just built arrives
-// X-latched and is released here, routing snapshot first, before the anchor
-// can lead a reader to it. Callers hold anchorMu (format, recovery run alone).
+// X-latched and is released here, before the anchor can lead a reader to it.
+// Callers hold anchorMu (format, recovery run alone).
 func (t *Tree) setAnchor(root *node, built bool) {
 	if built {
-		root.publishRoute()
 		root.latch.Release(latch.Exclusive)
 		root.frame.MarkDirty()
 	}
-	old := t.anchor.Swap(&anchorRec{id: root.id, level: root.c.Level, node: root})
+	old := t.anchor.Swap(&anchorRec{id: root.id, level: root.c().Level, node: root})
 	if old != nil {
 		old.node.frame.Unpin(false)
 	}
@@ -340,7 +336,7 @@ func (t *Tree) fetchLive(id page.PageID, m latch.Mode, sp *obs.Span) (*node, boo
 	if err != nil {
 		return nil, false
 	}
-	if n.dead {
+	if n.c().dead {
 		t.unlatchUnpin(n, m, false)
 		return nil, false
 	}
@@ -354,21 +350,16 @@ func (t *Tree) fetchLive(id page.PageID, m latch.Mode, sp *obs.Span) (*node, boo
 // nothing is held.
 func (t *Tree) fetchSame(r ref, m latch.Mode, sp *obs.Span) (*node, bool) {
 	n, ok := t.fetchLive(r.id, m, sp)
-	if ok && n.c.Epoch != r.epoch {
+	if ok && n.c().Epoch != r.epoch {
 		t.unlatchUnpin(n, m, false)
 		return nil, false
 	}
 	return n, ok
 }
 
-// unlatchUnpin releases the latch and the pin. Every exclusive release of
-// an index node funnels through here, so this is where the routing snapshot
-// for optimistic readers is republished — after the mutation, before the
-// version word goes even again inside Release.
+// unlatchUnpin releases the latch and the pin. It publishes nothing: an
+// index node's change installed its snapshot when it was made.
 func (t *Tree) unlatchUnpin(n *node, m latch.Mode, dirty bool) {
-	if m == latch.Exclusive {
-		n.publishRoute()
-	}
 	n.latch.Release(m)
 	n.frame.Unpin(dirty)
 }
@@ -552,7 +543,7 @@ func (t *Tree) checkpointLocked() error {
 // write-back torn by a crash would leave n with no intact copy the redo
 // window can restore. The caller holds n exclusively.
 func (t *Tree) firstChange(n *node) bool {
-	return n.c.LSN <= t.ckptLSN.Load()
+	return n.lsn <= t.ckptLSN.Load()
 }
 
 // pageImage marshals n for a log record; build functions call it after
@@ -685,23 +676,17 @@ func (t *Tree) validateEntry(key, val []byte) error {
 	return nil
 }
 
-// underutilized reports whether n qualifies for consolidation. The drain
-// and ARIES/IM comparators require the node to be completely empty (§1.3:
-// "It requires waiting until a node is empty before deleting it. ... The
-// method of [15] also requires pages to be empty."); the paper's method
-// consolidates at any utilization bound.
-func (t *Tree) underutilized(n *node) bool {
-	return t.underutilizedRaw(n.logicalSize(), len(n.c.Keys)+n.c.Recs.Len())
-}
-
-// underutilizedRaw is the underutilized policy on raw numbers, shared with
-// the optimistic read path (which works from routing snapshots, not nodes).
-func (t *Tree) underutilizedRaw(size, nkeys int) bool {
+// underutilized reports whether a node in state s qualifies for
+// consolidation. The drain and ARIES/IM comparators require the node to be
+// completely empty (§1.3: "It requires waiting until a node is empty before
+// deleting it. ... The method of [15] also requires pages to be empty.");
+// the paper's method consolidates at any utilization bound.
+func (t *Tree) underutilized(s *state) bool {
 	if t.opts.MinFill <= 0 {
 		return false
 	}
 	if t.opts.DeletePolicy == Drain || t.opts.SerializeSMO {
-		return nkeys == 0
+		return s.Recs.Len() == 0
 	}
-	return float64(size) < t.opts.MinFill*float64(t.opts.PageSize)
+	return float64(s.raw) < t.opts.MinFill*float64(t.opts.PageSize)
 }

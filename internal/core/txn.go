@@ -351,7 +351,7 @@ func (x *Txn) Get(key []byte) ([]byte, error) {
 	pos, found := leaf.searchLeaf(t, key)
 	var val []byte
 	if found {
-		val = append([]byte(nil), leaf.c.Recs.Val(pos)...)
+		val = append([]byte(nil), leaf.c().Recs.Val(pos)...)
 	}
 	t.maybeEnqueueLeafDelete(leaf, path, dx)
 	t.unlatchUnpin(leaf, latch.Shared, false)
@@ -394,7 +394,7 @@ func (x *Txn) Put(key, val []byte) error {
 	var old []byte
 	if pos, found := leaf.searchLeaf(t, key); found {
 		op = wal.OpUpdate
-		old = append([]byte(nil), leaf.c.Recs.Val(pos)...)
+		old = append([]byte(nil), leaf.c().Recs.Val(pos)...)
 	}
 	lsn, updated, err := t.putOnLeaf(leaf, path, dx, recOpParams{txn: x.id, prevLSN: x.last(), sp: sp}, key, val)
 	if err != nil {
@@ -441,7 +441,7 @@ func (x *Txn) Delete(key []byte) error {
 	}
 	var old []byte
 	if pos, found := leaf.searchLeaf(t, key); found {
-		old = append([]byte(nil), leaf.c.Recs.Val(pos)...)
+		old = append([]byte(nil), leaf.c().Recs.Val(pos)...)
 	}
 	lsn, err := t.deleteOnLeaf(leaf, path, dx, recOpParams{txn: x.id, prevLSN: x.last(), sp: sp}, key)
 	if err != nil {

@@ -39,11 +39,11 @@ func (t *Tree) Verify() error {
 			if err != nil {
 				return fmt.Errorf("verify: fetch leftmost %d: %w", leftmost, err)
 			}
-			if len(first.c.Children) == 0 {
+			if first.c().Recs.Len() == 0 {
 				t.unpin(first)
 				return fmt.Errorf("verify: index node %d at level %d has no children", first.id, lvl)
 			}
-			next := first.c.Children[0]
+			next := first.c().Recs.Child(0)
 			t.unpin(first)
 			// Verify child links of the whole level point into the chain
 			// one level down (checked inside verifyLevel via child.Low).
@@ -66,7 +66,7 @@ func (t *Tree) verifyLevel(start page.PageID, lvl uint8) ([]page.PageID, error) 
 		if err != nil {
 			return nil, fmt.Errorf("verify: level %d fetch %d: %w", lvl, id, err)
 		}
-		if n.dead {
+		if n.c().dead {
 			t.unpin(n)
 			return nil, fmt.Errorf("verify: dead node %d reachable at level %d", id, lvl)
 		}
@@ -75,29 +75,29 @@ func (t *Tree) verifyLevel(start page.PageID, lvl uint8) ([]page.PageID, error) 
 			return nil, fmt.Errorf("verify: node %d has level %d, expected %d", id, n.level(), lvl)
 		}
 		if first {
-			if len(n.c.Low) != 0 {
+			if len(n.c().Low) != 0 {
 				t.unpin(n)
-				return nil, fmt.Errorf("verify: leftmost node %d at level %d has low %q, want -inf", id, lvl, n.c.Low)
+				return nil, fmt.Errorf("verify: leftmost node %d at level %d has low %q, want -inf", id, lvl, n.c().Low)
 			}
 			first = false
-		} else if !bytes.Equal(prevHigh, n.c.Low) {
+		} else if !bytes.Equal(prevHigh, n.c().Low) {
 			t.unpin(n)
-			return nil, fmt.Errorf("verify: chain gap at level %d: prev high %q != node %d low %q", lvl, prevHigh, id, n.c.Low)
+			return nil, fmt.Errorf("verify: chain gap at level %d: prev high %q != node %d low %q", lvl, prevHigh, id, n.c().Low)
 		}
 		if err := t.verifyNode(n); err != nil {
 			t.unpin(n)
 			return nil, err
 		}
 		ids = append(ids, id)
-		prevHigh = n.c.High
-		next := n.c.Right
-		if n.c.High == nil && next != 0 {
+		prevHigh = n.c().High
+		next := n.c().Right
+		if n.c().High == nil && next != 0 {
 			t.unpin(n)
 			return nil, fmt.Errorf("verify: node %d has +inf high but sibling %d", id, next)
 		}
-		if n.c.High != nil && next == 0 {
+		if n.c().High != nil && next == 0 {
 			t.unpin(n)
-			return nil, fmt.Errorf("verify: node %d has high %q but no sibling", id, n.c.High)
+			return nil, fmt.Errorf("verify: node %d has high %q but no sibling", id, n.c().High)
 		}
 		t.unpin(n)
 		id = next
@@ -107,56 +107,56 @@ func (t *Tree) verifyLevel(start page.PageID, lvl uint8) ([]page.PageID, error) 
 
 // verifyNode checks one node's internal invariants.
 func (t *Tree) verifyNode(n *node) error {
-	// Slice-shape checks come first: a leaf's records are in Recs only.
-	if n.isLeaf() && len(n.c.Keys)+len(n.c.Vals) > 0 {
-		return fmt.Errorf("verify: leaf %d has entries outside its records", n.id)
+	s := n.c()
+	// Shape checks come first: a node's entries are in Recs only.
+	if len(s.Keys)+len(s.Vals)+len(s.Children) > 0 {
+		return fmt.Errorf("verify: %s %d has entries outside its records", s.Kind, n.id)
 	}
-	if !n.isLeaf() && len(n.c.Children) != len(n.c.Keys) {
-		return fmt.Errorf("verify: index %d has %d keys, %d children", n.id, len(n.c.Keys), len(n.c.Children))
-	}
-	if want := n.countRaw(); n.raw != want {
-		return fmt.Errorf("verify: node %d cached size %d, recount %d", n.id, n.raw, want)
+	if want := s.countRaw(); s.raw != want {
+		return fmt.Errorf("verify: node %d cached size %d, recount %d", n.id, s.raw, want)
 	}
 	if n.size() > t.opts.PageSize {
 		return fmt.Errorf("verify: node %d size %d exceeds page size %d", n.id, n.size(), t.opts.PageSize)
 	}
-	if n.c.High != nil && t.cmp(n.c.Low, n.c.High) >= 0 {
-		return fmt.Errorf("verify: node %d fences inverted: [%q, %q)", n.id, n.c.Low, n.c.High)
+	if s.High != nil && t.cmp(s.Low, s.High) >= 0 {
+		return fmt.Errorf("verify: node %d fences inverted: [%q, %q)", n.id, s.Low, s.High)
 	}
-	keys := n.keys()
-	for i, k := range keys {
-		if i > 0 && t.cmp(keys[i-1], k) >= 0 {
+	r := &s.Recs
+	for i := range r.Len() {
+		k := r.Key(i)
+		if i > 0 && t.cmp(r.Key(i-1), k) >= 0 {
 			return fmt.Errorf("verify: node %d keys out of order at %d", n.id, i)
 		}
-		if t.cmp(k, n.c.Low) < 0 {
-			return fmt.Errorf("verify: node %d key %q below low fence %q", n.id, k, n.c.Low)
+		if t.cmp(k, s.Low) < 0 {
+			return fmt.Errorf("verify: node %d key %q below low fence %q", n.id, k, s.Low)
 		}
-		if n.c.High != nil && t.cmp(k, n.c.High) >= 0 {
-			return fmt.Errorf("verify: node %d key %q at/above high fence %q", n.id, k, n.c.High)
+		if s.High != nil && t.cmp(k, s.High) >= 0 {
+			return fmt.Errorf("verify: node %d key %q at/above high fence %q", n.id, k, s.High)
 		}
+	}
+	if s.Kind == page.Leaf {
+		return nil
 	}
 	if t.bytewise {
 		var want keyHeads
-		want.rebuild(n.c.Keys)
-		if want.pfx != n.hs.pfx || !slices.Equal(want.h, n.hs.h) {
-			return fmt.Errorf("verify: node %d key heads stale (prefix %d, recount %d)", n.id, n.hs.pfx, want.pfx)
+		want.rebuild(&s.Recs)
+		if want.pfx != s.hs.pfx || !slices.Equal(want.h, s.hs.h) {
+			return fmt.Errorf("verify: node %d key heads stale (prefix %d, recount %d)", n.id, s.hs.pfx, want.pfx)
 		}
 	}
-	if n.isLeaf() {
-		return nil
-	}
-	if len(n.c.Keys) == 0 {
+	if r.Len() == 0 {
 		return fmt.Errorf("verify: index node %d is empty", n.id)
 	}
-	if !bytes.Equal(n.c.Keys[0], n.c.Low) {
-		return fmt.Errorf("verify: index %d keys[0] %q != low %q", n.id, n.c.Keys[0], n.c.Low)
+	if !bytes.Equal(r.Key(0), s.Low) {
+		return fmt.Errorf("verify: index %d keys[0] %q != low %q", n.id, r.Key(0), s.Low)
 	}
-	for i, childID := range n.c.Children {
+	for i := range r.Len() {
+		childID := r.Child(i)
 		child, err := t.fetch(childID)
 		if err != nil {
 			return fmt.Errorf("verify: index %d child %d: %w", n.id, childID, err)
 		}
-		if child.dead {
+		if child.c().dead {
 			t.unpin(child)
 			return fmt.Errorf("verify: index %d references dead child %d", n.id, childID)
 		}
@@ -164,9 +164,9 @@ func (t *Tree) verifyNode(n *node) error {
 			t.unpin(child)
 			return fmt.Errorf("verify: index %d (level %d) child %d has level %d", n.id, n.level(), childID, child.level())
 		}
-		if !bytes.Equal(child.c.Low, n.c.Keys[i]) {
+		if !bytes.Equal(child.c().Low, r.Key(i)) {
 			t.unpin(child)
-			return fmt.Errorf("verify: index %d term %q != child %d low %q", n.id, n.c.Keys[i], childID, child.c.Low)
+			return fmt.Errorf("verify: index %d term %q != child %d low %q", n.id, r.Key(i), childID, child.c().Low)
 		}
 		t.unpin(child)
 	}
@@ -184,8 +184,8 @@ func (t *Tree) verifyLeafOrder() error {
 		if err != nil {
 			return err
 		}
-		for i := range n.c.Recs.Len() {
-			k := n.c.Recs.Key(i)
+		for i := range n.c().Recs.Len() {
+			k := n.c().Recs.Key(i)
 			if prev != nil && t.cmp(prev, k) >= 0 {
 				t.unpin(n)
 				return fmt.Errorf("verify: leaf chain order violation at key %q (prev %q)", k, prev)

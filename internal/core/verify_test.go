@@ -55,7 +55,7 @@ func expectViolation(t *testing.T, tr *Tree, substr string) {
 func TestVerifyDetectsKeyOrderViolation(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		if r := &n.c.Recs; r.Len() >= 2 {
+		if r := &n.c().Recs; r.Len() >= 2 {
 			k, v := r.Key(0), r.Val(0)
 			r.Delete(0)
 			r.Insert(1, k, v)
@@ -67,10 +67,10 @@ func TestVerifyDetectsKeyOrderViolation(t *testing.T) {
 func TestVerifyDetectsFenceViolation(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		v := n.c.Recs.Val(0)
-		n.c.Recs.Delete(0)
-		n.c.Recs.Insert(0, []byte("\x00below-everything"), v)
-		n.raw = n.countRaw()
+		v := n.c().Recs.Val(0)
+		n.c().Recs.Delete(0)
+		n.c().Recs.Insert(0, []byte("\x00below-everything"), v)
+		n.c().raw = n.c().countRaw()
 	})
 	expectViolation(t, tr, "below")
 }
@@ -80,7 +80,9 @@ func TestVerifyDetectsChainGap(t *testing.T) {
 	withNode(t, tr, 0, 0, func(n *node) {
 		// Extending the leftmost leaf's high fence keeps its own
 		// invariants intact but breaks High == right sibling's Low.
-		n.setHigh(append(n.c.High, 'x'))
+		s := n.c()
+		s.raw++
+		s.High = append(s.High, 'x')
 	})
 	expectViolation(t, tr, "chain gap")
 }
@@ -90,7 +92,7 @@ func TestVerifyDetectsChainGap(t *testing.T) {
 func TestVerifyDetectsStaleCachedSize(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 1, 0, func(n *node) {
-		n.c.Recs.Set(0, append(bytes.Clone(n.c.Recs.Val(0)), 'x'))
+		n.c().Recs.Set(0, append(bytes.Clone(n.c().Recs.Val(0)), 'x'))
 	})
 	expectViolation(t, tr, "cached size")
 }
@@ -104,10 +106,11 @@ func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
 	var id page.PageID
 	stale := func(n *node) {
 		id = n.id
-		// Copy-on-write, as every mutator: the route shares the heads.
-		h := slices.Clone(n.hs.h)
-		h[len(h)-1]++
-		n.hs.h = h
+		// Copy-on-write, as every edit of an index node.
+		s := n.edit()
+		s.hs.h = slices.Clone(s.hs.h)
+		s.hs.h[len(s.hs.h)-1]++
+		n.install(s)
 	}
 	withNode(t, tr, 0, 1, stale)
 	expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
@@ -129,9 +132,15 @@ func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
 		t.Skip("tree too small")
 	}
 	withNode(t, tr, 0, 1, func(n *node) {
-		if len(n.c.Keys) >= 2 {
-			n.c.Keys[1] = append(n.c.Keys[1], 'z')
+		s := n.edit()
+		if s.Recs.Len() < 2 {
+			t.Fatalf("index node %d has %d terms", n.id, s.Recs.Len())
 		}
+		k, child := append(bytes.Clone(s.Recs.Key(1)), 'z'), s.Recs.Child(1)
+		s.Recs.Delete(1)
+		s.Recs.InsertChild(1, k, child)
+		s.reindex()
+		n.install(s)
 	})
 	// Either the child-low/term mismatch or the chain invariant trips.
 	if err := tr.Verify(); err == nil {
@@ -142,9 +151,29 @@ func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
 func TestVerifyDetectsMismatchedVals(t *testing.T) {
 	tr := buildVerifyTree(t)
 	withNode(t, tr, 0, 0, func(n *node) {
-		n.c.Vals = [][]byte{[]byte("stray")}
+		n.c().Vals = [][]byte{[]byte("stray")}
 	})
 	expectViolation(t, tr, "outside its records")
+}
+
+// TestVerifyDetectsIndexEntriesOutsideRecords: a resident index node holds
+// its entries in Recs only; Keys and Children are encoder input, and one
+// left on a node is a copy no search reads.
+func TestVerifyDetectsIndexEntriesOutsideRecords(t *testing.T) {
+	for name, set := range map[string]func(s *state){
+		"keys":     func(s *state) { s.Keys = [][]byte{s.Low} },
+		"children": func(s *state) { s.Children = []page.PageID{s.Recs.Child(0)} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := buildVerifyTree(t)
+			withNode(t, tr, 0, 1, func(n *node) {
+				s := n.edit()
+				set(s)
+				n.install(s)
+			})
+			expectViolation(t, tr, "outside its records")
+		})
+	}
 }
 
 func TestNodeSnapshotAndLevelNodes(t *testing.T) {
@@ -218,7 +247,7 @@ func TestMergedSizeIsExact(t *testing.T) {
 		}
 		left, victim := build(tc.low, tc.mid, tc.leftKeys), build(tc.mid, tc.high, tc.victimKeys)
 		merged := build(tc.low, tc.high, append(append([]string(nil), tc.leftKeys...), tc.victimKeys...))
-		if got, want := tr.mergedSize(left, victim), merged.c.Size(); got != want {
+		if got, want := tr.mergedSize(left, victim), merged.c().Size(); got != want {
 			t.Errorf("%v [%q,%q)+[%q,%q): mergedSize = %d, merged content is %d", tc.kind, tc.low, tc.mid, tc.mid, tc.high, got, want)
 		}
 	}

@@ -54,10 +54,20 @@ func (k Kind) String() string {
 // any synchronization state: latches, pins and to-do bookkeeping are volatile
 // and live in the in-memory node wrapper (internal/core).
 type Content struct {
-	ID    PageID
 	Kind  Kind
 	Level uint8 // 0 for leaves, parent-of-leaf is 1
-	LSN   uint64
+
+	// Compress requests fence-key prefix compression when this content is
+	// marshaled (index nodes only). Under bytewise key ordering every key k
+	// in an index node satisfies Low <= k < High, which forces k to carry
+	// the common byte prefix of Low and High; Marshal stores keys with that
+	// prefix stripped and Unmarshal reconstructs them, so the compression
+	// is invisible above this package. The field is volatile intent, not
+	// serialized state: the tree sets it only under the default bytewise
+	// comparator (a custom comparator does not guarantee the prefix
+	// property) and Unmarshal sets it when the image's flag bit says the
+	// keys were stored stripped.
+	Compress bool
 
 	// Right is the side pointer; InvalidPage when this node is the
 	// rightmost at its level. The side link's key-space description is
@@ -83,32 +93,23 @@ type Content struct {
 	Low  []byte
 	High []byte
 
-	// Compress requests fence-key prefix compression when this content is
-	// marshaled (index nodes only). Under bytewise key ordering every key k
-	// in an index node satisfies Low <= k < High, which forces k to carry
-	// the common byte prefix of Low and High; Marshal stores keys with that
-	// prefix stripped and Unmarshal reconstructs them, so the compression
-	// is invisible above this package. The field is volatile intent, not
-	// serialized state: the tree sets it only under the default bytewise
-	// comparator (a custom comparator does not guarantee the prefix
-	// property) and Unmarshal sets it when the image's flag bit says the
-	// keys were stored stripped.
-	Compress bool
-
-	// Keys are the separator keys of an index page, sorted. A leaf's
-	// records are in Recs once decoded; Keys and Vals are the form a
-	// writer may build a new leaf in for Marshal (the bulk load does), and
-	// a leaf uses one form or the other, never both.
-	Keys [][]byte
-	// Vals holds the record values of a leaf built in that form.
-	Vals [][]byte
-	// Children holds child pointers; used only when Kind == Index.
-	// Children[i] covers [Keys[i], Keys[i+1]) with Children[len-1]
-	// covering [Keys[len-1], High). An index node with n keys has n
-	// children; the node's Low equals Keys[0].
-	Children []PageID
-	// Recs holds a decoded or resident leaf's records in place.
+	// Recs holds a decoded or resident node's entries in place. (The
+	// fields a descent reads come first, so they share few cache lines.)
 	Recs Records
+
+	ID  PageID
+	LSN uint64
+
+	// Keys, Vals and Children are the form a writer builds a page in for
+	// Marshal (the bulk load and format do): a leaf's keys and values, or
+	// an index page's sorted separator keys and child pointers, where
+	// Children[i] covers [Keys[i], Keys[i+1]) and Children[len-1] covers
+	// [Keys[len-1], High), and Keys[0] equals Low. They are encoder input
+	// only: Unmarshal fills Recs, Pack moves them there, and a content
+	// uses one form or the other, never both.
+	Keys     [][]byte
+	Vals     [][]byte
+	Children []PageID
 }
 
 // Serialization layout (little endian):
@@ -204,7 +205,22 @@ func (c *Content) Size() int {
 			n += 8
 		}
 	}
-	return n - len(c.Keys)*c.PrefixLen()
+	return n - (len(c.Keys)+c.Recs.Len())*c.PrefixLen()
+}
+
+// Pack moves entries built in Keys, Vals and Children into Recs: the form a
+// resident node holds. A content with no entries gets an empty Records in
+// its kind's layout.
+func (c *Content) Pack() {
+	r := Records{index: c.Kind == Index}
+	for i, k := range c.Keys {
+		if r.index {
+			r.InsertChild(i, k, c.Children[i])
+		} else {
+			r.Insert(i, k, c.Vals[i])
+		}
+	}
+	c.Keys, c.Vals, c.Children, c.Recs = nil, nil, nil, r
 }
 
 // EntrySize returns the marshaled size of one entry with the given key and
@@ -243,7 +259,8 @@ func MarshalInto(c *Content, buf []byte) error {
 		// only ordering the tree sets Compress under. A violation here
 		// means the caller compressed under a comparator that does not
 		// preserve the prefix property.
-		for i, k := range c.Keys {
+		for i := range len(c.Keys) + c.Recs.Len() {
+			k := c.key(i)
 			if len(k) < cp || string(k[:cp]) != string(c.Low[:cp]) {
 				return fmt.Errorf("page: key %d lacks fence prefix under compression", i)
 			}
@@ -272,23 +289,22 @@ func MarshalInto(c *Content, buf []byte) error {
 	p := offPayload
 	p += copy(buf[p:], c.Low)
 	p += copy(buf[p:], c.High)
+	// Keys are stored stripped when compression is in effect (cp == 0
+	// otherwise, and always for a leaf).
 	for i, k := range c.Keys {
-		k = k[cp:] // stored stripped when compression is in effect (cp == 0 otherwise)
-		binary.LittleEndian.PutUint16(buf[p:], uint16(len(k)))
-		p += 2
-		p += copy(buf[p:], k)
 		if c.Kind == Leaf {
-			v := c.Vals[i]
-			binary.LittleEndian.PutUint16(buf[p:], uint16(len(v)))
-			p += 2
-			p += copy(buf[p:], v)
+			p += putRecord(buf[p:], k, c.Vals[i])
 		} else {
-			binary.LittleEndian.PutUint64(buf[p:], uint64(c.Children[i]))
-			p += 8
+			p += putTerm(buf[p:], k[cp:], c.Children[i])
 		}
 	}
 	for i := range c.Recs.slots {
-		p += copy(buf[p:], c.Recs.record(i))
+		rec := c.Recs.record(i)
+		if cp > 0 {
+			binary.LittleEndian.PutUint16(buf[p:], uint16(len(rec)-10-cp))
+			p, rec = p+2, rec[2+cp:]
+		}
+		p += copy(buf[p:], rec)
 	}
 	clear(buf[p:])
 	binary.LittleEndian.PutUint32(buf[offCRC:], crc32.Checksum(buf[crcStart:p], castagnoli))
@@ -306,16 +322,16 @@ func Unmarshal(buf []byte) (*Content, error) {
 
 // UnmarshalInto parses a page image produced by Marshal into c and takes
 // ownership of buf: the caller must not modify it afterwards, and the decoder
-// writes nothing. A leaf's records are decoded in place, a Records over buf,
-// so its decode is the checksum, one walk that fills the slots and a copy of
-// the fences. An index page's fences and keys — prefix-compressed keys
-// rebuilt in full — are copied into one dense arena, so its search touches
-// contiguous memory and the node does not retain its image. Every slice has
-// cap == len and none may be written through, which is what lets slices move
-// between nodes (split, consolidate), into WAL records and into route
-// snapshots without copying. The one sanctioned reuse of buf: once a leaf is
-// dropped while c.Recs is still Untouched, nothing it handed out outlives its
-// readers, and the buffer pool reads the next page into buf (DESIGN.md §4b).
+// writes nothing. A page's entries are decoded in place, a Records over buf,
+// so a decode is the checksum, one walk that fills the slots and a copy of
+// the fences — except on an index page stored with its fence prefix
+// stripped, whose entries are rebuilt in full, behind the fences, in one
+// buffer the page owns. Every slice has cap == len and none may be written
+// through, which is what lets slices move between nodes (split,
+// consolidate), into WAL records and into snapshots without copying. The
+// one sanctioned reuse of buf: once a leaf is dropped while c.Recs is still
+// Untouched, nothing it handed out outlives its readers, and the buffer pool
+// reads the next page into buf (DESIGN.md §4b).
 func UnmarshalInto(c *Content, buf []byte) error {
 	if len(buf) < headerSize || string(buf[0:4]) != magic {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -358,14 +374,11 @@ func UnmarshalInto(c *Content, buf []byte) error {
 		}
 	}
 
-	// One walk bounds-checks every length before anything is sliced by it,
-	// sizes an index page's arena and fills a leaf's slots. The checksum
-	// covers exactly the bytes walked.
-	var slots []uint32
-	if c.Kind == Leaf {
-		slots = make([]uint32, nkeys)
-	}
-	arenaLen, p := lowLen+highLen, entries
+	// One walk bounds-checks every length before anything is sliced by it
+	// and fills the slots. The checksum covers exactly the bytes walked.
+	index := c.Kind == Index
+	slots := make([]uint32, nkeys)
+	p := entries
 	for i := 0; i < nkeys; i++ {
 		if p+2 > len(buf) {
 			return fmt.Errorf("%w: truncated key length at offset %d", ErrCorrupt, p)
@@ -374,13 +387,12 @@ func UnmarshalInto(c *Content, buf []byte) error {
 		if cp+klen > maxEntryLen {
 			return fmt.Errorf("%w: key %d longer than %d", ErrCorrupt, i, maxEntryLen)
 		}
-		if c.Kind == Index {
-			arenaLen += cp + klen
-			p += 2 + klen + 8
+		slots[i] = uint32(p)
+		if p += 2 + klen; index {
+			p += 8
 			continue
 		}
-		slots[i] = uint32(p)
-		if p += 2 + klen; p+2 > len(buf) {
+		if p+2 > len(buf) {
 			return fmt.Errorf("%w: truncated value length at offset %d", ErrCorrupt, p)
 		}
 		p += 2 + int(binary.LittleEndian.Uint16(buf[p:]))
@@ -392,36 +404,42 @@ func UnmarshalInto(c *Content, buf []byte) error {
 	if got := crc32.Checksum(buf[crcStart:p], castagnoli); got != want {
 		return fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
-	// The fences, and an index page's keys, are copied into one arena: what
-	// a node keeps of its image is its records, and only while unwritten.
-	arena := make([]byte, arenaLen)
+	// The fences are copied into an arena, and behind them the entries of
+	// a page stored stripped, rebuilt with the prefix: what a node keeps of
+	// its image is its entries, and a leaf's only while unwritten.
+	c.Recs = Records{buf: buf, slots: slots, tail: len(buf), bytes: p - entries, image: true, index: index}
+	rebuilt := 0
+	if cp > 0 {
+		rebuilt = c.Recs.bytes + nkeys*cp
+	}
+	arena := make([]byte, lowLen+highLen+rebuilt)
 	a := copy(arena, c.Low)
 	c.Low = arena[:a:a]
 	if c.High != nil {
 		b := a + copy(arena[a:], c.High)
 		c.High, a = arena[a:b:b], b
 	}
-	if c.Kind == Leaf {
-		c.Recs = Records{buf: buf, slots: slots, tail: len(buf), bytes: p - entries, image: true}
+	if cp == 0 {
 		return nil
 	}
-
-	// Second walk, index pages only: the lengths are the ones just validated.
-	c.Keys, c.Children = make([][]byte, nkeys), make([]PageID, nkeys)
-	p = entries
-	for i := range c.Keys {
-		klen := int(binary.LittleEndian.Uint16(buf[p:]))
-		p += 2
-		b := a
-		if cp > 0 {
-			b += copy(arena[a:], c.Low[:cp]) // the elided fence prefix
-		}
-		b += copy(arena[b:], buf[p:p+klen])
-		c.Keys[i], a = arena[a:b:b], b
-		c.Children[i] = PageID(binary.LittleEndian.Uint64(buf[p+klen:]))
-		p += klen + 8
+	b, o := arena[a:], 0
+	for i, q := range slots {
+		klen := int(binary.LittleEndian.Uint16(buf[q:]))
+		slots[i] = uint32(o)
+		binary.LittleEndian.PutUint16(b[o:], uint16(cp+klen))
+		o += 2 + copy(b[o+2:], c.Low[:cp])
+		o += copy(b[o:], buf[int(q)+2:int(q)+2+klen+8])
 	}
+	c.Recs = Records{buf: b, slots: slots, tail: len(b), bytes: len(b), index: true}
 	return nil
+}
+
+// key returns key i of either form.
+func (c *Content) key(i int) []byte {
+	if i < len(c.Keys) {
+		return c.Keys[i]
+	}
+	return c.Recs.Key(i - len(c.Keys))
 }
 
 // validate checks structural consistency before marshaling.
@@ -432,7 +450,7 @@ func (c *Content) validate() error {
 	if c.Kind == Leaf && len(c.Vals) != len(c.Keys) {
 		return fmt.Errorf("page: leaf with %d keys, %d vals", len(c.Keys), len(c.Vals))
 	}
-	if c.Recs.Len() > 0 && (len(c.Keys) > 0 || c.Kind == Index) {
+	if c.Recs.Len() > 0 && (len(c.Keys) > 0 || c.Recs.index != (c.Kind == Index)) {
 		return fmt.Errorf("page: %s with records in two forms", c.Kind)
 	}
 	if c.Kind == Index && len(c.Children) != len(c.Keys) {

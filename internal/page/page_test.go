@@ -50,17 +50,24 @@ func TestRoundTripLeaf(t *testing.T) {
 	}
 }
 
-// flat returns c with a leaf's records moved from Recs into Keys and Vals,
-// the form a writer builds a leaf in, so a decoded page compares with the
-// content it was marshaled from.
+// flat returns c with its entries moved from Recs into Keys and Vals or
+// Children, the form a writer builds a page in, so a decoded page compares
+// with the content it was marshaled from.
 func flat(c *Content) *Content {
-	if c.Kind != Leaf {
-		return c
-	}
 	f := *c
-	f.Keys, f.Vals, f.Recs = [][]byte{}, [][]byte{}, Records{}
+	f.Keys, f.Recs = [][]byte{}, Records{}
+	if c.Kind == Leaf {
+		f.Vals = [][]byte{}
+	} else {
+		f.Children = []PageID{}
+	}
 	for i := range c.Recs.Len() {
-		f.Keys, f.Vals = append(f.Keys, c.Recs.Key(i)), append(f.Vals, c.Recs.Val(i))
+		f.Keys = append(f.Keys, c.Recs.Key(i))
+		if c.Kind == Leaf {
+			f.Vals = append(f.Vals, c.Recs.Val(i))
+		} else {
+			f.Children = append(f.Children, c.Recs.Child(i))
+		}
 	}
 	return &f
 }
@@ -103,10 +110,10 @@ func TestRoundTripIndex(t *testing.T) {
 	if got.High != nil {
 		t.Fatalf("High = %q, want nil (+inf)", got.High)
 	}
-	if !reflect.DeepEqual(c.Children, got.Children) {
+	if got := flat(got); !reflect.DeepEqual(c.Children, got.Children) {
 		t.Fatalf("children mismatch: %v vs %v", got.Children, c.Children)
 	}
-	if !reflect.DeepEqual(c, got) {
+	if got := flat(got); !reflect.DeepEqual(c, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
 }
@@ -248,9 +255,10 @@ func TestUnmarshalRejectsOversizedRebuiltKey(t *testing.T) {
 	}
 }
 
-// TestUnmarshalOwnership pins the decode contract: a leaf's keys and values
-// are views of the image handed over; fences and an index page's keys are
-// arena copies (a node keeps no view of its image but its records); every
+// TestUnmarshalOwnership pins the decode contract: a page's entries are
+// views of the image handed over, but for an index page stored with its
+// fence prefix stripped, whose keys are rebuilt in an arena; fences are
+// arena copies (a node keeps no view of its image but its entries); every
 // slice is cap-limited so an append can never grow into a neighbour; and the
 // decoder itself never writes the image.
 func TestUnmarshalOwnership(t *testing.T) {
@@ -280,17 +288,16 @@ func TestUnmarshalOwnership(t *testing.T) {
 			if view(got.Low, c.Low) && len(c.Low) > 0 || view(got.High, c.High) && len(c.High) > 0 {
 				t.Fatal("a fence follows the image: fences must be arena copies")
 			}
-			for i, k := range got.Keys {
-				if len(k) > 0 && view(k, c.Keys[i]) {
-					t.Fatalf("index key %d follows the image: it must be an arena copy", i)
-				}
+			if len(got.Keys)+len(got.Vals)+len(got.Children) > 0 || got.Recs.Len() != len(c.Keys) {
+				t.Fatalf("%s decoded into %d keys and %d records, want %d records", c.Kind, len(got.Keys), got.Recs.Len(), len(c.Keys))
 			}
-			if len(got.Vals) > 0 || leaf && got.Recs.Len() != len(c.Keys) {
-				t.Fatalf("leaf decoded into %d values and %d records, want %d records", len(got.Vals), got.Recs.Len(), len(c.Keys))
-			}
+			stripped := c.PrefixLen() > 0
 			for i := range got.Recs.Len() {
-				if !view(g.Keys[i], c.Keys[i]) || !view(g.Vals[i], c.Vals[i]) {
+				if leaf && (!view(g.Keys[i], c.Keys[i]) || !view(g.Vals[i], c.Vals[i])) {
 					t.Fatalf("record %d was copied: a leaf's keys and values must be views of the image", i)
+				}
+				if !leaf && len(c.Keys[i]) > 0 && view(g.Keys[i], c.Keys[i]) == stripped {
+					t.Fatalf("index key %d: a view of the image is wanted exactly when the page was not stored stripped (%v)", i, !stripped)
 				}
 			}
 		})
@@ -310,7 +317,10 @@ func checkCapLimited(t *testing.T, c *Content) {
 		}
 	}
 	for i := range c.Recs.Len() {
-		if k, v := c.Recs.Key(i), c.Recs.Val(i); cap(k) != len(k) || cap(v) != len(v) {
+		if k := c.Recs.Key(i); cap(k) != len(k) {
+			t.Fatalf("entry %d has cap > len", i)
+		}
+		if v := c.Recs.Val; c.Kind == Leaf && cap(v(i)) != len(v(i)) {
 			t.Fatalf("record %d has cap > len", i)
 		}
 	}
@@ -467,11 +477,11 @@ func pageFixtures() map[string]*Content {
 }
 
 // BenchmarkUnmarshal decodes a full leaf and a prefix-compressed index page.
-// The allocation counts are gates, not reports: a leaf decodes into its
-// Content and one slot array, an index page into its Content, one arena and
-// two slices; neither ever allocates per entry.
+// The allocation counts are gates, not reports: either page decodes into one
+// slot array and one arena, for its fences and, on a page stored stripped,
+// its rebuilt entries; neither ever allocates per entry.
 func BenchmarkUnmarshal(b *testing.B) {
-	for name, gate := range map[string]float64{"leaf": 2, "index": 4} {
+	for name, gate := range map[string]float64{"leaf": 2, "index": 2} {
 		b.Run(name, func(b *testing.B) {
 			img, err := Marshal(pageFixtures()[name], 4096)
 			if err != nil {

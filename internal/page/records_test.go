@@ -99,3 +99,73 @@ func mustMarshal(t *testing.T, c *Content) []byte {
 	}
 	return b
 }
+
+// TestIndexRecordsCopyOnWrite drives decoded index Records — one rebuilt
+// from a page stored stripped, one still reading its image — through random
+// inserts, deletes, truncations and appends against a sorted model, taking a
+// copy of the struct before every step, as an index node hands its snapshot
+// to latch-free readers before each change. After every step the Records
+// encodes to the bytes the model marshals to, and every copy taken still
+// holds the slots and reads the entries it did when it was taken: the last
+// 16 after each step, all of them every 250 steps.
+func TestIndexRecordsCopyOnWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, name := range []string{"index", "inf-index"} {
+		start := pageFixtures()[name]
+		c, err := Unmarshal(mustMarshal(t, start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.High = nil // room for keys past the fixture's
+		keys, kids := slices.Clone(start.Keys), slices.Clone(start.Children)
+		type held struct {
+			r     Records
+			slots []uint32
+			keys  [][]byte
+			kids  []PageID
+		}
+		var copies []held
+		r := &c.Recs
+		for step := 0; step < 1001; step++ {
+			copies = append(copies, held{*r, slices.Clone(r.slots), slices.Clone(keys), slices.Clone(kids)})
+			k := append(slices.Clone(keys[0]), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			i, found := slices.BinarySearchFunc(keys, k, bytes.Compare)
+			switch op := rng.Intn(10); {
+			case !found && op < 5 && c.Size()+EntrySize(Index, len(k), 0) < 3400:
+				child := PageID(rng.Intn(1000))
+				r.InsertChild(i, k, child)
+				keys, kids = slices.Insert(keys, i, k), slices.Insert(kids, i, child)
+			case op < 8 && len(keys) > 1:
+				i = 1 + rng.Intn(len(keys)-1)
+				r.Delete(i)
+				keys, kids = slices.Delete(keys, i, i+1), slices.Delete(kids, i, i+1)
+			case len(keys) > 4:
+				// A split and a consolidation: the upper half moves out and back.
+				var right Records
+				mid := len(keys) / 2
+				right.AppendFrom(r, mid)
+				r.Truncate(mid)
+				r.AppendFrom(&right, 0)
+			}
+			want := *c
+			want.Keys, want.Children, want.Recs = keys, kids, Records{}
+			if got, exp := mustMarshal(t, c), mustMarshal(t, &want); !bytes.Equal(got, exp) {
+				t.Fatalf("%s step %d: entries encode differently from the model", name, step)
+			}
+			from := max(len(copies)-16, 0)
+			if step%250 == 0 {
+				from = 0
+			}
+			for j, h := range copies[from:] {
+				if !slices.Equal(h.r.slots, h.slots) {
+					t.Fatalf("%s step %d: copy %d's slots were written", name, step, j)
+				}
+				for e := range h.keys {
+					if !bytes.Equal(h.r.Key(e), h.keys[e]) || h.r.Child(e) != h.kids[e] {
+						t.Fatalf("%s step %d: copy %d entry %d changed", name, step, j, e)
+					}
+				}
+			}
+		}
+	}
+}
