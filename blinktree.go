@@ -406,8 +406,10 @@ func (t *Tree) Begin() (*Txn, error) {
 
 // Maintain synchronously runs all pending lazy structure modifications
 // (index-term postings, consolidations). Useful with Workers: -1 and before
-// measuring space utilization.
-func (t *Tree) Maintain() { t.inner.DrainTodo() }
+// measuring space utilization. It returns the error that stopped
+// maintenance, if one did: a structure modification whose log record could
+// not be written is abandoned, and no further one runs.
+func (t *Tree) Maintain() error { return t.inner.DrainTodo() }
 
 // Checkpoint flushes all dirty pages and writes a checkpoint record,
 // bounding recovery time: the next open reads and redoes the log from that
@@ -432,7 +434,9 @@ func (t *Tree) FlushLog() error { return t.inner.FlushLog() }
 // Verify checks the tree's structural invariants. The tree must be
 // quiescent (no concurrent operations).
 func (t *Tree) Verify() error {
-	t.inner.DrainTodo()
+	if err := t.inner.DrainTodo(); err != nil {
+		return err
+	}
 	return t.inner.Verify()
 }
 
@@ -448,7 +452,9 @@ type DeepReport = core.DeepReport
 // tail sanity (dense LSNs from 1; torn tails reported, not failed). The
 // tree must be quiescent; pending maintenance is drained first.
 func (t *Tree) VerifyDeep() (*DeepReport, error) {
-	t.inner.DrainTodo()
+	if err := t.inner.DrainTodo(); err != nil {
+		return nil, err
+	}
 	return t.inner.VerifyDeep()
 }
 

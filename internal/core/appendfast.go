@@ -98,7 +98,7 @@ func (t *Tree) appendFastPut(lp recOpParams, key, val []byte) (lsn wal.LSN, upda
 	}
 	// Fit check: the fast path never splits (it has no parent hint worth
 	// trusting for an SMO); a full leaf falls back to the normal path.
-	pos, found := leaf.searchLeaf(t, key)
+	pos, found := t.search(&leaf.c().Recs, key)
 	fits := false
 	if found {
 		fits = leaf.size()+len(val)-len(leaf.c().Recs.Val(pos)) <= t.opts.PageSize

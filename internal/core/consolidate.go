@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
 	"blinktree/internal/page"
@@ -31,17 +29,17 @@ func (t *Tree) processDelete(a action) {
 	}
 	p, err := t.accessParent(&a, true)
 	if err != nil {
-		switch err {
-		case errIdentity:
+		switch {
+		case err == errIdentity:
 			t.c.deleteAbortID.Add(1)
-		default:
+		case t.failed() == nil:
 			t.c.deleteAbortDX.Add(1)
 		}
 		return
 	}
 	// p is exclusively latched and covers a.sep (the victim's immutable
 	// low key). Locate the victim's index term.
-	i, found := t.search(p.c(), a.sep)
+	i, found := t.search(&p.c().Recs, a.sep)
 	if !found || p.c().Recs.Child(i) != a.origID {
 		// The term was never posted, or the victim is already gone.
 		t.c.deleteAbortEdge.Add(1)
@@ -97,7 +95,13 @@ func (t *Tree) processDelete(a action) {
 	// Drain comparator: the page is first marked empty with its own logged
 	// update, the extra update and log record §1.3 criticizes.
 	if t.opts.DeletePolicy == Drain {
-		t.logDrainMark(victim)
+		if err := t.logDrainMark(victim); err != nil {
+			t.fail(err, victim)
+			t.unlatchUnpin(victim, latch.Exclusive, false)
+			t.unlatchUnpin(left, latch.Exclusive, false)
+			t.unlatchUnpin(p, latch.Exclusive, true)
+			return
+		}
 	}
 
 	// Step 5: remove the index term; subsequent searches for the victim's
@@ -116,11 +120,18 @@ func (t *Tree) processDelete(a action) {
 		// remembered against either: force a visible change.
 		l.DD += v.DD + 1
 	}
-	l.reindex()
+	l.raw = l.countRaw()
 	left.install(l)
 	victim.kill()
 
-	t.logConsolidate(p, left, victim)
+	if err := t.logConsolidate(p, left, victim); err != nil {
+		// The victim stays allocated, dead: its deallocation is unlogged.
+		t.fail(err, p, left)
+		t.unlatchUnpin(p, latch.Exclusive, true)
+		t.unlatchUnpin(left, latch.Exclusive, true)
+		t.unlatchUnpin(victim, latch.Exclusive, false)
+		return
+	}
 
 	if victim.isLeaf() {
 		t.c.leafConsolidated.Add(1)
@@ -155,17 +166,15 @@ func (t *Tree) processDelete(a action) {
 
 // logDrainMark writes the drain comparator's mark-empty update for the
 // victim page.
-func (t *Tree) logDrainMark(victim *node) {
+func (t *Tree) logDrainMark(victim *node) error {
 	if t.log == nil {
-		return
+		return nil
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		victim.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TSMO, SMO: wal.SMODrainMark, Images: t.pageImage(victim)}
 	})
-	if err != nil {
-		panic(fmt.Sprintf("blinktree: logging drain mark: %v", err))
-	}
+	return err
 }
 
 // resolveParent fills a.parent (and re-remembers D_X) by traversing to the
@@ -191,9 +200,9 @@ func (t *Tree) resolveParent(a *action) bool {
 
 // logConsolidate appends the atomic SMO record for a consolidation: parent
 // and left-sibling after-images plus the victim's deallocation.
-func (t *Tree) logConsolidate(p, left, victim *node) {
+func (t *Tree) logConsolidate(p, left, victim *node) error {
 	if t.log == nil {
-		return
+		return nil
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		p.lsn = uint64(lsn)
@@ -205,9 +214,7 @@ func (t *Tree) logConsolidate(p, left, victim *node) {
 			Deallocs: []page.PageID{victim.id},
 		}
 	})
-	if err != nil {
-		panic(fmt.Sprintf("blinktree: logging consolidate: %v", err))
-	}
+	return err
 }
 
 // processShrink removes a root that has exactly one child and no right
@@ -236,10 +243,7 @@ func (t *Tree) processShrink(a action) {
 		t.unlatchUnpin(root, latch.Exclusive, false)
 		return
 	}
-	t.dx.v.Add(1)
-	t.c.dxIncrements.Add(1)
-	root.kill()
-
+	// The record goes first: a shrink it cannot log is abandoned unmade.
 	if t.log != nil {
 		_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 			return &wal.Record{
@@ -250,9 +254,15 @@ func (t *Tree) processShrink(a action) {
 			}
 		})
 		if err != nil {
-			panic(fmt.Sprintf("blinktree: logging shrink: %v", err))
+			t.fail(err)
+			t.unpin(child)
+			t.unlatchUnpin(root, latch.Exclusive, false)
+			return
 		}
 	}
+	t.dx.v.Add(1)
+	t.c.dxIncrements.Add(1)
+	root.kill()
 
 	t.setAnchor(child, false)
 	t.c.shrinks.Add(1)

@@ -331,3 +331,38 @@ func TestSplitOverStaleFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceStopsOnLogFailure: a WorkersNone tree with 512-byte pages
+// takes 400 Puts, leaving splits to post and a root to grow, and then its
+// log device fails. FlushLog returns wal.ErrLogFailed, and the maintenance
+// that follows abandons its structure modifications instead of panicking:
+// DrainTodo and Close return the log's error, and the to-do queue is left
+// as the failure found it.
+func TestMaintenanceStopsOnLogFailure(t *testing.T) {
+	dev := &fullLogDevice{MemDevice: wal.NewMemDevice()}
+	tr := newTestTree(t, Options{PageSize: 512, Workers: WorkersNone, LogDevice: dev})
+	for i := 0; i < 400; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.TodoLen() == 0 {
+		t.Fatal("no maintenance queued: the failure would not be exercised")
+	}
+	dev.full.Store(true)
+	if err := tr.FlushLog(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("FlushLog on the failed device: %v", err)
+	}
+	if err := tr.DrainTodo(); !errors.Is(err, wal.ErrLogFailed) || !errors.Is(err, errDiskFull) {
+		t.Fatalf("DrainTodo after the log failed: %v", err)
+	}
+	if err := tr.DrainTodo(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("second DrainTodo: %v", err)
+	}
+	if tr.TodoLen() == 0 {
+		t.Fatal("the maintenance ran on after the failure")
+	}
+	if err := tr.Close(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("Close after the log failed: %v", err)
+	}
+}

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -55,17 +56,12 @@ type node struct {
 
 // state is a node's content with what the tree keeps beside it.
 type state struct {
-	// hs are the key heads every in-node search of a bytewise index node
-	// runs on (heads.go), rebuilt by reindex; leaves have none. Verify
-	// recounts them too.
-	hs keyHeads
-
 	// raw caches countRaw(): the content's marshaled size before
 	// fence-prefix compression, the under-utilization policy's measure (a
 	// well-filled index page whose keys share a long fence prefix marshals
 	// far below the threshold; consolidating it would force a re-split).
 	// The leaf record operations maintain it by the entry's size, every
-	// other edit recounts it (reindex). Verify recounts.
+	// other edit recounts it. Verify recounts.
 	raw int
 
 	// dead marks a consolidated node. It is set under the exclusive latch
@@ -101,15 +97,6 @@ func (n *node) kill() {
 	n.install(s)
 }
 
-// reindex recounts s's size and an index node's heads after an edit of
-// its entries or fences.
-func (s *state) reindex() {
-	s.raw = s.countRaw()
-	if s.Kind == page.Index {
-		s.hs.rebuild(&s.Recs)
-	}
-}
-
 // countRaw walks the content for the size raw caches.
 func (s *state) countRaw() int { return s.Size() + s.Recs.Len()*s.PrefixLen() }
 
@@ -121,7 +108,7 @@ func newNode(id page.PageID, c page.Content) *node {
 	}
 	n := &node{id: id, lsn: c.LSN, first: state{Content: c}}
 	n.first.LSN = 0 // n.lsn is the page LSN
-	n.first.reindex()
+	n.first.raw = n.first.countRaw()
 	n.install(&n.first)
 	return n
 }
@@ -160,13 +147,24 @@ func (n *node) pastHigh(t *Tree, key []byte) bool {
 	return h != nil && t.compare(key, h) >= 0
 }
 
-// searchLeaf returns the position of key in a leaf and whether it is
-// present; absent keys return their insertion position.
-func (n *node) searchLeaf(t *Tree, key []byte) (int, bool) {
+// search is every in-node search, of a leaf or an index node: the position
+// of the first entry of r whose key is >= key and whether that key equals
+// key. A bytewise tree searches on the slots' key heads (DESIGN.md §4b,
+// "In-node search"), a custom-comparator tree through its comparator.
+func (t *Tree) search(r *page.Records, key []byte) (int, bool) {
 	if t.bytewise {
-		return n.c().Recs.Search(nil, key)
+		return r.Search(nil, key)
 	}
-	return n.c().Recs.Search(t.cmp, key)
+	return r.Search(t.cmp, key)
+}
+
+// compare orders two keys, calling bytes.Compare directly when that is the
+// tree's order.
+func (t *Tree) compare(a, b []byte) int {
+	if t.bytewise {
+		return bytes.Compare(a, b)
+	}
+	return t.cmp(a, b)
 }
 
 // findChild returns the position of the index entry pointing at child, or
@@ -208,13 +206,13 @@ func (n *node) setLeafVal(i int, val []byte) {
 // position. It reports false if a term with the same key already exists
 // (the posting was already done, e.g. re-discovered twice).
 func (n *node) insertIndexTerm(t *Tree, key []byte, child page.PageID) bool {
-	i, found := t.search(n.c(), key)
+	i, found := t.search(&n.c().Recs, key)
 	if found {
 		return false
 	}
 	s := n.edit()
 	s.Recs.InsertChild(i, key, child)
-	s.reindex()
+	s.raw = s.countRaw()
 	n.install(s)
 	return true
 }
@@ -223,7 +221,7 @@ func (n *node) insertIndexTerm(t *Tree, key []byte, child page.PageID) bool {
 func (n *node) removeIndexTermAt(i int) {
 	s := n.edit()
 	s.Recs.Delete(i)
-	s.reindex()
+	s.raw = s.countRaw()
 	n.install(s)
 }
 

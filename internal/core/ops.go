@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
 	"blinktree/internal/page"
@@ -59,7 +57,7 @@ func (t *Tree) lookup(dst, key []byte, value bool) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	pos, found := leaf.searchLeaf(t, key)
+	pos, found := t.search(&leaf.c().Recs, key)
 	if found && value {
 		dst = append(dst, leaf.c().Recs.Val(pos)...)
 	}
@@ -137,7 +135,7 @@ func (t *Tree) putInternal(lp recOpParams, key, val []byte) (wal.LSN, bool, erro
 // latch and pin.
 func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams, key, val []byte) (wal.LSN, bool, error) {
 	for {
-		pos, found := leaf.searchLeaf(t, key)
+		pos, found := t.search(&leaf.c().Recs, key)
 		if found {
 			old := leaf.c().Recs.Val(pos)
 			if leaf.size()+len(val)-len(old) <= t.opts.PageSize {
@@ -214,7 +212,7 @@ func (t *Tree) deleteInternal(lp recOpParams, key []byte) (wal.LSN, error) {
 // deleteOnLeaf removes key from an exclusively latched leaf, consuming the
 // latch and pin.
 func (t *Tree) deleteOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams, key []byte) (wal.LSN, error) {
-	pos, found := leaf.searchLeaf(t, key)
+	pos, found := t.search(&leaf.c().Recs, key)
 	if !found {
 		t.unlatchUnpin(leaf, latch.Exclusive, false)
 		return 0, ErrKeyNotFound
@@ -270,18 +268,16 @@ func (t *Tree) logRecOp(leaf *node, lp recOpParams, op wal.Op, key, val, old []b
 // record when nothing else logs that change (the D_D bump of accessParent):
 // a write-back of n can tear, and the redo window must hold a copy. Its
 // LSN stamps n, so the WAL rule forces the image before n is written.
-func (t *Tree) logImage(n *node) {
+func (t *Tree) logImage(n *node) error {
 	if t.log == nil || !t.firstChange(n) {
-		return
+		return nil
 	}
 	t.c.firstChangeImages.Add(1)
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		n.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TRecOp, Page: n.id, Images: t.pageImage(n)}
 	})
-	if err != nil {
-		panic(fmt.Sprintf("blinktree: logging image of page %d: %v", n.id, err))
-	}
+	return err
 }
 
 // parentFromPath extracts the remembered parent reference and its D_D from

@@ -283,7 +283,7 @@ func (t *Tree) redoRecOp(r *wal.Record) error {
 		leaf.frame.Unpin(false)
 		return nil
 	}
-	i, found := leaf.searchLeaf(t, r.Key)
+	i, found := t.search(&leaf.c().Recs, r.Key)
 	switch {
 	case found && r.Op == wal.OpDelete:
 		leaf.removeLeafAt(i)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"blinktree/internal/latch"
@@ -12,7 +11,7 @@ import (
 )
 
 // snapImage is a deep copy of what an index node's snapshot holds: its
-// header, its entries and their heads.
+// header, its entries, and its slots with their key heads and prefix.
 type snapImage struct {
 	level     uint8
 	epoch, dd uint64
@@ -22,16 +21,16 @@ type snapImage struct {
 	right     page.PageID
 	keys      [][]byte
 	children  []page.PageID
-	pfx       int
-	heads     []uint64
+	slots     []uint64
+	pfx       []byte
 }
 
 func imageOf(s *state) snapImage {
 	im := snapImage{
 		level: s.Level, epoch: s.Epoch, dd: s.DD, dead: s.dead, raw: s.raw,
 		low: bytes.Clone(s.Low), high: bytes.Clone(s.High), right: s.Right,
-		pfx: s.hs.pfx, heads: slices.Clone(s.hs.h),
 	}
+	im.slots, im.pfx = slotWords(&s.Recs)
 	for i := range s.Recs.Len() {
 		im.keys = append(im.keys, bytes.Clone(s.Recs.Key(i)))
 		im.children = append(im.children, s.Recs.Child(i))
@@ -44,8 +43,11 @@ func imageOf(s *state) snapImage {
 // no change may write one: each installs a new snapshot. One node goes
 // through every kind of change — a posting, a term removal, a D_D bump, a
 // split and a consolidation into it — and after each, every snapshot loaded
-// from it so far must still hold the header, entries and heads it held when
-// it was loaded, and the current one must show the change.
+// from it so far must still hold the header, entries, slot words (key heads
+// included) and prefix it held when it was loaded, and the current one must
+// show the change and search every one of its keys to its slot. The posting
+// lands below every key but the first, so it shrinks the node's prefix and
+// rewrites every head.
 func TestRoutesSurviveIndexEdits(t *testing.T) {
 	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.6})
 	for i := 0; i < 3000; i++ {
@@ -83,8 +85,14 @@ func TestRoutesSurviveIndexEdits(t *testing.T) {
 				t.Fatalf("after the %s, the snapshot loaded before change %d no longer holds what it held", edit, i)
 			}
 		}
-		if now := imageOf(current()); !changed(images[len(images)-1], now) {
+		cur := current()
+		if now := imageOf(cur); !changed(images[len(images)-1], now) {
 			t.Fatalf("the %s did not show in node %d's snapshot", edit, id)
+		}
+		for i := range cur.Recs.Len() {
+			if j, found := tr.search(&cur.Recs, cur.Recs.Key(i)); j != i || !found {
+				t.Fatalf("after the %s, key %d of node %d searches to %d, %v", edit, i, id, j, found)
+			}
 		}
 	}
 	edit := func(name string, fn func(n *node), changed func(was, now snapImage) bool) {
@@ -102,13 +110,16 @@ func TestRoutesSurviveIndexEdits(t *testing.T) {
 
 	var sep []byte
 	edit("posting", func(n *node) {
-		sep = append(bytes.Clone(n.c().Recs.Key(1)), 0)
+		if len(n.c().Low) != 0 {
+			t.Fatalf("leftmost node %d has low fence %q", id, n.c().Low)
+		}
+		sep = []byte{n.c().Recs.Key(1)[0] - 1}
 		if !n.insertIndexTerm(tr, sep, ^page.PageID(0)) {
 			t.Fatalf("posting %q refused", sep)
 		}
-	}, func(was, now snapImage) bool { return terms(was, now) == 1 })
+	}, func(was, now snapImage) bool { return terms(was, now) == 1 && len(now.pfx) < len(was.pfx) })
 	edit("term removal", func(n *node) {
-		i, found := tr.search(n.c(), sep)
+		i, found := tr.search(&n.c().Recs, sep)
 		if !found {
 			t.Fatalf("posted term %q missing", sep)
 		}
@@ -167,10 +178,10 @@ func allocsOf(runs int, setup, f func()) (allocs, bytes uint64) {
 
 // TestIndexRouteAllocs pins what an index node's snapshot costs on a
 // 150-term node. An exclusive release publishes nothing, so releasing an
-// unchanged node allocates nothing; a posting allocates the new snapshot,
-// its slot array and its heads (and, now and then, a larger buffer for the
-// entries); a decode, the node with its first snapshot, its slot array and
-// its heads, the entries staying in the image.
+// unchanged node allocates nothing; a posting allocates the new snapshot and
+// its slot array, key heads included (and, now and then, a larger buffer for
+// the entries); a decode, the node with its first snapshot and its slot
+// array, the entries staying in the image.
 func TestIndexRouteAllocs(t *testing.T) {
 	tr := newTestTree(t, Options{PageSize: 4096})
 	keys, kids := make([][]byte, 150), make([]page.PageID, 150)
@@ -219,8 +230,8 @@ func TestIndexRouteAllocs(t *testing.T) {
 	decode := func() { codec{tr}.Unmarshal(image) }
 	allocs, bytes = allocsOf(100, func() {}, decode)
 	t.Logf("decode: %d allocs, %d B", allocs, bytes)
-	if allocs >= 6 || bytes >= 8816 {
-		t.Errorf("decoding a 150-term index page: %d allocs, %d B; want < 6 and < 8816 B", allocs, bytes)
+	if allocs > 2 || bytes > 1696 {
+		t.Errorf("decoding a 150-term index page: %d allocs, %d B; want <= 2 and <= 1696 B", allocs, bytes)
 	}
 }
 

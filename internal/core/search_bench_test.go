@@ -14,10 +14,11 @@ import (
 )
 
 // BenchmarkKeySearch measures the in-node search every traversal step
-// funnels through, the comparator search (Records.Search under a comparator
-// call per probe) beside the key-head search a bytewise tree runs, on two key
+// funnels through, Records.Search under a comparator call per probe beside
+// its search on the slots' key heads, which a bytewise tree runs, on two key
 // shapes: ASCII "key-%06d", and the benchmark harness's 8 zero bytes plus a
-// big-endian id, whose shared leading zeros are why the heads skip keys[0].
+// big-endian id, whose shared leading zeros are why the heads' prefix skips
+// keys[0].
 func BenchmarkKeySearch(b *testing.B) {
 	cmp := bytes.Compare
 	shapes := []struct {
@@ -38,14 +39,14 @@ func BenchmarkKeySearch(b *testing.B) {
 				probe[i] = shape.key((i * 97) % (n * 3))
 			}
 			s := indexOver(keys)
-			b.Run(fmt.Sprintf("keySearch/%s/%d", shape.name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("comparator/%s/%d", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s.Recs.Search(cmp, probe[i%len(probe)])
 				}
 			})
 			b.Run(fmt.Sprintf("heads/%s/%d", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s.hs.search(&s.Recs, probe[i%len(probe)])
+					s.Recs.Search(nil, probe[i%len(probe)])
 				}
 			})
 		}

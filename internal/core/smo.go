@@ -149,7 +149,11 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 			p.frame.MarkDirty()
 			// Unlogged, and the consolidation may yet abort: if this is
 			// p's first change since the checkpoint, log p's image.
-			t.logImage(p)
+			if err := t.logImage(p); err != nil {
+				err = t.fail(err, p)
+				t.unlatchUnpin(p, latch.Exclusive, true)
+				return nil, err
+			}
 		}
 		if checkState && t.opts.SingleDeleteState {
 			// Ablation: all deletes funnel into the global counter.
@@ -229,7 +233,7 @@ func (t *Tree) postInto(p *node, a action) {
 		// A term with the same key but a different child means the key
 		// space boundary was recreated by unrelated SMOs; the posting is
 		// stale. Abandon.
-		if _, found := t.search(p.c(), a.sep); found {
+		if _, found := t.search(&p.c().Recs, a.sep); found {
 			t.c.postsDuplicate.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, false)
 			t.traceSMO(obs.EvCompleted, &a)
@@ -238,7 +242,11 @@ func (t *Tree) postInto(p *node, a action) {
 		need := page.EntrySize(page.Index, len(a.sep), 0)
 		if p.size()+need <= t.opts.PageSize {
 			p.insertIndexTerm(t, a.sep, a.newID)
-			t.logPost(p)
+			if err := t.logPost(p); err != nil {
+				t.fail(err, p)
+				t.unlatchUnpin(p, latch.Exclusive, true)
+				return
+			}
 			t.c.postsDone.Add(1)
 			t.unlatchUnpin(p, latch.Exclusive, true)
 			t.traceSMO(obs.EvCompleted, &a)
@@ -263,17 +271,15 @@ func (t *Tree) postInto(p *node, a action) {
 }
 
 // logPost writes the one-page SMO record for an index-term change in p.
-func (t *Tree) logPost(p *node) {
+func (t *Tree) logPost(p *node) error {
 	if t.log == nil {
-		return
+		return nil
 	}
 	_, err := t.log.AppendFunc(func(lsn wal.LSN) *wal.Record {
 		p.lsn = uint64(lsn)
 		return &wal.Record{Type: wal.TSMO, SMO: wal.SMOPost, Images: t.pageImage(p)}
 	})
-	if err != nil {
-		panic(fmt.Sprintf("blinktree: logging post: %v", err))
-	}
+	return err
 }
 
 // postAtRootLevel handles a post whose splitting node was at root level
@@ -369,7 +375,10 @@ func (t *Tree) growLocked(a action) {
 			}
 		})
 		if err != nil {
-			panic(fmt.Sprintf("blinktree: logging grow: %v", err))
+			// Unanchored, the new root is unreachable: the grow is abandoned.
+			t.fail(err, root)
+			t.unlatchUnpin(root, latch.Exclusive, true)
+			return
 		}
 	}
 	t.setAnchor(root, true)

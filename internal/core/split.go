@@ -61,10 +61,12 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	// node's key space description (High of n == Low of new).
 	s.High, s.Right = sep, right.id
 	s.Recs.Truncate(mid)
-	s.reindex()
+	s.raw = s.countRaw()
 	n.install(s)
 
-	err = t.logSplit(n, right)
+	if err = t.logSplit(n, right); err != nil {
+		t.fail(err, n, right)
+	}
 	// The new half becomes reachable through n's side pointer once the
 	// caller releases n; through its page ID it has been reachable since
 	// allocNode, which is why it was born latched.

@@ -305,7 +305,7 @@ func (q *todoQueue) runNextGated() bool {
 
 func (q *todoQueue) worker() {
 	defer q.wg.Done()
-	for !q.stopped.Load() {
+	for !q.stopped.Load() && q.t.failed() == nil {
 		if q.runNextGated() {
 			continue
 		}
@@ -322,10 +322,11 @@ func (q *todoQueue) worker() {
 // reclaim blocked on a concurrent pin) get a tiny sleep so their blocker
 // can progress; a queue that refuses to shrink for drainSpinLimit rounds
 // makes drain bail out, counted in Stats.DrainBailouts (stuck actions keep
-// the tree correct regardless — the need is re-discovered).
+// the tree correct regardless — the need is re-discovered). Drain, like the
+// workers, pops nothing once the tree has failed (Tree.fail).
 func (q *todoQueue) drain() {
 	spins := 0
-	for {
+	for q.t.failed() == nil {
 		a, ok := q.tryPop()
 		if !ok {
 			// Workers may be mid-action: wait for them (they may enqueue

@@ -68,7 +68,7 @@ func (o *traverseOpts) childIn(t *Tree, s *state) int {
 	if o.below && o.key == nil {
 		return s.Recs.Len() - 1
 	}
-	i, found := t.search(s, o.key)
+	i, found := t.search(&s.Recs, o.key)
 	if found && !o.below {
 		return i
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,9 @@ type Tree struct {
 	recStats RecoveryStats
 
 	closed atomic.Bool
+
+	// failure is the first error that stopped a logged change (fail).
+	failure atomic.Pointer[error]
 
 	_ [64]byte // below: words that writers and structure modifications write
 
@@ -475,12 +479,37 @@ func (t *Tree) Height() uint8 {
 // DrainTodo synchronously processes queued structure modifications until
 // the queue is empty and idle. Tests and benchmarks use it to reach a
 // quiescent, fully-posted state. Under the drain policy, it also reclaims
-// every husk (quiescence means all references have drained).
-func (t *Tree) DrainTodo() {
-	t.todo.drain()
-	if t.opts.DeletePolicy == Drain {
+// every husk (quiescence means all references have drained). Once the tree
+// has failed (fail), it runs nothing and returns the failure.
+func (t *Tree) DrainTodo() error {
+	if t.todo.drain(); t.opts.DeletePolicy == Drain && t.failed() == nil {
 		t.drainReclaim(true)
 	}
+	return t.failed()
+}
+
+// fail records err, the failure of a change's log record, as the tree's
+// failure if it is the first, and returns it. The change stays in memory,
+// search-correct as an abandoned SMO is (§2.3). On a failed log, the nodes
+// it touched get an LSN past every record: the log holds records it never
+// made durable, so the WAL rule fails their write-back. The workers stop
+// popping, and DrainTodo and Close return the failure.
+func (t *Tree) fail(err error, touched ...*node) error {
+	if errors.Is(err, wal.ErrLogFailed) {
+		for _, n := range touched {
+			n.lsn = math.MaxUint64
+		}
+	}
+	t.failure.CompareAndSwap(nil, &err)
+	return err
+}
+
+// failed returns the tree's failure (fail), or nil.
+func (t *Tree) failed() error {
+	if p := t.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // DrainPending returns the number of deleted pages still waiting out the
@@ -547,11 +576,12 @@ func (t *Tree) firstChange(n *node) bool {
 }
 
 // pageImage marshals n for a log record; build functions call it after
-// stamping n's LSN. A node that does not fit its page is a bug.
+// stamping n's LSN. A node that does not marshal is a bug: it becomes the
+// tree's failure, and its image is left empty, which the log refuses.
 func (t *Tree) pageImage(n *node) []wal.PageImage {
 	img, err := n.Marshal(t.opts.PageSize)
 	if err != nil {
-		panic(fmt.Sprintf("blinktree: image of page %d: %v", n.id, err))
+		t.fail(fmt.Errorf("blinktree: image of page %d: %w", n.id, err))
 	}
 	return []wal.PageImage{{ID: n.id, Data: img}}
 }
@@ -561,12 +591,17 @@ func (t *Tree) pageImage(n *node) []wal.PageImage {
 // waiting for a force included, and the background log-writer of the
 // periodic and async modes has exited. A logged
 // tree ends with a Checkpoint: a clean shutdown restarts by reading that one
-// record, unless a transaction was left open.
+// record, unless a transaction was left open. A tree that failed (fail)
+// instead stops its log without a force and returns the failure.
 func (t *Tree) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	t.todo.stop()
+	if err := t.failed(); err != nil {
+		t.Abandon() // stops the log without a force
+		return err
+	}
 	if t.log == nil {
 		return t.store.Sync()
 	}

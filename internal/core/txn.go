@@ -348,7 +348,7 @@ func (x *Txn) Get(key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pos, found := leaf.searchLeaf(t, key)
+	pos, found := t.search(&leaf.c().Recs, key)
 	var val []byte
 	if found {
 		val = append([]byte(nil), leaf.c().Recs.Val(pos)...)
@@ -392,7 +392,7 @@ func (x *Txn) Put(key, val []byte) error {
 	// Capture the prior value for undo before the write.
 	var op wal.Op = wal.OpInsert
 	var old []byte
-	if pos, found := leaf.searchLeaf(t, key); found {
+	if pos, found := t.search(&leaf.c().Recs, key); found {
 		op = wal.OpUpdate
 		old = append([]byte(nil), leaf.c().Recs.Val(pos)...)
 	}
@@ -440,7 +440,7 @@ func (x *Txn) Delete(key []byte) error {
 		return err
 	}
 	var old []byte
-	if pos, found := leaf.searchLeaf(t, key); found {
+	if pos, found := t.search(&leaf.c().Recs, key); found {
 		old = append([]byte(nil), leaf.c().Recs.Val(pos)...)
 	}
 	lsn, err := t.deleteOnLeaf(leaf, path, dx, recOpParams{txn: x.id, prevLSN: x.last(), sp: sp}, key)

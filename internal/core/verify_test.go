@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -97,23 +96,26 @@ func TestVerifyDetectsStaleCachedSize(t *testing.T) {
 	expectViolation(t, tr, "cached size")
 }
 
-// TestVerifyDetectsStaleKeyHeads: a mutator that forgets an index node's key
-// heads leaves every key in place and every search of the node wrong. Verify
-// recounts the heads and names the node, in a bytewise tree; a custom
-// comparator never searches them, so there it does not look.
+// TestVerifyDetectsStaleKeyHeads: a mutator that forgets a slot's key head
+// leaves every key in place and searches of the node wrong. Verify searches
+// every key of every node, which runs on the heads in a bytewise tree, and
+// names the node, an index node's and a leaf's alike; a custom comparator
+// never searches the heads, so there it finds nothing.
 func TestVerifyDetectsStaleKeyHeads(t *testing.T) {
-	tr := buildVerifyTree(t)
 	var id page.PageID
 	stale := func(n *node) {
 		id = n.id
 		// Copy-on-write, as every edit of an index node.
 		s := n.edit()
-		s.hs.h = slices.Clone(s.hs.h)
-		s.hs.h[len(s.hs.h)-1]++
+		slots, _ := slotWords(&s.Recs)
+		setSlotWord(&s.Recs, len(slots)-1, slots[len(slots)-1]+1<<32)
 		n.install(s)
 	}
-	withNode(t, tr, 0, 1, stale)
-	expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
+	for lvl := range uint8(2) {
+		tr := buildVerifyTree(t)
+		withNode(t, tr, 0, lvl, stale)
+		expectViolation(t, tr, fmt.Sprintf("node %d key heads stale", id))
+	}
 
 	custom := newTestTree(t, Options{PageSize: 512, Compare: func(a, b []byte) int { return bytes.Compare(a, b) }})
 	for i := 0; i < 600; i++ {
@@ -139,7 +141,7 @@ func TestVerifyDetectsWrongIndexTerm(t *testing.T) {
 		k, child := append(bytes.Clone(s.Recs.Key(1)), 'z'), s.Recs.Child(1)
 		s.Recs.Delete(1)
 		s.Recs.InsertChild(1, k, child)
-		s.reindex()
+		s.raw = s.countRaw()
 		n.install(s)
 	})
 	// Either the child-low/term mismatch or the chain invariant trips.

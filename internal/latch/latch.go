@@ -88,8 +88,8 @@ type Latch struct {
 
 	// version is a seqlock-style sequence word for optimistic readers: it
 	// is bumped whenever exclusive ownership is gained (Acquire/TryAcquire
-	// in X mode, Promote, TryPromote) and again when it is given up
-	// (Release(Exclusive), Demote), so it is odd exactly while an X holder
+	// in X mode, Promote) and again when it is given up (Release(Exclusive)),
+	// so it is odd exactly while an X holder
 	// exists. An optimistic reader samples it with OptVersion, reads the
 	// protected state through its own atomics, and calls Validate to learn
 	// whether any exclusive ownership intervened.
@@ -252,45 +252,6 @@ func (l *Latch) Promote() {
 	l.version.Add(1)
 	l.mu.Unlock()
 	l.sink().recordPromote()
-}
-
-// TryPromote upgrades Update to Exclusive only if no readers are present,
-// reporting whether the promotion happened. On false the Update latch is
-// still held.
-func (l *Latch) TryPromote() bool {
-	l.mu.Lock()
-	l.init()
-	if !l.update {
-		l.mu.Unlock()
-		panic("latch: TryPromote without update holder")
-	}
-	if l.readers > 0 {
-		l.mu.Unlock()
-		return false
-	}
-	l.update = false
-	l.excl = true
-	l.version.Add(1)
-	l.mu.Unlock()
-	l.sink().recordPromote()
-	return true
-}
-
-// Demote converts the caller's Exclusive latch to Shared without a window in
-// which the latch is unheld. It is used when an updater has finished
-// modifying a node but wants to keep reading it.
-func (l *Latch) Demote() {
-	l.mu.Lock()
-	l.init()
-	if !l.excl {
-		l.mu.Unlock()
-		panic("latch: Demote without exclusive holder")
-	}
-	l.excl = false
-	l.readers++
-	l.version.Add(1)
-	l.grant.Broadcast()
-	l.mu.Unlock()
 }
 
 // OptVersion samples the latch's version word for an optimistic read. ok is

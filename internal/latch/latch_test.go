@@ -149,34 +149,6 @@ func TestPromotionBlocksNewReaders(t *testing.T) {
 	l.Release(Exclusive)
 }
 
-func TestTryPromote(t *testing.T) {
-	var l Latch
-	l.Acquire(Update)
-	l.Acquire(Shared)
-	if l.TryPromote() {
-		t.Fatal("TryPromote succeeded with reader present")
-	}
-	l.Release(Shared)
-	if !l.TryPromote() {
-		t.Fatal("TryPromote failed with no readers")
-	}
-	l.Release(Exclusive)
-}
-
-func TestDemote(t *testing.T) {
-	var l Latch
-	l.Acquire(Exclusive)
-	l.Demote()
-	if r, _, x := l.Held(); x || r != 1 {
-		t.Fatalf("after demote: readers=%d exclusive=%v", r, x)
-	}
-	if !l.TryAcquire(Shared) {
-		t.Fatal("reader refused after demote")
-	}
-	l.Release(Shared)
-	l.Release(Shared)
-}
-
 func TestWritersNotStarved(t *testing.T) {
 	var l Latch
 	l.Acquire(Shared)
@@ -429,7 +401,7 @@ func TestVersionWord(t *testing.T) {
 		t.Fatal("exclusive cycle did not advance the version")
 	}
 
-	// Promotion from Update opens an odd window; demotion closes it.
+	// Promotion from Update opens an odd window; the release closes it.
 	l.Acquire(Update)
 	if _, ok := l.OptVersion(); !ok {
 		t.Fatal("version odd under update latch (update holders don't modify)")
@@ -438,29 +410,17 @@ func TestVersionWord(t *testing.T) {
 	if _, ok := l.OptVersion(); ok {
 		t.Fatal("version even after promotion to exclusive")
 	}
-	l.Demote() // demotes to Shared
+	l.Release(Exclusive)
 	v2, ok := l.OptVersion()
 	if !ok {
-		t.Fatal("version odd after demote")
+		t.Fatal("version odd after exclusive release")
 	}
 	if v2 == v1 {
-		t.Fatal("promote/demote cycle did not advance the version")
+		t.Fatal("promote/release cycle did not advance the version")
 	}
+	l.Acquire(Shared)
 	l.Release(Shared)
 	if !l.Validate(v2) {
-		t.Fatal("shared release changed the version")
-	}
-
-	// TryPromote counts as an exclusive grant when it succeeds.
-	l.Acquire(Update)
-	if !l.TryPromote() {
-		t.Fatal("uncontended TryPromote failed")
-	}
-	if _, ok := l.OptVersion(); ok {
-		t.Fatal("version even after TryPromote")
-	}
-	l.Release(Exclusive)
-	if v3, _ := l.OptVersion(); v3 == v2 {
-		t.Fatal("TryPromote cycle did not advance the version")
+		t.Fatal("shared cycle changed the version")
 	}
 }

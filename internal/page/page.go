@@ -377,7 +377,7 @@ func UnmarshalInto(c *Content, buf []byte) error {
 	// One walk bounds-checks every length before anything is sliced by it
 	// and fills the slots. The checksum covers exactly the bytes walked.
 	index := c.Kind == Index
-	slots := make([]uint32, nkeys)
+	slots := make([]uint64, nkeys)
 	p := entries
 	for i := 0; i < nkeys; i++ {
 		if p+2 > len(buf) {
@@ -387,7 +387,7 @@ func UnmarshalInto(c *Content, buf []byte) error {
 		if cp+klen > maxEntryLen {
 			return fmt.Errorf("%w: key %d longer than %d", ErrCorrupt, i, maxEntryLen)
 		}
-		slots[i] = uint32(p)
+		slots[i] = uint64(p)
 		if p += 2 + klen; index {
 			p += 8
 			continue
@@ -419,18 +419,18 @@ func UnmarshalInto(c *Content, buf []byte) error {
 		b := a + copy(arena[a:], c.High)
 		c.High, a = arena[a:b:b], b
 	}
-	if cp == 0 {
-		return nil
+	if cp > 0 {
+		b, o := arena[a:], 0
+		for i, q := range slots {
+			klen := int(binary.LittleEndian.Uint16(buf[q:]))
+			slots[i] = uint64(o)
+			binary.LittleEndian.PutUint16(b[o:], uint16(cp+klen))
+			o += 2 + copy(b[o+2:], c.Low[:cp])
+			o += copy(b[o:], buf[int(q)+2:int(q)+2+klen+8])
+		}
+		c.Recs = Records{buf: b, slots: slots, tail: len(b), bytes: len(b), index: true}
 	}
-	b, o := arena[a:], 0
-	for i, q := range slots {
-		klen := int(binary.LittleEndian.Uint16(buf[q:]))
-		slots[i] = uint32(o)
-		binary.LittleEndian.PutUint16(b[o:], uint16(cp+klen))
-		o += 2 + copy(b[o+2:], c.Low[:cp])
-		o += copy(b[o:], buf[int(q)+2:int(q)+2+klen+8])
-	}
-	c.Recs = Records{buf: b, slots: slots, tail: len(b), bytes: len(b), index: true}
+	c.Recs.reprefix()
 	return nil
 }
 

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
+	"sort"
 )
 
 // Records is a resident node's entries where they sit: in the page image
 // the node was decoded from, or in a page buffer the node owns. One slot per
-// entry, in key order, holds the entry's offset in that buffer, and an entry
-// is laid out as on the page: a leaf's record is u16 key length, key, u16
-// value length, value; an index entry is u16 key length, key, u64 child. So
-// a decode fills the slots and copies nothing, a search reads keys in place,
-// and an encode copies each live entry once.
+// entry, in key order, holds the entry's offset in that buffer beside the
+// key's head (see Search), and an entry is laid out as on the page: a leaf's
+// record is u16 key length, key, u16 value length, value; an index entry is
+// u16 key length, key, u64 child. So a decode fills the slots and copies
+// nothing, a search runs on the slots, and an encode copies each live entry
+// once.
 //
 // A Records never writes bytes it has handed out. A decoded image has no
 // free tail, so the first insert copies the live entries into a fresh
@@ -28,16 +30,18 @@ import (
 //
 // A leaf's Records is not safe for concurrent mutation: the tree's leaf
 // latch guards it. An index node's is copy-on-write: its mutators never
-// write a slot either, but give the copy they edit a new slot array, so a
-// Records value copied before an edit reads what it read before, and the
-// tree hands such copies to latch-free readers (internal/core).
+// write a slot either, heads included, but give the copy they edit a new
+// slot array, so a Records value copied before an edit reads and searches
+// what it did before, and the tree hands such copies to latch-free readers
+// (internal/core).
 type Records struct {
 	buf   []byte
-	slots []uint32
-	tail  int  // first free byte of buf; len(buf) for a decoded image
-	bytes int  // encoded size of the live entries
-	image bool // buf is the decoded image and no mutator has run since
-	index bool // index entries (u64 child), copy-on-write slots
+	slots []uint64 // head<<32 | offset
+	pfx   []byte   // a prefix every key but the first has (Search)
+	tail  int      // first free byte of buf; len(buf) for a decoded image
+	bytes int      // encoded size of the live entries
+	image bool     // buf is the decoded image and no mutator has run since
+	index bool     // index entries (u64 child), copy-on-write slots
 }
 
 // Untouched reports whether r still reads the image UnmarshalInto decoded it
@@ -49,14 +53,14 @@ func (r *Records) Len() int { return len(r.slots) }
 
 // Key returns entry i's key.
 func (r *Records) Key(i int) []byte {
-	p := int(r.slots[i]) + 2
+	p := int(uint32(r.slots[i])) + 2
 	e := p + int(binary.LittleEndian.Uint16(r.buf[p-2:]))
 	return r.buf[p:e:e]
 }
 
 // Val returns leaf record i's value.
 func (r *Records) Val(i int) []byte {
-	p := int(r.slots[i])
+	p := int(uint32(r.slots[i]))
 	p += 4 + int(binary.LittleEndian.Uint16(r.buf[p:]))
 	e := p + int(binary.LittleEndian.Uint16(r.buf[p-2:]))
 	return r.buf[p:e:e]
@@ -64,34 +68,113 @@ func (r *Records) Val(i int) []byte {
 
 // Child returns index entry i's child.
 func (r *Records) Child(i int) PageID {
-	p := int(r.slots[i])
+	p := int(uint32(r.slots[i]))
 	p += 2 + int(binary.LittleEndian.Uint16(r.buf[p:]))
 	return PageID(binary.LittleEndian.Uint64(r.buf[p:]))
 }
 
 // Search returns the position of the first record whose key is >= key
 // under cmp (Len when every key is smaller) and whether that key equals key.
-// A nil cmp is the bytewise order, compared without an indirect call.
+//
+// A nil cmp is the bytewise order, searched on the slots' heads (DESIGN.md
+// §4b, "In-node search"): one compare with the prefix, integer compares of
+// the heads past it, a key read only on a tie of two keys longer than a
+// head, and one compare with the first key, which may lie outside the
+// prefix, when the answer is 0 or 1.
 func (r *Records) Search(cmp func(a, b []byte) int, key []byte) (int, bool) {
-	lo, hi := 0, len(r.slots)
+	n := len(r.slots)
+	if cmp != nil {
+		i := sort.Search(n, func(i int) bool { return cmp(r.Key(i), key) >= 0 })
+		return i, i < n && cmp(r.Key(i), key) == 0
+	}
+	lo, hi, p := min(1, n), n, len(r.pfx)
+	// A key that differs from the prefix below it, or ends inside it, lies
+	// below keys[1]; one that differs above it lies above every key.
+	if c := bytes.Compare(key[:min(p, len(key))], r.pfx); c < 0 {
+		hi = lo
+	} else if c > 0 {
+		lo = hi
+	}
+	want := head(key, p)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if cmp == nil {
-			c = bytes.Compare(r.Key(mid), key)
-		} else {
-			c = cmp(r.Key(mid), key)
+		h := uint32(r.slots[mid] >> 32)
+		less := h < want
+		if h == want {
+			c := 0 // both tails inside the head: equal keys
+			if h&0xff == 4 {
+				c = bytes.Compare(r.Key(mid)[p+3:], key[p+3:])
+			}
+			if c == 0 {
+				return mid, true
+			}
+			less = c < 0
 		}
-		switch {
-		case c == 0:
-			return mid, true
-		case c < 0:
+		if less {
 			lo = mid + 1
-		default:
+		} else {
 			hi = mid
 		}
 	}
+	if lo == 1 {
+		if c := bytes.Compare(r.Key(0), key); c >= 0 {
+			return 0, c == 0
+		}
+	}
 	return lo, false
+}
+
+// head returns k's head past a prefix of p bytes: the next 3 bytes, zero
+// padded, over a low byte counting the bytes k has past p, up to 4. A head
+// that differs orders its key (a key that runs out of bytes first is the
+// smaller), and equal heads under a count of 4 are equal keys.
+func head(k []byte, p int) uint32 {
+	switch t := k[min(p, len(k)):]; len(t) {
+	case 0:
+		return 0
+	case 1:
+		return uint32(t[0])<<24 | 1
+	case 2:
+		return uint32(t[0])<<24 | uint32(t[1])<<16 | 2
+	case 3:
+		return uint32(t[0])<<24 | uint32(t[1])<<16 | uint32(t[2])<<8 | 3
+	default:
+		return binary.BigEndian.Uint32(t)&^0xff | 4
+	}
+}
+
+// setHeads writes every slot's head for the current prefix.
+func (r *Records) setHeads() {
+	p := len(r.pfx)
+	for i, s := range r.slots {
+		r.slots[i] = uint64(head(r.Key(i), p))<<32 | uint64(uint32(s))
+	}
+}
+
+// reprefix takes the prefix as what the keys but the first share — under
+// the bytewise order, what keys[1] and the last key share — and writes
+// every head: the decode and AppendFrom, which read every key anyway.
+func (r *Records) reprefix() {
+	r.pfx = nil
+	if n := len(r.slots); n > 1 {
+		r.pfx = r.Key(1)[:commonPrefix(r.Key(1), r.Key(n-1))]
+	}
+	r.setHeads()
+}
+
+// insert adds slot i for the entry at offset p, then fits the prefix to the
+// key the insert brought among the keys past the first: entry i, or the
+// former first entry when i is 0. A prefix only shrinks here, and each
+// shrink writes every head; a node of up to two entries takes it afresh.
+func (r *Records) insert(i, p int) {
+	r.slots = slices.Insert(r.slots, i, uint64(p))
+	r.slots[i] |= uint64(head(r.Key(i), len(r.pfx))) << 32
+	if len(r.slots) <= 2 {
+		r.reprefix()
+	} else if q := commonPrefix(r.pfx, r.Key(max(i, 1))); q < len(r.pfx) {
+		r.pfx = r.pfx[:q]
+		r.setHeads()
+	}
 }
 
 // Size returns the encoded size of entry i.
@@ -99,7 +182,7 @@ func (r *Records) Size(i int) int { return len(r.record(i)) }
 
 // record returns the encoded bytes of entry i.
 func (r *Records) record(i int) []byte {
-	p := int(r.slots[i])
+	p := int(uint32(r.slots[i]))
 	k := int(binary.LittleEndian.Uint16(r.buf[p:]))
 	if r.index {
 		return r.buf[p : p+10+k]
@@ -111,14 +194,14 @@ func (r *Records) record(i int) []byte {
 func (r *Records) Insert(i int, key, val []byte) {
 	p := r.room(EntrySize(Leaf, len(key), len(val)))
 	putRecord(r.buf[p:], key, val)
-	r.slots = slices.Insert(r.slots, i, uint32(p))
+	r.insert(i, p)
 }
 
 // InsertChild adds (key, child) as index entry i.
 func (r *Records) InsertChild(i int, key []byte, child PageID) {
 	p := r.room(EntrySize(Index, len(key), 0))
 	putTerm(r.buf[p:], key, child)
-	r.slots = slices.Insert(r.slots, i, uint32(p))
+	r.insert(i, p)
 }
 
 // putRecord writes a leaf record at b's start and returns its length.
@@ -153,7 +236,8 @@ func (r *Records) Set(i int, val []byte) {
 	r.Insert(i, key, val)
 }
 
-// Delete drops entry i.
+// Delete drops entry i. The keys past the first are fewer, so they still
+// share the prefix, and the heads stay.
 func (r *Records) Delete(i int) {
 	r.image = false
 	r.bytes -= len(r.record(i))
@@ -161,7 +245,7 @@ func (r *Records) Delete(i int) {
 	r.slots = slices.Delete(r.slots, i, i+1)
 }
 
-// Truncate drops the entries from i on.
+// Truncate drops the entries from i on; the prefix and heads stay.
 func (r *Records) Truncate(i int) {
 	r.image = false
 	for j := i; j < len(r.slots); j++ {
@@ -183,16 +267,18 @@ func (r *Records) AppendFrom(src *Records, i int) {
 	p := r.tail - need
 	r.slots = slices.Grow(r.slots, src.Len()-i)
 	for j := i; j < src.Len(); j++ {
-		r.slots = append(r.slots, uint32(p))
+		r.slots = append(r.slots, uint64(p))
 		p += copy(r.buf[p:], src.record(j))
 	}
+	r.reprefix()
 }
 
 // room reserves need bytes at the free tail and returns their offset; every
 // insert, Set and AppendFrom write through it, and then write the slots. A
 // tail without room — always so for a decoded image — first moves the live
 // entries into a fresh buffer twice the size they and need take, so the
-// copies cost a constant per byte written, however full the node.
+// copies cost a constant per byte written, however full the node. The heads
+// move with their slots.
 func (r *Records) room(need int) int {
 	r.image = false
 	r.own()
@@ -200,10 +286,15 @@ func (r *Records) room(need int) int {
 		buf, p := make([]byte, 2*(r.bytes+need)), 0
 		for i := range r.slots {
 			n := copy(buf[p:], r.record(i))
-			r.slots[i] = uint32(p)
+			r.slots[i] = r.slots[i]>>32<<32 | uint64(p)
 			p += n
 		}
 		r.buf, r.tail = buf, p
+		if len(r.slots) > 1 { // the prefix, read from the new buffer
+			r.pfx = r.Key(1)[:len(r.pfx)]
+		} else {
+			r.reprefix()
+		}
 	}
 	r.tail += need
 	r.bytes += need

@@ -134,7 +134,8 @@ func (l *Log) Checkpoint(build func() *Record) error {
 // SMO touches must be stamped with the SMO record's own LSN *before* their
 // after-images are encoded into that record, so LSN assignment and record
 // construction must be atomic. The record is encoded before AppendFunc
-// returns; nothing keeps it.
+// returns; nothing keeps it. A record with an empty page image (a page
+// that did not marshal) is refused: nothing is appended.
 func (l *Log) AppendFunc(build func(lsn LSN) *Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -142,6 +143,11 @@ func (l *Log) AppendFunc(build func(lsn LSN) *Record) (LSN, error) {
 		return 0, l.err
 	}
 	r := build(l.next)
+	for _, im := range r.Images {
+		if im.Data == nil {
+			return 0, fmt.Errorf("wal: record without an image of page %d", im.ID)
+		}
+	}
 	var t0 time.Time
 	if l.obs != nil {
 		t0 = time.Now()

@@ -248,3 +248,22 @@ func TestTailWriteFailureIsFailStop(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRefusesEmptyImage: a record whose page image is empty (a page
+// that did not marshal) is refused, takes no LSN and leaves the log usable.
+func TestAppendRefusesEmptyImage(t *testing.T) {
+	l, _ := newCountedLog(t)
+	next := l.NextLSN()
+	if _, err := l.Append(&Record{Type: TSMO, SMO: SMOPost, Images: []PageImage{{ID: 7}}}); err == nil {
+		t.Fatal("a record with an empty image was appended")
+	}
+	if l.NextLSN() != next {
+		t.Fatalf("the refused record took LSN %d", next)
+	}
+	if _, err := l.Append(recOp()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
